@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json eval random campaign examples clean
+.PHONY: all build vet test race check bench bench-all eval random campaign examples clean
 
 all: build test
 
@@ -25,9 +25,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Machine-readable perf snapshot (ns/op, allocs/op per pipeline stage).
-bench-json:
-	$(GO) run ./cmd/fcatch-bench -json BENCH_current.json
+# The repository benchmark (BENCHMARK.json): all five workloads, end to end.
+bench-all:
+	$(GO) run ./bench -all
 
 # Regenerate every table and experiment of the paper's evaluation.
 eval:
@@ -35,7 +35,7 @@ eval:
 
 # The Section 8.3 baseline at full scale.
 random:
-	$(GO) run ./cmd/randinject -runs 400
+	$(GO) run ./cmd/fcatch-bench -randinject -runs 400
 
 # The §8.3-extended campaign strategy comparison at full scale.
 campaign:
@@ -49,4 +49,4 @@ examples:
 	$(GO) run ./examples/random-vs-fcatch -runs 100
 
 clean:
-	rm -f test_output.txt bench_output.txt *.gob.gz
+	rm -f test_output.txt bench_output.txt

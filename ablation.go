@@ -1,6 +1,7 @@
 package fcatch
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -37,7 +38,7 @@ func PruningAblation(opts Options) ([]PruningAblationRow, error) {
 		{"none", detect.Options{DisableTimeoutPruning: true, DisableDependencePruning: true, DisableImpactPruning: true}},
 	}
 	ws := Workloads()
-	counts, err := parallel.MapErr(opts.Parallelism, len(ws)*len(configs), func(i int) (int, error) {
+	counts, err := parallel.MapErr(context.Background(), opts.Parallelism, len(ws)*len(configs), func(i int) (int, error) {
 		w, cfg := ws[i/len(configs)], configs[i%len(configs)]
 		o := opts
 		o.Detect = cfg.d

@@ -145,13 +145,14 @@ func BenchmarkExhaustiveTracing(b *testing.B) {
 }
 
 // BenchmarkRandomInjection is the §8.3 baseline at bench scale (40 runs per
-// workload here; `cmd/randinject -runs 400` for the paper's full campaign).
+// workload here; `fcatch-bench -randinject -runs 400` for the paper's full
+// campaign).
 func BenchmarkRandomInjection(b *testing.B) {
 	for _, w := range fcatch.Workloads() {
 		b.Run(w.Name(), func(b *testing.B) {
 			var unique int
 			for i := 0; i < b.N; i++ {
-				res, err := fcatch.RandomInjection(w, 40, 1)
+				res, err := fcatch.Campaign(w, fcatch.CampaignConfig{Strategy: fcatch.StrategyRandom, Seed: 1, Budget: 40})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +276,7 @@ func BenchmarkTraceSaveLoad(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		path := dir + "/t.gob.gz"
+		path := dir + "/t.trace"
 		if err := obs.FaultFree.Save(path); err != nil {
 			b.Fatal(err)
 		}

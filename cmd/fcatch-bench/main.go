@@ -8,8 +8,6 @@
 //	fcatch-bench -randinject [-runs N]# §8.3 random-injection baseline
 //	fcatch-bench -campaign [-runs N]  # §8.3 extended: campaign strategy comparison
 //	fcatch-bench -triggering          # §8.4 fault-type matrix
-//	fcatch-bench -json out.json       # machine-readable perf suite (BENCH_*.json)
-//	fcatch-bench -compare old.json new.json  # regression-diff two perf suites
 //
 // -parallelism bounds the pipeline's worker pool for every experiment
 // (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting.
@@ -21,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"fcatch"
 	"fcatch/internal/core"
@@ -40,46 +37,12 @@ func main() {
 	runs := flag.Int("runs", 400, "runs per workload for -randinject")
 	seed := flag.Int64("seed", 1, "deterministic scheduler seed")
 	parallelism := flag.Int("parallelism", 0, "pipeline worker bound (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.String("json", "", "run the perf benchmark suite and write JSON results to this file")
-	smoke := flag.Bool("smoke", false, "with -json: run only the cheap TOY-scale entries (CI smoke test)")
-	compareBench := flag.Bool("compare", false, "diff two perf suites: fcatch-bench -compare old.json new.json")
-	strict := flag.Bool("strict", false, "with -compare: exit nonzero when regressions are flagged")
-	gate := flag.String("gate", "", "with -compare: exit nonzero when a flagged regression's name starts with this prefix (e.g. detect/); other entries stay advisory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
-	if *compareBench {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "fcatch-bench: -compare takes exactly two files: old.json new.json")
-			os.Exit(2)
-		}
-		regs := runBenchCompare(flag.Arg(0), flag.Arg(1))
-		if *strict && len(regs) > 0 {
-			os.Exit(1)
-		}
-		if *gate != "" {
-			for _, name := range regs {
-				if strings.HasPrefix(name, *gate) {
-					fmt.Fprintf(os.Stderr, "fcatch-bench: gated regression in %s\n", name)
-					os.Exit(1)
-				}
-			}
-		}
-		return
-	}
-
 	if *cpuprofile != "" || *memprofile != "" {
 		defer profileTo(*cpuprofile, *memprofile)()
-	}
-
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, *seed, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, "fcatch-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "fcatch-bench: wrote", *jsonOut)
-		return
 	}
 
 	opts := core.Options{Seed: *seed, Phase: fcatch.PhaseBegin, Tracing: sim.TraceSelective, MeasureBaseline: true, Parallelism: *parallelism}
@@ -132,10 +95,12 @@ func main() {
 		fmt.Println(fcatch.RenderPruningAblation(rows))
 	}
 	if *all || *randinject {
-		var results []*fcatch.RandomResult
+		var results []*fcatch.CampaignResult
 		for _, w := range fcatch.Workloads() {
 			fmt.Fprintf(os.Stderr, "fcatch-bench: random injection on %s (%d runs)...\n", w.Name(), *runs)
-			r, err := fcatch.RandomInjectionP(w, *runs, *seed, *parallelism)
+			r, err := fcatch.Campaign(w, fcatch.CampaignConfig{
+				Strategy: fcatch.StrategyRandom, Seed: *seed, Budget: *runs, Parallelism: *parallelism,
+			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "fcatch-bench:", err)
 				os.Exit(1)

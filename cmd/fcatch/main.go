@@ -150,11 +150,13 @@ func main() {
 		}
 
 	case "random":
-		res, err := fcatch.RandomInjectionP(w, *runs, *seed, *parallelism)
+		res, err := fcatch.Campaign(w, fcatch.CampaignConfig{
+			Strategy: fcatch.StrategyRandom, Seed: *seed, Budget: *runs, Parallelism: *parallelism,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(fcatch.RenderRandom([]*fcatch.RandomResult{res}))
+		fmt.Print(fcatch.RenderRandom([]*fcatch.CampaignResult{res}))
 
 	case "trace":
 		obs, err := core.Observe(w, opts)

@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("  -> %d reports, %d confirmed true bugs\n\n", len(res.Reports), confirmed)
 
 	fmt.Printf("== Random crash injection: %d runs ==\n", *runs)
-	rnd, err := fcatch.RandomInjection(w, *runs, 1)
+	rnd, err := fcatch.Campaign(w, fcatch.CampaignConfig{Strategy: fcatch.StrategyRandom, Seed: 1, Budget: *runs})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,8 +48,6 @@ type (
 	Report = detect.Report
 	// TriggerOutcome is the verdict of replaying one report's fault.
 	TriggerOutcome = inject.Outcome
-	// RandomResult summarizes a random fault-injection campaign.
-	RandomResult = inject.RandomResult
 	// Phase selects where the observation crash lands.
 	Phase = core.Phase
 	// Window is one hazard window of an observation: the interval a fault
@@ -222,25 +220,6 @@ func TriggerCompound(w Workload, res *Result, rep *CompoundReport) *CompoundOutc
 	return inject.NewTriggerer(w, res.Options.Seed).TriggerCompound(rep)
 }
 
-// RandomInjection runs the Section 8.3 baseline: `runs` executions with a
-// node crash at a uniformly random step each, fanned across every core.
-func RandomInjection(w Workload, runs int, seed int64) (*RandomResult, error) {
-	return inject.RandomCampaign(w, runs, seed)
-}
-
-// RandomInjectionP is RandomInjection with an explicit parallelism bound
-// (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting.
-func RandomInjectionP(w Workload, runs int, seed int64, parallelism int) (*RandomResult, error) {
-	return inject.RandomCampaignP(w, runs, seed, parallelism)
-}
-
-// RandomInjectionObserved is RandomInjectionP with an observe-only metrics
-// registry threaded into the underlying campaign engine (nil = cheap no-op;
-// the counts are identical either way).
-func RandomInjectionObserved(w Workload, runs int, seed int64, parallelism int, m *Metrics) (*RandomResult, error) {
-	return inject.RandomCampaignObserved(w, runs, seed, parallelism, m)
-}
-
 // Trace is one observation run's interned record stream. Record fields that
 // name things (PID, Site, Res, ...) are symbols into the trace's table —
 // resolve them with the Trace's Str/Lookup/Format methods.
@@ -258,10 +237,9 @@ const (
 // SaveTrace writes a trace to path in the current binary format.
 func SaveTrace(t *Trace, path string) error { return t.Save(path) }
 
-// LoadTrace reads a trace from path, sniffing the format: current binary
-// traces, previous-generation binary traces and pre-versioning gob traces all
-// load. It is a thin drain over OpenTrace — callers that can process records
-// in bounded windows should prefer the streaming form.
+// LoadTrace reads a trace saved by SaveTrace; anything else is rejected as an
+// unrecognized trace format. It is a thin drain over OpenTrace — callers that
+// can process records in bounded windows should prefer the streaming form.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
 
 // DecodeTrace is LoadTrace over an arbitrary reader.
@@ -274,10 +252,8 @@ func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
 // coverage folds) without materializing the full record slice.
 type TraceSource = trace.Source
 
-// OpenTrace opens a saved trace for streaming, sniffing the format like
-// LoadTrace. Current-format traces decode incrementally — peak memory is
-// O(window), not O(trace) — while older formats are materialized and then
-// windowed, so every format serves the same Source interface.
+// OpenTrace opens a saved trace for streaming. The trace decodes
+// incrementally — peak memory is O(window), not O(trace).
 func OpenTrace(path string) (TraceSource, error) { return trace.Open(path) }
 
 // StreamTrace is OpenTrace over an arbitrary reader. The reader must remain

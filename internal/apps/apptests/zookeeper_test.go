@@ -6,6 +6,7 @@ import (
 
 	"fcatch/internal/apps/toy"
 	"fcatch/internal/apps/zookeeper"
+	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
@@ -117,7 +118,7 @@ func TestToyWorkloadEndToEnd(t *testing.T) {
 }
 
 func TestRandomCampaignOnToyMostlyTolerates(t *testing.T) {
-	res, err := inject.RandomCampaign(toy.New(), 60, 1)
+	res, err := campaign.Run(toy.New(), campaign.Config{Strategy: campaign.StrategyRandom, Seed: 1, Budget: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fcatch/internal/apps/mapreduce"
+	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
@@ -138,7 +139,7 @@ func TestMR3TriggerableByReplyDrop(t *testing.T) {
 }
 
 func TestRandomInjectionFindsTheFalseNegative(t *testing.T) {
-	res, err := inject.RandomCampaign(mapreduce.NewMR1(), 120, 1)
+	res, err := campaign.Run(mapreduce.NewMR1(), campaign.Config{Strategy: campaign.StrategyRandom, Seed: 1, Budget: 120})
 	if err != nil {
 		t.Fatal(err)
 	}

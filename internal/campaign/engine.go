@@ -180,7 +180,7 @@ type localExecutor struct {
 }
 
 func (e *localExecutor) ExecuteBatch(ctx context.Context, plans []Plan) ([]RunResult, error) {
-	return parallel.MapCtx(ctx, e.parallelism, len(plans), func(i int) RunResult {
+	return parallel.Map(ctx, e.parallelism, len(plans), func(i int) RunResult {
 		return runPlan(e.w, e.seed, plans[i], e.target, e.restart, e.traced)
 	})
 }
@@ -246,8 +246,8 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 		}
 	}
 
-	// Measure the fault-free execution once, untraced — the legacy
-	// baseline's exact preparation, so `random` campaigns reproduce it.
+	// Measure the fault-free execution once, untraced: its length is the
+	// `random` strategy's sample space.
 	baseCfg := sim.Config{Seed: cfg.Seed, Tracing: sim.TraceOff}
 	w.Tune(&baseCfg)
 	bc := sim.NewCluster(baseCfg)

@@ -35,7 +35,7 @@ type Space struct {
 	// Target is the workload's crash-target role (used by step plans).
 	Target string
 	// BaseSteps is the fault-free execution length in scheduler steps (the
-	// sample space of the legacy random strategy).
+	// sample space of the random strategy).
 	BaseSteps int64
 	// Sites in first-execution order.
 	Sites []SiteInfo

@@ -10,7 +10,7 @@ import (
 // Strategy names accepted by Config.Strategy / NewStrategy.
 const (
 	// StrategyRandom is the Section 8.3 baseline: uniform-random step
-	// crashes, byte-identical to the pre-engine RandomCampaignP.
+	// crashes.
 	StrategyRandom = "random"
 	// StrategyExhaustive walks the enumerated fault space in order.
 	StrategyExhaustive = "exhaustive-site"
@@ -57,13 +57,13 @@ func StrategyNames() []string {
 
 // needsSpace reports whether a strategy samples the site-point fault space
 // (and therefore needs a traced fault-free run to enumerate it). The random
-// strategy samples raw steps and runs untraced, exactly like the legacy
-// baseline.
+// strategy samples raw steps and runs untraced.
 func needsSpace(name string) bool { return name != StrategyRandom }
 
-// randomStrategy reproduces the legacy baseline: all crash steps are drawn
-// up front from the same seeded RNG stream the pre-engine code used, so a
-// random campaign's results are byte-identical to RandomCampaignP's.
+// randomStrategy is the Section 8.3 baseline: all crash steps are drawn up
+// front from one seeded RNG stream, so a random campaign's results do not
+// depend on batching or parallelism (TestRandomCampaignMatchesReference pins
+// the counts against a direct implementation).
 type randomStrategy struct {
 	steps []int64
 	next  int

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -100,7 +101,7 @@ type Options struct {
 	Detect detect.Options
 	// Parallelism bounds the worker pool everywhere the pipeline fans out:
 	// RunEvaluation's per-workload passes, TriggerAll's per-report replays,
-	// RandomCampaign's runs, and Detect's two trace analyses. 0 (the
+	// a campaign's runs, and Detect's two trace analyses. 0 (the
 	// default) means GOMAXPROCS; 1 forces the fully sequential path. Every
 	// setting produces byte-identical reports, tables, and counters —
 	// results are collected in deterministic order regardless of schedule.
@@ -408,7 +409,7 @@ func Detect(w Workload, opts Options) (*Result, error) {
 	}
 	res.Windows = dopts.Windows
 	opts.Metrics.Counter("detect/windows").Add(int64(len(res.Windows)))
-	parallel.ForEach(opts.Parallelism, 2, func(i int) {
+	parallel.ForEach(context.Background(), opts.Parallelism, 2, func(i int) {
 		t0 := time.Now()
 		if i == 0 {
 			res.Regular = detect.DetectRegularOpts(gf, w.Name(), dopts)

@@ -162,7 +162,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	path := t.TempDir() + "/trace.gob.gz"
+	path := t.TempDir() + "/run.trace"
 	if err := obs.FaultFree.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

@@ -22,8 +22,8 @@ func TestOfflineDetectionFromSavedTraces(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	ffPath := filepath.Join(dir, "ff.gob.gz")
-	fyPath := filepath.Join(dir, "fy.gob.gz")
+	ffPath := filepath.Join(dir, "ff.trace")
+	fyPath := filepath.Join(dir, "fy.trace")
 	if err := obs.FaultFree.Save(ffPath); err != nil {
 		t.Fatal(err)
 	}

@@ -449,7 +449,11 @@ func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *cam
 		drain:    make(chan struct{}),
 		failed:   make(chan struct{}),
 	}
-	go c.acceptLoop(ln)
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		c.acceptLoop(ln)
+	}()
 
 	// Single-machine scale-out: spawn in-process workers against the real
 	// listener. They are ordinary workers in every respect — same handshake,
@@ -485,6 +489,7 @@ func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *cam
 	// admitting, and wait for the handlers (and spawned workers) to finish.
 	close(c.drain)
 	ln.Close()
+	<-accepting // no connWG.Add may race the Wait below
 	c.connWG.Wait()
 	stopWorkers()
 	workerWG.Wait()

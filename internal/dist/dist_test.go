@@ -363,45 +363,62 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 }
 
 // TestProtoVersionMismatchRejected: a worker speaking the wrong protocol
-// generation is told so and turned away.
+// generation is told so and turned away. The coordinator starts with no
+// workers of its own, so the listener stays open until the rogue worker has
+// read its rejection; only then does a real worker attach and let the
+// campaign finish.
 func TestProtoVersionMismatchRejected(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 1, Budget: 4}
 	opts := testOptions()
-	opts.Workers = 1
-	opts.WorkerParallelism = 1
 	addrCh := make(chan string, 1)
 	opts.OnListen = func(a string) { addrCh <- a }
 
-	rejected := make(chan error, 1)
-	go func() {
-		addr := <-addrCh
+	rogue := func(addr string) error {
 		conn, err := (&net.Dialer{}).Dial("tcp", addr)
 		if err != nil {
-			rejected <- err
-			return
+			return err
 		}
 		defer conn.Close()
 		if err := writeMessage(conn, &message{Type: msgHello, Proto: ProtoVersion + 1, Worker: "future"}); err != nil {
-			rejected <- err
-			return
+			return err
 		}
 		var reply message
 		if err := readMessage(bufio.NewReader(conn), &reply); err != nil {
-			rejected <- err
-			return
+			return err
 		}
 		if reply.Type != msgError || !strings.Contains(reply.Err, "protocol") {
-			rejected <- fmt.Errorf("got %q frame (%s), want protocol error", reply.Type, reply.Err)
+			return fmt.Errorf("got %q frame (%s), want protocol error", reply.Type, reply.Err)
+		}
+		return nil
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rejected := make(chan error, 1)
+	workerDone := make(chan error, 1)
+	go func() {
+		addr := <-addrCh
+		err := rogue(addr)
+		rejected <- err
+		if err != nil {
+			cancel() // nobody will finish the campaign; unblock Serve
 			return
 		}
-		rejected <- nil
+		workerDone <- RunWorker(ctx, WorkerConfig{
+			Addr: addr, Name: "current", Parallelism: 1,
+			Resolve: func(string) (core.Workload, error) { return toy.New(), nil },
+		})
 	}()
 
-	if _, err := Serve(context.Background(), toy.New(), cfg, nil, opts); err != nil {
-		t.Fatal(err)
-	}
+	_, serveErr := Serve(ctx, toy.New(), cfg, nil, opts)
 	if err := <-rejected; err != nil {
 		t.Fatalf("mismatched worker: %v", err)
+	}
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker: %v", err)
 	}
 }
 

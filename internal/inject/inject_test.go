@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fcatch/internal/apps/toy"
+	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
 )
@@ -69,11 +70,12 @@ func TestTriggerWithoutWPrimeIsBenign(t *testing.T) {
 }
 
 func TestRandomCampaignDeterministic(t *testing.T) {
-	a, err := RandomCampaign(toy.New(), 25, 7)
+	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 7, Budget: 25}
+	a, err := campaign.Run(toy.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RandomCampaign(toy.New(), 25, 7)
+	b, err := campaign.Run(toy.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestRandomCampaignDeterministic(t *testing.T) {
 }
 
 func TestRandomResultSignaturesSorted(t *testing.T) {
-	r := &RandomResult{Failures: map[string]int{"b": 2, "a": 2, "c": 9}}
+	r := &campaign.Result{Failures: map[string]int{"b": 2, "a": 2, "c": 9}}
 	got := r.Signatures()
 	if len(got) != 3 || got[0] != "c" || got[1] != "a" || got[2] != "b" {
 		t.Fatalf("signatures = %v, want frequency desc then lexicographic", got)

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,10 +15,19 @@ import (
 	"fcatch/internal/sim"
 )
 
-// referenceRandomCampaign is the pre-engine RandomCampaignP, kept verbatim
-// (modulo the hoisted signature helpers) as the parity oracle: the campaign
-// engine's `random` strategy must reproduce its counts byte for byte.
-func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism int) (*RandomResult, error) {
+// randomCounts is what a Section 8.3 random-injection campaign reports.
+type randomCounts struct {
+	Workload    string
+	Runs        int
+	FailureRuns int
+	Failures    map[string]int
+}
+
+// referenceRandomCampaign is a direct implementation of the Section 8.3
+// baseline — draw every crash step from the seeded RNG, run, fingerprint the
+// failures — independent of the campaign engine. It is the parity oracle:
+// the engine's `random` strategy must reproduce its counts exactly.
+func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism int) (*randomCounts, error) {
 	cfg := sim.Config{Seed: seed, Tracing: sim.TraceOff}
 	w.Tune(&cfg)
 	c := sim.NewCluster(cfg)
@@ -33,7 +43,7 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 		steps[i] = 1 + rng.Int63n(base.Steps)
 	}
 
-	sigs := parallel.Map(parallelism, runs, func(i int) string {
+	sigs, _ := parallel.Map(context.Background(), parallelism, runs, func(i int) string {
 		plan := sim.NewObservationPlan(w.CrashTarget(), steps[i], w.RestartRoles())
 		rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: plan}
 		w.Tune(&rcfg)
@@ -49,7 +59,7 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 		return ""
 	})
 
-	res := &RandomResult{Workload: w.Name(), Runs: runs, Failures: map[string]int{}}
+	res := &randomCounts{Workload: w.Name(), Runs: runs, Failures: map[string]int{}}
 	for _, sig := range sigs {
 		if sig != "" {
 			res.FailureRuns++
@@ -59,10 +69,9 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 	return res, nil
 }
 
-// TestRandomCampaignMatchesReference pins the refactor: RandomCampaignP now
-// delegates to the campaign engine, and its output must equal the
-// pre-refactor implementation exactly — same failure runs, same signature
-// multiset — at sequential and maximal parallelism.
+// TestRandomCampaignMatchesReference: the campaign engine's `random` strategy
+// must equal the reference implementation exactly — same failure runs, same
+// signature multiset — at sequential and maximal parallelism.
 func TestRandomCampaignMatchesReference(t *testing.T) {
 	workloads := []core.Workload{toy.New(), mapreduce.NewMR1()}
 	for _, w := range workloads {
@@ -71,10 +80,13 @@ func TestRandomCampaignMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", w.Name(), err)
 			}
-			got, err := RandomCampaignP(w, 60, 3, par)
+			res, err := campaign.Run(w, campaign.Config{
+				Strategy: campaign.StrategyRandom, Seed: 3, Budget: 60, Parallelism: par,
+			})
 			if err != nil {
 				t.Fatalf("%s: engine: %v", w.Name(), err)
 			}
+			got := &randomCounts{res.Workload, res.Runs, res.FailureRuns, res.Failures}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s (parallelism %d): engine diverges from reference:\n got: %+v\nwant: %+v",
 					w.Name(), par, got, want)

@@ -3,6 +3,7 @@
 package inject
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -424,7 +425,8 @@ func (tg *Triggerer) TriggerCompound(rep *detect.CompoundReport) *CompoundOutcom
 // TriggerAll classifies every report and returns outcomes in report order,
 // replaying up to tg.Parallelism reports concurrently.
 func (tg *Triggerer) TriggerAll(reports []*detect.Report) []*Outcome {
-	return parallel.Map(tg.Parallelism, len(reports), func(i int) *Outcome {
+	outs, _ := parallel.Map(context.Background(), tg.Parallelism, len(reports), func(i int) *Outcome {
 		return tg.Trigger(reports[i])
 	})
+	return outs
 }

@@ -1,7 +1,7 @@
 // Package parallel provides the bounded fan-out primitive used across the
 // FCatch pipeline: evaluation runs the six Table 1 workloads concurrently,
-// the triggering module replays reports concurrently, and the random
-// fault-injection baseline fans its campaign runs across cores. Every unit of
+// the triggering module replays reports concurrently, and the campaign
+// engine fans each batch of injection runs across cores. Every unit of
 // work builds its own sim.Cluster, so isolation is structural; determinism is
 // preserved because each index writes into its own pre-allocated result slot
 // and callers consume the slots in index order — the schedule never leaks
@@ -24,13 +24,7 @@ func Resolve(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most `workers` goroutines.
-// It is ForEachCtx with a background context: every unit runs.
-func ForEach(workers, n int, fn func(i int)) {
-	_ = ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx runs fn(i) for i in [0, n) on at most `workers` goroutines
+// ForEach runs fn(i) for i in [0, n) on at most `workers` goroutines
 // (after Resolve). With one worker — or one unit of work — it runs inline on
 // the caller's goroutine, making the sequential path literally the same code
 // path the parity tests compare against. Work is handed out by an atomic
@@ -43,7 +37,7 @@ func ForEach(workers, n int, fn func(i int)) {
 // means every unit ran. This is the hook that lets a distributed
 // coordinator's drain — or a lease expiry — stop in-flight local work at the
 // next unit boundary instead of burning the rest of the batch.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
+func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
 	workers = Resolve(workers)
 	if workers > n {
 		workers = n
@@ -104,18 +98,13 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 }
 
 // Map runs fn over [0, n) with ForEach's scheduling and returns the results
-// in index order — the deterministic-collection contract in one call.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out, _ := MapCtx(context.Background(), workers, n, fn)
-	return out
-}
-
-// MapCtx is Map with cancellation: on a cancelled context the returned error
-// is non-nil and the result slice is partial (unstarted slots hold zero
-// values), so callers must discard it rather than merge it.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, error) {
+// in index order — the deterministic-collection contract in one call. On a
+// cancelled context the returned error is non-nil and the result slice is
+// partial (unstarted slots hold zero values), so callers must discard it
+// rather than merge it.
+func Map[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachCtx(ctx, workers, n, func(i int) {
+	err := ForEach(ctx, workers, n, func(i int) {
 		out[i] = fn(i)
 	})
 	return out, err
@@ -124,18 +113,13 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) T) ([]T, 
 // MapErr is Map for fallible work. Every unit still runs (workers do not
 // short-circuit — aborting mid-campaign would make partial results depend on
 // scheduling); the returned error is the lowest-index failure, so the error a
-// caller sees is the same one the sequential loop would have hit first.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapErrCtx(context.Background(), workers, n, fn)
-}
-
-// MapErrCtx is MapErr with cancellation. A context error takes precedence
-// over per-unit errors: it means the batch was abandoned, not that a unit
-// failed.
-func MapErrCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+// caller sees is the same one the sequential loop would have hit first. A
+// context error takes precedence over per-unit errors: it means the batch was
+// abandoned, not that a unit failed.
+func MapErr[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	if err := ForEachCtx(ctx, workers, n, func(i int) {
+	if err := ForEach(ctx, workers, n, func(i int) {
 		out[i], errs[i] = fn(i)
 	}); err != nil {
 		return out, err

@@ -25,7 +25,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 257
 		var counts [n]atomic.Int32
-		ForEach(workers, n, func(i int) { counts[i].Add(1) })
+		if err := ForEach(context.Background(), workers, n, func(i int) { counts[i].Add(1) }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -36,16 +38,17 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachZeroItems(t *testing.T) {
 	ran := false
-	ForEach(4, 0, func(int) { ran = true })
+	ForEach(context.Background(), 4, 0, func(int) { ran = true })
 	if ran {
 		t.Fatal("fn ran with n=0")
 	}
 }
 
 func TestMapIsOrderDeterministic(t *testing.T) {
-	want := Map(1, 100, func(i int) int { return i * i })
+	bg := context.Background()
+	want, _ := Map(bg, 1, 100, func(i int) int { return i * i })
 	for _, workers := range []int{2, 7, 16} {
-		got := Map(workers, 100, func(i int) int { return i * i })
+		got, _ := Map(bg, workers, 100, func(i int) int { return i * i })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
@@ -58,7 +61,7 @@ func TestMapErrReturnsLowestIndexError(t *testing.T) {
 	// Errors at 30 and 10: the sequential path would hit 10 first; the
 	// parallel path must report the same one regardless of schedule.
 	for _, workers := range []int{1, 4} {
-		_, err := MapErr(workers, 50, func(i int) (int, error) {
+		_, err := MapErr(context.Background(), workers, 50, func(i int) (int, error) {
 			if i == 30 || i == 10 {
 				return 0, fmt.Errorf("fail at %d", i)
 			}
@@ -73,7 +76,7 @@ func TestMapErrReturnsLowestIndexError(t *testing.T) {
 func TestMapErrRunsEverything(t *testing.T) {
 	var ran atomic.Int32
 	boom := errors.New("boom")
-	_, err := MapErr(4, 40, func(i int) (int, error) {
+	_, err := MapErr(context.Background(), 4, 40, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, boom
@@ -95,7 +98,7 @@ func TestForEachCtxCancelStopsNewUnits(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := ForEachCtx(ctx, workers, 10_000, func(i int) {
+		err := ForEach(ctx, workers, 10_000, func(i int) {
 			ran.Add(1)
 			if i == 5 {
 				cancel()
@@ -114,23 +117,10 @@ func TestForEachCtxCancelStopsNewUnits(t *testing.T) {
 	}
 }
 
-func TestForEachCtxUncancelledMatchesForEach(t *testing.T) {
-	const n = 137
-	var counts [n]atomic.Int32
-	if err := ForEachCtx(context.Background(), 3, n, func(i int) { counts[i].Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if counts[i].Load() != 1 {
-			t.Fatalf("index %d ran %d times", i, counts[i].Load())
-		}
-	}
-}
-
 func TestMapCtxPartialOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any unit starts
-	out, err := MapCtx(ctx, 2, 8, func(i int) int { return i + 1 })
+	out, err := Map(ctx, 2, 8, func(i int) int { return i + 1 })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -144,7 +134,7 @@ func TestMapCtxPartialOnCancel(t *testing.T) {
 func TestMapErrCtxContextErrorWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("boom")
-	_, err := MapErrCtx(ctx, 1, 10, func(i int) (int, error) {
+	_, err := MapErr(ctx, 1, 10, func(i int) (int, error) {
 		if i == 2 {
 			cancel()
 			return 0, boom
@@ -165,7 +155,7 @@ func TestForEachPropagatesPanic(t *testing.T) {
 					t.Fatalf("workers=%d: panic not propagated", workers)
 				}
 			}()
-			ForEach(workers, 10, func(i int) {
+			ForEach(context.Background(), workers, 10, func(i int) {
 				if i == 3 {
 					panic("kaboom")
 				}

@@ -1,10 +1,7 @@
 package trace
 
-// RecordData is the resolved, string-valued form of one Record — the shape
-// records had before interning, kept as the stable human-readable interchange
-// representation. JSON dumps (WriteJSON/ReadJSON) use it with the original
-// field names, so pre-interning dumps still parse, and tests build synthetic
-// traces from it without touching symbol tables by hand.
+// RecordData is the resolved, string-valued form of one Record: comparable
+// across traces whose symbol tables assign different Syms.
 type RecordData struct {
 	ID      OpID
 	TS      int64
@@ -46,45 +43,4 @@ func (t *Trace) Data(r *Record) RecordData {
 		Taint:   r.Taint,
 		Ctl:     r.Ctl,
 	}
-}
-
-// AppendData interns a RecordData's strings into this trace and appends the
-// resulting record, re-deriving bookkeeping exactly like the tracer: the ID
-// is assigned from the append position (d.ID is ignored), thread starts
-// register their PID, and crash records refresh the trace's crash metadata if
-// it is unset. Loaders and tests use it so a rebuilt trace is consistent
-// regardless of what the input stream claimed.
-func (t *Trace) AppendData(d RecordData) OpID {
-	var stack StackID
-	for _, label := range d.Stack {
-		stack = t.PushFrame(stack, t.Intern(label))
-	}
-	id := t.Append(Record{
-		TS:      d.TS,
-		Machine: t.Intern(d.Machine),
-		PID:     t.Intern(d.PID),
-		Thread:  d.Thread,
-		Frame:   d.Frame,
-		Kind:    d.Kind,
-		Site:    t.Intern(d.Site),
-		Stack:   stack,
-		Res:     t.Intern(d.Res),
-		Src:     d.Src,
-		Aux:     t.Intern(d.Aux),
-		Target:  t.Intern(d.Target),
-		Flags:   d.Flags,
-		Causor:  d.Causor,
-		Taint:   d.Taint,
-		Ctl:     d.Ctl,
-	})
-	switch d.Kind {
-	case KThreadStart:
-		t.AddPID(d.PID)
-	case KCrash:
-		if t.CrashedPID == "" && d.Aux != "" {
-			t.CrashedPID = d.Aux
-			t.CrashStep = d.TS
-		}
-	}
-	return id
 }

@@ -2,44 +2,21 @@ package trace
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 )
 
-// FormatMagic is the 4-byte tag leading every trace in the current versioned
-// binary format (the chunked FCT2 layout — see fct2.go). It sits outside the
-// gzip layer so Decode can sniff it: files that start with the FCT1 magic or
-// a bare gzip header are earlier generations and still load.
+// FormatMagic is the 4-byte tag leading every trace file (the chunked FCT2
+// layout — see fct2.go). It sits outside the gzip layer so a reader can
+// reject anything else before decompressing a byte.
 const FormatMagic = "FCT2"
 
 // FormatVersion is the trace-format generation the magic encodes.
 const FormatVersion = 2
 
-// FormatMagicV1 is the previous generation's magic (monolithic columns).
-// FCT1 files decode transparently; new traces are written as FCT2.
-const FormatMagicV1 = "FCT1"
-
-// The FCT1 layout, after the magic, is one gzip stream of:
-//
-//	symbol table   uvarint count, then per symbol (Sym 1..n): uvarint len + bytes
-//	stack table    uvarint count, then per node (StackID 1..n): uvarint parent + uvarint frame
-//	PIDs           uvarint count, then per PID: uvarint len + bytes
-//	metadata       varint CrashStep, string CrashedPID, varint BaselineNanos
-//	records        uvarint count, then column by column (all records' TS, then
-//	               all Machines, ...): TS delta-encoded varints; Sym/StackID/
-//	               OpID/flag columns as uvarints; Taint and Ctl as uvarint
-//	               count + delta-encoded varint IDs per record
-//
-// Record IDs are implicit (row i is OpID i+1). Column order matches Record
-// field order. Strings are stored once in the symbol table; the column data
-// is small integers, which is where the size win over gob comes from.
-
-// Save writes the trace to path in the current (FCT2) format.
+// Save writes the trace to path in the FCT2 format.
 func (t *Trace) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -52,8 +29,8 @@ func (t *Trace) Save(path string) error {
 	return nil
 }
 
-// Load reads a trace written by Save — any format generation. It is a thin
-// drain over Open; callers that want bounded memory use Open directly.
+// Load reads a trace written by Save. It is a thin drain over Open; callers
+// that want bounded memory use Open directly.
 func Load(path string) (*Trace, error) {
 	src, err := Open(path)
 	if err != nil {
@@ -62,141 +39,19 @@ func Load(path string) (*Trace, error) {
 	return Drain(src)
 }
 
-// Encode writes the trace to w in the current binary format: the records are
-// replayed through an in-memory Source into the chunked FCT2 encoder.
+// Encode writes the trace to w: the records are replayed through an
+// in-memory Source into the chunked FCT2 encoder.
 func (t *Trace) Encode(w io.Writer) error {
 	return EncodeStream(SourceOf(t, 0), w)
 }
 
-// EncodeFCT1 writes the trace in the previous monolithic-column FCT1 layout
-// — kept for the format benchmarks and cross-codec compatibility tests; new
-// traces should use Encode.
-func (t *Trace) EncodeFCT1(w io.Writer) error {
-	if _, err := io.WriteString(w, FormatMagicV1); err != nil {
-		return err
-	}
-	zw := gzip.NewWriter(w)
-	bw := bufio.NewWriter(zw)
-	e := colEncoder{w: bw}
-
-	// Symbol table (Sym 0 is implicit).
-	e.uvarint(uint64(t.NumSyms() - 1))
-	for y := 1; y < t.NumSyms(); y++ {
-		e.str(t.syms.Str(Sym(y)))
-	}
-	// Stack table (StackID 0 is implicit).
-	e.uvarint(uint64(t.NumStacks() - 1))
-	for id := 1; id < t.NumStacks(); id++ {
-		n := t.stacks.nodes[id]
-		e.uvarint(uint64(n.parent))
-		e.uvarint(uint64(n.frame))
-	}
-	// Run metadata.
-	e.uvarint(uint64(len(t.PIDs)))
-	for _, pid := range t.PIDs {
-		e.str(pid)
-	}
-	e.varint(t.CrashStep)
-	e.str(t.CrashedPID)
-	e.varint(t.BaselineNanos)
-
-	// Record columns.
-	rs := t.Records
-	e.uvarint(uint64(len(rs)))
-	prevTS := int64(0)
-	encodeRecColumns(&e, rs, &prevTS)
-
-	if e.err != nil {
-		return e.err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// Decode reads a trace from r, sniffing the format: chunked FCT2,
-// monolithic FCT1, or the legacy gzipped-gob layout written before the
-// format was versioned. It is a thin drain over NewSource.
+// Decode reads an FCT2 trace from r. It is a thin drain over NewSource.
 func Decode(r io.Reader) (*Trace, error) {
 	src, err := NewSource(r)
 	if err != nil {
 		return nil, err
 	}
 	return Drain(src)
-}
-
-// fct1RecordCap bounds the declared record count of an FCT1 stream so a
-// corrupt header cannot force an unbounded allocation before any column
-// byte is read.
-const fct1RecordCap = 1 << 28
-
-func decodeFCT1(r io.Reader) (*Trace, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("decode: gunzip: %w", err)
-	}
-	defer zr.Close()
-	d := colDecoder{r: bufio.NewReader(zr)}
-	t := New()
-
-	nSyms := d.uvarint()
-	for i := uint64(0); i < nSyms && d.err == nil; i++ {
-		t.Intern(d.str())
-	}
-	nStacks := d.uvarint()
-	for i := uint64(0); i < nStacks && d.err == nil; i++ {
-		parent := StackID(d.uvarint())
-		frame := Sym(d.uvarint())
-		t.stacks.Push(parent, frame)
-	}
-	nPIDs := d.uvarint()
-	for i := uint64(0); i < nPIDs && d.err == nil; i++ {
-		t.PIDs = append(t.PIDs, d.str())
-	}
-	t.CrashStep = d.varint()
-	t.CrashedPID = d.str()
-	t.BaselineNanos = d.varint()
-
-	un := d.uvarint()
-	if d.err != nil {
-		return nil, fmt.Errorf("decode: header: %w", normalizeEOF(d.err))
-	}
-	if un > fct1RecordCap {
-		return nil, fmt.Errorf("decode: header: record count %d exceeds cap %d", un, fct1RecordCap)
-	}
-	n := int(un)
-	// Decode the timestamp column first into a growing slice: a corrupt
-	// count fails on the stream's actual length before the full-width
-	// Record allocation happens.
-	ts := make([]int64, 0, minInt(n, 1<<20))
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		prev += d.varint()
-		if d.err != nil {
-			return nil, fmt.Errorf("decode: records (timestamp %d of %d): %w", i, n, normalizeEOF(d.err))
-		}
-		ts = append(ts, prev)
-	}
-	rs := make([]Record, n)
-	for i := range rs {
-		rs[i].ID = OpID(i + 1)
-		rs[i].TS = ts[i]
-	}
-	if err := decodeColumnsAfterTS(&d, rs); err != nil {
-		return nil, fmt.Errorf("decode: records: %w", normalizeEOF(err))
-	}
-	t.Records = rs
-	return t, nil
-}
-
-// normalizeEOF converts a bare EOF inside a structure into
-// io.ErrUnexpectedEOF: the stream ended mid-section, it did not finish.
-func normalizeEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 func minInt(a, b int) int {
@@ -308,155 +163,4 @@ func (d *colDecoder) ops() []OpID {
 		out[i] = OpID(prev)
 	}
 	return out
-}
-
-// legacyRecord mirrors the pre-interning Record layout (string fields,
-// []string stack). Gob matches struct fields by name, so streams written by
-// the old encoder decode into it directly.
-type legacyRecord struct {
-	ID      OpID
-	TS      int64
-	Machine string
-	PID     string
-	Thread  int
-	Frame   OpID
-	Kind    Kind
-	Site    string
-	Stack   []string
-	Res     string
-	Src     OpID
-	Aux     string
-	Target  string
-	Flags   uint32
-	Causor  OpID
-	Taint   []OpID
-	Ctl     []OpID
-}
-
-// legacyTrace mirrors the pre-interning Trace layout.
-type legacyTrace struct {
-	Records       []legacyRecord
-	PIDs          []string
-	CrashStep     int64
-	CrashedPID    string
-	BaselineNanos int64
-}
-
-// decodeLegacyGob loads a gob-era trace and interns it into the current
-// model. Metadata is taken from the stored header; record IDs are re-derived
-// from position (they were dense in the old format too).
-func decodeLegacyGob(r io.Reader) (*Trace, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("decode: gunzip: %w", err)
-	}
-	defer zr.Close()
-	var lt legacyTrace
-	if err := gob.NewDecoder(zr).Decode(&lt); err != nil {
-		return nil, fmt.Errorf("decode: legacy gob: %w", err)
-	}
-	t := New()
-	for i := range lt.Records {
-		lr := &lt.Records[i]
-		var stack StackID
-		for _, label := range lr.Stack {
-			stack = t.PushFrame(stack, t.Intern(label))
-		}
-		t.Append(Record{
-			TS:      lr.TS,
-			Machine: t.Intern(lr.Machine),
-			PID:     t.Intern(lr.PID),
-			Thread:  lr.Thread,
-			Frame:   lr.Frame,
-			Kind:    lr.Kind,
-			Site:    t.Intern(lr.Site),
-			Stack:   stack,
-			Res:     t.Intern(lr.Res),
-			Src:     lr.Src,
-			Aux:     t.Intern(lr.Aux),
-			Target:  t.Intern(lr.Target),
-			Flags:   lr.Flags,
-			Causor:  lr.Causor,
-			Taint:   lr.Taint,
-			Ctl:     lr.Ctl,
-		})
-	}
-	t.PIDs = lt.PIDs
-	t.CrashStep = lt.CrashStep
-	t.CrashedPID = lt.CrashedPID
-	t.BaselineNanos = lt.BaselineNanos
-	return t, nil
-}
-
-// EncodeLegacyGob writes the trace in the pre-FCT1 gzipped-gob layout — kept
-// for the format benchmarks and the round-trip compatibility tests; new
-// traces should use Encode.
-func (t *Trace) EncodeLegacyGob(w io.Writer) error {
-	lt := legacyTrace{
-		PIDs:          t.PIDs,
-		CrashStep:     t.CrashStep,
-		CrashedPID:    t.CrashedPID,
-		BaselineNanos: t.BaselineNanos,
-	}
-	lt.Records = make([]legacyRecord, len(t.Records))
-	for i := range t.Records {
-		r := &t.Records[i]
-		lt.Records[i] = legacyRecord{
-			ID:      r.ID,
-			TS:      r.TS,
-			Machine: t.Str(r.Machine),
-			PID:     t.Str(r.PID),
-			Thread:  r.Thread,
-			Frame:   r.Frame,
-			Kind:    r.Kind,
-			Site:    t.Str(r.Site),
-			Stack:   t.StackLabels(r.Stack),
-			Res:     t.Str(r.Res),
-			Src:     r.Src,
-			Aux:     t.Str(r.Aux),
-			Target:  t.Str(r.Target),
-			Flags:   r.Flags,
-			Causor:  r.Causor,
-			Taint:   r.Taint,
-			Ctl:     r.Ctl,
-		}
-	}
-	zw := gzip.NewWriter(w)
-	if err := gob.NewEncoder(zw).Encode(&lt); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// WriteJSON streams the trace as line-delimited JSON records in their
-// resolved (string-valued) RecordData form — the human-inspectable dump
-// format, unchanged from the pre-interning encoder.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range t.Records {
-		d := t.Data(&t.Records[i])
-		if err := enc.Encode(&d); err != nil {
-			return fmt.Errorf("trace: json record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSON parses a stream produced by WriteJSON. Records are re-appended
-// through AppendData, so IDs, the PID list, and crash metadata are re-derived
-// consistently instead of trusting the raw decoded values.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	t := New()
-	dec := json.NewDecoder(r)
-	for {
-		var d RecordData
-		if err := dec.Decode(&d); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: json decode: %w", err)
-		}
-		t.AppendData(d)
-	}
-	return t, nil
 }

@@ -13,23 +13,26 @@ import (
 //	header         uvarint flags; flags&1 = size hints follow (uvarint symbol,
 //	               stack, PID and record totals — written when the encoder
 //	               knows them, e.g. encoding a materialized trace)
-//	secSyms (1)    uvarint count, then count strings appended to the symbol
-//	               table (continuing from wherever the table stood)
+//	secSyms (1)    uvarint count, then count strings (uvarint len + bytes)
+//	               appended to the symbol table (continuing from wherever the
+//	               table stood)
 //	secStacks (2)  uvarint count, then count (uvarint parent, uvarint frame)
 //	               nodes appended to the stack table
 //	secPIDs (3)    uvarint count, then count PID strings appended to the list
-//	secRecords (4) uvarint count, then the FCT1 record columns for just those
-//	               count records; TS deltas continue across chunks and record
-//	               IDs continue from the previous chunk
+//	secRecords (4) uvarint count, then just those count records column by
+//	               column (all TS, then all Machines, ... in Record field
+//	               order): TS delta-encoded varints continuing across chunks;
+//	               Sym/StackID/OpID/flag columns as uvarints; Taint and Ctl as
+//	               uvarint count + delta-encoded varint IDs per record. Record
+//	               IDs are implicit and continue from the previous chunk
 //	secMeta (5)    varint CrashStep, string CrashedPID, varint BaselineNanos
 //	secEnd (6)     uvarint total record count (truncation check) — always last
 //
 // Table sections are emitted incrementally, immediately before the first
 // record chunk that needs the new entries, so a decoder can resolve every
 // Sym/StackID/PID the moment a chunk arrives and never needs the whole
-// stream in memory. Encoding a materialized trace degenerates to one table
-// section of each kind followed by record chunks — semantically identical
-// to FCT1, just chunked.
+// stream in memory. Strings are stored once in the symbol table; the column
+// data is small integers, which is where the format's compactness comes from.
 
 const (
 	secSyms = 1 + iota
@@ -423,7 +426,7 @@ func (s *fct2Source) Close() error {
 	return err
 }
 
-// encodeRecColumns writes the FCT1/FCT2 record columns for one batch.
+// encodeRecColumns writes the record columns for one batch.
 // prevTS carries the timestamp delta base across chunks.
 func encodeRecColumns(e *colEncoder, rs []Record, prevTS *int64) {
 	for i := range rs {
@@ -484,13 +487,6 @@ func decodeRecColumns(d *colDecoder, rs []Record, prevTS *int64) error {
 		*prevTS += d.varint()
 		rs[i].TS = *prevTS
 	}
-	return decodeColumnsAfterTS(d, rs)
-}
-
-// decodeColumnsAfterTS reads every column after the timestamp one (shared by
-// the FCT2 chunk decoder and the FCT1 compatibility decoder, which handles
-// its timestamp column separately for allocation-safety).
-func decodeColumnsAfterTS(d *colDecoder, rs []Record) error {
 	for i := range rs {
 		rs[i].Machine = Sym(d.uvarint())
 	}
@@ -539,9 +535,7 @@ func decodeColumnsAfterTS(d *colDecoder, rs []Record) error {
 	return d.err
 }
 
-// Open opens a trace file as a streaming Source, sniffing the format: FCT2
-// streams chunk by chunk; FCT1 and legacy gob files are decoded whole and
-// replayed through an in-memory source.
+// Open opens an FCT2 trace file as a streaming Source.
 func Open(path string) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -555,68 +549,28 @@ func Open(path string) (Source, error) {
 	return src, nil
 }
 
-// NewSource wraps an arbitrary reader as a streaming Source, sniffing the
-// format like Open.
+// NewSource wraps an arbitrary reader holding an FCT2 stream as a streaming
+// Source.
 func NewSource(r io.Reader) (Source, error) {
 	return newSource(r, nil)
 }
 
 func newSource(r io.Reader, closer io.Closer) (Source, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	head, err := br.Peek(len(FormatMagic))
 	if err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
-	switch {
-	case string(head) == FormatMagic:
-		if _, err := br.Discard(4); err != nil {
-			return nil, err
-		}
-		s, err := newFCT2Source(br)
-		if err != nil {
-			return nil, err
-		}
-		s.rc = closer
-		return s, nil
-	case string(head) == FormatMagicV1:
-		if _, err := br.Discard(4); err != nil {
-			return nil, err
-		}
-		t, err := decodeFCT1(br)
-		if err != nil {
-			return nil, err
-		}
-		return &closingSource{Source: SourceOf(t, 0), c: closer}, nil
-	case head[0] == 0x1f && head[1] == 0x8b:
-		t, err := decodeLegacyGob(br)
-		if err != nil {
-			return nil, err
-		}
-		return &closingSource{Source: SourceOf(t, 0), c: closer}, nil
+	if string(head) != FormatMagic {
+		return nil, fmt.Errorf("decode: unrecognized trace format (magic %q)", head)
 	}
-	return nil, fmt.Errorf("decode: unrecognized trace format (magic %q)", head)
-}
-
-// closingSource attaches an underlying closer (the opened file) to a
-// materialized source.
-type closingSource struct {
-	Source
-	c io.Closer
-}
-
-func (s *closingSource) Close() error {
-	err := s.Source.Close()
-	if s.c != nil {
-		if cerr := s.c.Close(); err == nil {
-			err = cerr
-		}
+	if _, err := br.Discard(len(FormatMagic)); err != nil {
+		return nil, err
 	}
-	return err
-}
-
-func (s *closingSource) SizeHints() (SizeHints, bool) {
-	if h, ok := s.Source.(Hinter); ok {
-		return h.SizeHints()
+	s, err := newFCT2Source(br)
+	if err != nil {
+		return nil, err
 	}
-	return SizeHints{}, false
+	s.rc = closer
+	return s, nil
 }

@@ -2,11 +2,14 @@ package trace_test
 
 import (
 	"bytes"
-	"io"
+	"compress/gzip"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"fcatch/internal/trace"
@@ -85,9 +88,9 @@ func randomTrace(seed int64, n int) *trace.Trace {
 	return tr
 }
 
-// TestFormatsRoundTripEquivalent is the cross-codec property test: the FCT1
-// binary format, the legacy gob format, and the JSON dump must all round-trip
-// a trace to the same semantic content.
+// TestFormatsRoundTripEquivalent is the codec property test: a trace must
+// round-trip through FCT2 to the same semantic content, on both the
+// monolithic Decode path and the streaming Source path.
 func TestFormatsRoundTripEquivalent(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := randomTrace(seed, 200)
@@ -100,191 +103,85 @@ func TestFormatsRoundTripEquivalent(t *testing.T) {
 		if string(fct.Bytes()[:4]) != trace.FormatMagic {
 			t.Fatalf("seed %d: encoded stream does not start with %q", seed, trace.FormatMagic)
 		}
-		gotFCT, err := trace.Decode(bytes.NewReader(fct.Bytes()))
+		decoded, err := trace.Decode(bytes.NewReader(fct.Bytes()))
 		if err != nil {
-			t.Fatalf("seed %d: Decode(FCT2): %v", seed, err)
+			t.Fatalf("seed %d: Decode: %v", seed, err)
 		}
-
-		var fct1 bytes.Buffer
-		if err := tr.EncodeFCT1(&fct1); err != nil {
-			t.Fatalf("seed %d: EncodeFCT1: %v", seed, err)
-		}
-		if string(fct1.Bytes()[:4]) != trace.FormatMagicV1 {
-			t.Fatalf("seed %d: FCT1 stream does not start with %q", seed, trace.FormatMagicV1)
-		}
-		gotFCT1, err := trace.Decode(bytes.NewReader(fct1.Bytes()))
+		src, err := trace.NewSource(bytes.NewReader(fct.Bytes()))
 		if err != nil {
-			t.Fatalf("seed %d: Decode(FCT1): %v", seed, err)
+			t.Fatalf("seed %d: NewSource: %v", seed, err)
 		}
-
-		// The streaming Source path over the same bytes must agree with the
-		// monolithic Decode for every format generation.
-		gotSourced := map[string]*trace.Trace{}
-		for name, raw := range map[string][]byte{"fct2": fct.Bytes(), "fct1": fct1.Bytes()} {
-			src, err := trace.NewSource(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("seed %d: NewSource(%s): %v", seed, name, err)
-			}
-			got, err := trace.Drain(src)
-			if err != nil {
-				t.Fatalf("seed %d: Drain(%s): %v", seed, name, err)
-			}
-			gotSourced[name+"-source"] = got
-		}
-
-		var gob bytes.Buffer
-		if err := tr.EncodeLegacyGob(&gob); err != nil {
-			t.Fatalf("seed %d: EncodeLegacyGob: %v", seed, err)
-		}
-		gotGob, err := trace.Decode(bytes.NewReader(gob.Bytes()))
+		sourced, err := trace.Drain(src)
 		if err != nil {
-			t.Fatalf("seed %d: Decode(gob): %v", seed, err)
+			t.Fatalf("seed %d: Drain: %v", seed, err)
 		}
-
-		var jsonl bytes.Buffer
-		if err := tr.WriteJSON(&jsonl); err != nil {
-			t.Fatalf("seed %d: WriteJSON: %v", seed, err)
-		}
-		gotJSON, err := trace.ReadJSON(&jsonl)
-		if err != nil {
-			t.Fatalf("seed %d: ReadJSON: %v", seed, err)
-		}
-
-		all := map[string]*trace.Trace{"fct2": gotFCT, "fct1": gotFCT1, "gob": gotGob}
-		for name, got := range gotSourced {
-			all[name] = got
-		}
-		for name, got := range all {
+		for name, got := range map[string]*trace.Trace{"decode": decoded, "source": sourced} {
 			if g := flatten(got); !reflect.DeepEqual(g, want) {
 				t.Errorf("seed %d: %s round trip diverged", seed, name)
 			}
 		}
-		// The JSON dump carries records only (run metadata is re-derived from
-		// them on read), so its round trip is pinned on the record stream.
-		if g := flatten(gotJSON); !reflect.DeepEqual(g.Records, want.Records) {
-			t.Errorf("seed %d: json round trip diverged", seed)
-		}
-
-		if fct.Len() >= gob.Len() {
-			t.Errorf("seed %d: FCT1 (%d bytes) not smaller than legacy gob (%d bytes)", seed, fct.Len(), gob.Len())
-		}
 	}
 }
 
-// legacyFixture is the semantic content of testdata/legacy_v0.gob.gz and
-// testdata/legacy_v0.jsonl, both written by the pre-symbol-table encoder.
-func legacyFixture() semantic {
-	return semantic{
-		PIDs:          []string{"node#1", "node#2"},
-		CrashStep:     20,
-		CrashedPID:    "node#1",
-		BaselineNanos: 12345,
-		Records: []trace.RecordData{
-			{ID: 1, TS: 10, Machine: "m1", PID: "node#1", Thread: 1, Kind: trace.KThreadStart,
-				Aux: "main", Stack: []string{"main"}},
-			{ID: 2, TS: 12, Machine: "m1", PID: "node#1", Thread: 1, Frame: 1, Kind: trace.KHeapWrite,
-				Site: "app/x.go:10", Res: "heap:node#1:Obj1.f", Stack: []string{"main", "scope"},
-				Taint: []trace.OpID{1}},
-			{ID: 3, TS: 14, Machine: "m1", PID: "node#1", Thread: 1, Frame: 1, Kind: trace.KMsgSend,
-				Site: "app/x.go:20", Aux: "ping", Target: "node#2", Flags: trace.FlagDroppable,
-				Stack: []string{"main"}, Ctl: []trace.OpID{2}},
-			{ID: 4, TS: 16, Machine: "m2", PID: "node#2", Thread: 2, Kind: trace.KThreadStart,
-				Aux: "rpc:ping", Stack: []string{"rpc:ping"}, Causor: 3},
-			{ID: 5, TS: 18, Machine: "m2", PID: "node#2", Thread: 2, Frame: 4, Kind: trace.KHeapRead,
-				Site: "app/y.go:5", Res: "heap:node#1:Obj1.f", Src: 2, Flags: trace.FlagHandlerCtx,
-				Stack: []string{"rpc:ping"}, Taint: []trace.OpID{2}, Ctl: []trace.OpID{4}},
-			{ID: 6, TS: 20, Machine: "m1", PID: "system", Kind: trace.KCrash,
-				Site: "app/x.go:20", Aux: "node#1"},
-		},
+type retiredFormat struct {
+	name string
+	raw  []byte
+}
+
+// retiredFormats are the leading bytes of the trace formats this package no
+// longer reads. The FCT1 stream declares 2^27 records after empty tables, so
+// a reader that trusted it would allocate gigabytes.
+func retiredFormats(t testing.TB) []retiredFormat {
+	var fct1 bytes.Buffer
+	fct1.WriteString("FCT1")
+	zw := gzip.NewWriter(&fct1)
+	// syms, stacks, PIDs, CrashStep, CrashedPID, BaselineNanos, then the
+	// record count as a uvarint.
+	zw.Write([]byte{0, 0, 0, 0, 0, 0})
+	zw.Write(binary.AppendUvarint(nil, 1<<27))
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return []retiredFormat{
+		{"fct1", fct1.Bytes()},
+		{"bare gzip", []byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff}},
+		// The first 32 bytes of the gob fixture the package used to ship.
+		{"gzipped gob", []byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x6c, 0x8f, 0x5f, 0x6b, 0x13, 0x41, 0x14, 0xc5, 0xef, 0x99, 0x99, 0xdd, 0xae, 0x31, 0x16, 0x14, 0x11, 0x11, 0x85, 0xa2, 0x7d, 0xe8}},
 	}
 }
 
-// TestLegacyGobFixtureLoads pins backward compatibility: a trace written by
-// the pre-FCT1 gob encoder must still load, via format sniffing, with its
-// content intact.
-func TestLegacyGobFixtureLoads(t *testing.T) {
-	got, err := trace.Load(filepath.Join("testdata", "legacy_v0.gob.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(got), legacyFixture()) {
-		t.Fatalf("legacy gob fixture diverged:\ngot  %+v\nwant %+v", flatten(got), legacyFixture())
-	}
-}
-
-// TestLegacyJSONFixtureLoads pins the JSON dump format: old line-delimited
-// dumps parse into the same semantic trace.
-func TestLegacyJSONFixtureLoads(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "legacy_v0.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := trace.ReadJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := legacyFixture()
-	want.BaselineNanos = 0 // the JSON dump carries records + crash metadata only
-	if !reflect.DeepEqual(flatten(got), want) {
-		t.Fatalf("legacy json fixture diverged:\ngot  %+v\nwant %+v", flatten(got), want)
-	}
-}
-
-// TestLegacyV1FixtureLoads pins the previous binary generation: a trace
-// written by the PR 3 FCT1 encoder must keep loading — through both the
-// monolithic loader and the streaming Open path.
-func TestLegacyV1FixtureLoads(t *testing.T) {
-	path := filepath.Join("testdata", "legacy_v1.fct1")
-	got, err := trace.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(got), legacyFixture()) {
-		t.Fatalf("legacy fct1 fixture diverged:\ngot  %+v\nwant %+v", flatten(got), legacyFixture())
-	}
-
-	src, err := trace.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := trace.Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(streamed), legacyFixture()) {
-		t.Fatal("legacy fct1 fixture diverged on the Source path")
-	}
-}
-
-// TestLegacyGobFixtureStreamsViaOpen: the oldest format also serves the
-// Source interface (materialize-then-window fallback).
-func TestLegacyGobFixtureStreamsViaOpen(t *testing.T) {
-	src, err := trace.Open(filepath.Join("testdata", "legacy_v0.gob.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	var n int
-	for {
-		win, err := src.Next()
-		if err == io.EOF {
-			break
-		} else if err != nil {
+// TestRetiredFormatsFailClosed: FCT2 is the only format. Streams in the
+// retired FCT1 and gzipped-gob layouts are rejected on their first four
+// bytes by every entry point, before anything they declare is believed.
+func TestRetiredFormatsFailClosed(t *testing.T) {
+	const want = "unrecognized trace format"
+	for _, f := range retiredFormats(t) {
+		name, raw := f.name, f.raw
+		path := filepath.Join(t.TempDir(), "retired.trace")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		n += len(win)
-	}
-	want := legacyFixture()
-	if n != len(want.Records) {
-		t.Fatalf("streamed %d records, want %d", n, len(want.Records))
-	}
-	if !reflect.DeepEqual(flatten(src.Trace()), want) {
-		t.Fatal("legacy gob fixture diverged on the Source path")
+		entries := map[string]func() error{
+			"Decode":    func() error { _, err := trace.Decode(bytes.NewReader(raw)); return err },
+			"NewSource": func() error { _, err := trace.NewSource(bytes.NewReader(raw)); return err },
+			"Open":      func() error { _, err := trace.Open(path); return err },
+		}
+		for entry, call := range entries {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := call()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s(%s): err = %v, want one containing %q", entry, name, err, want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("%s(%s): allocated %d bytes rejecting the stream", entry, name, grew)
+			}
+		}
 	}
 }
 
-// TestDecodeRejectsGarbage: neither magic nor gzip → a clear error.
+// TestDecodeRejectsGarbage: no magic → a clear error.
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := trace.Decode(bytes.NewReader([]byte("not a trace at all"))); err == nil {
 		t.Fatal("garbage accepted")

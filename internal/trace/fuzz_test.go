@@ -7,30 +7,24 @@ import (
 	"fcatch/internal/trace"
 )
 
-// FuzzDecode throws arbitrary bytes at the format-sniffing decoder. The
-// contract under fuzzing: never panic, never hang, and any stream that
-// decodes cleanly must re-encode cleanly (the decoded trace is internally
-// consistent).
+// FuzzDecode throws arbitrary bytes at the decoder. The contract under
+// fuzzing: never panic, never hang, and any stream that decodes cleanly must
+// re-encode cleanly (the decoded trace is internally consistent).
 func FuzzDecode(f *testing.F) {
-	// Seed with one valid stream per supported generation, plus garbage.
-	tr := randomTrace(1, 40)
-	var fct2, fct1, gob bytes.Buffer
-	if err := tr.Encode(&fct2); err != nil {
-		f.Fatal(err)
-	}
-	if err := tr.EncodeFCT1(&fct1); err != nil {
-		f.Fatal(err)
-	}
-	if err := tr.EncodeLegacyGob(&gob); err != nil {
+	// Seed with a valid stream, the retired formats' leading bytes, and
+	// garbage.
+	var fct2 bytes.Buffer
+	if err := randomTrace(1, 40).Encode(&fct2); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fct2.Bytes())
-	f.Add(fct1.Bytes())
-	f.Add(gob.Bytes())
+	// Exactly four bytes: the magic peek succeeds with nothing behind it.
 	f.Add([]byte(trace.FormatMagic))
-	f.Add([]byte(trace.FormatMagicV1))
+	f.Add([]byte("FCT1"))
 	f.Add([]byte("not a trace"))
-	f.Add([]byte{0x1f, 0x8b}) // bare gzip magic
+	for _, r := range retiredFormats(f) {
+		f.Add(r.raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := trace.Decode(bytes.NewReader(data))

@@ -68,8 +68,7 @@ func Drain(src Source) (*Trace, error) {
 }
 
 // SourceOf streams an already materialized trace in windows of batch records
-// (DefaultBatch if batch <= 0) — the degenerate Source wrapping monolithic
-// decoders and in-memory traces.
+// (DefaultBatch if batch <= 0).
 func SourceOf(t *Trace, batch int) Source {
 	if batch <= 0 {
 		batch = DefaultBatch

@@ -149,23 +149,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := trace.New()
-	tr.Append(mk(tr, trace.KSignal, "p", 1, "cv:p:x/1"))
-	tr.Append(mk(tr, trace.KWait, "p", 2, "cv:p:x/1"))
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 || got.Records[0].Kind != trace.KSignal {
-		t.Fatalf("json round trip: %+v", got.Records)
-	}
-}
-
 func TestTraceFormat(t *testing.T) {
 	tr := trace.New()
 	id := tr.Append(trace.Record{

@@ -77,11 +77,13 @@ func TestParallelEvaluationParity(t *testing.T) {
 
 func TestParallelRandomInjectionParity(t *testing.T) {
 	w := fcatch.MustWorkload("TOY")
-	seq, err := fcatch.RandomInjectionP(w, 60, 1, 1)
+	cfg := fcatch.CampaignConfig{Strategy: fcatch.StrategyRandom, Seed: 1, Budget: 60, Parallelism: 1}
+	seq, err := fcatch.Campaign(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fcatch.RandomInjectionP(w, 60, 1, 8)
+	cfg.Parallelism = 8
+	par, err := fcatch.Campaign(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

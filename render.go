@@ -214,8 +214,9 @@ func RenderAblation(rows []AblationRow) string {
 		renderTable([]string{"", "Sel-steps", "Exh-steps", "Sel-time", "Exh-time", "Selective", "Exhaustive"}, out)
 }
 
-// RenderRandom renders a Section 8.3 random-injection campaign.
-func RenderRandom(results []*RandomResult) string {
+// RenderRandom renders Section 8.3 random-injection campaigns (Campaign
+// with StrategyRandom), one per workload.
+func RenderRandom(results []*CampaignResult) string {
 	var b strings.Builder
 	b.WriteString("Random crash injection (Section 8.3).\n")
 	for _, r := range results {

@@ -22,15 +22,17 @@ func TestRenderTable1Contents(t *testing.T) {
 }
 
 func TestRenderRandom(t *testing.T) {
-	res := &fcatch.RandomResult{
+	res := &fcatch.CampaignResult{
 		Workload: "XX", Runs: 100, FailureRuns: 3,
 		Failures: map[string]int{"hang:a/main": 2, "fatal:boom": 1},
 	}
-	s := fcatch.RenderRandom([]*fcatch.RandomResult{res})
-	for _, want := range []string{"XX", "3/100", "2 distinct", "2x hang:a/main", "1x fatal:boom"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("random render missing %q in:\n%s", want, s)
-		}
+	const want = `Random crash injection (Section 8.3).
+  XX    : 3/100 runs failed, 2 distinct failure(s)
+        2x hang:a/main
+        1x fatal:boom
+`
+	if got := fcatch.RenderRandom([]*fcatch.CampaignResult{res}); got != want {
+		t.Errorf("random render:\n got: %q\nwant: %q", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fcatch
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,7 +37,7 @@ func RunEvaluation(opts Options) (*EvalRun, error) {
 		res  *Result
 		outs []*TriggerOutcome
 	}
-	passes, err := parallel.MapErr(opts.Parallelism, len(ws), func(i int) (pass, error) {
+	passes, err := parallel.MapErr(context.Background(), opts.Parallelism, len(ws), func(i int) (pass, error) {
 		w := ws[i]
 		res, err := Detect(w, opts)
 		if err != nil {
@@ -340,7 +341,7 @@ type SensitivityResult struct {
 func Sensitivity(seed int64) (*SensitivityResult, error) {
 	phases := []Phase{PhaseBegin, PhaseMiddle, PhaseEnd}
 	ws := Workloads()
-	ids, err := parallel.MapErr(0, len(phases)*len(ws), func(i int) ([]string, error) {
+	ids, err := parallel.MapErr(context.Background(), 0, len(phases)*len(ws), func(i int) ([]string, error) {
 		phase, w := phases[i/len(ws)], ws[i%len(ws)]
 		opts := core.Options{Seed: seed, Phase: phase, Tracing: sim.TraceSelective}
 		res, err := Detect(w, opts)
@@ -395,7 +396,7 @@ type AblationRow struct {
 // fanning the workloads across cores (rows come back in Table 1 order).
 func AblationTraceAll(seed int64) []AblationRow {
 	ws := Workloads()
-	return parallel.Map(0, len(ws), func(i int) AblationRow {
+	rows, _ := parallel.Map(context.Background(), 0, len(ws), func(i int) AblationRow {
 		w := ws[i]
 		row := AblationRow{Workload: w.Name()}
 		for _, mode := range []sim.TracingMode{sim.TraceSelective, sim.TraceExhaustive} {
@@ -426,6 +427,7 @@ func AblationTraceAll(seed int64) []AblationRow {
 		}
 		return row
 	})
+	return rows
 }
 
 // --- Section 8.4: the fault-type trigger matrix. ---
