@@ -184,18 +184,7 @@ func (tg *Triggerer) TriggerWindowed(rep *detect.Report, windows []detect.Window
 		if at.restart {
 			restart = tg.W.RestartRoles()
 		}
-		plan := sim.NewScenarioPlan(at.events, restart)
-		// Replays stream their records through the handled-exception fold and
-		// discard them: classification needs only the fold's verdict, so a
-		// replay's memory stays O(batch + symbol tables).
-		fold := &handledExcFold{site: rep.R.Site}
-		cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: plan, TraceTickCost: 1,
-			TraceDiscard: true, OnTraceWindow: fold.Window}
-		tg.W.Tune(&cfg)
-		c := sim.NewCluster(cfg)
-		tg.W.Configure(c)
-		runOut := c.Run()
-		cls, kind, detail := tg.classify(c, runOut, fold)
+		cls, kind, detail := tg.replay(at.events, restart, &handledExcFold{site: rep.R.Site})
 		out.ByAction[at.action] = cls == TrueBug
 		// The strongest verdict across fault types wins (TrueBug < Expected
 		// < Benign in severity order).
@@ -206,6 +195,23 @@ func (tg *Triggerer) TriggerWindowed(rep *detect.Report, windows []detect.Window
 		}
 	}
 	return out
+}
+
+// replay runs the workload once with events injected (restart is the role
+// restart policy, nil = victims stay down) and classifies the run. Replays
+// discard their trace records: a non-nil fold sees them stream past first —
+// classification needs only its verdict — so a replay's memory stays
+// O(batch + symbol tables).
+func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fold *handledExcFold) (Classification, string, string) {
+	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(events, restart),
+		TraceTickCost: 1, TraceDiscard: true}
+	if fold != nil {
+		cfg.OnTraceWindow = fold.Window
+	}
+	tg.W.Tune(&cfg)
+	c := sim.NewCluster(cfg)
+	tg.W.Configure(c)
+	return tg.classify(c, c.Run(), fold)
 }
 
 // classify turns a trigger run's outcome into a verdict for one report.
@@ -406,14 +412,7 @@ func (tg *Triggerer) TriggerCompound(rep *detect.CompoundReport) *CompoundOutcom
 		oe, ie := outer, inner
 		oe.Restart, ie.Restart = v.outerR, v.innerR
 		scenario := []sim.FaultSpec{oe, ie}
-		plan := sim.NewScenarioPlan(scenario, tg.W.RestartRoles())
-		cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: plan,
-			TraceTickCost: 1, TraceDiscard: true}
-		tg.W.Tune(&cfg)
-		c := sim.NewCluster(cfg)
-		tg.W.Configure(c)
-		runOut := c.Run()
-		cls, kind, detail := tg.classify(c, runOut, nil)
+		cls, kind, detail := tg.replay(scenario, tg.W.RestartRoles(), nil)
 		if cls < out.Class {
 			out.Class, out.FailureKind, out.Detail = cls, kind, detail
 			out.Scenario, out.Variant = scenario, v.name

@@ -113,9 +113,10 @@ type Cluster struct {
 	// compare SiteIDs; strings are rendered only at the boundary.
 	siteIdx    map[string]SiteID
 	siteStrs   []string
-	siteSyms   []trace.Sym        // SiteID -> trace Sym (0 = not yet interned there)
-	siteCounts []int32            // SiteID -> occurrences, for trigger points
-	siteCache  map[uintptr]SiteID // PC -> SiteID (NoSite = substrate frame)
+	siteSyms   []trace.Sym           // SiteID -> trace Sym (0 = not yet interned there)
+	siteCounts []int32               // SiteID -> occurrences, for trigger points
+	siteCache  map[uintptr]SiteID    // PC -> SiteID (NoSite = substrate frame)
+	sitePCs    [sitePCWindow]uintptr // callsite's scratch (one thread runs at a time)
 
 	// Pre-interned fixed sites (pseudo-sites that are not source positions).
 	sitePlan          SiteID // "plan"
