@@ -11,6 +11,10 @@
 //	fcatch-campaign -workload MR1 -runs 400 -scenarios crash+recovery-crash
 //	fcatch-campaign -workload MR1 -runs 4000 -workers 4        # distributed, in-process fleet
 //	fcatch-campaign -workload MR1 -runs 4000 -serve :9093      # distributed, external fcatch-workers
+//
+// A corpus file is schema version 3 — each entry's plan is the JSON array of
+// its fault events, whose key is the `fcatch detect -scenario` string that
+// replays it; -resume and -diff refuse any other version by number.
 package main
 
 import (
@@ -82,11 +86,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic base seed")
 	parallelism := cliflag.Parallelism(flag.CommandLine, "injection runs")
 	batch := flag.Int("batch", 0, "max runs between strategy re-weightings (0 = strategy default)")
-	corpus := flag.String("corpus", "", "save the campaign corpus to this JSON file")
-	resume := flag.String("resume", "", "resume the campaign recorded in this corpus file")
+	corpus := flag.String("corpus", "", "save the campaign corpus (schema version 3: plans are -scenario event lists) to this JSON file")
+	resume := flag.String("resume", "", "resume the campaign recorded in this corpus file (schema version 3 only)")
 	spaceTrace := flag.String("space-trace", "", "enumerate the fault space from this saved fault-free trace (same workload/seed) instead of re-simulating it")
 	compare := flag.Bool("compare", false, "render the strategy-comparison table instead of one campaign")
-	diffA := flag.String("diff", "", "diff mode: first corpus file")
+	diffA := flag.String("diff", "", "diff mode: first corpus file (schema version 3 only)")
 	diffB := flag.String("diff2", "", "diff mode: second corpus file")
 	serve := flag.String("serve", "", "distributed: listen on this host:port for fcatch-worker processes")
 	workers := flag.Int("workers", 0, "distributed: spawn this many in-process workers (usable with or without -serve)")

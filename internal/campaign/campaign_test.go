@@ -43,23 +43,23 @@ func TestSymptomShapes(t *testing.T) {
 		{PID: "task1#2", Name: "main", Thread: 52, Reason: "wait:rpc-reply"},
 		{PID: "am#1", Name: "gossiper", Thread: 3, Site: "z"}, // non-main: ignored
 	}}
-	if sig := Symptom(hang, nil); sig != "hang:am/main@loop:awaitTasks" {
+	if sig := Symptom(hang); sig != "hang:am/main@loop:awaitTasks" {
 		t.Fatalf("hang signature = %q", sig)
 	}
 
 	fatal := &sim.Outcome{Completed: true, FatalLogs: []string{"boom@am#2"}}
-	if got := Symptom(fatal, nil); got != "fatal:boom@am" {
+	if got := Symptom(fatal); got != "fatal:boom@am" {
 		t.Fatalf("fatal signature = %q", got)
 	}
 
-	if got := Symptom(&sim.Outcome{Completed: true}, errors.New("lost data")); got != "check:lost data" {
+	if got := Symptom(&sim.Outcome{Completed: true, CheckErr: errors.New("lost data")}); got != "check:lost data" {
 		t.Fatalf("check signature = %q", got)
 	}
 }
 
 func TestPlanKeyAndLowering(t *testing.T) {
-	step := Plan{FaultSpec: sim.FaultSpec{CrashStep: 77}}
-	if !step.IsStep() || step.Key() != "step:77" {
+	step := Plan{{CrashStep: 77}}
+	if step.Key() != "step=77" {
 		t.Fatalf("step plan key = %q", step.Key())
 	}
 	fp := step.simPlan("worker", map[string]int64{"worker": 40})
@@ -67,9 +67,14 @@ func TestPlanKeyAndLowering(t *testing.T) {
 	if len(sc) != 1 || sc[0].CrashStep != 77 || sc[0].Target != "worker" || len(fp.RestartRoles) != 1 {
 		t.Fatalf("step plan lowered wrong: %+v", fp)
 	}
+	// The default target lands on the run's event copies, never on the plan
+	// parallel runs share.
+	if step[0].Target != "" {
+		t.Fatalf("simPlan wrote the default target into the shared plan: %+v", step)
+	}
 
-	site := Plan{FaultSpec: sim.FaultSpec{Site: "a.go:10", Occurrence: 2, When: WhenAfter, Action: ActionKernelDrop}}
-	if site.IsStep() || site.Key() != "site:a.go:10/2/after/kernel-drop" {
+	site := Plan{{Site: "a.go:10", Occurrence: 2, When: sim.WhenAfter, Action: sim.ActionKernelDrop}}
+	if site.Key() != "site=a.go:10,occ=2,when=after,action=kernel-drop" {
 		t.Fatalf("site plan key = %q", site.Key())
 	}
 	fp = site.simPlan("worker", map[string]int64{"worker": 40})
@@ -77,24 +82,21 @@ func TestPlanKeyAndLowering(t *testing.T) {
 	if len(sc) != 1 || fp.RestartRoles != nil {
 		t.Fatalf("drop plan lowered wrong: %+v", fp)
 	}
-	if sc[0].Site != "a.go:10" || sc[0].Occurrence != 2 || sc[0].When != WhenAfter || sc[0].Action != ActionKernelDrop {
+	if sc[0].Site != "a.go:10" || sc[0].Occurrence != 2 || sc[0].When != sim.WhenAfter || sc[0].Action != sim.ActionKernelDrop {
 		t.Fatalf("site event wrong: %+v", sc[0])
 	}
 
-	crash := Plan{FaultSpec: sim.FaultSpec{Site: "a.go:10", Occurrence: 1, When: WhenBefore, Action: ActionNodeCrash}}
+	crash := Plan{{Site: "a.go:10", Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash}}
 	if fp := crash.simPlan("worker", map[string]int64{"worker": 40}); len(fp.RestartRoles) != 1 {
 		t.Fatal("crash plans must carry the restart map")
 	}
 
 	rd := int64(40)
 	comp := Plan{
-		FaultSpec: sim.FaultSpec{Site: "a.go:10", Occurrence: 1, When: WhenBefore, Action: ActionNodeCrash, Restart: &rd},
-		Then:      []sim.FaultSpec{{Delay: 48, Action: ActionNodeCrash}},
+		{Site: "a.go:10", Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Restart: &rd},
+		{Delay: 48, Action: sim.ActionNodeCrash},
 	}
-	if comp.IsStep() {
-		t.Fatal("composite plan classified as step plan")
-	}
-	if comp.Key() != "site:a.go:10/1/before/node-crash/r=40+after:48" {
+	if comp.Key() != "site=a.go:10,occ=1,when=before,action=node-crash,restart=40;action=node-crash,delay=48" {
 		t.Fatalf("composite plan key = %q", comp.Key())
 	}
 	fp = comp.simPlan("worker", map[string]int64{"worker": 40})
@@ -138,25 +140,26 @@ func TestSpaceEnumeration(t *testing.T) {
 		bySite[si.Site] = si
 	}
 	hasDrop := false
-	for _, p := range sp.Points {
-		if p.IsStep() {
-			t.Fatalf("step plan in site space: %+v", p)
+	for _, plan := range sp.Points {
+		if len(plan) != 1 || plan[0].Site == "" {
+			t.Fatalf("not a single site point in the site space: %+v", plan)
 		}
-		if seen[p.Key()] {
-			t.Fatalf("duplicate point %s", p.Key())
+		p := plan[0]
+		if seen[plan.Key()] {
+			t.Fatalf("duplicate point %s", plan.Key())
 		}
-		seen[p.Key()] = true
+		seen[plan.Key()] = true
 		si := bySite[p.Site]
 		if p.Occurrence < 1 || p.Occurrence > maxOccurrenceDefault || p.Occurrence > si.Count {
 			t.Fatalf("occurrence out of range: %+v (site count %d)", p, si.Count)
 		}
 		switch p.Action {
-		case ActionKernelDrop:
+		case sim.ActionKernelDrop:
 			hasDrop = true
 			if !si.Sendable {
 				t.Fatalf("kernel-drop on non-sendable site %s", p.Site)
 			}
-		case ActionAppDrop:
+		case sim.ActionAppDrop:
 			if !si.Droppable {
 				t.Fatalf("app-drop on non-droppable site %s", p.Site)
 			}
@@ -334,7 +337,7 @@ func TestCorpusDiff(t *testing.T) {
 	b := NewCorpus("TOY", StrategyCoverage, 1)
 	add := func(c *Corpus, symptom string) {
 		c.add(RunResult{
-			Sig:     Signature{Outcome: OutcomeHang, Symptom: symptom},
+			Sig:     Signature{Outcome: "hang", Symptom: symptom},
 			Verdict: VerdictFailure,
 		})
 	}

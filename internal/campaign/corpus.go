@@ -2,9 +2,12 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
+
+	"fcatch/internal/sim"
 )
 
 // RunResult is the outcome of executing one plan.
@@ -27,20 +30,17 @@ type Entry struct {
 	Novel   bool      `json:"novel,omitempty"`
 }
 
-// CorpusVersion is the newest corpus schema this build writes and reads.
-// Version 0 (the field absent) is the pre-scenario schema: flat single-fault
-// plan objects. Version 2 adds scenario fields (then/target/delay/restart on
-// plans, the campaign's scenarios list); a corpus is stamped with it only
-// when it actually uses them, so single-fault corpora stay byte-identical
-// to — and loadable by — pre-scenario builds.
-const CorpusVersion = 2
+// CorpusVersion is the one corpus schema this build writes and reads: every
+// plan is a JSON array of fault events. Every corpus is stamped with it and
+// any other version — absent, older, newer — is refused at load.
+const CorpusVersion = 3
 
 // Corpus is the persistent record of a campaign: every (plan, signature,
 // verdict) in run order, plus the campaign's identity. Saving and reloading
 // it lets a campaign stop, resume (the engine replays the cached prefix
 // instead of re-running it), and be diffed against another campaign.
 type Corpus struct {
-	Version   int      `json:"version,omitempty"`
+	Version   int      `json:"version"`
 	Workload  string   `json:"workload"`
 	Strategy  string   `json:"strategy"`
 	Seed      int64    `json:"seed"`
@@ -52,7 +52,7 @@ type Corpus struct {
 
 // NewCorpus returns an empty corpus for one campaign identity.
 func NewCorpus(workload, strategy string, seed int64) *Corpus {
-	return &Corpus{Workload: workload, Strategy: strategy, Seed: seed,
+	return &Corpus{Version: CorpusVersion, Workload: workload, Strategy: strategy, Seed: seed,
 		seenBehavior: map[string]bool{}}
 }
 
@@ -102,24 +102,8 @@ func (c *Corpus) NovelBehaviors() int {
 	return n
 }
 
-// schemaVersion is the version a Save stamps: CorpusVersion when any
-// scenario feature is in use, 0 (omitted) otherwise.
-func (c *Corpus) schemaVersion() int {
-	if len(c.Scenarios) > 0 {
-		return CorpusVersion
-	}
-	for i := range c.Entries {
-		p := &c.Entries[i].Plan
-		if len(p.Then) > 0 || p.Target != "" || p.Delay != 0 || p.Restart != nil {
-			return CorpusVersion
-		}
-	}
-	return 0
-}
-
 // Save writes the corpus as indented JSON.
 func (c *Corpus) Save(path string) error {
-	c.Version = c.schemaVersion()
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
@@ -127,25 +111,59 @@ func (c *Corpus) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadCorpus reads a corpus written by Save, sniffing the schema version:
-// pre-scenario corpora (no version field) load unchanged, scenario corpora
-// load in full, and corpora from a newer schema are rejected instead of
-// being silently misread.
+// LoadCorpus reads a corpus written by Save.
 func LoadCorpus(path string) (*Corpus, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{}
-	if err := json.Unmarshal(data, c); err != nil {
-		return nil, fmt.Errorf("campaign: corpus %s: %w", path, err)
+	c, err := DecodeCorpus(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
-	if c.Version > CorpusVersion {
-		return nil, fmt.Errorf("campaign: corpus %s has schema version %d, newer than this build's %d",
-			path, c.Version, CorpusVersion)
+	return c, nil
+}
+
+// DecodeCorpus parses and validates corpus bytes — the trust boundary for
+// corpus files. The schema version is checked before anything is used, so a
+// retired or newer schema is refused by number instead of being misread;
+// then every entry must sit at its own index and carry a valid, non-empty
+// plan (sim.ValidateScenario), so nothing a resume replays or a diff counts
+// came from a malformed file.
+func DecodeCorpus(data []byte) (*Corpus, error) {
+	c := &Corpus{}
+	err := json.Unmarshal(data, c)
+	// A value of the wrong JSON shape — a retired schema's plan object — is
+	// a type error, which Unmarshal reports only after decoding everything
+	// else: the version is known, and is the error to name.
+	var shape *json.UnmarshalTypeError
+	if err == nil || errors.As(err, &shape) {
+		if verr := checkVersion(c.Version); verr != nil {
+			return nil, verr
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaign: corpus: %w", err)
+	}
+	for i := range c.Entries {
+		e := &c.Entries[i]
+		if e.Index != i {
+			return nil, fmt.Errorf("campaign: corpus entry %d carries index %d", i, e.Index)
+		}
+		if err := sim.ValidateScenario(e.Plan); err != nil {
+			return nil, fmt.Errorf("campaign: corpus entry %d: %w", i, err)
+		}
 	}
 	c.rebuild()
 	return c, nil
+}
+
+// checkVersion refuses every corpus schema but the current one, by number.
+func checkVersion(v int) error {
+	if v != CorpusVersion {
+		return fmt.Errorf("campaign: corpus has schema version %d, this build reads only version %d", v, CorpusVersion)
+	}
+	return nil
 }
 
 // Diff describes how two campaigns' findings differ.

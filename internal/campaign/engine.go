@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,9 +36,8 @@ type Config struct {
 	// MaxOccurrence caps per-site occurrences in the fault space (0 = 3).
 	MaxOccurrence int
 	// Scenarios names the composite-scenario enumerators (see ScenarioNames)
-	// appended to the fault space after the single-fault points. Empty keeps
-	// the space — and therefore every corpus byte — exactly as before.
-	// Requires a site strategy (the random baseline samples raw steps).
+	// appended to the fault space after the single-fault points. Requires a
+	// site strategy (the random baseline samples raw steps).
 	Scenarios []string
 	// SpaceTrace, when set, is a streaming source of a previously saved
 	// fault-free trace: site strategies enumerate the fault space from it
@@ -95,18 +95,6 @@ func normalizeScenarios(names []string) []string {
 		}
 	}
 	return out
-}
-
-func sameScenarios(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Result summarizes a finished campaign.
@@ -201,12 +189,7 @@ func ExecPlans(ctx context.Context, w core.Workload, seed int64, traced bool, pa
 // injection runs (site strategies do; the random baseline runs untraced).
 // Distributed coordinators send it to workers so a lease executes with
 // exactly the tracing mode the local engine would use.
-func StrategyTraced(strategy string) bool {
-	if strategy == "" {
-		strategy = StrategyCoverage
-	}
-	return needsSpace(strategy)
-}
+func StrategyTraced(strategy string) bool { return needsSpace(strategy) }
 
 // Run executes a campaign from scratch.
 func Run(w core.Workload, cfg Config) (*Result, error) {
@@ -236,11 +219,14 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 		return nil, err
 	}
 	if prior != nil {
+		if err := checkVersion(prior.Version); err != nil {
+			return nil, err
+		}
 		if prior.Workload != w.Name() || prior.Strategy != cfg.Strategy || prior.Seed != cfg.Seed {
 			return nil, fmt.Errorf("campaign: corpus is from (%s, %s, seed %d), cannot resume as (%s, %s, seed %d)",
 				prior.Workload, prior.Strategy, prior.Seed, w.Name(), cfg.Strategy, cfg.Seed)
 		}
-		if !sameScenarios(prior.Scenarios, cfg.Scenarios) {
+		if !slices.Equal(prior.Scenarios, cfg.Scenarios) {
 			return nil, fmt.Errorf("campaign: corpus was run with scenarios %v, cannot resume with %v",
 				prior.Scenarios, cfg.Scenarios)
 		}
@@ -248,13 +234,9 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 
 	// Measure the fault-free execution once, untraced: its length is the
 	// `random` strategy's sample space.
-	baseCfg := sim.Config{Seed: cfg.Seed, Tracing: sim.TraceOff}
-	w.Tune(&baseCfg)
-	bc := sim.NewCluster(baseCfg)
-	w.Configure(bc)
-	base := bc.Run()
-	if err := w.Check(bc, base); err != nil {
-		return nil, fmt.Errorf("campaign: fault-free run of %s incorrect: %w", w.Name(), err)
+	_, base := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceOff})
+	if base.CheckErr != nil {
+		return nil, fmt.Errorf("campaign: fault-free run of %s incorrect: %w", w.Name(), base.CheckErr)
 	}
 
 	// Site strategies additionally need a traced fault-free run to
@@ -272,14 +254,10 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 		}
 	case traced:
 		fold := newSpaceFold(base.Steps, w.CrashTarget())
-		tCfg := sim.Config{Seed: cfg.Seed, Tracing: sim.TraceSelective,
-			TraceDiscard: true, OnTraceWindow: fold.Window}
-		w.Tune(&tCfg)
-		tc := sim.NewCluster(tCfg)
-		w.Configure(tc)
-		tOut := tc.Run()
-		if err := w.Check(tc, tOut); err != nil {
-			return nil, fmt.Errorf("campaign: traced fault-free run of %s incorrect: %w", w.Name(), err)
+		_, tOut := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceSelective,
+			TraceDiscard: true, OnTraceWindow: fold.Window})
+		if tOut.CheckErr != nil {
+			return nil, fmt.Errorf("campaign: traced fault-free run of %s incorrect: %w", w.Name(), tOut.CheckErr)
 		}
 		sp = fold.finish(cfg.MaxOccurrence)
 	default:
@@ -351,6 +329,9 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 				plans[j] = batch[i]
 			}
 			ran, err := exec.ExecuteBatch(ctx, plans)
+			if err == nil && len(ran) != len(plans) {
+				err = fmt.Errorf("campaign: executor returned %d results for %d plans", len(ran), len(plans))
+			}
 			if err != nil {
 				// The batch is abandoned whole: the result so far covers only
 				// complete batches, which keeps the corpus a valid resume
@@ -358,11 +339,6 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 				res.NovelBehaviors = cor.NovelBehaviors()
 				endBatch()
 				return res, err
-			}
-			if len(ran) != len(plans) {
-				res.NovelBehaviors = cor.NovelBehaviors()
-				endBatch()
-				return res, fmt.Errorf("campaign: executor returned %d results for %d plans", len(ran), len(plans))
 			}
 			for j, i := range missIdx {
 				results[i] = ran[j]
@@ -414,25 +390,18 @@ func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[str
 		rcfg.TraceDiscard = true
 		rcfg.OnTraceWindow = fold.Window
 	}
-	w.Tune(&rcfg)
-	c := sim.NewCluster(rcfg)
-	w.Configure(c)
-	out := c.Run()
-	checkErr := w.Check(c, out)
-	sig := Signature{Outcome: outcomeClass(out, checkErr), Windows: WindowsFingerprint(out.FaultFirings)}
-	if sig.Outcome != OutcomeOK {
-		sig.Symptom = Symptom(out, checkErr)
-		sig.Expected = ExpectedSymptom(w, sig.Symptom)
-	}
+	c, out := core.Run(w, rcfg)
+	sig := Signature{Outcome: out.FailureKind(), Windows: WindowsFingerprint(out.FaultFirings)}
 	if fold != nil {
 		sig.Coverage = fold.Hash(c.Trace())
 	}
 	verdict := VerdictTolerated
-	if sig.Outcome != OutcomeOK {
+	if out.Failed() {
+		sig.Symptom = Symptom(out)
+		sig.Expected = ExpectedSymptom(w, sig.Symptom)
+		verdict = VerdictFailure
 		if sig.Expected {
 			verdict = VerdictExpected
-		} else {
-			verdict = VerdictFailure
 		}
 	}
 	return RunResult{Plan: p, Sig: sig, Verdict: verdict}

@@ -12,110 +12,44 @@
 // drawn before its batch runs, and results merge in run order.
 package campaign
 
-import (
-	"fmt"
-	"strings"
+import "fcatch/internal/sim"
 
-	"fcatch/internal/sim"
-)
+// Plan is one candidate injection scenario: the ordered fault events of one
+// run, in the same JSON-stable form the CLIs' -scenario flag parses, corpora
+// store and leases carry. Most plans hold a single event — a step crash (the
+// `random` strategy's Section 8.3 baseline: crash the workload's crash target
+// when the logical clock reaches CrashStep) or a site point (inject Action at
+// the Occurrence-th execution of Site, which is what the fault-space model
+// enumerates); composite plans chain follow-up events. A plan is never empty.
+type Plan []sim.FaultSpec
 
-// Plan action and edge names — aliases of the simulator's JSON-stable fault
-// vocabulary, kept here so campaign code reads naturally. The table itself
-// lives in exactly one place: internal/sim.
-const (
-	ActionNodeCrash  = sim.ActionNodeCrash
-	ActionKernelDrop = sim.ActionKernelDrop
-	ActionAppDrop    = sim.ActionAppDrop
-
-	WhenBefore = sim.WhenBefore
-	WhenAfter  = sim.WhenAfter
-)
-
-// Plan is one candidate injection scenario. The embedded FaultSpec is the
-// first (and usually only) fault event — embedding keeps single-event plans
-// encoding to the exact flat JSON object pre-scenario corpora used. Then
-// holds the follow-up events of a composite scenario, in order.
-//
-// Single events come in two classic shapes: a step crash (the legacy
-// baseline: crash the workload's crash target when the logical clock
-// reaches CrashStep) or a site point (inject Action at the Occurrence-th
-// execution of Site, before or after the op's effect). Site points are what
-// the fault-space model enumerates; step plans exist so the `random`
-// strategy reproduces the Section 8.3 baseline byte for byte.
-type Plan struct {
-	sim.FaultSpec
-
-	// Then are the scenario's follow-up events (empty for single-fault
-	// plans). A relative event (Delay > 0, no Site) fires Delay ticks
-	// after its predecessor and, with no Target, re-crashes the restarted
-	// incarnation of the previously crashed role.
-	Then []sim.FaultSpec `json:"then,omitempty"`
-}
-
-// IsStep reports whether this is a legacy step-crash plan.
-func (p Plan) IsStep() bool { return p.Site == "" && len(p.Then) == 0 && p.Delay == 0 }
-
-// Events returns the full scenario: the first event followed by Then.
-func (p Plan) Events() []sim.FaultSpec {
-	out := make([]sim.FaultSpec, 0, 1+len(p.Then))
-	out = append(out, p.FaultSpec)
-	return append(out, p.Then...)
-}
-
-// Key is the canonical identity of the plan, used for corpus resume checks.
-// Single-fault plans keep their historical keys ("step:N", "site:..."), so
-// pre-scenario corpora still match; scenario-only fields append suffixes and
-// composite events join with "+".
-func (p Plan) Key() string {
-	var b strings.Builder
-	specKey(&b, p.FaultSpec)
-	for _, s := range p.Then {
-		b.WriteByte('+')
-		specKey(&b, s)
-	}
-	return b.String()
-}
-
-func specKey(b *strings.Builder, s sim.FaultSpec) {
-	switch {
-	case s.Site != "":
-		fmt.Fprintf(b, "site:%s/%d/%s/%s", s.Site, s.Occurrence, s.When, s.Action)
-	case s.Delay > 0:
-		fmt.Fprintf(b, "after:%d", s.Delay)
-	default:
-		fmt.Fprintf(b, "step:%d", s.CrashStep)
-	}
-	if s.Target != "" {
-		fmt.Fprintf(b, "/t=%s", s.Target)
-	}
-	if s.Restart != nil {
-		fmt.Fprintf(b, "/r=%d", *s.Restart)
-	}
-}
+// Key is the canonical identity of the plan, used for corpus resume checks:
+// its -scenario string (sim.ParseScenario(p.Key()) is p).
+func (p Plan) Key() string { return sim.FormatScenario(p) }
 
 func (p Plan) String() string { return p.Key() }
 
 // simPlan lowers the plan to the simulator's fault-plan form. Step crashes
-// with no explicit target aim at the workload's crash target; scenarios
+// with no explicit target aim at the workload's crash target — on the run's
+// own event copies, never on p, which parallel runs share; scenarios
 // containing a node crash carry the workload's restart map (the operator
 // restarts dead nodes, as in the random baseline) while pure drop plans
 // leave nothing to restart.
 func (p Plan) simPlan(target string, restart map[string]int64) *sim.FaultPlan {
-	specs := p.Events()
 	withRestart := false
-	for i := range specs {
-		s := &specs[i]
-		if s.Site == "" {
-			if s.Target == "" && s.Delay == 0 {
-				s.Target = target
-			}
-			withRestart = true
-		} else if s.Action == ActionNodeCrash {
+	for i := range p {
+		if p[i].Site == "" || p[i].Action == sim.ActionNodeCrash {
 			withRestart = true
 		}
 	}
 	if !withRestart {
 		restart = nil
 	}
-	return sim.NewScenarioPlan(specs, restart)
+	fp := sim.NewScenarioPlan(p, restart)
+	for i := range fp.Events {
+		if ev := &fp.Events[i]; ev.Site == "" && ev.Target == "" && ev.Delay == 0 {
+			ev.Target = target
+		}
+	}
+	return fp
 }

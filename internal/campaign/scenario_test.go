@@ -1,8 +1,12 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,61 +14,132 @@ import (
 	"fcatch/internal/sim"
 )
 
-// TestLegacyCorpusResume: a corpus written by the pre-scenario engine (flat
-// single-fault plan JSON, no version field) still loads, pins the campaign
-// identity, and resumes byte-identically with an uninterrupted run.
-func TestLegacyCorpusResume(t *testing.T) {
-	prior, err := LoadCorpus("testdata/legacy_v1.corpus.json")
-	if err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	if prior.Version != 0 {
-		t.Fatalf("legacy corpus carries version %d, want 0", prior.Version)
-	}
-	if prior.Workload != "TOY" || prior.Strategy != StrategyCoverage || prior.Seed != 2 {
-		t.Fatalf("fixture identity drifted: %s/%s seed %d", prior.Workload, prior.Strategy, prior.Seed)
-	}
-	if len(prior.Entries) != 12 {
-		t.Fatalf("fixture has %d entries, want 12", len(prior.Entries))
-	}
-	for i, e := range prior.Entries {
-		if len(e.Plan.Then) != 0 {
-			t.Fatalf("fixture entry %d has composite events — not a legacy plan", i)
+// TestRetiredCorpusSchemasFailClosed: the corpus has one schema. The
+// pre-scenario fixture (no version field), a version-2 corpus (first event +
+// "then") and a corpus from a newer generation are each refused — by
+// LoadCorpus before anything is decoded, and by Resume for a corpus that
+// reached it some other way — with the version found in the message.
+func TestRetiredCorpusSchemasFailClosed(t *testing.T) {
+	for _, c := range []struct {
+		file    string
+		version int
+	}{
+		{"testdata/legacy_v1.corpus.json", 0},
+		{"testdata/retired_v2.corpus.json", 2},
+		{"testdata/future_v4.corpus.json", 4},
+	} {
+		want := fmt.Sprintf("schema version %d", c.version)
+		if cor, err := LoadCorpus(c.file); err == nil || cor != nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadCorpus(%s) = %v, %v; want an error naming %q", c.file, cor, err, want)
 		}
-	}
-
-	cfg := Config{Strategy: StrategyCoverage, Seed: 2, Budget: 30, Parallelism: 2}
-	resumed, err := Resume(toy.New(), cfg, prior)
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	oneShot, err := Run(toy.New(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corpusJSON(t, resumed.Corpus) != corpusJSON(t, oneShot.Corpus) {
-		t.Fatal("resume from the legacy corpus diverges from an uninterrupted campaign")
-	}
-	// The cached prefix was replayed from the corpus, not re-simulated: the
-	// fixture's entries reappear verbatim.
-	for i, e := range prior.Entries {
-		got := resumed.Corpus.Entries[i]
-		if got.Plan.Key() != e.Plan.Key() || got.Verdict != e.Verdict {
-			t.Fatalf("entry %d not replayed from the legacy corpus", i)
+		prior := &Corpus{Version: c.version, Workload: "TOY", Strategy: StrategyCoverage, Seed: 2}
+		cfg := Config{Strategy: StrategyCoverage, Seed: 2, Budget: 4}
+		if res, err := Resume(toy.New(), cfg, prior); err == nil || res != nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Resume(version %d) = %v, %v; want an error naming %q", c.version, res, err, want)
 		}
 	}
 }
 
-// TestFutureCorpusVersionRejected: a corpus from a newer schema generation is
-// refused instead of being silently misread.
-func TestFutureCorpusVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.json")
-	body := `{"version": 99, "workload": "TOY", "strategy": "coverage-guided", "seed": 1}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+// TestDecodeCorpusValidates: every way a version-3 corpus can be malformed is
+// refused with a message naming the offending piece — nothing is replayed as
+// a fault-free run, lowered to a different fault, or counted twice.
+func TestDecodeCorpusValidates(t *testing.T) {
+	corpus := func(entries string) string {
+		return `{"version": 3, "workload": "TOY", "strategy": "coverage-guided", "seed": 1, "entries": [` + entries + `]}`
+	}
+	entry := func(index int, plan string) string {
+		return fmt.Sprintf(`{"index": %d, "plan": %s, "signature": {"outcome": "ok"}, "verdict": "tolerated"}`, index, plan)
+	}
+	good := corpus(entry(0, `[{"crash_step": 7}]`) + "," +
+		entry(1, `[{"site": "a.go:1", "when": "after", "action": "app-drop"}]`))
+	if c, err := DecodeCorpus([]byte(good)); err != nil || len(c.Entries) != 2 {
+		t.Fatalf("well-formed corpus refused: %v", err)
+	}
+	for _, c := range []struct{ name, body, want string }{
+		{"null plan", corpus(entry(0, `null`)), "entry 0: sim: empty scenario"},
+		{"empty plan", corpus(entry(0, `[]`)), "entry 0: sim: empty scenario"},
+		{"missing plan", corpus(`{"index": 0, "verdict": "tolerated"}`), "empty scenario"},
+		{"unknown action", corpus(entry(0, `[{"site": "a.go:1", "action": "meteor"}]`)), `scenario action "meteor"`},
+		{"unknown edge", corpus(entry(0, `[{"site": "a.go:1", "when": "during"}]`)), `scenario when "during"`},
+		{"negative occurrence", corpus(entry(0, `[{"site": "a.go:1", "occurrence": -2}]`)), "occurrence -2"},
+		{"index gap", corpus(entry(0, `[{"crash_step": 7}]`) + "," + entry(2, `[{"crash_step": 8}]`)), "entry 1 carries index 2"},
+		{"duplicate index", corpus(entry(0, `[{"crash_step": 7}]`) + "," + entry(0, `[{"crash_step": 8}]`)), "entry 1 carries index 0"},
+		{"object plan", corpus(entry(0, `{"crash_step": 7}`)), "cannot unmarshal"},
+		{"truncated", corpus(entry(0, `[{"crash_step": 7}]`))[:60], "unexpected end"},
+		{"not an object", `[3]`, "schema version 0"},
+	} {
+		got, err := DecodeCorpus([]byte(c.body))
+		if err == nil || got != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: DecodeCorpus = %v, %v; want an error containing %q", c.name, got, err, c.want)
+		}
+	}
+}
+
+// FuzzDecodeCorpus: corpus bytes are a trust boundary. Whatever DecodeCorpus
+// accepts is the current schema with well-formed plans at their own indices,
+// and survives a Save-shaped round trip; everything else is an error, never a
+// panic.
+func FuzzDecodeCorpus(f *testing.F) {
+	f.Add([]byte(`{"version": 3, "workload": "TOY", "strategy": "random", "seed": 1, "entries": [` +
+		`{"index": 0, "plan": [{"crash_step": 7}], "signature": {"outcome": "ok"}, "verdict": "tolerated"}]}`))
+	legacy, err := os.ReadFile("testdata/legacy_v1.corpus.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	f.Add(legacy[:len(legacy)/2])
+	f.Add([]byte(`{"version": 4, "entries": []}`))
+	f.Add([]byte(`{"version": 3, "entries": [{"index": 0, "plan": [{"site": "a.go:1", "action": "meteor"}]}]}`))
+	f.Add([]byte(`{"version": 3, "entries": [{"index": 0, "plan": []}]}`))
+	f.Add(bytes.Repeat([]byte("["), 1<<20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCorpus(data)
+		if err != nil {
+			return
+		}
+		if c.Version != CorpusVersion {
+			t.Fatalf("accepted schema version %d", c.Version)
+		}
+		for i, e := range c.Entries {
+			if e.Index != i {
+				t.Fatalf("accepted entry %d with index %d", i, e.Index)
+			}
+			if err := sim.ValidateScenario(e.Plan); err != nil {
+				t.Fatalf("accepted entry %d with plan %+v: %v", i, e.Plan, err)
+			}
+		}
+		out, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("accepted corpus does not re-encode: %v", err)
+		}
+		if _, err := DecodeCorpus(out); err != nil {
+			t.Fatalf("re-encoded corpus refused: %v", err)
+		}
+	})
+}
+
+// TestRandomCorpusHasNoTarget: lowering a step plan aims it at the workload's
+// crash target on the run's own copy of the events. Run under -race at
+// Parallelism 4 this also proves no run writes the plans the batch shares;
+// the saved corpus shows none of them leaked a "target".
+func TestRandomCorpusHasNoTarget(t *testing.T) {
+	res, err := Run(toy.New(), Config{Strategy: StrategyRandom, Seed: 1, Budget: 48, Parallelism: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCorpus(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version corpus accepted: err = %v", err)
+	path := filepath.Join(t.TempDir(), "random.json")
+	if err := res.Corpus.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"target"`)) {
+		t.Fatalf("random-strategy corpus carries a target:\n%s", data)
+	}
+	if !bytes.Contains(data, []byte(`"version": 3`)) {
+		t.Fatal("saved corpus is not stamped with the schema version")
 	}
 }
 
@@ -123,9 +198,12 @@ func TestRecoveryCrashScenarioFires(t *testing.T) {
 		w.Tune(&rcfg)
 		cl := sim.NewCluster(rcfg)
 		w.Configure(cl)
-		cl.Run()
+		out := cl.Run()
 
-		pids := fp.InjectedCrashPIDs()
+		var pids []string
+		for _, f := range out.FaultFirings {
+			pids = append(pids, f.Victim)
+		}
 		if len(pids) < 2 {
 			continue // the first crash can land where no restart follows
 		}
@@ -157,7 +235,7 @@ func TestScenarioConfigGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameScenarios(res.Corpus.Scenarios, cfg.Scenarios) {
+	if !slices.Equal(res.Corpus.Scenarios, cfg.Scenarios) {
 		t.Fatalf("corpus did not record the scenario set: %v", res.Corpus.Scenarios)
 	}
 	cfg.Scenarios = nil

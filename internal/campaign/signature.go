@@ -10,15 +10,6 @@ import (
 	"fcatch/internal/trace"
 )
 
-// Outcome classes of one injection run, from worst to benign.
-const (
-	OutcomeException = "exception"
-	OutcomeFatal     = "fatal"
-	OutcomeHang      = "hang"
-	OutcomeCheck     = "check"
-	OutcomeOK        = "ok"
-)
-
 // Verdicts the engine assigns to one run.
 const (
 	// VerdictFailure: the run failed and the failure is not an expected
@@ -32,10 +23,11 @@ const (
 )
 
 // Signature is the behavior fingerprint of one injection run: the outcome
-// class, the symptom fingerprint (shared with the random baseline, so
-// "distinct failures found" means the same thing for every strategy), and a
-// hash of the site set reached after the fault fired (the coverage component;
-// 0 when the run was untraced). Two runs with equal signatures exercised the
+// class (sim.Outcome.FailureKind: exception, fatal, hang, check or ok), the
+// symptom fingerprint (shared with the random baseline, so "distinct failures
+// found" means the same thing for every strategy), and a hash of the site set
+// reached after the fault fired (the coverage component; 0 when the run was
+// untraced). Two runs with equal signatures exercised the
 // same failure mode — or the same tolerance path.
 type Signature struct {
 	Outcome  string `json:"outcome"`
@@ -43,14 +35,9 @@ type Signature struct {
 	Coverage uint64 `json:"coverage,omitempty"`
 	Expected bool   `json:"expected,omitempty"`
 	// Windows is the per-window fingerprint of a multi-fault run (see
-	// WindowsFingerprint); empty for runs with fewer than two fault firings,
-	// so single-fault corpora and their JSON goldens are unchanged.
+	// WindowsFingerprint); empty for runs with fewer than two fault firings.
 	Windows string `json:"windows,omitempty"`
 }
-
-// Failure reports whether this signature counts as a distinct-failure
-// candidate (failed, and not an expected reaction).
-func (s Signature) Failure() bool { return s.Outcome != OutcomeOK && !s.Expected }
 
 // BehaviorKey is the dedupe-corpus identity: outcome + symptom + coverage.
 // Novelty of this key is what the coverage-guided strategy reinvests in.
@@ -91,30 +78,13 @@ func WindowsFingerprint(firings []sim.FaultFiring) string {
 	return b.String()
 }
 
-// outcomeClass mirrors the triggering module's failure precedence: uncaught
-// exceptions identify a failure more precisely than the fatal they log, which
-// beats the hang they often also cause; checker complaints rank last.
-func outcomeClass(out *sim.Outcome, checkErr error) string {
-	switch {
-	case len(out.UncaughtExceptions) > 0:
-		return OutcomeException
-	case len(out.FatalLogs) > 0:
-		return OutcomeFatal
-	case !out.Completed:
-		return OutcomeHang
-	case checkErr != nil:
-		return OutcomeCheck
-	}
-	return OutcomeOK
-}
-
 // Symptom fingerprints a failed run coarsely enough that repeated
 // manifestations of one bug collapse to one signature, while different hang
 // shapes stay distinct. Fatal logs and exceptions identify a failure more
 // precisely than the hang they often also cause, so they take precedence.
 // (This is the Section 8.3 baseline's signature function, hoisted here so
 // every campaign strategy is measured with the same yardstick.)
-func Symptom(out *sim.Outcome, checkErr error) string {
+func Symptom(out *sim.Outcome) string {
 	if len(out.FatalLogs) > 0 {
 		return "fatal:" + stripPID(out.FatalLogs[0])
 	}
@@ -136,8 +106,8 @@ func Symptom(out *sim.Outcome, checkErr error) string {
 		}
 		return "hang:" + roleOnly(first.PID) + "/" + first.Name + "@" + stripPID(where)
 	}
-	if checkErr != nil {
-		return "check:" + checkErr.Error()
+	if out.CheckErr != nil {
+		return "check:" + out.CheckErr.Error()
 	}
 	return "unknown"
 }
@@ -178,19 +148,6 @@ func stripPID(s string) string {
 		i++
 	}
 	return b.String()
-}
-
-// signatureOf builds the full behavior signature for one finished run.
-func signatureOf(w core.Workload, out *sim.Outcome, checkErr error, tr *trace.Trace) Signature {
-	sig := Signature{Outcome: outcomeClass(out, checkErr), Windows: WindowsFingerprint(out.FaultFirings)}
-	if sig.Outcome != OutcomeOK {
-		sig.Symptom = Symptom(out, checkErr)
-		sig.Expected = ExpectedSymptom(w, sig.Symptom)
-	}
-	if tr != nil {
-		sig.Coverage = postFaultCoverage(tr)
-	}
-	return sig
 }
 
 // CoverageFold computes the post-fault site-coverage hash incrementally from

@@ -147,15 +147,15 @@ func (f *spaceFold) finish(maxOcc int) *Space {
 				continue
 			}
 			sp.Points = append(sp.Points,
-				sitePoint(si.Site, occ, WhenBefore, ActionNodeCrash),
-				sitePoint(si.Site, occ, WhenAfter, ActionNodeCrash))
+				sitePoint(si.Site, occ, sim.WhenBefore, sim.ActionNodeCrash),
+				sitePoint(si.Site, occ, sim.WhenAfter, sim.ActionNodeCrash))
 			if si.Sendable {
 				sp.Points = append(sp.Points,
-					sitePoint(si.Site, occ, WhenBefore, ActionKernelDrop))
+					sitePoint(si.Site, occ, sim.WhenBefore, sim.ActionKernelDrop))
 			}
 			if si.Droppable {
 				sp.Points = append(sp.Points,
-					sitePoint(si.Site, occ, WhenBefore, ActionAppDrop))
+					sitePoint(si.Site, occ, sim.WhenBefore, sim.ActionAppDrop))
 			}
 		}
 	}
@@ -164,7 +164,7 @@ func (f *spaceFold) finish(maxOcc int) *Space {
 
 // sitePoint builds a single-event site-anchored candidate plan.
 func sitePoint(site string, occ int, when, action string) Plan {
-	return Plan{FaultSpec: sim.FaultSpec{Site: site, Occurrence: occ, When: when, Action: action}}
+	return Plan{{Site: site, Occurrence: occ, When: when, Action: action}}
 }
 
 // SiteOrdinal returns the first-execution rank of a site (-1 if unknown),
@@ -226,9 +226,8 @@ func (sp *Space) AppendScenarios(names []string, restart map[string]int64) error
 		for _, si := range sp.Sites {
 			rd := restartDelay
 			sp.Points = append(sp.Points, Plan{
-				FaultSpec: sim.FaultSpec{Site: si.Site, Occurrence: 1, When: WhenBefore,
-					Action: ActionNodeCrash, Restart: &rd},
-				Then: []sim.FaultSpec{{Delay: gap, Action: ActionNodeCrash}},
+				{Site: si.Site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Restart: &rd},
+				{Delay: gap, Action: sim.ActionNodeCrash},
 			})
 		}
 	}
@@ -245,10 +244,8 @@ func (sp *Space) AppendScenarios(names []string, restart map[string]int64) error
 				continue
 			}
 			sp.Points = append(sp.Points, Plan{
-				FaultSpec: sim.FaultSpec{Site: si.Site, Occurrence: 1, When: WhenBefore,
-					Action: ActionNodeCrash},
-				Then: []sim.FaultSpec{{Site: drop, Occurrence: 1, When: WhenBefore,
-					Action: ActionKernelDrop}},
+				{Site: si.Site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash},
+				{Site: drop, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionKernelDrop},
 			})
 		}
 	}

@@ -3,8 +3,6 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
-
-	"fcatch/internal/sim"
 )
 
 // Strategy names accepted by Config.Strategy / NewStrategy.
@@ -89,7 +87,7 @@ func (s *randomStrategy) NextBatch(max int) []Plan {
 	}
 	batch := make([]Plan, n)
 	for i := range batch {
-		batch[i] = Plan{FaultSpec: sim.FaultSpec{CrashStep: s.steps[s.next+i]}}
+		batch[i] = Plan{{CrashStep: s.steps[s.next+i]}}
 	}
 	s.next += n
 	return batch
@@ -167,7 +165,7 @@ func (s *coverageStrategy) Init(sp *Space, seed int64, budget int) {
 	s.byKey = make(map[string]int, len(sp.Points))
 	for i, p := range sp.Points {
 		s.weights[i] = 1
-		s.ordOf[i] = sp.SiteOrdinal(p.Site)
+		s.ordOf[i] = sp.SiteOrdinal(p[0].Site)
 		s.byKey[p.Key()] = i
 	}
 	s.left = len(sp.Points)

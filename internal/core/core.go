@@ -150,7 +150,8 @@ type Observation struct {
 	FaultyOutcome    *sim.Outcome
 	CrashStep        int64
 	// CrashedPIDs are the processes the scenario crashed, in injection
-	// order (the detectors' notion of "the crashed node(s)").
+	// order: the crash victims of FaultFirings, kept as a flat list for
+	// callers that only need "the crashed node(s)".
 	CrashedPIDs []string
 	// FaultFirings are the scenario events that actually fired during the
 	// faulty run, in firing order — the per-fault surface hazard-window
@@ -180,16 +181,24 @@ func scenarioPlan(w Workload, scenario []sim.FaultSpec, step int64) *sim.FaultPl
 	return sim.NewScenarioPlan(specs, w.RestartRoles())
 }
 
-// runOnce builds a cluster for w and runs it. A non-nil win hook receives
-// the traced records in bounded windows while the run executes (the
-// streaming pipeline's attachment point).
-func runOnce(w Workload, seed int64, mode sim.TracingMode, plan *sim.FaultPlan, win trace.WindowFn) (*sim.Cluster, *sim.Outcome) {
-	cfg := sim.Config{Seed: seed, Tracing: mode, Plan: plan, TraceTickCost: traceTickCost(mode), OnTraceWindow: win}
+// Run is the one way a workload is executed: tune the config, build the
+// cluster, configure the system in it, run it, and let the workload's
+// correctness oracle fill out.CheckErr — so Outcome.Failed/FailureKind see
+// checker failures and no caller carries the verdict on the side.
+func Run(w Workload, cfg sim.Config) (*sim.Cluster, *sim.Outcome) {
 	w.Tune(&cfg)
 	c := sim.NewCluster(cfg)
 	w.Configure(c)
 	out := c.Run()
+	out.CheckErr = w.Check(c, out)
 	return c, out
+}
+
+// runOnce is Run with the pipeline's tracing cost model. A non-nil win hook
+// receives the traced records in bounded windows while the run executes (the
+// streaming pipeline's attachment point).
+func runOnce(w Workload, seed int64, mode sim.TracingMode, plan *sim.FaultPlan, win trace.WindowFn) (*sim.Cluster, *sim.Outcome) {
+	return Run(w, sim.Config{Seed: seed, Tracing: mode, Plan: plan, TraceTickCost: traceTickCost(mode), OnTraceWindow: win})
 }
 
 // traceTickCost models instrumentation slowdown inside simulated time: the
@@ -218,8 +227,8 @@ func Observe(w Workload, opts Options) (*Observation, error) {
 
 // ObserveIndexed is Observe with the happens-before graphs built alongside
 // the runs: the fault-free run streams its records in bounded windows into
-// an hb.Builder, so simulation, index extension and graph construction
-// overlap instead of running as serial phases; the faulty run's graph is
+// an hb.Builder, which extends the index inline as the run produces them
+// instead of in a serial phase afterwards; the faulty run's graph is
 // built from its materialized trace once its correctness check passes, so
 // retried attempts never pay for indexing. The returned graphs are what
 // Detect hands to the detectors.
@@ -229,9 +238,6 @@ func ObserveIndexed(w Workload, opts Options) (*Observation, *hb.Graph, *hb.Grap
 
 func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph, *hb.Graph, error) {
 	obs := &Observation{}
-	// With a sequential budget the builder extends the index inline, under
-	// the run's wall clock; otherwise it overlaps on its own goroutine.
-	async := opts.Parallelism != 1
 
 	if opts.MeasureBaseline {
 		_, out := runOnce(w, opts.Seed, sim.TraceOff, nil, nil)
@@ -245,7 +251,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 	if withGraphs {
 		winF = func(t *trace.Trace, recs []trace.Record) {
 			if bf == nil {
-				bf = hb.NewBuilder(t, async)
+				bf = hb.NewBuilder(t)
 			}
 			bf.Window(t, recs)
 		}
@@ -256,11 +262,11 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 	var gf *hb.Graph
 	if withGraphs {
 		if bf == nil {
-			bf = hb.NewBuilder(cf.Trace(), async)
+			bf = hb.NewBuilder(cf.Trace())
 		}
 		gf = bf.Finish()
 	}
-	if err := w.Check(cf, outF); err != nil {
+	if err := outF.CheckErr; err != nil {
 		return nil, nil, nil, fmt.Errorf("core: fault-free run of %s is incorrect: %w", w.Name(), err)
 	}
 	obs.FaultFree = cf.Trace()
@@ -271,12 +277,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		// run's baton is analysis time, not tracing time — move it.
 		opts.Metrics.ObserveSpan("core/index/fault-free", bf.BuildTime())
 		obs.Timings.AnalysisRegular = bf.BuildTime()
-		if !async {
-			obs.Timings.TracingFaultFree -= bf.FeedTime()
-			if obs.Timings.TracingFaultFree < 0 {
-				obs.Timings.TracingFaultFree = 0
-			}
-		}
+		obs.Timings.TracingFaultFree = max(0, obs.Timings.TracingFaultFree-bf.FeedTime())
 	}
 
 	// The scenario to inject: the plan is the source of truth, with
@@ -303,7 +304,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		// trace in a single window — failed attempts never pay for indexing.
 		cy, outY := runOnce(w, opts.Seed, opts.Tracing, plan, nil)
 		endAttempt()
-		if err := w.Check(cy, outY); err != nil {
+		if err := outY.CheckErr; err != nil {
 			lastErr = err
 			step += total/23 + 7 // nudge the crash point and retry
 			continue
@@ -312,7 +313,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		var gy *hb.Graph
 		if withGraphs {
 			endIdx := opts.Metrics.Span("core/index/faulty")
-			by = hb.NewBuilder(cy.Trace(), false)
+			by = hb.NewBuilder(cy.Trace())
 			by.Window(cy.Trace(), cy.Trace().Records)
 			gy = by.Finish()
 			endIdx()
@@ -326,8 +327,12 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		obs.FaultyOutcome = outY
 		obs.Timings.TracingFaulty = outY.Elapsed
 		obs.CrashStep = cy.Trace().CrashStep
-		obs.CrashedPIDs = plan.InjectedCrashPIDs()
 		obs.FaultFirings = outY.FaultFirings
+		for _, f := range outY.FaultFirings {
+			if f.Action == sim.ActionNodeCrash && f.Victim != "" {
+				obs.CrashedPIDs = append(obs.CrashedPIDs, f.Victim)
+			}
+		}
 		if withGraphs {
 			// Table 4 attribution: the faulty index build ran entirely after
 			// the run (above), so it is pure analysis time — nothing needs
@@ -372,28 +377,20 @@ func Detect(w Workload, opts Options) (*Result, error) {
 	}
 	res := &Result{Workload: w.Name(), Options: opts, Observation: obs}
 
-	// Table 4 attribution, now that indexing is interleaved with the
-	// observation runs: each run's index build counts toward the analysis
+	// Table 4 attribution: each run's index build counts toward the analysis
 	// that primarily consumes its graph — the fault-free index toward
 	// crash-regular, the faulty index toward crash-recovery (ObserveIndexed
-	// seeded those fields with the builders' BuildTime). At Parallelism 1
-	// the fault-free builder runs inline under the run's wall clock and that
-	// time is subtracted from its tracing column; the faulty index is always
-	// built after its run's correctness check (retried attempts must not pay
-	// for indexing) and is pure analysis time. The stage timings therefore
-	// stay disjoint and sum to within the measured wall clock, and "Overall"
-	// keeps the paper's serial accounting of the same work.
+	// seeded those fields with the builders' BuildTime, net of the tracing
+	// columns), so the stage timings stay disjoint and "Overall" keeps the
+	// paper's serial accounting of the same work.
+	//
 	// The detectors learn the fault surface from the scenario's actual
 	// firings, not from the workload interface: each firing keeps its step,
 	// anchor and victim, and the hazard windows are derived from them once
-	// here, shared by both detectors and the compound pairing pass. The flat
-	// victim list stays populated as the legacy fallback surface.
+	// here, shared by both detectors and the compound pairing pass.
 	dopts := opts.Detect
 	if dopts.Metrics == nil {
 		dopts.Metrics = opts.Metrics
-	}
-	if len(dopts.CrashedPIDs) == 0 {
-		dopts.CrashedPIDs = obs.CrashedPIDs
 	}
 	if len(dopts.Firings) == 0 {
 		for _, f := range obs.FaultFirings {

@@ -133,10 +133,9 @@ type Options struct {
 	// DisableImpactPruning keeps reads with no failure-prone impact
 	// (Section 4.3.3).
 	DisableImpactPruning bool
-	// CrashedPIDs are the scenario's injected crash victims, in injection
-	// order — the legacy fault surface, still honoured when no firings or
-	// windows are supplied; empty falls back to the trace's first recorded
-	// crash (the single-fault behaviour).
+	// CrashedPIDs are crash victims for callers with no firings or windows
+	// (saved traces): each lowers to a node-crash firing at its recorded
+	// crash step; empty means the trace's first recorded crash.
 	CrashedPIDs []string
 	// Firings are the scenario's actual fault firings (victim, step,
 	// anchor per event). When set, hazard windows are derived from them.

@@ -14,8 +14,7 @@ import (
 // windows once — from the scenario's actual fault firings — and the
 // detectors, the cross-window pairing pass and the report grouping all
 // reason per window. A classic single-crash observation lowers to exactly
-// one window, and on that case the per-window analyses reduce to the old
-// single-crash globals.
+// one window.
 
 // FaultFiring mirrors sim.FaultFiring in the detect layer (detect stays
 // independent of the simulator): one scenario event that actually fired,
@@ -110,15 +109,20 @@ func (w *Window) String() string {
 }
 
 // DeriveWindows lowers the faulty run's fault firings to hazard windows, in
-// firing order. Firings that hit nothing (empty victim) open no window. A
-// one-firing scenario — the classic observation crash — lowers to exactly
-// one window spanning from the crash to the end of the trace.
+// firing order — the one place a Window is assembled. Firings that hit
+// nothing (empty victim) open no window. A one-firing scenario — the classic
+// observation crash — lowers to exactly one window spanning from the crash
+// to the end of the trace.
 func DeriveWindows(ty *trace.Trace, firings []FaultFiring) []Window {
 	if len(firings) == 0 {
 		return nil
 	}
+	crashAt, restartAt := crashBookkeeping(ty)
+	return deriveWindows(ty, firings, crashAt, restartAt)
+}
+
+func deriveWindows(ty *trace.Trace, firings []FaultFiring, crashAt, restartAt map[string]int64) []Window {
 	end := traceEnd(ty)
-	crashAt, restarted := crashBookkeeping(ty)
 	var out []Window
 	for _, f := range firings {
 		if f.Victim == "" {
@@ -135,7 +139,7 @@ func DeriveWindows(ty *trace.Trace, firings []FaultFiring) []Window {
 			w.Kind = WindowDropInduced
 		} else {
 			w.Kind = WindowCrashRecovery
-			closeCrashWindow(&w, crashAt, restarted)
+			closeCrashWindow(&w, crashAt, restartAt)
 		}
 		out = append(out, w)
 	}
@@ -213,10 +217,11 @@ func ObservationWindows(ty *trace.Trace, opts Options) []Window {
 }
 
 // resolveWindows is the lowering ladder every detector entry point shares:
-// explicit windows win, then windows derived from fault firings, then the
-// legacy surface — the scenario's victim list, or the trace's first recorded
-// crash. The legacy paths exist so direct detector calls (tests, saved
-// traces) behave exactly as before the window model.
+// explicit windows win, then the scenario's fault firings; a caller with
+// neither (direct detector calls, saved traces) gets the firings the trace
+// itself can vouch for — a node crash per listed victim, or of the trace's
+// first recorded crash, at the step its crash record carries. Every rung
+// ends in DeriveWindows' constructor.
 func resolveWindows(ty *trace.Trace, opts *Options) []Window {
 	if len(opts.Windows) > 0 {
 		return opts.Windows
@@ -225,35 +230,20 @@ func resolveWindows(ty *trace.Trace, opts *Options) []Window {
 		return DeriveWindows(ty, opts.Firings)
 	}
 	victims := opts.CrashedPIDs
-	if len(victims) == 0 {
-		if ty.CrashedPID == "" {
-			return nil
-		}
+	if len(victims) == 0 && ty.CrashedPID != "" {
 		victims = []string{ty.CrashedPID}
 	}
-	end := traceEnd(ty)
-	var crashAt, restartAt map[string]int64
-	if len(victims) > 1 {
-		crashAt, restartAt = crashBookkeeping(ty)
-	}
-	var out []Window
+	crashAt, restartAt := crashBookkeeping(ty)
+	var firings []FaultFiring
 	for _, pid := range victims {
 		if pid == "" {
 			continue
 		}
-		w := Window{
-			ID: len(out), FaultIndex: len(out),
-			Kind: WindowCrashRecovery, Victim: pid,
-			Action:   "node-crash", // the legacy surface only carries crashes
-			OpenStep: ty.CrashStep, CloseStep: end,
+		step, ok := crashAt[pid]
+		if !ok {
+			step = ty.CrashStep
 		}
-		if ts, ok := crashAt[pid]; ok {
-			w.OpenStep = ts
-		}
-		if crashAt != nil {
-			closeCrashWindow(&w, crashAt, restartAt)
-		}
-		out = append(out, w)
+		firings = append(firings, FaultFiring{Index: len(firings), Action: "node-crash", Step: step, Victim: pid})
 	}
-	return out
+	return deriveWindows(ty, firings, crashAt, restartAt)
 }

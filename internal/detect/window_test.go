@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"reflect"
 	"testing"
 
 	"fcatch/internal/hb"
@@ -75,9 +76,11 @@ func TestDeriveWindows(t *testing.T) {
 	}
 }
 
-// TestResolveWindowsLadder: explicit windows win over firings, firings over
-// the legacy victim surfaces, and the bare-trace fallback synthesizes the
-// classic single crash window.
+// TestResolveWindowsLadder: explicit windows win over firings, and the two
+// rungs below them — a victim list, a bare trace — are not constructors of
+// their own: each equals DeriveWindows on the node-crash firings the trace's
+// crash records vouch for, so a saved-trace analysis sees the same
+// incarnation, restart and close fields a live observation does.
 func TestResolveWindowsLadder(t *testing.T) {
 	ty := windowedTrace()
 
@@ -87,21 +90,35 @@ func TestResolveWindowsLadder(t *testing.T) {
 		t.Fatalf("explicit windows ignored: %v", got)
 	}
 
-	got = resolveWindows(ty, &Options{Firings: []FaultFiring{{Action: "node-crash", Step: 100, Victim: "am#1"}}})
+	first := FaultFiring{Index: 0, Action: "node-crash", Step: 100, Victim: "am#1"}
+	second := FaultFiring{Index: 1, Action: "node-crash", Step: 150, Victim: "am#2"}
+
+	got = resolveWindows(ty, &Options{Firings: []FaultFiring{first}})
 	if len(got) != 1 || got[0].Victim != "am#1" || got[0].CloseStep != 150 {
 		t.Fatalf("firing lowering = %v", got)
 	}
 
-	got = resolveWindows(ty, &Options{CrashedPIDs: []string{"am#1", "am#2"}})
-	if len(got) != 2 || got[0].OpenStep != 100 || got[1].OpenStep != 150 {
-		t.Fatalf("crashed-PID lowering = %v", got)
+	got = resolveWindows(ty, &Options{CrashedPIDs: []string{"am#1", "", "am#2"}})
+	if want := DeriveWindows(ty, []FaultFiring{first, second}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("victim-list rung = %v, want DeriveWindows' %v", got, want)
 	}
 
-	// Legacy single-crash synthesis: exactly one window, opened at the
-	// trace's recorded crash step, action node-crash.
+	// The bare trace: one window for its first recorded crash, recovery
+	// fields included.
 	got = resolveWindows(ty, &Options{})
-	if len(got) != 1 || got[0].Victim != "am#1" || got[0].OpenStep != 100 || got[0].Action != "node-crash" {
-		t.Fatalf("legacy lowering = %v", got)
+	if want := DeriveWindows(ty, []FaultFiring{first}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bare-trace rung = %v, want DeriveWindows' %v", got, want)
+	}
+	if len(got) != 1 || got[0].Action != "node-crash" || got[0].Incarnation != "am#2" ||
+		got[0].RestartStep != 120 || got[0].CloseStep != 150 {
+		t.Fatalf("bare-trace window = %+v", got)
+	}
+
+	// A victim the trace has no crash record for opens at the trace's
+	// recorded crash step.
+	got = resolveWindows(ty, &Options{CrashedPIDs: []string{"rs#1"}})
+	if len(got) != 1 || got[0].OpenStep != ty.CrashStep || got[0].Incarnation != "" {
+		t.Fatalf("unrecorded victim = %+v", got)
 	}
 
 	empty := trace.New()

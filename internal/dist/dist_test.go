@@ -21,7 +21,6 @@ import (
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/obs"
-	"fcatch/internal/sim"
 )
 
 // testOptions returns coordinator options tuned for fast failure handling in
@@ -61,12 +60,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: msgHello, Proto: ProtoVersion, Worker: "w1"},
 		{Type: msgConfig, Workload: "TOY", Strategy: "coverage-guided", Seed: 7, Traced: true, HeartbeatMS: 250},
 		{Type: msgLease, Lease: 42, Plans: []campaign.Plan{
-			{FaultSpec: sim.FaultSpec{CrashStep: 9}},
-			{FaultSpec: sim.FaultSpec{Site: "a.go:10", Occurrence: 2, When: "after", Action: "kernel-drop"},
-				Then: []sim.FaultSpec{{Delay: 48, Action: "node-crash"}}},
+			{{CrashStep: 9}},
+			{{Site: "a.go:10", Occurrence: 2, When: "after", Action: "kernel-drop"}, {Delay: 48, Action: "node-crash"}},
 		}},
 		{Type: msgResult, Lease: 42, Results: []campaign.RunResult{
-			{Plan: campaign.Plan{FaultSpec: sim.FaultSpec{CrashStep: 9}},
+			{Plan: campaign.Plan{{CrashStep: 9}},
 				Sig:     campaign.Signature{Outcome: "hang", Symptom: "hang:x", Coverage: 0xdeadbeefcafe0123},
 				Verdict: campaign.VerdictFailure},
 		}},
@@ -363,7 +361,8 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 }
 
 // TestProtoVersionMismatchRejected: a worker speaking the wrong protocol
-// generation is told so and turned away. The coordinator starts with no
+// generation — here the retired one, whose plans were objects, not event
+// lists — is told so and turned away. The coordinator starts with no
 // workers of its own, so the listener stays open until the rogue worker has
 // read its rejection; only then does a real worker attach and let the
 // campaign finish.
@@ -379,7 +378,7 @@ func TestProtoVersionMismatchRejected(t *testing.T) {
 			return err
 		}
 		defer conn.Close()
-		if err := writeMessage(conn, &message{Type: msgHello, Proto: ProtoVersion + 1, Worker: "future"}); err != nil {
+		if err := writeMessage(conn, &message{Type: msgHello, Proto: ProtoVersion - 1, Worker: "retired"}); err != nil {
 			return err
 		}
 		var reply message
@@ -419,6 +418,64 @@ func TestProtoVersionMismatchRejected(t *testing.T) {
 	}
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker: %v", err)
+	}
+}
+
+// TestWorkerRefusesMalformedLease: lease frames are a trust boundary. A plan
+// that is empty (JSON null — it would replay as a fault-free run) or names an
+// unknown action (it would lower to a node crash) makes the worker report the
+// lease and plan and quit, without running anything.
+func TestWorkerRefusesMalformedLease(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		plan campaign.Plan
+		want string
+	}{
+		{"null plan", nil, "lease 7 plan 1: sim: empty scenario"},
+		{"unknown action", campaign.Plan{{Site: "a.go:1", Action: "meteor"}}, `lease 7 plan 1: sim: scenario action "meteor"`},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported := make(chan string, 1)
+		go func() {
+			defer ln.Close()
+			conn, err := ln.Accept()
+			if err != nil {
+				reported <- err.Error()
+				return
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			var m message
+			if err := readMessage(br, &m); err != nil || m.Type != msgHello {
+				reported <- fmt.Sprintf("hello: %v %q", err, m.Type)
+				return
+			}
+			_ = writeMessage(conn, &message{Type: msgConfig, Workload: "TOY", Seed: 1, HeartbeatMS: 1000})
+			_ = writeMessage(conn, &message{Type: msgLease, Lease: 7, Plans: []campaign.Plan{{{CrashStep: 9}}, c.plan}})
+			for {
+				if err := readMessage(br, &m); err != nil {
+					reported <- "no error frame: " + err.Error()
+					return
+				}
+				if m.Type != msgHeartbeat {
+					reported <- m.Type + ": " + m.Err
+					return
+				}
+			}
+		}()
+		err = RunWorker(context.Background(), WorkerConfig{
+			Addr: ln.Addr().String(), Name: "w", Parallelism: 1,
+			Resolve: func(string) (core.Workload, error) { return toy.New(), nil },
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RunWorker = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if got := <-reported; !strings.Contains(got, msgError+": ") || !strings.Contains(got, c.want) {
+			t.Errorf("%s: coordinator saw %q, want an error frame containing %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -30,10 +30,9 @@ import (
 
 // ProtoVersion is the wire protocol generation. A mismatch at handshake is a
 // hard error: leases carry strategy-proposed plans, and silently degrading
-// would break the corpus-parity contract. Version 2: plans are scenarios
-// (composite fault events — then/target/delay/restart fields); a version-1
-// worker would silently drop the extra events.
-const ProtoVersion = 2
+// would break the corpus-parity contract. Version 3: a plan is a JSON array
+// of fault events (corpus schema 3); a version-2 worker expects objects.
+const ProtoVersion = 3
 
 // maxFrame bounds one length-prefixed frame. Leases hold at most a strategy
 // batch of plans and results carry their signatures; 16 MiB is orders of

@@ -15,6 +15,7 @@ import (
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/obs"
+	"fcatch/internal/sim"
 )
 
 // WorkerConfig parameterizes one campaign worker.
@@ -177,6 +178,15 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			if cfg.LivelockAfterLeases > 0 && leases >= cfg.LivelockAfterLeases {
 				<-ctx.Done() // livelock hook: heartbeats keep flowing, no result
 				return nil
+			}
+			// Lease frames cross a trust boundary like corpus files do: an
+			// empty or malformed plan is refused, never run as something else.
+			for i, p := range m.Plans {
+				if err := sim.ValidateScenario(p); err != nil {
+					err = fmt.Errorf("dist: lease %d plan %d: %w", m.Lease, i, err)
+					_ = send(&message{Type: msgError, Err: err.Error()})
+					return err
+				}
 			}
 			cfg.Metrics.Counter("worker/leases").Inc()
 			cfg.Metrics.Counter("worker/plans").Add(int64(len(m.Plans)))

@@ -79,48 +79,23 @@ func NewFromSource(src trace.Source) (*Graph, error) {
 
 // Builder extends a trace index incrementally while the trace is still being
 // produced — its Window method is a trace.WindowFn, so it plugs straight
-// into a sim run's OnTraceWindow hook. In synchronous mode the index work
-// runs inline in the producer (under the scheduler baton); in async mode it
-// runs on a builder goroutine, overlapping simulation and indexing. Windows
-// must stay valid after delivery (a retaining Writer), which they do: trace
-// records are never mutated once appended.
+// into a sim run's OnTraceWindow hook. The index work runs inline in the
+// producer (under the scheduler baton).
 type Builder struct {
 	t  *trace.Trace
 	ix *trace.Index
 
 	feed time.Duration // time spent inside Window deliveries
 	busy time.Duration // total index-construction time (feed + Finish)
-
-	ch   chan []trace.Record
-	done chan struct{}
 }
 
-// NewBuilder starts an incremental graph build over t. With async set, index
-// extension happens on a separate goroutine; Finish must be called
-// eventually (even on error paths) to stop it.
-func NewBuilder(t *trace.Trace, async bool) *Builder {
-	b := &Builder{t: t, ix: trace.NewIndex(t)}
-	if async {
-		b.ch = make(chan []trace.Record, 16)
-		b.done = make(chan struct{})
-		go func() {
-			defer close(b.done)
-			for recs := range b.ch {
-				t0 := time.Now()
-				b.ix.Extend(recs)
-				b.feed += time.Since(t0)
-			}
-		}()
-	}
-	return b
+// NewBuilder starts an incremental graph build over t.
+func NewBuilder(t *trace.Trace) *Builder {
+	return &Builder{t: t, ix: trace.NewIndex(t)}
 }
 
 // Window feeds one window of records to the index (a trace.WindowFn).
 func (b *Builder) Window(t *trace.Trace, recs []trace.Record) {
-	if b.ch != nil {
-		b.ch <- recs
-		return
-	}
 	t0 := time.Now()
 	b.ix.Extend(recs)
 	b.feed += time.Since(t0)
@@ -130,10 +105,6 @@ func (b *Builder) Window(t *trace.Trace, recs []trace.Record) {
 // the producing run has ended (interning has stopped). Idempotent per
 // builder is NOT guaranteed — call it exactly once.
 func (b *Builder) Finish() *Graph {
-	if b.ch != nil {
-		close(b.ch)
-		<-b.done
-	}
 	t0 := time.Now()
 	b.ix.Finish()
 	g := newGraph(b.ix, b.t)
@@ -142,8 +113,7 @@ func (b *Builder) Finish() *Graph {
 }
 
 // FeedTime is the time spent extending the index during Window deliveries —
-// in synchronous mode, work that executed inside the producing run's wall
-// clock.
+// work that executed inside the producing run's wall clock.
 func (b *Builder) FeedTime() time.Duration { return b.feed }
 
 // BuildTime is the total index-construction time (valid after Finish).

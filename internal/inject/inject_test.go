@@ -1,12 +1,15 @@
 package inject
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"fcatch/internal/apps/toy"
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
+	"fcatch/internal/sim"
 )
 
 func TestClassificationOrdering(t *testing.T) {
@@ -92,5 +95,94 @@ func TestRandomResultSignaturesSorted(t *testing.T) {
 	}
 	if r.UniqueFailures() != 3 {
 		t.Fatal("UniqueFailures wrong")
+	}
+}
+
+// outcomeWorkload is a one-node system that ends every run in one chosen
+// failure class, whatever is injected. The worse classes also show the
+// milder ones' evidence — an exception run logs a fatal and leaves a thread
+// hung, and every failing run fails its check — so the class a caller names
+// is decided by precedence, not by which evidence happens to be present.
+type outcomeWorkload struct {
+	*toy.Workload
+	class    string
+	expected []string
+}
+
+func (w *outcomeWorkload) ExpectedBehaviors() []string { return w.expected }
+
+func (w *outcomeWorkload) Configure(c *sim.Cluster) {
+	c.StartProcess("worker", "m1", func(ctx *sim.Context) {
+		if w.class == "exception" || w.class == "fatal" {
+			ctx.LogFatal("disk gone")
+		}
+		if w.class == "exception" || w.class == "fatal" || w.class == "hang" {
+			ctx.Go("stuck", func(ctx *sim.Context) { ctx.NamedCond("never").Wait(ctx) })
+		}
+		if w.class == "exception" {
+			ctx.Throw("IllegalState")
+		}
+	})
+}
+
+func (w *outcomeWorkload) Check(c *sim.Cluster, out *sim.Outcome) error {
+	if w.class != "ok" {
+		return errors.New("result lost")
+	}
+	return nil
+}
+
+// TestOneFailurePrecedenceTable: trigger classification and campaign
+// signatures both name the class sim.Outcome.FailureKind returns — for every
+// class, as a true bug and as an expected reaction.
+func TestOneFailurePrecedenceTable(t *testing.T) {
+	for _, class := range []string{"exception", "fatal", "hang", "check", "ok"} {
+		for _, expected := range []bool{false, true} {
+			w := &outcomeWorkload{Workload: toy.New(), class: class}
+			if expected {
+				// One pattern per symptom a class fingerprints to.
+				w.expected = []string{"disk gone", "wait:never", "result lost"}
+			}
+			_, out := core.Run(w, sim.Config{Seed: 1})
+			if got := out.FailureKind(); got != class {
+				t.Fatalf("%s: the workload ends in FailureKind %q", class, got)
+			}
+			if out.Failed() != (class != "ok") {
+				t.Fatalf("%s: Failed() = %v", class, out.Failed())
+			}
+
+			// A crash-recovery report whose W site never executes: the
+			// replay injects nothing and the run ends as the workload says.
+			rep := &detect.Report{Type: detect.CrashRecovery,
+				W: detect.OpSummary{Site: "never.go:1", Occurrence: 1}, R: detect.OpSummary{Site: "never.go:2"}}
+			trig := NewTriggerer(w, 1).Trigger(rep)
+			wantKind, wantClass := class, TrueBug
+			switch {
+			case class == "ok":
+				wantKind, wantClass = "", Benign
+			case expected:
+				wantKind, wantClass = "expected-"+class, Expected
+			}
+			if trig.FailureKind != wantKind || trig.Class != wantClass {
+				t.Errorf("%s (expected=%v): trigger says %v %q, want %v %q",
+					class, expected, trig.Class, trig.FailureKind, wantClass, wantKind)
+			}
+
+			runs, err := campaign.ExecPlans(context.Background(), w, 1, false, 1, []campaign.Plan{{{CrashStep: 1 << 40}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantVerdict := campaign.VerdictFailure
+			switch {
+			case class == "ok":
+				wantVerdict = campaign.VerdictTolerated
+			case expected:
+				wantVerdict = campaign.VerdictExpected
+			}
+			if sig := runs[0].Sig; sig.Outcome != class || runs[0].Verdict != wantVerdict || (sig.Symptom == "") != (class == "ok") {
+				t.Errorf("%s (expected=%v): campaign says %+v %s, want outcome %q verdict %s",
+					class, expected, sig, runs[0].Verdict, class, wantVerdict)
+			}
+		}
 	}
 }

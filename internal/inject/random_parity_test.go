@@ -50,9 +50,9 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 		rc := sim.NewCluster(rcfg)
 		w.Configure(rc)
 		out := rc.Run()
-		checkErr := w.Check(rc, out)
-		if !out.Completed || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 || checkErr != nil {
-			if sig := campaign.Symptom(out, checkErr); !campaign.ExpectedSymptom(w, sig) {
+		out.CheckErr = w.Check(rc, out)
+		if !out.Completed || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 || out.CheckErr != nil {
+			if sig := campaign.Symptom(out); !campaign.ExpectedSymptom(w, sig) {
 				return sig
 			}
 		}

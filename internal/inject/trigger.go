@@ -110,7 +110,8 @@ func prefixEvents(windows []detect.Window, windowID int) []sim.FaultSpec {
 // TriggerScenario is the injection scenario Trigger replays for a report,
 // rebuilt from the report's anchors and (for reports from later hazard
 // windows) the windows preceding it. For crash-regular reports it is the
-// node-crash flavor of the three fault types Trigger tries.
+// node-crash flavor of the three fault types Trigger tries (Trigger swaps
+// the event's action for the other two).
 func TriggerScenario(rep *detect.Report, windows []detect.Window) []sim.FaultSpec {
 	if rep.Type == detect.CrashRegular {
 		wp := rep.WPrime
@@ -148,44 +149,22 @@ func (tg *Triggerer) Trigger(rep *detect.Report) *Outcome {
 // and behave exactly like Trigger.
 func (tg *Triggerer) TriggerWindowed(rep *detect.Report, windows []detect.Window) *Outcome {
 	out := &Outcome{Report: rep, Class: Benign, ByAction: map[string]bool{}}
-
-	type attempt struct {
-		action  string
-		events  []sim.FaultSpec
-		restart bool
+	events := TriggerScenario(rep, windows)
+	if events == nil {
+		return out
 	}
-	var attempts []attempt
+	actions := []string{sim.ActionNodeCrash}
+	// Crash-recovery replays restart the crashed role so recovery runs. For
+	// crash-regular ones the paper emulates the crash with Runtime.halt(-1):
+	// the victim stays down; the remaining nodes must cope.
+	restart := tg.W.RestartRoles()
 	if rep.Type == detect.CrashRegular {
-		wp := rep.WPrime
-		if wp == nil {
-			return out
-		}
-		for _, act := range sim.ActionNames() {
-			attempts = append(attempts, attempt{
-				action: act,
-				events: []sim.FaultSpec{{
-					Site: wp.Site, Occurrence: wp.Occurrence, When: sim.WhenBefore, Action: act,
-				}},
-				// The paper emulates the crash with Runtime.halt(-1): the
-				// victim stays down; the remaining nodes must cope.
-				restart: false,
-			})
-		}
-	} else {
-		attempts = append(attempts, attempt{
-			action:  sim.ActionNodeCrash,
-			events:  TriggerScenario(rep, windows),
-			restart: true,
-		})
+		actions, restart = sim.ActionNames(), nil
 	}
-
-	for _, at := range attempts {
-		var restart map[string]int64
-		if at.restart {
-			restart = tg.W.RestartRoles()
-		}
-		cls, kind, detail := tg.replay(at.events, restart, &handledExcFold{site: rep.R.Site})
-		out.ByAction[at.action] = cls == TrueBug
+	for _, act := range actions {
+		events[len(events)-1].Action = act
+		cls, kind, detail := tg.replay(events, restart, &handledExcFold{site: rep.R.Site})
+		out.ByAction[act] = cls == TrueBug
 		// The strongest verdict across fault types wins (TrueBug < Expected
 		// < Benign in severity order).
 		if cls < out.Class {
@@ -208,23 +187,18 @@ func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fo
 	if fold != nil {
 		cfg.OnTraceWindow = fold.Window
 	}
-	tg.W.Tune(&cfg)
-	c := sim.NewCluster(cfg)
-	tg.W.Configure(c)
-	return tg.classify(c, c.Run(), fold)
+	_, out := core.Run(tg.W, cfg)
+	return tg.classify(out, fold)
 }
 
 // classify turns a trigger run's outcome into a verdict for one report.
-func (tg *Triggerer) classify(c *sim.Cluster, out *sim.Outcome, fold *handledExcFold) (Classification, string, string) {
-	checkErr := tg.W.Check(c, out)
-	failed := !out.Completed || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 || checkErr != nil
-
-	if failed {
-		detail := tg.failureDetail(out, checkErr)
+func (tg *Triggerer) classify(out *sim.Outcome, fold *handledExcFold) (Classification, string, string) {
+	if out.Failed() {
+		detail := failureDetail(out)
 		if tg.isExpected(detail) {
-			return Expected, "expected-" + failureKind(out, checkErr), detail
+			return Expected, "expected-" + out.FailureKind(), detail
 		}
-		return TrueBug, failureKind(out, checkErr), detail
+		return TrueBug, out.FailureKind(), detail
 	}
 
 	// The run completed correctly. If the fault provoked an exception that
@@ -298,29 +272,15 @@ func (f *handledExcFold) Window(tr *trace.Trace, recs []trace.Record) {
 	}
 }
 
-func failureKind(out *sim.Outcome, checkErr error) string {
-	switch {
-	case len(out.UncaughtExceptions) > 0:
-		return "exception"
-	case len(out.FatalLogs) > 0:
-		return "fatal"
-	case !out.Completed:
-		return "hang"
-	case checkErr != nil:
-		return "check"
-	}
-	return "ok"
-}
-
-func (tg *Triggerer) failureDetail(out *sim.Outcome, checkErr error) string {
+func failureDetail(out *sim.Outcome) string {
 	var parts []string
 	for _, h := range out.Hung {
 		parts = append(parts, fmt.Sprintf("hang:%s/%s@%s(%s)", h.PID, h.Name, h.Site, h.Reason))
 	}
 	parts = append(parts, out.FatalLogs...)
 	parts = append(parts, out.UncaughtExceptions...)
-	if checkErr != nil {
-		parts = append(parts, "check:"+checkErr.Error())
+	if out.CheckErr != nil {
+		parts = append(parts, "check:"+out.CheckErr.Error())
 	}
 	return strings.Join(parts, "; ")
 }

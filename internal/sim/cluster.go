@@ -326,7 +326,7 @@ type Outcome struct {
 	ErrorLogs          []string
 	UncaughtExceptions []string
 	HandledExceptions  []string
-	CheckErr           error // filled by the workload checker, if any
+	CheckErr           error // the workload checker's verdict (filled by core.Run)
 
 	// FaultFirings are the plan's scenario events that actually fired, in
 	// firing order — each with its victim, step and anchor. This is the
@@ -347,18 +347,19 @@ type HangSite struct {
 // Failed reports whether the run ended badly (hang, fatal, uncaught
 // exception, or checker failure).
 func (o *Outcome) Failed() bool {
-	return !o.Completed || len(o.FatalLogs) > 0 || len(o.UncaughtExceptions) > 0 || o.CheckErr != nil
+	return o.FailureKind() != "ok"
 }
 
-// FailureKind returns a coarse label for report classification.
+// FailureKind classifies the run — the one failure-precedence table trigger
+// verdicts and campaign signatures share: an uncaught exception identifies a
+// failure more precisely than the fatal it logs, which beats the hang they
+// often also cause; checker complaints rank last; "ok" means !Failed().
 func (o *Outcome) FailureKind() string {
 	switch {
 	case len(o.UncaughtExceptions) > 0:
 		return "exception"
 	case len(o.FatalLogs) > 0:
 		return "fatal"
-	case !o.Completed && o.StepBudgetHit:
-		return "hang"
 	case !o.Completed:
 		return "hang"
 	case o.CheckErr != nil:

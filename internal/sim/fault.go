@@ -105,12 +105,6 @@ func ParseWhen(name string) (TriggerWhen, bool) {
 	return Before, false
 }
 
-// actionOf / whenOf are the lenient forms used when lowering plans: unknown
-// strings fall back to the zero action/edge (crash / before), preserving the
-// historical tolerance of hand-written plans.
-func actionOf(name string) TriggerAction { a, _ := ParseAction(name); return a }
-func whenOf(name string) TriggerWhen     { w, _ := ParseWhen(name); return w }
-
 // FaultSpec is one fault event of a scenario, in its JSON-stable form. The
 // same encoding travels from campaign corpora over the distributed-campaign
 // wire into the simulator.
@@ -226,11 +220,8 @@ type FaultPlan struct {
 	// lastCrashRole is the role of the most recent injected crash — the
 	// default victim of a relative follow-up crash.
 	lastCrashRole string
-	// injectedPIDs are the victims of plan events, in injection order
-	// (Outcome.Crashed also contains app-level kills; detectors need the
-	// injected set).
-	injectedPIDs []string
-	// firings are the events that actually fired, in firing order.
+	// firings are the events that actually fired, in firing order — the one
+	// record of what the plan did (Outcome.FaultFirings).
 	firings []FaultFiring
 }
 
@@ -242,12 +233,6 @@ func NewScenarioPlan(scenario []FaultSpec, restartRoles map[string]int64) *Fault
 		p.Events[i].FaultSpec = s
 	}
 	return p
-}
-
-// NewFaultFreePlan returns a plan that injects nothing but still knows how
-// to restart roles (needed so trigger runs can exercise recovery).
-func NewFaultFreePlan() *FaultPlan {
-	return &FaultPlan{RestartRoles: map[string]int64{}}
 }
 
 // NewObservationPlan crashes `target` (PID or role) at the given step and
@@ -266,14 +251,6 @@ func (p *FaultPlan) Scenario() []FaultSpec {
 	return out
 }
 
-// InjectedCrashPIDs lists the processes crashed by plan events during the
-// run, in injection order.
-func (p *FaultPlan) InjectedCrashPIDs() []string { return p.injectedPIDs }
-
-// Firings lists the scenario events that actually fired during the run, in
-// firing order (the hazard-window anchors).
-func (p *FaultPlan) Firings() []FaultFiring { return p.firings }
-
 // preparePlan resolves the plan's events against this cluster: names become
 // enums, sites become dense ids (in event order, so site-table numbering is
 // stable), and step-anchored events arm. Called once from NewCluster.
@@ -281,8 +258,10 @@ func (c *Cluster) preparePlan(p *FaultPlan) {
 	p.siteEvents, p.sitePending = 0, 0
 	for i := range p.Events {
 		ev := &p.Events[i]
-		ev.when = whenOf(ev.When)
-		ev.action = actionOf(ev.Action)
+		// Unset names mean the zero edge/action (before / node crash);
+		// ValidateScenario refuses unknown ones at every boundary.
+		ev.when, _ = ParseWhen(ev.When)
+		ev.action, _ = ParseAction(ev.Action)
 		ev.fired, ev.armed = false, false
 		if ev.Site != "" {
 			ev.siteID = c.internSite(ev.Site)
@@ -333,17 +312,16 @@ func (c *Cluster) armNextEvent(p *FaultPlan, i int) {
 	p.recountStep()
 }
 
-// injectCrash is crashProcess for plan-injected crashes: it records the
-// victim for detectors, remembers the role so a relative follow-up event can
-// re-crash its restarted incarnation, and applies the event's restart
-// override. It returns the victim PID, or "" when the crash was a no-op
-// (unknown target, or the process was already dead).
+// injectCrash is crashProcess for plan-injected crashes: it remembers the
+// victim's role so a relative follow-up event can re-crash its restarted
+// incarnation, and applies the event's restart override. It returns the
+// victim PID, or "" when the crash was a no-op (unknown target, or the
+// process was already dead).
 func (c *Cluster) injectCrash(pid string, selfSite SiteID, restart *int64) string {
 	victim := ""
 	if p := c.pendingPlan; p != nil {
 		if n := c.nodes[pid]; n != nil && !n.crashed {
 			p.lastCrashRole = n.Role
-			p.injectedPIDs = append(p.injectedPIDs, pid)
 			victim = pid
 		}
 	}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"fcatch/internal/trace"
-)
+import "fcatch/internal/trace"
 
 // Node is one process of the simulated system. The paper uses node and
 // process interchangeably (Section 2, Terminology); so do we. A restarted
@@ -322,15 +318,3 @@ func (c *Cluster) crashProcess(pid string, selfSite SiteID, restartOverride *int
 		})
 	}
 }
-
-// CrashNow crashes the process executing ctx (used by app-level supervisors
-// that shoot misbehaving workers, e.g. the RM killing task containers).
-func (ctx *Context) CrashNow(pid string) {
-	ctx.c.crashProcess(pid, NoSite, nil)
-	if ctx.t.node.crashed {
-		panic(killedPanic{})
-	}
-}
-
-// errString formats app errors.
-func errString(op, detail string) error { return fmt.Errorf("%s: %s", op, detail) }

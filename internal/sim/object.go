@@ -120,11 +120,6 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	return out
 }
 
-// Has reports whether a field was ever set to a non-nil value; it is a read.
-func (o *Object) Has(ctx *Context, field string) bool {
-	return !o.Get(ctx, field).IsNil()
-}
-
 func (o *Object) slot(field string) *fieldSlot {
 	s, ok := o.fields[field]
 	if !ok {

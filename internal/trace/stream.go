@@ -6,8 +6,8 @@ import "io"
 // windows instead of materialized []Record slices:
 //
 //	producer (sim tracer, FCT2 decoder)
-//	    └─ Sink / Writer ── WindowFn subscribers (index builder, coverage fold,
-//	                        stream encoder, ...)
+//	    └─ Writer ── WindowFn subscribers (index builder, coverage fold,
+//	                 stream encoder, ...)
 //	consumer (index builder, hb graph, campaign space)
 //	    └─ Source.Next() windows
 //
@@ -108,12 +108,6 @@ func (s *memSource) SizeHints() (SizeHints, bool) {
 	}, true
 }
 
-// Sink is the push side of the streaming pipeline: a destination for records
-// emitted one at a time. Append assigns and returns the record's dense OpID.
-type Sink interface {
-	Append(Record) OpID
-}
-
 // WindowFn receives one bounded window of freshly appended records. The
 // trace's symbol/stack tables cover everything in the window. Callbacks run
 // synchronously on the producer (for the sim tracer: under the scheduler
@@ -121,12 +115,12 @@ type Sink interface {
 // non-retaining.
 type WindowFn func(t *Trace, recs []Record)
 
-// Writer is the standard Sink: it interns records into a Trace and tees them
-// to subscribers in bounded windows. With SetRetain(false) the records are
-// not accumulated in the trace — the trace then carries only symbol tables,
-// PIDs and run metadata, and peak memory for a run drops to O(batch) — but
-// every subscriber still sees the full stream. Single-writer, like the Trace
-// it wraps.
+// Writer is the push side of the streaming pipeline: it interns records into
+// a Trace and tees them to subscribers in bounded windows. With
+// SetRetain(false) the records are not accumulated in the trace — the trace
+// then carries only symbol tables, PIDs and run metadata, and peak memory for
+// a run drops to O(batch) — but every subscriber still sees the full stream.
+// Single-writer, like the Trace it wraps.
 type Writer struct {
 	t      *Trace
 	batch  int

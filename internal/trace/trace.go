@@ -13,7 +13,7 @@ import (
 //
 // Interning (Intern, PushFrame, Append) is single-writer: the tracer runs
 // under the scheduler baton. After a run the trace is read-only and every
-// resolving accessor (Str, Lookup, StackSyms, ...) is safe for concurrent use
+// resolving accessor (Str, Lookup, StackLabels, ...) is safe for concurrent use
 // — the two detectors read one trace from parallel workers.
 type Trace struct {
 	// Records in emission order; Records[i].ID == OpID(i+1).
@@ -66,9 +66,6 @@ func (t *Trace) NumSyms() int { return t.syms.Len() }
 func (t *Trace) PushFrame(parent StackID, frame Sym) StackID {
 	return t.stacks.Push(parent, frame)
 }
-
-// StackSyms returns a stack's frame Syms, outermost first.
-func (t *Trace) StackSyms(id StackID) []Sym { return t.stacks.Frames(id) }
 
 // StackLabels resolves a stack to its frame labels, outermost first.
 func (t *Trace) StackLabels(id StackID) []string {
@@ -340,41 +337,6 @@ func (ix *Index) Causor(op *Record) *Record {
 		return nil
 	}
 	return ix.T.At(act.Causor)
-}
-
-// OpsOfKinds returns all record IDs of the given kinds, merged in trace
-// order. The per-kind slices are already ordered (BuildIndex appends in trace
-// order), so this is a k-way merge rather than a sort.
-func (ix *Index) OpsOfKinds(kinds ...Kind) []OpID {
-	lists := make([][]OpID, 0, len(kinds))
-	total := 0
-	for _, k := range kinds {
-		if ids := ix.ByKind[k]; len(ids) > 0 {
-			lists = append(lists, ids)
-			total += len(ids)
-		}
-	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return append([]OpID(nil), lists[0]...)
-	}
-	out := make([]OpID, 0, total)
-	for len(lists) > 0 {
-		min := 0
-		for i := 1; i < len(lists); i++ {
-			if lists[i][0] < lists[min][0] {
-				min = i
-			}
-		}
-		out = append(out, lists[min][0])
-		if lists[min] = lists[min][1:]; len(lists[min]) == 0 {
-			lists[min] = lists[len(lists)-1]
-			lists = lists[:len(lists)-1]
-		}
-	}
-	return out
 }
 
 // WritesTo returns all write-like ops on the resource with Sym y, in trace

@@ -1,12 +1,6 @@
 package fcatch
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"fcatch/internal/sim"
-)
+import "fcatch/internal/sim"
 
 // FaultSpec is one fault event of an injection scenario, in the JSON-stable
 // form shared by the simulator, the campaign engine, and the
@@ -31,155 +25,11 @@ const (
 // FaultActionNames lists every fault action name in canonical order.
 func FaultActionNames() []string { return sim.ActionNames() }
 
-// ParseScenario parses the CLI scenario syntax: events separated by ";",
-// each event a comma-separated list of key=value fields.
-//
-//	step=120                      crash the default target at step 120
-//	step=120,target=worker        crash role "worker" at step 120
-//	delay=60                      60 ticks after the previous event, crash
-//	                              the previously crashed role's restarted
-//	                              incarnation (a recovery-window crash)
-//	site=a.go:10,occ=2,when=before,action=kernel-drop
-//	...,restart=40                restart this event's victim after 40 ticks
-//	                              even if the workload wouldn't
-//	...,restart=-1                never restart this event's victim
-//
-// Example: "step=120,restart=40;delay=48" — crash at step 120, restart the
-// victim, and crash its fresh incarnation 48 ticks later.
-func ParseScenario(s string) ([]FaultSpec, error) {
-	var out []FaultSpec
-	parts := strings.Split(s, ";")
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			if len(parts) == 1 {
-				break // a blank scenario: reported as empty below
-			}
-			// A ";" with nothing on one side is almost always a typo'd or
-			// truncated event — refuse it rather than silently running a
-			// shorter scenario than the user wrote.
-			return nil, fmt.Errorf("fcatch: empty scenario event (stray %q?) in %q", ";", s)
-		}
-		var ev FaultSpec
-		for _, field := range strings.Split(part, ",") {
-			field = strings.TrimSpace(field)
-			if field == "" {
-				continue
-			}
-			key, val, ok := strings.Cut(field, "=")
-			if !ok {
-				return nil, fmt.Errorf("fcatch: scenario field %q is not key=value", field)
-			}
-			switch key {
-			case "step":
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fcatch: scenario step %q: %w", val, err)
-				}
-				ev.CrashStep = n
-			case "site":
-				ev.Site = val
-			case "occ", "occurrence":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("fcatch: scenario occurrence %q: %w", val, err)
-				}
-				ev.Occurrence = n
-			case "when":
-				if _, ok := sim.ParseWhen(val); !ok {
-					return nil, fmt.Errorf("fcatch: scenario when %q (have %s, %s)", val, WhenBefore, WhenAfter)
-				}
-				ev.When = val
-			case "action":
-				if _, ok := sim.ParseAction(val); !ok {
-					return nil, fmt.Errorf("fcatch: scenario action %q (have %s)",
-						val, strings.Join(sim.ActionNames(), ", "))
-				}
-				ev.Action = val
-			case "target":
-				ev.Target = val
-			case "delay":
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fcatch: scenario delay %q: %w", val, err)
-				}
-				ev.Delay = n
-			case "restart":
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fcatch: scenario restart %q: %w", val, err)
-				}
-				ev.Restart = &n
-			default:
-				return nil, fmt.Errorf("fcatch: unknown scenario field %q", key)
-			}
-		}
-		if len(out) == 0 && ev.Site == "" && ev.Delay > 0 && ev.Target == "" {
-			// A relative event re-crashes the previously crashed role's
-			// incarnation; the first event has no previous victim, so this
-			// would silently fire at nothing.
-			return nil, fmt.Errorf(
-				"fcatch: first scenario event %q is relative with no target (no previous victim to re-crash)", part)
-		}
-		out = append(out, ev)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("fcatch: empty scenario %q", s)
-	}
-	return out, nil
-}
+// ParseScenario parses the CLI scenario syntax — events separated by ";",
+// each a comma-separated list of key=value fields, e.g.
+// "step=120,restart=40;delay=48" (see sim.ParseScenario for the grammar).
+func ParseScenario(s string) ([]FaultSpec, error) { return sim.ParseScenario(s) }
 
-// FormatScenario is the inverse of ParseScenario: it renders a scenario back
-// to the CLI syntax, so reports and reproduction narratives can print the
-// exact -scenario string that replays them. Round-trip property:
-// ParseScenario(FormatScenario(s)) == s for every scenario ParseScenario
-// accepts.
-func FormatScenario(scenario []FaultSpec) string {
-	var b strings.Builder
-	for i := range scenario {
-		ev := &scenario[i]
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		n := 0
-		field := func(key, val string) {
-			if n > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(key)
-			b.WriteByte('=')
-			b.WriteString(val)
-			n++
-		}
-		if ev.CrashStep != 0 {
-			field("step", strconv.FormatInt(ev.CrashStep, 10))
-		}
-		if ev.Site != "" {
-			field("site", ev.Site)
-		}
-		if ev.Occurrence != 0 {
-			field("occ", strconv.Itoa(ev.Occurrence))
-		}
-		if ev.When != "" {
-			field("when", ev.When)
-		}
-		if ev.Action != "" {
-			field("action", ev.Action)
-		}
-		if ev.Target != "" {
-			field("target", ev.Target)
-		}
-		if ev.Delay != 0 {
-			field("delay", strconv.FormatInt(ev.Delay, 10))
-		}
-		if ev.Restart != nil {
-			field("restart", strconv.FormatInt(*ev.Restart, 10))
-		}
-		if n == 0 {
-			// An all-defaults event (crash the default target at the
-			// phase-chosen step) still needs a spelling.
-			field("step", "0")
-		}
-	}
-	return b.String()
-}
+// FormatScenario is the inverse of ParseScenario: the exact -scenario string
+// that replays a scenario, which is also a campaign plan's corpus key.
+func FormatScenario(scenario []FaultSpec) string { return sim.FormatScenario(scenario) }

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"fcatch"
+	"fcatch/internal/campaign"
+	"fcatch/internal/core"
+	"fcatch/internal/sim"
 )
 
 // TestParseScenarioErrors: every malformed scenario is refused with a
@@ -127,6 +130,43 @@ func roundTrip(t *testing.T, sc []fcatch.FaultSpec) {
 	}
 	if !reflect.DeepEqual(back, sc) {
 		t.Fatalf("round trip %q: %+v != %+v", s, back, sc)
+	}
+}
+
+// TestPlanKeyIsAScenario: a campaign plan's corpus key is its -scenario
+// string. For every point of every workload's fault space — single-fault and
+// both composite enumerators — and for the random strategy's step plans,
+// ParseScenario(p.Key()) is exactly p, and no two points share a key.
+func TestPlanKeyIsAScenario(t *testing.T) {
+	for _, w := range fcatch.Workloads() {
+		c, out := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective})
+		if out.CheckErr != nil {
+			t.Fatalf("%s: fault-free run: %v", w.Name(), out.CheckErr)
+		}
+		sp := campaign.NewSpace(c.Trace(), out.Steps, w.CrashTarget(), 0)
+		single := len(sp.Points)
+		if err := sp.AppendScenarios(campaign.ScenarioNames(), w.RestartRoles()); err != nil {
+			t.Fatal(err)
+		}
+		if single == 0 || len(sp.Points) == single {
+			t.Fatalf("%s: space has %d single and %d composite points", w.Name(), single, len(sp.Points)-single)
+		}
+		points := append(sp.Points, campaign.Plan{{CrashStep: 1}}, campaign.Plan{{CrashStep: out.Steps}})
+		seen := map[string]bool{}
+		for _, p := range points {
+			key := p.Key()
+			if seen[key] {
+				t.Fatalf("%s: two points share the key %q", w.Name(), key)
+			}
+			seen[key] = true
+			back, err := fcatch.ParseScenario(key)
+			if err != nil {
+				t.Fatalf("%s: key %q is not a scenario: %v", w.Name(), key, err)
+			}
+			if !reflect.DeepEqual(campaign.Plan(back), p) {
+				t.Fatalf("%s: key %q parses to %+v, want %+v", w.Name(), key, back, p)
+			}
+		}
 	}
 }
 

@@ -406,12 +406,8 @@ func AblationTraceAll(seed int64) []AblationRow {
 				// selective tracer's per-record bookkeeping (Section 8.2).
 				cost = 6
 			}
-			cfg := sim.Config{Seed: seed, Tracing: mode, TraceTickCost: cost}
-			w.Tune(&cfg)
-			c := sim.NewCluster(cfg)
-			w.Configure(c)
-			out := c.Run()
-			err := w.Check(c, out)
+			_, out := core.Run(w, sim.Config{Seed: seed, Tracing: mode, TraceTickCost: cost})
+			err := out.CheckErr
 			if mode == sim.TraceSelective {
 				row.SelectiveSteps = out.Steps
 				row.SelectiveTime = out.Elapsed
