@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-all eval random campaign examples clean
+.PHONY: all build vet test race check bench bench-all alloc-gate eval random campaign examples clean
 
 all: build test
 
@@ -28,6 +28,11 @@ bench:
 # The repository benchmark (BENCHMARK.json): all five workloads, end to end.
 bench-all:
 	$(GO) run ./bench -all
+
+# Allocation volume of injection runs against fixed ceilings (campaign and
+# evaluation, bytes and mallocs per op).
+alloc-gate:
+	scripts/alloc_gate.sh
 
 # Regenerate every table and experiment of the paper's evaluation.
 eval:

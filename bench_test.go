@@ -163,6 +163,23 @@ func BenchmarkRandomInjection(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignSweep is the repository benchmark's `campaign` op as a Go
+// benchmark, for profiling: one iteration is a coverage-guided 40-run
+// campaign on each of the six workloads at Parallelism GOMAXPROCS (so
+// `-cpu 2` matches `go run ./bench -workload campaign`). Heap profiles of it
+// (-memprofile, -memprofilerate 4096) are where EXPERIMENTS.md's
+// allocation-per-injection-run table comes from.
+func BenchmarkCampaignSweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, w := range fcatch.Workloads() {
+			if _, err := fcatch.Campaign(w, fcatch.CampaignConfig{Strategy: fcatch.StrategyCoverage, Seed: 1, Budget: 40}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkTriggerMatrix measures the §8.4 experiment: triggering every
 // report of one workload with all applicable fault types.
 func BenchmarkTriggerMatrix(b *testing.B) {

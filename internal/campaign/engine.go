@@ -379,8 +379,8 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 }
 
 // runPlan executes one injection run in its own isolated cluster. Traced runs
-// stream their records through a coverage fold and discard them, so a run's
-// peak memory stays O(batch + symbol tables) regardless of trace length.
+// stream their records through a coverage fold and discard them, so a run
+// allocates for its symbol tables and live state, not per record emitted.
 func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[string]int64, traced bool) RunResult {
 	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: p.simPlan(target, restart)}
 	var fold *CoverageFold

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"fcatch/internal/apps/hbase"
+	"fcatch/internal/apps/mapreduce"
 	"fcatch/internal/apps/toy"
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
@@ -184,5 +186,49 @@ func TestOneFailurePrecedenceTable(t *testing.T) {
 					class, expected, sig, runs[0].Verdict, class, wantVerdict)
 			}
 		}
+	}
+}
+
+// TestHandledExcFoldMatchesMaterialized is the trigger-side twin of
+// campaign's TestCoverageFoldMatchesMaterialized: for every report of two
+// workloads (HB1 has well-handled exceptions, MR1 none), the fold fed by the
+// discard-mode replay must reach the verdict the same fold reaches over the
+// retained trace of that replay, re-fed at any window size.
+func TestHandledExcFoldMatchesMaterialized(t *testing.T) {
+	var found int
+	for _, w := range []core.Workload{hbase.NewHB1(), mapreduce.NewMR1()} {
+		res, err := core.Detect(w, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := NewTriggerer(w, 1)
+		for _, rep := range res.Reports {
+			events := TriggerScenario(rep, res.Windows)
+			restart := w.RestartRoles()
+			if rep.Type == detect.CrashRegular {
+				restart = nil
+			}
+			streamed := &handledExcFold{site: rep.R.Site}
+			tg.replay(events, restart, streamed)
+			if streamed.found {
+				found++
+			}
+
+			c, _ := core.Run(w, tg.replayConfig(events, restart))
+			tr := c.Trace()
+			for _, batch := range []int{1, 7, 64, len(tr.Records)} {
+				f := &handledExcFold{site: rep.R.Site}
+				for pos := 0; pos < len(tr.Records); pos += batch {
+					f.Window(tr, tr.Records[pos:min(pos+batch, len(tr.Records))])
+				}
+				if f.found != streamed.found || f.detail != streamed.detail {
+					t.Errorf("%s %s, windows of %d: found=%v %q, streamed replay found=%v %q",
+						w.Name(), rep.Key(), batch, f.found, f.detail, streamed.found, streamed.detail)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no replay met a handled exception; the comparison never saw the found branch")
 	}
 }

@@ -179,16 +179,22 @@ func (tg *Triggerer) TriggerWindowed(rep *detect.Report, windows []detect.Window
 // replay runs the workload once with events injected (restart is the role
 // restart policy, nil = victims stay down) and classifies the run. Replays
 // discard their trace records: a non-nil fold sees them stream past first —
-// classification needs only its verdict — so a replay's memory stays
-// O(batch + symbol tables).
+// classification needs only its verdict — so a replay allocates for its
+// symbol tables and live state, not per record.
 func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fold *handledExcFold) (Classification, string, string) {
-	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(events, restart),
-		TraceTickCost: 1, TraceDiscard: true}
+	cfg := tg.replayConfig(events, restart)
+	cfg.TraceDiscard = true
 	if fold != nil {
 		cfg.OnTraceWindow = fold.Window
 	}
 	_, out := core.Run(tg.W, cfg)
 	return tg.classify(out, fold)
+}
+
+// replayConfig is the simulator configuration of one replay, records retained.
+func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
+	return sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(events, restart),
+		TraceTickCost: 1}
 }
 
 // classify turns a trigger run's outcome into a verdict for one report.
@@ -224,8 +230,11 @@ type handledExcFold struct {
 	// siteY is the site's Sym in this run's own symbol table, resolved
 	// lazily: windows are delivered after their records' strings were
 	// interned, so the lookup succeeds by the first window that matters.
-	siteY trace.Sym
-	haveY bool
+	// Discard windows are small and many, so the string-map probe is retried
+	// only when the table has grown since the last miss (symsSeen). NoSym =
+	// not resolved yet.
+	siteY    trace.Sym
+	symsSeen int
 
 	rOps   map[trace.OpID]bool // executions of the site seen so far
 	found  bool
@@ -238,11 +247,13 @@ func (f *handledExcFold) Window(tr *trace.Trace, recs []trace.Record) {
 	if f.found {
 		return
 	}
-	if !f.haveY {
-		if y, ok := tr.Lookup(f.site); ok && y != trace.NoSym {
-			f.siteY, f.haveY = y, true
+	if f.siteY == trace.NoSym {
+		n := tr.NumSyms()
+		if n == f.symsSeen {
+			return // nothing interned since the last miss
 		}
-		if !f.haveY {
+		f.symsSeen = n
+		if f.siteY, _ = tr.Lookup(f.site); f.siteY == trace.NoSym {
 			return // no execution of the site can be in this window either
 		}
 	}

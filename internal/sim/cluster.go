@@ -47,10 +47,6 @@ type Config struct {
 	// Plan is the fault plan for this run (nil = fault-free).
 	Plan *FaultPlan
 
-	// TraceBatch bounds the record window size delivered to OnTraceWindow
-	// (0 = trace.DefaultBatch).
-	TraceBatch int
-
 	// OnTraceWindow, when set, receives each bounded window of freshly traced
 	// records while the run executes (under the scheduler baton), plus a
 	// final partial window before Run returns — letting consumers (index
@@ -60,9 +56,11 @@ type Config struct {
 
 	// TraceDiscard streams records to OnTraceWindow without retaining them
 	// in the trace: Trace() then carries only symbol/stack tables, PIDs and
-	// run metadata, and a traced run's memory stays O(TraceBatch). Only
-	// meaningful for runs whose records are consumed through the window
-	// hook (fault-injection campaigns, trigger replays).
+	// run metadata, and the run's records pass through one small fixed
+	// window (see trace.Writer), so a traced run allocates for its live
+	// state and symbol tables, not per record emitted. Only meaningful for
+	// runs whose records are consumed through the window hook
+	// (fault-injection campaigns, trigger replays).
 	TraceDiscard bool
 }
 

@@ -48,8 +48,8 @@ func (ctx *Context) Guard(v Value) bool {
 	}
 	top := &ctx.t.scopes[len(ctx.t.scopes)-1]
 	if len(v.taint) > 0 {
-		top.ctl = mergeTaints(top.ctl, v.taint)
-		ctx.t.ctlHist = mergeTaints(ctx.t.ctlHist, v.taint)
+		top.ctl = growTaints(top.ctl, v.taint)
+		ctx.t.ctlHist = growTaints(ctx.t.ctlHist, v.taint)
 		ctx.t.ctlDirty = true
 	}
 	return v.Bool()

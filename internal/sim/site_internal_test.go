@@ -1,14 +1,24 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
+
+	"fcatch/internal/parallel"
 )
 
 // This file lives in internal/sim, so every frame it contributes is a
-// substrate frame: seen from callsite, the first "application" frame above a
-// test body is whatever the testing package called it from.
+// substrate frame, and the testing package below it is outside the module,
+// which callsite never reports either. The "application" frame of these tests
+// is parallel.ForEach, whose one-worker path calls its body inline: a module
+// file that is not substrate and does not import sim.
+
+// fromApp calls f from the stand-in application frame.
+func fromApp(f func(int)) { _ = parallel.ForEach(context.Background(), 1, 1, f) }
+
+const appFrame = "internal/parallel/parallel.go:"
 
 // atDepth calls f below depth extra (substrate) stack frames.
 //
@@ -51,14 +61,13 @@ func TestCallsiteZeroAllocs(t *testing.T) {
 		for _, d := range resolvableDepths {
 			c := NewCluster(Config{Seed: 1})
 			var id SiteID
-			allocs := testing.AllocsPerRun(100, func() {
-				atDepth(d.depth, func() { id = c.callsite() })
-			})
+			op := func(int) { atDepth(d.depth, func() { id = c.callsite() }) }
+			allocs := testing.AllocsPerRun(100, func() { fromApp(op) })
 			if allocs != 0 {
 				t.Errorf("%s: callsite allocates %.1f times per call, want 0", d.name, allocs)
 			}
-			if s := c.siteStr(id); !strings.Contains(s, "testing/") {
-				t.Errorf("%s: site = %q, want the testing package frame that ran the body", d.name, s)
+			if s := c.siteStr(id); !strings.HasPrefix(s, appFrame) {
+				t.Errorf("%s: site = %q, want the %s frame that ran the body", d.name, s, appFrame)
 			}
 		}
 	})
@@ -71,7 +80,7 @@ func TestCallsiteUnknownOutsideWindow(t *testing.T) {
 	eachPCSource(t, func(t *testing.T) {
 		c := NewCluster(Config{Seed: 1})
 		var id SiteID
-		atDepth(outsideDepth, func() { id = c.callsite() })
+		fromApp(func(int) { atDepth(outsideDepth, func() { id = c.callsite() }) })
 		if id != c.siteUnknown || c.siteStr(id) != "unknown" {
 			t.Fatalf("site = %d %q, want the unknown site", id, c.siteStr(id))
 		}
@@ -91,7 +100,9 @@ func TestResolvePCSharedAcrossClusters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				c := NewCluster(Config{Seed: 1})
-				atDepth(i%deepDepth, func() { sites[w] = c.siteStr(c.callsite()) })
+				fromApp(func(int) {
+					atDepth(i%deepDepth, func() { sites[w] = c.siteStr(c.callsite()) })
+				})
 			}
 		}(w)
 	}
@@ -107,12 +118,14 @@ func BenchmarkCallsite(b *testing.B) {
 	for _, d := range resolvableDepths {
 		b.Run(d.name, func(b *testing.B) {
 			c := NewCluster(Config{Seed: 1})
-			atDepth(d.depth, func() {
-				c.callsite()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+			fromApp(func(int) {
+				atDepth(d.depth, func() {
 					c.callsite()
-				}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.callsite()
+					}
+				})
 			})
 		})
 	}

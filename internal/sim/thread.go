@@ -37,8 +37,9 @@ type appPanic struct {
 // ctlFrame is one scope's control-dependence contribution.
 type ctlFrame struct {
 	label string
-	ctl   []trace.OpID
-	loop  *loopState // non-nil when the scope is a sync-loop body
+	// ctl is owned by this frame: only Guard extends it, through growTaints.
+	ctl  []trace.OpID
+	loop *loopState // non-nil when the scope is a sync-loop body
 	// prevStack is the thread's interned callstack before this scope was
 	// pushed; popping the scope restores it.
 	prevStack trace.StackID
@@ -81,13 +82,16 @@ type Thread struct {
 	// ctlCache memoizes ctlTaints() across records: the merged control taints
 	// of the open scopes change only when a scope is pushed, popped, or
 	// guarded, which is far rarer than record emission. The cached slice is
-	// rebuilt fresh on invalidation and never mutated in place, so records may
-	// alias it.
+	// rebuilt on invalidation and nothing is ever written within its length
+	// (it may alias a scope's ctl, which growTaints extends only past its
+	// len), so records may alias it.
 	ctlCache []trace.OpID
 	ctlDirty bool
 	// ctlHist accumulates every control taint observed during the current
 	// activation, surviving scope pops. RPC replies carry it, modelling the
 	// static fact that branches inside a handler control its return value.
+	// Owned by the thread like a frame's ctl: only Guard extends it, and
+	// runHandlerFrame moves it aside and back without copying it elsewhere.
 	ctlHist []trace.OpID
 
 	// loopName is the active SyncLoop's name; hang reports use it so a
@@ -100,6 +104,10 @@ type Thread struct {
 	// pendingWake is the payload the next resume delivers, staged by wake()
 	// (or by the kill/teardown paths) and consumed on the thread's goroutine.
 	pendingWake resumeMsg
+
+	// ctx is the handle the thread's function runs with; it lives in the
+	// Thread so a spawn is one heap object, not two.
+	ctx Context
 }
 
 // spawnThread creates a thread on node n and makes it runnable. causor is the
@@ -116,6 +124,7 @@ func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor tr
 		sem:        make(chan struct{}, 1),
 		frame:      trace.NoOp,
 	}
+	t.ctx = Context{c: c, t: t}
 	c.threads = append(c.threads, t)
 	n.threads = append(n.threads, t)
 	if !daemon {
@@ -154,8 +163,7 @@ func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor tr
 			}
 			t.finish(c, tsDone)
 		}()
-		ctx := &Context{c: c, t: t}
-		fn(ctx)
+		fn(&t.ctx)
 	}()
 	return t
 }

@@ -43,7 +43,7 @@ func newTracer(c *Cluster) *tracer {
 	tr := &tracer{c: c}
 	if c.cfg.Tracing != TraceOff {
 		tr.trace = trace.New()
-		tr.sink = trace.NewWriter(tr.trace, c.cfg.TraceBatch)
+		tr.sink = trace.NewWriter(tr.trace, 0)
 		if c.cfg.OnTraceWindow != nil {
 			tr.sink.Subscribe(c.cfg.OnTraceWindow)
 		}

@@ -148,6 +148,39 @@ func mergeTaints(a []trace.OpID, b []trace.OpID) []trace.OpID {
 	return capTaints(out)
 }
 
+// growTaints is mergeTaints for a set that one field owns exclusively — a
+// scope's ctl, a thread's ctlHist — and that mostly grows by fresh reads,
+// whose op ids sort after everything already in it. Such an extension is
+// appended in place and the ≤maxTaint view slid forward, so a polling loop's
+// guards cost an amortized few bytes each, not two full copies of the set.
+// The result is element for element what mergeTaints(set, in) returns.
+//
+// Ownership is carried by capacity alone. Only the extension below creates an
+// array with cap > len; everything adopted from outside (in itself, a merge
+// result) is clipped to cap == len first, so a set with spare capacity is one
+// this function built for the field that holds it. Slices handed out earlier
+// (Record.Ctl through ctlCache, RPC reply taints, a saved ctlHist) alias the
+// array only up to their own len and the extension writes only past the
+// owner's, so they keep their contents; they stay immutable by convention.
+func growTaints(set, in []trace.OpID) []trace.OpID {
+	if len(in) == 0 {
+		return set
+	}
+	if n := len(set); n > 0 && in[0] > set[n-1] && sortedSet(in) {
+		if total := n + len(in); total > cap(set) {
+			// Geometric from a handful of ids (most scopes guard once or
+			// twice); a full set gets maxTaint slots of room to slide.
+			set = append(make([]trace.OpID, 0, total+min(total, maxTaint)), set...)
+		}
+		return capTaints(append(set, in...))
+	}
+	if subsetOf(in, set) {
+		return set // what mergeTaints returns, with the spare capacity kept
+	}
+	out := mergeTaints(set, in)
+	return out[:len(out):len(out)]
+}
+
 // mergeTaint1 merges a single op into a sorted taint set.
 func mergeTaint1(a []trace.OpID, id trace.OpID) []trace.OpID {
 	// New ops have the highest IDs, so scan from the tail.

@@ -18,10 +18,17 @@ import "io"
 // non-retaining decoder), windows alias Trace.Records and stay valid after
 // the callback returns — records are never mutated once appended.
 
-// DefaultBatch is the window size (in records) streaming stages use when the
+// DefaultBatch is the window size (in records) retaining stages use when the
 // caller does not choose one. Large enough to amortize per-window overhead,
 // small enough that a window is a rounding error next to the index.
 const DefaultBatch = 1024
+
+// discardWindow is the size (in records) of the one window a non-retaining
+// Writer owns for its whole life. A discarded run is thousands of records
+// nobody keeps, so the window is sized to cost little per run, not to
+// amortize subscriber calls: 48 records is 6.4 KB, and the window folds of
+// injection runs do a few compares per record.
+const discardWindow = 48
 
 // Source is the pull side of the streaming pipeline: a trace being
 // progressively revealed. Next returns the next window of records, io.EOF
@@ -118,16 +125,17 @@ type WindowFn func(t *Trace, recs []Record)
 // Writer is the push side of the streaming pipeline: it interns records into
 // a Trace and tees them to subscribers in bounded windows. With
 // SetRetain(false) the records are not accumulated in the trace — the trace
-// then carries only symbol tables, PIDs and run metadata, and peak memory for
-// a run drops to O(batch) — but every subscriber still sees the full stream.
-// Single-writer, like the Trace it wraps.
+// then carries only symbol tables, PIDs and run metadata, and the records of
+// the whole run pass through one fixed window of discardWindow records that
+// is allocated once and reused — but every subscriber still sees the full
+// stream. Single-writer, like the Trace it wraps.
 type Writer struct {
 	t      *Trace
-	batch  int
+	batch  int // retaining: records per window
 	retain bool
 	subs   []WindowFn
 	start  int      // retaining: first unflushed index into t.Records
-	buf    []Record // non-retaining: reused window buffer
+	buf    []Record // non-retaining: the fixed window, flushed when full
 	n      int      // non-retaining: records appended (the OpID source)
 }
 
@@ -147,8 +155,14 @@ func (w *Writer) Trace() *Trace { return w.t }
 func (w *Writer) Subscribe(fn WindowFn) { w.subs = append(w.subs, fn) }
 
 // SetRetain switches record retention (default true). Must be called before
-// the first Append.
-func (w *Writer) SetRetain(retain bool) { w.retain = retain }
+// the first Append. A non-retaining writer ignores the batch it was built
+// with: its window is fixed at discardWindow records.
+func (w *Writer) SetRetain(retain bool) {
+	w.retain = retain
+	if !retain && w.buf == nil {
+		w.buf = make([]Record, 0, discardWindow)
+	}
+}
 
 // Len returns the number of records appended so far.
 func (w *Writer) Len() int {
@@ -159,7 +173,8 @@ func (w *Writer) Len() int {
 }
 
 // Append adds one record, assigning its dense OpID, and flushes a window to
-// the subscribers whenever batch records have accumulated.
+// the subscribers whenever batch records have accumulated (retaining) or the
+// fixed window is full (non-retaining).
 func (w *Writer) Append(r Record) OpID {
 	var id OpID
 	if w.retain {
@@ -173,7 +188,7 @@ func (w *Writer) Append(r Record) OpID {
 	id = OpID(w.n)
 	r.ID = id
 	w.buf = append(w.buf, r)
-	if len(w.buf) >= w.batch {
+	if len(w.buf) == cap(w.buf) {
 		w.flush()
 	}
 	return id

@@ -99,6 +99,47 @@ func TestWriterDiscardStreamsWithoutRetaining(t *testing.T) {
 	}
 }
 
+// TestWriterDiscardWindowIsFixed: a non-retaining writer owns one window for
+// its whole life — after construction, appending allocates nothing, however
+// many records stream through — and the Flush contract of the retaining path
+// (no empty window, idempotent) holds for it too.
+func TestWriterDiscardWindowIsFixed(t *testing.T) {
+	tr := trace.New()
+	w := trace.NewWriter(tr, 0)
+	w.SetRetain(false)
+	var windows, records int
+	w.Subscribe(func(_ *trace.Trace, recs []trace.Record) {
+		windows++
+		records += len(recs)
+	})
+	w.Flush() // never-filled window: nothing to deliver
+	if windows != 0 {
+		t.Fatalf("Flush on an empty writer delivered %d windows", windows)
+	}
+
+	res := tr.Intern("r")
+	const appends = 10_000
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < appends; i++ {
+			w.Append(trace.Record{Kind: trace.KHeapWrite, Res: res})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d appends to a non-retaining writer allocated %.0f times, want 0", appends, allocs)
+	}
+
+	w.Append(trace.Record{Kind: trace.KHeapWrite, Res: res}) // leave a partial window
+	before := windows
+	w.Flush()
+	w.Flush()
+	if windows != before+1 {
+		t.Fatalf("two Flushes of one partial window delivered %d windows, want 1", windows-before)
+	}
+	if records != w.Len() || len(tr.Records) != 0 {
+		t.Fatalf("subscriber saw %d of %d records; trace retained %d", records, w.Len(), len(tr.Records))
+	}
+}
+
 func TestSourceOfDrainsToSameTrace(t *testing.T) {
 	tr := randomTrace(3, 150)
 	src := trace.SourceOf(tr, 16)
