@@ -29,8 +29,9 @@ bench:
 bench-all:
 	$(GO) run ./bench -all
 
-# Allocation volume of injection runs against fixed ceilings (campaign and
-# evaluation, bytes and mallocs per op).
+# Allocation volume of injection runs (campaign, evaluation) and of the
+# analysis path (offline, predict) against fixed ceilings, bytes and mallocs
+# per op.
 alloc-gate:
 	scripts/alloc_gate.sh
 

@@ -9,6 +9,7 @@ package fcatch_test
 // The rendered tables themselves come from `go run ./cmd/fcatch-bench -all`.
 
 import (
+	"bytes"
 	"testing"
 
 	"fcatch"
@@ -236,6 +237,59 @@ func BenchmarkDetectorAnalysis(b *testing.B) {
 			b.ReportMetric(float64(reports), "reports")
 		})
 	}
+}
+
+// BenchmarkOfflineSweep is the repository benchmark's `offline` op as a Go
+// benchmark, for profiling: one iteration analyses every workload's saved
+// trace pair — FCT2 bytes through trace.NewSource and hb.NewFromSource, then
+// both detectors over the observation's windows — with no simulation. CPU
+// profiles of it (-cpu 1, as `go run ./bench -workload offline` runs) are
+// where CHANGES.md's decode/index shares come from.
+func BenchmarkOfflineSweep(b *testing.B) {
+	type saved struct {
+		name              string
+		faultFree, faulty bytes.Buffer
+		windows           []detect.Window
+	}
+	var pairs []*saved
+	for _, w := range fcatch.Workloads() {
+		res, err := fcatch.Detect(w, fcatch.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := &saved{name: w.Name(), windows: res.Windows}
+		if err := res.Observation.FaultFree.Encode(&p.faultFree); err != nil {
+			b.Fatal(err)
+		}
+		if err := res.Observation.Faulty.Encode(&p.faulty); err != nil {
+			b.Fatal(err)
+		}
+		pairs = append(pairs, p)
+	}
+	graph := func(raw []byte) *hb.Graph {
+		src, err := trace.NewSource(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := hb.NewFromSource(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	reports := 0
+	for i := 0; i < b.N; i++ {
+		reports = 0
+		for _, p := range pairs {
+			gf, gy := graph(p.faultFree.Bytes()), graph(p.faulty.Bytes())
+			opts := detect.Options{Windows: p.windows}
+			reports += len(detect.DetectRegularOpts(gf, p.name, opts).Reports)
+			reports += len(detect.DetectRecoveryOpts(gf, gy, p.name, opts).Reports)
+		}
+	}
+	b.ReportMetric(float64(reports), "reports")
 }
 
 // --- Substrate micro-benchmarks. ---

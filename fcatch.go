@@ -248,8 +248,9 @@ func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
 // TraceSource is a pull-based stream of trace records: repeated Next calls
 // yield bounded record windows (io.EOF at end of stream), Trace gives the
 // stream's symbol tables and metadata, and Close releases the underlying
-// file. Sources feed the streaming analysis path (incremental indexing,
-// coverage folds) without materializing the full record slice.
+// file. Sources feed window-at-a-time consumers (coverage and fault-space
+// folds, grep) without materializing the full record slice; a happens-before
+// graph needs the records retained, which is the default.
 type TraceSource = trace.Source
 
 // OpenTrace opens a saved trace for streaming. The trace decodes

@@ -194,11 +194,9 @@ func Run(w Workload, cfg sim.Config) (*sim.Cluster, *sim.Outcome) {
 	return c, out
 }
 
-// runOnce is Run with the pipeline's tracing cost model. A non-nil win hook
-// receives the traced records in bounded windows while the run executes (the
-// streaming pipeline's attachment point).
-func runOnce(w Workload, seed int64, mode sim.TracingMode, plan *sim.FaultPlan, win trace.WindowFn) (*sim.Cluster, *sim.Outcome) {
-	return Run(w, sim.Config{Seed: seed, Tracing: mode, Plan: plan, TraceTickCost: traceTickCost(mode), OnTraceWindow: win})
+// runOnce is Run with the pipeline's tracing cost model.
+func runOnce(w Workload, seed int64, mode sim.TracingMode, plan *sim.FaultPlan) (*sim.Cluster, *sim.Outcome) {
+	return Run(w, sim.Config{Seed: seed, Tracing: mode, Plan: plan, TraceTickCost: traceTickCost(mode)})
 }
 
 // traceTickCost models instrumentation slowdown inside simulated time: the
@@ -225,13 +223,13 @@ func Observe(w Workload, opts Options) (*Observation, error) {
 	return obs, err
 }
 
-// ObserveIndexed is Observe with the happens-before graphs built alongside
-// the runs: the fault-free run streams its records in bounded windows into
-// an hb.Builder, which extends the index inline as the run produces them
-// instead of in a serial phase afterwards; the faulty run's graph is
-// built from its materialized trace once its correctness check passes, so
-// retried attempts never pay for indexing. The returned graphs are what
-// Detect hands to the detectors.
+// ObserveIndexed is Observe plus the two happens-before graphs. Each graph is
+// built after its run has ended and passed its correctness check, from the
+// complete trace (hb.New), so a retried faulty attempt never pays for
+// indexing and a run's tracing time contains no index work. The build times
+// seed Timings.AnalysisRegular (fault-free graph) and AnalysisRecovery
+// (faulty graph). The returned graphs are what Detect hands to the
+// detectors.
 func ObserveIndexed(w Workload, opts Options) (*Observation, *hb.Graph, *hb.Graph, error) {
 	return observe(w, opts, true)
 }
@@ -240,45 +238,34 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 	obs := &Observation{}
 
 	if opts.MeasureBaseline {
-		_, out := runOnce(w, opts.Seed, sim.TraceOff, nil, nil)
+		_, out := runOnce(w, opts.Seed, sim.TraceOff, nil)
 		obs.Timings.BaselineFaultFree = out.Elapsed
 	}
 
-	// The builder must wrap the run's trace, which the cluster creates
-	// internally — so it is constructed lazily, on the first window.
-	var bf *hb.Builder
-	var winF trace.WindowFn
-	if withGraphs {
-		winF = func(t *trace.Trace, recs []trace.Record) {
-			if bf == nil {
-				bf = hb.NewBuilder(t)
-			}
-			bf.Window(t, recs)
+	// index builds a run's graph and returns how long that took — the part
+	// of Table 4's analysis column that is not detector time.
+	index := func(span string, t *trace.Trace) (*hb.Graph, time.Duration) {
+		if !withGraphs {
+			return nil, 0
 		}
+		t0 := time.Now()
+		g := hb.New(t)
+		d := time.Since(t0)
+		opts.Metrics.ObserveSpan(span, d)
+		return g, d
 	}
+
 	endFF := opts.Metrics.Span("core/observe/fault-free")
-	cf, outF := runOnce(w, opts.Seed, opts.Tracing, nil, winF)
+	cf, outF := runOnce(w, opts.Seed, opts.Tracing, nil)
 	endFF()
-	var gf *hb.Graph
-	if withGraphs {
-		if bf == nil {
-			bf = hb.NewBuilder(cf.Trace())
-		}
-		gf = bf.Finish()
-	}
 	if err := outF.CheckErr; err != nil {
 		return nil, nil, nil, fmt.Errorf("core: fault-free run of %s is incorrect: %w", w.Name(), err)
 	}
 	obs.FaultFree = cf.Trace()
 	obs.FaultFreeOutcome = outF
 	obs.Timings.TracingFaultFree = outF.Elapsed
-	if withGraphs {
-		// Table 4 attribution: index work that ran inline under the traced
-		// run's baton is analysis time, not tracing time — move it.
-		opts.Metrics.ObserveSpan("core/index/fault-free", bf.BuildTime())
-		obs.Timings.AnalysisRegular = bf.BuildTime()
-		obs.Timings.TracingFaultFree = max(0, obs.Timings.TracingFaultFree-bf.FeedTime())
-	}
+	gf, d := index("core/index/fault-free", obs.FaultFree)
+	obs.Timings.AnalysisRegular = d
 
 	// The scenario to inject: the plan is the source of truth, with
 	// Workload.CrashTarget() as the default provider.
@@ -296,31 +283,21 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		}
 		endAttempt := opts.Metrics.Span("core/observe/faulty-attempt")
 		plan := scenarioPlan(w, scenario, step)
-		// Unlike the fault-free run, a faulty attempt can fail its
-		// correctness check and be retried (HB2 deterministically retries
-		// twice), so streaming records into a builder during the run would
-		// index attempts whose traces get thrown away. The faulty graph is
-		// therefore built only after the check passes, from the materialized
-		// trace in a single window — failed attempts never pay for indexing.
-		cy, outY := runOnce(w, opts.Seed, opts.Tracing, plan, nil)
+		// A faulty attempt can fail its correctness check and be retried
+		// (HB2 deterministically retries twice); only the attempt that
+		// passes is indexed.
+		cy, outY := runOnce(w, opts.Seed, opts.Tracing, plan)
 		endAttempt()
 		if err := outY.CheckErr; err != nil {
 			lastErr = err
 			step += total/23 + 7 // nudge the crash point and retry
 			continue
 		}
-		var by *hb.Builder
-		var gy *hb.Graph
-		if withGraphs {
-			endIdx := opts.Metrics.Span("core/index/faulty")
-			by = hb.NewBuilder(cy.Trace())
-			by.Window(cy.Trace(), cy.Trace().Records)
-			gy = by.Finish()
-			endIdx()
-		}
+		gy, d := index("core/index/faulty", cy.Trace())
+		obs.Timings.AnalysisRecovery = d
 		if opts.MeasureBaseline {
 			basePlan := scenarioPlan(w, scenario, step)
-			_, outB := runOnce(w, opts.Seed, sim.TraceOff, basePlan, nil)
+			_, outB := runOnce(w, opts.Seed, sim.TraceOff, basePlan)
 			obs.Timings.BaselineFaulty = outB.Elapsed
 		}
 		obs.Faulty = cy.Trace()
@@ -332,12 +309,6 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 			if f.Action == sim.ActionNodeCrash && f.Victim != "" {
 				obs.CrashedPIDs = append(obs.CrashedPIDs, f.Victim)
 			}
-		}
-		if withGraphs {
-			// Table 4 attribution: the faulty index build ran entirely after
-			// the run (above), so it is pure analysis time — nothing needs
-			// moving out of the tracing column.
-			obs.Timings.AnalysisRecovery = by.BuildTime()
 		}
 		return obs, gf, gy, nil
 	}
@@ -364,12 +335,11 @@ type Result struct {
 }
 
 // Detect runs the full FCatch pipeline (Figure 2, steps 1–3) on a workload.
-// The fault-free trace index is built incrementally while that run executes
-// (ObserveIndexed streams its records into an hb.Builder), the faulty index
-// is built once a correct faulty attempt is in hand, and the crash-regular
-// and crash-recovery analyses then run in parallel goroutines (bounded by
-// opts.Parallelism); both detectors are pure functions of the shared
-// read-only graphs, so the reports are identical to the sequential order.
+// Each run's trace is indexed once the run is in hand (ObserveIndexed), and
+// the crash-regular and crash-recovery analyses then run in parallel
+// goroutines (bounded by opts.Parallelism); both detectors are pure
+// functions of the shared read-only graphs, so the reports are identical to
+// the sequential order.
 func Detect(w Workload, opts Options) (*Result, error) {
 	obs, gf, gy, err := ObserveIndexed(w, opts)
 	if err != nil {
@@ -380,9 +350,9 @@ func Detect(w Workload, opts Options) (*Result, error) {
 	// Table 4 attribution: each run's index build counts toward the analysis
 	// that primarily consumes its graph — the fault-free index toward
 	// crash-regular, the faulty index toward crash-recovery (ObserveIndexed
-	// seeded those fields with the builders' BuildTime, net of the tracing
-	// columns), so the stage timings stay disjoint and "Overall" keeps the
-	// paper's serial accounting of the same work.
+	// seeded those fields with the two build times), so the stage timings
+	// stay disjoint and "Overall" keeps the paper's serial accounting of the
+	// same work.
 	//
 	// The detectors learn the fault surface from the scenario's actual
 	// firings, not from the workload interface: each firing keeps its step,

@@ -6,6 +6,7 @@ import (
 
 	"fcatch/internal/apps/toy"
 	"fcatch/internal/core"
+	"fcatch/internal/obs"
 	"fcatch/internal/sim"
 )
 
@@ -14,21 +15,18 @@ import (
 // the requested crash step and whether a trace-window hook was attached.
 type flakyFirstFaulty struct {
 	core.Workload
-	checks        int
-	faultySteps   []int64 // requested CrashStep of each faulty attempt
-	faultyWindows int     // faulty runs that had OnTraceWindow set
-	freeWindows   int     // fault-free runs that had OnTraceWindow set
+	checks      int
+	faultySteps []int64 // requested CrashStep of each faulty attempt
+	windowHooks int     // runs that had OnTraceWindow set
 }
 
 func (f *flakyFirstFaulty) Tune(cfg *sim.Config) {
 	f.Workload.Tune(cfg)
 	if cfg.Plan != nil {
 		f.faultySteps = append(f.faultySteps, cfg.Plan.Scenario()[0].CrashStep)
-		if cfg.OnTraceWindow != nil {
-			f.faultyWindows++
-		}
-	} else if cfg.OnTraceWindow != nil {
-		f.freeWindows++
+	}
+	if cfg.OnTraceWindow != nil {
+		f.windowHooks++
 	}
 }
 
@@ -42,12 +40,14 @@ func (f *flakyFirstFaulty) Check(c *sim.Cluster, out *sim.Outcome) error {
 
 // TestObserveRetryNudgesCrashStep pins the retry loop's contract: a faulty
 // attempt that fails its correctness check is retried at a nudged crash
-// step, and faulty attempts never stream trace windows — so retries that get
-// thrown away never pay for happens-before graph indexing (only the fault-
-// free run builds its graph during execution).
+// step, and each graph is built once, after its run — no run streams trace
+// windows into an index, and an attempt that gets thrown away is never
+// indexed.
 func TestObserveRetryNudgesCrashStep(t *testing.T) {
 	w := &flakyFirstFaulty{Workload: toy.New()}
-	obs, gf, gy, err := core.ObserveIndexed(w, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Metrics = obs.New()
+	o, gf, gy, err := core.ObserveIndexed(w, opts)
 	if err != nil {
 		t.Fatalf("ObserveIndexed: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestObserveRetryNudgesCrashStep(t *testing.T) {
 		t.Fatal("missing happens-before graphs")
 	}
 
-	total := obs.FaultFreeOutcome.Steps
+	total := o.FaultFreeOutcome.Steps
 	step0 := int64(float64(total) * 0.12) // PhaseBegin's fraction
 	want := []int64{step0, step0 + total/23 + 7}
 	if len(w.faultySteps) != len(want) {
@@ -67,13 +67,16 @@ func TestObserveRetryNudgesCrashStep(t *testing.T) {
 		}
 	}
 
-	if w.freeWindows != 1 {
-		t.Fatalf("fault-free run streamed %d window hooks, want 1", w.freeWindows)
+	if w.windowHooks != 0 {
+		t.Fatalf("%d observation run(s) had a trace-window hook, want none", w.windowHooks)
 	}
-	if w.faultyWindows != 0 {
-		t.Fatalf("%d faulty attempt(s) had a window hook — failed attempts would pay for indexing", w.faultyWindows)
+	spans := opts.Metrics.Snapshot().Spans
+	for _, name := range []string{"core/index/fault-free", "core/index/faulty"} {
+		if got := spans[name].Count; got != 1 {
+			t.Fatalf("%s built %d times over %d faulty attempts, want once", name, got, len(w.faultySteps))
+		}
 	}
-	if len(obs.CrashedPIDs) == 0 {
+	if len(o.CrashedPIDs) == 0 {
 		t.Fatal("observation recorded no crashed PIDs")
 	}
 }

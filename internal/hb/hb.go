@@ -6,9 +6,9 @@
 package hb
 
 import (
+	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"fcatch/internal/trace"
 )
@@ -30,18 +30,11 @@ type Graph struct {
 	crossAnc map[trace.OpID]trace.OpID   // memoized CrossNodeAncestor (NoOp = no remote ancestor)
 }
 
-// New builds the causality graph for a materialized trace. The memo tables
-// start nil — graphs used only for closures (like the faulty-run graph in
-// the recovery detector) never pay for them.
+// New builds the causality graph for a complete trace. The memo tables start
+// nil — graphs used only for closures (like the faulty-run graph in the
+// recovery detector) never pay for them.
 func New(t *trace.Trace) *Graph {
-	return newGraph(trace.BuildIndex(t), t)
-}
-
-// newGraph finalizes a fully extended index into a Graph. The "system"
-// lookup happens here — after interning has stopped — so incremental
-// builders stay safe to run against a live trace.
-func newGraph(ix *trace.Index, t *trace.Trace) *Graph {
-	g := &Graph{Ix: ix}
+	g := &Graph{Ix: trace.BuildIndex(t)}
 	if y, ok := t.Lookup("system"); ok {
 		g.systemSym = y
 	} else {
@@ -50,20 +43,12 @@ func newGraph(ix *trace.Index, t *trace.Trace) *Graph {
 	return g
 }
 
-// NewFromSource builds the graph by draining a streaming Source window by
-// window: the index is extended per batch, so peak memory stays at
-// O(batch + index) while the records stream past (plus the records
-// themselves when the source retains them). The source is closed.
+// NewFromSource drains a streaming Source, then builds the graph over the
+// trace it retained. The index points into the records, so a source told not
+// to retain them is refused. The source is closed.
 func NewFromSource(src trace.Source) (*Graph, error) {
-	t := src.Trace()
-	ix := trace.NewIndex(t)
-	if h, ok := src.(trace.Hinter); ok {
-		if sh, known := h.SizeHints(); known {
-			ix.ByRes = make([][]trace.OpID, 0, sh.Syms)
-			ix.BySite = make([][]trace.OpID, 0, sh.Syms)
-		}
-	}
 	defer src.Close()
+	delivered := 0
 	for {
 		win, err := src.Next()
 		if err == io.EOF {
@@ -71,53 +56,15 @@ func NewFromSource(src trace.Source) (*Graph, error) {
 		} else if err != nil {
 			return nil, err
 		}
-		ix.Extend(win)
+		delivered += len(win)
 	}
-	ix.Finish()
-	return newGraph(ix, t), nil
+	t := src.Trace()
+	if delivered != len(t.Records) {
+		return nil, fmt.Errorf("hb: source delivered %d records but its trace retains %d: a graph needs a retaining source",
+			delivered, len(t.Records))
+	}
+	return New(t), nil
 }
-
-// Builder extends a trace index incrementally while the trace is still being
-// produced — its Window method is a trace.WindowFn, so it plugs straight
-// into a sim run's OnTraceWindow hook. The index work runs inline in the
-// producer (under the scheduler baton).
-type Builder struct {
-	t  *trace.Trace
-	ix *trace.Index
-
-	feed time.Duration // time spent inside Window deliveries
-	busy time.Duration // total index-construction time (feed + Finish)
-}
-
-// NewBuilder starts an incremental graph build over t.
-func NewBuilder(t *trace.Trace) *Builder {
-	return &Builder{t: t, ix: trace.NewIndex(t)}
-}
-
-// Window feeds one window of records to the index (a trace.WindowFn).
-func (b *Builder) Window(t *trace.Trace, recs []trace.Record) {
-	t0 := time.Now()
-	b.ix.Extend(recs)
-	b.feed += time.Since(t0)
-}
-
-// Finish completes the build and returns the graph. It must be called after
-// the producing run has ended (interning has stopped). Idempotent per
-// builder is NOT guaranteed — call it exactly once.
-func (b *Builder) Finish() *Graph {
-	t0 := time.Now()
-	b.ix.Finish()
-	g := newGraph(b.ix, b.t)
-	b.busy = b.feed + time.Since(t0)
-	return g
-}
-
-// FeedTime is the time spent extending the index during Window deliveries —
-// work that executed inside the producing run's wall clock.
-func (b *Builder) FeedTime() time.Duration { return b.feed }
-
-// BuildTime is the total index-construction time (valid after Finish).
-func (b *Builder) BuildTime() time.Duration { return b.busy }
 
 // ForwardClosure is Algorithm 1: the set of operations that causally depend
 // on the seed operations. Seeds may be causal ops (thread creates, RPC
@@ -167,14 +114,14 @@ func (g *Graph) ForwardClosureDense(seeds []trace.OpID) []bool {
 		}
 		// Ops inside an activation frame causally depend on the frame.
 		if r.Kind.IsActivation() || r.Kind == trace.KKVNotify {
-			for _, op := range g.Ix.FrameOps[h] {
+			for _, op := range g.Ix.FrameOpsOf(h) {
 				push(op)
 			}
 		}
 		// Causees of causal ops (and of KV-notify records, which cause the
 		// watcher's handler activation).
 		if r.Kind.IsCausal() || r.Kind == trace.KKVNotify {
-			for _, act := range g.Ix.Causees[h] {
+			for _, act := range g.Ix.CauseesOf(h) {
 				push(act)
 			}
 		}

@@ -3,6 +3,7 @@ package hb_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -178,10 +179,24 @@ func TestEscapingSeeds(t *testing.T) {
 	}
 }
 
-// TestNewFromSourceMatchesNew pins the streaming graph build: extending the
-// index window by window (at any window size, and through a full FCT2
-// encode/decode round trip) must produce the same index as the monolithic
-// build.
+// sameIndex compares every group of two indexes over equal-length traces,
+// the op-keyed ones through their accessors.
+func sameIndex(a, b *trace.Index) bool {
+	if !reflect.DeepEqual(a.ByKind, b.ByKind) || !reflect.DeepEqual(a.ByRes, b.ByRes) ||
+		!reflect.DeepEqual(a.BySite, b.BySite) || !reflect.DeepEqual(a.ThreadStart, b.ThreadStart) {
+		return false
+	}
+	for id := trace.OpID(0); int(id) <= len(a.T.Records)+1; id++ {
+		if !reflect.DeepEqual(a.CauseesOf(id), b.CauseesOf(id)) || !reflect.DeepEqual(a.FrameOpsOf(id), b.FrameOpsOf(id)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewFromSourceMatchesNew pins the drain-then-build path: whatever the
+// window size, and through a full FCT2 encode/decode round trip, the graph
+// built from a source equals the one built from the materialized trace.
 func TestNewFromSourceMatchesNew(t *testing.T) {
 	tr, _ := build()
 	want := hb.New(tr)
@@ -191,8 +206,8 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
-		if !reflect.DeepEqual(g.Ix, want.Ix) {
-			t.Fatalf("batch %d: streamed index diverged from BuildIndex", batch)
+		if !sameIndex(g.Ix, want.Ix) {
+			t.Fatalf("batch %d: index built from the source diverged from BuildIndex", batch)
 		}
 	}
 
@@ -208,15 +223,7 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decoded trace is a distinct object (its intern tables initialize
-	// lazily and may differ in representation), so compare the derived index
-	// tables rather than the whole Ix.
-	if !reflect.DeepEqual(g.Ix.ByKind, want.Ix.ByKind) ||
-		!reflect.DeepEqual(g.Ix.ByRes, want.Ix.ByRes) ||
-		!reflect.DeepEqual(g.Ix.BySite, want.Ix.BySite) ||
-		!reflect.DeepEqual(g.Ix.Causees, want.Ix.Causees) ||
-		!reflect.DeepEqual(g.Ix.FrameOps, want.Ix.FrameOps) ||
-		!reflect.DeepEqual(g.Ix.ThreadStart, want.Ix.ThreadStart) {
+	if !sameIndex(g.Ix, want.Ix) {
 		t.Fatal("index built from the decoded FCT2 stream diverged")
 	}
 	// The graphs must also agree behaviorally, not just structurally.
@@ -224,5 +231,25 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 		if got, exp := g.BackwardChain(op), want.BackwardChain(op); !reflect.DeepEqual(got, exp) {
 			t.Fatalf("op %d: BackwardChain diverged: %v vs %v", op, got, exp)
 		}
+	}
+}
+
+// TestNewFromSourceRefusesNonRetaining: a graph indexes the records its trace
+// keeps, so a source that discards them yields an error, not a graph over
+// records that are gone.
+func TestNewFromSourceRefusesNonRetaining(t *testing.T) {
+	tr, _ := build()
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.(interface{ SetRetain(bool) }).SetRetain(false)
+	g, err := hb.NewFromSource(src)
+	if err == nil || g != nil || !strings.Contains(err.Error(), "retain") {
+		t.Fatalf("NewFromSource on a non-retaining source = (%v, %v), want an error about retention", g, err)
 	}
 }

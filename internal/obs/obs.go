@@ -170,8 +170,8 @@ func (g *Registry) Span(name string) func() {
 }
 
 // ObserveSpan records an externally measured duration under a span name (for
-// phases whose timing already exists, e.g. the async index builder's
-// BuildTime).
+// phases the caller timed itself, e.g. core's index builds, whose durations
+// also feed Table 4).
 func (g *Registry) ObserveSpan(name string, d time.Duration) {
 	if g == nil {
 		return

@@ -3,9 +3,11 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"sync"
 )
 
 // The FCT2 layout, after the magic, is one gzip stream of tagged sections:
@@ -58,7 +60,7 @@ const fct2HintCap = 1 << 18
 // trace to append run metadata. New symbols, stacks and PIDs interned since
 // the previous window are emitted ahead of each record chunk.
 type StreamEncoder struct {
-	zw *gzip.Writer
+	zw *gzip.Writer // from deflaterPool; back there, and nil, after Close
 	bw *bufio.Writer
 	e  colEncoder
 
@@ -75,11 +77,21 @@ func NewStreamEncoder(w io.Writer) (*StreamEncoder, error) {
 	return newStreamEncoder(w, nil)
 }
 
+// deflaterPool recycles gzip writers across encoders: a fresh one zeroes over
+// a megabyte of deflate state, several times what encoding a typical trace
+// costs. Reset makes a recycled writer indistinguishable from a new one, so
+// the bytes written do not depend on which one an encoder got. A pooled
+// writer still points at the last stream it wrote to (dropping that would
+// cost a second Reset) but never writes to it again.
+var deflaterPool = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 func newStreamEncoder(w io.Writer, hints *SizeHints) (*StreamEncoder, error) {
 	if _, err := io.WriteString(w, FormatMagic); err != nil {
 		return nil, fmt.Errorf("trace: fct2 magic: %w", err)
 	}
-	enc := &StreamEncoder{zw: gzip.NewWriter(w), sentSyms: 1, sentStacks: 1}
+	zw := deflaterPool.Get().(*gzip.Writer)
+	zw.Reset(w)
+	enc := &StreamEncoder{zw: zw, sentSyms: 1, sentStacks: 1}
 	enc.bw = bufio.NewWriter(enc.zw)
 	enc.e.w = enc.bw
 	if hints == nil {
@@ -143,6 +155,10 @@ func (enc *StreamEncoder) Close(t *Trace) error {
 		return nil
 	}
 	enc.closed = true
+	defer func() {
+		deflaterPool.Put(enc.zw)
+		enc.zw = nil
+	}()
 	enc.syncTables(t)
 	enc.e.uvarint(secMeta)
 	enc.e.varint(t.CrashStep)
@@ -192,29 +208,40 @@ func EncodeStream(src Source, w io.Writer) error {
 	return enc.Close(src.Trace())
 }
 
-// countReader counts decompressed bytes consumed, so decode errors can say
-// where the stream went bad.
-type countReader struct {
-	r io.Reader
-	n int64
+// decodeState is the per-stream machinery of a decode, recycled through
+// decodePool: the reader the magic is peeked through (and the inflater then
+// pulls bytes from), the inflater, the decoder's byte window and its
+// list-staging scratch. A source borrows one in newSource and returns it
+// exactly once, in Close, dropping its own references first — nothing a
+// source hands out (records, Taint/Ctl lists, symbols) points into it.
+type decodeState struct {
+	br   bufio.Reader
+	zr   gzip.Reader
+	win  [decodeWindow]byte
+	ids  []OpID
+	lens []int32
 }
 
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+var decodePool = sync.Pool{New: func() any { return new(decodeState) }}
+
+// release detaches the state from the stream it was reading and pools it.
+func (st *decodeState) release() {
+	st.br.Reset(nil)
+	decodePool.Put(st)
 }
+
+var errSourceClosed = errors.New("trace: source is closed")
 
 // fct2Source is the streaming FCT2 decoder: each Next() call decodes
 // sections up to and including one record chunk. With SetRetain(false) the
 // decoded records are not accumulated in the trace (the window buffer is
-// reused), so a full-stream scan runs in O(batch + tables) memory.
+// reused), so a full-stream scan runs in O(batch + tables) memory. A source
+// that is never closed is simply not recycled.
 type fct2Source struct {
 	t  *Trace
 	d  colDecoder
-	cr *countReader
-	zr *gzip.Reader
-	rc io.Closer // underlying file, when opened from a path
+	st *decodeState // nil once closed
+	rc io.Closer    // underlying file, when opened from a path
 
 	hints    SizeHints
 	hinted   bool
@@ -224,18 +251,20 @@ type fct2Source struct {
 	prevTS   int64
 	sawMeta  bool
 	done     bool
-	closed   bool
 	firstErr error
 }
 
-func newFCT2Source(r io.Reader) (*fct2Source, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
+// newFCT2Source starts decoding the gzip stream behind st.br; on error the
+// caller still owns st.
+func newFCT2Source(st *decodeState) (*fct2Source, error) {
+	// Reset leaves the reader in multistream mode, so the drain at secEnd
+	// runs to the real end of input and every gzip footer on the way is
+	// checked.
+	if err := st.zr.Reset(&st.br); err != nil {
 		return nil, fmt.Errorf("trace: fct2 gunzip: %w", err)
 	}
-	s := &fct2Source{t: New(), zr: zr, retain: true}
-	s.cr = &countReader{r: zr}
-	s.d.r = bufio.NewReader(s.cr)
+	s := &fct2Source{t: New(), st: st, retain: true}
+	s.d = colDecoder{r: &st.zr, win: st.win[:], ids: st.ids, lens: st.lens}
 
 	flags := s.d.uvarint()
 	if s.d.err != nil {
@@ -247,10 +276,10 @@ func newFCT2Source(r io.Reader) (*fct2Source, error) {
 		// of real data has decoded. Streams larger than the cap still decode
 		// — they just grow incrementally past it.
 		s.hints = SizeHints{
-			Syms:    minInt(int(s.d.uvarint()), fct2HintCap),
-			Stacks:  minInt(int(s.d.uvarint()), fct2HintCap),
-			PIDs:    minInt(int(s.d.uvarint()), fct2HintCap),
-			Records: minInt(int(s.d.uvarint()), fct2HintCap),
+			Syms:    min(int(s.d.uvarint()), fct2HintCap),
+			Stacks:  min(int(s.d.uvarint()), fct2HintCap),
+			PIDs:    min(int(s.d.uvarint()), fct2HintCap),
+			Records: min(int(s.d.uvarint()), fct2HintCap),
 		}
 		if s.d.err != nil {
 			return nil, s.fail("header", s.d.err)
@@ -270,9 +299,6 @@ func (s *fct2Source) Trace() *Trace { return s.t }
 
 func (s *fct2Source) SizeHints() (SizeHints, bool) { return s.hints, s.hinted }
 
-// pos is the current offset into the decompressed stream.
-func (s *fct2Source) pos() int64 { return s.cr.n - int64(s.d.r.Buffered()) }
-
 // fail wraps a section decode error with the stream position. A plain EOF
 // mid-section is a truncation, not a clean end.
 func (s *fct2Source) fail(section string, err error) error {
@@ -280,7 +306,7 @@ func (s *fct2Source) fail(section string, err error) error {
 		err = io.ErrUnexpectedEOF
 	}
 	werr := fmt.Errorf("trace: fct2 %s section at decompressed offset %d (%d records decoded): %w",
-		section, s.pos(), s.nRead, err)
+		section, s.d.pos(), s.nRead, err)
 	if s.firstErr == nil {
 		s.firstErr = werr
 	}
@@ -293,6 +319,9 @@ func (s *fct2Source) Next() ([]Record, error) {
 	}
 	if s.done {
 		return nil, io.EOF
+	}
+	if s.st == nil {
+		return nil, errSourceClosed
 	}
 	for {
 		tag := s.d.uvarint()
@@ -369,7 +398,7 @@ func (s *fct2Source) Next() ([]Record, error) {
 			// Drain to EOF so the gzip layer validates its footer — a
 			// partial write that clips the CRC must not pass as a clean
 			// stream.
-			if _, err := io.Copy(io.Discard, s.d.r); err != nil {
+			if err := s.d.drain(); err != nil {
 				return nil, s.fail("end", err)
 			}
 			s.done = true
@@ -380,6 +409,10 @@ func (s *fct2Source) Next() ([]Record, error) {
 	}
 }
 
+// decodeChunk decodes one chunk of n records. Every table index and op
+// reference in it is range-checked as it is read (colDecoder.ref), so
+// consumers may index dense per-Sym and per-op tables with a delivered
+// record's fields without checking again.
 func (s *fct2Source) decodeChunk(n int) ([]Record, error) {
 	var rs []Record
 	if s.retain {
@@ -401,23 +434,31 @@ func (s *fct2Source) decodeChunk(n int) ([]Record, error) {
 	for i := range rs {
 		rs[i].ID = OpID(s.nRead + i + 1)
 	}
+	s.d.maxSym = uint64(s.t.NumSyms() - 1)
+	s.d.maxStack = uint64(s.t.NumStacks() - 1)
+	s.d.maxOp = uint64(s.nRead + n)
 	if err := decodeRecColumns(&s.d, rs, &s.prevTS); err != nil {
-		if !s.retain {
-			return nil, s.fail("records", err)
+		if s.retain {
+			s.t.Records = s.t.Records[:len(s.t.Records)-n]
 		}
-		s.t.Records = s.t.Records[:len(s.t.Records)-n]
 		return nil, s.fail("records", err)
 	}
 	s.nRead += n
 	return rs, nil
 }
 
+// Close returns the decode state to the pool and closes the underlying file,
+// if the source opened one. Afterwards the source holds no reference to the
+// pooled state and Next fails.
 func (s *fct2Source) Close() error {
-	if s.closed {
+	st := s.st
+	if st == nil {
 		return nil
 	}
-	s.closed = true
-	err := s.zr.Close()
+	st.ids, st.lens = s.d.ids[:0], s.d.lens[:0] // keep what the scratch grew to
+	s.st, s.d.r, s.d.win, s.d.ids, s.d.lens = nil, nil, nil, nil, nil
+	err := st.zr.Close()
+	st.release()
 	if s.rc != nil {
 		if cerr := s.rc.Close(); err == nil {
 			err = cerr
@@ -481,56 +522,61 @@ func encodeRecColumns(e *colEncoder, rs []Record, prevTS *int64) {
 }
 
 // decodeRecColumns reads the record columns for one batch into rs (IDs must
-// already be assigned). prevTS carries the delta base across chunks.
+// already be assigned), range-checking every table index and op reference
+// against the decoder's limits. prevTS carries the delta base across chunks.
 func decodeRecColumns(d *colDecoder, rs []Record, prevTS *int64) error {
 	for i := range rs {
 		*prevTS += d.varint()
 		rs[i].TS = *prevTS
 	}
 	for i := range rs {
-		rs[i].Machine = Sym(d.uvarint())
+		rs[i].Machine = Sym(d.ref(d.maxSym, "machine symbol"))
 	}
 	for i := range rs {
-		rs[i].PID = Sym(d.uvarint())
+		rs[i].PID = Sym(d.ref(d.maxSym, "pid symbol"))
 	}
 	for i := range rs {
 		rs[i].Thread = int(d.uvarint())
 	}
 	for i := range rs {
-		rs[i].Frame = OpID(d.uvarint())
+		rs[i].Frame = OpID(d.ref(d.maxOp, "frame op"))
 	}
 	for i := range rs {
-		rs[i].Kind = Kind(d.uvarint())
+		rs[i].Kind = Kind(d.ref(uint64(numKinds-1), "kind"))
 	}
 	for i := range rs {
-		rs[i].Site = Sym(d.uvarint())
+		rs[i].Site = Sym(d.ref(d.maxSym, "site symbol"))
 	}
 	for i := range rs {
-		rs[i].Stack = StackID(d.uvarint())
+		rs[i].Stack = StackID(d.ref(d.maxStack, "stack"))
 	}
 	for i := range rs {
-		rs[i].Res = Sym(d.uvarint())
+		rs[i].Res = Sym(d.ref(d.maxSym, "resource symbol"))
 	}
 	for i := range rs {
-		rs[i].Src = OpID(d.uvarint())
+		rs[i].Src = OpID(d.ref(d.maxOp, "source op"))
 	}
 	for i := range rs {
-		rs[i].Aux = Sym(d.uvarint())
+		rs[i].Aux = Sym(d.ref(d.maxSym, "aux symbol"))
 	}
 	for i := range rs {
-		rs[i].Target = Sym(d.uvarint())
+		rs[i].Target = Sym(d.ref(d.maxSym, "target symbol"))
 	}
 	for i := range rs {
 		rs[i].Flags = uint32(d.uvarint())
 	}
 	for i := range rs {
-		rs[i].Causor = OpID(d.uvarint())
+		rs[i].Causor = OpID(d.ref(d.maxOp, "causor op"))
 	}
-	for i := range rs {
-		rs[i].Taint = d.ops()
+	d.ids, d.lens = d.ids[:0], d.lens[:0]
+	for range rs {
+		d.ops() // Taint
 	}
-	for i := range rs {
-		rs[i].Ctl = d.ops()
+	for range rs {
+		d.ops() // Ctl
+	}
+	if d.err == nil {
+		d.carveLists(rs)
 	}
 	return d.err
 }
@@ -556,19 +602,20 @@ func NewSource(r io.Reader) (Source, error) {
 }
 
 func newSource(r io.Reader, closer io.Closer) (Source, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(FormatMagic))
+	st := decodePool.Get().(*decodeState)
+	st.br.Reset(r)
+	head, err := st.br.Peek(len(FormatMagic))
+	if err == nil && string(head) != FormatMagic {
+		err = fmt.Errorf("unrecognized trace format (magic %q)", head)
+	}
 	if err != nil {
+		st.release()
 		return nil, fmt.Errorf("decode: %w", err)
 	}
-	if string(head) != FormatMagic {
-		return nil, fmt.Errorf("decode: unrecognized trace format (magic %q)", head)
-	}
-	if _, err := br.Discard(len(FormatMagic)); err != nil {
-		return nil, err
-	}
-	s, err := newFCT2Source(br)
+	st.br.Discard(len(FormatMagic)) // just peeked: cannot fail
+	s, err := newFCT2Source(st)
 	if err != nil {
+		st.release()
 		return nil, err
 	}
 	s.rc = closer

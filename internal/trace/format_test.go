@@ -92,8 +92,12 @@ func randomTrace(seed int64, n int) *trace.Trace {
 // round-trip through FCT2 to the same semantic content, on both the
 // monolithic Decode path and the streaming Source path.
 func TestFormatsRoundTripEquivalent(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		tr := randomTrace(seed, 200)
+	for seed := int64(1); seed <= 6; seed++ {
+		n := 200
+		if seed == 6 {
+			n = 6000 // a payload several decoder windows long
+		}
+		tr := randomTrace(seed, n)
 		want := flatten(tr)
 
 		var fct bytes.Buffer
@@ -103,7 +107,7 @@ func TestFormatsRoundTripEquivalent(t *testing.T) {
 		if string(fct.Bytes()[:4]) != trace.FormatMagic {
 			t.Fatalf("seed %d: encoded stream does not start with %q", seed, trace.FormatMagic)
 		}
-		decoded, err := trace.Decode(bytes.NewReader(fct.Bytes()))
+		decoded, err := decodeShapes(t, fct.Bytes())
 		if err != nil {
 			t.Fatalf("seed %d: Decode: %v", seed, err)
 		}

@@ -8,11 +8,12 @@ import (
 )
 
 // FuzzDecode throws arbitrary bytes at the decoder. The contract under
-// fuzzing: never panic, never hang, and any stream that decodes cleanly must
-// re-encode cleanly (the decoded trace is internally consistent).
+// fuzzing: never panic, never hang, and any stream that decodes cleanly is
+// internally consistent — it indexes (BuildIndex trusts every table index and
+// op reference the decoder let through) and it re-encodes.
 func FuzzDecode(f *testing.F) {
-	// Seed with a valid stream, the retired formats' leading bytes, and
-	// garbage.
+	// Seed with a valid stream, streams whose records point outside the
+	// tables, the retired formats' leading bytes, and garbage.
 	var fct2 bytes.Buffer
 	if err := randomTrace(1, 40).Encode(&fct2); err != nil {
 		f.Fatal(err)
@@ -25,12 +26,16 @@ func FuzzDecode(f *testing.F) {
 	for _, r := range retiredFormats(f) {
 		f.Add(r.raw)
 	}
+	for _, raw := range danglingRefs(f) {
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := trace.Decode(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		trace.BuildIndex(got)
 		var out bytes.Buffer
 		if err := got.Encode(&out); err != nil {
 			t.Fatalf("decoded trace fails to re-encode: %v", err)

@@ -6,9 +6,9 @@ import "io"
 // windows instead of materialized []Record slices:
 //
 //	producer (sim tracer, FCT2 decoder)
-//	    └─ Writer ── WindowFn subscribers (index builder, coverage fold,
+//	    └─ Writer ── WindowFn subscribers (coverage fold, fault-space fold,
 //	                 stream encoder, ...)
-//	consumer (index builder, hb graph, campaign space)
+//	consumer (hb graph, campaign space, grep)
 //	    └─ Source.Next() windows
 //
 // A window is a slice of records that were just appended to the stage's
@@ -50,8 +50,8 @@ type Source interface {
 }
 
 // SizeHints carries the element totals a source may know in advance (the
-// FCT2 header written by Encode records them). Consumers use them to
-// pre-size the trace tables and derived indexes.
+// FCT2 header written by Encode records them, and the decoder pre-sizes the
+// trace's tables and record slice from them).
 type SizeHints struct {
 	Syms, Stacks, PIDs, Records int
 }

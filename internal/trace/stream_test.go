@@ -4,14 +4,53 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"fcatch/internal/trace"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden files")
+
+// readerShapes are the ways a test hands the decoder its input: whole, one
+// byte per Read, and with the last bytes arriving together with io.EOF.
+var readerShapes = []struct {
+	name string
+	wrap func([]byte) io.Reader
+}{
+	{"whole", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	{"data+err", func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) }},
+}
+
+// decodeShapes decodes raw through every reader shape, requires the shapes
+// to agree — the same trace content, or the same error text — and returns
+// what the first one gave.
+func decodeShapes(t *testing.T, raw []byte) (*trace.Trace, error) {
+	t.Helper()
+	var first *trace.Trace
+	var firstErr error
+	for i, shape := range readerShapes {
+		got, err := trace.Decode(shape.wrap(raw))
+		if i == 0 {
+			first, firstErr = got, err
+			continue
+		}
+		if (err == nil) != (firstErr == nil) || (err != nil && err.Error() != firstErr.Error()) {
+			t.Fatalf("%s reader: err = %v, %s reader: err = %v", shape.name, err, readerShapes[0].name, firstErr)
+		}
+		if err == nil && !reflect.DeepEqual(flatten(got), flatten(first)) {
+			t.Fatalf("%s reader decoded a different trace than the %s reader", shape.name, readerShapes[0].name)
+		}
+	}
+	return first, firstErr
+}
 
 // collectWindows subscribes to a Writer and copies every delivered window
 // (copying matters: non-retaining writers reuse the window slice).
@@ -228,7 +267,7 @@ func TestStreamEncoderIncremental(t *testing.T) {
 		t.Fatalf("stream does not start with %q", trace.FormatMagic)
 	}
 
-	got, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+	got, err := decodeShapes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,41 +283,45 @@ func TestFCT2SourceNonRetaining(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	rs, ok := src.(interface{ SetRetain(bool) })
-	if !ok {
-		t.Fatal("FCT2 source does not support SetRetain")
-	}
-	rs.SetRetain(false)
-
-	var got []trace.RecordData
-	st := src.Trace()
-	for {
-		win, err := src.Next()
-		if err == io.EOF {
-			break
-		} else if err != nil {
+	for _, shape := range readerShapes {
+		src, err := trace.NewSource(shape.wrap(buf.Bytes()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range win {
-			got = append(got, st.Data(&win[i]))
+		defer src.Close()
+		rs, ok := src.(interface{ SetRetain(bool) })
+		if !ok {
+			t.Fatal("FCT2 source does not support SetRetain")
 		}
-	}
-	if len(st.Records) != 0 {
-		t.Fatalf("non-retaining source accumulated %d records", len(st.Records))
-	}
-	want := flatten(tr)
-	if !reflect.DeepEqual(got, want.Records) {
-		t.Fatal("streamed records diverged from the encoded trace")
-	}
-	// Run metadata must be complete once the stream ends.
-	if st.CrashStep != tr.CrashStep || st.CrashedPID != tr.CrashedPID || st.BaselineNanos != tr.BaselineNanos {
-		t.Fatalf("metadata = (%d, %q, %d), want (%d, %q, %d)",
-			st.CrashStep, st.CrashedPID, st.BaselineNanos, tr.CrashStep, tr.CrashedPID, tr.BaselineNanos)
+		rs.SetRetain(false)
+
+		// The resolved records are kept past their windows: nothing in them
+		// (the Taint/Ctl lists in particular) may be reused by a later window.
+		var got []trace.RecordData
+		st := src.Trace()
+		for {
+			win, err := src.Next()
+			if err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			for i := range win {
+				got = append(got, st.Data(&win[i]))
+			}
+		}
+		if len(st.Records) != 0 {
+			t.Fatalf("%s reader: non-retaining source accumulated %d records", shape.name, len(st.Records))
+		}
+		want := flatten(tr)
+		if !reflect.DeepEqual(got, want.Records) {
+			t.Fatalf("%s reader: streamed records diverged from the encoded trace", shape.name)
+		}
+		// Run metadata must be complete once the stream ends.
+		if st.CrashStep != tr.CrashStep || st.CrashedPID != tr.CrashedPID || st.BaselineNanos != tr.BaselineNanos {
+			t.Fatalf("metadata = (%d, %q, %d), want (%d, %q, %d)",
+				st.CrashStep, st.CrashedPID, st.BaselineNanos, tr.CrashStep, tr.CrashedPID, tr.BaselineNanos)
+		}
 	}
 }
 
@@ -311,7 +354,11 @@ func TestFCT2SourceHints(t *testing.T) {
 // payload, truncates it at every byte offset (a superset of every section
 // boundary), re-compresses the prefix and decodes it: every cut must produce
 // a wrapped, position-bearing error — never a panic, never a silently short
-// trace.
+// trace — whatever shape of reader delivers the bytes. The messages are
+// pinned in testdata/fct2_truncation.golden (runs of cuts that fail alike
+// share a line, the offset replaced by "<cut>"), which was written by the
+// bufio-based decoder this one replaced: section names, offsets and record
+// counts are part of the format's contract.
 func TestFCT2TruncationEveryBoundary(t *testing.T) {
 	tr := randomTrace(4, 60)
 	var buf bytes.Buffer
@@ -333,27 +380,56 @@ func TestFCT2TruncationEveryBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var got strings.Builder
+	runStart, runMsg := 0, ""
+	endRun := func(next int) {
+		if runMsg != "" {
+			fmt.Fprintf(&got, "cuts %d-%d: %s\n", runStart, next-1, runMsg)
+		}
+		runStart = next
+	}
+	zw := gzip.NewWriter(nil)
 	for cut := 0; cut < len(payload); cut++ {
 		var short bytes.Buffer
 		short.WriteString(trace.FormatMagic)
-		zw := gzip.NewWriter(&short)
+		zw.Reset(&short)
 		if _, err := zw.Write(payload[:cut]); err != nil {
 			t.Fatal(err)
 		}
 		if err := zw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, err := trace.Decode(bytes.NewReader(short.Bytes()))
+		_, err := decodeShapes(t, short.Bytes())
 		if err == nil {
 			t.Fatalf("cut at %d/%d decoded cleanly", cut, len(payload))
 		}
-		if !strings.Contains(err.Error(), "decompressed offset") {
-			t.Fatalf("cut at %d: error carries no stream position: %v", cut, err)
+		at := fmt.Sprintf("decompressed offset %d ", cut)
+		if !strings.Contains(err.Error(), at) {
+			t.Fatalf("cut at %d: error does not place the truncation there: %v", cut, err)
 		}
+		if msg := strings.Replace(err.Error(), at, "decompressed offset <cut> ", 1); msg != runMsg {
+			endRun(cut)
+			runMsg = msg
+		}
+	}
+	endRun(len(payload))
+
+	const golden = "testdata/fct2_truncation.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("truncation errors differ from %s (-update rewrites it):\n%s", golden, got.String())
 	}
 
 	// Sanity: the untruncated payload still decodes.
-	if _, err := trace.Decode(bytes.NewReader(raw)); err != nil {
+	if _, err := decodeShapes(t, raw); err != nil {
 		t.Fatalf("full stream: %v", err)
 	}
 }
@@ -371,7 +447,7 @@ func TestFCT2TruncationCompressed(t *testing.T) {
 		if cut >= len(raw) {
 			continue
 		}
-		_, err := trace.Decode(bytes.NewReader(raw[:cut]))
+		_, err := decodeShapes(t, raw[:cut])
 		if err == nil {
 			t.Fatalf("compressed cut at %d/%d decoded cleanly", cut, len(raw))
 		}
@@ -410,7 +486,7 @@ func TestFCT2RejectsCorruptSections(t *testing.T) {
 	zw := gzip.NewWriter(&bad)
 	zw.Write(payload)
 	zw.Close()
-	_, err = trace.Decode(bytes.NewReader(bad.Bytes()))
+	_, err = decodeShapes(t, bad.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "declares") {
 		t.Fatalf("mismatched end count not rejected: %v", err)
 	}
@@ -421,7 +497,7 @@ func TestFCT2RejectsCorruptSections(t *testing.T) {
 	zw = gzip.NewWriter(&bad2)
 	zw.Write([]byte{0x00, 0x3f}) // header flags=0, then tag 63
 	zw.Close()
-	_, err = trace.Decode(bytes.NewReader(bad2.Bytes()))
+	_, err = decodeShapes(t, bad2.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "unknown section tag") {
 		t.Fatalf("unknown tag not rejected: %v", err)
 	}
@@ -467,27 +543,5 @@ func TestSourceErrorIsSticky(t *testing.T) {
 	}
 	if _, err := src.Next(); err != firstErr {
 		t.Fatalf("error not sticky: %v then %v", firstErr, err)
-	}
-}
-
-// TestIndexExtendMatchesBuildIndex pins the incremental index path: feeding
-// windows through NewIndex/Extend/Finish must produce the same index as the
-// one-shot BuildIndex, at any window size.
-func TestIndexExtendMatchesBuildIndex(t *testing.T) {
-	tr := randomTrace(8, 400)
-	want := trace.BuildIndex(tr)
-	for _, batch := range []int{1, 7, 64, 1024} {
-		ix := trace.NewIndex(tr)
-		for pos := 0; pos < len(tr.Records); pos += batch {
-			end := pos + batch
-			if end > len(tr.Records) {
-				end = len(tr.Records)
-			}
-			ix.Extend(tr.Records[pos:end])
-		}
-		ix.Finish()
-		if !reflect.DeepEqual(ix, want) {
-			t.Fatalf("batch %d: incremental index diverged from BuildIndex", batch)
-		}
 	}
 }

@@ -41,18 +41,13 @@ func (st *SymTab) Intern(s string) Sym {
 	return y
 }
 
-// grow pre-sizes the table for n total symbols (a decoder size hint).
+// grow pre-sizes the table for n total symbols (a decoder size hint). Only
+// worth it before real inserts.
 func (st *SymTab) grow(n int) {
-	if n <= len(st.strs) {
+	if len(st.idx) > 1 || n <= len(st.strs) {
 		return
 	}
-	st.init()
-	if st.idx == nil || len(st.idx) > 1 {
-		return // only worth it before real inserts
-	}
-	strs := make([]string, len(st.strs), n)
-	copy(strs, st.strs)
-	st.strs = strs
+	st.strs = append(make([]string, 0, n), "")
 	st.idx = make(map[string]Sym, n)
 	st.idx[""] = NoSym
 }
@@ -119,15 +114,13 @@ func (st *StackTab) init() {
 	}
 }
 
-// grow pre-sizes the table for n total nodes (a decoder size hint).
+// grow pre-sizes the table for n total nodes (a decoder size hint). Only
+// worth it before real inserts.
 func (st *StackTab) grow(n int) {
-	if n <= len(st.nodes) || (st.idx != nil && len(st.idx) > 0) {
+	if len(st.idx) > 0 || n <= len(st.nodes) {
 		return
 	}
-	st.init()
-	nodes := make([]stackNode, len(st.nodes), n)
-	copy(nodes, st.nodes)
-	st.nodes = nodes
+	st.nodes = append(make([]stackNode, 0, n), stackNode{})
 	st.idx = make(map[stackNode]StackID, n)
 }
 

@@ -181,11 +181,12 @@ func (t *Trace) AddPID(pid string) {
 const numKinds = int(KRestart) + 1
 
 // Index holds the derived lookups shared by the happens-before analysis and
-// both detectors. It is built incrementally: NewIndex starts an empty index,
-// Extend folds in each window of records as it arrives (possibly while the
-// trace is still being produced), and Finish sizes the per-Sym tables to the
-// final symbol table. BuildIndex is the one-shot wrapper. Interning after
-// Finish invalidates the index.
+// both detectors. BuildIndex makes it in one go from a complete trace; the
+// trace must not grow (records or symbols) afterwards.
+//
+// Every group of record IDs — per kind, per resource, per site, per causor,
+// per activation frame — is a sub-slice of one shared array, clipped to its
+// own length. Treat them as read-only; an append reallocates.
 type Index struct {
 	T *Trace
 
@@ -203,104 +204,153 @@ type Index struct {
 	// excluded.
 	BySite [][]OpID
 
-	// Causees maps a causal op to the activation records it spawned
-	// (thread starts, handler begins, KV notifies).
-	Causees map[OpID][]OpID
-
-	// FrameOps maps an activation record to the ops that executed directly
-	// under it (not through nested activations).
-	FrameOps map[OpID][]OpID
-
 	// ThreadStart maps a thread id to its KThreadStart record.
 	ThreadStart map[int]OpID
+
+	// The two op-keyed groups (CauseesOf, FrameOpsOf) as offset tables over
+	// the dense OpID: the group of op id is ids[off[id]:off[id+1]]. Offsets
+	// are int32 — a slice header per op would triple the index — which bounds
+	// a trace at 2^31 group entries, some 290 GB of records.
+	ids       []OpID
+	causeeOff []int32
+	frameOff  []int32
 }
 
-// NewIndex starts an empty incremental index over t. The per-Sym tables grow
-// lazily as Extend encounters higher Syms — Extend never reads the symbol
-// table, so it is safe to run while the single interning writer is still
-// appending (the index builder overlapping a live run).
-func NewIndex(t *Trace) *Index {
-	return &Index{
-		T:           t,
-		ByKind:      make([][]OpID, numKinds),
-		Causees:     make(map[OpID][]OpID),
-		FrameOps:    make(map[OpID][]OpID),
-		ThreadStart: make(map[int]OpID),
-	}
+// indexesCausor reports whether r is listed under its Causor (activations
+// and KV notifies carry one).
+func indexesCausor(r *Record) bool {
+	return (r.Kind.IsActivation() || r.Kind == KKVNotify) && r.Causor != NoOp
 }
 
-// growSymTable extends a dense per-Sym table to at least n slots, doubling to
-// amortize repeated growth during incremental extension.
-func growSymTable(s [][]OpID, n int) [][]OpID {
-	if n <= len(s) {
-		return s
-	}
-	if n < 2*len(s) {
-		n = 2 * len(s)
-	}
-	if n <= cap(s) {
-		return s[:n]
-	}
-	out := make([][]OpID, n)
-	copy(out, s)
-	return out
+// indexesSite reports whether r counts toward its site's occurrences. Fault
+// bookkeeping records reuse the trigger's site; they are not operations the
+// injector counts.
+func indexesSite(r *Record) bool {
+	return r.Site != NoSym && r.Kind != KCrash && r.Kind != KRestart
 }
 
-// Extend folds one window of records (in trace order) into the index.
-func (ix *Index) Extend(recs []Record) {
+// BuildIndex indexes a complete trace in two passes over its records: the
+// first counts every group, then one array is allocated for all of them and
+// the second pass fills each group's share of it. Kinds, Syms and op
+// references are used as table indices unchecked: the tracer assigns them
+// densely and the decoder rejects a record whose fields fall outside the
+// tables (decodeChunk), so a violation here is a bug in the producer.
+func BuildIndex(t *Trace) *Index {
+	recs := t.Records
+	nSyms := t.NumSyms()
+	ix := &Index{T: t}
+
+	// Count. The per-Sym counts are scratch; the per-op counts are taken in
+	// the offset tables themselves, one slot up (see the fill below).
+	var kindN [numKinds]int32
+	symN := make([]int32, 2*nSyms)
+	resN, siteN := symN[:nSyms], symN[nSyms:]
+	off := make([]int32, 2*(len(recs)+2))
+	ix.causeeOff, ix.frameOff = off[:len(recs)+2], off[len(recs)+2:]
+	total := len(recs) // every record is in its kind's group
+	for i := range recs {
+		r := &recs[i]
+		kindN[r.Kind]++
+		if r.Res != NoSym {
+			resN[r.Res]++
+			total++
+		}
+		if indexesSite(r) {
+			siteN[r.Site]++
+			total++
+		}
+		if indexesCausor(r) {
+			ix.causeeOff[r.Causor+1]++
+			total++
+		}
+		if r.Frame != NoOp {
+			ix.frameOff[r.Frame+1]++
+			total++
+		}
+	}
+
+	ix.ThreadStart = make(map[int]OpID, kindN[KThreadStart])
+
+	// Carve. Header groups get an empty slice with exactly their capacity
+	// (nil when empty); the offset tables turn counts into start positions.
+	ix.ids = make([]OpID, total)
+	free := ix.ids
+	carve := func(n int32) []OpID {
+		if n == 0 {
+			return nil
+		}
+		g := free[:0:n]
+		free = free[n:]
+		return g
+	}
+	hdr := make([][]OpID, numKinds+2*nSyms)
+	ix.ByKind, hdr = hdr[:numKinds:numKinds], hdr[numKinds:]
+	ix.ByRes, ix.BySite = hdr[:nSyms:nSyms], hdr[nSyms:]
+	for k, n := range kindN {
+		ix.ByKind[k] = carve(n)
+	}
+	for y := range resN {
+		ix.ByRes[y] = carve(resN[y])
+		ix.BySite[y] = carve(siteN[y])
+	}
+	next := int32(len(ix.ids) - len(free))
+	for _, tab := range [][]int32{ix.causeeOff, ix.frameOff} {
+		// tab[id+1] holds op id's count; make it op id's start.
+		for k := 1; k < len(tab); k++ {
+			n := tab[k]
+			tab[k] = next
+			next += n
+		}
+		tab[0] = tab[1]
+	}
+
+	// Fill. Writing op id's next entry at tab[id+1] and bumping it leaves
+	// tab[id+1] at the end of id's group — the start of id+1's — so when the
+	// pass is done tab[id] is where id's group starts, for every id.
 	for i := range recs {
 		r := &recs[i]
 		ix.ByKind[r.Kind] = append(ix.ByKind[r.Kind], r.ID)
 		if r.Res != NoSym {
-			if int(r.Res) >= len(ix.ByRes) {
-				ix.ByRes = growSymTable(ix.ByRes, int(r.Res)+1)
-			}
 			ix.ByRes[r.Res] = append(ix.ByRes[r.Res], r.ID)
 		}
-		// Fault bookkeeping records reuse the trigger's site; they are not
-		// operations the injector counts, so they stay out of BySite.
-		if r.Site != NoSym && r.Kind != KCrash && r.Kind != KRestart {
-			if int(r.Site) >= len(ix.BySite) {
-				ix.BySite = growSymTable(ix.BySite, int(r.Site)+1)
-			}
+		if indexesSite(r) {
 			ix.BySite[r.Site] = append(ix.BySite[r.Site], r.ID)
 		}
-		if r.Kind.IsActivation() || r.Kind == KKVNotify {
-			if r.Causor != NoOp {
-				ix.Causees[r.Causor] = append(ix.Causees[r.Causor], r.ID)
-			}
+		if indexesCausor(r) {
+			ix.ids[ix.causeeOff[r.Causor+1]] = r.ID
+			ix.causeeOff[r.Causor+1]++
 		}
 		if r.Kind == KThreadStart {
 			ix.ThreadStart[r.Thread] = r.ID
 		}
 		if r.Frame != NoOp {
-			ix.FrameOps[r.Frame] = append(ix.FrameOps[r.Frame], r.ID)
+			ix.ids[ix.frameOff[r.Frame+1]] = r.ID
+			ix.frameOff[r.Frame+1]++
 		}
 	}
-}
-
-// Finish sizes the per-Sym tables to the (now final) symbol table, so every
-// in-range Sym probes without a bounds branch failing. Call it after the
-// last Extend, once interning has stopped.
-func (ix *Index) Finish() {
-	n := ix.T.NumSyms()
-	if len(ix.ByRes) < n {
-		ix.ByRes = growSymTable(ix.ByRes, n)[:n]
-	}
-	if len(ix.BySite) < n {
-		ix.BySite = growSymTable(ix.BySite, n)[:n]
-	}
-}
-
-// BuildIndex scans a materialized trace once and produces the Index.
-func BuildIndex(t *Trace) *Index {
-	ix := NewIndex(t)
-	ix.ByRes = make([][]OpID, 0, t.NumSyms())
-	ix.BySite = make([][]OpID, 0, t.NumSyms())
-	ix.Extend(t.Records)
-	ix.Finish()
 	return ix
 }
+
+// opGroup returns op id's group from an offset table (nil for NoOp and ids
+// outside the trace).
+func (ix *Index) opGroup(off []int32, id OpID) []OpID {
+	if id < 1 || int(id) > len(ix.T.Records) {
+		return nil
+	}
+	lo, hi := off[id], off[id+1]
+	if lo == hi {
+		return nil
+	}
+	return ix.ids[lo:hi:hi]
+}
+
+// CauseesOf returns the activation records a causal op spawned (thread
+// starts, handler begins, KV notifies), in trace order.
+func (ix *Index) CauseesOf(id OpID) []OpID { return ix.opGroup(ix.causeeOff, id) }
+
+// FrameOpsOf returns the ops that executed directly under an activation
+// record (not through nested activations), in trace order.
+func (ix *Index) FrameOpsOf(id OpID) []OpID { return ix.opGroup(ix.frameOff, id) }
 
 // ResIDs returns the ops on the resource with Sym y (nil for NoSym or
 // out-of-range Syms).

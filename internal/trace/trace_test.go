@@ -99,8 +99,11 @@ func TestIndexGroupsAndCausality(t *testing.T) {
 	if got := ix.ResIDs(resSym); len(got) != 2 {
 		t.Fatalf("ByRes = %v", got)
 	}
-	if got := ix.Causees[spawn]; len(got) != 1 || got[0] != start {
-		t.Fatalf("Causees = %v", got)
+	if got := ix.CauseesOf(spawn); len(got) != 1 || got[0] != start {
+		t.Fatalf("CauseesOf(spawn) = %v", got)
+	}
+	if got := ix.FrameOpsOf(start); len(got) != 2 || got[0] != read || got[1] != write {
+		t.Fatalf("FrameOpsOf(start) = %v", got)
 	}
 	if c := ix.Causor(tr.At(read)); c == nil || c.ID != spawn {
 		t.Fatalf("Causor(read) = %v, want the spawn op", c)
