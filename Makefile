@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-all alloc-gate eval random campaign examples clean
+.PHONY: all build vet test race check bench bench-all alloc-gate loc eval random campaign examples clean
 
 all: build test
 
@@ -34,6 +34,10 @@ bench-all:
 # per op.
 alloc-gate:
 	scripts/alloc_gate.sh
+
+# Lines of non-test Go outside bench/: the number ROADMAP aim 2 tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 # Regenerate every table and experiment of the paper's evaluation.
 eval:

@@ -253,11 +253,9 @@ func runCampaign(workload, strategy string, runs int, seed int64, parallelism, b
 		Progress:    ins.hook(),
 	}
 	if spaceTrace != "" {
-		src, err := fcatch.OpenTrace(spaceTrace)
-		if err != nil {
+		if cfg.SpaceTrace, err = fcatch.LoadTrace(spaceTrace); err != nil {
 			fatal(err)
 		}
-		cfg.SpaceTrace = src // the engine drains and closes it
 	}
 	start := time.Now()
 	res, err := fcatch.ResumeCampaign(w, cfg, prior)

@@ -10,7 +10,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"fcatch"
@@ -53,7 +52,7 @@ func main() {
 	res := fs.String("res", "", "grep: resource substring filter")
 	pid := fs.String("pid", "", "grep: process filter (exact, or prefix with trailing *)")
 	faulty := fs.Bool("faulty", false, "grep: search the faulty run instead of the fault-free one")
-	in := fs.String("in", "", "grep: stream a saved trace file instead of re-observing the workload")
+	in := fs.String("in", "", "grep: search a saved trace file instead of re-observing the workload")
 	scenario := fs.String("scenario", "", "faulty-run fault scenario, e.g. \"step=120,restart=40;delay=48\" (default: the workload's single crash)")
 	explain := fs.Bool("explain", false, "detect: print the per-rule pruning kill table and per-candidate decision trail")
 	parallelism := cliflag.Parallelism(fs, "detect/trigger/random runs")
@@ -187,41 +186,21 @@ func main() {
 			}
 			q.Kinds = []trace.Kind{k}
 		}
+		var tr *trace.Trace
 		if *in != "" {
-			// Stream the saved trace window by window; matching needs no
-			// look-back, so tell the source not to retain records and the
-			// grep runs in O(window) memory however large the file is.
-			src, err := fcatch.OpenTrace(*in)
+			var err error
+			if tr, err = trace.Load(*in); err != nil {
+				fatal(err)
+			}
+		} else {
+			obs, err := core.Observe(w, opts)
 			if err != nil {
 				fatal(err)
 			}
-			defer src.Close()
-			if rs, ok := src.(interface{ SetRetain(bool) }); ok {
-				rs.SetRetain(false)
+			tr = obs.FaultFree
+			if *faulty {
+				tr = obs.Faulty
 			}
-			tr := src.Trace()
-			for {
-				win, err := src.Next()
-				if err == io.EOF {
-					break
-				} else if err != nil {
-					fatal(err)
-				}
-				for i := range win {
-					if q.Match(tr, &win[i]) {
-						fmt.Println(tr.Format(&win[i]))
-					}
-				}
-			}
-			return
-		}
-		obs, err := core.Observe(w, opts)
-		if err != nil {
-			fatal(err)
-		}
-		tr := obs.FaultFree
-		if *faulty {
-			tr = obs.Faulty
 		}
 		for _, r := range tr.Filter(q) {
 			fmt.Println(tr.Format(r))

@@ -238,29 +238,11 @@ const (
 func SaveTrace(t *Trace, path string) error { return t.Save(path) }
 
 // LoadTrace reads a trace saved by SaveTrace; anything else is rejected as an
-// unrecognized trace format. It is a thin drain over OpenTrace — callers that
-// can process records in bounded windows should prefer the streaming form.
+// unrecognized trace format.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
 
 // DecodeTrace is LoadTrace over an arbitrary reader.
 func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
-
-// TraceSource is a pull-based stream of trace records: repeated Next calls
-// yield bounded record windows (io.EOF at end of stream), Trace gives the
-// stream's symbol tables and metadata, and Close releases the underlying
-// file. Sources feed window-at-a-time consumers (coverage and fault-space
-// folds, grep) without materializing the full record slice; a happens-before
-// graph needs the records retained, which is the default.
-type TraceSource = trace.Source
-
-// OpenTrace opens a saved trace for streaming. The trace decodes
-// incrementally — peak memory is O(window), not O(trace).
-func OpenTrace(path string) (TraceSource, error) { return trace.Open(path) }
-
-// StreamTrace is OpenTrace over an arbitrary reader. The reader must remain
-// valid until the source is closed; closing the source does not close the
-// reader.
-func StreamTrace(r io.Reader) (TraceSource, error) { return trace.NewSource(r) }
 
 // ReportGroup is a correlated set of crash-recovery reports (the Section 2.3
 // multi-resource extension).

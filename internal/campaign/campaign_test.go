@@ -6,9 +6,8 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-
-	"bytes"
 
 	"fcatch/internal/apps/hbase"
 	"fcatch/internal/apps/toy"
@@ -383,35 +382,21 @@ func TestExhaustiveStopsAtSpace(t *testing.T) {
 	}
 }
 
-// TestCoverageFoldMatchesMaterialized pins the streamed coverage signature:
-// folding the trace window by window (any batching, including the engine's
-// discard-mode streaming) must hash to exactly what the one-shot fold over a
-// fully materialized trace computes — with and without a fault firing.
+// keptRun replays p with every record kept and returns the run's trace.
+func keptRun(w core.Workload, p Plan, target string) *trace.Trace {
+	c, _ := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: p.simPlan(target, w.RestartRoles())})
+	return c.Trace()
+}
+
+// TestCoverageFoldMatchesMaterialized pins the coverage signature of the
+// engine's injection runs, which fold their records as they are emitted: it
+// must be exactly what the one-shot fold computes over the complete trace of
+// the same plan run with every record kept.
 func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	w := toy.New()
 	restart := w.RestartRoles()
 	c, steps := tracedFaultFree(t, w)
-	tr := c.Trace()
-
-	// Fault-free trace, re-folded at several window sizes.
-	want := postFaultCoverage(tr)
-	for _, batch := range []int{1, 3, 17, len(tr.Records)} {
-		var f CoverageFold
-		for pos := 0; pos < len(tr.Records); pos += batch {
-			end := pos + batch
-			if end > len(tr.Records) {
-				end = len(tr.Records)
-			}
-			f.Window(tr, tr.Records[pos:end])
-		}
-		if got := f.Hash(tr); got != want {
-			t.Fatalf("fault-free batch %d: fold hash %#x, want %#x", batch, got, want)
-		}
-	}
-
-	// Faulty runs: the engine's discard-mode streamed hash must equal the
-	// reference computed from the same plan with records fully retained.
-	sp := NewSpace(tr, steps, w.CrashTarget(), 0)
+	sp := NewSpace(c.Trace(), steps, w.CrashTarget(), 0)
 	n := len(sp.Points)
 	if n > 10 {
 		n = 10
@@ -419,13 +404,7 @@ func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	var fired int
 	for _, p := range sp.Points[:n] {
 		streamed := runPlan(w, 1, p, sp.Target, restart, true)
-
-		rcfg := sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: p.simPlan(sp.Target, restart)}
-		w.Tune(&rcfg)
-		ref := sim.NewCluster(rcfg)
-		w.Configure(ref)
-		ref.Run()
-		refTr := ref.Trace()
+		refTr := keptRun(w, p, sp.Target)
 		for i := range refTr.Records {
 			r := &refTr.Records[i]
 			if r.Kind == trace.KCrash || r.Flags&trace.FlagDropped != 0 {
@@ -434,7 +413,7 @@ func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 			}
 		}
 		if got, want := streamed.Sig.Coverage, postFaultCoverage(refTr); got != want {
-			t.Fatalf("plan %s: streamed coverage %#x, materialized reference %#x", p.Key(), got, want)
+			t.Fatalf("plan %s: folded run's coverage %#x, kept trace's %#x", p.Key(), got, want)
 		}
 	}
 	if fired == 0 {
@@ -442,40 +421,91 @@ func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestSpaceFromSourceMatchesNewSpace: enumerating the fault space from a
-// streamed trace source (any batching) reproduces NewSpace exactly.
-func TestSpaceFromSourceMatchesNewSpace(t *testing.T) {
+// TestFoldsAreWindowInvariant: a fold's answer is a function of the record
+// sequence, not of how the tracer's window happens to cut it. CoverageFold
+// and spaceFold, fed a kept trace in windows of 1, 7 and 48 records, give the
+// answer they give fed the whole trace at once — on the fault-free trace and
+// on faulty ones, where the coverage fold's fault moment falls inside a
+// window at one size and on a boundary at another.
+func TestFoldsAreWindowInvariant(t *testing.T) {
 	w := toy.New()
 	c, steps := tracedFaultFree(t, w)
-	tr := c.Trace()
-	want := NewSpace(tr, steps, w.CrashTarget(), 0)
-
-	for _, batch := range []int{1, 5, 1024} {
-		got, err := NewSpaceFromSource(trace.SourceOf(tr, batch), steps, w.CrashTarget(), 0)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch %d: streamed space diverged from NewSpace", batch)
+	traces := map[string]*trace.Trace{"fault-free": c.Trace()}
+	sp := NewSpace(c.Trace(), steps, w.CrashTarget(), 0)
+	for _, p := range sp.Points[:min(6, len(sp.Points))] {
+		traces[p.Key()] = keptRun(w, p, sp.Target)
+	}
+	folds := map[string]func(tr *trace.Trace) (trace.WindowFn, func() any){
+		"CoverageFold": func(tr *trace.Trace) (trace.WindowFn, func() any) {
+			f := new(CoverageFold)
+			return f.Window, func() any { return f.Hash(tr) }
+		},
+		"spaceFold": func(*trace.Trace) (trace.WindowFn, func() any) {
+			f := newSpaceFold(steps, w.CrashTarget())
+			return f.Window, func() any { return f.finish(0) }
+		},
+	}
+	for name, mk := range folds {
+		for run, tr := range traces {
+			fold, answer := mk(tr)
+			fold(tr, tr.Records)
+			want := answer()
+			for _, n := range []int{1, 7, 48} {
+				fold, answer := mk(tr)
+				for pos := 0; pos < len(tr.Records); pos += n {
+					fold(tr, tr.Records[pos:min(pos+n, len(tr.Records))])
+				}
+				if got := answer(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s over %s: windows of %d gave %v, the whole trace %v", name, run, n, got, want)
+				}
+			}
 		}
 	}
+}
 
-	// And through a full FCT2 encode/decode round trip (the -space-trace
-	// path: enumerate from a saved trace file).
-	var buf bytes.Buffer
-	if err := trace.EncodeStream(trace.SourceOf(tr, 7), &buf); err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
+// TestSpaceTraceReusable: Config.SpaceTrace is only read. Two campaigns and
+// a resume started from one config enumerate the same space and write the
+// corpus a from-scratch campaign writes, and a strategy that would ignore the
+// trace refuses it.
+func TestSpaceTraceReusable(t *testing.T) {
+	w := toy.New()
+	cfg := Config{Strategy: StrategyCoverage, Seed: 1, Budget: 12, Parallelism: 1}
+	scratch, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSpaceFromSource(src, steps, w.CrashTarget(), 0)
+	want := corpusJSON(t, scratch.Corpus)
+
+	c, _ := tracedFaultFree(t, w)
+	cfg.SpaceTrace = c.Trace()
+	first, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("space enumerated from the decoded FCT2 stream diverged")
+	second, err := Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(w, cfg, first.Corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"first": first, "second": second, "resumed": resumed} {
+		if res.Runs != cfg.Budget || res.SpacePoints != scratch.SpacePoints {
+			t.Errorf("%s campaign: %d runs over %d points, want %d over %d",
+				name, res.Runs, res.SpacePoints, cfg.Budget, scratch.SpacePoints)
+		}
+		if got := corpusJSON(t, res.Corpus); got != want {
+			t.Errorf("%s campaign's corpus differs from the from-scratch one", name)
+		}
+	}
+	if resumed.CachedRuns != cfg.Budget {
+		t.Errorf("resume re-executed %d of %d runs", resumed.ExecutedRuns, cfg.Budget)
+	}
+
+	cfg.Strategy = StrategyRandom
+	if _, err := Run(w, cfg); err == nil || !strings.Contains(err.Error(), "-space-trace needs a site strategy") {
+		t.Errorf("random strategy with a SpaceTrace: err = %v, want a refusal", err)
 	}
 }
 

@@ -39,13 +39,13 @@ type Config struct {
 	// appended to the fault space after the single-fault points. Requires a
 	// site strategy (the random baseline samples raw steps).
 	Scenarios []string
-	// SpaceTrace, when set, is a streaming source of a previously saved
-	// fault-free trace: site strategies enumerate the fault space from it
-	// (drained window by window, then closed) instead of re-simulating a
-	// traced fault-free run. The trace must come from the same workload and
-	// seed or the enumerated space — and hence the whole campaign — will
-	// diverge from a from-scratch run.
-	SpaceTrace trace.Source
+	// SpaceTrace, when set, is a previously saved fault-free trace: site
+	// strategies enumerate the fault space from it instead of re-simulating
+	// a traced fault-free run (it is only read, so one config may start any
+	// number of campaigns). Requires a site strategy. The trace must come
+	// from the same workload and seed or the enumerated space — and hence
+	// the whole campaign — will diverge from a from-scratch run.
+	SpaceTrace *trace.Trace
 	// Metrics, when non-nil, receives per-strategy proposal/accept counters
 	// (proposed, cached, executed, novel, failures). Strictly observe-only:
 	// the corpus is byte-identical with or without it. nil is a cheap no-op.
@@ -241,21 +241,20 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 
 	// Site strategies additionally need a traced fault-free run to
 	// enumerate the fault space, and trace their injection runs so behavior
-	// signatures carry post-fault site coverage. The run streams its records
-	// through a space fold and discards them — the engine never materializes
-	// a full trace.
+	// signatures carry post-fault site coverage. The run passes its records
+	// through a space fold and keeps none — the engine never holds a full
+	// trace of its own.
 	traced := needsSpace(cfg.Strategy)
 	var sp *Space
 	switch {
-	case traced && cfg.SpaceTrace != nil:
-		sp, err = NewSpaceFromSource(cfg.SpaceTrace, base.Steps, w.CrashTarget(), cfg.MaxOccurrence)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: reading fault space trace: %w", err)
-		}
+	case cfg.SpaceTrace != nil && !traced:
+		return nil, fmt.Errorf("campaign: -space-trace needs a site strategy (%s or %s), not %s",
+			StrategyExhaustive, StrategyCoverage, cfg.Strategy)
+	case cfg.SpaceTrace != nil:
+		sp = NewSpace(cfg.SpaceTrace, base.Steps, w.CrashTarget(), cfg.MaxOccurrence)
 	case traced:
 		fold := newSpaceFold(base.Steps, w.CrashTarget())
-		_, tOut := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceSelective,
-			TraceDiscard: true, OnTraceWindow: fold.Window})
+		_, tOut := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceSelective, Fold: fold.Window})
 		if tOut.CheckErr != nil {
 			return nil, fmt.Errorf("campaign: traced fault-free run of %s incorrect: %w", w.Name(), tOut.CheckErr)
 		}
@@ -379,7 +378,7 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 }
 
 // runPlan executes one injection run in its own isolated cluster. Traced runs
-// stream their records through a coverage fold and discard them, so a run
+// pass their records through a coverage fold and keep none, so a run
 // allocates for its symbol tables and live state, not per record emitted.
 func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[string]int64, traced bool) RunResult {
 	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: p.simPlan(target, restart)}
@@ -387,8 +386,7 @@ func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[str
 	if traced {
 		fold = new(CoverageFold)
 		rcfg.Tracing = sim.TraceSelective
-		rcfg.TraceDiscard = true
-		rcfg.OnTraceWindow = fold.Window
+		rcfg.Fold = fold.Window
 	}
 	c, out := core.Run(w, rcfg)
 	sig := Signature{Outcome: out.FailureKind(), Windows: WindowsFingerprint(out.FaultFirings)}

@@ -151,10 +151,10 @@ func stripPID(s string) string {
 }
 
 // CoverageFold computes the post-fault site-coverage hash incrementally from
-// streamed record windows, so injection runs can discard their records
-// (sim.Config.TraceDiscard) instead of materializing a full trace per run.
-// Window is a trace.WindowFn; after the run, Hash resolves the accumulated
-// site set against the run's symbol table.
+// record windows, so injection runs can fold their records (sim.Config.Fold)
+// instead of keeping a full trace per run. Window is a trace.WindowFn; after
+// the run, Hash resolves the accumulated site set against the run's symbol
+// table.
 //
 // The fault moment is the first crash bookkeeping record or the first dropped
 // send. A site counts when some execution of it has TS >= the fault's TS; if
@@ -177,7 +177,7 @@ type CoverageFold struct {
 }
 
 // Window folds one window of records into the coverage state (a
-// trace.WindowFn — safe to call with a reused, non-retained window slice).
+// trace.WindowFn).
 func (f *CoverageFold) Window(t *trace.Trace, recs []trace.Record) {
 	for i := range recs {
 		r := &recs[i]
@@ -256,8 +256,8 @@ func hashSiteSet(sites []string) uint64 {
 }
 
 // postFaultCoverage hashes the set of static sites the system reached at or
-// after the moment the fault fired — the materialized-trace form, now a thin
-// wrapper over the streaming fold (one implementation, one hash).
+// after the moment the fault fired — the kept-trace form, one window over the
+// fold (one implementation, one hash).
 func postFaultCoverage(tr *trace.Trace) uint64 {
 	var f CoverageFold
 	f.Window(tr, tr.Records)

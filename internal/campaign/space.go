@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"fcatch/internal/sim"
@@ -60,28 +59,9 @@ func NewSpace(tr *trace.Trace, baseSteps int64, target string, maxOcc int) *Spac
 	return f.finish(maxOcc)
 }
 
-// NewSpaceFromSource enumerates the fault space by draining a streaming trace
-// source window by window — same Space as NewSpace over the materialized
-// trace, at O(batch + sites) peak memory. The source is closed.
-func NewSpaceFromSource(src trace.Source, baseSteps int64, target string, maxOcc int) (*Space, error) {
-	f := newSpaceFold(baseSteps, target)
-	defer src.Close()
-	t := src.Trace()
-	for {
-		win, err := src.Next()
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		f.Window(t, win)
-	}
-	return f.finish(maxOcc), nil
-}
-
-// spaceFold accumulates per-site statistics from streamed record windows; its
-// Window method is a trace.WindowFn, so the engine's traced fault-free run
-// can enumerate the space while discarding its records.
+// spaceFold accumulates per-site statistics from record windows; its Window
+// method is a trace.WindowFn, so the engine's traced fault-free run can
+// enumerate the space without keeping its records.
 type spaceFold struct {
 	sp *Space
 	// Per-Sym ordinal table for the enumeration loop (one slice probe per
@@ -95,7 +75,7 @@ func newSpaceFold(baseSteps int64, target string) *spaceFold {
 }
 
 // Window folds one window of records into the site statistics (a
-// trace.WindowFn — safe to call with a reused, non-retained window slice).
+// trace.WindowFn).
 func (f *spaceFold) Window(t *trace.Trace, recs []trace.Record) {
 	sp := f.sp
 	for i := range recs {

@@ -12,12 +12,12 @@ import (
 
 // flakyFirstFaulty wraps a workload so its first faulty attempt fails the
 // correctness check, forcing observe's retry path. Tune records, per run,
-// the requested crash step and whether a trace-window hook was attached.
+// the requested crash step and whether the run folds its records away.
 type flakyFirstFaulty struct {
 	core.Workload
 	checks      int
 	faultySteps []int64 // requested CrashStep of each faulty attempt
-	windowHooks int     // runs that had OnTraceWindow set
+	foldedRuns  int     // runs that had Fold set
 }
 
 func (f *flakyFirstFaulty) Tune(cfg *sim.Config) {
@@ -25,8 +25,8 @@ func (f *flakyFirstFaulty) Tune(cfg *sim.Config) {
 	if cfg.Plan != nil {
 		f.faultySteps = append(f.faultySteps, cfg.Plan.Scenario()[0].CrashStep)
 	}
-	if cfg.OnTraceWindow != nil {
-		f.windowHooks++
+	if cfg.Fold != nil {
+		f.foldedRuns++
 	}
 }
 
@@ -67,8 +67,8 @@ func TestObserveRetryNudgesCrashStep(t *testing.T) {
 		}
 	}
 
-	if w.windowHooks != 0 {
-		t.Fatalf("%d observation run(s) had a trace-window hook, want none", w.windowHooks)
+	if w.foldedRuns != 0 {
+		t.Fatalf("%d observation run(s) folded their records, want every one kept", w.foldedRuns)
 	}
 	spans := opts.Metrics.Snapshot().Spans
 	for _, name := range []string{"core/index/fault-free", "core/index/faulty"} {

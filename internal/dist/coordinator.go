@@ -239,6 +239,27 @@ func (c *coordinator) deliver(l *lease, results []campaign.RunResult) {
 	}
 }
 
+// checkResults refuses a result frame that does not answer its lease. What a
+// result echoes goes into the corpus as the plan that ran, so the frame must
+// hold one result per leased plan, in lease order, each echoing its plan and
+// carrying a verdict the engine assigns.
+func checkResults(plans []campaign.Plan, results []campaign.RunResult) error {
+	if len(results) != len(plans) {
+		return fmt.Errorf("returned %d results for %d plans", len(results), len(plans))
+	}
+	for i := range results {
+		if got, want := results[i].Plan.Key(), plans[i].Key(); got != want {
+			return fmt.Errorf("returned a result for plan %q where %q was leased", got, want)
+		}
+		switch results[i].Verdict {
+		case campaign.VerdictFailure, campaign.VerdictExpected, campaign.VerdictTolerated:
+		default:
+			return fmt.Errorf("returned verdict %q for plan %q", results[i].Verdict, plans[i].Key())
+		}
+	}
+	return nil
+}
+
 // acceptLoop admits workers until the listener closes.
 func (c *coordinator) acceptLoop(ln net.Listener) {
 	for {
@@ -360,10 +381,9 @@ func (c *coordinator) handleConn(conn net.Conn) {
 					if m.Lease != l.id {
 						continue // stray result for an expired predecessor
 					}
-					if len(m.Results) != len(l.plans) {
+					if err := checkResults(l.plans, m.Results); err != nil {
 						stopExpiry()
-						c.requeue(l, fmt.Errorf("worker %q returned %d results for %d plans",
-							hello.Worker, len(m.Results), len(l.plans)))
+						c.requeue(l, fmt.Errorf("worker %q %w", hello.Worker, err))
 						return
 					}
 					c.opts.Metrics.Histogram("dist/lease-latency-ns").Observe(time.Since(grantedAt).Nanoseconds())

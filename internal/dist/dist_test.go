@@ -53,10 +53,9 @@ func baseline(t *testing.T, cfg campaign.Config) string {
 	return corpusJSON(t, res.Corpus)
 }
 
-// TestFrameRoundTrip pins the wire encoding: every message type survives a
-// write/read cycle.
-func TestFrameRoundTrip(t *testing.T) {
-	msgs := []message{
+// wireFrames is one frame of every message type.
+func wireFrames() []message {
+	return []message{
 		{Type: msgHello, Proto: ProtoVersion, Worker: "w1"},
 		{Type: msgConfig, Workload: "TOY", Strategy: "coverage-guided", Seed: 7, Traced: true, HeartbeatMS: 250},
 		{Type: msgLease, Lease: 42, Plans: []campaign.Plan{
@@ -72,6 +71,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: msgDrain},
 		{Type: msgError, Err: "boom"},
 	}
+}
+
+// TestFrameRoundTrip pins the wire encoding: every message type survives a
+// write/read cycle.
+func TestFrameRoundTrip(t *testing.T) {
+	msgs := wireFrames()
 	var buf bytes.Buffer
 	for i := range msgs {
 		if err := writeMessage(&buf, &msgs[i]); err != nil {
@@ -418,6 +423,101 @@ func TestProtoVersionMismatchRejected(t *testing.T) {
 	}
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker: %v", err)
+	}
+}
+
+// TestRogueResultFrameRequeued: result frames are a trust boundary too — the
+// plan a result echoes is what the corpus records as having run. Workers that
+// answer a lease in the wrong order, with a blanked plan, or with a verdict
+// the engine never assigns each forfeit the lease and their connection; a
+// real worker then finishes the campaign, and the corpus is the local one.
+func TestRogueResultFrameRequeued(t *testing.T) {
+	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 1, Budget: 12}
+	want := baseline(t, cfg)
+	reg := obs.New()
+	opts := testOptions()
+	opts.LeaseSize = 4
+	opts.MaxLeaseRetries = 5 // every rogue may be handed the same lease
+	opts.Metrics = reg
+	addrCh := make(chan string, 1)
+	opts.OnListen = func(a string) { addrCh <- a }
+
+	// rogue answers its first lease with tolerated results for the leased
+	// plans, spoiled by tamper, and returns once the coordinator hangs up.
+	rogue := func(addr string, tamper func(rs []campaign.RunResult)) error {
+		conn, err := (&net.Dialer{}).Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		if err := writeMessage(conn, &message{Type: msgHello, Proto: ProtoVersion, Worker: "rogue"}); err != nil {
+			return err
+		}
+		br := bufio.NewReader(conn)
+		var m message
+		for m.Type != msgLease {
+			if err := readMessage(br, &m); err != nil {
+				return err
+			}
+		}
+		if len(m.Plans) < 2 {
+			return fmt.Errorf("lease of %d plan(s): nothing to swap", len(m.Plans))
+		}
+		rs := make([]campaign.RunResult, len(m.Plans))
+		for i, p := range m.Plans {
+			rs[i] = campaign.RunResult{Plan: p, Verdict: campaign.VerdictTolerated}
+		}
+		tamper(rs)
+		if err := writeMessage(conn, &message{Type: msgResult, Lease: m.Lease, Results: rs}); err != nil {
+			return err
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if err := readMessage(br, &m); err == nil {
+			return fmt.Errorf("coordinator kept talking (%q frame) after a rogue result", m.Type)
+		}
+		return nil
+	}
+	tampers := []func(rs []campaign.RunResult){
+		func(rs []campaign.RunResult) { rs[0], rs[1] = rs[1], rs[0] },
+		func(rs []campaign.RunResult) { rs[0].Plan = nil },
+		func(rs []campaign.RunResult) { rs[1].Verdict = "" },
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rogues := make(chan error, 1)
+	workerDone := make(chan error, 1)
+	go func() {
+		addr := <-addrCh
+		for i, tamper := range tampers {
+			if err := rogue(addr, tamper); err != nil {
+				rogues <- fmt.Errorf("rogue %d: %w", i, err)
+				cancel() // nobody will finish the campaign; unblock Serve
+				return
+			}
+		}
+		rogues <- nil
+		workerDone <- RunWorker(ctx, WorkerConfig{
+			Addr: addr, Name: "honest", Parallelism: 1,
+			Resolve: func(string) (core.Workload, error) { return toy.New(), nil },
+		})
+	}()
+
+	res, serveErr := Serve(ctx, toy.New(), cfg, nil, opts)
+	if err := <-rogues; err != nil {
+		t.Fatal(err)
+	}
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if got := corpusJSON(t, res.Corpus); got != want {
+		t.Error("corpus after rogue result frames differs from the local one")
+	}
+	if n := reg.Snapshot().Counters["dist/leases/requeued"]; n < int64(len(tampers)) {
+		t.Errorf("%d lease(s) requeued, want one per rogue (%d)", n, len(tampers))
 	}
 }
 

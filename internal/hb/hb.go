@@ -6,8 +6,6 @@
 package hb
 
 import (
-	"fmt"
-	"io"
 	"sync"
 
 	"fcatch/internal/trace"
@@ -43,25 +41,12 @@ func New(t *trace.Trace) *Graph {
 	return g
 }
 
-// NewFromSource drains a streaming Source, then builds the graph over the
-// trace it retained. The index points into the records, so a source told not
-// to retain them is refused. The source is closed.
-func NewFromSource(src trace.Source) (*Graph, error) {
-	defer src.Close()
-	delivered := 0
-	for {
-		win, err := src.Next()
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		delivered += len(win)
-	}
-	t := src.Trace()
-	if delivered != len(t.Records) {
-		return nil, fmt.Errorf("hb: source delivered %d records but its trace retains %d: a graph needs a retaining source",
-			delivered, len(t.Records))
+// NewFromSource decodes the rest of src (closing it) and builds the graph
+// over the complete trace.
+func NewFromSource(src *trace.Source) (*Graph, error) {
+	t, err := src.Drain()
+	if err != nil {
+		return nil, err
 	}
 	return New(t), nil
 }
@@ -227,28 +212,6 @@ func (g *Graph) CrossNodeAncestor(op trace.OpID) *trace.Record {
 	g.crossAnc[op] = id
 	g.mu.Unlock()
 	return found
-}
-
-// LogicallyFrom reports whether op causally comes from process pid — it
-// physically executes there, or some causor ancestor does.
-func (g *Graph) LogicallyFrom(op trace.OpID, pid string) bool {
-	y, ok := g.Ix.T.Lookup(pid)
-	if !ok {
-		return false
-	}
-	r := g.Ix.T.At(op)
-	if r == nil {
-		return false
-	}
-	if r.PID == y {
-		return true
-	}
-	for _, anc := range g.BackwardChain(op) {
-		if ar := g.Ix.T.At(anc); ar != nil && ar.PID == y {
-			return true
-		}
-	}
-	return false
 }
 
 // EscapingSeeds returns the causal operations physically on pid whose

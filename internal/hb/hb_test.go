@@ -3,7 +3,6 @@ package hb_test
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,20 +151,6 @@ func TestCrossNodeAncestorSkipsKVNotify(t *testing.T) {
 	}
 }
 
-func TestLogicallyFrom(t *testing.T) {
-	tr, ids := build()
-	g := hb.New(tr)
-	if !g.LogicallyFrom(ids["W"], "a#1") {
-		t.Error("W is logically from node a (via the message)")
-	}
-	if !g.LogicallyFrom(ids["W"], "b#1") {
-		t.Error("W physically executes on b")
-	}
-	if g.LogicallyFrom(ids["R"], "a#1") {
-		t.Error("R has nothing to do with node a")
-	}
-}
-
 func TestEscapingSeeds(t *testing.T) {
 	tr, ids := build()
 	g := hb.New(tr)
@@ -194,62 +179,55 @@ func sameIndex(a, b *trace.Index) bool {
 	return true
 }
 
-// TestNewFromSourceMatchesNew pins the drain-then-build path: whatever the
-// window size, and through a full FCT2 encode/decode round trip, the graph
-// built from a source equals the one built from the materialized trace.
-func TestNewFromSourceMatchesNew(t *testing.T) {
-	tr, _ := build()
-	want := hb.New(tr)
-
-	for _, batch := range []int{1, 3, 1024} {
-		g, err := hb.NewFromSource(trace.SourceOf(tr, batch))
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		if !sameIndex(g.Ix, want.Ix) {
-			t.Fatalf("batch %d: index built from the source diverged from BuildIndex", batch)
-		}
+// tiled repeats build()'s nine records, op references shifted, until the
+// trace holds at least n — Encode starts a new chunk every 1 024 records.
+func tiled(n int) *trace.Trace {
+	unit, _ := build()
+	tr := trace.New()
+	for y := 1; y < unit.NumSyms(); y++ {
+		tr.Intern(unit.Str(trace.Sym(y))) // same strings in the same order: same Syms
 	}
-
-	var buf bytes.Buffer
-	if err := trace.EncodeStream(trace.SourceOf(tr, 2), &buf); err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := hb.NewFromSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameIndex(g.Ix, want.Ix) {
-		t.Fatal("index built from the decoded FCT2 stream diverged")
-	}
-	// The graphs must also agree behaviorally, not just structurally.
-	for op := trace.OpID(1); int(op) <= len(tr.Records); op++ {
-		if got, exp := g.BackwardChain(op), want.BackwardChain(op); !reflect.DeepEqual(got, exp) {
-			t.Fatalf("op %d: BackwardChain diverged: %v vs %v", op, got, exp)
+	for len(tr.Records) < n {
+		off := trace.OpID(len(tr.Records))
+		for _, r := range unit.Records {
+			for _, ref := range []*trace.OpID{&r.Frame, &r.Causor, &r.Src} {
+				if *ref != trace.NoOp {
+					*ref += off
+				}
+			}
+			tr.Append(r)
 		}
 	}
+	return tr
 }
 
-// TestNewFromSourceRefusesNonRetaining: a graph indexes the records its trace
-// keeps, so a source that discards them yields an error, not a graph over
-// records that are gone.
-func TestNewFromSourceRefusesNonRetaining(t *testing.T) {
-	tr, _ := build()
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.(interface{ SetRetain(bool) }).SetRetain(false)
-	g, err := hb.NewFromSource(src)
-	if err == nil || g != nil || !strings.Contains(err.Error(), "retain") {
-		t.Fatalf("NewFromSource on a non-retaining source = (%v, %v), want an error about retention", g, err)
+// TestNewFromSourceMatchesNew pins the decode-then-build path: the graph
+// built from the source of an FCT2 stream, of one chunk or of several, equals
+// the one built from the trace that was encoded.
+func TestNewFromSourceMatchesNew(t *testing.T) {
+	small, _ := build()
+	for name, tr := range map[string]*trace.Trace{"one chunk": small, "three chunks": tiled(2500)} {
+		want := hb.New(tr)
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := hb.NewFromSource(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameIndex(g.Ix, want.Ix) {
+			t.Fatalf("%s: index built from the decoded FCT2 stream diverged", name)
+		}
+		// The graphs must also agree behaviorally, not just structurally.
+		for op := trace.OpID(1); int(op) <= len(tr.Records); op++ {
+			if got, exp := g.BackwardChain(op), want.BackwardChain(op); !reflect.DeepEqual(got, exp) {
+				t.Fatalf("%s, op %d: BackwardChain diverged: %v vs %v", name, op, got, exp)
+			}
+		}
 	}
 }

@@ -190,10 +190,11 @@ func TestOneFailurePrecedenceTable(t *testing.T) {
 }
 
 // TestHandledExcFoldMatchesMaterialized is the trigger-side twin of
-// campaign's TestCoverageFoldMatchesMaterialized: for every report of two
-// workloads (HB1 has well-handled exceptions, MR1 none), the fold fed by the
-// discard-mode replay must reach the verdict the same fold reaches over the
-// retained trace of that replay, re-fed at any window size.
+// campaign's TestCoverageFoldMatchesMaterialized and
+// TestFoldsAreWindowInvariant: for every report of two workloads (HB1 has
+// well-handled exceptions, MR1 none), the fold a replay passes its records
+// through must reach the verdict the same fold reaches over the kept trace
+// of that replay, fed in windows of 1, 7 and 48 records and all at once.
 func TestHandledExcFoldMatchesMaterialized(t *testing.T) {
 	var found int
 	for _, w := range []core.Workload{hbase.NewHB1(), mapreduce.NewMR1()} {
@@ -216,7 +217,7 @@ func TestHandledExcFoldMatchesMaterialized(t *testing.T) {
 
 			c, _ := core.Run(w, tg.replayConfig(events, restart))
 			tr := c.Trace()
-			for _, batch := range []int{1, 7, 64, len(tr.Records)} {
+			for _, batch := range []int{1, 7, 48, len(tr.Records)} {
 				f := &handledExcFold{site: rep.R.Site}
 				for pos := 0; pos < len(tr.Records); pos += batch {
 					f.Window(tr, tr.Records[pos:min(pos+batch, len(tr.Records))])

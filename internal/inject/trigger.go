@@ -178,20 +178,18 @@ func (tg *Triggerer) TriggerWindowed(rep *detect.Report, windows []detect.Window
 
 // replay runs the workload once with events injected (restart is the role
 // restart policy, nil = victims stay down) and classifies the run. Replays
-// discard their trace records: a non-nil fold sees them stream past first —
-// classification needs only its verdict — so a replay allocates for its
-// symbol tables and live state, not per record.
+// keep no trace records: they pass through fold — classification needs only
+// its verdict — so a replay allocates for its symbol tables and live state,
+// not per record. A nil fold (compound replays classify by outcome alone)
+// still folds, into nothing.
 func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fold *handledExcFold) (Classification, string, string) {
 	cfg := tg.replayConfig(events, restart)
-	cfg.TraceDiscard = true
-	if fold != nil {
-		cfg.OnTraceWindow = fold.Window
-	}
+	cfg.Fold = fold.Window
 	_, out := core.Run(tg.W, cfg)
 	return tg.classify(out, fold)
 }
 
-// replayConfig is the simulator configuration of one replay, records retained.
+// replayConfig is the simulator configuration of one replay, records kept.
 func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
 	return sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(events, restart),
 		TraceTickCost: 1}
@@ -219,7 +217,7 @@ func (tg *Triggerer) classify(out *sim.Outcome, fold *handledExcFold) (Classific
 }
 
 // handledExcFold detects the "well-handled exception" condition in one pass
-// over streamed record windows: a KThrow whose taint or control set contains
+// over record windows: a KThrow whose taint or control set contains
 // an execution of the report's read site. Exact as a forward fold because a
 // throw's dependence sets only ever reference earlier operations (smaller
 // OpIDs), so every relevant site execution has been folded in before its
@@ -230,7 +228,7 @@ type handledExcFold struct {
 	// siteY is the site's Sym in this run's own symbol table, resolved
 	// lazily: windows are delivered after their records' strings were
 	// interned, so the lookup succeeds by the first window that matters.
-	// Discard windows are small and many, so the string-map probe is retried
+	// Fold windows are small and many, so the string-map probe is retried
 	// only when the table has grown since the last miss (symsSeen). NoSym =
 	// not resolved yet.
 	siteY    trace.Sym
@@ -241,10 +239,10 @@ type handledExcFold struct {
 	detail string
 }
 
-// Window folds one window of records (a trace.WindowFn — safe to call with a
-// reused, non-retained window slice).
+// Window folds one window of records (a trace.WindowFn). A nil fold takes
+// the records and looks for nothing.
 func (f *handledExcFold) Window(tr *trace.Trace, recs []trace.Record) {
-	if f.found {
+	if f == nil || f.found {
 		return
 	}
 	if f.siteY == trace.NoSym {

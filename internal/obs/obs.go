@@ -109,9 +109,6 @@ func New() *Registry {
 	}
 }
 
-// Enabled reports whether metrics recorded against this registry are kept.
-func (g *Registry) Enabled() bool { return g != nil }
-
 // Shared discard cells for the nil registry: adds land on real atomics (one
 // atomic add, the documented worst case) but are never read back.
 var (

@@ -29,9 +29,6 @@ func TestCounter(t *testing.T) {
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var g *Registry
-	if g.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	g.Counter("x").Add(3)
 	g.Histogram("y").Observe(9)
 	end := g.Span("z")

@@ -47,21 +47,16 @@ type Config struct {
 	// Plan is the fault plan for this run (nil = fault-free).
 	Plan *FaultPlan
 
-	// OnTraceWindow, when set, receives each bounded window of freshly traced
-	// records while the run executes (under the scheduler baton), plus a
-	// final partial window before Run returns — letting consumers (index
-	// builders, coverage folds, stream encoders) overlap the simulation.
-	// With TraceDiscard the window slice is reused; consume it synchronously.
-	OnTraceWindow trace.WindowFn
-
-	// TraceDiscard streams records to OnTraceWindow without retaining them
-	// in the trace: Trace() then carries only symbol/stack tables, PIDs and
-	// run metadata, and the run's records pass through one small fixed
-	// window (see trace.Writer), so a traced run allocates for its live
-	// state and symbol tables, not per record emitted. Only meaningful for
-	// runs whose records are consumed through the window hook
-	// (fault-injection campaigns, trigger replays).
-	TraceDiscard bool
+	// Fold decides where a traced run's records go. nil keeps every record
+	// in Trace().Records, for whatever analyses the complete trace afterwards.
+	// A fold is passed each record once instead — while the run executes,
+	// under the scheduler baton, in one small fixed window that is reused
+	// (see trace.Writer), the last partial window before Run returns — and
+	// none is kept: Trace() then carries only symbol/stack tables, PIDs and
+	// run metadata, so the run allocates for its live state and symbol
+	// tables, not per record emitted. Injection runs (campaigns, trigger
+	// replays) fold; they keep a verdict or a signature, not a trace.
+	Fold trace.WindowFn
 }
 
 // DefaultMaxSteps bounds runs that hang.

@@ -178,23 +178,6 @@ func (ctx *Context) Emit(eventType string, payload Value) {
 	ctx.t.node.eventQ.push(queuedItem{verb: eventType, payload: payload, causor: id})
 }
 
-// EmitOn enqueues an event on another process of the same machine or a
-// remote process (used for cross-component notifications that are not
-// messages in the modelled system).
-func (ctx *Context) EmitOn(pid, eventType string, payload Value) {
-	n := ctx.c.nodes[pid]
-	if n == nil || n.crashed {
-		return
-	}
-	id, _, _ := ctx.Do(OpReq{
-		Kind:   trace.KEventEnq,
-		Aux:    eventType,
-		Target: pid,
-		Taint:  payload.taint,
-	})
-	n.eventQ.push(queuedItem{verb: eventType, payload: payload, causor: id})
-}
-
 // runHandlerFrame opens an activation frame (KHandlerBegin) on the current
 // thread, runs fn inside it with handler-context tracing enabled, and closes
 // the frame. Uncaught app exceptions terminate the handler, not the process.

@@ -88,39 +88,6 @@ func TestScopeLabelsAppearInCallstacks(t *testing.T) {
 	}
 }
 
-func TestEmitOnCrossProcess(t *testing.T) {
-	c := sim.NewCluster(sim.Config{Seed: 1})
-	got := ""
-	c.StartProcess("rx", "m0", func(ctx *sim.Context) {
-		ctx.Self().HandleEvent("remote", func(ctx *sim.Context, payload sim.Value) {
-			got = payload.Str()
-		})
-		ctx.Sleep(200)
-	})
-	c.StartProcess("tx", "m1", func(ctx *sim.Context) {
-		ctx.Sleep(30)
-		ctx.EmitOn("rx#1", "remote", sim.V("hello"))
-	})
-	c.Run()
-	if got != "hello" {
-		t.Fatalf("EmitOn payload = %q", got)
-	}
-}
-
-func TestPeekNamedFromOutside(t *testing.T) {
-	c := sim.NewCluster(sim.Config{Seed: 1})
-	pid := c.StartProcess("n", "m0", func(ctx *sim.Context) {
-		ctx.NamedObject("state").Set(ctx, "k", sim.V(42))
-	})
-	c.Run()
-	if got := c.Node(pid).PeekNamed("state", "k"); got != 42 {
-		t.Fatalf("PeekNamed = %v", got)
-	}
-	if got := c.Node(pid).PeekNamed("missing", "k"); got != nil {
-		t.Fatalf("PeekNamed(missing) = %v", got)
-	}
-}
-
 func TestOutcomeFailureKinds(t *testing.T) {
 	cases := []struct {
 		out  sim.Outcome

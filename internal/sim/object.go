@@ -162,12 +162,3 @@ func (ctx *Context) NamedCond(name string) *Cond {
 	n.namedConds[name] = cv
 	return cv
 }
-
-// PeekNamed inspects a named object's field from outside the simulation
-// (workload checkers); returns nil if the object does not exist.
-func (n *Node) PeekNamed(object, field string) any {
-	if o, ok := n.namedObjs[object]; ok {
-		return o.Peek(field)
-	}
-	return nil
-}

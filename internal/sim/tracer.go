@@ -29,8 +29,8 @@ type opSpec struct {
 // storage operations and synchronization-loop reads are always recorded;
 // plain heap accesses only when they execute inside an RPC/message/event
 // handler (or its callees) — or everywhere in the exhaustive ablation mode.
-// The sink streams bounded windows to Config.OnTraceWindow subscribers and,
-// in TraceDiscard mode, skips retaining records in the trace entirely.
+// The sink keeps the records in the trace, or passes them through
+// Config.Fold and keeps none.
 type tracer struct {
 	c     *Cluster
 	trace *trace.Trace
@@ -43,20 +43,14 @@ func newTracer(c *Cluster) *tracer {
 	tr := &tracer{c: c}
 	if c.cfg.Tracing != TraceOff {
 		tr.trace = trace.New()
-		tr.sink = trace.NewWriter(tr.trace, 0)
-		if c.cfg.OnTraceWindow != nil {
-			tr.sink.Subscribe(c.cfg.OnTraceWindow)
-		}
-		if c.cfg.TraceDiscard {
-			tr.sink.SetRetain(false)
-		}
+		tr.sink = trace.NewWriter(tr.trace, c.cfg.Fold)
 		tr.sysPID = tr.trace.Intern("system")
 	}
 	return tr
 }
 
-// finish flushes the final partial window to the sink's subscribers (called
-// once, at the end of Run).
+// finish folds the final partial window of a folded run (called once, at the
+// end of Run).
 func (tr *tracer) finish() {
 	if tr.sink != nil {
 		tr.sink.Flush()

@@ -30,29 +30,25 @@ func (t *Trace) Save(path string) error {
 	return nil
 }
 
-// Load reads a trace written by Save. It is a thin drain over Open; callers
-// that want bounded memory use Open directly.
+// Load reads a trace written by Save.
 func Load(path string) (*Trace, error) {
 	src, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return Drain(src)
+	return src.Drain()
 }
 
-// Encode writes the trace to w: the records are replayed through an
-// in-memory Source into the chunked FCT2 encoder.
-func (t *Trace) Encode(w io.Writer) error {
-	return EncodeStream(SourceOf(t, 0), w)
-}
+// Encode writes the trace to w in the FCT2 format.
+func (t *Trace) Encode(w io.Writer) error { return t.encode(w, encodeChunk) }
 
-// Decode reads an FCT2 trace from r. It is a thin drain over NewSource.
+// Decode reads an FCT2 trace from r.
 func Decode(r io.Reader) (*Trace, error) {
 	src, err := NewSource(r)
 	if err != nil {
 		return nil, err
 	}
-	return Drain(src)
+	return src.Drain()
 }
 
 // colEncoder writes varint columns, capturing the first error.

@@ -1,10 +1,47 @@
 package trace
 
 import (
+	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 )
+
+// EncodeChunked is Encode with record chunks of n instead of 1 024, for
+// streams of many chunks from small traces.
+func EncodeChunked(t *Trace, w io.Writer, n int) error { return t.encode(w, n) }
+
+// WithHeader returns the encoded stream raw with its header (the flags and
+// the four size hints Encode always writes) replaced by hdr — {0} is the
+// hint-less header a reader must still take, since files come from outside.
+func WithHeader(raw, hdr []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(raw[len(FormatMagic):]))
+	if err != nil {
+		return nil, err
+	}
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < 5; i++ { // flags, then symbol, stack, PID and record totals
+		_, n := binary.Uvarint(payload)
+		if n <= 0 {
+			return nil, fmt.Errorf("header varint %d is cut or overflows", i)
+		}
+		payload = payload[n:]
+	}
+	out := bytes.NewBufferString(FormatMagic)
+	zw := gzip.NewWriter(out)
+	zw.Write(hdr)
+	zw.Write(payload)
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
 
 // CountDecodeStates makes the decode pool count the states it constructs, so
 // a test can tell a decode that recycled a state from one that made its own.

@@ -13,8 +13,8 @@ import (
 // The FCT2 layout, after the magic, is one gzip stream of tagged sections:
 //
 //	header         uvarint flags; flags&1 = size hints follow (uvarint symbol,
-//	               stack, PID and record totals — written when the encoder
-//	               knows them, e.g. encoding a materialized trace)
+//	               stack, PID and record totals — Encode always writes them;
+//	               a reader must take a header without them too)
 //	secSyms (1)    uvarint count, then count strings (uvarint len + bytes)
 //	               appended to the symbol table (continuing from wherever the
 //	               table stood)
@@ -30,11 +30,13 @@ import (
 //	secMeta (5)    varint CrashStep, string CrashedPID, varint BaselineNanos
 //	secEnd (6)     uvarint total record count (truncation check) — always last
 //
-// Table sections are emitted incrementally, immediately before the first
-// record chunk that needs the new entries, so a decoder can resolve every
-// Sym/StackID/PID the moment a chunk arrives and never needs the whole
-// stream in memory. Strings are stored once in the symbol table; the column
-// data is small integers, which is where the format's compactness comes from.
+// A table section may appear anywhere before the first record chunk that
+// needs its entries, and more than once (each continues its table), so a
+// decoder can resolve and range-check every Sym/StackID/PID of a chunk the
+// moment it arrives. Encode has the whole trace and writes each table once,
+// ahead of the first chunk. Strings are stored once in the symbol table; the
+// column data is small integers, which is where the format's compactness
+// comes from.
 
 const (
 	secSyms = 1 + iota
@@ -49,163 +51,93 @@ const (
 const hintedFlag = 1
 
 // fct2ChunkCap bounds one record chunk's declared count — a corrupt stream
-// cannot make the decoder allocate an unbounded window.
+// cannot make the decoder allocate an unbounded chunk.
 const fct2ChunkCap = 1 << 22
 
 // fct2HintCap bounds the header size hints used for eager pre-allocation.
 const fct2HintCap = 1 << 18
 
-// StreamEncoder writes the FCT2 format incrementally: feed it windows of
-// records (it doubles as a Writer subscriber) and Close it with the final
-// trace to append run metadata. New symbols, stacks and PIDs interned since
-// the previous window are emitted ahead of each record chunk.
-type StreamEncoder struct {
-	zw *gzip.Writer // from deflaterPool; back there, and nil, after Close
-	bw *bufio.Writer
-	e  colEncoder
+// encodeChunk is the number of records Encode puts in one chunk.
+const encodeChunk = 1024
 
-	sentSyms   int
-	sentStacks int
-	sentPIDs   int
-	prevTS     int64
-	total      uint64
-	closed     bool
-}
-
-// NewStreamEncoder starts an FCT2 stream on w (magic + header).
-func NewStreamEncoder(w io.Writer) (*StreamEncoder, error) {
-	return newStreamEncoder(w, nil)
-}
-
-// deflaterPool recycles gzip writers across encoders: a fresh one zeroes over
+// deflaterPool recycles gzip writers across encodes: a fresh one zeroes over
 // a megabyte of deflate state, several times what encoding a typical trace
 // costs. Reset makes a recycled writer indistinguishable from a new one, so
-// the bytes written do not depend on which one an encoder got. A pooled
+// the bytes written do not depend on which one an encode got. A pooled
 // writer still points at the last stream it wrote to (dropping that would
 // cost a second Reset) but never writes to it again.
 var deflaterPool = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
-func newStreamEncoder(w io.Writer, hints *SizeHints) (*StreamEncoder, error) {
+// encode writes t to w as one FCT2 stream: the header with the trace's
+// totals as size hints, the three tables, the records in chunks of chunk,
+// the run metadata and the end section.
+func (t *Trace) encode(w io.Writer, chunk int) error {
 	if _, err := io.WriteString(w, FormatMagic); err != nil {
-		return nil, fmt.Errorf("trace: fct2 magic: %w", err)
+		return fmt.Errorf("trace: fct2 magic: %w", err)
 	}
 	zw := deflaterPool.Get().(*gzip.Writer)
 	zw.Reset(w)
-	enc := &StreamEncoder{zw: zw, sentSyms: 1, sentStacks: 1}
-	enc.bw = bufio.NewWriter(enc.zw)
-	enc.e.w = enc.bw
-	if hints == nil {
-		enc.e.uvarint(0)
-	} else {
-		enc.e.uvarint(hintedFlag)
-		enc.e.uvarint(uint64(hints.Syms))
-		enc.e.uvarint(uint64(hints.Stacks))
-		enc.e.uvarint(uint64(hints.PIDs))
-		enc.e.uvarint(uint64(hints.Records))
-	}
-	return enc, enc.e.err
-}
+	defer deflaterPool.Put(zw)
+	bw := bufio.NewWriter(zw)
+	e := colEncoder{w: bw}
 
-// syncTables emits the table entries interned since the last window.
-func (enc *StreamEncoder) syncTables(t *Trace) {
-	if n := t.NumSyms(); n > enc.sentSyms {
-		enc.e.uvarint(secSyms)
-		enc.e.uvarint(uint64(n - enc.sentSyms))
-		for y := enc.sentSyms; y < n; y++ {
-			enc.e.str(t.syms.Str(Sym(y)))
-		}
-		enc.sentSyms = n
-	}
-	if n := t.NumStacks(); n > enc.sentStacks {
-		enc.e.uvarint(secStacks)
-		enc.e.uvarint(uint64(n - enc.sentStacks))
-		for id := enc.sentStacks; id < n; id++ {
-			node := t.stacks.nodes[id]
-			enc.e.uvarint(uint64(node.parent))
-			enc.e.uvarint(uint64(node.frame))
-		}
-		enc.sentStacks = n
-	}
-	if n := len(t.PIDs); n > enc.sentPIDs {
-		enc.e.uvarint(secPIDs)
-		enc.e.uvarint(uint64(n - enc.sentPIDs))
-		for _, pid := range t.PIDs[enc.sentPIDs:] {
-			enc.e.str(pid)
-		}
-		enc.sentPIDs = n
-	}
-}
+	e.uvarint(hintedFlag)
+	e.uvarint(uint64(t.NumSyms()))
+	e.uvarint(uint64(t.NumStacks()))
+	e.uvarint(uint64(len(t.PIDs)))
+	e.uvarint(uint64(len(t.Records)))
 
-// Window encodes one window of records (a trace.WindowFn).
-func (enc *StreamEncoder) Window(t *Trace, recs []Record) {
-	if len(recs) == 0 || enc.e.err != nil || enc.closed {
-		return
+	// Slot 0 of the symbol and stack tables is the reserved empty entry every
+	// trace starts with; it is not written.
+	if n := t.NumSyms(); n > 1 {
+		e.uvarint(secSyms)
+		e.uvarint(uint64(n - 1))
+		for y := 1; y < n; y++ {
+			e.str(t.syms.Str(Sym(y)))
+		}
 	}
-	enc.syncTables(t)
-	enc.e.uvarint(secRecords)
-	enc.e.uvarint(uint64(len(recs)))
-	encodeRecColumns(&enc.e, recs, &enc.prevTS)
-	enc.total += uint64(len(recs))
-}
+	if n := t.NumStacks(); n > 1 {
+		e.uvarint(secStacks)
+		e.uvarint(uint64(n - 1))
+		for _, node := range t.stacks.nodes[1:n] {
+			e.uvarint(uint64(node.parent))
+			e.uvarint(uint64(node.frame))
+		}
+	}
+	if len(t.PIDs) > 0 {
+		e.uvarint(secPIDs)
+		e.uvarint(uint64(len(t.PIDs)))
+		for _, pid := range t.PIDs {
+			e.str(pid)
+		}
+	}
 
-// Close emits any table entries still pending, the run metadata and the end
-// section, and finishes the gzip stream.
-func (enc *StreamEncoder) Close(t *Trace) error {
-	if enc.closed {
-		return nil
+	prevTS := int64(0)
+	for recs := t.Records; len(recs) > 0 && e.err == nil; {
+		n := min(chunk, len(recs))
+		e.uvarint(secRecords)
+		e.uvarint(uint64(n))
+		encodeRecColumns(&e, recs[:n], &prevTS)
+		recs = recs[n:]
 	}
-	enc.closed = true
-	defer func() {
-		deflaterPool.Put(enc.zw)
-		enc.zw = nil
-	}()
-	enc.syncTables(t)
-	enc.e.uvarint(secMeta)
-	enc.e.varint(t.CrashStep)
-	enc.e.str(t.CrashedPID)
-	enc.e.varint(t.BaselineNanos)
-	enc.e.uvarint(secEnd)
-	enc.e.uvarint(enc.total)
-	if enc.e.err != nil {
-		return fmt.Errorf("trace: fct2 encode: %w", enc.e.err)
+
+	e.uvarint(secMeta)
+	e.varint(t.CrashStep)
+	e.str(t.CrashedPID)
+	e.varint(t.BaselineNanos)
+	e.uvarint(secEnd)
+	e.uvarint(uint64(len(t.Records)))
+	err := e.err
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := enc.bw.Flush(); err != nil {
-		return fmt.Errorf("trace: fct2 encode: %w", err)
+	if err == nil {
+		err = zw.Close()
 	}
-	if err := enc.zw.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("trace: fct2 encode: %w", err)
 	}
 	return nil
-}
-
-// EncodeStream drains src, writing the chunked FCT2 stream to w. The source
-// is closed. Size hints are written when the source knows its totals.
-func EncodeStream(src Source, w io.Writer) error {
-	var hints *SizeHints
-	if h, ok := src.(Hinter); ok {
-		if sh, known := h.SizeHints(); known {
-			hints = &sh
-		}
-	}
-	enc, err := newStreamEncoder(w, hints)
-	if err != nil {
-		src.Close()
-		return err
-	}
-	defer src.Close()
-	for {
-		win, err := src.Next()
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		enc.Window(src.Trace(), win)
-		if enc.e.err != nil {
-			return fmt.Errorf("trace: fct2 encode: %w", enc.e.err)
-		}
-	}
-	return enc.Close(src.Trace())
 }
 
 // decodeState is the per-stream machinery of a decode, recycled through
@@ -232,22 +164,21 @@ func (st *decodeState) release() {
 
 var errSourceClosed = errors.New("trace: source is closed")
 
-// fct2Source is the streaming FCT2 decoder: each Next() call decodes
-// sections up to and including one record chunk. With SetRetain(false) the
-// decoded records are not accumulated in the trace (the window buffer is
-// reused), so a full-stream scan runs in O(batch + tables) memory. A source
-// that is never closed is simply not recycled.
-type fct2Source struct {
+// Source is the FCT2 decoder: a saved trace being read back. Each Next call
+// decodes sections up to and including one record chunk, appends the chunk
+// to the trace and returns it; io.EOF follows the last chunk, and a wrapped,
+// position-bearing error (repeated by every later call) a truncated or
+// corrupt stream. Trace() is the trace being filled — its tables and PID
+// list cover every record decoded so far, its crash metadata is complete by
+// io.EOF. Single-use and not safe for concurrent use; a source that is never
+// closed is simply not recycled.
+type Source struct {
 	t  *Trace
 	d  colDecoder
 	st *decodeState // nil once closed
 	rc io.Closer    // underlying file, when opened from a path
 
-	hints    SizeHints
-	hinted   bool
-	retain   bool
-	buf      []Record
-	nRead    int
+	recHint  int // the header's record total (clamped), 0 if it gave none
 	prevTS   int64
 	sawMeta  bool
 	done     bool
@@ -256,14 +187,14 @@ type fct2Source struct {
 
 // newFCT2Source starts decoding the gzip stream behind st.br; on error the
 // caller still owns st.
-func newFCT2Source(st *decodeState) (*fct2Source, error) {
+func newFCT2Source(st *decodeState) (*Source, error) {
 	// Reset leaves the reader in multistream mode, so the drain at secEnd
 	// runs to the real end of input and every gzip footer on the way is
 	// checked.
 	if err := st.zr.Reset(&st.br); err != nil {
 		return nil, fmt.Errorf("trace: fct2 gunzip: %w", err)
 	}
-	s := &fct2Source{t: New(), st: st, retain: true}
+	s := &Source{t: New(), st: st}
 	s.d = colDecoder{r: &st.zr, win: st.win[:], ids: st.ids, lens: st.lens}
 
 	flags := s.d.uvarint()
@@ -275,45 +206,39 @@ func newFCT2Source(st *decodeState) (*fct2Source, error) {
 		// hostile header cannot force huge allocations before a single byte
 		// of real data has decoded. Streams larger than the cap still decode
 		// — they just grow incrementally past it.
-		s.hints = SizeHints{
-			Syms:    min(int(s.d.uvarint()), fct2HintCap),
-			Stacks:  min(int(s.d.uvarint()), fct2HintCap),
-			PIDs:    min(int(s.d.uvarint()), fct2HintCap),
-			Records: min(int(s.d.uvarint()), fct2HintCap),
-		}
+		syms := min(int(s.d.uvarint()), fct2HintCap)
+		stacks := min(int(s.d.uvarint()), fct2HintCap)
+		s.d.uvarint() // the PID total: nothing is sized by it
+		s.recHint = min(int(s.d.uvarint()), fct2HintCap)
 		if s.d.err != nil {
 			return nil, s.fail("header", s.d.err)
 		}
-		s.hinted = true
-		s.t.syms.grow(s.hints.Syms)
-		s.t.stacks.grow(s.hints.Stacks)
+		s.t.syms.grow(syms)
+		s.t.stacks.grow(stacks)
 	}
 	return s, nil
 }
 
-// SetRetain switches record retention (default true). Must be called before
-// the first Next.
-func (s *fct2Source) SetRetain(retain bool) { s.retain = retain }
-
-func (s *fct2Source) Trace() *Trace { return s.t }
-
-func (s *fct2Source) SizeHints() (SizeHints, bool) { return s.hints, s.hinted }
+// Trace returns the trace the source fills as it is read.
+func (s *Source) Trace() *Trace { return s.t }
 
 // fail wraps a section decode error with the stream position. A plain EOF
 // mid-section is a truncation, not a clean end.
-func (s *fct2Source) fail(section string, err error) error {
+func (s *Source) fail(section string, err error) error {
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
 	werr := fmt.Errorf("trace: fct2 %s section at decompressed offset %d (%d records decoded): %w",
-		section, s.d.pos(), s.nRead, err)
+		section, s.d.pos(), len(s.t.Records), err)
 	if s.firstErr == nil {
 		s.firstErr = werr
 	}
 	return werr
 }
 
-func (s *fct2Source) Next() ([]Record, error) {
+// Next decodes up to and including the next record chunk and returns it (a
+// slice of the trace's Records).
+func (s *Source) Next() ([]Record, error) {
 	if s.firstErr != nil {
 		return nil, s.firstErr
 	}
@@ -371,11 +296,7 @@ func (s *fct2Source) Next() ([]Record, error) {
 			if n > fct2ChunkCap {
 				return nil, s.fail("records", fmt.Errorf("chunk of %d records exceeds cap %d", n, fct2ChunkCap))
 			}
-			win, err := s.decodeChunk(int(n))
-			if err != nil {
-				return nil, err
-			}
-			return win, nil
+			return s.decodeChunk(int(n))
 		case secMeta:
 			s.t.CrashStep = s.d.varint()
 			s.t.CrashedPID = s.d.str()
@@ -389,8 +310,8 @@ func (s *fct2Source) Next() ([]Record, error) {
 			if s.d.err != nil {
 				return nil, s.fail("end", s.d.err)
 			}
-			if total != uint64(s.nRead) {
-				return nil, s.fail("end", fmt.Errorf("stream declares %d records, decoded %d", total, s.nRead))
+			if total != uint64(len(s.t.Records)) {
+				return nil, s.fail("end", fmt.Errorf("stream declares %d records, decoded %d", total, len(s.t.Records)))
 			}
 			if !s.sawMeta {
 				return nil, s.fail("end", fmt.Errorf("missing meta section"))
@@ -409,48 +330,48 @@ func (s *fct2Source) Next() ([]Record, error) {
 	}
 }
 
-// decodeChunk decodes one chunk of n records. Every table index and op
-// reference in it is range-checked as it is read (colDecoder.ref), so
-// consumers may index dense per-Sym and per-op tables with a delivered
-// record's fields without checking again.
-func (s *fct2Source) decodeChunk(n int) ([]Record, error) {
-	var rs []Record
-	if s.retain {
-		if s.nRead == 0 && s.hinted && cap(s.t.Records) < s.hints.Records && s.hints.Records <= fct2ChunkCap*64 {
-			s.t.Records = make([]Record, 0, s.hints.Records)
-		}
-		base := len(s.t.Records)
-		s.t.Records = append(s.t.Records, make([]Record, n)...)
-		rs = s.t.Records[base:]
-	} else {
-		if cap(s.buf) < n {
-			s.buf = make([]Record, n)
-		}
-		rs = s.buf[:n]
-		for i := range rs {
-			rs[i] = Record{}
-		}
+// decodeChunk decodes one chunk of n records onto the end of the trace.
+// Every table index and op reference in it is range-checked as it is read
+// (colDecoder.ref), so consumers may index dense per-Sym and per-op tables
+// with a decoded record's fields without checking again. A chunk that fails
+// part-way leaves the trace as it was before the chunk.
+func (s *Source) decodeChunk(n int) ([]Record, error) {
+	base := len(s.t.Records)
+	if base == 0 && cap(s.t.Records) < s.recHint {
+		s.t.Records = make([]Record, 0, s.recHint)
 	}
+	s.t.Records = append(s.t.Records, make([]Record, n)...)
+	rs := s.t.Records[base:]
 	for i := range rs {
-		rs[i].ID = OpID(s.nRead + i + 1)
+		rs[i].ID = OpID(base + i + 1)
 	}
 	s.d.maxSym = uint64(s.t.NumSyms() - 1)
 	s.d.maxStack = uint64(s.t.NumStacks() - 1)
-	s.d.maxOp = uint64(s.nRead + n)
+	s.d.maxOp = uint64(base + n)
 	if err := decodeRecColumns(&s.d, rs, &s.prevTS); err != nil {
-		if s.retain {
-			s.t.Records = s.t.Records[:len(s.t.Records)-n]
-		}
+		s.t.Records = s.t.Records[:base]
 		return nil, s.fail("records", err)
 	}
-	s.nRead += n
 	return rs, nil
+}
+
+// Drain decodes the rest of the stream, closes the source and returns the
+// complete trace.
+func (s *Source) Drain() (*Trace, error) {
+	defer s.Close()
+	for {
+		if _, err := s.Next(); err == io.EOF {
+			return s.t, nil
+		} else if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Close returns the decode state to the pool and closes the underlying file,
 // if the source opened one. Afterwards the source holds no reference to the
 // pooled state and Next fails.
-func (s *fct2Source) Close() error {
+func (s *Source) Close() error {
 	st := s.st
 	if st == nil {
 		return nil
@@ -581,8 +502,8 @@ func decodeRecColumns(d *colDecoder, rs []Record, prevTS *int64) error {
 	return d.err
 }
 
-// Open opens an FCT2 trace file as a streaming Source.
-func Open(path string) (Source, error) {
+// Open opens an FCT2 trace file for decoding; Close closes the file.
+func Open(path string) (*Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: open: %w", err)
@@ -595,13 +516,12 @@ func Open(path string) (Source, error) {
 	return src, nil
 }
 
-// NewSource wraps an arbitrary reader holding an FCT2 stream as a streaming
-// Source.
-func NewSource(r io.Reader) (Source, error) {
+// NewSource starts decoding the FCT2 stream r holds.
+func NewSource(r io.Reader) (*Source, error) {
 	return newSource(r, nil)
 }
 
-func newSource(r io.Reader, closer io.Closer) (Source, error) {
+func newSource(r io.Reader, closer io.Closer) (*Source, error) {
 	st := decodePool.Get().(*decodeState)
 	st.br.Reset(r)
 	head, err := st.br.Peek(len(FormatMagic))

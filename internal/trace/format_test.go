@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -89,8 +90,8 @@ func randomTrace(seed int64, n int) *trace.Trace {
 }
 
 // TestFormatsRoundTripEquivalent is the codec property test: a trace must
-// round-trip through FCT2 to the same semantic content, on both the
-// monolithic Decode path and the streaming Source path.
+// round-trip through FCT2 to the same semantic content, through Decode and
+// through a Source drained by its caller.
 func TestFormatsRoundTripEquivalent(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		n := 200
@@ -115,11 +116,24 @@ func TestFormatsRoundTripEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewSource: %v", seed, err)
 		}
-		sourced, err := trace.Drain(src)
+		sourced, err := src.Drain()
 		if err != nil {
 			t.Fatalf("seed %d: Drain: %v", seed, err)
 		}
-		for name, got := range map[string]*trace.Trace{"decode": decoded, "source": sourced} {
+		views := map[string]*trace.Trace{"decode": decoded, "source": sourced}
+		for _, chunk := range []int{1, 2, 7} {
+			if n > 200 {
+				break
+			}
+			var small bytes.Buffer
+			if err := trace.EncodeChunked(tr, &small, chunk); err != nil {
+				t.Fatalf("seed %d: EncodeChunked(%d): %v", seed, chunk, err)
+			}
+			if views[fmt.Sprintf("chunks of %d", chunk)], err = trace.Decode(&small); err != nil {
+				t.Fatalf("seed %d: decoding chunks of %d: %v", seed, chunk, err)
+			}
+		}
+		for name, got := range views {
 			if g := flatten(got); !reflect.DeepEqual(g, want) {
 				t.Errorf("seed %d: %s round trip diverged", seed, name)
 			}

@@ -19,6 +19,12 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(fct2.Bytes())
+	// The same stream behind a hint-less header, which Encode never writes.
+	unhinted, err := trace.WithHeader(fct2.Bytes(), []byte{0})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unhinted)
 	// Exactly four bytes: the magic peek succeeds with nothing behind it.
 	f.Add([]byte(trace.FormatMagic))
 	f.Add([]byte("FCT1"))

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"fcatch/internal/campaign"
 	"fcatch/internal/hb"
 	"fcatch/internal/trace"
 )
@@ -14,7 +13,8 @@ import (
 // danglingRefs are well-formed FCT2 streams — right magic, intact gzip, every
 // section in place — whose second record points outside the tables or past
 // the end of the trace. The index and the fault-space fold use these fields
-// as dense table indices, so the decoder is where they must be stopped.
+// as dense table indices on whatever the decoder returns, so the decoder is
+// where they must be stopped.
 func danglingRefs(t testing.TB) map[string][]byte {
 	poison := map[string]func(r *trace.Record){
 		"kind":      func(r *trace.Record) { r.Kind = 200 },
@@ -63,14 +63,6 @@ func TestDecodeRejectsDanglingRefs(t *testing.T) {
 				return err
 			}
 			_, err = hb.NewFromSource(src)
-			return err
-		},
-		"campaign.NewSpaceFromSource": func(raw []byte) error {
-			src, err := trace.NewSource(bytes.NewReader(raw))
-			if err != nil {
-				return err
-			}
-			_, err = campaign.NewSpaceFromSource(src, 100, "p", 0)
 			return err
 		},
 	}

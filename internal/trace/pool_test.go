@@ -195,7 +195,7 @@ func TestDecodeAllocsPerTrace(t *testing.T) {
 	}
 	tr := randomTrace(5, 1000)
 	var buf bytes.Buffer
-	if err := trace.EncodeStream(trace.SourceOf(tr, 100), &buf); err != nil { // ten chunks
+	if err := trace.EncodeChunked(tr, &buf, 100); err != nil { // ten chunks
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -118,11 +118,6 @@ func (k Kind) IsActivation() bool {
 	return k == KThreadStart || k == KHandlerBegin
 }
 
-// IsStorage reports whether this kind accesses persistent storage.
-func (k Kind) IsStorage() bool {
-	return k >= KStCreate && k <= KStList
-}
-
 // IsWriteLike reports whether the op defines the content of its resource.
 func (k Kind) IsWriteLike() bool {
 	switch k {

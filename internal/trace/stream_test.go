@@ -3,12 +3,14 @@ package trace_test
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -52,8 +54,8 @@ func decodeShapes(t *testing.T, raw []byte) (*trace.Trace, error) {
 	return first, firstErr
 }
 
-// collectWindows subscribes to a Writer and copies every delivered window
-// (copying matters: non-retaining writers reuse the window slice).
+// collector is a fold that copies every window it is passed (copying
+// matters: a folding writer reuses the window slice).
 type collector struct {
 	wins [][]trace.Record
 }
@@ -70,50 +72,29 @@ func (c *collector) flat() []trace.Record {
 	return out
 }
 
-func TestWriterRetainingBatches(t *testing.T) {
+// TestWriterKeepsWithoutFold: with no fold a Writer is the trace's own
+// Append, and Flush has nothing to do.
+func TestWriterKeepsWithoutFold(t *testing.T) {
 	tr := trace.New()
-	w := trace.NewWriter(tr, 3)
-	var c collector
-	w.Subscribe(c.fn)
-
+	w := trace.NewWriter(tr, nil)
 	for i := 0; i < 7; i++ {
-		id := w.Append(trace.Record{TS: int64(i), Kind: trace.KHeapRead, Site: tr.Intern(fmt.Sprintf("s%d", i))})
-		if id != trace.OpID(i+1) {
+		if id := w.Append(trace.Record{TS: int64(i), Kind: trace.KHeapRead}); id != trace.OpID(i+1) {
 			t.Fatalf("Append %d: id %d, want %d", i, id, i+1)
 		}
 	}
 	w.Flush()
-
-	if got := len(tr.Records); got != 7 {
-		t.Fatalf("retaining writer kept %d records, want 7", got)
-	}
-	if w.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", w.Len())
-	}
-	sizes := []int{}
-	for _, win := range c.wins {
-		sizes = append(sizes, len(win))
-	}
-	if !reflect.DeepEqual(sizes, []int{3, 3, 1}) {
-		t.Fatalf("window sizes %v, want [3 3 1]", sizes)
-	}
-	if !reflect.DeepEqual(c.flat(), tr.Records) {
-		t.Fatal("windows do not reassemble to the trace's records")
-	}
-	w.Flush() // no pending records: must not deliver an empty window
-	if len(c.wins) != 3 {
-		t.Fatalf("idempotent Flush delivered an extra window (%d windows)", len(c.wins))
+	if len(tr.Records) != 7 || tr.Records[6].ID != 7 || tr.Records[6].TS != 6 {
+		t.Fatalf("kept %d records, last %+v; want all 7", len(tr.Records), tr.Records[len(tr.Records)-1])
 	}
 }
 
 func TestWriterDiscardStreamsWithoutRetaining(t *testing.T) {
 	tr := trace.New()
-	w := trace.NewWriter(tr, 4)
-	w.SetRetain(false)
 	var c collector
-	w.Subscribe(c.fn)
+	w := trace.NewWriter(tr, c.fn)
 
-	for i := 0; i < 10; i++ {
+	const n = 100 // two full windows and a partial one
+	for i := 0; i < n; i++ {
 		id := w.Append(trace.Record{TS: int64(i), Kind: trace.KHeapWrite, Res: tr.Intern("r")})
 		if id != trace.OpID(i+1) {
 			t.Fatalf("Append %d: id %d, want %d", i, id, i+1)
@@ -122,14 +103,11 @@ func TestWriterDiscardStreamsWithoutRetaining(t *testing.T) {
 	w.Flush()
 
 	if len(tr.Records) != 0 {
-		t.Fatalf("discarding writer retained %d records", len(tr.Records))
-	}
-	if w.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", w.Len())
+		t.Fatalf("folding writer kept %d records", len(tr.Records))
 	}
 	flat := c.flat()
-	if len(flat) != 10 {
-		t.Fatalf("subscribers saw %d records, want 10", len(flat))
+	if len(flat) != n || len(c.wins) != 3 {
+		t.Fatalf("the fold saw %d records in %d windows, want %d in 3", len(flat), len(c.wins), n)
 	}
 	for i, r := range flat {
 		if r.ID != trace.OpID(i+1) || r.TS != int64(i) {
@@ -138,16 +116,14 @@ func TestWriterDiscardStreamsWithoutRetaining(t *testing.T) {
 	}
 }
 
-// TestWriterDiscardWindowIsFixed: a non-retaining writer owns one window for
-// its whole life — after construction, appending allocates nothing, however
-// many records stream through — and the Flush contract of the retaining path
-// (no empty window, idempotent) holds for it too.
+// TestWriterDiscardWindowIsFixed: a folding writer owns one window for its
+// whole life — after construction, appending allocates nothing, however many
+// records pass through — and Flush never folds an empty window, however
+// often it is called.
 func TestWriterDiscardWindowIsFixed(t *testing.T) {
 	tr := trace.New()
-	w := trace.NewWriter(tr, 0)
-	w.SetRetain(false)
 	var windows, records int
-	w.Subscribe(func(_ *trace.Trace, recs []trace.Record) {
+	w := trace.NewWriter(tr, func(_ *trace.Trace, recs []trace.Record) {
 		windows++
 		records += len(recs)
 	})
@@ -164,189 +140,56 @@ func TestWriterDiscardWindowIsFixed(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%d appends to a non-retaining writer allocated %.0f times, want 0", appends, allocs)
+		t.Fatalf("%d appends to a folding writer allocated %.0f times, want 0", appends, allocs)
 	}
 
-	w.Append(trace.Record{Kind: trace.KHeapWrite, Res: res}) // leave a partial window
+	last := w.Append(trace.Record{Kind: trace.KHeapWrite, Res: res}) // leave a partial window
 	before := windows
 	w.Flush()
 	w.Flush()
 	if windows != before+1 {
 		t.Fatalf("two Flushes of one partial window delivered %d windows, want 1", windows-before)
 	}
-	if records != w.Len() || len(tr.Records) != 0 {
-		t.Fatalf("subscriber saw %d of %d records; trace retained %d", records, w.Len(), len(tr.Records))
+	if records != int(last) || len(tr.Records) != 0 { // ids are dense: the last one is the count
+		t.Fatalf("the fold saw %d of %d records; the trace kept %d", records, last, len(tr.Records))
 	}
 }
 
-func TestSourceOfDrainsToSameTrace(t *testing.T) {
-	tr := randomTrace(3, 150)
-	src := trace.SourceOf(tr, 16)
-
-	h, ok := src.(trace.Hinter)
-	if !ok {
-		t.Fatal("SourceOf does not implement Hinter")
+// TestFCT2SourceHints: the header's size hints are advice. A stream without
+// them, and one whose header declares 2^40 of everything, decode to the trace
+// the hinted stream gives, and what the decoder pre-sizes on the hostile
+// header's word is bounded by its clamp (2^18 entries per table, some 26 MiB
+// of empty tables) — believed, the header asks for terabytes.
+func TestFCT2SourceHints(t *testing.T) {
+	tr := randomTrace(9, 120)
+	raw := encode(t, tr)
+	hugeHints := []byte{1} // hinted, then 2^40 symbols, stacks, PIDs and records
+	for i := 0; i < 4; i++ {
+		hugeHints = binary.AppendUvarint(hugeHints, 1<<40)
 	}
-	hints, known := h.SizeHints()
-	if !known || hints.Records != 150 || hints.Syms != tr.NumSyms() ||
-		hints.Stacks != tr.NumStacks() || hints.PIDs != len(tr.PIDs) {
-		t.Fatalf("hints = %+v (known=%v), want exact totals", hints, known)
-	}
-
-	var n, wins int
-	for {
-		win, err := src.Next()
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		n += len(win)
-		wins++
-	}
-	if n != 150 {
-		t.Fatalf("windows carried %d records, want 150", n)
-	}
-	if want := (150 + 15) / 16; wins != want {
-		t.Fatalf("%d windows, want %d", wins, want)
-	}
-
-	got, err := trace.Drain(trace.SourceOf(tr, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tr {
-		t.Fatal("Drain over SourceOf should return the identical trace")
-	}
-}
-
-// TestStreamEncoderIncremental drives the full streaming write path: a
-// Writer with a StreamEncoder subscriber, new symbols interned between
-// windows (forcing multiple incremental table sections), and the result
-// decoded back through the streaming source.
-func TestStreamEncoderIncremental(t *testing.T) {
-	dst := trace.New()
-	w := trace.NewWriter(dst, 5)
-	var buf bytes.Buffer
-	enc, err := trace.NewStreamEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Subscribe(enc.Window)
-
-	stack := dst.PushFrame(trace.NoStack, dst.Intern("main"))
-	for i := 0; i < 33; i++ {
-		// A fresh site every record: every flushed window is preceded by a
-		// new symbol section.
-		r := trace.Record{
-			TS:   int64(2 * i),
-			Kind: trace.KHeapRead,
-			PID:  dst.Intern("node#1"),
-			Site: dst.Intern(fmt.Sprintf("app/f.go:%d", i)),
-			Res:  dst.Intern("heap:node#1:X.f"),
-		}
-		if i%2 == 0 {
-			r.Stack = stack
-		}
-		if i > 0 {
-			r.Causor = trace.OpID(i)
-		}
-		w.Append(r)
-		if i == 10 {
-			dst.AddPID("node#1") // PID section must appear mid-stream too
-		}
-	}
-	dst.CrashStep = 7
-	dst.CrashedPID = "node#1"
-	dst.BaselineNanos = 99
-	w.Flush()
-	if err := enc.Close(dst); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), trace.FormatMagic) {
-		t.Fatalf("stream does not start with %q", trace.FormatMagic)
-	}
-
-	got, err := decodeShapes(t, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(got), flatten(dst)) {
-		t.Fatal("incremental FCT2 stream did not round-trip")
-	}
-}
-
-func TestFCT2SourceNonRetaining(t *testing.T) {
-	tr := randomTrace(7, 300)
-	var buf bytes.Buffer
-	if err := trace.EncodeStream(trace.SourceOf(tr, 11), &buf); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shape := range readerShapes {
-		src, err := trace.NewSource(shape.wrap(buf.Bytes()))
+	for name, hdr := range map[string][]byte{"hint-less": {0}, "2^40 of everything": hugeHints} {
+		alt, err := trace.WithHeader(raw, hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer src.Close()
-		rs, ok := src.(interface{ SetRetain(bool) })
-		if !ok {
-			t.Fatal("FCT2 source does not support SetRetain")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		src, err := trace.NewSource(bytes.NewReader(alt))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s header: %v", name, err)
 		}
-		rs.SetRetain(false)
-
-		// The resolved records are kept past their windows: nothing in them
-		// (the Taint/Ctl lists in particular) may be reused by a later window.
-		var got []trace.RecordData
-		st := src.Trace()
-		for {
-			win, err := src.Next()
-			if err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			for i := range win {
-				got = append(got, st.Data(&win[i]))
-			}
+		src.Close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+			t.Errorf("%s header: %d bytes allocated before the first chunk", name, grew)
 		}
-		if len(st.Records) != 0 {
-			t.Fatalf("%s reader: non-retaining source accumulated %d records", shape.name, len(st.Records))
+		got, err := decodeShapes(t, alt)
+		if err != nil {
+			t.Fatalf("%s header: %v", name, err)
 		}
-		want := flatten(tr)
-		if !reflect.DeepEqual(got, want.Records) {
-			t.Fatalf("%s reader: streamed records diverged from the encoded trace", shape.name)
+		if !reflect.DeepEqual(flatten(got), flatten(tr)) {
+			t.Errorf("%s header: decoded a different trace", name)
 		}
-		// Run metadata must be complete once the stream ends.
-		if st.CrashStep != tr.CrashStep || st.CrashedPID != tr.CrashedPID || st.BaselineNanos != tr.BaselineNanos {
-			t.Fatalf("metadata = (%d, %q, %d), want (%d, %q, %d)",
-				st.CrashStep, st.CrashedPID, st.BaselineNanos, tr.CrashStep, tr.CrashedPID, tr.BaselineNanos)
-		}
-	}
-}
-
-func TestFCT2SourceHints(t *testing.T) {
-	tr := randomTrace(9, 120)
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	src, err := trace.NewSource(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	h, ok := src.(trace.Hinter)
-	if !ok {
-		t.Fatal("FCT2 source does not implement Hinter")
-	}
-	hints, known := h.SizeHints()
-	if !known {
-		t.Fatal("Encode output should carry size hints")
-	}
-	want := trace.SizeHints{Syms: tr.NumSyms(), Stacks: tr.NumStacks(), PIDs: len(tr.PIDs), Records: len(tr.Records)}
-	if hints != want {
-		t.Fatalf("hints = %+v, want %+v", hints, want)
 	}
 }
 
@@ -362,9 +205,8 @@ func TestFCT2SourceHints(t *testing.T) {
 func TestFCT2TruncationEveryBoundary(t *testing.T) {
 	tr := randomTrace(4, 60)
 	var buf bytes.Buffer
-	// Small windows: the payload interleaves table sections and record
-	// chunks, so cuts land in every section kind.
-	if err := trace.EncodeStream(trace.SourceOf(tr, 13), &buf); err != nil {
+	// Small chunks, so cuts land in and between many of them.
+	if err := trace.EncodeChunked(tr, &buf, 13); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -459,19 +301,10 @@ func TestFCT2TruncationCompressed(t *testing.T) {
 func TestFCT2RejectsCorruptSections(t *testing.T) {
 	// An end section that under-declares the record count.
 	dst := trace.New()
-	var buf bytes.Buffer
-	enc, err := trace.NewStreamEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.Window(dst, []trace.Record{{ID: 1, TS: 1, Kind: trace.KHeapRead}})
-	// Close with a different trace so the totals disagree... the encoder
-	// counts windows itself, so instead corrupt the payload: rewrite the
-	// final end-count byte.
-	if err := enc.Close(dst); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	dst.Append(trace.Record{TS: 1, Kind: trace.KHeapRead})
+	// The encoder writes the count it encoded, so corrupt the payload:
+	// rewrite the final end-count byte.
+	raw := encode(t, dst)
 	zr, err := gzip.NewReader(bytes.NewReader(raw[4:]))
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +341,7 @@ func TestFCT2RejectsCorruptSections(t *testing.T) {
 func TestSourceErrorIsSticky(t *testing.T) {
 	tr := randomTrace(6, 50)
 	var buf bytes.Buffer
-	if err := trace.EncodeStream(trace.SourceOf(tr, 7), &buf); err != nil {
+	if err := trace.EncodeChunked(tr, &buf, 7); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

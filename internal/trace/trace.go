@@ -388,27 +388,3 @@ func (ix *Index) Causor(op *Record) *Record {
 	}
 	return ix.T.At(act.Causor)
 }
-
-// WritesTo returns all write-like ops on the resource with Sym y, in trace
-// order.
-func (ix *Index) WritesTo(y Sym) []OpID {
-	var out []OpID
-	for _, id := range ix.ResIDs(y) {
-		if ix.T.At(id).Kind.IsWriteLike() {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// ReadsOf returns all read-like ops on the resource with Sym y, in trace
-// order.
-func (ix *Index) ReadsOf(y Sym) []OpID {
-	var out []OpID
-	for _, id := range ix.ResIDs(y) {
-		if ix.T.At(id).Kind.IsReadLike() {
-			out = append(out, id)
-		}
-	}
-	return out
-}

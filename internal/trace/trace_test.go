@@ -63,9 +63,6 @@ func TestKindPredicates(t *testing.T) {
 	if !trace.KThreadStart.IsActivation() || !trace.KHandlerBegin.IsActivation() {
 		t.Error("activation kinds misclassified")
 	}
-	if !trace.KStDelete.IsStorage() || trace.KHeapRead.IsStorage() {
-		t.Error("storage kinds misclassified")
-	}
 	for _, k := range []trace.Kind{trace.KHeapWrite, trace.KStCreate, trace.KStDelete, trace.KStWrite, trace.KStRename, trace.KKVUpdate} {
 		if !k.IsWriteLike() {
 			t.Errorf("%v should be write-like", k)
@@ -107,12 +104,6 @@ func TestIndexGroupsAndCausality(t *testing.T) {
 	}
 	if c := ix.Causor(tr.At(read)); c == nil || c.ID != spawn {
 		t.Fatalf("Causor(read) = %v, want the spawn op", c)
-	}
-	if got := ix.WritesTo(resSym); len(got) != 1 || got[0] != write {
-		t.Fatalf("WritesTo = %v", got)
-	}
-	if got := ix.ReadsOf(resSym); len(got) != 1 || got[0] != read {
-		t.Fatalf("ReadsOf = %v", got)
 	}
 }
 
