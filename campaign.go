@@ -1,11 +1,13 @@
 package fcatch
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"fcatch/internal/campaign"
+	"fcatch/internal/dist"
 )
 
 // Re-exported campaign types, so downstream users only import this package.
@@ -44,18 +46,35 @@ const (
 // CampaignScenarioNames lists every composite-scenario enumerator.
 func CampaignScenarioNames() []string { return campaign.ScenarioNames() }
 
-// Campaign runs a fault-injection campaign over the workload's fault space
-// with the configured search strategy. Identical (workload, seed, budget,
-// strategy) inputs produce an identical corpus at any Parallelism.
-func Campaign(w Workload, cfg CampaignConfig) (*CampaignResult, error) {
-	return campaign.Run(w, cfg)
+// RunCampaign runs a fault-injection campaign over the workload's fault space
+// with the configured search strategy. A non-nil prior corpus is replayed as
+// a cached prefix (no re-simulation) and the campaign runs live up to
+// cfg.Budget. A nil opts executes the runs in this process at
+// cfg.Parallelism; otherwise a coordinator streams leases of plans over TCP
+// to whichever workers connect (opts.Workers spawns in-process ones) and
+// merges their results in proposal order.
+//
+// Identical (workload, seed, budget, strategy) inputs produce a
+// byte-identical corpus at any Parallelism, worker count, join order or lease
+// interleaving — including workers crashing or hanging mid-lease, whose
+// leases are reassigned. On context cancellation RunCampaign returns the
+// partial result of the complete batches alongside the context error; its
+// corpus is a valid prior for a later run in either mode.
+func RunCampaign(ctx context.Context, w Workload, cfg CampaignConfig, prior *CampaignCorpus, opts *DistOptions) (*CampaignResult, error) {
+	if opts == nil {
+		return campaign.Run(ctx, w, cfg, prior, nil)
+	}
+	return dist.Serve(ctx, w, cfg, prior, *opts)
 }
 
-// ResumeCampaign continues a campaign from a saved corpus: the cached prefix
-// is replayed from the corpus (no re-simulation), and the campaign runs live
-// up to cfg.Budget.
+// Campaign is RunCampaign in this process, from scratch, to completion.
+func Campaign(w Workload, cfg CampaignConfig) (*CampaignResult, error) {
+	return RunCampaign(context.Background(), w, cfg, nil, nil)
+}
+
+// ResumeCampaign is RunCampaign in this process, continuing a saved corpus.
 func ResumeCampaign(w Workload, cfg CampaignConfig, prior *CampaignCorpus) (*CampaignResult, error) {
-	return campaign.Resume(w, cfg, prior)
+	return RunCampaign(context.Background(), w, cfg, prior, nil)
 }
 
 // NewCampaignManifest assembles the end-of-run manifest for a finished

@@ -1,16 +1,19 @@
-// Command fcatch-campaign drives the coverage-guided fault-injection
-// campaign engine: explore a workload's fault space with a search strategy,
-// persist the corpus, resume it later, diff two campaigns, or render the
-// strategy-comparison table (the extended Section 8.3 experiment).
+// Command fcatch-campaign drives the fault-injection campaign engine: explore
+// a workload's fault space with a search strategy, persist the corpus, resume
+// it later, or diff two campaigns.
 //
 //	fcatch-campaign -workload MR1 -strategy coverage-guided -runs 400
 //	fcatch-campaign -workload MR1 -runs 400 -corpus mr1.json   # save corpus
 //	fcatch-campaign -resume mr1.json -runs 800                 # continue it
 //	fcatch-campaign -diff a.json -diff2 b.json                 # compare finds
-//	fcatch-campaign -compare -runs 400                         # all workloads × all strategies
 //	fcatch-campaign -workload MR1 -runs 400 -scenarios crash+recovery-crash
-//	fcatch-campaign -workload MR1 -runs 4000 -workers 4        # distributed, in-process fleet
-//	fcatch-campaign -workload MR1 -runs 4000 -serve :9093      # distributed, external fcatch-workers
+//	fcatch-campaign -workload MR1 -runs 4000 -workers 4        # same campaign, in-process worker fleet
+//	fcatch-campaign -workload MR1 -runs 4000 -serve :9093      # same campaign, external fcatch-workers
+//
+// Every campaign takes one path: -workers/-serve only decide where injection
+// runs execute, and the corpus is byte-identical either way. SIGINT/SIGTERM
+// keeps the complete batches: the run renders what it has, saves it with
+// -corpus as a partial corpus that -resume continues, and exits 130.
 //
 // A corpus file is schema version 3 — each entry's plan is the JSON array of
 // its fault events, whose key is the `fcatch detect -scenario` string that
@@ -22,6 +25,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -32,64 +37,15 @@ import (
 	"fcatch/internal/cliflag"
 )
 
-// instrumentation bundles the observability flags: the shared registry (nil
-// when nothing asked for one — the no-op fast path), the -metrics manifest
-// path, the distributed -metrics-addr endpoint, and -progress stderr lines.
-// All of it is observe-only: the corpus is byte-identical either way.
-type instrumentation struct {
-	reg      *fcatch.Metrics
-	out      string
-	addr     string
-	progress bool
-}
-
-// hook returns the Config.Progress callback, or nil when -progress is off.
-func (ins *instrumentation) hook() func(fcatch.CampaignProgress) {
-	if !ins.progress {
-		return nil
-	}
-	return func(p fcatch.CampaignProgress) {
-		fmt.Fprintf(os.Stderr,
-			"fcatch-campaign: %s/%s %d/%d runs (%d cached, %d executed) %.0f runs/s, %d distinct failure(s), dedupe %.0f%%\n",
-			p.Workload, p.Strategy, p.Runs, p.Budget, p.Cached, p.Executed,
-			p.RunsPerSec(), p.DistinctFailures, 100*p.DedupeRate())
-	}
-}
-
-// writeManifest writes the end-of-run manifest when -metrics was given.
-func (ins *instrumentation) writeManifest(res *fcatch.CampaignResult, budget int, elapsed time.Duration) {
-	if ins.out == "" {
-		return
-	}
-	m := fcatch.NewCampaignManifest(res, budget, elapsed, ins.reg)
-	w := os.Stdout
-	if ins.out != "-" {
-		f, err := os.Create(ins.out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := m.WriteJSON(w); err != nil {
-		fatal(err)
-	}
-	if ins.out != "-" {
-		fmt.Fprintf(os.Stderr, "fcatch-campaign: wrote run manifest to %s\n", ins.out)
-	}
-}
-
 func main() {
-	workload := flag.String("workload", "", "one workload (default with -compare: all six)")
+	workload := flag.String("workload", "", "workload to run the campaign on (-resume takes it from the corpus)")
 	strategy := flag.String("strategy", fcatch.StrategyCoverage, "search strategy: random | exhaustive-site | coverage-guided")
 	runs := flag.Int("runs", 400, "run budget (total, including a resumed prefix)")
 	seed := flag.Int64("seed", 1, "deterministic base seed")
-	parallelism := cliflag.Parallelism(flag.CommandLine, "injection runs")
+	parallelism := cliflag.Parallelism(flag.CommandLine, "injection runs, per worker under -workers")
 	batch := flag.Int("batch", 0, "max runs between strategy re-weightings (0 = strategy default)")
-	corpus := flag.String("corpus", "", "save the campaign corpus (schema version 3: plans are -scenario event lists) to this JSON file")
-	resume := flag.String("resume", "", "resume the campaign recorded in this corpus file (schema version 3 only)")
-	spaceTrace := flag.String("space-trace", "", "enumerate the fault space from this saved fault-free trace (same workload/seed) instead of re-simulating it")
-	compare := flag.Bool("compare", false, "render the strategy-comparison table instead of one campaign")
+	corpus := flag.String("corpus", "", "save the campaign corpus (schema version 3: plans are -scenario event lists) to this JSON file; an interrupted campaign saves its complete batches")
+	resume := flag.String("resume", "", "resume the campaign recorded in this corpus file (schema version 3 only); workload, strategy, seed and scenarios come from the file")
 	diffA := flag.String("diff", "", "diff mode: first corpus file (schema version 3 only)")
 	diffB := flag.String("diff2", "", "diff mode: second corpus file")
 	serve := flag.String("serve", "", "distributed: listen on this host:port for fcatch-worker processes")
@@ -98,33 +54,120 @@ func main() {
 	scenarioFlag := flag.String("scenarios", "", "comma-separated composite-scenario enumerators to append to the fault space: "+
 		strings.Join(fcatch.CampaignScenarioNames(), " | "))
 	metricsOut := cliflag.Metrics(flag.CommandLine)
-	metricsAddr := flag.String("metrics-addr", "", "distributed: serve Prometheus-text metrics on http://<host:port>/metrics while the campaign runs")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text metrics on http://<host:port>/metrics while the campaign runs")
 	progress := flag.Bool("progress", false, "print a progress line to stderr after every committed batch")
 	flag.Parse()
-	scenarios := splitScenarios(*scenarioFlag)
-	ins := &instrumentation{
-		reg:      cliflag.NewRegistry(*metricsOut, *metricsAddr != ""),
-		out:      *metricsOut,
-		addr:     *metricsAddr,
-		progress: *progress,
-	}
 
-	switch {
-	case *diffA != "" || *diffB != "":
+	if *diffA != "" || *diffB != "" {
 		if *diffA == "" || *diffB == "" {
 			fatal(fmt.Errorf("-diff and -diff2 must both be given"))
 		}
 		runDiff(*diffA, *diffB)
+		return
+	}
 
-	case *compare:
-		runCompare(*workload, *runs, *seed, *parallelism)
+	// A resumed campaign takes its identity from the corpus; flags only
+	// extend the budget.
+	scenarios := splitScenarios(*scenarioFlag)
+	var prior *fcatch.CampaignCorpus
+	if *resume != "" {
+		var err error
+		if prior, err = fcatch.LoadCampaignCorpus(*resume); err != nil {
+			fatal(err)
+		}
+		*workload, *strategy, *seed = prior.Workload, prior.Strategy, prior.Seed
+		if len(scenarios) == 0 {
+			scenarios = prior.Scenarios
+		}
+		fmt.Fprintf(os.Stderr, "fcatch-campaign: resuming %s/%s (seed %d) from %d cached run(s)\n",
+			*workload, *strategy, *seed, len(prior.Entries))
+	}
+	if *workload == "" {
+		fatal(fmt.Errorf("-workload is required (or -resume); see `fcatch list`"))
+	}
+	w, err := fcatch.ByName(*workload)
+	if err != nil {
+		fatal(err)
+	}
 
-	case *serve != "" || *workers > 0:
-		runDistributed(*workload, *strategy, *runs, *seed, *parallelism, *batch,
-			*corpus, *resume, *serve, *workers, *leaseSize, scenarios, ins)
+	// Observe-only instrumentation: the corpus is byte-identical with or
+	// without it. reg stays nil (the no-op registry) unless a flag reads it.
+	reg := cliflag.NewRegistry(*metricsOut, *metricsAddr != "")
+	if *metricsAddr != "" {
+		ln, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			fatal(fmt.Errorf("metrics listen %s: %w", *metricsAddr, err))
+		}
+		fmt.Fprintf(os.Stderr, "fcatch-campaign: serving metrics on http://%s/metrics\n", ln.Addr())
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", reg)
+		go func() { _ = http.Serve(ln, mux) }()
+	}
+	cfg := fcatch.CampaignConfig{
+		Strategy:    *strategy,
+		Seed:        *seed,
+		Budget:      *runs,
+		Parallelism: *parallelism,
+		BatchSize:   *batch,
+		Scenarios:   scenarios,
+		Metrics:     reg,
+	}
+	if *progress {
+		cfg.Progress = func(p fcatch.CampaignProgress) {
+			fmt.Fprintf(os.Stderr,
+				"fcatch-campaign: %s/%s %d/%d runs (%d cached, %d executed) %.0f runs/s, %d distinct failure(s), dedupe %.0f%%\n",
+				p.Workload, p.Strategy, p.Runs, p.Budget, p.Cached, p.Executed,
+				p.RunsPerSec(), p.DistinctFailures, 100*p.DedupeRate())
+		}
+	}
 
-	default:
-		runCampaign(*workload, *strategy, *runs, *seed, *parallelism, *batch, *corpus, *resume, *spaceTrace, scenarios, ins)
+	// -serve/-workers move the injection runs to workers (external and/or
+	// in-process); everything else about the campaign is the same.
+	var opts *fcatch.DistOptions
+	if *serve != "" || *workers > 0 {
+		opts = &fcatch.DistOptions{
+			Addr:              *serve,
+			Workers:           *workers,
+			WorkerParallelism: *parallelism,
+			LeaseSize:         *leaseSize,
+			Metrics:           reg,
+			OnListen: func(addr string) {
+				fmt.Fprintf(os.Stderr, "fcatch-campaign: serving leases on %s (%d in-process worker(s))\n", addr, *workers)
+			},
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		}
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	start := time.Now()
+	res, err := fcatch.RunCampaign(ctx, w, cfg, prior, opts)
+	elapsed := time.Since(start)
+	interrupted := errors.Is(err, context.Canceled) && res != nil
+	if err != nil && !interrupted {
+		fatal(err)
+	}
+	if interrupted {
+		fmt.Fprintf(os.Stderr, "fcatch-campaign: interrupted at %d/%d run(s); complete batches kept\n", res.Runs, *runs)
+	}
+	fmt.Print(fcatch.RenderCampaign(res))
+	if *corpus != "" {
+		if err := res.Corpus.Save(*corpus); err != nil {
+			fatal(err)
+		}
+		what := "corpus"
+		if interrupted {
+			what = "partial corpus (resume with -resume)"
+		}
+		fmt.Fprintf(os.Stderr, "fcatch-campaign: saved %s (%d runs) to %s\n", what, res.Runs, *corpus)
+	}
+	if *metricsOut != "" {
+		writeManifest(*metricsOut, fcatch.NewCampaignManifest(res, *runs, elapsed, reg))
+	}
+	if interrupted {
+		os.Exit(130)
 	}
 }
 
@@ -139,157 +182,23 @@ func splitScenarios(s string) []string {
 	return out
 }
 
-// loadResume loads a prior corpus and pins the campaign identity from it
-// (flags only extend the budget on resume).
-func loadResume(resume string, workload, strategy *string, seed *int64) *fcatch.CampaignCorpus {
-	if resume == "" {
-		return nil
-	}
-	prior, err := fcatch.LoadCampaignCorpus(resume)
-	if err != nil {
-		fatal(err)
-	}
-	*workload, *strategy, *seed = prior.Workload, prior.Strategy, prior.Seed
-	fmt.Fprintf(os.Stderr, "fcatch-campaign: resuming %s/%s (seed %d) from %d cached run(s)\n",
-		*workload, *strategy, *seed, len(prior.Entries))
-	return prior
-}
-
-// runDistributed drives a coordinator: the campaign engine runs here, leases
-// stream to in-process (-workers) and/or external (-serve + fcatch-worker)
-// workers, and the merged corpus is byte-identical to a local run. SIGINT
-// drains gracefully: complete batches are kept, and with -corpus the partial
-// corpus is saved as a resume point.
-func runDistributed(workload, strategy string, runs int, seed int64, parallelism, batch int, corpusOut, resume, serve string, workers, leaseSize int, scenarios []string, ins *instrumentation) {
-	prior := loadResume(resume, &workload, &strategy, &seed)
-	if prior != nil && len(scenarios) == 0 {
-		scenarios = prior.Scenarios
-	}
-	if workload == "" {
-		fatal(fmt.Errorf("-workload is required (or -resume); see `fcatch list`"))
-	}
-	w, err := fcatch.ByName(workload)
-	if err != nil {
-		fatal(err)
-	}
-
-	cfg := fcatch.CampaignConfig{
-		Strategy:  strategy,
-		Seed:      seed,
-		Budget:    runs,
-		BatchSize: batch,
-		Scenarios: scenarios,
-		Metrics:   ins.reg,
-		Progress:  ins.hook(),
-	}
-	opts := fcatch.DistOptions{
-		Addr:              serve,
-		Workers:           workers,
-		WorkerParallelism: parallelism,
-		LeaseSize:         leaseSize,
-		Metrics:           ins.reg,
-		MetricsAddr:       ins.addr,
-		OnListen: func(addr string) {
-			fmt.Fprintf(os.Stderr, "fcatch-campaign: serving leases on %s (%d in-process worker(s))\n", addr, workers)
-		},
-		OnMetricsListen: func(addr string) {
-			fmt.Fprintf(os.Stderr, "fcatch-campaign: serving metrics on http://%s/metrics\n", addr)
-		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	start := time.Now()
-	res, err := fcatch.ResumeDistributedCampaign(ctx, w, cfg, prior, opts)
-	elapsed := time.Since(start)
-	interrupted := errors.Is(err, context.Canceled) && res != nil
-	if err != nil && !interrupted {
-		fatal(err)
-	}
-	if interrupted {
-		fmt.Fprintf(os.Stderr, "fcatch-campaign: interrupted at %d/%d run(s); complete batches kept\n", res.Runs, runs)
-	}
-	fmt.Print(fcatch.RenderCampaign(res))
-	if corpusOut != "" {
-		if err := res.Corpus.Save(corpusOut); err != nil {
-			fatal(err)
-		}
-		what := "corpus"
-		if interrupted {
-			what = "partial corpus (resume with -resume)"
-		}
-		fmt.Fprintf(os.Stderr, "fcatch-campaign: saved %s (%d runs) to %s\n", what, res.Runs, corpusOut)
-	}
-	ins.writeManifest(res, runs, elapsed)
-	if interrupted {
-		os.Exit(130)
-	}
-}
-
-func runCampaign(workload, strategy string, runs int, seed int64, parallelism, batch int, corpusOut, resume, spaceTrace string, scenarios []string, ins *instrumentation) {
-	prior := loadResume(resume, &workload, &strategy, &seed)
-	if prior != nil && len(scenarios) == 0 {
-		scenarios = prior.Scenarios
-	}
-	if workload == "" {
-		fatal(fmt.Errorf("-workload is required (or -resume / -compare); see `fcatch list`"))
-	}
-	w, err := fcatch.ByName(workload)
-	if err != nil {
-		fatal(err)
-	}
-
-	cfg := fcatch.CampaignConfig{
-		Strategy:    strategy,
-		Seed:        seed,
-		Budget:      runs,
-		Parallelism: parallelism,
-		BatchSize:   batch,
-		Scenarios:   scenarios,
-		Metrics:     ins.reg,
-		Progress:    ins.hook(),
-	}
-	if spaceTrace != "" {
-		if cfg.SpaceTrace, err = fcatch.LoadTrace(spaceTrace); err != nil {
-			fatal(err)
-		}
-	}
-	start := time.Now()
-	res, err := fcatch.ResumeCampaign(w, cfg, prior)
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	fmt.Print(fcatch.RenderCampaign(res))
-
-	if corpusOut != "" {
-		if err := res.Corpus.Save(corpusOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "fcatch-campaign: saved corpus (%d runs) to %s\n", res.Runs, corpusOut)
-	}
-	ins.writeManifest(res, runs, elapsed)
-}
-
-func runCompare(workload string, runs int, seed int64, parallelism int) {
-	targets := fcatch.Workloads()
-	if workload != "" {
-		w, err := fcatch.ByName(workload)
+// writeManifest writes the -metrics end-of-run manifest ("-" = stdout).
+func writeManifest(path string, m fcatch.CampaignManifest) {
+	w := os.Stdout
+	if path != "-" {
+		f, err := os.Create(path)
 		if err != nil {
 			fatal(err)
 		}
-		targets = []fcatch.Workload{w}
+		defer f.Close()
+		w = f
 	}
-	fmt.Fprintf(os.Stderr, "fcatch-campaign: comparing %d strategies + fcatch-directed on %d workload(s), %d runs each...\n",
-		3, len(targets), runs)
-	rows, err := fcatch.CompareStrategies(targets, runs, seed, parallelism)
-	if err != nil {
+	if err := m.WriteJSON(w); err != nil {
 		fatal(err)
 	}
-	fmt.Print(fcatch.RenderStrategyComparison(rows, runs))
+	if path != "-" {
+		fmt.Fprintf(os.Stderr, "fcatch-campaign: wrote run manifest to %s\n", path)
+	}
 }
 
 func runDiff(pathA, pathB string) {

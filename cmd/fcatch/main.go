@@ -3,7 +3,6 @@
 //	fcatch list                           # show the benchmark workloads
 //	fcatch detect  -workload MR1          # observe + detect, print reports
 //	fcatch trigger -workload MR1          # detect, then trigger every report
-//	fcatch random  -workload MR1 -runs 400
 //	fcatch trace   -workload MR1 -out mr1 # save the observed trace pair
 package main
 
@@ -26,7 +25,6 @@ commands:
   list      list the benchmark workloads (Table 1)
   detect    observe correct runs and predict TOF bugs
   trigger   detect, then trigger and classify every report
-  random    run the random fault-injection baseline (Section 8.3)
   repro     reproduce one catalogued bug end to end (-bug MR1)
   trace     observe and save the correct-run trace pair to disk
   grep      observe, then print trace records matching filters
@@ -45,7 +43,6 @@ func main() {
 	workload := fs.String("workload", "MR1", "benchmark workload name (see `fcatch list`)")
 	seed := fs.Int64("seed", 1, "deterministic scheduler seed")
 	phase := fs.String("phase", "begin", "observation crash phase: begin|middle|end")
-	runs := fs.Int("runs", 400, "random-injection run count")
 	out := fs.String("out", "", "output path prefix for saved traces")
 	bug := fs.String("bug", "", "catalogued bug ID for `repro` (e.g. MR1, HB5)")
 	kind := fs.String("kind", "", "grep: op kind filter (e.g. msg-send, kv-update)")
@@ -55,7 +52,7 @@ func main() {
 	in := fs.String("in", "", "grep: search a saved trace file instead of re-observing the workload")
 	scenario := fs.String("scenario", "", "faulty-run fault scenario, e.g. \"step=120,restart=40;delay=48\" (default: the workload's single crash)")
 	explain := fs.Bool("explain", false, "detect: print the per-rule pruning kill table and per-candidate decision trail")
-	parallelism := cliflag.Parallelism(fs, "detect/trigger/random runs")
+	parallelism := cliflag.Parallelism(fs, "detect/trigger runs")
 	metricsOut := cliflag.Metrics(fs)
 	_ = fs.Parse(os.Args[2:])
 
@@ -147,15 +144,6 @@ func main() {
 					o.FailureKind, o.Detail, o.Variant, fcatch.FormatScenario(o.Scenario))
 			}
 		}
-
-	case "random":
-		res, err := fcatch.Campaign(w, fcatch.CampaignConfig{
-			Strategy: fcatch.StrategyRandom, Seed: *seed, Budget: *runs, Parallelism: *parallelism,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(fcatch.RenderRandom([]*fcatch.CampaignResult{res}))
 
 	case "trace":
 		obs, err := core.Observe(w, opts)

@@ -16,27 +16,9 @@ type (
 	CampaignWorkerConfig = dist.WorkerConfig
 )
 
-// DistributedCampaign runs a fault-injection campaign sharded across worker
-// processes over TCP. The coordinator enumerates the fault space, streams
-// leases of plans to whichever workers connect (opts.Workers spawns
-// in-process ones), and merges results deterministically: the corpus is
-// byte-identical to Campaign with Parallelism=1 at any worker count, join
-// order, or lease interleaving — including workers crashing or hanging
-// mid-lease, whose leases are reassigned.
-//
-// On context cancellation it returns the partial result of the complete
-// batches alongside the context error; the partial corpus is a valid resume
-// point for ResumeDistributedCampaign or ResumeCampaign.
+// DistributedCampaign is RunCampaign from scratch on a coordinator.
 func DistributedCampaign(ctx context.Context, w Workload, cfg CampaignConfig, opts DistOptions) (*CampaignResult, error) {
-	return dist.Serve(ctx, w, cfg, nil, opts)
-}
-
-// ResumeDistributedCampaign continues a campaign from a saved corpus with
-// distributed execution: the cached prefix replays from the corpus and only
-// the remaining budget is leased out. Local and distributed runs share one
-// resume path — a corpus saved by either resumes under either.
-func ResumeDistributedCampaign(ctx context.Context, w Workload, cfg CampaignConfig, prior *CampaignCorpus, opts DistOptions) (*CampaignResult, error) {
-	return dist.Serve(ctx, w, cfg, prior, opts)
+	return RunCampaign(ctx, w, cfg, nil, &opts)
 }
 
 // RunCampaignWorker connects to a coordinator and executes leases until the

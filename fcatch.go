@@ -22,7 +22,6 @@ package fcatch
 
 import (
 	"fmt"
-	"io"
 
 	"fcatch/internal/apps/cassandra"
 	"fcatch/internal/apps/hbase"
@@ -234,15 +233,9 @@ const (
 	TraceFormatVersion = trace.FormatVersion
 )
 
-// SaveTrace writes a trace to path in the current binary format.
-func SaveTrace(t *Trace, path string) error { return t.Save(path) }
-
-// LoadTrace reads a trace saved by SaveTrace; anything else is rejected as an
-// unrecognized trace format.
+// LoadTrace reads a trace saved by Trace.Save; anything else is rejected as
+// an unrecognized trace format.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
-
-// DecodeTrace is LoadTrace over an arbitrary reader.
-func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
 
 // ReportGroup is a correlated set of crash-recovery reports (the Section 2.3
 // multi-resource extension).

@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestToyWorkloadEndToEnd(t *testing.T) {
 }
 
 func TestRandomCampaignOnToyMostlyTolerates(t *testing.T) {
-	res, err := campaign.Run(toy.New(), campaign.Config{Strategy: campaign.StrategyRandom, Seed: 1, Budget: 60})
+	res, err := campaign.Run(context.Background(), toy.New(), campaign.Config{Strategy: campaign.StrategyRandom, Seed: 1, Budget: 60}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

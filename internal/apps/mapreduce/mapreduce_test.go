@@ -1,6 +1,7 @@
 package mapreduce_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestMR3TriggerableByReplyDrop(t *testing.T) {
 }
 
 func TestRandomInjectionFindsTheFalseNegative(t *testing.T) {
-	res, err := campaign.Run(mapreduce.NewMR1(), campaign.Config{Strategy: campaign.StrategyRandom, Seed: 1, Budget: 120})
+	res, err := campaign.Run(context.Background(), mapreduce.NewMR1(), campaign.Config{Strategy: campaign.StrategyRandom, Seed: 1, Budget: 120}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"fcatch/internal/apps/hbase"
@@ -15,6 +14,16 @@ import (
 	"fcatch/internal/sim"
 	"fcatch/internal/trace"
 )
+
+// run and resume are Run as most tests here need it: in this process, to
+// completion, from scratch or from a prior corpus.
+func run(w core.Workload, cfg Config) (*Result, error) {
+	return Run(context.Background(), w, cfg, nil, nil)
+}
+
+func resume(w core.Workload, cfg Config, prior *Corpus) (*Result, error) {
+	return Run(context.Background(), w, cfg, prior, nil)
+}
 
 func TestStripPID(t *testing.T) {
 	cases := map[string]string{
@@ -192,7 +201,7 @@ func TestCampaignParallelismInvariant(t *testing.T) {
 	for _, strat := range StrategyNames() {
 		var want string
 		for _, par := range []int{1, 4, 0} {
-			res, err := Run(toy.New(), Config{Strategy: strat, Seed: 5, Budget: 30, Parallelism: par})
+			res, err := run(toy.New(), Config{Strategy: strat, Seed: 5, Budget: 30, Parallelism: par})
 			if err != nil {
 				t.Fatalf("%s: %v", strat, err)
 			}
@@ -265,7 +274,7 @@ func keys(m map[string]Plan) []string {
 // uninterrupted campaign would have produced.
 func TestCampaignResume(t *testing.T) {
 	cfg := Config{Strategy: StrategyCoverage, Seed: 2, Budget: 12, Parallelism: 2}
-	half, err := Run(toy.New(), cfg)
+	half, err := run(toy.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +289,11 @@ func TestCampaignResume(t *testing.T) {
 	}
 
 	cfg.Budget = 30
-	resumed, err := Resume(toy.New(), cfg, prior)
+	resumed, err := resume(toy.New(), cfg, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := Run(toy.New(), cfg)
+	oneShot, err := run(toy.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +307,7 @@ func TestCampaignResume(t *testing.T) {
 
 	// Identity mismatches are rejected rather than silently re-run.
 	bad := Config{Strategy: StrategyCoverage, Seed: 3, Budget: 30}
-	if _, err := Resume(toy.New(), bad, prior); err == nil {
+	if _, err := resume(toy.New(), bad, prior); err == nil {
 		t.Fatal("resume with a different seed should fail")
 	}
 }
@@ -312,11 +321,11 @@ func TestCampaignResume(t *testing.T) {
 func TestCoverageGuidedBeatsRandom(t *testing.T) {
 	const budget = 400
 	for _, w := range []core.Workload{toy.New(), hbase.NewHB1()} {
-		rnd, err := Run(w, Config{Strategy: StrategyRandom, Seed: 1, Budget: budget})
+		rnd, err := run(w, Config{Strategy: StrategyRandom, Seed: 1, Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cov, err := Run(w, Config{Strategy: StrategyCoverage, Seed: 1, Budget: budget})
+		cov, err := run(w, Config{Strategy: StrategyCoverage, Seed: 1, Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +364,7 @@ func TestCorpusDiff(t *testing.T) {
 }
 
 func TestUnknownStrategyRejected(t *testing.T) {
-	if _, err := Run(toy.New(), Config{Strategy: "simulated-annealing", Budget: 1}); err == nil {
+	if _, err := run(toy.New(), Config{Strategy: "simulated-annealing", Budget: 1}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -364,7 +373,7 @@ func TestUnknownStrategyRejected(t *testing.T) {
 // is exhausted instead of re-running plans (the simulator is deterministic,
 // so repeats cannot find anything new).
 func TestExhaustiveStopsAtSpace(t *testing.T) {
-	res, err := Run(toy.New(), Config{Strategy: StrategyExhaustive, Seed: 1, Budget: 10_000})
+	res, err := run(toy.New(), Config{Strategy: StrategyExhaustive, Seed: 1, Budget: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,52 +472,6 @@ func TestFoldsAreWindowInvariant(t *testing.T) {
 	}
 }
 
-// TestSpaceTraceReusable: Config.SpaceTrace is only read. Two campaigns and
-// a resume started from one config enumerate the same space and write the
-// corpus a from-scratch campaign writes, and a strategy that would ignore the
-// trace refuses it.
-func TestSpaceTraceReusable(t *testing.T) {
-	w := toy.New()
-	cfg := Config{Strategy: StrategyCoverage, Seed: 1, Budget: 12, Parallelism: 1}
-	scratch, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := corpusJSON(t, scratch.Corpus)
-
-	c, _ := tracedFaultFree(t, w)
-	cfg.SpaceTrace = c.Trace()
-	first, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(w, cfg, first.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*Result{"first": first, "second": second, "resumed": resumed} {
-		if res.Runs != cfg.Budget || res.SpacePoints != scratch.SpacePoints {
-			t.Errorf("%s campaign: %d runs over %d points, want %d over %d",
-				name, res.Runs, res.SpacePoints, cfg.Budget, scratch.SpacePoints)
-		}
-		if got := corpusJSON(t, res.Corpus); got != want {
-			t.Errorf("%s campaign's corpus differs from the from-scratch one", name)
-		}
-	}
-	if resumed.CachedRuns != cfg.Budget {
-		t.Errorf("resume re-executed %d of %d runs", resumed.ExecutedRuns, cfg.Budget)
-	}
-
-	cfg.Strategy = StrategyRandom
-	if _, err := Run(w, cfg); err == nil || !strings.Contains(err.Error(), "-space-trace needs a site strategy") {
-		t.Errorf("random strategy with a SpaceTrace: err = %v, want a refusal", err)
-	}
-}
-
 // interruptingExecutor executes batches on the worker path (ExecPlans) and
 // cancels the campaign at the start of its Nth batch — a deterministic
 // mid-batch interruption.
@@ -535,7 +498,7 @@ func (e *interruptingExecutor) ExecuteBatch(ctx context.Context, plans []Plan) (
 // converges byte-for-byte with a never-interrupted run.
 func TestResumeAfterMidBatchInterruption(t *testing.T) {
 	cfg := Config{Strategy: StrategyRandom, Seed: 9, Budget: 120, BatchSize: 20, Parallelism: 1}
-	want, err := Run(toy.New(), cfg)
+	want, err := run(toy.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +506,7 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ex := &interruptingExecutor{w: toy.New(), cfg: cfg, failAt: 3, cancel: cancel}
-	partial, err := ResumeWith(ctx, toy.New(), cfg, nil, ex)
+	partial, err := Run(ctx, toy.New(), cfg, nil, ex)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted campaign: err = %v, want context.Canceled", err)
 	}
@@ -559,7 +522,7 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Resume(toy.New(), cfg, prior)
+	resumed, err := resume(toy.New(), cfg, prior)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fcatch/internal/obs"
 	"fcatch/internal/parallel"
 	"fcatch/internal/sim"
-	"fcatch/internal/trace"
 )
 
 // Config parameterizes one campaign.
@@ -33,19 +32,10 @@ type Config struct {
 	// (0 = let the strategy choose; the random and exhaustive strategies
 	// take everything, coverage-guided works in rounds).
 	BatchSize int
-	// MaxOccurrence caps per-site occurrences in the fault space (0 = 3).
-	MaxOccurrence int
 	// Scenarios names the composite-scenario enumerators (see ScenarioNames)
 	// appended to the fault space after the single-fault points. Requires a
 	// site strategy (the random baseline samples raw steps).
 	Scenarios []string
-	// SpaceTrace, when set, is a previously saved fault-free trace: site
-	// strategies enumerate the fault space from it instead of re-simulating
-	// a traced fault-free run (it is only read, so one config may start any
-	// number of campaigns). Requires a site strategy. The trace must come
-	// from the same workload and seed or the enumerated space — and hence
-	// the whole campaign — will diverge from a from-scratch run.
-	SpaceTrace *trace.Trace
 	// Metrics, when non-nil, receives per-strategy proposal/accept counters
 	// (proposed, cached, executed, novel, failures). Strictly observe-only:
 	// the corpus is byte-identical with or without it. nil is a cheap no-op.
@@ -156,8 +146,8 @@ type Executor interface {
 	ExecuteBatch(ctx context.Context, plans []Plan) ([]RunResult, error)
 }
 
-// localExecutor is the in-process executor: the PR-2 batch fan-out through
-// internal/parallel, now cancellable at run granularity.
+// localExecutor is the in-process executor: one batch fanned out through
+// internal/parallel, cancellable at run granularity.
 type localExecutor struct {
 	w           core.Workload
 	seed        int64
@@ -186,33 +176,26 @@ func ExecPlans(ctx context.Context, w core.Workload, seed int64, traced bool, pa
 }
 
 // StrategyTraced reports whether campaigns under this strategy trace their
-// injection runs (site strategies do; the random baseline runs untraced).
-// Distributed coordinators send it to workers so a lease executes with
-// exactly the tracing mode the local engine would use.
+// injection runs (site strategies do, "" being the coverage-guided default;
+// the random baseline runs untraced). Distributed coordinators send it to
+// workers so a lease executes with exactly the tracing mode the local engine
+// would use.
 func StrategyTraced(strategy string) bool { return needsSpace(strategy) }
 
-// Run executes a campaign from scratch.
-func Run(w core.Workload, cfg Config) (*Result, error) {
-	return Resume(w, cfg, nil)
-}
-
-// Resume executes a campaign, reusing a prior corpus as a cached prefix:
-// because strategies are deterministic, re-proposed plans that match the
-// prior corpus run-for-run are answered from the corpus instead of being
-// re-simulated, and the campaign continues live past the cached prefix.
-// Passing a larger Budget than the prior run extends the campaign; passing
-// the same Budget replays it (and verifies the corpus is self-consistent).
-func Resume(w core.Workload, cfg Config, prior *Corpus) (*Result, error) {
-	return ResumeWith(context.Background(), w, cfg, prior, nil)
-}
-
-// ResumeWith is Resume with an explicit context and a pluggable executor
-// (nil = run plans in-process). On cancellation it returns the partial
-// result accumulated from complete batches alongside the context error; the
-// partial corpus is a valid resume point because batches commit atomically —
-// an interrupted batch contributes nothing, and on resume the deterministic
-// strategy re-proposes it from the same state.
-func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec Executor) (*Result, error) {
+// Run executes a campaign. A non-nil prior corpus is reused as a cached
+// prefix: because strategies are deterministic, re-proposed plans that match
+// it run-for-run are answered from the corpus instead of being re-simulated,
+// and the campaign continues live past the prefix (a larger Budget than the
+// prior run extends the campaign; the same Budget replays it and verifies the
+// corpus is self-consistent). A nil exec runs plans in-process at
+// cfg.Parallelism.
+//
+// On cancellation Run returns the partial result accumulated from complete
+// batches alongside the context error; the partial corpus is a valid resume
+// point because batches commit atomically — an interrupted batch contributes
+// nothing, and on resume the deterministic strategy re-proposes it from the
+// same state.
+func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec Executor) (*Result, error) {
 	cfg = cfg.withDefaults()
 	st, err := NewStrategy(cfg.Strategy)
 	if err != nil {
@@ -246,20 +229,14 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 	// trace of its own.
 	traced := needsSpace(cfg.Strategy)
 	var sp *Space
-	switch {
-	case cfg.SpaceTrace != nil && !traced:
-		return nil, fmt.Errorf("campaign: -space-trace needs a site strategy (%s or %s), not %s",
-			StrategyExhaustive, StrategyCoverage, cfg.Strategy)
-	case cfg.SpaceTrace != nil:
-		sp = NewSpace(cfg.SpaceTrace, base.Steps, w.CrashTarget(), cfg.MaxOccurrence)
-	case traced:
+	if traced {
 		fold := newSpaceFold(base.Steps, w.CrashTarget())
 		_, tOut := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceSelective, Fold: fold.Window})
 		if tOut.CheckErr != nil {
 			return nil, fmt.Errorf("campaign: traced fault-free run of %s incorrect: %w", w.Name(), tOut.CheckErr)
 		}
-		sp = fold.finish(cfg.MaxOccurrence)
-	default:
+		sp = fold.finish(maxOccurrenceDefault)
+	} else {
 		sp = &Space{Target: w.CrashTarget(), BaseSteps: base.Steps}
 	}
 	if len(cfg.Scenarios) > 0 {
@@ -334,7 +311,7 @@ func ResumeWith(ctx context.Context, w core.Workload, cfg Config, prior *Corpus,
 			if err != nil {
 				// The batch is abandoned whole: the result so far covers only
 				// complete batches, which keeps the corpus a valid resume
-				// point for a later ResumeWith.
+				// point for a later Run.
 				res.NovelBehaviors = cor.NovelBehaviors()
 				endBatch()
 				return res, err

@@ -34,7 +34,7 @@ func TestRetiredCorpusSchemasFailClosed(t *testing.T) {
 		}
 		prior := &Corpus{Version: c.version, Workload: "TOY", Strategy: StrategyCoverage, Seed: 2}
 		cfg := Config{Strategy: StrategyCoverage, Seed: 2, Budget: 4}
-		if res, err := Resume(toy.New(), cfg, prior); err == nil || res != nil || !strings.Contains(err.Error(), want) {
+		if res, err := resume(toy.New(), cfg, prior); err == nil || res != nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Resume(version %d) = %v, %v; want an error naming %q", c.version, res, err, want)
 		}
 	}
@@ -123,7 +123,7 @@ func FuzzDecodeCorpus(f *testing.F) {
 // Parallelism 4 this also proves no run writes the plans the batch shares;
 // the saved corpus shows none of them leaked a "target".
 func TestRandomCorpusHasNoTarget(t *testing.T) {
-	res, err := Run(toy.New(), Config{Strategy: StrategyRandom, Seed: 1, Budget: 48, Parallelism: 4})
+	res, err := run(toy.New(), Config{Strategy: StrategyRandom, Seed: 1, Budget: 48, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +224,14 @@ func TestRecoveryCrashScenarioFires(t *testing.T) {
 // strategy that never enumerates the site space, and refuses to resume a
 // corpus under a different scenario set.
 func TestScenarioConfigGating(t *testing.T) {
-	if _, err := Run(toy.New(), Config{Strategy: StrategyRandom, Seed: 1, Budget: 4,
+	if _, err := run(toy.New(), Config{Strategy: StrategyRandom, Seed: 1, Budget: 4,
 		Scenarios: []string{ScenarioRecoveryCrash}}); err == nil {
 		t.Fatal("random strategy accepted -scenarios")
 	}
 
 	cfg := Config{Strategy: StrategyCoverage, Seed: 7, Budget: 10, Parallelism: 1,
 		Scenarios: []string{ScenarioRecoveryCrash}}
-	res, err := Run(toy.New(), cfg)
+	res, err := run(toy.New(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestScenarioConfigGating(t *testing.T) {
 		t.Fatalf("corpus did not record the scenario set: %v", res.Corpus.Scenarios)
 	}
 	cfg.Scenarios = nil
-	if _, err := Resume(toy.New(), cfg, res.Corpus); err == nil {
+	if _, err := resume(toy.New(), cfg, res.Corpus); err == nil {
 		t.Fatal("resume with a different scenario set should fail")
 	}
 }

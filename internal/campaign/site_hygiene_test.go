@@ -29,7 +29,7 @@ func TestSiteStringsAreSourceIndependent(t *testing.T) {
 		cassandra.New(), hbase.NewHB1(), hbase.NewHB2(),
 		mapreduce.NewMR1(), mapreduce.NewMR2(), zookeeper.New(),
 	} {
-		res, err := Run(w, Config{Strategy: StrategyCoverage, Seed: 1, Budget: 10})
+		res, err := run(w, Config{Strategy: StrategyCoverage, Seed: 1, Budget: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

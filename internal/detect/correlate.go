@@ -46,7 +46,7 @@ func CorrelateRecovery(ty *trace.Trace, reports []*Report) []ReportGroup {
 	label := func(r *Report) keyed {
 		// Reports from later hazard windows get a window-suffixed key, so a
 		// fallback key (unresolvable frame) never merges findings across
-		// windows. Window 0 keeps the historical key byte-identical.
+		// windows. Window 0 carries no suffix (Report.Key does the same).
 		suffix := ""
 		if r.WindowID > 0 {
 			suffix = "|w" + itoa(int64(r.WindowID))

@@ -113,8 +113,7 @@ type crashWrite struct {
 // crash-recovery window gets its own resource classification (a heap dies at
 // its window's open step, not globally), its own recovery-node set, its own
 // crash-write source and its own dependence-prune context. A single-fault
-// observation lowers to exactly one window, on which the per-window pass is
-// the old single-crash analysis unchanged.
+// observation lowers to exactly one window.
 func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *RecoveryResult {
 	res := &RecoveryResult{}
 	tf, ty := gf.Ix.T, gy.Ix.T

@@ -18,9 +18,8 @@ type RegularResult struct {
 
 // occurrence numbers a record within its site's list (Index.BySite), the
 // numbering the fault injector uses at run time. Site lists are in trace
-// order (ascending OpID), so the lookup is a binary search instead of the
-// old linear scan per candidate. Records the index skipped (fault
-// bookkeeping, empty sites) keep the old scan's semantics: occurrence 1.
+// order (ascending OpID), so the lookup is a binary search. Records the
+// index skipped (fault bookkeeping, empty sites) are occurrence 1.
 func occurrence(ix *trace.Index, r *trace.Record) int {
 	ids := ix.SiteIDs(r.Site)
 	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= r.ID })
@@ -64,8 +63,8 @@ func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResul
 
 	// --- Standard condition-variable signal/wait pairs (Section 4.2.1). ---
 	// Resolve cv resources to strings and sort them: the symbol table is in
-	// interning order, and the old map-keyed code sorted strings, so sorting
-	// here keeps report order byte-identical.
+	// interning order, and report order is by resource name (the goldens pin
+	// it).
 	type cvRes struct {
 		str string
 		sym trace.Sym

@@ -93,17 +93,12 @@ type Report struct {
 // the same bug even if observed on different resource instances or runs
 // (Section 8.1.1's "same bug" star in Table 3).
 func (r *Report) Key() string {
-	w := r.W.Site
-	if r.WPrime != nil && r.Type == CrashRegular {
-		// The signal site plus the waiting site identify the hazard.
-		w = r.W.Site
-	}
-	k := fmt.Sprintf("%s|%s|%s|%s", r.Type, w, r.R.Site, r.ResClass)
+	k := fmt.Sprintf("%s|%s|%s|%s", r.Type, r.W.Site, r.R.Site, r.ResClass)
 	if r.WindowID > 0 {
 		// Reports from later hazard windows are distinct findings even on
 		// the same sites: a rolling-crash hazard is not its single-crash
-		// shadow. Window 0 keeps the historical key so single-fault dedup
-		// (and every existing golden) is unchanged.
+		// shadow. Window 0 carries no suffix: a single-fault report's key is
+		// its sites and resource class alone (the goldens pin it).
 		k += "|w" + itoa(int64(r.WindowID))
 	}
 	return k

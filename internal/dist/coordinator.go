@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,13 +59,6 @@ type Options struct {
 	// latency and heartbeat-gap histograms. Strictly observe-only — the
 	// merged corpus is byte-identical with or without it.
 	Metrics *obs.Registry
-	// MetricsAddr, when non-empty, serves the registry as Prometheus text
-	// on http://<MetricsAddr>/metrics for the campaign's duration
-	// ("127.0.0.1:0" binds an ephemeral loopback port). Requires Metrics.
-	MetricsAddr string
-	// OnMetricsListen, when set, receives the metrics endpoint's bound
-	// address before the campaign starts.
-	OnMetricsListen func(addr string)
 }
 
 func (o Options) withDefaults() Options {
@@ -111,7 +103,6 @@ type leaseDone struct {
 type coordinator struct {
 	opts     Options
 	workload string
-	strategy string
 	seed     int64
 	traced   bool
 
@@ -293,7 +284,7 @@ func (c *coordinator) handleConn(conn net.Conn) {
 	}
 	heartbeat := c.opts.LeaseTimeout / 4
 	if err := writeMessage(conn, &message{
-		Type: msgConfig, Workload: c.workload, Strategy: c.strategy,
+		Type: msgConfig, Workload: c.workload,
 		Seed: c.seed, Traced: c.traced, HeartbeatMS: heartbeat.Milliseconds(),
 	}); err != nil {
 		return
@@ -413,13 +404,13 @@ func (c *coordinator) handleConn(conn net.Conn) {
 
 // Serve runs a distributed campaign: listen for workers, execute the
 // campaign engine with leases fanned over them, drain, and return the
-// result. The produced corpus is byte-identical to campaign.Resume with the
-// same (workload, cfg, prior) at any worker count — including workers
-// joining late, crashing mid-lease, or hanging.
+// result. The produced corpus is byte-identical to the in-process
+// campaign.Run with the same (workload, cfg, prior) at any worker count —
+// including workers joining late, crashing mid-lease, or hanging.
 //
 // On context cancellation Serve returns the partial result of the complete
-// batches alongside the context error; saving its corpus and calling Serve
-// (or campaign.Resume) again with it as prior continues the campaign
+// batches alongside the context error; saving its corpus and running again
+// (here or in-process) with it as prior continues the campaign
 // deterministically.
 func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *campaign.Corpus, opts Options) (*campaign.Result, error) {
 	opts = opts.withDefaults()
@@ -432,38 +423,11 @@ func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *cam
 		opts.OnListen(bound)
 	}
 
-	// Optional Prometheus endpoint, up for the campaign's duration. It only
-	// reads registry snapshots, so scrapes never perturb the campaign.
-	var msrv *http.Server
-	if opts.MetricsAddr != "" {
-		mln, err := net.Listen("tcp", opts.MetricsAddr)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("dist: metrics listen %s: %w", opts.MetricsAddr, err)
-		}
-		mux := http.NewServeMux()
-		reg := opts.Metrics
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = reg.WritePrometheus(w)
-		})
-		msrv = &http.Server{Handler: mux}
-		if opts.OnMetricsListen != nil {
-			opts.OnMetricsListen(mln.Addr().String())
-		}
-		go func() { _ = msrv.Serve(mln) }()
-	}
-
-	strategy := cfg.Strategy
-	if strategy == "" {
-		strategy = campaign.StrategyCoverage
-	}
 	c := &coordinator{
 		opts:     opts,
 		workload: w.Name(),
-		strategy: strategy,
 		seed:     cfg.Seed,
-		traced:   campaign.StrategyTraced(strategy),
+		traced:   campaign.StrategyTraced(cfg.Strategy),
 		queue:    make(chan *lease),
 		results:  make(chan *leaseDone, 16),
 		drain:    make(chan struct{}),
@@ -503,7 +467,7 @@ func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *cam
 		}(i)
 	}
 
-	res, err := campaign.ResumeWith(ctx, w, cfg, prior, c)
+	res, err := campaign.Run(ctx, w, cfg, prior, c)
 
 	// Graceful drain: tell every connected worker the campaign is over, stop
 	// admitting, and wait for the handlers (and spawned workers) to finish.
@@ -513,9 +477,6 @@ func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *cam
 	c.connWG.Wait()
 	stopWorkers()
 	workerWG.Wait()
-	if msrv != nil {
-		_ = msrv.Close()
-	}
 	if res != nil {
 		c.logf("dist: campaign drained (%d run(s) merged)", res.Runs)
 	}

@@ -71,7 +71,6 @@ type message struct {
 
 	// Config fields.
 	Workload    string `json:"workload,omitempty"`
-	Strategy    string `json:"strategy,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
 	Traced      bool   `json:"traced,omitempty"`
 	HeartbeatMS int64  `json:"heartbeat_ms,omitempty"`

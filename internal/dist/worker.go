@@ -40,22 +40,28 @@ type WorkerConfig struct {
 	// counts, per-lease execution latency, heartbeats sent. Observe-only.
 	Metrics *obs.Registry
 
-	// FailAfterLeases is a fault-injection hook for the subsystem's own
-	// tests: when N > 0, the worker abandons the Nth lease it is granted —
-	// it drops the connection after the grant, without executing or
-	// replying. That is precisely "worker crashes between lease grant and
-	// result return".
-	FailAfterLeases int
-	// HangAfterLeases: when N > 0, the worker goes silent on the Nth lease —
-	// no result, no heartbeats, connection held open — until the coordinator
-	// gives up on it. The frozen-process case (the coordinator's read
-	// deadline fires).
-	HangAfterLeases int
-	// LivelockAfterLeases: when N > 0, the worker keeps heartbeating on the
-	// Nth lease but never returns a result — the hung-but-alive case only
-	// Options.LeaseExpiry can break.
-	LivelockAfterLeases int
+	// misbehave is the fault-injection hook of this package's own tests: it
+	// is asked about every lease the worker is granted (1 for the first) and
+	// says how the worker mishandles it. nil = every lease is served.
+	misbehave func(lease int) leaseFault
 }
+
+// leaseFault is one way a worker under test fails the lease it was granted.
+type leaseFault int
+
+const (
+	faultNone leaseFault = iota
+	// faultCrash: the worker drops the connection after the grant, without
+	// executing or replying — "worker crashes between lease grant and result
+	// return".
+	faultCrash
+	// faultFreeze: no result, no heartbeats, connection held open, until the
+	// coordinator gives up (its read deadline fires) — the frozen process.
+	faultFreeze
+	// faultLivelock: the worker keeps heartbeating but never returns a result
+	// — the hung-but-alive case only Options.LeaseExpiry can break.
+	faultLivelock
+)
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	if cfg.Name == "" {
@@ -128,7 +134,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 
 	// Heartbeats cover long lease executions: the coordinator's liveness
 	// window is frame arrival, and a lease can legitimately run longer than
-	// it. silenced (the hang hook) stops them without closing the socket.
+	// it. silenced (faultFreeze) stops them without closing the socket.
 	var silenced atomic.Bool
 	hbStop := make(chan struct{})
 	defer close(hbStop)
@@ -167,17 +173,18 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		switch m.Type {
 		case msgLease:
 			leases++
-			if cfg.FailAfterLeases > 0 && leases >= cfg.FailAfterLeases {
-				return nil // crash hook: vanish between grant and result
-			}
-			if cfg.HangAfterLeases > 0 && leases >= cfg.HangAfterLeases {
-				silenced.Store(true)
-				<-ctx.Done() // freeze hook: hold the socket, say nothing
-				return nil
-			}
-			if cfg.LivelockAfterLeases > 0 && leases >= cfg.LivelockAfterLeases {
-				<-ctx.Done() // livelock hook: heartbeats keep flowing, no result
-				return nil
+			if cfg.misbehave != nil {
+				switch cfg.misbehave(leases) {
+				case faultCrash:
+					return nil // vanish between grant and result
+				case faultFreeze:
+					silenced.Store(true)
+					<-ctx.Done() // hold the socket, say nothing
+					return nil
+				case faultLivelock:
+					<-ctx.Done() // heartbeats keep flowing, no result
+					return nil
+				}
 			}
 			// Lease frames cross a trust boundary like corpus files do: an
 			// empty or malformed plan is refused, never run as something else.

@@ -76,11 +76,11 @@ func TestTriggerWithoutWPrimeIsBenign(t *testing.T) {
 
 func TestRandomCampaignDeterministic(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 7, Budget: 25}
-	a, err := campaign.Run(toy.New(), cfg)
+	a, err := campaign.Run(context.Background(), toy.New(), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := campaign.Run(toy.New(), cfg)
+	b, err := campaign.Run(context.Background(), toy.New(), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,9 @@ func TestRandomCampaignMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", w.Name(), err)
 			}
-			res, err := campaign.Run(w, campaign.Config{
+			res, err := campaign.Run(context.Background(), w, campaign.Config{
 				Strategy: campaign.StrategyRandom, Seed: 3, Budget: 60, Parallelism: par,
-			})
+			}, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: engine: %v", w.Name(), err)
 			}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 )
 
@@ -72,4 +73,12 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// ServeHTTP answers any request with the registry's current Prometheus text,
+// so a registry mounts directly at /metrics. It only reads a snapshot:
+// scrapes never perturb what is being measured.
+func (g *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = g.WritePrometheus(w)
 }

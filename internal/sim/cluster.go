@@ -87,7 +87,7 @@ type Cluster struct {
 	killPendingN  int       // threads awaiting the kill reaper
 	fnTimers      int       // armed scheduler-callback timers
 	deadThreads   int       // finished threads still on the scan list
-	reaping       bool      // inside the kill-reap scan (mirrors the old processKills loop)
+	reaping       bool      // inside the kill-reap scan; schedule re-entered from a kill unwind
 	tearingDown   bool      // Run teardown: batons return straight to main
 
 	// Role identities are interned to dense indices at first boot, so service

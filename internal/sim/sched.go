@@ -199,7 +199,7 @@ func (c *Cluster) compactThreads() {
 // It returns the chosen thread with its wake payload staged in pendingWake,
 // or nil when the run is over (workload complete, deadlock, or step budget).
 //
-// The sequencing exactly mirrors the classic central loop: after a normal
+// The sequencing is fixed, and every trace depends on it: after a normal
 // step the due timers fire, then the plan crash is applied, crashed threads
 // are reaped one at a time (the reaping flag marks re-entries from a kill
 // unwind, which resume the reap scan without re-running the step-boundary

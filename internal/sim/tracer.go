@@ -66,9 +66,9 @@ func (tr *tracer) sym(s string) trace.Sym {
 }
 
 // siteSym maps a sim SiteID to its trace Sym, interning the site string into
-// the trace on first use. The lazy mapping preserves the exact first-emission
-// interning order of the string-keyed tracer, so symbol numbering (and hence
-// encoded trace bytes) stays byte-identical; steady state is one slice load.
+// the trace on first use. Interning lazily, at a site's first emission, is
+// what fixes symbol numbering (and hence encoded trace bytes): a site is
+// numbered when a record first names it; steady state is one slice load.
 func (tr *tracer) siteSym(id SiteID) trace.Sym {
 	if id == NoSite {
 		return trace.NoSym
@@ -123,8 +123,8 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 		return trace.NoOp
 	}
 	w := tr.trace
-	// Interning order (Site, Res, Aux, Target) matches the historical struct
-	// literal evaluation order, keeping symbol numbering byte-identical.
+	// Interning order Site, Res, Aux, Target fixes symbol numbering, hence
+	// encoded bytes.
 	r := trace.Record{
 		TS:      tr.c.clock,
 		Machine: t.node.machineSym,

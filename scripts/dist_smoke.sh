@@ -12,6 +12,11 @@
 # the Prometheus endpoint while the campaign is live and asserts the end-of-run
 # manifest counted at least one requeued lease for the SIGKILLed worker.
 #
+# A third leg interrupts a local campaign: SIGTERM after a second must exit
+# 130 leaving a partial corpus of complete batches, and -resume of that file
+# must reach the same bytes as the baseline — the drain path every campaign
+# takes, here without workers.
+#
 # Usage: scripts/dist_smoke.sh <fcatch-campaign-binary> <fcatch-worker-binary>
 set -euo pipefail
 
@@ -84,4 +89,29 @@ grep -Eq '"dist/leases/requeued": *[1-9]' "$dir/coord-metrics.json" || {
   exit 1
 }
 echo "dist-smoke: requeue counter >= 1 after worker SIGKILL"
-echo "dist-smoke: PASS — corpus byte-identical to baseline"
+
+# -batch 10: a race-built binary commits a batch or two within the second (the
+# random strategy's default is one batch of $RUNS, which would keep nothing).
+echo "dist-smoke: local campaign, SIGTERM after 1s, then -resume"
+"$CAMPAIGN" -workload "$WORKLOAD" -strategy random -runs "$RUNS" -seed "$SEED" \
+  -batch 10 -corpus "$dir/partial.json" >/dev/null 2>"$dir/local.log" &
+local_pid=$!
+sleep 1
+kill -TERM "$local_pid" 2>/dev/null || true
+status=0
+wait "$local_pid" || status=$?
+if [ "$status" -eq 0 ]; then
+  echo "dist-smoke: note — local campaign finished before the SIGTERM; resuming its complete corpus"
+elif [ "$status" -ne 130 ] || ! grep -q 'saved partial corpus' "$dir/local.log"; then
+  echo "dist-smoke: FAIL — interrupted local campaign exited $status, want 130 and a partial corpus; log:" >&2
+  cat "$dir/local.log" >&2
+  exit 1
+else
+  grep 'interrupted at' "$dir/local.log"
+fi
+"$CAMPAIGN" -resume "$dir/partial.json" -runs "$RUNS" -corpus "$dir/resumed.json" >/dev/null 2>&1
+cmp "$dir/baseline.json" "$dir/resumed.json" || {
+  echo "dist-smoke: FAIL — corpus resumed after a local interrupt differs from single-process baseline" >&2
+  exit 1
+}
+echo "dist-smoke: PASS — distributed and interrupted-then-resumed corpora byte-identical to baseline"
