@@ -1,8 +1,8 @@
 package fcatch_test
 
-// Property tests for the direct-handoff scheduler: the simulator hands a
-// baton from goroutine to goroutine, so the one thing that must never leak
-// into an outcome or a trace is real concurrency. These tests pin that the
+// Property tests for the scheduler: simulated threads are coroutines that
+// may resume on any goroutine, so the one thing that must never leak into an
+// outcome or a trace is real concurrency. These tests pin that the
 // observation phase is a pure function of (workload, seed) — across repeated
 // runs and across GOMAXPROCS settings, including the parallel pipeline path.
 

@@ -450,7 +450,7 @@ func TestFoldsAreWindowInvariant(t *testing.T) {
 			return f.Window, func() any { return f.Hash(tr) }
 		},
 		"spaceFold": func(*trace.Trace) (trace.WindowFn, func() any) {
-			f := newSpaceFold(steps, w.CrashTarget())
+			f := newSpaceFold(w.CrashTarget())
 			return f.Window, func() any { return f.finish(0) }
 		},
 	}
@@ -468,6 +468,33 @@ func TestFoldsAreWindowInvariant(t *testing.T) {
 					t.Errorf("%s over %s: windows of %d gave %v, the whole trace %v", name, run, n, got, want)
 				}
 			}
+		}
+	}
+}
+
+// configureCounter is a workload that counts the clusters it is asked to
+// configure, i.e. the simulator runs made on it.
+type configureCounter struct {
+	core.Workload
+	runs int
+}
+
+func (w *configureCounter) Configure(c *sim.Cluster) {
+	w.runs++
+	w.Workload.Configure(c)
+}
+
+// TestOneFaultFreeRunPerCampaign: a campaign prepares with one fault-free run
+// — traced with the space fold for a site strategy — and a zero budget runs
+// nothing beyond it.
+func TestOneFaultFreeRunPerCampaign(t *testing.T) {
+	for _, strat := range []string{StrategyCoverage, StrategyRandom} {
+		w := &configureCounter{Workload: toy.New()}
+		if _, err := run(w, Config{Strategy: strat, Seed: 1, Budget: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if w.runs != 1 {
+			t.Errorf("%s: a zero-budget campaign made %d runs, want 1", strat, w.runs)
 		}
 	}
 }

@@ -215,30 +215,28 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 		}
 	}
 
-	// Measure the fault-free execution once, untraced: its length is the
-	// `random` strategy's sample space.
-	_, base := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceOff})
+	// One fault-free run: its length is the `random` strategy's sample space.
+	// Site strategies trace it to enumerate the fault space (and trace their
+	// injection runs, so behavior signatures carry post-fault site coverage);
+	// its records pass through a space fold and none are kept — the engine
+	// never holds a full trace of its own. With no tick cost, a traced run is
+	// exactly as long as an untraced one.
+	traced := needsSpace(cfg.Strategy)
+	rcfg := sim.Config{Seed: cfg.Seed}
+	var fold *spaceFold
+	if traced {
+		fold = newSpaceFold(w.CrashTarget())
+		rcfg.Tracing, rcfg.Fold = sim.TraceSelective, fold.Window
+	}
+	_, base := core.Run(w, rcfg)
 	if base.CheckErr != nil {
 		return nil, fmt.Errorf("campaign: fault-free run of %s incorrect: %w", w.Name(), base.CheckErr)
 	}
-
-	// Site strategies additionally need a traced fault-free run to
-	// enumerate the fault space, and trace their injection runs so behavior
-	// signatures carry post-fault site coverage. The run passes its records
-	// through a space fold and keeps none — the engine never holds a full
-	// trace of its own.
-	traced := needsSpace(cfg.Strategy)
-	var sp *Space
+	sp := &Space{Target: w.CrashTarget()}
 	if traced {
-		fold := newSpaceFold(base.Steps, w.CrashTarget())
-		_, tOut := core.Run(w, sim.Config{Seed: cfg.Seed, Tracing: sim.TraceSelective, Fold: fold.Window})
-		if tOut.CheckErr != nil {
-			return nil, fmt.Errorf("campaign: traced fault-free run of %s incorrect: %w", w.Name(), tOut.CheckErr)
-		}
 		sp = fold.finish(maxOccurrenceDefault)
-	} else {
-		sp = &Space{Target: w.CrashTarget(), BaseSteps: base.Steps}
 	}
+	sp.BaseSteps = base.Steps
 	if len(cfg.Scenarios) > 0 {
 		if !traced {
 			return nil, fmt.Errorf("campaign: -scenarios needs a site strategy (%s or %s), not %s",

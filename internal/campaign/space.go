@@ -54,9 +54,11 @@ const maxOccurrenceDefault = 3
 
 // NewSpace enumerates the fault space of a traced fault-free run.
 func NewSpace(tr *trace.Trace, baseSteps int64, target string, maxOcc int) *Space {
-	f := newSpaceFold(baseSteps, target)
+	f := newSpaceFold(target)
 	f.Window(tr, tr.Records)
-	return f.finish(maxOcc)
+	sp := f.finish(maxOcc)
+	sp.BaseSteps = baseSteps
+	return sp
 }
 
 // spaceFold accumulates per-site statistics from record windows; its Window
@@ -70,8 +72,8 @@ type spaceFold struct {
 	ordBySym []int
 }
 
-func newSpaceFold(baseSteps int64, target string) *spaceFold {
-	return &spaceFold{sp: &Space{Target: target, BaseSteps: baseSteps, siteOrd: map[string]int{}}}
+func newSpaceFold(target string) *spaceFold {
+	return &spaceFold{sp: &Space{Target: target, siteOrd: map[string]int{}}}
 }
 
 // Window folds one window of records into the site statistics (a

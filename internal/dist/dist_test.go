@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +61,170 @@ func baseline(t *testing.T, cfg campaign.Config) string {
 		t.Fatal(err)
 	}
 	return corpusJSON(t, res.Corpus)
+}
+
+func resolveToy(string) (core.Workload, error) { return toy.New(), nil }
+
+// stageTimeout bounds every wait for a staged event, so a worker that never
+// joins or never misbehaves fails its test instead of hanging it.
+const stageTimeout = 30 * time.Second
+
+// staged drives a distributed campaign by events, not sleeps: Serve starts
+// with no workers of its own and the test adds them as events happen — a
+// staged worker misbehaves first and honest workers join only after it has,
+// so the campaign cannot finish before the misbehaviour it is meant to
+// survive. Each committed batch waits until every worker the test started
+// has joined, so none dials a listener the finished campaign has closed.
+type staged struct {
+	t      *testing.T
+	ctx    context.Context
+	cancel context.CancelFunc
+	addr   string
+	served chan servedResult
+	exits  chan error // honest workers' RunWorker results (no test joins more than 8)
+	honest int
+
+	mu      sync.Mutex
+	started []string        // workers the test started, staged and honest
+	joined  map[string]bool // workers the coordinator accepted
+}
+
+type servedResult struct {
+	res *campaign.Result
+	err error
+}
+
+// serveStaged starts Serve on its own goroutine and returns once it listens.
+// The test's cleanup cancels the campaign and waits for Serve to return.
+func serveStaged(t *testing.T, ctx context.Context, cfg campaign.Config, prior *campaign.Corpus, opts Options) *staged {
+	t.Helper()
+	s := &staged{t: t, served: make(chan servedResult, 1), exits: make(chan error, 8), joined: map[string]bool{}}
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	opts.Workers = 0
+	addrCh := make(chan string, 1)
+	opts.OnListen = func(a string) { addrCh <- a }
+	opts.Logf = func(format string, args ...any) {
+		if strings.HasSuffix(format, " joined from %s") {
+			s.mu.Lock()
+			s.joined[args[0].(string)] = true
+			s.mu.Unlock()
+		}
+	}
+	next := cfg.Progress
+	cfg.Progress = func(p campaign.Progress) {
+		if next != nil {
+			next(p)
+		}
+		s.awaitJoined()
+	}
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		res, err := Serve(s.ctx, toy.New(), cfg, prior, opts)
+		s.served <- servedResult{res, err}
+	}()
+	t.Cleanup(func() { s.cancel(); <-serveDone })
+	select {
+	case s.addr = <-addrCh:
+	case r := <-s.served:
+		t.Fatalf("Serve returned before listening: %v", r.err)
+	}
+	return s
+}
+
+// start records a worker the campaign must wait for.
+func (s *staged) start(name string) {
+	s.mu.Lock()
+	s.started = append(s.started, name)
+	s.mu.Unlock()
+}
+
+// awaitJoined holds the campaign until every worker the test started has
+// joined. It returns early once the campaign's context ends; after
+// stageTimeout it fails the test naming the missing workers and cancels the
+// campaign.
+func (s *staged) awaitJoined() {
+	deadline := time.Now().Add(stageTimeout)
+	for s.ctx.Err() == nil {
+		s.mu.Lock()
+		var missing []string
+		for _, name := range s.started {
+			if !s.joined[name] {
+				missing = append(missing, name)
+			}
+		}
+		s.mu.Unlock()
+		if len(missing) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			s.t.Errorf("worker(s) %s never joined within %v", strings.Join(missing, ", "), stageTimeout)
+			s.cancel()
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// misbehave starts a worker that fails its nth lease with fault, and returns
+// once the fault has fired, with a channel for the worker's RunWorker result.
+func (s *staged) misbehave(name string, n int, fault leaseFault) <-chan error {
+	s.t.Helper()
+	var hit atomic.Bool
+	var once sync.Once
+	ended := make(chan struct{}) // the fault fired, or the worker returned
+	end := func() { once.Do(func() { close(ended) }) }
+	done := make(chan error, 1)
+	s.start(name)
+	go func() {
+		done <- RunWorker(s.ctx, WorkerConfig{
+			Addr: s.addr, Name: name, Parallelism: 1, Resolve: resolveToy,
+			misbehave: func(lease int) leaseFault {
+				f := fromLease(n, fault)(lease)
+				if f != faultNone {
+					hit.Store(true)
+					end()
+				}
+				return f
+			},
+		})
+		end()
+	}()
+	select {
+	case <-ended:
+	case r := <-s.served:
+		s.t.Fatalf("campaign ended (%v) before the %s worker failed lease %d", r.err, name, n)
+	case <-time.After(stageTimeout):
+		s.t.Fatalf("%s worker did not fail lease %d within %v", name, n, stageTimeout)
+	}
+	if !hit.Load() {
+		s.t.Fatalf("%s worker returned (%v) before failing lease %d", name, <-done, n)
+	}
+	return done
+}
+
+// join starts k honest workers.
+func (s *staged) join(k int) {
+	for i := 0; i < k; i++ {
+		name := fmt.Sprintf("honest-%d", s.honest)
+		s.honest++
+		s.start(name)
+		go func() {
+			s.exits <- RunWorker(s.ctx, WorkerConfig{Addr: s.addr, Name: name, Parallelism: 1, Resolve: resolveToy})
+		}()
+	}
+}
+
+// wait returns Serve's result once Serve and every honest worker have
+// returned; an honest worker's error fails the test.
+func (s *staged) wait() (*campaign.Result, error) {
+	r := <-s.served
+	for i := 0; i < s.honest; i++ {
+		if err := <-s.exits; err != nil {
+			s.t.Errorf("honest worker: %v", err)
+		}
+	}
+	return r.res, r.err
 }
 
 // wireFrames is one frame of every message type.
@@ -146,34 +313,25 @@ func TestDistributedCorpusParity(t *testing.T) {
 	}
 }
 
-// TestWorkerCrashMidLease: one of the workers abandons its lease between
-// grant and result (connection drop), the coordinator requeues it onto the
-// survivors, and the corpus still matches the baseline exactly.
+// TestWorkerCrashMidLease: a worker abandons its second lease between grant
+// and result (connection drop), the coordinator requeues it onto the honest
+// workers that join afterwards, and the corpus still matches the baseline
+// exactly.
 func TestWorkerCrashMidLease(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 5, Budget: 40}
 	want := baseline(t, cfg)
 
+	reg := obs.New()
 	opts := testOptions()
-	opts.Workers = 3 // survivors
-	opts.WorkerParallelism = 1
 	opts.LeaseSize = 2
-	var addr string
-	addrCh := make(chan string, 1)
-	opts.OnListen = func(a string) { addrCh <- a }
+	opts.Metrics = reg
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	crasherDone := make(chan error, 1)
-	go func() {
-		addr = <-addrCh
-		crasherDone <- RunWorker(ctx, WorkerConfig{
-			Addr: addr, Name: "crasher", Parallelism: 1,
-			Resolve:   func(string) (core.Workload, error) { return toy.New(), nil },
-			misbehave: fromLease(2, faultCrash),
-		})
-	}()
-
-	res, err := Serve(ctx, toy.New(), cfg, nil, opts)
+	s := serveStaged(t, ctx, cfg, nil, opts)
+	crasherDone := s.misbehave("crasher", 2, faultCrash)
+	s.join(3)
+	res, err := s.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +340,9 @@ func TestWorkerCrashMidLease(t *testing.T) {
 	}
 	if err := <-crasherDone; err != nil {
 		t.Fatalf("crasher worker: %v", err)
+	}
+	if n := reg.Snapshot().Counters["dist/leases/requeued"]; n < 1 {
+		t.Errorf("%d lease(s) requeued, want the crashed worker's", n)
 	}
 }
 
@@ -192,26 +353,18 @@ func TestWorkerSilentHang(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 3, Budget: 25}
 	want := baseline(t, cfg)
 
+	reg := obs.New()
 	opts := testOptions()
 	opts.LeaseTimeout = 250 * time.Millisecond // cut the wait for the dead claim
-	opts.Workers = 2
-	opts.WorkerParallelism = 1
 	opts.LeaseSize = 2
-	addrCh := make(chan string, 1)
-	opts.OnListen = func(a string) { addrCh <- a }
+	opts.Metrics = reg
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	hungDone := make(chan error, 1)
-	go func() {
-		hungDone <- RunWorker(ctx, WorkerConfig{
-			Addr: <-addrCh, Name: "frozen", Parallelism: 1,
-			Resolve:   func(string) (core.Workload, error) { return toy.New(), nil },
-			misbehave: fromLease(1, faultFreeze),
-		})
-	}()
-
-	res, err := Serve(ctx, toy.New(), cfg, nil, opts)
+	s := serveStaged(t, ctx, cfg, nil, opts)
+	hungDone := s.misbehave("frozen", 1, faultFreeze)
+	s.join(2)
+	res, err := s.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +375,9 @@ func TestWorkerSilentHang(t *testing.T) {
 	if err := <-hungDone; err != nil {
 		t.Fatalf("frozen worker: %v", err)
 	}
+	if n := reg.Snapshot().Counters["dist/leases/requeued"]; n < 1 {
+		t.Errorf("%d lease(s) requeued, want the frozen worker's", n)
+	}
 }
 
 // TestLeaseExpiryReassignsLivelockedWorker: the worker stays alive (it keeps
@@ -231,26 +387,18 @@ func TestLeaseExpiryReassignsLivelockedWorker(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 3, Budget: 25}
 	want := baseline(t, cfg)
 
+	reg := obs.New()
 	opts := testOptions()
 	opts.LeaseExpiry = 200 * time.Millisecond
-	opts.Workers = 2
-	opts.WorkerParallelism = 1
 	opts.LeaseSize = 2
-	addrCh := make(chan string, 1)
-	opts.OnListen = func(a string) { addrCh <- a }
+	opts.Metrics = reg
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	lockedDone := make(chan error, 1)
-	go func() {
-		lockedDone <- RunWorker(ctx, WorkerConfig{
-			Addr: <-addrCh, Name: "livelocked", Parallelism: 1,
-			Resolve:   func(string) (core.Workload, error) { return toy.New(), nil },
-			misbehave: fromLease(1, faultLivelock),
-		})
-	}()
-
-	res, err := Serve(ctx, toy.New(), cfg, nil, opts)
+	s := serveStaged(t, ctx, cfg, nil, opts)
+	lockedDone := s.misbehave("livelocked", 1, faultLivelock)
+	s.join(2)
+	res, err := s.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,92 +409,95 @@ func TestLeaseExpiryReassignsLivelockedWorker(t *testing.T) {
 	if err := <-lockedDone; err != nil {
 		t.Fatalf("livelocked worker: %v", err)
 	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["dist/leases/expired"]; n < 1 {
+		t.Errorf("%d lease(s) expired, want the livelocked worker's", n)
+	}
+	if n := snap.Counters["dist/leases/requeued"]; n < 1 {
+		t.Errorf("%d lease(s) requeued, want the expired one", n)
+	}
 }
 
 // TestLateJoiningWorkerKeepsParity: a second worker joining mid-campaign
-// must only change who runs which lease, never what the corpus contains.
+// must only change who runs which lease, never what the corpus contains. The
+// first committed batch holds the campaign until the latecomer has started,
+// and serveStaged then holds it until the latecomer has joined.
 func TestLateJoiningWorkerKeepsParity(t *testing.T) {
-	// Random strategy with a large budget keeps the campaign in flight long
-	// enough for the latecomer's join to land mid-run.
-	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 11, Budget: 1500, BatchSize: 25}
+	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 11, Budget: 300, BatchSize: 25}
 	want := baseline(t, cfg)
 
+	reg := obs.New()
 	opts := testOptions()
-	opts.Workers = 1
-	opts.WorkerParallelism = 1
 	opts.LeaseSize = 1
-	addrCh := make(chan string, 1)
-	opts.OnListen = func(a string) { addrCh <- a }
+	opts.Metrics = reg
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	lateDone := make(chan error, 1)
-	go func() {
-		addr := <-addrCh
-		time.Sleep(15 * time.Millisecond) // join after the campaign is underway
-		lateDone <- RunWorker(ctx, WorkerConfig{
-			Addr: addr, Name: "latecomer", Parallelism: 1,
-			Resolve: func(string) (core.Workload, error) { return toy.New(), nil },
+	underway, latecomer := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	withHook := cfg
+	withHook.Progress = func(campaign.Progress) {
+		once.Do(func() {
+			close(underway)
+			select {
+			case <-latecomer:
+			case <-ctx.Done():
+			}
 		})
-	}()
-
-	res, err := Serve(ctx, toy.New(), cfg, nil, opts)
+	}
+	s := serveStaged(t, ctx, withHook, nil, opts)
+	s.join(1)
+	select {
+	case <-underway:
+	case r := <-s.served:
+		t.Fatalf("campaign ended (%v) before its first batch committed", r.err)
+	}
+	s.join(1) // the latecomer
+	close(latecomer)
+	res, err := s.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := corpusJSON(t, res.Corpus); got != want {
 		t.Error("corpus with a late-joining worker differs from baseline")
 	}
-	// If the run still beat the latecomer to the finish line the join is
-	// vacuous, not wrong: a refused dial after drain is benign.
-	if err := <-lateDone; err != nil && !strings.Contains(err.Error(), "cannot reach coordinator") {
-		t.Fatalf("late worker: %v", err)
+	if n := reg.Snapshot().Counters["dist/workers/joined"]; n != 2 {
+		t.Errorf("dist/workers/joined = %d, want 2", n)
 	}
 }
 
 // TestResumeAfterMidBatchInterruption is the end-to-end recovery story: a
-// distributed run loses a worker mid-lease AND is cancelled mid-campaign;
-// the saved partial corpus, resumed distributed, must converge to exactly
-// the corpus of an uninterrupted single-process run.
+// distributed run loses a worker mid-lease AND is cancelled mid-campaign
+// (after its second committed batch); the saved partial corpus, resumed
+// distributed, must converge to exactly the corpus of an uninterrupted
+// single-process run.
 func TestResumeAfterMidBatchInterruption(t *testing.T) {
-	// Random strategy: the step-plan space never exhausts, so the campaign
-	// is still mid-flight when the cancel lands.
-	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 9, Budget: 3000, BatchSize: 50}
+	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 9, Budget: 400, BatchSize: 50}
 	want := baseline(t, cfg)
 
 	opts := testOptions()
-	opts.Workers = 2
-	opts.WorkerParallelism = 1
 	opts.LeaseSize = 5
-	addrCh := make(chan string, 1)
-	opts.OnListen = func(a string) { addrCh <- a }
 
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	crasherDone := make(chan error, 1)
-	go func() {
-		crasherDone <- RunWorker(runCtx, WorkerConfig{
-			Addr: <-addrCh, Name: "crasher", Parallelism: 1,
-			Resolve:   func(string) (core.Workload, error) { return toy.New(), nil },
-			misbehave: fromLease(3, faultCrash),
-		})
-	}()
-	go func() {
-		time.Sleep(120 * time.Millisecond)
-		cancelRun() // interrupt the campaign mid-batch
-	}()
-
-	partial, err := Serve(runCtx, toy.New(), cfg, nil, opts)
+	interrupted := cfg
+	interrupted.Progress = func(p campaign.Progress) {
+		if p.Batches == 2 {
+			cancelRun() // interrupt the campaign between batches
+		}
+	}
+	s := serveStaged(t, runCtx, interrupted, nil, opts)
+	crasherDone := s.misbehave("crasher", 3, faultCrash)
+	s.join(2)
+	partial, err := s.wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-	<-crasherDone
-	if partial.Runs == 0 || partial.Runs >= cfg.Budget {
-		t.Fatalf("interruption landed outside the campaign: %d/%d runs", partial.Runs, cfg.Budget)
+	if err := <-crasherDone; err != nil {
+		t.Fatalf("crasher worker: %v", err)
 	}
-	if partial.Runs%cfg.BatchSize != 0 {
-		t.Fatalf("partial corpus has %d runs; batches must commit atomically (batch size %d)",
-			partial.Runs, cfg.BatchSize)
+	if partial.Runs != 2*cfg.BatchSize {
+		t.Fatalf("partial corpus has %d runs, want the two committed batches (%d)", partial.Runs, 2*cfg.BatchSize)
 	}
 
 	// Persist and reload through the real corpus path, then resume
@@ -586,6 +737,50 @@ func TestWorkerRefusesMalformedLease(t *testing.T) {
 	}
 }
 
+// TestWorkerCancelledWhileDialingExitsCleanly: cancellation is a clean exit
+// even before the worker reaches a coordinator. Nothing listens on the port,
+// so the first dial is refused and the deadline lands in the backoff wait.
+func TestWorkerCancelledWhileDialingExitsCleanly(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	err = RunWorker(ctx, WorkerConfig{Addr: addr, Name: "w", Resolve: resolveToy, DialBackoff: time.Minute})
+	if err != nil {
+		t.Fatalf("RunWorker cancelled while dialing = %v, want nil", err)
+	}
+}
+
+// TestWorkerCancelledDuringHandshakeExitsCleanly: a worker cancelled while it
+// waits for the coordinator's config frame also exits cleanly.
+func TestWorkerCancelledDuringHandshakeExitsCleanly(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hello message
+		_ = readMessage(bufio.NewReader(conn), &hello)
+		cancel() // the worker now waits for a config frame that never comes
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	if err := RunWorker(ctx, WorkerConfig{Addr: ln.Addr().String(), Name: "w", Resolve: resolveToy}); err != nil {
+		t.Fatalf("RunWorker cancelled during the handshake = %v, want nil", err)
+	}
+}
+
 // TestAllWorkersLostAborts: when every worker is gone and a lease exhausts
 // its retries, the campaign aborts with a descriptive error instead of
 // hanging forever.
@@ -627,19 +822,20 @@ func TestAllWorkersLostAborts(t *testing.T) {
 
 // TestMetricsKeepCorpusParity: a registry attached to a 2-worker distributed
 // run leaves the corpus byte-identical to the baseline, and its telemetry
-// counters reflect the fleet. (The /metrics endpoint is the CLI's:
-// cmd/fcatch-campaign TestMetricsServedForAnyCampaign scrapes it mid-run.)
+// counters reflect the fleet. The campaign waits for both workers to join.
+// (The /metrics endpoint is the CLI's: cmd/fcatch-campaign
+// TestMetricsServedForAnyCampaign scrapes it mid-run.)
 func TestMetricsKeepCorpusParity(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 5, Budget: 40}
 	want := baseline(t, cfg)
 
 	reg := obs.New()
 	opts := testOptions()
-	opts.Workers = 2
-	opts.WorkerParallelism = 1
 	opts.Metrics = reg
 
-	res, err := Serve(context.Background(), toy.New(), cfg, nil, opts)
+	s := serveStaged(t, context.Background(), cfg, nil, opts)
+	s.join(2)
+	res, err := s.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,26 +860,15 @@ func TestRequeueCounterOnWorkerCrash(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 5, Budget: 40}
 	reg := obs.New()
 	opts := testOptions()
-	opts.Workers = 2
-	opts.WorkerParallelism = 1
 	opts.LeaseSize = 2
 	opts.Metrics = reg
-	addrCh := make(chan string, 1)
-	opts.OnListen = func(a string) { addrCh <- a }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	crasherDone := make(chan error, 1)
-	go func() {
-		addr := <-addrCh
-		crasherDone <- RunWorker(ctx, WorkerConfig{
-			Addr: addr, Name: "crasher", Parallelism: 1,
-			Resolve:   func(string) (core.Workload, error) { return toy.New(), nil },
-			misbehave: fromLease(1, faultCrash),
-		})
-	}()
-
-	if _, err := Serve(ctx, toy.New(), cfg, nil, opts); err != nil {
+	s := serveStaged(t, ctx, cfg, nil, opts)
+	crasherDone := s.misbehave("crasher", 1, faultCrash)
+	s.join(2)
+	if _, err := s.wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-crasherDone; err != nil {

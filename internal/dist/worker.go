@@ -89,7 +89,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 
 	conn, err := dialRetry(ctx, cfg)
 	if err != nil {
-		return err
+		return cleanIfCancelled(ctx, err)
 	}
 	defer conn.Close()
 
@@ -112,12 +112,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 
 	if err := send(&message{Type: msgHello, Proto: ProtoVersion, Worker: cfg.Name}); err != nil {
-		return fmt.Errorf("dist: hello: %w", err)
+		return cleanIfCancelled(ctx, fmt.Errorf("dist: hello: %w", err))
 	}
 	br := bufio.NewReader(conn)
 	var conf message
 	if err := readMessage(br, &conf); err != nil {
-		return fmt.Errorf("dist: reading config: %w", err)
+		return cleanIfCancelled(ctx, fmt.Errorf("dist: reading config: %w", err))
 	}
 	switch conf.Type {
 	case msgConfig:
@@ -204,10 +204,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			}
 			cfg.Metrics.Histogram("worker/lease-exec-ns").Observe(time.Since(execStart).Nanoseconds())
 			if err := send(&message{Type: msgResult, Lease: m.Lease, Results: results}); err != nil {
-				if ctx.Err() != nil {
-					return nil
-				}
-				return fmt.Errorf("dist: sending result: %w", err)
+				return cleanIfCancelled(ctx, fmt.Errorf("dist: sending result: %w", err))
 			}
 		case msgDrain:
 			return nil
@@ -217,6 +214,15 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			return fmt.Errorf("dist: unexpected frame %q", m.Type)
 		}
 	}
+}
+
+// cleanIfCancelled is err, or nil once ctx is cancelled: a worker told to stop
+// exits cleanly, whatever step the cancellation cut short.
+func cleanIfCancelled(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return nil
+	}
+	return err
 }
 
 // dialRetry connects with bounded exponential backoff, so workers can be

@@ -49,21 +49,21 @@ type Config struct {
 
 	// Fold decides where a traced run's records go. nil keeps every record
 	// in Trace().Records, for whatever analyses the complete trace afterwards.
-	// A fold is passed each record once instead — while the run executes,
-	// under the scheduler baton, in one small fixed window that is reused
-	// (see trace.Writer), the last partial window before Run returns — and
-	// none is kept: Trace() then carries only symbol/stack tables, PIDs and
-	// run metadata, so the run allocates for its live state and symbol
-	// tables, not per record emitted. Injection runs (campaigns, trigger
-	// replays) fold; they keep a verdict or a signature, not a trace.
+	// A fold is passed each record once instead — while one simulated thread
+	// runs, in one small fixed window that is reused (see trace.Writer), the
+	// last partial window before Run returns — and none is kept: Trace() then
+	// carries only symbol/stack tables, PIDs and run metadata, so the run
+	// allocates for its live state and symbol tables, not per record emitted.
+	// Injection runs (campaigns, trigger replays) fold; they keep a verdict or
+	// a signature, not a trace.
 	Fold trace.WindowFn
 }
 
 // DefaultMaxSteps bounds runs that hang.
 const DefaultMaxSteps = 400_000
 
-// Cluster is one simulated distributed system instance. All mutation happens
-// under the scheduler baton, so no internal locking is needed.
+// Cluster is one simulated distributed system instance. Only Run's loop and
+// the threads it resumes, one at a time, mutate it, so it needs no locking.
 type Cluster struct {
 	cfg Config
 	rng *rand.Rand
@@ -78,17 +78,11 @@ type Cluster struct {
 	timers   timerHeap
 	running  bool
 
-	// Direct-handoff scheduler state: the baton moves thread-to-thread, with
-	// mainSem parking the Run goroutine while the workload executes.
-	mainSem       chan struct{}
-	curThread     *Thread
+	curThread     *Thread   // the thread running this step (nil between steps)
 	runScratch    []*Thread // reusable runnable-scan buffer
 	liveNonDaemon int       // non-daemon threads still alive (workloadDone is O(1))
-	killPendingN  int       // threads awaiting the kill reaper
 	fnTimers      int       // armed scheduler-callback timers
 	deadThreads   int       // finished threads still on the scan list
-	reaping       bool      // inside the kill-reap scan; schedule re-entered from a kill unwind
-	tearingDown   bool      // Run teardown: batons return straight to main
 
 	// Role identities are interned to dense indices at first boot, so service
 	// resolution, incarnation counting and restart bookkeeping index slices
@@ -138,7 +132,6 @@ func NewCluster(cfg Config) *Cluster {
 		cfg:            cfg,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		nodes:          make(map[string]*Node),
-		mainSem:        make(chan struct{}, 1),
 		roleIdx:        make(map[string]int),
 		siteIdx:        make(map[string]SiteID, 64),
 		siteStrs:       []string{""},
@@ -226,7 +219,7 @@ func (c *Cluster) FactStr(key string) string {
 	return ""
 }
 
-// OnProcessCrash registers a hook invoked (under the baton) whenever a
+// OnProcessCrash registers a hook invoked (in the crashing step) whenever a
 // process crashes. The KV store uses it to expire ephemeral znodes.
 func (c *Cluster) OnProcessCrash(fn func(pid string)) {
 	c.crashHooks = append(c.crashHooks, fn)

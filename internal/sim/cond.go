@@ -122,7 +122,7 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	if timeout > 0 {
 		ctx.c.addTimedWaitTimer(ctx.c.clock+timeout, t)
 	}
-	msg := t.block(ctx.c, "wait:"+cv.name, site)
+	msg := t.block("wait:"+cv.name, site)
 	if msg.timedOut {
 		// Deregister: the latch may fire later for other waiters.
 		for i, w := range cv.waiters {

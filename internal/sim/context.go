@@ -56,7 +56,7 @@ func (ctx *Context) Guard(v Value) bool {
 }
 
 // Yield gives up the CPU for one scheduler step.
-func (ctx *Context) Yield() { ctx.t.yieldStep(ctx.c) }
+func (ctx *Context) Yield() { ctx.t.yieldStep() }
 
 // Sleep blocks the thread for the given number of logical ticks.
 func (ctx *Context) Sleep(ticks int64) {
@@ -66,7 +66,7 @@ func (ctx *Context) Sleep(ticks int64) {
 	}
 	ctx.t.blockToken++
 	ctx.c.addTimer(ctx.c.clock+ticks, ctx.t, nil)
-	ctx.t.block(ctx.c, "sleep", NoSite)
+	ctx.t.block("sleep", NoSite)
 }
 
 // Now reads the system clock; the returned value is tainted by a time-read
@@ -110,7 +110,7 @@ type OpReq struct {
 	// whether the operation failed).
 	FlagsAfter func() uint32
 	// PostEmit runs after the record is emitted but before the scheduler
-	// step, i.e. while the thread still holds the baton. Substrates use it
+	// step, i.e. before the thread pauses. Substrates use it
 	// to publish the op's ID (define-use bookkeeping) atomically with the
 	// op's effect.
 	PostEmit func(id trace.OpID)
@@ -146,7 +146,7 @@ func (ctx *Context) Do(req OpReq) (id trace.OpID, dropAction TriggerAction, drop
 	if a, d := ctx.c.checkTrigger(site, After, req.IsSend); d && !dropped {
 		dropAction, dropped = a, d
 	}
-	ctx.t.yieldStep(ctx.c)
+	ctx.t.yieldStep()
 	return id, dropAction, dropped
 }
 

@@ -8,3 +8,21 @@ func UsePortableCallers() (restore func()) {
 	callerPCs = portableCallers
 	return func() { callerPCs = prev }
 }
+
+// IdleCarriers reports how many carriers wait on the process-wide idle list.
+func IdleCarriers() int {
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	return len(idleCarriers.list)
+}
+
+// LiveThreads reports how many of c's threads have not finished.
+func LiveThreads(c *Cluster) int {
+	n := 0
+	for _, t := range c.threads {
+		if t.alive() {
+			n++
+		}
+	}
+	return n
+}

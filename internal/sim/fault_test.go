@@ -231,7 +231,7 @@ func TestTriggerOccurrenceCounting(t *testing.T) {
 		Site: site, Occurrence: 3, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
 	}}, nil))
 	if got := c.FactStr("last"); got != "2" {
-		t.Fatalf("last delivered = %q, want 2", got)
+		t.Fatalf("last received = %q, want 2", got)
 	}
 }
 

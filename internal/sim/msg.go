@@ -60,7 +60,7 @@ func (ctx *Context) Send(target, verb string, payload Value, opts ...SendOpt) er
 	if a, d := c.checkTrigger(site, After, true); d && !dropped {
 		dropAction, dropped = a, d
 	}
-	ctx.t.yieldStep(c)
+	ctx.t.yieldStep()
 	if dropped {
 		switch dropAction {
 		case ActDropKernel:

@@ -128,7 +128,7 @@ func (n *Node) HandleEvent(typ string, fn func(*Context, Value)) {
 	delete(n.eventStash, typ)
 }
 
-// Message is an asynchronous message delivered to a HandleMsg handler.
+// Message is an asynchronous message handed to a HandleMsg handler.
 type Message struct {
 	From    string
 	Verb    string
@@ -147,9 +147,10 @@ type queuedItem struct {
 }
 
 // dispatchQueue is a FIFO consumed by one daemon thread. All access happens
-// under the scheduler baton. Consumed entries advance a head index instead of
-// re-slicing, and the backing array is rewound whenever the queue drains, so
-// steady-state dispatch reuses one slot array instead of allocating per item.
+// while one simulated thread runs. Consumed entries advance a head index
+// instead of re-slicing, and the backing array is rewound whenever the queue
+// drains, so steady-state dispatch reuses one slot array instead of
+// allocating per item.
 type dispatchQueue struct {
 	items  []queuedItem
 	head   int
@@ -171,7 +172,7 @@ func (q *dispatchQueue) pop(ctx *Context) queuedItem {
 		q.items = q.items[:0]
 		q.head = 0
 		q.waiter = ctx.t
-		ctx.t.block(ctx.c, "dispatch-idle", NoSite)
+		ctx.t.block("dispatch-idle", NoSite)
 	}
 	it := q.items[q.head]
 	q.items[q.head] = queuedItem{} // release payload references
@@ -263,10 +264,11 @@ func (c *Cluster) crashProcess(pid string, selfSite SiteID, restartOverride *int
 		c.tracer.trace.CrashStep = c.clock
 	}
 
+	// Kill the process's threads now. The running thread is the one that
+	// crashed its own process: it unwinds itself (checkTrigger).
 	for _, t := range n.threads {
-		if t.alive() {
-			t.killPending = true
-			c.killPendingN++
+		if t.alive() && t != c.curThread {
+			c.kill(t)
 		}
 	}
 

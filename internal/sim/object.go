@@ -82,7 +82,7 @@ func (o *Object) Set(ctx *Context, field string, v Value) {
 		slot.lastWrite = id
 	}
 	c.checkTrigger(site, After, false)
-	ctx.t.yieldStep(c)
+	ctx.t.yieldStep()
 }
 
 // Get reads a field. Inside a sync-loop condition the read is recorded as a
@@ -110,7 +110,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 		Site:   site,
 	})
 	c.checkTrigger(site, After, false)
-	ctx.t.yieldStep(c)
+	ctx.t.yieldStep()
 	if id != trace.NoOp {
 		out = out.withTaint1(id)
 		if ls != nil {

@@ -194,89 +194,50 @@ func (c *Cluster) compactThreads() {
 	c.deadThreads = 0
 }
 
-// schedule runs the scheduler bookkeeping on the current goroutine — whichever
-// thread (or Run itself) is releasing the baton — and picks what runs next.
-// It returns the chosen thread with its wake payload staged in pendingWake,
-// or nil when the run is over (workload complete, deadlock, or step budget).
+// step runs one scheduler step: the step-boundary work, then the pick, and
+// then the picked thread until its next pause. It returns false when the run
+// is over (workload complete, deadlock, or step budget).
 //
-// The sequencing is fixed, and every trace depends on it: after a normal
-// step the due timers fire, then the plan crash is applied, crashed threads
-// are reaped one at a time (the reaping flag marks re-entries from a kill
-// unwind, which resume the reap scan without re-running the step-boundary
-// work), and only then is a runnable thread chosen.
-func (c *Cluster) schedule() *Thread {
-	if !c.reaping {
-		c.curThread = nil
-		c.fireDue()
-		if c.deadThreads > 64 && c.deadThreads*2 > len(c.threads) {
-			c.compactThreads()
-		}
+// The sequencing is fixed, and every trace depends on it: the due timers
+// fire, then the plan's step events are applied (a crash kills its victims
+// on the spot), and only then is a runnable thread chosen. The pick is the
+// run's only rng draw, over the runnable threads in c.threads order.
+func (c *Cluster) step() bool {
+	c.curThread = nil
+	c.fireDue()
+	if c.deadThreads > 64 && c.deadThreads*2 > len(c.threads) {
+		c.compactThreads()
 	}
 	for {
-		if !c.reaping {
-			c.applyPlanAtStep()
-		}
-		if c.killPendingN > 0 {
-			for _, t := range c.threads {
-				if t.killPending && t.alive() {
-					t.killPending = false
-					c.killPendingN--
-					t.state = tsRunning
-					t.pendingWake = resumeMsg{kill: true}
-					c.reaping = true
-					return t
-				}
-			}
-		}
-		c.reaping = false
+		c.applyPlanAtStep()
 		if c.workloadDone() {
 			c.out.Completed = true
-			return nil
+			return false
 		}
 		runnable := c.runnable()
 		if len(runnable) == 0 {
 			if c.advanceToNextTimer() {
 				continue
 			}
-			return nil // deadlock: blocked non-daemon threads remain
+			return false // deadlock: blocked non-daemon threads remain
 		}
 		if c.clock >= c.cfg.MaxSteps {
 			c.out.StepBudgetHit = true
-			return nil
+			return false
 		}
 		t := runnable[c.rng.Intn(len(runnable))]
 		c.clock++
 		c.curThread = t
 		t.state = tsRunning
-		return t
-	}
-}
-
-// releaseBaton hands the baton from self to whatever runs next: it schedules
-// inline on self's goroutine and either returns true (self was picked again —
-// the switch-free fast path), unparks the chosen thread, or wakes the parked
-// Run goroutine when the run is over. During teardown the baton always goes
-// straight back to Run.
-func (c *Cluster) releaseBaton(self *Thread) bool {
-	if c.tearingDown {
-		c.mainSem <- struct{}{}
-		return false
-	}
-	next := c.schedule()
-	if next == self {
+		t.resume()
 		return true
 	}
-	if next == nil {
-		c.mainSem <- struct{}{}
-	} else {
-		next.unpark()
-	}
-	return false
 }
 
 // Run executes the cluster to completion: until the workload finishes, the
-// system deadlocks, or the step budget is exhausted. It returns the outcome;
-// the trace (if tracing was enabled) is available via Trace().
+// system deadlocks, or the step budget is exhausted, and returns the outcome
+// (the trace, if enabled, via Trace()). A thread panic that is not an app
+// exception propagates out of Run and abandons every live thread's carrier.
 func (c *Cluster) Run() *Outcome {
 	if c.running {
 		panic("sim: cluster already ran")
@@ -284,14 +245,16 @@ func (c *Cluster) Run() *Outcome {
 	c.running = true
 	c.startWall = time.Now()
 
-	if first := c.schedule(); first != nil {
-		first.unpark()
-		<-c.mainSem // park until a thread's schedule() ends the run
+	for c.step() {
 	}
 
-	// Record hang sites before tearing threads down.
+	// Record the hang sites of the survivors, then kill them: unwinding them
+	// is what returns their carriers.
 	for _, t := range c.threads {
-		if !t.daemon && t.alive() {
+		if !t.alive() {
+			continue
+		}
+		if !t.daemon {
 			reason := t.blockReason
 			if t.state == tsRunnable {
 				reason = "live (budget exhausted)"
@@ -304,17 +267,7 @@ func (c *Cluster) Run() *Outcome {
 				Site: c.siteStr(t.blockSite), Reason: reason,
 			})
 		}
-	}
-
-	// Unwind every remaining goroutine so nothing leaks.
-	c.tearingDown = true
-	for _, t := range c.threads {
-		if t.alive() {
-			t.state = tsRunning
-			t.pendingWake = resumeMsg{kill: true}
-			t.unpark()
-			<-c.mainSem
-		}
+		c.kill(t)
 	}
 
 	c.tracer.finish()

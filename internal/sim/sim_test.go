@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"fcatch/internal/sim"
@@ -96,6 +98,80 @@ func TestStepBudget(t *testing.T) {
 	if out.Completed || !out.StepBudgetHit {
 		t.Fatalf("budget not enforced: %+v", out)
 	}
+}
+
+// TestThreadPanicPropagatesOutOfRun: a panic in a thread body that is not an
+// app exception is a bug in the model, and Run's caller can recover it. The
+// cluster's other live threads (bystanders and the process's system threads)
+// are abandoned: each leaves at most one parked goroutine, its carrier.
+func TestThreadPanicPropagatesOutOfRun(t *testing.T) {
+	const live = 3
+	c := sim.NewCluster(sim.Config{Seed: 1})
+	c.StartProcess("node", "m0", func(ctx *sim.Context) {
+		ran := 0
+		for i := 0; i < live; i++ {
+			ctx.Go("bystander", func(ctx *sim.Context) {
+				ran++
+				for {
+					ctx.Yield()
+				}
+			})
+		}
+		for ran < live {
+			ctx.Yield()
+		}
+		panic("model bug")
+	})
+	before := runtime.NumGoroutine()
+	defer func() {
+		if r := recover(); r != "model bug" {
+			t.Fatalf("recovered %v from Run, want the thread's panic", r)
+		}
+		// The panicking thread still counts as live, but its carrier ended.
+		abandoned := sim.LiveThreads(c) - 1
+		if abandoned < live {
+			t.Fatalf("%d threads abandoned, want the %d bystanders at least", abandoned, live)
+		}
+		if n := runtime.NumGoroutine() - before; n > abandoned {
+			t.Fatalf("a recovered panic left %d more goroutines, want at most %d (one per abandoned thread)", n, abandoned)
+		}
+	}()
+	c.Run()
+	t.Fatal("Run returned normally after a thread panicked")
+}
+
+// TestConcurrentClustersShareCarriers: clusters running on several
+// goroutines at once take their threads' carriers from one idle list, so a
+// carrier that ran a thread of one cluster carries a thread of another on a
+// different goroutine; every run must still match a run made alone.
+func TestConcurrentClustersShareCarriers(t *testing.T) {
+	run := func() int64 {
+		c := sim.NewCluster(sim.Config{Seed: 7})
+		c.StartProcess("node", "m0", func(ctx *sim.Context) {
+			for i := 0; i < 20; i++ {
+				ctx.Go("child", func(ctx *sim.Context) {
+					ctx.Yield()
+					ctx.Yield()
+				})
+			}
+		})
+		return c.Run().Steps
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if got := run(); got != want {
+					t.Errorf("concurrent run took %d steps, alone %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCondSignalThenWaitIsLatch(t *testing.T) {
@@ -264,7 +340,7 @@ func TestMessageDelivery(t *testing.T) {
 	})
 	c.Run()
 	if len(got) != 3 || got[0] != "p0" || got[2] != "p2" {
-		t.Fatalf("messages not delivered in order: %v", got)
+		t.Fatalf("messages not received in order: %v", got)
 	}
 }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 
 	"fcatch/internal/trace"
 )
@@ -16,12 +18,12 @@ const (
 	tsKilled
 )
 
-// resumeMsg is what the scheduler hands a parked thread.
+// resumeMsg is what the scheduler hands a suspended thread.
 type resumeMsg struct {
 	kill     bool
 	timedOut bool  // a timed wait expired
-	err      error // delivered error (e.g. RPC failure)
-	val      Value // delivered value (e.g. RPC reply)
+	err      error // error the wait returns (e.g. RPC failure)
+	val      Value // value the wait returns (e.g. RPC reply)
 }
 
 // killedPanic unwinds a thread whose process crashed (or whose run ended).
@@ -54,17 +56,14 @@ type Thread struct {
 	daemon     bool
 	handlerCtx bool // inside an RPC/message/event handler (or its callees)
 
-	state threadState
-	// sem is the thread's park/unpark semaphore: one buffered token, sent by
-	// whoever holds the scheduler baton, received by the parked thread. The
-	// wake payload travels out-of-band in pendingWake (the channel send/receive
-	// pair provides the happens-before edge), so a handoff moves zero bytes
-	// through the channel.
-	sem         chan struct{}
+	state       threadState
 	blockSite   SiteID
 	blockReason string
 	blockToken  int64 // invalidates stale timed-wait timers
-	killPending bool  // process crashed; scheduler will reap this thread
+
+	// fn is the body; car, the carrier running it from first resume to finish.
+	fn  func(*Context)
+	car *carrier
 
 	// frame is the activation record (thread-start or handler-begin) ops
 	// currently execute under; frameStack supports nested handler frames on
@@ -98,11 +97,8 @@ type Thread struct {
 	// thread spinning in a polling loop is identifiable.
 	loopName string
 
-	// delivered holds the resumeMsg observed on the last wakeup (set by
-	// pause, on the thread's own goroutine).
-	delivered resumeMsg
 	// pendingWake is the payload the next resume delivers, staged by wake()
-	// (or by the kill/teardown paths) and consumed on the thread's goroutine.
+	// (or by kill) and consumed by pause.
 	pendingWake resumeMsg
 
 	// ctx is the handle the thread's function runs with; it lives in the
@@ -121,7 +117,7 @@ func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor tr
 		daemon:     daemon,
 		handlerCtx: handlerCtx,
 		state:      tsRunnable,
-		sem:        make(chan struct{}, 1),
+		fn:         fn,
 		frame:      trace.NoOp,
 	}
 	t.ctx = Context{c: c, t: t}
@@ -134,102 +130,135 @@ func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor tr
 	if w := c.tracer.trace; w != nil {
 		t.stack = w.PushFrame(trace.NoStack, w.Intern(name))
 	}
-	start := c.tracer.emit(t, opSpec{
-		Kind:   trace.KThreadStart,
-		Aux:    name,
-		Causor: causor,
-	})
-	t.frame = start
-
-	go func() {
-		msg := t.park() // wait for first schedule
-		if msg.kill {
-			t.finish(c, tsKilled)
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				switch p := r.(type) {
-				case killedPanic:
-					t.finish(c, tsKilled)
-				case appPanic:
-					c.out.UncaughtExceptions = append(c.out.UncaughtExceptions,
-						fmt.Sprintf("%s@%s in %s/%s", p.kind, c.siteStr(p.site), t.node.PID, t.name))
-					t.finish(c, tsDone)
-				default:
-					panic(r) // programming error in sim or app: surface it
-				}
-				return
-			}
-			t.finish(c, tsDone)
-		}()
-		fn(&t.ctx)
-	}()
+	t.frame = c.tracer.emit(t, opSpec{Kind: trace.KThreadStart, Aux: name, Causor: causor})
 	return t
 }
 
-// park blocks until the baton holder unparks this thread, then takes the
-// staged wake payload.
-func (t *Thread) park() resumeMsg {
-	<-t.sem
-	msg := t.pendingWake
-	t.pendingWake = resumeMsg{}
-	return msg
+// run executes the thread's body on its carrier and finishes the thread by
+// how the body ended. Any panic other than a kill or an app exception is a
+// programming error in sim or app: it propagates out of Cluster.Run.
+func (t *Thread) run() {
+	c := t.ctx.c
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+			t.finish(c, tsDone)
+		case killedPanic:
+			t.finish(c, tsKilled)
+		case appPanic:
+			c.out.UncaughtExceptions = append(c.out.UncaughtExceptions,
+				fmt.Sprintf("%s@%s in %s/%s", p.kind, c.siteStr(p.site), t.node.PID, t.name))
+			t.finish(c, tsDone)
+		default:
+			panic(p)
+		}
+	}()
+	t.fn(&t.ctx)
 }
 
-// unpark hands the baton to t. Only the baton holder may call it, and t is
-// always parked (or about to park), so the buffered send never blocks.
-func (t *Thread) unpark() { t.sem <- struct{}{} }
-
-// finish emits the exit record and hands the baton onward.
+// finish emits the exit record and retires the thread.
 func (t *Thread) finish(c *Cluster, st threadState) {
 	t.state = st
 	if st == tsDone {
 		c.tracer.emit(t, opSpec{Kind: trace.KThreadExit})
 	}
-	if t.killPending {
-		// Died (self-crash) before the reaper delivered the kill.
-		t.killPending = false
-		c.killPendingN--
-	}
 	if !t.daemon {
 		c.liveNonDaemon--
 	}
 	c.deadThreads++
-	c.releaseBaton(t) // cannot pick self again: the thread is no longer alive
 }
 
-// pause parks the thread and hands the baton to the scheduler, which runs
-// inline on this goroutine. When the scheduler picks this same thread again
-// the pause returns without parking at all — the switch-free fast path. A
-// kill payload unwinds the thread via panic.
-func (t *Thread) pause(c *Cluster) resumeMsg {
-	var msg resumeMsg
-	if c.releaseBaton(t) {
-		msg = t.pendingWake
-		t.pendingWake = resumeMsg{}
-	} else {
-		msg = t.park()
+// carrier is a coroutine that runs thread bodies one after another. It yields
+// at each pause of the thread it carries and once more when that thread's
+// body returns; the next resume after that starts the body of whichever
+// thread took the carrier next.
+type carrier struct {
+	t     *Thread
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
+}
+
+// idleCarriers is shared by every cluster in the process: a carrier costs
+// eleven allocations to create and none to reuse (DESIGN.md §11).
+var idleCarriers struct {
+	sync.Mutex
+	list []*carrier
+}
+
+// takeCarrier hands out an idle carrier, creating one when none is idle.
+func takeCarrier() *carrier {
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	if n := len(idleCarriers.list); n > 0 {
+		k := idleCarriers.list[n-1]
+		idleCarriers.list = idleCarriers.list[:n-1]
+		return k
 	}
+	k := &carrier{}
+	k.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		k.yield = yield
+		for {
+			k.t.run()
+			k.t = nil
+			yield(struct{}{})
+		}
+	})
+	return k
+}
+
+// resume runs t until its next pause or until it finishes. A finished thread
+// gives its carrier back; one whose body panicked does not, because iter.Pull
+// ends the coroutine and re-raises the panic here.
+func (t *Thread) resume() {
+	if t.car == nil {
+		t.car = takeCarrier()
+		t.car.t = t
+	}
+	t.car.next()
+	if !t.alive() {
+		idleCarriers.Lock()
+		idleCarriers.list = append(idleCarriers.list, t.car)
+		idleCarriers.Unlock()
+		t.car = nil
+	}
+}
+
+// kill unwinds a live thread that is not running by resuming it with the kill
+// payload (killedPanic); a thread that never ran has no stack and just ends.
+func (c *Cluster) kill(t *Thread) {
+	if t.car == nil {
+		t.finish(c, tsKilled)
+		return
+	}
+	t.pendingWake = resumeMsg{kill: true}
+	t.resume()
+}
+
+// pause suspends the thread until the scheduler resumes it, then takes the
+// staged wake payload. A kill payload unwinds the thread via panic.
+func (t *Thread) pause() resumeMsg {
+	t.car.yield(struct{}{})
+	msg := t.pendingWake
+	t.pendingWake = resumeMsg{}
 	if msg.kill {
 		panic(killedPanic{})
 	}
-	t.delivered = msg
 	return msg
 }
 
-// yieldStep marks the thread runnable and gives up the baton for one step.
-func (t *Thread) yieldStep(c *Cluster) {
+// yieldStep marks the thread runnable and gives up the processor for one
+// step.
+func (t *Thread) yieldStep() {
 	t.state = tsRunnable
-	t.pause(c)
+	t.pause()
 }
 
-// block parks the thread in the blocked state until someone wakes it.
-func (t *Thread) block(c *Cluster, reason string, site SiteID) resumeMsg {
+// block suspends the thread in the blocked state until someone wakes it.
+func (t *Thread) block(reason string, site SiteID) resumeMsg {
 	t.state = tsBlocked
 	t.blockReason = reason
 	t.blockSite = site
-	return t.pause(c)
+	return t.pause()
 }
 
 // wake marks a blocked thread runnable with a payload. It is a no-op for

@@ -9,8 +9,8 @@ package trace
 
 // WindowFn folds one window of a run's records, in trace order. The trace's
 // symbol/stack tables cover everything in the window. It is called
-// synchronously on the producer (for the sim tracer: under the scheduler
-// baton) and must not keep the slice: the window is reused.
+// synchronously on the producer (for the sim tracer: while one simulated
+// thread runs) and must not keep the slice: the window is reused.
 type WindowFn func(t *Trace, recs []Record)
 
 // foldWindow is the size (in records) of the one window a folding Writer

@@ -12,7 +12,7 @@ import (
 // with SymMapTo or resolve through Str).
 //
 // Interning (Intern, PushFrame, Append) is single-writer: the tracer runs
-// under the scheduler baton. After a run the trace is read-only and every
+// while one simulated thread runs. After a run the trace is read-only and every
 // resolving accessor (Str, Lookup, StackLabels, ...) is safe for concurrent use
 // — the two detectors read one trace from parallel workers.
 type Trace struct {
@@ -47,7 +47,7 @@ func New() *Trace {
 }
 
 // Intern returns the trace-local Sym for s, adding it to the symbol table if
-// new. Writer-side only (the tracer under the scheduler baton).
+// new. Writer-side only (the tracer, while one simulated thread runs).
 func (t *Trace) Intern(s string) Sym { return t.syms.Intern(s) }
 
 // Str resolves a Sym to its string. Safe for concurrent readers.
