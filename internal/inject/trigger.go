@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
@@ -60,7 +61,21 @@ type Triggerer struct {
 	// cluster, and outcomes land in per-report slots, so the result is
 	// identical at any setting.
 	Parallelism int
+
+	// budget measures, once, the fault-free run that sizes every replay's
+	// work budget: maxPicks = hangPicks × its scheduler picks.
+	budget   sync.Once
+	maxPicks int64
 }
+
+// hangPicks is a trigger replay's work budget in multiples of the scheduler
+// picks its workload's fault-free run makes: a replay still running after
+// that much work is hung. No completing replay of the six workloads at seeds
+// 1–10 uses more than 4.93× (MR2's post-fatal runs; later-window and compound
+// replays stay below 2.5×); 6 keeps a 20 % margin over that
+// (TestPickBudgetCutsOnlyHangs pins it on all three replay paths). The
+// workload's clock budget (Config.MaxSteps) stays the outer bound.
+const hangPicks = 6
 
 // NewTriggerer builds a triggerer for one workload/seed (use the same seed
 // as the observation runs so occurrence counts line up).
@@ -190,9 +205,19 @@ func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fo
 }
 
 // replayConfig is the simulator configuration of one replay, records kept.
+// Its pick budget comes from the workload's fault-free run, made once per
+// Triggerer with the same tracing and tick cost (so the same picks) as the
+// observation's.
 func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
-	return sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(events, restart),
-		TraceTickCost: 1}
+	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: 1}
+	tg.budget.Do(func() {
+		ff := cfg
+		ff.Fold = (*handledExcFold)(nil).Window
+		_, out := core.Run(tg.W, ff)
+		tg.maxPicks = hangPicks * out.Picks
+	})
+	cfg.Plan, cfg.MaxPicks = sim.NewScenarioPlan(events, restart), tg.maxPicks
+	return cfg
 }
 
 // classify turns a trigger run's outcome into a verdict for one report.
@@ -341,53 +366,61 @@ const compoundRestartProbes = 64
 // one left down, so nothing ever re-sends the dropped message. The strongest
 // verdict across variants wins.
 func (tg *Triggerer) TriggerCompound(rep *detect.CompoundReport) *CompoundOutcome {
-	outer, inner := WindowEvent(&rep.Outer), WindowEvent(&rep.Inner)
-	out := &CompoundOutcome{Compound: rep, Scenario: []sim.FaultSpec{outer, inner},
-		Class: Benign, Variant: "as-observed"}
-
-	pin := int64(-1)
-	type variant struct {
-		name           string
-		outerR, innerR *int64
-	}
-	variants := []variant{{"as-observed", outer.Restart, inner.Restart}}
-	if rep.Inner.Kind == detect.WindowCrashRecovery {
-		variants = append(variants, variant{"inner-down", outer.Restart, &pin})
-		// The grid's scale: the inner victim's observed restart delay, else
-		// the outer window's, else the default operator timescale.
-		scale := rep.Inner.RestartStep - rep.Inner.OpenStep
-		if scale <= 0 {
-			scale = rep.Outer.RestartStep - rep.Outer.OpenStep
-		}
-		if scale <= 0 {
-			scale = compoundRestartDelay
-		}
-		step := (scale + compoundRestartProbes - 1) / compoundRestartProbes
-		if step < 1 {
-			step = 1
-		}
-		for d := step; d <= scale; d += step {
-			if inner.Restart != nil && d == *inner.Restart {
-				continue // the as-observed variant already covers this delay
-			}
-			d := d
-			variants = append(variants,
-				variant{fmt.Sprintf("inner-restart@%d", d), outer.Restart, &d})
-		}
-	} else {
-		variants = append(variants, variant{"outer-down", &pin, inner.Restart})
-	}
+	variants := compoundVariants(rep)
+	out := &CompoundOutcome{Compound: rep, Scenario: variants[0].scenario,
+		Class: Benign, Variant: variants[0].name}
 	for _, v := range variants {
-		oe, ie := outer, inner
-		oe.Restart, ie.Restart = v.outerR, v.innerR
-		scenario := []sim.FaultSpec{oe, ie}
-		cls, kind, detail := tg.replay(scenario, tg.W.RestartRoles(), nil)
+		cls, kind, detail := tg.replay(v.scenario, tg.W.RestartRoles(), nil)
 		if cls < out.Class {
 			out.Class, out.FailureKind, out.Detail = cls, kind, detail
-			out.Scenario, out.Variant = scenario, v.name
+			out.Scenario, out.Variant = v.scenario, v.name
 		}
 	}
 	return out
+}
+
+// compoundVariant is one recovery policy TriggerCompound replays.
+type compoundVariant struct {
+	name     string
+	scenario []sim.FaultSpec
+}
+
+// compoundVariants lists the scenarios TriggerCompound replays for rep, the
+// as-observed one first.
+func compoundVariants(rep *detect.CompoundReport) []compoundVariant {
+	outer, inner := WindowEvent(&rep.Outer), WindowEvent(&rep.Inner)
+	variant := func(name string, outerR, innerR *int64) compoundVariant {
+		oe, ie := outer, inner
+		oe.Restart, ie.Restart = outerR, innerR
+		return compoundVariant{name, []sim.FaultSpec{oe, ie}}
+	}
+	pin := int64(-1)
+	variants := []compoundVariant{variant("as-observed", outer.Restart, inner.Restart)}
+	if rep.Inner.Kind != detect.WindowCrashRecovery {
+		return append(variants, variant("outer-down", &pin, inner.Restart))
+	}
+	variants = append(variants, variant("inner-down", outer.Restart, &pin))
+	// The grid's scale: the inner victim's observed restart delay, else
+	// the outer window's, else the default operator timescale.
+	scale := rep.Inner.RestartStep - rep.Inner.OpenStep
+	if scale <= 0 {
+		scale = rep.Outer.RestartStep - rep.Outer.OpenStep
+	}
+	if scale <= 0 {
+		scale = compoundRestartDelay
+	}
+	step := (scale + compoundRestartProbes - 1) / compoundRestartProbes
+	if step < 1 {
+		step = 1
+	}
+	for d := step; d <= scale; d += step {
+		if inner.Restart != nil && d == *inner.Restart {
+			continue // the as-observed variant already covers this delay
+		}
+		d := d
+		variants = append(variants, variant(fmt.Sprintf("inner-restart@%d", d), outer.Restart, &d))
+	}
+	return variants
 }
 
 // TriggerAll classifies every report and returns outcomes in report order,

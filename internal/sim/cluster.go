@@ -29,6 +29,11 @@ type Config struct {
 	Tracing  TracingMode
 	MaxSteps int64 // step budget; exceeding it marks the run hung
 
+	// MaxPicks, when >0, is a work budget: the run is hung once the scheduler
+	// has resumed threads that many times (Outcome.Picks), whatever the clock
+	// reads. Trigger replays set it from their workload's fault-free run.
+	MaxPicks int64
+
 	// TraceTickCost is added to the logical clock per traced record,
 	// modelling instrumentation slowdown inside simulated time. It is what
 	// lets the exhaustive-tracing ablation perturb gossip timing (§8.2).
@@ -301,9 +306,10 @@ func (c *Cluster) RestartRole(role string, causor trace.OpID) string {
 
 // Outcome summarizes a finished run.
 type Outcome struct {
-	Completed     bool // every non-daemon thread finished
-	StepBudgetHit bool
-	Steps         int64
+	Completed     bool  // every non-daemon thread finished
+	StepBudgetHit bool  // the run hit MaxSteps or MaxPicks
+	Steps         int64 // simulated time at the end, timer jumps included
+	Picks         int64 // scheduler work: thread resumes made by the run
 	Elapsed       time.Duration
 
 	Hung               []HangSite

@@ -196,7 +196,7 @@ func (c *Cluster) compactThreads() {
 
 // step runs one scheduler step: the step-boundary work, then the pick, and
 // then the picked thread until its next pause. It returns false when the run
-// is over (workload complete, deadlock, or step budget).
+// is over (workload complete, deadlock, or step or pick budget).
 //
 // The sequencing is fixed, and every trace depends on it: the due timers
 // fire, then the plan's step events are applied (a crash kills its victims
@@ -221,12 +221,13 @@ func (c *Cluster) step() bool {
 			}
 			return false // deadlock: blocked non-daemon threads remain
 		}
-		if c.clock >= c.cfg.MaxSteps {
+		if c.clock >= c.cfg.MaxSteps || (c.cfg.MaxPicks > 0 && c.out.Picks >= c.cfg.MaxPicks) {
 			c.out.StepBudgetHit = true
 			return false
 		}
 		t := runnable[c.rng.Intn(len(runnable))]
 		c.clock++
+		c.out.Picks++
 		c.curThread = t
 		t.state = tsRunning
 		t.resume()
