@@ -92,10 +92,15 @@ func (e *colEncoder) ops(ids []OpID) {
 	}
 }
 
-// decodeWindow is the size of the byte window a colDecoder refills from the
-// inflate stream. A record costs under ten decompressed bytes, so one window
-// carries well over a thousand of them between refills.
+// decodeWindow is the number of bytes the window a colDecoder refills from
+// the gzip stream holds. A record costs about 23 decompressed bytes, so one
+// window carries some seven hundred of them between refills.
 const decodeWindow = 16 << 10
+
+// endMark is the byte a colDecoder keeps just past the end of its unread
+// bytes: a varint continuation byte, so uvarint's one-byte fast path stops on
+// it without comparing against the window's end.
+const endMark = 0x80
 
 // errVarintOverflow is encoding/binary's (unexported) overflow error, text
 // for text, so corrupt-stream messages read as they always have.
@@ -104,10 +109,11 @@ var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 // colDecoder mirrors colEncoder, capturing the first error. It decodes from
 // a byte window it owns: varints are parsed straight out of win[lo:hi], and
 // the reader behind it is asked for more only when the window runs dry.
+// win[hi] is always endMark, so the window holds len(win)-1 bytes of data.
 // Strings are copied out of the window, never aliased — the window is pooled
 // (see decodeState) and symbols outlive it.
 type colDecoder struct {
-	r    io.Reader // the inflate stream; nil once the source is closed
+	r    io.Reader // the gzip stream; nil once the source is closed
 	win  []byte
 	lo   int // win[lo:hi] is read from r but not yet consumed
 	hi   int
@@ -123,9 +129,18 @@ type colDecoder struct {
 
 	// ids and lens stage one chunk's Taint and Ctl lists — all ids back to
 	// back, one length per list — until carveLists knows their total and can
-	// back them with one exact arena.
+	// back them with one exact arena. text and lens likewise stage a table
+	// section's strings for strs.
 	ids  []OpID
 	lens []int32
+	text []byte
+}
+
+// newColDecoder starts a decoder reading r through win, which holds
+// len(win)-1 bytes of data and whatever it held before.
+func newColDecoder(r io.Reader, win []byte) colDecoder {
+	win[0] = endMark
+	return colDecoder{r: r, win: win}
 }
 
 // pos is the number of decompressed bytes consumed so far.
@@ -140,18 +155,18 @@ func (d *colDecoder) fill() bool {
 		d.hi = copy(d.win, d.win[d.lo:d.hi])
 		d.lo = 0
 	}
-	for d.rerr == nil && d.hi < len(d.win) {
-		n, err := d.r.Read(d.win[d.hi:])
+	grew := false
+	for end := len(d.win) - 1; !grew && d.rerr == nil && d.hi < end; {
+		n, err := d.r.Read(d.win[d.hi:end])
 		d.hi += n
 		d.rerr = err
-		if n > 0 {
-			return true
-		}
+		grew = n > 0
 	}
-	return false
+	d.win[d.hi] = endMark
+	return grew
 }
 
-// need makes at least n unconsumed bytes available (n ≤ len(win)) and
+// need makes at least n unconsumed bytes available (n < len(win)) and
 // reports whether it could before the stream stopped.
 func (d *colDecoder) need(n int) bool {
 	for d.hi-d.lo < n {
@@ -176,6 +191,15 @@ func (d *colDecoder) short() {
 	d.lo = d.hi
 }
 
+// fail records the decoder's first error and ends the window at the current
+// position, so uvarint's fast path needs no error check of its own: it meets
+// endMark and leaves the read to the slow path, which returns 0.
+func (d *colDecoder) fail(err error) {
+	d.err = err
+	d.hi = d.lo
+	d.win[d.hi] = endMark
+}
+
 // drain discards the rest of the stream and returns what ended it, nil for
 // a clean EOF.
 func (d *colDecoder) drain() error {
@@ -187,13 +211,21 @@ func (d *colDecoder) drain() error {
 	return d.rerr
 }
 
+// uvarint reads one uvarint. Its one-byte case, almost every column value,
+// is small enough for the compiler to inline into the column loops (CI
+// checks that it stays so): the end of the window and a recorded error both
+// show up as endMark, which sends the read to the slow path.
 func (d *colDecoder) uvarint() uint64 {
+	if b := d.win[d.lo]; b < 0x80 {
+		d.lo++
+		return uint64(b)
+	}
+	return d.uvarintSlow()
+}
+
+func (d *colDecoder) uvarintSlow() uint64 {
 	if d.err != nil {
 		return 0
-	}
-	if d.lo < d.hi && d.win[d.lo] < 0x80 {
-		d.lo++
-		return uint64(d.win[d.lo-1])
 	}
 	// binary.Uvarint needs the whole varint in view to tell a long one from a
 	// cut one.
@@ -206,7 +238,7 @@ func (d *colDecoder) uvarint() uint64 {
 		d.short()
 	default: // ten continuation bytes, or a tenth byte past 64 bits
 		d.lo += binary.MaxVarintLen64
-		d.err = errVarintOverflow
+		d.fail(errVarintOverflow)
 	}
 	return u
 }
@@ -225,48 +257,65 @@ func (d *colDecoder) varint() int64 {
 func (d *colDecoder) ref(last uint64, what string) uint64 {
 	u := d.uvarint()
 	if u > last && d.err == nil {
-		d.err = fmt.Errorf("%s %d out of range (last valid: %d)", what, u, last)
+		d.fail(fmt.Errorf("%s %d out of range (last valid: %d)", what, u, last))
 	}
 	return u
 }
 
-func (d *colDecoder) str() string {
+// appendStr reads one string (uvarint length + bytes) onto the end of dst.
+func (d *colDecoder) appendStr(dst []byte) []byte {
 	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return ""
+	if d.err != nil {
+		return dst
 	}
 	if n > 1<<24 {
-		d.err = fmt.Errorf("string length %d too large", n)
-		return ""
+		d.fail(fmt.Errorf("string length %d too large", n))
+		return dst
 	}
-	need := int(n)
-	if need <= len(d.win) {
-		if !d.need(need) {
-			d.short()
-			return ""
-		}
-		d.lo += need
-		return string(d.win[d.lo-need : d.lo])
-	}
-	// Longer than the window: gather it piecewise.
-	buf := make([]byte, 0, need)
-	for len(buf) < need {
+	for need := int(n); need > 0; {
 		if d.lo == d.hi && !d.fill() {
 			d.short()
-			return ""
+			return dst
 		}
-		k := min(need-len(buf), d.hi-d.lo)
-		buf = append(buf, d.win[d.lo:d.lo+k]...)
+		k := min(need, d.hi-d.lo)
+		dst = append(dst, d.win[d.lo:d.lo+k]...)
 		d.lo += k
+		need -= k
 	}
-	return string(buf)
+	return dst
+}
+
+func (d *colDecoder) str() string {
+	d.text = d.appendStr(d.text[:0])
+	return string(d.text)
+}
+
+// strs reads a table section's n strings and hands them to add in order,
+// all carved out of one allocation: a table's strings live exactly as long
+// as its trace, so sharing one backing array costs no memory. On an error
+// add is not called.
+func (d *colDecoder) strs(n uint64, add func(string)) {
+	d.text, d.lens = d.text[:0], d.lens[:0]
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		before := len(d.text)
+		d.text = d.appendStr(d.text)
+		d.lens = append(d.lens, int32(len(d.text)-before))
+	}
+	if d.err != nil {
+		return
+	}
+	all := string(d.text)
+	for _, l := range d.lens {
+		add(all[:l])
+		all = all[l:]
+	}
 }
 
 // ops stages one OpID list (count + delta-encoded ids) for carveLists.
 func (d *colDecoder) ops() {
 	n := d.uvarint()
 	if n > 1<<24 && d.err == nil {
-		d.err = fmt.Errorf("op list length %d too large", n)
+		d.fail(fmt.Errorf("op list length %d too large", n))
 	}
 	if d.err != nil {
 		return
@@ -276,7 +325,7 @@ func (d *colDecoder) ops() {
 	for ; n > 0 && d.err == nil; n-- {
 		prev += d.varint()
 		if uint64(prev) > d.maxOp && d.err == nil {
-			d.err = fmt.Errorf("taint op %d out of range (last valid: %d)", prev, d.maxOp)
+			d.fail(fmt.Errorf("taint op %d out of range (last valid: %d)", prev, d.maxOp))
 		}
 		d.ids = append(d.ids, OpID(prev))
 	}

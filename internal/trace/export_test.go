@@ -34,7 +34,8 @@ func WithHeader(raw, hdr []byte) ([]byte, error) {
 		payload = payload[n:]
 	}
 	out := bytes.NewBufferString(FormatMagic)
-	zw := gzip.NewWriter(out)
+	zw := newDeflater()
+	zw.Reset(out)
 	zw.Write(hdr)
 	zw.Write(payload)
 	if err := zw.Close(); err != nil {
@@ -55,12 +56,15 @@ func CountDecodeStates() (made func() int64, restore func()) {
 	return n.Load, func() { decodePool.New = old }
 }
 
+// NewDeflater is the constructor of the gzip writers Encode writes through.
+var NewDeflater = newDeflater
+
 // SetDeflaterSource replaces the deflater pool with an empty one that makes
 // its writers with mk — the next encoder gets exactly mk's writer. nil puts
 // an empty production pool back.
 func SetDeflaterSource(mk func() *gzip.Writer) {
 	if mk == nil {
-		mk = func() *gzip.Writer { return gzip.NewWriter(nil) }
+		mk = newDeflater
 	}
 	deflaterPool = sync.Pool{New: func() any { return mk() }}
 }

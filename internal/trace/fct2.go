@@ -60,13 +60,25 @@ const fct2HintCap = 1 << 18
 // encodeChunk is the number of records Encode puts in one chunk.
 const encodeChunk = 1024
 
-// deflaterPool recycles gzip writers across encodes: a fresh one zeroes over
-// a megabyte of deflate state, several times what encoding a typical trace
-// costs. Reset makes a recycled writer indistinguishable from a new one, so
-// the bytes written do not depend on which one an encode got. A pooled
-// writer still points at the last stream it wrote to (dropping that would
-// cost a second Reset) but never writes to it again.
-var deflaterPool = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+// newDeflater makes the gzip writer an encode writes through. It stores:
+// every DEFLATE block it emits is a stored block, the column bytes verbatim.
+// The gzip framing stays for its CRC32 and length footer, which is what
+// makes a clipped or corrupted file fail to decode; compressing would only
+// shrink a record from about 23 bytes to 8, and inflating it back costs a
+// decoder some thirty times what reading stored bytes does.
+func newDeflater() *gzip.Writer {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.NoCompression) // a valid level: cannot fail
+	return zw
+}
+
+// deflaterPool recycles gzip writers across encodes: a fresh one allocates
+// and zeroes some 700 KB of deflate state on its first write (the
+// match-finder tables come whatever the level), more than encoding a typical
+// trace costs. Reset makes a recycled writer indistinguishable from a new
+// one, so the bytes written do not depend on which one an encode got. A
+// pooled writer still points at the last stream it wrote to (dropping that
+// would cost a second Reset) but never writes to it again.
+var deflaterPool = sync.Pool{New: func() any { return newDeflater() }}
 
 // encode writes t to w as one FCT2 stream: the header with the trace's
 // totals as size hints, the three tables, the records in chunks of chunk,
@@ -142,16 +154,18 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 
 // decodeState is the per-stream machinery of a decode, recycled through
 // decodePool: the reader the magic is peeked through (and the inflater then
-// pulls bytes from), the inflater, the decoder's byte window and its
-// list-staging scratch. A source borrows one in newSource and returns it
-// exactly once, in Close, dropping its own references first — nothing a
-// source hands out (records, Taint/Ctl lists, symbols) points into it.
+// pulls bytes from), the inflater, the decoder's byte window and the scratch
+// it stages lists and strings in. A source borrows one in newSource and
+// returns it exactly once, in Close, dropping its own references first —
+// nothing a source hands out (records, Taint/Ctl lists, symbols) points into
+// it.
 type decodeState struct {
 	br   bufio.Reader
 	zr   gzip.Reader
-	win  [decodeWindow]byte
+	win  [decodeWindow + 1]byte // + 1 for the colDecoder's endMark
 	ids  []OpID
 	lens []int32
+	text []byte
 }
 
 var decodePool = sync.Pool{New: func() any { return new(decodeState) }}
@@ -195,7 +209,8 @@ func newFCT2Source(st *decodeState) (*Source, error) {
 		return nil, fmt.Errorf("trace: fct2 gunzip: %w", err)
 	}
 	s := &Source{t: New(), st: st}
-	s.d = colDecoder{r: &st.zr, win: st.win[:], ids: st.ids, lens: st.lens}
+	s.d = newColDecoder(&st.zr, st.win[:])
+	s.d.ids, s.d.lens, s.d.text = st.ids, st.lens, st.text
 
 	flags := s.d.uvarint()
 	if s.d.err != nil {
@@ -257,10 +272,7 @@ func (s *Source) Next() ([]Record, error) {
 		}
 		switch tag {
 		case secSyms:
-			n := s.d.uvarint()
-			for i := uint64(0); i < n && s.d.err == nil; i++ {
-				s.t.Intern(s.d.str())
-			}
+			s.d.strs(s.d.uvarint(), func(sym string) { s.t.Intern(sym) })
 			if s.d.err != nil {
 				return nil, s.fail("symbols", s.d.err)
 			}
@@ -281,10 +293,7 @@ func (s *Source) Next() ([]Record, error) {
 				return nil, s.fail("stacks", s.d.err)
 			}
 		case secPIDs:
-			n := s.d.uvarint()
-			for i := uint64(0); i < n && s.d.err == nil; i++ {
-				s.t.PIDs = append(s.t.PIDs, s.d.str())
-			}
+			s.d.strs(s.d.uvarint(), func(pid string) { s.t.PIDs = append(s.t.PIDs, pid) })
 			if s.d.err != nil {
 				return nil, s.fail("pids", s.d.err)
 			}
@@ -376,8 +385,8 @@ func (s *Source) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.ids, st.lens = s.d.ids[:0], s.d.lens[:0] // keep what the scratch grew to
-	s.st, s.d.r, s.d.win, s.d.ids, s.d.lens = nil, nil, nil, nil, nil
+	st.ids, st.lens, st.text = s.d.ids[:0], s.d.lens[:0], s.d.text[:0] // keep what the scratch grew to
+	s.st, s.d.r, s.d.win, s.d.ids, s.d.lens, s.d.text = nil, nil, nil, nil, nil, nil
 	err := st.zr.Close()
 	st.release()
 	if s.rc != nil {

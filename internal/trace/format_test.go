@@ -141,6 +141,92 @@ func TestFormatsRoundTripEquivalent(t *testing.T) {
 	}
 }
 
+// encodeDeflated encodes tr as every build before stored blocks did: through
+// a default-level gzip writer, so the stream is Huffman-coded.
+func encodeDeflated(t testing.TB, tr *trace.Trace) []byte {
+	t.Helper()
+	trace.SetDeflaterSource(func() *gzip.Writer { return gzip.NewWriter(nil) })
+	defer trace.SetDeflaterSource(nil)
+	return encode(t, tr)
+}
+
+// deflateBlockTypes walks the DEFLATE stream inside an encoded trace and
+// returns the BTYPE of each block (0 stored, 1 fixed Huffman, 2 dynamic
+// Huffman), up to the final block or the first one that is not stored —
+// only a stored block's length can be read without decoding it.
+func deflateBlockTypes(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	gz := raw[len(trace.FormatMagic):]
+	// A gzip header with no optional fields is 10 bytes; FLG (byte 3) says
+	// whether any follow.
+	if len(gz) < 10 || gz[0] != 0x1f || gz[1] != 0x8b || gz[3] != 0 {
+		t.Fatalf("not a bare gzip member: % x", gz[:min(len(gz), 10)])
+	}
+	var types []byte
+	for p := 10; ; {
+		if p+5 > len(gz) {
+			t.Fatalf("DEFLATE stream cut at byte %d", p)
+		}
+		final, btype := gz[p]&1, gz[p]>>1&3
+		types = append(types, btype)
+		if btype != 0 || final == 1 {
+			return types
+		}
+		// The rest of a stored block's header byte is padding; LEN and its
+		// complement NLEN follow, then LEN bytes of data.
+		n := binary.LittleEndian.Uint16(gz[p+1:])
+		if ^n != binary.LittleEndian.Uint16(gz[p+3:]) {
+			t.Fatalf("stored block at byte %d: NLEN does not complement LEN %d", p, n)
+		}
+		p += 5 + int(n)
+	}
+}
+
+// TestEncodeWritesStoredBlocks: Encode keeps the gzip framing but stores
+// every DEFLATE block, the column bytes verbatim. A default-level stream, as
+// older builds wrote, opens with a Huffman block, so the check tells the two
+// apart.
+func TestEncodeWritesStoredBlocks(t *testing.T) {
+	tr := randomTrace(6, 6000) // a payload of several 64 KB stored blocks
+	types := deflateBlockTypes(t, encode(t, tr))
+	if len(types) < 2 {
+		t.Fatalf("block types %v: want several stored blocks", types)
+	}
+	for i, bt := range types {
+		if bt != 0 {
+			t.Fatalf("block %d has BTYPE %d, want 0 (stored)", i, bt)
+		}
+	}
+	if bt := deflateBlockTypes(t, encodeDeflated(t, tr))[0]; bt == 0 {
+		t.Fatal("a default-level stream opens with a stored block: the check cannot tell it from Encode's")
+	}
+}
+
+// TestCompressedFCT2StillDecodes: the reader takes what earlier builds
+// wrote. Every observation trace of the six workloads, encoded through a
+// default-level deflater, decodes to the same tables, records, lists and
+// metadata as its stored encoding — re-encoding either gives the same bytes.
+func TestCompressedFCT2StillDecodes(t *testing.T) {
+	for name, tr := range observedTraces(t) {
+		stored, deflated := encode(t, tr), encodeDeflated(t, tr)
+		if len(deflated) >= len(stored) {
+			t.Fatalf("%s: the deflated stream (%d bytes) is no smaller than the stored one (%d)", name, len(deflated), len(stored))
+		}
+		want, err := trace.Decode(bytes.NewReader(stored))
+		if err != nil {
+			t.Fatalf("%s stored: %v", name, err)
+		}
+		got, err := trace.Decode(bytes.NewReader(deflated))
+		if err != nil {
+			t.Fatalf("%s deflated: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Records, want.Records) || !reflect.DeepEqual(flatten(got), flatten(want)) ||
+			!bytes.Equal(encode(t, got), stored) {
+			t.Errorf("%s: the deflated stream decoded to a different trace than the stored one", name)
+		}
+	}
+}
+
 type retiredFormat struct {
 	name string
 	raw  []byte

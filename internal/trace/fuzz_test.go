@@ -12,8 +12,9 @@ import (
 // internally consistent — it indexes (BuildIndex trusts every table index and
 // op reference the decoder let through) and it re-encodes.
 func FuzzDecode(f *testing.F) {
-	// Seed with a valid stream, streams whose records point outside the
-	// tables, the retired formats' leading bytes, and garbage.
+	// Seed with valid streams, stored and deflated, streams whose records
+	// point outside the tables, the retired formats' leading bytes, and
+	// garbage.
 	var fct2 bytes.Buffer
 	if err := randomTrace(1, 40).Encode(&fct2); err != nil {
 		f.Fatal(err)
@@ -25,6 +26,9 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(unhinted)
+	// The same trace Huffman-coded, as builds before stored blocks wrote it,
+	// so fuzzing still reaches the inflater's block decoding.
+	f.Add(encodeDeflated(f, randomTrace(1, 40)))
 	// Exactly four bytes: the magic peek succeeds with nothing behind it.
 	f.Add([]byte(trace.FormatMagic))
 	f.Add([]byte("FCT1"))

@@ -150,7 +150,7 @@ func TestColDecoderMatchesBufioReference(t *testing.T) {
 			return shape(io.MultiReader(bytes.NewReader(data), iotest.ErrReader(tail)))
 		}
 		ref := newRefDecoder(stream())
-		d := colDecoder{r: stream(), win: make([]byte, window)}
+		d := newColDecoder(stream(), make([]byte, window+1))
 		for step, op := range script {
 			var want, got any
 			switch op {
@@ -184,6 +184,39 @@ func TestColDecoderMatchesBufioReference(t *testing.T) {
 			for cut := 0; cut < len(good); cut++ {
 				compare(fmt.Sprintf("%s cut %d", name, cut), good[:cut], nil, window, shape)
 				compare(fmt.Sprintf("%s boom %d", name, cut), good[:cut], boom, window, shape)
+			}
+		}
+	}
+}
+
+// TestColDecoderStopsAtFirstError: once a read fails with bytes still in
+// the window behind it, every later read returns a zero value and leaves the
+// error and the position where the failure put them — that position is the
+// offset a corrupt-stream message reports.
+func TestColDecoderStopsAtFirstError(t *testing.T) {
+	tail := []byte{7, 7, 0x81, 0x01, 2, 'o', 'k'} // a uvarint, a varint, a string
+	cases := map[string]struct {
+		bad  []byte
+		read func(d *colDecoder)
+	}{
+		"out of range": {[]byte{9}, func(d *colDecoder) { d.ref(4, "probe") }},
+		"overflow":     {bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64), func(d *colDecoder) { d.uvarint() }},
+		"long string":  {binary.AppendUvarint(nil, 1<<24+1), func(d *colDecoder) { d.str() }},
+	}
+	for name, c := range cases {
+		d := newColDecoder(bytes.NewReader(append(append([]byte{1}, c.bad...), tail...)), make([]byte, decodeWindow+1))
+		if u := d.uvarint(); u != 1 {
+			t.Fatalf("%s: first value %d, want 1", name, u)
+		}
+		c.read(&d)
+		err, pos := d.err, d.pos()
+		if err == nil || pos != int64(1+len(c.bad)) {
+			t.Fatalf("%s: err %v at %d, want an error at %d", name, err, pos, 1+len(c.bad))
+		}
+		for i := 0; i < 3; i++ {
+			u, v, str := d.uvarint(), d.varint(), d.str()
+			if u != 0 || v != 0 || str != "" || d.err != err || d.pos() != pos {
+				t.Fatalf("%s: read %d after the error gave (%d, %d, %q), err %v at %d", name, i, u, v, str, d.err, d.pos())
 			}
 		}
 	}
