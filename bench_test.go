@@ -10,6 +10,7 @@ package fcatch_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"fcatch"
@@ -230,8 +231,8 @@ func BenchmarkDetectorAnalysis(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				gf := hb.New(obs.FaultFree)
 				gy := hb.New(obs.Faulty)
-				reg := detect.DetectRegular(gf, w.Name())
-				rec := detect.DetectRecovery(gf, gy, w.Name())
+				reg := detect.DetectRegularOpts(gf, w.Name(), detect.Options{})
+				rec := detect.DetectRecoveryOpts(gf, gy, w.Name(), detect.Options{})
 				reports = len(reg.Reports) + len(rec.Reports)
 			}
 			b.ReportMetric(float64(reports), "reports")
@@ -332,7 +333,7 @@ func BenchmarkForwardClosure(b *testing.B) {
 	seeds := g.EscapingSeeds("am#1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(g.ForwardClosure(seeds)) == 0 {
+		if !slices.Contains(g.ForwardClosureDense(seeds), true) {
 			b.Fatal("empty closure")
 		}
 	}

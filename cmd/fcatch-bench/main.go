@@ -9,8 +9,10 @@
 //	fcatch-bench -campaign [-runs N]  # §8.3 extended: campaign strategy comparison
 //	fcatch-bench -triggering          # §8.4 fault-type matrix
 //
-// -parallelism bounds the pipeline's worker pool for every experiment
-// (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting.
+// -parallelism bounds the pipeline's worker pool (0 = GOMAXPROCS, 1 =
+// sequential) for the tables, the pruning ablation, the random-injection
+// baseline and the campaign comparison; -sensitivity and -ablation always
+// use every core. Results are identical at any setting.
 package main
 
 import (

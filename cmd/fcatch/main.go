@@ -52,7 +52,7 @@ func main() {
 	in := fs.String("in", "", "grep: search a saved trace file instead of re-observing the workload")
 	scenario := fs.String("scenario", "", "faulty-run fault scenario, e.g. \"step=120,restart=40;delay=48\" (default: the workload's single crash)")
 	explain := fs.Bool("explain", false, "detect: print the per-rule pruning kill table and per-candidate decision trail")
-	parallelism := cliflag.Parallelism(fs, "detect/trigger runs")
+	parallelism := cliflag.Parallelism(fs, "trigger replays")
 	metricsOut := cliflag.Metrics(fs)
 	_ = fs.Parse(os.Args[2:])
 

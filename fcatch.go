@@ -187,12 +187,14 @@ func Detect(w Workload, opts Options) (*Result, error) {
 
 // Trigger replays every report's fault (Section 5) and classifies each as a
 // true bug, an expected/handled reaction, or benign. It replays with the
-// observation's seed so trigger points land on the reported operations, and
-// fans the replays across res.Options.Parallelism workers (outcomes stay in
-// report order).
+// observation's seed so trigger points land on the reported operations,
+// replays a later-window report after the faults that opened the windows
+// before it (res.Windows), and fans the replays across
+// res.Options.Parallelism workers (outcomes stay in report order).
 func Trigger(w Workload, res *Result) []*TriggerOutcome {
 	tg := inject.NewTriggerer(w, res.Options.Seed)
 	tg.Parallelism = res.Options.Parallelism
+	tg.Windows = res.Windows
 	return tg.TriggerAll(res.Reports)
 }
 

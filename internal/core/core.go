@@ -6,14 +6,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"fcatch/internal/detect"
 	"fcatch/internal/hb"
 	"fcatch/internal/obs"
-	"fcatch/internal/parallel"
 	"fcatch/internal/sim"
 	"fcatch/internal/trace"
 )
@@ -101,11 +99,11 @@ type Options struct {
 	// Detect toggles the fault-tolerance pruning analyses (ablations only).
 	Detect detect.Options
 	// Parallelism bounds the worker pool everywhere the pipeline fans out:
-	// RunEvaluation's per-workload passes, TriggerAll's per-report replays,
-	// a campaign's runs, and Detect's two trace analyses. 0 (the
-	// default) means GOMAXPROCS; 1 forces the fully sequential path. Every
-	// setting produces byte-identical reports, tables, and counters —
-	// results are collected in deterministic order regardless of schedule.
+	// RunEvaluation's per-workload passes, TriggerAll's per-report replays
+	// and a campaign's runs. 0 (the default) means GOMAXPROCS; 1 forces the
+	// fully sequential path. Every setting produces byte-identical reports,
+	// tables, and counters — results are collected in deterministic order
+	// regardless of schedule.
 	Parallelism int
 	// Metrics, when non-nil, receives pipeline phase spans (observation
 	// runs, index builds, each detector, compound pairing) and is forwarded
@@ -197,12 +195,14 @@ func Run(w Workload, cfg sim.Config) (*sim.Cluster, *sim.Outcome) {
 
 // runOnce is Run with the pipeline's tracing cost model.
 func runOnce(w Workload, seed int64, mode sim.TracingMode, plan *sim.FaultPlan) (*sim.Cluster, *sim.Outcome) {
-	return Run(w, sim.Config{Seed: seed, Tracing: mode, Plan: plan, TraceTickCost: traceTickCost(mode)})
+	return Run(w, sim.Config{Seed: seed, Tracing: mode, Plan: plan, TraceTickCost: TraceTickCost(mode)})
 }
 
-// traceTickCost models instrumentation slowdown inside simulated time: the
-// selective tracer is cheap; tracing every heap access is not (§8.2).
-func traceTickCost(mode sim.TracingMode) int64 {
+// TraceTickCost is the simulated ticks each traced record adds to the
+// logical clock under mode (sim.Config.TraceTickCost): it models
+// instrumentation slowdown inside simulated time. The selective tracer is
+// cheap; tracing every heap access is not (§8.2).
+func TraceTickCost(mode sim.TracingMode) int64 {
 	switch mode {
 	case sim.TraceExhaustive:
 		return 6
@@ -352,10 +352,8 @@ type Result struct {
 
 // Detect runs the full FCatch pipeline (Figure 2, steps 1–3) on a workload.
 // Each run's trace is indexed once the run is in hand (ObserveIndexed), and
-// the crash-regular and crash-recovery analyses then run in parallel
-// goroutines (bounded by opts.Parallelism); both detectors are pure
-// functions of the shared read-only graphs, so the reports are identical to
-// the sequential order.
+// the crash-regular and then the crash-recovery analysis run over the two
+// graphs on the calling goroutine.
 func Detect(w Workload, opts Options) (*Result, error) {
 	obs, gf, gy, err := ObserveIndexed(w, opts)
 	if err != nil {
@@ -392,20 +390,17 @@ func Detect(w Workload, opts Options) (*Result, error) {
 	}
 	res.Windows = dopts.Windows
 	opts.Metrics.Counter("detect/windows").Add(int64(len(res.Windows)))
-	parallel.ForEach(context.Background(), opts.Parallelism, 2, func(i int) {
-		t0 := time.Now()
-		if i == 0 {
-			res.Regular = detect.DetectRegularOpts(gf, w.Name(), dopts)
-			d := time.Since(t0)
-			obs.Timings.AnalysisRegular += d
-			opts.Metrics.ObserveSpan("detect/analysis/regular", d)
-		} else {
-			res.Recovery = detect.DetectRecoveryOpts(gf, gy, w.Name(), dopts)
-			d := time.Since(t0)
-			obs.Timings.AnalysisRecovery += d
-			opts.Metrics.ObserveSpan("detect/analysis/recovery", d)
-		}
-	})
+	t0 := time.Now()
+	res.Regular = detect.DetectRegularOpts(gf, w.Name(), dopts)
+	d := time.Since(t0)
+	obs.Timings.AnalysisRegular += d
+	opts.Metrics.ObserveSpan("detect/analysis/regular", d)
+
+	t0 = time.Now()
+	res.Recovery = detect.DetectRecoveryOpts(gf, gy, w.Name(), dopts)
+	d = time.Since(t0)
+	obs.Timings.AnalysisRecovery += d
+	opts.Metrics.ObserveSpan("detect/analysis/recovery", d)
 
 	res.Reports = append(res.Reports, res.Regular.Reports...)
 	res.Reports = append(res.Reports, res.Recovery.Reports...)

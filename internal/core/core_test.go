@@ -178,15 +178,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTimingsStayWithinWallClock pins the Table 4 timing attribution: with
-// the pipeline fully sequential (Parallelism=1, builder feed time subtracted
-// from the tracing columns), the per-stage timings must sum to no more than
-// the measured wall clock around Detect.
+// TestTimingsStayWithinWallClock pins the Table 4 timing attribution:
+// Detect runs its stages one after another on one goroutine, so the
+// per-stage timings must sum to no more than the measured wall clock around
+// it.
 func TestTimingsStayWithinWallClock(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Parallelism = 1
 	start := time.Now()
-	res, err := core.Detect(toy.New(), opts)
+	res, err := core.Detect(toy.New(), core.DefaultOptions())
 	if err != nil {
 		t.Fatalf("Detect: %v", err)
 	}

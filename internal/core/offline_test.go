@@ -40,8 +40,8 @@ func TestOfflineDetectionFromSavedTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := detect.DetectRegular(hb.New(obs.FaultFree), w.Name())
-	loaded := detect.DetectRegular(hb.New(ff), w.Name())
+	live := detect.DetectRegularOpts(hb.New(obs.FaultFree), w.Name(), detect.Options{})
+	loaded := detect.DetectRegularOpts(hb.New(ff), w.Name(), detect.Options{})
 	if len(live.Reports) != len(loaded.Reports) || live.Pruned != loaded.Pruned {
 		t.Fatalf("crash-regular detection diverges across the disk round trip: %d vs %d reports",
 			len(live.Reports), len(loaded.Reports))
@@ -52,8 +52,8 @@ func TestOfflineDetectionFromSavedTraces(t *testing.T) {
 		}
 	}
 
-	liveRec := detect.DetectRecovery(hb.New(obs.FaultFree), hb.New(obs.Faulty), w.Name())
-	loadedRec := detect.DetectRecovery(hb.New(ff), hb.New(fy), w.Name())
+	liveRec := detect.DetectRecoveryOpts(hb.New(obs.FaultFree), hb.New(obs.Faulty), w.Name(), detect.Options{})
+	loadedRec := detect.DetectRecoveryOpts(hb.New(ff), hb.New(fy), w.Name(), detect.Options{})
 	if len(liveRec.Reports) != len(loadedRec.Reports) || liveRec.Pruned != loadedRec.Pruned {
 		t.Fatalf("crash-recovery detection diverges across the disk round trip: %d vs %d reports",
 			len(liveRec.Reports), len(loadedRec.Reports))

@@ -57,7 +57,7 @@ func regularTrace(timedWait bool) *trace.Trace {
 }
 
 func TestDetectRegularSignalWait(t *testing.T) {
-	res := DetectRegular(hb.New(regularTrace(false)), "wl")
+	res := DetectRegularOpts(hb.New(regularTrace(false)), "wl", Options{})
 	if len(res.Reports) != 1 {
 		t.Fatalf("reports = %d, want 1", len(res.Reports))
 	}
@@ -74,7 +74,7 @@ func TestDetectRegularSignalWait(t *testing.T) {
 }
 
 func TestDetectRegularPrunesTimedWaits(t *testing.T) {
-	res := DetectRegular(hb.New(regularTrace(true)), "wl")
+	res := DetectRegularOpts(hb.New(regularTrace(true)), "wl", Options{})
 	if len(res.Reports) != 0 || res.Pruned.WaitTimeout != 1 {
 		t.Fatalf("timed wait not pruned: reports=%d pruned=%+v", len(res.Reports), res.Pruned)
 	}
@@ -90,7 +90,7 @@ func TestDetectRegularIgnoresLocalSignals(t *testing.T) {
 	tStart := tr.Append(trace.Record{Kind: trace.KThreadStart, PID: tr.Intern("b#1"), Thread: 2, Causor: spawn})
 	tr.Append(trace.Record{Kind: trace.KSignal, PID: tr.Intern("b#1"), Thread: 2, Frame: tStart,
 		Res: tr.Intern("cv:b#1:x/1"), Site: tr.Intern("b.go:2"), TS: 9})
-	res := DetectRegular(hb.New(tr), "wl")
+	res := DetectRegularOpts(hb.New(tr), "wl", Options{})
 	if len(res.Reports) != 0 {
 		t.Fatalf("local signal reported: %v", res.Reports[0])
 	}
@@ -105,7 +105,7 @@ func TestDetectRegularWaitNeedsLaterSignal(t *testing.T) {
 	hBegin := tr.Append(trace.Record{Kind: trace.KHandlerBegin, PID: tr.Intern("b#1"), Thread: 3, Frame: bStart, Causor: send})
 	tr.Append(trace.Record{Kind: trace.KSignal, PID: tr.Intern("b#1"), Thread: 3, Frame: hBegin, Res: tr.Intern("cv:b#1:x/1"), Site: tr.Intern("b.go:2"), TS: 3})
 	tr.Append(trace.Record{Kind: trace.KWait, PID: tr.Intern("b#1"), Thread: 2, Frame: bStart, Res: tr.Intern("cv:b#1:x/1"), Site: tr.Intern("b.go:1"), TS: 8})
-	res := DetectRegular(hb.New(tr), "wl")
+	res := DetectRegularOpts(hb.New(tr), "wl", Options{})
 	if len(res.Reports) != 0 {
 		t.Fatalf("signal-before-wait wrongly paired: %v", res.Reports[0])
 	}
@@ -135,7 +135,7 @@ func loopTrace(timeInExit bool) *trace.Trace {
 }
 
 func TestDetectRegularLoopSignal(t *testing.T) {
-	res := DetectRegular(hb.New(loopTrace(false)), "wl")
+	res := DetectRegularOpts(hb.New(loopTrace(false)), "wl", Options{})
 	if len(res.Reports) != 1 || res.Reports[0].OpsDesc != "Write vs Loop" {
 		t.Fatalf("reports = %v", res.Reports)
 	}
@@ -145,7 +145,7 @@ func TestDetectRegularLoopSignal(t *testing.T) {
 }
 
 func TestDetectRegularPrunesTimeBoundedLoops(t *testing.T) {
-	res := DetectRegular(hb.New(loopTrace(true)), "wl")
+	res := DetectRegularOpts(hb.New(loopTrace(true)), "wl", Options{})
 	if len(res.Reports) != 0 || res.Pruned.LoopTimeout != 1 {
 		t.Fatalf("time-bounded loop not pruned: %+v", res.Pruned)
 	}
@@ -194,7 +194,7 @@ func recoveryPair(withReset, withSanity, withImpact bool) (ff, fy *trace.Trace) 
 
 func TestDetectRecoveryFindsConflictingPair(t *testing.T) {
 	ff, fy := recoveryPair(false, false, true)
-	res := DetectRecovery(hb.New(ff), hb.New(fy), "wl")
+	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	if len(res.Reports) != 1 {
 		t.Fatalf("reports = %d (%+v)", len(res.Reports), res.Pruned)
 	}
@@ -212,7 +212,7 @@ func TestDetectRecoveryFindsConflictingPair(t *testing.T) {
 
 func TestDetectRecoveryResetPruning(t *testing.T) {
 	ff, fy := recoveryPair(true, false, true)
-	res := DetectRecovery(hb.New(ff), hb.New(fy), "wl")
+	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	if len(res.Reports) != 0 || res.Pruned.Dependence == 0 {
 		t.Fatalf("reset-protected read not pruned: %d reports, %+v", len(res.Reports), res.Pruned)
 	}
@@ -220,7 +220,7 @@ func TestDetectRecoveryResetPruning(t *testing.T) {
 
 func TestDetectRecoverySanityCheckPruning(t *testing.T) {
 	ff, fy := recoveryPair(false, true, true)
-	res := DetectRecovery(hb.New(ff), hb.New(fy), "wl")
+	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	// The guarded read (R2) is pruned; the sanity check itself (R1, the
 	// exists probe) still pairs and has no impact — pruned by impact.
 	for _, r := range res.Reports {
@@ -235,7 +235,7 @@ func TestDetectRecoverySanityCheckPruning(t *testing.T) {
 
 func TestDetectRecoveryImpactPruning(t *testing.T) {
 	ff, fy := recoveryPair(false, false, false)
-	res := DetectRecovery(hb.New(ff), hb.New(fy), "wl")
+	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	if len(res.Reports) != 0 || res.Pruned.Impact == 0 {
 		t.Fatalf("impact-free read not pruned: %d reports, %+v", len(res.Reports), res.Pruned)
 	}
@@ -259,7 +259,7 @@ func TestDetectRecoveryIgnoresCrashNodeHeap(t *testing.T) {
 		Target: fy.Intern("x#1"), Taint: []trace.OpID{read}, TS: 8})
 	fy.PIDs = []string{"crash#1", "rec#2"}
 
-	res := DetectRecovery(hb.New(ff), hb.New(fy), "wl")
+	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	if len(res.Reports) != 0 {
 		t.Fatalf("heap on the crashed node must be ignored (it is wiped): %v", res.Reports[0])
 	}
@@ -267,7 +267,7 @@ func TestDetectRecoveryIgnoresCrashNodeHeap(t *testing.T) {
 
 func TestDetectRecoveryNoCrashNoReports(t *testing.T) {
 	ff, _ := recoveryPair(false, false, true)
-	res := DetectRecovery(hb.New(ff), hb.New(ff), "wl")
+	res := DetectRecoveryOpts(hb.New(ff), hb.New(ff), "wl", Options{})
 	if len(res.Reports) != 0 {
 		t.Fatal("fault-free pair produced crash-recovery reports")
 	}

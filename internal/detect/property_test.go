@@ -56,7 +56,7 @@ func TestRegularDetectorInvariants(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		tr := genRegularTrace(seed)
 		g := hb.New(tr)
-		res := DetectRegular(g, "fuzz")
+		res := DetectRegularOpts(g, "fuzz", Options{})
 		for _, r := range res.Reports {
 			w, rd := tr.At(r.W.Op), tr.At(r.R.Op)
 			if w == nil || rd == nil {
@@ -110,8 +110,8 @@ func TestRegularDetectorInvariants(t *testing.T) {
 func TestRegularDetectorDeterministicOnRandomTraces(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		tr := genRegularTrace(seed)
-		a := DetectRegular(hb.New(tr), "fuzz")
-		b := DetectRegular(hb.New(tr), "fuzz")
+		a := DetectRegularOpts(hb.New(tr), "fuzz", Options{})
+		b := DetectRegularOpts(hb.New(tr), "fuzz", Options{})
 		if len(a.Reports) != len(b.Reports) || a.Pruned != b.Pruned {
 			t.Fatalf("seed %d: nondeterministic detection", seed)
 		}
@@ -128,7 +128,7 @@ func TestRegularDetectorDeterministicOnRandomTraces(t *testing.T) {
 func TestRegularDetectorPruningOnlyRemoves(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		tr := genRegularTrace(seed)
-		pruned := DetectRegular(hb.New(tr), "fuzz")
+		pruned := DetectRegularOpts(hb.New(tr), "fuzz", Options{})
 		unpruned := DetectRegularOpts(hb.New(tr), "fuzz", Options{DisableTimeoutPruning: true})
 		keys := map[string]bool{}
 		for _, r := range unpruned.Reports {

@@ -85,14 +85,6 @@ func isImpactSink(k trace.Kind) bool {
 	return false
 }
 
-// DetectRecovery predicts crash-recovery TOF bugs from a checkpoint-paired
-// fault-free trace and correct faulty trace (Section 4.3). Both runs share
-// an identical prefix up to the faulty run's crash step, so resource IDs
-// coincide across them and no ID translation is needed.
-func DetectRecovery(gf, gy *hb.Graph, workload string) *RecoveryResult {
-	return DetectRecoveryOpts(gf, gy, workload, Options{})
-}
-
 // crashWrite is one candidate W: a write the fault orphaned. Window 0's
 // writes come from the fault-free trace (what the crashing node did and
 // *could have done* had it lived longer); an incarnation window's writes come
@@ -107,7 +99,12 @@ type crashWrite struct {
 	inFaulty      bool         // sourced from the faulty run itself
 }
 
-// DetectRecoveryOpts is DetectRecovery with the pruning analyses toggleable.
+// DetectRecoveryOpts predicts crash-recovery TOF bugs from a
+// checkpoint-paired fault-free trace and correct faulty trace (Section 4.3).
+// Both runs share an identical prefix up to the faulty run's crash step, so
+// resource IDs coincide across them and no ID translation is needed. opts
+// toggles the pruning analyses; the zero Options is the paper's full
+// pipeline.
 //
 // The pass is organized around the observation's hazard windows: each
 // crash-recovery window gets its own resource classification (a heap dies at

@@ -29,15 +29,11 @@ func occurrence(ix *trace.Index, r *trace.Record) int {
 	return 1
 }
 
-// DetectRegular predicts crash-regular TOF bugs from one fault-free trace
-// (Section 4.2): it pairs blocking operations (standard signal/wait and
+// DetectRegularOpts predicts crash-regular TOF bugs from one fault-free
+// trace (Section 4.2): it pairs blocking operations (standard signal/wait and
 // custom loop-signals), keeps pairs whose W causally comes from another
-// node, and prunes pairs protected by timeout mechanisms.
-func DetectRegular(g *hb.Graph, workload string) *RegularResult {
-	return DetectRegularOpts(g, workload, Options{})
-}
-
-// DetectRegularOpts is DetectRegular with the pruning analyses toggleable.
+// node, and prunes pairs protected by timeout mechanisms. opts toggles the
+// pruning analyses; the zero Options is the paper's full pipeline.
 func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResult {
 	t := g.Ix.T
 	ix := g.Ix

@@ -5,17 +5,12 @@
 // logically comes from N′").
 package hb
 
-import (
-	"sync"
-
-	"fcatch/internal/trace"
-)
+import "fcatch/internal/trace"
 
 // Graph wraps a trace index with causality traversals. Chain walks are
 // memoized: causor chains share suffixes (each op has at most one causor), so
-// one walk caches the chain of every op along the path. The memo tables are
-// mutex-guarded because the crash-regular and crash-recovery detectors run
-// concurrently over the shared fault-free graph.
+// one walk caches the chain of every op along the path. A Graph is used by
+// one goroutine at a time: the memo tables are filled on first use.
 type Graph struct {
 	Ix *trace.Index
 
@@ -23,7 +18,6 @@ type Graph struct {
 	// that matches nothing when the trace recorded no system ops).
 	systemSym trace.Sym
 
-	mu       sync.Mutex
 	chains   map[trace.OpID][]trace.OpID // memoized BackwardChain results (lazily allocated)
 	crossAnc map[trace.OpID]trace.OpID   // memoized CrossNodeAncestor (NoOp = no remote ancestor)
 }
@@ -51,29 +45,17 @@ func NewFromSource(src *trace.Source) (*Graph, error) {
 	return New(t), nil
 }
 
-// ForwardClosure is Algorithm 1: the set of operations that causally depend
-// on the seed operations. Seeds may be causal ops (thread creates, RPC
-// calls, message sends, event enqueues, KV updates) or activation records;
-// the closure contains every op inside activations they (transitively)
-// spawned, including the activation records themselves.
-func (g *Graph) ForwardClosure(seeds []trace.OpID) map[trace.OpID]bool {
-	dense := g.ForwardClosureDense(seeds)
-	out := make(map[trace.OpID]bool)
-	for id, in := range dense {
-		if in {
-			out[trace.OpID(id)] = true
-		}
-	}
-	return out
-}
-
-// ForwardClosureDense is ForwardClosure as an OpID-indexed membership slice
-// (OpIDs are dense: Records[i].ID == i+1) — the allocation-free form the
-// detectors probe. Index 0 (NoOp) is never set; seeds outside the trace are
-// ignored. Every queued in-range op resolves to a record and lands in the
-// closure (activations via the frame branch, everything else via the final
-// branch; the paper's Algorithm 1 includes the seeds too), so one slice is
-// both the visited set and the result.
+// ForwardClosureDense is Algorithm 1: the set of operations that causally
+// depend on the seed operations, as an OpID-indexed membership slice (OpIDs
+// are dense: Records[i].ID == i+1). Seeds may be causal ops (thread creates,
+// RPC calls, message sends, event enqueues, KV updates) or activation
+// records; the closure contains every op inside activations they
+// (transitively) spawned, including the activation records themselves.
+// Index 0 (NoOp) is never set; seeds outside the trace are ignored. Every
+// queued in-range op resolves to a record and lands in the closure
+// (activations via the frame branch, everything else via the final branch;
+// the paper's Algorithm 1 includes the seeds too), so one slice is both the
+// visited set and the result.
 func (g *Graph) ForwardClosureDense(seeds []trace.OpID) []bool {
 	in := make([]bool, len(g.Ix.T.Records)+1)
 	wcap := len(seeds)
@@ -118,12 +100,6 @@ func (g *Graph) ForwardClosureDense(seeds []trace.OpID) []bool {
 // on, nearest first. (Each op has at most one causor, so the closure is a
 // chain.) Results are memoized; callers must not mutate the returned slice.
 func (g *Graph) BackwardChain(op trace.OpID) []trace.OpID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.backwardChainLocked(op)
-}
-
-func (g *Graph) backwardChainLocked(op trace.OpID) []trace.OpID {
 	if c, ok := g.chains[op]; ok {
 		return c
 	}
@@ -178,15 +154,11 @@ func (g *Graph) CrossNodeAncestor(op trace.OpID) *trace.Record {
 	if r == nil {
 		return nil
 	}
-	g.mu.Lock()
 	if id, ok := g.crossAnc[op]; ok {
-		g.mu.Unlock()
 		return g.Ix.T.At(id) // At(NoOp) is nil: cached "no remote ancestor"
 	}
-	chain := g.backwardChainLocked(op)
-	g.mu.Unlock()
 	var found *trace.Record
-	for _, anc := range chain {
+	for _, anc := range g.BackwardChain(op) {
 		ar := g.Ix.T.At(anc)
 		if ar == nil {
 			continue
@@ -205,12 +177,10 @@ func (g *Graph) CrossNodeAncestor(op trace.OpID) *trace.Record {
 	if found != nil {
 		id = found.ID
 	}
-	g.mu.Lock()
 	if g.crossAnc == nil {
 		g.crossAnc = make(map[trace.OpID]trace.OpID)
 	}
 	g.crossAnc[op] = id
-	g.mu.Unlock()
 	return found
 }
 

@@ -34,7 +34,7 @@ func build() (*trace.Trace, map[string]trace.OpID) {
 func TestForwardClosureFollowsCausalChains(t *testing.T) {
 	tr, ids := build()
 	g := hb.New(tr)
-	closure := g.ForwardClosure([]trace.OpID{ids["send"]})
+	closure := g.ForwardClosureDense([]trace.OpID{ids["send"]})
 
 	for _, want := range []string{"h.begin", "W", "enq", "e.begin", "W2"} {
 		if !closure[ids[want]] {
@@ -52,7 +52,7 @@ func TestForwardClosureFollowsCausalChains(t *testing.T) {
 func TestForwardClosureFromActivationSeed(t *testing.T) {
 	tr, ids := build()
 	g := hb.New(tr)
-	closure := g.ForwardClosure([]trace.OpID{ids["b.start"]})
+	closure := g.ForwardClosureDense([]trace.OpID{ids["b.start"]})
 	// Everything under nodeB's main thread, including nested handler work.
 	for _, want := range []string{"W", "W2", "R", "enq"} {
 		if !closure[ids[want]] {
@@ -67,14 +67,16 @@ func TestForwardClosureFromActivationSeed(t *testing.T) {
 func TestForwardClosureIsIdempotent(t *testing.T) {
 	tr, ids := build()
 	g := hb.New(tr)
-	c1 := g.ForwardClosure([]trace.OpID{ids["send"]})
+	c1 := g.ForwardClosureDense([]trace.OpID{ids["send"]})
 	var again []trace.OpID
-	for id := range c1 {
-		again = append(again, id)
+	for id, in := range c1 {
+		if in {
+			again = append(again, trace.OpID(id))
+		}
 	}
-	c2 := g.ForwardClosure(again)
-	for id := range c1 {
-		if !c2[id] {
+	c2 := g.ForwardClosureDense(again)
+	for id, in := range c1 {
+		if in && !c2[id] {
 			t.Fatalf("closure not idempotent: %d lost", id)
 		}
 	}
@@ -91,10 +93,10 @@ func TestForwardClosureMonotoneInSeeds(t *testing.T) {
 		if pickEnq {
 			seeds = append(seeds, ids["enq"])
 		}
-		small := g.ForwardClosure(seeds)
-		big := g.ForwardClosure(append(seeds, ids["b.start"]))
-		for id := range small {
-			if !big[id] {
+		small := g.ForwardClosureDense(seeds)
+		big := g.ForwardClosureDense(append(seeds, ids["b.start"]))
+		for id, in := range small {
+			if in && !big[id] {
 				return false
 			}
 		}

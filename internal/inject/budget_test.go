@@ -36,7 +36,7 @@ type budgetAttempt struct {
 	readSite    string
 }
 
-// budgetAttempts lists every replay TriggerWindowed makes for res's reports
+// budgetAttempts lists every replay Trigger makes for res's reports
 // (each fault type it tries; reports from later hazard windows replay their
 // prefix events) and every variant TriggerCompound replays for res's
 // compound reports.

@@ -61,6 +61,11 @@ type Triggerer struct {
 	// cluster, and outcomes land in per-report slots, so the result is
 	// identical at any setting.
 	Parallelism int
+	// Windows are the observation's hazard windows. A report from a later
+	// window replays the faults that opened the windows before it, so its
+	// aimed fault lands in the recovery context it was detected in. Nil
+	// suits single-fault observations, whose reports all sit in window 0.
+	Windows []detect.Window
 
 	// budget measures, once, the fault-free run that sizes every replay's
 	// work budget: maxPicks = hangPicks × its scheduler picks.
@@ -152,19 +157,11 @@ func TriggerScenario(rep *detect.Report, windows []detect.Window) []sim.FaultSpe
 // all three fault types: a node crash right before W′, a kernel-level drop
 // of W′, and an application-level drop of W′. Crash-recovery reports get a
 // node crash right before or after W (depending on where W was observed),
-// with the crashed role restarted so recovery runs.
+// with the crashed role restarted so recovery runs; a report from a later
+// hazard window first replays the faults of tg.Windows that preceded it.
 func (tg *Triggerer) Trigger(rep *detect.Report) *Outcome {
-	return tg.TriggerWindowed(rep, nil)
-}
-
-// TriggerWindowed is Trigger for reports anchored to a later hazard window:
-// the observation's windows let it replay the faults that preceded the
-// report's own window, so the aimed fault lands in the same recovery context
-// it was detected in. Window-0 (and crash-regular) reports ignore windows
-// and behave exactly like Trigger.
-func (tg *Triggerer) TriggerWindowed(rep *detect.Report, windows []detect.Window) *Outcome {
 	out := &Outcome{Report: rep, Class: Benign, ByAction: map[string]bool{}}
-	events := TriggerScenario(rep, windows)
+	events := TriggerScenario(rep, tg.Windows)
 	if events == nil {
 		return out
 	}
@@ -209,7 +206,7 @@ func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fo
 // Triggerer with the same tracing and tick cost (so the same picks) as the
 // observation's.
 func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
-	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: 1}
+	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective)}
 	tg.budget.Do(func() {
 		ff := cfg
 		ff.Fold = (*handledExcFold)(nil).Window

@@ -138,19 +138,12 @@ func (st *StackTab) Push(parent StackID, frame Sym) StackID {
 	return id
 }
 
-// Depth returns the number of frames in the stack.
-func (st *StackTab) Depth(id StackID) int {
-	d := 0
-	for id != NoStack && int(id) < len(st.nodes) {
-		d++
-		id = st.nodes[id].parent
-	}
-	return d
-}
-
 // Frames returns the stack's frame Syms, outermost first.
 func (st *StackTab) Frames(id StackID) []Sym {
-	d := st.Depth(id)
+	d := 0
+	for p := id; p != NoStack && int(p) < len(st.nodes); p = st.nodes[p].parent {
+		d++
+	}
 	if d == 0 {
 		return nil
 	}

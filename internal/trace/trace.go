@@ -1,8 +1,6 @@
 package trace
 
-import (
-	"sync"
-)
+import "slices"
 
 // Trace is the full record stream of one observed run, plus run-level
 // metadata the detectors need (which processes existed, where the injected
@@ -11,10 +9,10 @@ import (
 // StackIDs index; Syms from one trace are meaningless in another (translate
 // with SymMapTo or resolve through Str).
 //
-// Interning (Intern, PushFrame, Append) is single-writer: the tracer runs
-// while one simulated thread runs. After a run the trace is read-only and every
-// resolving accessor (Str, Lookup, StackLabels, ...) is safe for concurrent use
-// — the two detectors read one trace from parallel workers.
+// Interning (Intern, PushFrame, Append, AddPID) is single-writer: the tracer
+// runs while one simulated thread runs. After a run the trace is read-only:
+// its accessors (Str, Lookup, StackLabels, HasPID, ...) only read, so
+// goroutines that share a finished trace need no locking.
 type Trace struct {
 	// Records in emission order; Records[i].ID == OpID(i+1).
 	Records []Record
@@ -33,12 +31,6 @@ type Trace struct {
 
 	syms   SymTab
 	stacks StackTab
-
-	// pidSet is the membership index behind HasPID/AddPID, built lazily (a
-	// loaded trace has PIDs but no set) and kept in sync by AddPID. Guarded
-	// by a mutex because the two detectors may query one trace concurrently.
-	pidMu  sync.Mutex
-	pidSet map[string]bool
 }
 
 // New returns an empty trace for a fault-free run.
@@ -117,64 +109,16 @@ func (t *Trace) At(id OpID) *Record {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 
-// pidSetThreshold is the PIDs length past which membership switches from a
-// linear scan to the lazily-built set. Simulated clusters run a handful of
-// processes, so the common case stays allocation-free.
-const pidSetThreshold = 16
-
-// ensurePIDSetLocked builds the membership index from PIDs once the list is
-// large enough to beat a scan (pidMu must be held). Reports whether the set
-// is available.
-func (t *Trace) ensurePIDSetLocked() bool {
-	if t.pidSet != nil {
-		return true
-	}
-	if len(t.PIDs) < pidSetThreshold {
-		return false
-	}
-	t.pidSet = make(map[string]bool, len(t.PIDs))
-	for _, p := range t.PIDs {
-		t.pidSet[p] = true
-	}
-	return true
-}
-
-// HasPID reports whether pid appeared in the run. Membership is a set probe
-// for large runs — the tracer checks every thread start against it, and the
-// crash-recovery detector probes every faulty-run PID against the fault-free
-// trace, both linear scans over PIDs before.
-func (t *Trace) HasPID(pid string) bool {
-	t.pidMu.Lock()
-	defer t.pidMu.Unlock()
-	if t.ensurePIDSetLocked() {
-		return t.pidSet[pid]
-	}
-	for _, p := range t.PIDs {
-		if p == pid {
-			return true
-		}
-	}
-	return false
-}
+// HasPID reports whether pid appeared in the run. Simulated clusters run a
+// handful of processes, so a scan of PIDs is the whole index.
+func (t *Trace) HasPID(pid string) bool { return slices.Contains(t.PIDs, pid) }
 
 // AddPID records pid in start order, once — the tracer calls it on every
-// thread start, keeping PIDs and the membership index in sync.
+// thread start.
 func (t *Trace) AddPID(pid string) {
-	t.pidMu.Lock()
-	defer t.pidMu.Unlock()
-	if t.ensurePIDSetLocked() {
-		if t.pidSet[pid] {
-			return
-		}
-		t.pidSet[pid] = true
-	} else {
-		for _, p := range t.PIDs {
-			if p == pid {
-				return
-			}
-		}
+	if !t.HasPID(pid) {
+		t.PIDs = append(t.PIDs, pid)
 	}
-	t.PIDs = append(t.PIDs, pid)
 }
 
 // numKinds bounds the Kind enum for dense per-kind tables.

@@ -2,7 +2,9 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +114,29 @@ func TestHasPID(t *testing.T) {
 	tr.PIDs = []string{"a#1", "b#1"}
 	if !tr.HasPID("a#1") || tr.HasPID("c#1") {
 		t.Fatal("HasPID wrong")
+	}
+
+	// Twenty starts of seventeen PIDs, more than any simulated cluster runs:
+	// AddPID keeps first-start order and never repeats a PID.
+	tr = trace.New()
+	var want []string
+	for i := 0; i < 20; i++ {
+		pid := fmt.Sprintf("p%d#1", i%17)
+		if i < 17 {
+			want = append(want, pid)
+		}
+		tr.AddPID(pid)
+	}
+	if !slices.Equal(tr.PIDs, want) {
+		t.Fatalf("PIDs = %v, want %v", tr.PIDs, want)
+	}
+	for _, pid := range want {
+		if !tr.HasPID(pid) {
+			t.Fatalf("HasPID(%q) = false after AddPID", pid)
+		}
+	}
+	if tr.HasPID("p17#1") {
+		t.Fatal("HasPID reports a PID never added")
 	}
 }
 

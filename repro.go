@@ -129,7 +129,9 @@ func Reproduce(bugID string, opts Options) (*Reproduction, error) {
 	if report == nil {
 		return nil, fmt.Errorf("fcatch: bug %s was not predicted by detection on %s", bugID, wl)
 	}
-	out := inject.NewTriggerer(w, opts.Seed).TriggerWindowed(report, res.Windows)
+	tg := inject.NewTriggerer(w, opts.Seed)
+	tg.Windows = res.Windows
+	out := tg.Trigger(report)
 	rep := &Reproduction{
 		Spec: spec, Workload: wl, Report: report,
 		Windows: res.Windows,

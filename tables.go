@@ -400,13 +400,7 @@ func AblationTraceAll(seed int64) []AblationRow {
 		w := ws[i]
 		row := AblationRow{Workload: w.Name()}
 		for _, mode := range []sim.TracingMode{sim.TraceSelective, sim.TraceExhaustive} {
-			cost := int64(1)
-			if mode == sim.TraceExhaustive {
-				// Tracing every heap access costs far more than the
-				// selective tracer's per-record bookkeeping (Section 8.2).
-				cost = 6
-			}
-			_, out := core.Run(w, sim.Config{Seed: seed, Tracing: mode, TraceTickCost: cost})
+			_, out := core.Run(w, sim.Config{Seed: seed, Tracing: mode, TraceTickCost: core.TraceTickCost(mode)})
 			err := out.CheckErr
 			if mode == sim.TraceSelective {
 				row.SelectiveSteps = out.Steps
