@@ -22,24 +22,33 @@ type PruningAblationRow struct {
 	NoTimeout, NoDependence, NoImpact, NoneAtAll int
 }
 
+// pruningConfigs are the ablation's detector configurations, in column
+// order; PruningAblationRow.cells lists a row's counts in the same order.
+var pruningConfigs = []struct {
+	name string
+	d    detect.Options
+}{
+	{"full", detect.Options{}},
+	{"no-timeout", detect.Options{DisableTimeoutPruning: true}},
+	{"no-dependence", detect.Options{DisableDependencePruning: true}},
+	{"no-impact", detect.Options{DisableImpactPruning: true}},
+	{"none", detect.Options{DisableTimeoutPruning: true, DisableDependencePruning: true, DisableImpactPruning: true}},
+}
+
+// cells points at the row's counts, one per entry of pruningConfigs.
+func (r *PruningAblationRow) cells() []*int {
+	return []*int{&r.Full, &r.NoTimeout, &r.NoDependence, &r.NoImpact, &r.NoneAtAll}
+}
+
 // PruningAblation runs detection on every workload under each pruning
 // configuration. All workload×configuration passes fan out together across
-// opts.Parallelism workers; each count lands in its own row field, so the
+// opts.Parallelism workers; each count lands in its own row cell, so the
 // table is deterministic at any setting.
 func PruningAblation(opts Options) ([]PruningAblationRow, error) {
-	configs := []struct {
-		name string
-		d    detect.Options
-	}{
-		{"full", detect.Options{}},
-		{"no-timeout", detect.Options{DisableTimeoutPruning: true}},
-		{"no-dependence", detect.Options{DisableDependencePruning: true}},
-		{"no-impact", detect.Options{DisableImpactPruning: true}},
-		{"none", detect.Options{DisableTimeoutPruning: true, DisableDependencePruning: true, DisableImpactPruning: true}},
-	}
 	ws := Workloads()
-	counts, err := parallel.MapErr(context.Background(), opts.Parallelism, len(ws)*len(configs), func(i int) (int, error) {
-		w, cfg := ws[i/len(configs)], configs[i%len(configs)]
+	nc := len(pruningConfigs)
+	counts, err := parallel.MapErr(context.Background(), opts.Parallelism, len(ws)*nc, func(i int) (int, error) {
+		w, cfg := ws[i/nc], pruningConfigs[i%nc]
 		o := opts
 		o.Detect = cfg.d
 		res, err := Detect(w, o)
@@ -53,22 +62,9 @@ func PruningAblation(opts Options) ([]PruningAblationRow, error) {
 	}
 	rows := make([]PruningAblationRow, len(ws))
 	for wi, w := range ws {
-		row := &rows[wi]
-		row.Workload = w.Name()
-		for ci, cfg := range configs {
-			n := counts[wi*len(configs)+ci]
-			switch cfg.name {
-			case "full":
-				row.Full = n
-			case "no-timeout":
-				row.NoTimeout = n
-			case "no-dependence":
-				row.NoDependence = n
-			case "no-impact":
-				row.NoImpact = n
-			case "none":
-				row.NoneAtAll = n
-			}
+		rows[wi].Workload = w.Name()
+		for ci, n := range rows[wi].cells() {
+			*n = counts[wi*nc+ci]
 		}
 	}
 	return rows, nil
@@ -76,26 +72,30 @@ func PruningAblation(opts Options) ([]PruningAblationRow, error) {
 
 // RenderPruningAblation renders the ablation as a table.
 func RenderPruningAblation(rows []PruningAblationRow) string {
+	line := func(r *PruningAblationRow) []string {
+		cells := []string{r.Workload}
+		for _, n := range r.cells() {
+			cells = append(cells, fmt.Sprint(*n))
+		}
+		return cells
+	}
+	header := []string{""}
+	for _, cfg := range pruningConfigs {
+		header = append(header, cfg.name)
+	}
 	var out [][]string
 	totals := PruningAblationRow{Workload: "Total"}
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Workload, fmt.Sprint(r.Full), fmt.Sprint(r.NoTimeout),
-			fmt.Sprint(r.NoDependence), fmt.Sprint(r.NoImpact), fmt.Sprint(r.NoneAtAll),
-		})
-		totals.Full += r.Full
-		totals.NoTimeout += r.NoTimeout
-		totals.NoDependence += r.NoDependence
-		totals.NoImpact += r.NoImpact
-		totals.NoneAtAll += r.NoneAtAll
+	sums := totals.cells()
+	for i := range rows {
+		out = append(out, line(&rows[i]))
+		for ci, n := range rows[i].cells() {
+			*sums[ci] += *n
+		}
 	}
-	out = append(out, []string{
-		totals.Workload, fmt.Sprint(totals.Full), fmt.Sprint(totals.NoTimeout),
-		fmt.Sprint(totals.NoDependence), fmt.Sprint(totals.NoImpact), fmt.Sprint(totals.NoneAtAll),
-	})
+	out = append(out, line(&totals))
 	var b strings.Builder
 	b.WriteString("Pruning-analysis ablation (Section 8.4): reports per configuration.\n")
-	b.WriteString(renderTable([]string{"", "full", "no-timeout", "no-dependence", "no-impact", "none"}, out))
+	b.WriteString(renderTable(header, out))
 	if totals.Full > 0 {
 		fmt.Fprintf(&b, "growth without any pruning: %.1fx\n", float64(totals.NoneAtAll)/float64(totals.Full))
 	}

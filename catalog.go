@@ -1,6 +1,7 @@
 package fcatch
 
 import (
+	"slices"
 	"strings"
 
 	"fcatch/internal/detect"
@@ -63,28 +64,31 @@ func opsMatch(spec, got string) bool {
 	return norm == got
 }
 
+// matches reports whether r carries bug s's static signature: its type,
+// operation pair and resource hint.
+func (s *BugSpec) matches(r *Report) bool {
+	return s.Type == r.Type && opsMatch(s.Ops, r.OpsDesc) && strings.Contains(r.ResClass, s.ResHint)
+}
+
+// MatchReport finds the catalog entry a report's static signature matches,
+// regardless of its trigger verdict (used by the sensitivity study).
+func MatchReport(workload string, r *Report) *BugSpec {
+	for i := range Catalog {
+		s := &Catalog[i]
+		if s.matches(r) && slices.Contains(s.Workloads, workload) {
+			return s
+		}
+	}
+	return nil
+}
+
 // MatchSpec finds the catalog entry a classified report corresponds to
 // (nil if the report is not a catalogued true bug).
 func MatchSpec(workload string, out *inject.Outcome) *BugSpec {
 	if out.Class != inject.TrueBug {
 		return nil
 	}
-	r := out.Report
-	for i := range Catalog {
-		s := &Catalog[i]
-		if s.Type != r.Type || !opsMatch(s.Ops, r.OpsDesc) {
-			continue
-		}
-		if !strings.Contains(r.ResClass, s.ResHint) {
-			continue
-		}
-		for _, w := range s.Workloads {
-			if w == workload {
-				return s
-			}
-		}
-	}
-	return nil
+	return MatchReport(workload, out.Report)
 }
 
 // Spec returns the catalog entry with the given ID (nil if unknown).
@@ -97,8 +101,9 @@ func Spec(id string) *BugSpec {
 	return nil
 }
 
-// HB6 must not swallow HB5 (its hint is a prefix): MatchSpec is ordered so
-// the more specific hint comes first in Catalog; keep it that way.
+// HB6 must not swallow HB5 (its hint is a prefix): MatchReport returns the
+// first entry that matches, so the more specific hint comes first in Catalog;
+// keep it that way.
 var _ = func() struct{} {
 	for i, s := range Catalog {
 		for j := i + 1; j < len(Catalog); j++ {

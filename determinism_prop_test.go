@@ -18,8 +18,8 @@ import (
 )
 
 // observeFingerprint runs the observation phase and returns a normalized
-// fingerprint: both encoded traces plus both outcomes with the wall-clock
-// fields (the only legitimately nondeterministic ones) cleared.
+// fingerprint: both encoded traces as saved, plus both outcomes with their
+// wall-clock Elapsed (the only legitimately nondeterministic field) cleared.
 func observeFingerprint(t *testing.T, wl string) (ff, fy []byte, outcomes string) {
 	t.Helper()
 	opts := core.Options{Seed: 1, Phase: fcatch.PhaseBegin, Tracing: sim.TraceSelective, Parallelism: 0}
@@ -27,8 +27,6 @@ func observeFingerprint(t *testing.T, wl string) (ff, fy []byte, outcomes string
 	if err != nil {
 		t.Fatalf("observe %s: %v", wl, err)
 	}
-	obs.FaultFree.BaselineNanos = 0
-	obs.Faulty.BaselineNanos = 0
 	var bf, by bytes.Buffer
 	if err := obs.FaultFree.Encode(&bf); err != nil {
 		t.Fatalf("encode fault-free: %v", err)

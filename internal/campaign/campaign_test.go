@@ -39,12 +39,6 @@ func TestStripPID(t *testing.T) {
 	}
 }
 
-func TestRoleOnly(t *testing.T) {
-	if roleOnly("task2#3") != "task2" || roleOnly("plain") != "plain" {
-		t.Fatal("roleOnly wrong")
-	}
-}
-
 func TestSymptomShapes(t *testing.T) {
 	hang := &sim.Outcome{Hung: []sim.HangSite{
 		{PID: "am#1", Name: "main", Thread: 8, Reason: "loop:awaitTasks"},

@@ -23,11 +23,8 @@ type RunResult struct {
 // Entry is one corpus line: what was injected, what happened, whether it was
 // new.
 type Entry struct {
-	Index   int       `json:"index"`
-	Plan    Plan      `json:"plan"`
-	Sig     Signature `json:"signature"`
-	Verdict string    `json:"verdict"`
-	Novel   bool      `json:"novel,omitempty"`
+	Index int `json:"index"`
+	RunResult
 }
 
 // CorpusVersion is the one corpus schema this build writes and reads: every
@@ -65,9 +62,8 @@ func (c *Corpus) add(r RunResult) bool {
 	key := r.Sig.BehaviorKey()
 	novel := !c.seenBehavior[key]
 	c.seenBehavior[key] = true
-	c.Entries = append(c.Entries, Entry{
-		Index: len(c.Entries), Plan: r.Plan, Sig: r.Sig, Verdict: r.Verdict, Novel: novel,
-	})
+	r.Novel = novel
+	c.Entries = append(c.Entries, Entry{Index: len(c.Entries), RunResult: r})
 	return novel
 }
 

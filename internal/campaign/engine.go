@@ -291,7 +291,7 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 		for i := range batch {
 			if prior != nil && first+i < len(prior.Entries) {
 				if e := prior.Entries[first+i]; e.Plan.Key() == batch[i].Key() {
-					results[i] = RunResult{Plan: e.Plan, Sig: e.Sig, Verdict: e.Verdict}
+					results[i] = e.RunResult
 					continue
 				}
 			}

@@ -12,6 +12,7 @@ import (
 
 	"fcatch/internal/apps/toy"
 	"fcatch/internal/sim"
+	"fcatch/internal/trace"
 )
 
 // TestRetiredCorpusSchemasFailClosed: the corpus has one schema. The
@@ -211,7 +212,7 @@ func TestRecoveryCrashScenarioFires(t *testing.T) {
 		if pids[0] == pids[1] {
 			t.Fatalf("second crash hit the same incarnation: %v", pids)
 		}
-		if roleOnly(pids[0]) != roleOnly(pids[1]) {
+		if trace.Role(pids[0]) != trace.Role(pids[1]) {
 			t.Fatalf("second crash hit a different role: %v", pids)
 		}
 	}

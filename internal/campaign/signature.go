@@ -58,7 +58,7 @@ func (s Signature) BehaviorKey() string {
 // symptom string alone would collapse. Runs with fewer than two firings
 // fingerprint to "" (the classic single-fault signature is the window-free
 // special case).
-func WindowsFingerprint(firings []sim.FaultFiring) string {
+func WindowsFingerprint(firings []trace.FaultFiring) string {
 	if len(firings) < 2 {
 		return ""
 	}
@@ -104,7 +104,7 @@ func Symptom(out *sim.Outcome) string {
 		if where == "" {
 			where = first.Site
 		}
-		return "hang:" + roleOnly(first.PID) + "/" + first.Name + "@" + stripPID(where)
+		return "hang:" + trace.Role(first.PID) + "/" + first.Name + "@" + stripPID(where)
 	}
 	if out.CheckErr != nil {
 		return "check:" + out.CheckErr.Error()
@@ -122,13 +122,6 @@ func ExpectedSymptom(w core.Workload, symptom string) bool {
 		}
 	}
 	return false
-}
-
-func roleOnly(pid string) string {
-	if i := strings.IndexByte(pid, '#'); i >= 0 {
-		return pid[:i]
-	}
-	return pid
 }
 
 // stripPID removes "#N" incarnation suffixes so signatures are stable across

@@ -147,7 +147,6 @@ type Observation struct {
 	Faulty           *trace.Trace
 	FaultFreeOutcome *sim.Outcome
 	FaultyOutcome    *sim.Outcome
-	CrashStep        int64
 	// CrashedPIDs are the processes the scenario crashed, in injection
 	// order: the crash victims of FaultFirings, kept as a flat list for
 	// callers that only need "the crashed node(s)".
@@ -156,7 +155,7 @@ type Observation struct {
 	// faulty run, in firing order — the per-fault surface hazard-window
 	// derivation consumes (each firing keeps its step, anchor and victim,
 	// which the flat CrashedPIDs list loses).
-	FaultFirings []sim.FaultFiring
+	FaultFirings []trace.FaultFiring
 	Timings      Timings
 }
 
@@ -301,7 +300,6 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		obs.Faulty = cy.Trace()
 		obs.FaultyOutcome = outY
 		obs.Timings.TracingFaulty = outY.Elapsed
-		obs.CrashStep = cy.Trace().CrashStep
 		obs.FaultFirings = outY.FaultFirings
 		for _, f := range outY.FaultFirings {
 			if f.Action == sim.ActionNodeCrash && f.Victim != "" {
@@ -377,13 +375,7 @@ func Detect(w Workload, opts Options) (*Result, error) {
 		dopts.Metrics = opts.Metrics
 	}
 	if len(dopts.Firings) == 0 {
-		for _, f := range obs.FaultFirings {
-			dopts.Firings = append(dopts.Firings, detect.FaultFiring{
-				Index: f.Index, Action: f.Action, Step: f.Step,
-				Site: f.Site, Occurrence: f.Occurrence, When: f.When,
-				Victim: f.Victim,
-			})
-		}
+		dopts.Firings = obs.FaultFirings
 	}
 	if len(dopts.Windows) == 0 {
 		dopts.Windows = detect.ObservationWindows(obs.Faulty, dopts)

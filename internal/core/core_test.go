@@ -78,8 +78,8 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("record %d differs:\n  %s\n  %s", i, a, b)
 		}
 	}
-	if o1.CrashStep != o2.CrashStep {
-		t.Fatalf("crash steps differ: %d vs %d", o1.CrashStep, o2.CrashStep)
+	if o1.Faulty.CrashStep != o2.Faulty.CrashStep {
+		t.Fatalf("crash steps differ: %d vs %d", o1.Faulty.CrashStep, o2.Faulty.CrashStep)
 	}
 }
 

@@ -425,7 +425,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 				R:               summarize(ty, p.r, occurrence(ixY, p.r)),
 				WInFaultyRun:    inFaulty,
 				CrashTargetPID:  win.Victim,
-				CrashTargetRole: roleOf(win.Victim),
+				CrashTargetRole: trace.Role(win.Victim),
 				WindowID:        win.ID,
 				FaultIndex:      win.FaultIndex,
 				Workload:        workload,

@@ -113,7 +113,7 @@ func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResul
 				R:               summarize(t, w, occurrence(ix, w)),
 				WPrime:          &wps,
 				CrashTargetPID:  wps.PID,
-				CrashTargetRole: roleOf(wps.PID),
+				CrashTargetRole: trace.Role(wps.PID),
 				Workload:        workload,
 			}
 			addCandidate(rep, w.HasFlag(trace.FlagTimedWait))
@@ -162,7 +162,7 @@ func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResul
 				R:               summarize(t, r, occurrence(ix, r)),
 				WPrime:          &wps,
 				CrashTargetPID:  wps.PID,
-				CrashTargetRole: roleOf(wps.PID),
+				CrashTargetRole: trace.Role(wps.PID),
 				Workload:        workload,
 			}
 			addCandidate(rep, timeBased)
@@ -203,14 +203,4 @@ func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResul
 		res.Reports = append(res.Reports, rep)
 	}
 	return res
-}
-
-// roleOf strips the incarnation suffix from a PID ("hmaster#2" → "hmaster").
-func roleOf(pid string) string {
-	for i := 0; i < len(pid); i++ {
-		if pid[i] == '#' {
-			return pid[:i]
-		}
-	}
-	return pid
 }

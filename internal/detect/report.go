@@ -134,7 +134,7 @@ type Options struct {
 	CrashedPIDs []string
 	// Firings are the scenario's actual fault firings (victim, step,
 	// anchor per event). When set, hazard windows are derived from them.
-	Firings []FaultFiring
+	Firings []trace.FaultFiring
 	// Windows, when non-empty, are the observation's hazard windows,
 	// derived once by the caller (core.Detect) and shared by both
 	// detectors and the cross-window pairing pass.

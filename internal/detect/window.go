@@ -16,20 +16,10 @@ import (
 // reason per window. A classic single-crash observation lowers to exactly
 // one window.
 
-// FaultFiring mirrors sim.FaultFiring in the detect layer (detect stays
-// independent of the simulator): one scenario event that actually fired,
-// with its victim, step and anchor.
-type FaultFiring struct {
-	Index  int
-	Action string
-	Step   int64
-	// Site/Occurrence/When are the firing's replayable anchor for
-	// site-anchored events (empty/zero for step-anchored ones).
-	Site       string
-	Occurrence int
-	When       string
-	Victim     string
-}
+// FaultFiring is trace.FaultFiring under the name it had in this package.
+// The package itself uses trace.FaultFiring; the alias goes once no caller
+// names it.
+type FaultFiring = trace.FaultFiring
 
 // WindowKind distinguishes how a hazard window was opened.
 type WindowKind int
@@ -97,7 +87,7 @@ func (w *Window) Contains(step int64) bool {
 // Role is the victim's role, incarnation suffix stripped ("am#2" → "am") —
 // the name scenario events target, so a rebuilt event aims at whatever
 // incarnation is current when it fires.
-func (w *Window) Role() string { return roleOf(w.Victim) }
+func (w *Window) Role() string { return trace.Role(w.Victim) }
 
 // String renders a compact one-line summary ("w0[crash-recovery] am#1@142..390 rec=am#2").
 func (w *Window) String() string {
@@ -113,7 +103,7 @@ func (w *Window) String() string {
 // nothing (empty victim) open no window. A one-firing scenario — the classic
 // observation crash — lowers to exactly one window spanning from the crash
 // to the end of the trace.
-func DeriveWindows(ty *trace.Trace, firings []FaultFiring) []Window {
+func DeriveWindows(ty *trace.Trace, firings []trace.FaultFiring) []Window {
 	if len(firings) == 0 {
 		return nil
 	}
@@ -121,7 +111,7 @@ func DeriveWindows(ty *trace.Trace, firings []FaultFiring) []Window {
 	return deriveWindows(ty, firings, crashAt, restartAt)
 }
 
-func deriveWindows(ty *trace.Trace, firings []FaultFiring, crashAt, restartAt map[string]int64) []Window {
+func deriveWindows(ty *trace.Trace, firings []trace.FaultFiring, crashAt, restartAt map[string]int64) []Window {
 	end := traceEnd(ty)
 	var out []Window
 	for _, f := range firings {
@@ -234,7 +224,7 @@ func resolveWindows(ty *trace.Trace, opts *Options) []Window {
 		victims = []string{ty.CrashedPID}
 	}
 	crashAt, restartAt := crashBookkeeping(ty)
-	var firings []FaultFiring
+	var firings []trace.FaultFiring
 	for _, pid := range victims {
 		if pid == "" {
 			continue
@@ -243,7 +233,7 @@ func resolveWindows(ty *trace.Trace, opts *Options) []Window {
 		if !ok {
 			step = ty.CrashStep
 		}
-		firings = append(firings, FaultFiring{Index: len(firings), Action: "node-crash", Step: step, Victim: pid})
+		firings = append(firings, trace.FaultFiring{Index: len(firings), Action: "node-crash", Step: step, Victim: pid})
 	}
 	return deriveWindows(ty, firings, crashAt, restartAt)
 }

@@ -47,7 +47,7 @@ func TestWindowContains(t *testing.T) {
 // the trace end; firings that hit nothing open no window.
 func TestDeriveWindows(t *testing.T) {
 	ty := windowedTrace()
-	firings := []FaultFiring{
+	firings := []trace.FaultFiring{
 		{Index: 0, Action: "node-crash", Step: 100, Victim: "am#1"},
 		{Index: 1, Action: "node-crash", Step: 150, Victim: "am#2"},
 		{Index: 2, Action: "kernel-drop", Step: 170, Site: "a.go:5", Occurrence: 1, When: "before", Victim: "rs#1"},
@@ -85,28 +85,28 @@ func TestResolveWindowsLadder(t *testing.T) {
 	ty := windowedTrace()
 
 	explicit := []Window{{ID: 0, Victim: "custom", OpenStep: 7, CloseStep: 9}}
-	got := resolveWindows(ty, &Options{Windows: explicit, Firings: []FaultFiring{{Victim: "am#1", Step: 100}}})
+	got := resolveWindows(ty, &Options{Windows: explicit, Firings: []trace.FaultFiring{{Victim: "am#1", Step: 100}}})
 	if len(got) != 1 || got[0].Victim != "custom" {
 		t.Fatalf("explicit windows ignored: %v", got)
 	}
 
-	first := FaultFiring{Index: 0, Action: "node-crash", Step: 100, Victim: "am#1"}
-	second := FaultFiring{Index: 1, Action: "node-crash", Step: 150, Victim: "am#2"}
+	first := trace.FaultFiring{Index: 0, Action: "node-crash", Step: 100, Victim: "am#1"}
+	second := trace.FaultFiring{Index: 1, Action: "node-crash", Step: 150, Victim: "am#2"}
 
-	got = resolveWindows(ty, &Options{Firings: []FaultFiring{first}})
+	got = resolveWindows(ty, &Options{Firings: []trace.FaultFiring{first}})
 	if len(got) != 1 || got[0].Victim != "am#1" || got[0].CloseStep != 150 {
 		t.Fatalf("firing lowering = %v", got)
 	}
 
 	got = resolveWindows(ty, &Options{CrashedPIDs: []string{"am#1", "", "am#2"}})
-	if want := DeriveWindows(ty, []FaultFiring{first, second}); !reflect.DeepEqual(got, want) {
+	if want := DeriveWindows(ty, []trace.FaultFiring{first, second}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("victim-list rung = %v, want DeriveWindows' %v", got, want)
 	}
 
 	// The bare trace: one window for its first recorded crash, recovery
 	// fields included.
 	got = resolveWindows(ty, &Options{})
-	if want := DeriveWindows(ty, []FaultFiring{first}); !reflect.DeepEqual(got, want) {
+	if want := DeriveWindows(ty, []trace.FaultFiring{first}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("bare-trace rung = %v, want DeriveWindows' %v", got, want)
 	}
 	if len(got) != 1 || got[0].Action != "node-crash" || got[0].Incarnation != "am#2" ||
@@ -143,7 +143,7 @@ func TestNextIncarnation(t *testing.T) {
 func TestDetectCompoundPairsContainedWindows(t *testing.T) {
 	ty := windowedTrace()
 	gy := hb.New(ty)
-	wins := DeriveWindows(ty, []FaultFiring{
+	wins := DeriveWindows(ty, []trace.FaultFiring{
 		{Index: 0, Action: "node-crash", Step: 100, Victim: "am#1"},
 		{Index: 1, Action: "node-crash", Step: 150, Victim: "am#2"},
 	})

@@ -315,7 +315,6 @@ type Outcome struct {
 	Hung               []HangSite
 	Crashed            []string // PIDs crashed (injected or cascading)
 	FatalLogs          []string
-	ErrorLogs          []string
 	UncaughtExceptions []string
 	HandledExceptions  []string
 	CheckErr           error // the workload checker's verdict (filled by core.Run)
@@ -324,7 +323,7 @@ type Outcome struct {
 	// firing order — each with its victim, step and anchor. This is the
 	// per-fault record hazard-window derivation consumes; Crashed above
 	// remains the flat union (plan victims plus app-level kills).
-	FaultFirings []FaultFiring
+	FaultFirings []trace.FaultFiring
 }
 
 // HangSite describes one thread that was still alive when the run ended.

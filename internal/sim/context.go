@@ -224,7 +224,6 @@ func (ctx *Context) Log(msg string) { _ = msg }
 
 // LogError records an error-level log; values passed taint the sink.
 func (ctx *Context) LogError(msg string, vs ...Value) {
-	ctx.c.out.ErrorLogs = append(ctx.c.out.ErrorLogs, fmt.Sprintf("%s@%s", msg, ctx.PID()))
 	ctx.Do(OpReq{Kind: trace.KLogError, Aux: msg, Taint: taintsOf(vs...)})
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+
+	"fcatch/internal/trace"
 )
 
 // Errors surfaced to application code by communication ops.
@@ -155,30 +157,6 @@ type FaultSpec struct {
 // relative reports whether the event arms off the previous event's firing.
 func (s *FaultSpec) relative() bool { return s.Site == "" && s.Delay > 0 }
 
-// FaultFiring records one scenario event actually firing during a run:
-// which event, what it did, to whom, and when. The firing list is the
-// per-fault surface the detectors' hazard-window derivation consumes —
-// unlike the flat victim list, it keeps each fault's moment and anchor.
-type FaultFiring struct {
-	// Index is the event's position in the scenario (FaultPlan.Events).
-	Index int `json:"index"`
-	// Action is the event's fault action, in ActionNames() form.
-	Action string `json:"action"`
-	// Step is the logical clock at the moment the event fired.
-	Step int64 `json:"step"`
-	// Site is the matched site for site-anchored events ("" otherwise);
-	// Occurrence and When complete the anchor (1-based occurrence at Site,
-	// before/after edge), so a firing can be replayed as a site-anchored
-	// event without the original spec.
-	Site       string `json:"site,omitempty"`
-	Occurrence int    `json:"occurrence,omitempty"`
-	When       string `json:"when,omitempty"`
-	// Victim is the crashed process for crash actions, or the sender whose
-	// message was dropped for drop actions. Empty when the event fired but
-	// hit nothing (unresolvable target, non-send op under a drop event).
-	Victim string `json:"victim,omitempty"`
-}
-
 // FaultEvent is a FaultSpec plus the per-run runtime state the cluster
 // tracks while matching it.
 type FaultEvent struct {
@@ -222,7 +200,7 @@ type FaultPlan struct {
 	lastCrashRole string
 	// firings are the events that actually fired, in firing order — the one
 	// record of what the plan did (Outcome.FaultFirings).
-	firings []FaultFiring
+	firings []trace.FaultFiring
 }
 
 // NewScenarioPlan builds a plan that injects the given fault scenario and
@@ -357,7 +335,7 @@ func (c *Cluster) checkTrigger(site SiteID, when TriggerWhen, isSend bool) (drop
 		ev.fired = true
 		p.sitePending--
 		c.armNextEvent(p, i)
-		firing := FaultFiring{
+		firing := trace.FaultFiring{
 			Index: i, Action: ev.action.String(), Step: c.clock,
 			Site: ev.Site, Occurrence: occ, When: ev.when.String(),
 		}

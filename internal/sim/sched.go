@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"fcatch/internal/trace"
+)
 
 // timer is a scheduled wakeup: either a thread wake (possibly a timed-wait
 // expiry) or a scheduler-context callback (e.g. a planned role restart).
@@ -141,7 +145,7 @@ func (c *Cluster) applyPlanAtStep() {
 			// Treat as a role name: crash its current incarnation.
 			pid = c.Lookup(target)
 		}
-		firing := FaultFiring{Index: i, Action: ev.action.String(), Step: c.clock}
+		firing := trace.FaultFiring{Index: i, Action: ev.action.String(), Step: c.clock}
 		if pid != "" {
 			firing.Victim = c.injectCrash(pid, c.sitePlan, ev.Restart)
 		}
@@ -277,8 +281,5 @@ func (c *Cluster) Run() *Outcome {
 		c.out.FaultFirings = p.firings
 	}
 	c.out.Elapsed = time.Since(c.startWall)
-	if c.tracer.trace != nil {
-		c.tracer.trace.BaselineNanos = c.out.Elapsed.Nanoseconds()
-	}
 	return &c.out
 }

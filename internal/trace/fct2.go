@@ -27,7 +27,8 @@ import (
 //	               Sym/StackID/OpID/flag columns as uvarints; Taint and Ctl as
 //	               uvarint count + delta-encoded varint IDs per record. Record
 //	               IDs are implicit and continue from the previous chunk
-//	secMeta (5)    varint CrashStep, string CrashedPID, varint BaselineNanos
+//	secMeta (5)    varint CrashStep, string CrashedPID, varint 0 (a retired
+//	               wall-clock slot: written as 0, read and skipped)
 //	secEnd (6)     uvarint total record count (truncation check) — always last
 //
 // A table section may appear anywhere before the first record chunk that
@@ -136,7 +137,7 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 	e.uvarint(secMeta)
 	e.varint(t.CrashStep)
 	e.str(t.CrashedPID)
-	e.varint(t.BaselineNanos)
+	e.varint(0) // the retired wall-clock slot
 	e.uvarint(secEnd)
 	e.uvarint(uint64(len(t.Records)))
 	err := e.err
@@ -309,7 +310,7 @@ func (s *Source) Next() ([]Record, error) {
 		case secMeta:
 			s.t.CrashStep = s.d.varint()
 			s.t.CrashedPID = s.d.str()
-			s.t.BaselineNanos = s.d.varint()
+			s.d.varint() // the retired wall-clock slot
 			if s.d.err != nil {
 				return nil, s.fail("meta", s.d.err)
 			}

@@ -20,19 +20,17 @@ import (
 // so traces from different codecs can be compared even though their symbol
 // tables may assign different Syms.
 type semantic struct {
-	PIDs          []string
-	CrashStep     int64
-	CrashedPID    string
-	BaselineNanos int64
-	Records       []trace.RecordData
+	PIDs       []string
+	CrashStep  int64
+	CrashedPID string
+	Records    []trace.RecordData
 }
 
 func flatten(t *trace.Trace) semantic {
 	s := semantic{
-		PIDs:          t.PIDs,
-		CrashStep:     t.CrashStep,
-		CrashedPID:    t.CrashedPID,
-		BaselineNanos: t.BaselineNanos,
+		PIDs:       t.PIDs,
+		CrashStep:  t.CrashStep,
+		CrashedPID: t.CrashedPID,
 	}
 	for i := range t.Records {
 		s.Records = append(s.Records, t.Data(&t.Records[i]))
@@ -85,7 +83,6 @@ func randomTrace(seed int64, n int) *trace.Trace {
 	}
 	tr.CrashStep = 42
 	tr.CrashedPID = "node#1"
-	tr.BaselineNanos = 12345
 	return tr
 }
 
@@ -239,8 +236,8 @@ func retiredFormats(t testing.TB) []retiredFormat {
 	var fct1 bytes.Buffer
 	fct1.WriteString("FCT1")
 	zw := gzip.NewWriter(&fct1)
-	// syms, stacks, PIDs, CrashStep, CrashedPID, BaselineNanos, then the
-	// record count as a uvarint.
+	// syms, stacks, PIDs, the three meta fields, then the record count as a
+	// uvarint.
 	zw.Write([]byte{0, 0, 0, 0, 0, 0})
 	zw.Write(binary.AppendUvarint(nil, 1<<27))
 	if err := zw.Close(); err != nil {

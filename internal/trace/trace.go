@@ -1,6 +1,9 @@
 package trace
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
 // Trace is the full record stream of one observed run, plus run-level
 // metadata the detectors need (which processes existed, where the injected
@@ -26,9 +29,6 @@ type Trace struct {
 	// CrashedPID is the process crashed by the observation fault ("" if none).
 	CrashedPID string
 
-	// Wall-clock durations, filled by the observer (Table 4).
-	BaselineNanos int64 // run duration with this trace's tracing mode
-
 	syms   SymTab
 	stacks StackTab
 }
@@ -36,6 +36,30 @@ type Trace struct {
 // New returns an empty trace for a fault-free run.
 func New() *Trace {
 	return &Trace{CrashStep: -1}
+}
+
+// FaultFiring records one scenario event actually firing during a run:
+// which event, what it did, to whom, and when. The simulator records the
+// firings of a faulty run and hazard-window derivation consumes them —
+// unlike the flat victim list, each keeps its fault's moment and anchor.
+type FaultFiring struct {
+	// Index is the event's position in the scenario (sim.FaultPlan.Events).
+	Index int `json:"index"`
+	// Action is the event's fault action, in sim.ActionNames() form.
+	Action string `json:"action"`
+	// Step is the logical clock at the moment the event fired.
+	Step int64 `json:"step"`
+	// Site is the matched site for site-anchored events ("" otherwise);
+	// Occurrence and When complete the anchor (1-based occurrence at Site,
+	// before/after edge), so a firing can be replayed as a site-anchored
+	// event without the original spec.
+	Site       string `json:"site,omitempty"`
+	Occurrence int    `json:"occurrence,omitempty"`
+	When       string `json:"when,omitempty"`
+	// Victim is the crashed process for crash actions, or the sender whose
+	// message was dropped for drop actions. Empty when the event fired but
+	// hit nothing (unresolvable target, non-send op under a drop event).
+	Victim string `json:"victim,omitempty"`
 }
 
 // Intern returns the trace-local Sym for s, adding it to the symbol table if
@@ -119,6 +143,14 @@ func (t *Trace) AddPID(pid string) {
 	if !t.HasPID(pid) {
 		t.PIDs = append(t.PIDs, pid)
 	}
+}
+
+// Role strips the incarnation suffix from a PID ("hmaster#2" → "hmaster").
+func Role(pid string) string {
+	if i := strings.IndexByte(pid, '#'); i >= 0 {
+		return pid[:i]
+	}
+	return pid
 }
 
 // numKinds bounds the Kind enum for dense per-kind tables.

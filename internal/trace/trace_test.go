@@ -140,6 +140,14 @@ func TestHasPID(t *testing.T) {
 	}
 }
 
+func TestRole(t *testing.T) {
+	for pid, want := range map[string]string{"task2#3": "task2", "hmaster#12": "hmaster", "plain": "plain", "": ""} {
+		if got := trace.Role(pid); got != want {
+			t.Errorf("Role(%q) = %q, want %q", pid, got, want)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tr := trace.New()
 	tr.CrashStep = 42

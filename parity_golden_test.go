@@ -77,7 +77,7 @@ func TestGoldenDetectionReports(t *testing.T) {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "workload=%s crash=%s step=%d records=%d+%d\n",
-				w.Name(), res.Observation.Faulty.CrashedPID, res.Observation.CrashStep,
+				w.Name(), res.Observation.Faulty.CrashedPID, res.Observation.Faulty.CrashStep,
 				res.Observation.FaultFree.Len(), res.Observation.Faulty.Len())
 			fmt.Fprintf(&b, "pruned regular=%+v recovery=%+v\n", res.Regular.Pruned, res.Recovery.Pruned)
 			for i, r := range res.Reports {

@@ -121,7 +121,7 @@ func Reproduce(bugID string, opts Options) (*Reproduction, error) {
 	}
 	var report *Report
 	for _, r := range res.Reports {
-		if r.Type == spec.Type && opsMatch(spec.Ops, r.OpsDesc) && strings.Contains(r.ResClass, spec.ResHint) {
+		if spec.matches(r) {
 			report = r
 			break
 		}

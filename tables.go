@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"fcatch/internal/core"
@@ -59,26 +58,6 @@ func RunEvaluation(opts Options) (*EvalRun, error) {
 		e.Outcomes[w.Name()] = passes[i].outs
 	}
 	return e, nil
-}
-
-// MatchReport finds the catalog entry a report's static signature matches,
-// regardless of its trigger verdict (used by the sensitivity study).
-func MatchReport(workload string, r *Report) *BugSpec {
-	for i := range Catalog {
-		s := &Catalog[i]
-		if s.Type != r.Type || !opsMatch(s.Ops, r.OpsDesc) {
-			continue
-		}
-		if !strings.Contains(r.ResClass, s.ResHint) {
-			continue
-		}
-		for _, w := range s.Workloads {
-			if w == workload {
-				return s
-			}
-		}
-	}
-	return nil
 }
 
 // --- Table 1: the benchmark suite. ---
@@ -153,40 +132,45 @@ func (r Table3Row) Total() int {
 	return r.RegOld + r.RegNew + r.RegExp + r.RegFalse + r.RecOld + r.RecNew + r.RecExp + r.RecFalse
 }
 
+// count tallies one trigger outcome of workload wl into its Table 3 cell.
+func (r *Table3Row) count(wl string, out *TriggerOutcome) {
+	reg := out.Report.Type == detect.CrashRegular
+	switch out.Class {
+	case inject.TrueBug:
+		spec := MatchSpec(wl, out)
+		old := spec != nil && spec.Category == Benchmark
+		switch {
+		case reg && old:
+			r.RegOld++
+		case reg:
+			r.RegNew++
+		case old:
+			r.RecOld++
+		default:
+			r.RecNew++
+		}
+	case inject.Expected:
+		if reg {
+			r.RegExp++
+		} else {
+			r.RecExp++
+		}
+	default:
+		if reg {
+			r.RegFalse++
+		} else {
+			r.RecFalse++
+		}
+	}
+}
+
 // Table3 classifies every report by its trigger verdict and catalog match.
 func (e *EvalRun) Table3() []Table3Row {
 	var rows []Table3Row
 	for _, wl := range e.Order {
 		row := Table3Row{Workload: wl}
 		for _, out := range e.Outcomes[wl] {
-			reg := out.Report.Type == detect.CrashRegular
-			switch out.Class {
-			case inject.TrueBug:
-				spec := MatchSpec(wl, out)
-				old := spec != nil && spec.Category == Benchmark
-				switch {
-				case reg && old:
-					row.RegOld++
-				case reg:
-					row.RegNew++
-				case old:
-					row.RecOld++
-				default:
-					row.RecNew++
-				}
-			case inject.Expected:
-				if reg {
-					row.RegExp++
-				} else {
-					row.RecExp++
-				}
-			default:
-				if reg {
-					row.RegFalse++
-				} else {
-					row.RecFalse++
-				}
-			}
+			row.count(wl, out)
 		}
 		rows = append(rows, row)
 	}
@@ -201,40 +185,13 @@ func (e *EvalRun) Table3Totals() Table3Row {
 	seen := map[string]bool{}
 	for _, wl := range e.Order {
 		for _, out := range e.Outcomes[wl] {
-			reg := out.Report.Type == detect.CrashRegular
-			switch out.Class {
-			case inject.TrueBug:
-				spec := MatchSpec(wl, out)
-				if spec != nil {
-					if seen[spec.ID] {
-						continue
-					}
-					seen[spec.ID] = true
+			if spec := MatchSpec(wl, out); spec != nil {
+				if seen[spec.ID] {
+					continue
 				}
-				old := spec != nil && spec.Category == Benchmark
-				switch {
-				case reg && old:
-					t.RegOld++
-				case reg:
-					t.RegNew++
-				case old:
-					t.RecOld++
-				default:
-					t.RecNew++
-				}
-			case inject.Expected:
-				if reg {
-					t.RegExp++
-				} else {
-					t.RecExp++
-				}
-			default:
-				if reg {
-					t.RegFalse++
-				} else {
-					t.RecFalse++
-				}
+				seen[spec.ID] = true
 			}
+			t.count(wl, out)
 		}
 	}
 	return t
