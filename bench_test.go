@@ -27,13 +27,8 @@ func BenchmarkTable1Workloads(b *testing.B) {
 	for _, w := range fcatch.Workloads() {
 		b.Run(w.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := sim.Config{Seed: 1}
-				w.Tune(&cfg)
-				c := sim.NewCluster(cfg)
-				w.Configure(c)
-				out := c.Run()
-				if err := w.Check(c, out); err != nil {
-					b.Fatal(err)
+				if _, out := core.Run(w, sim.Config{Seed: 1}); out.Failed() {
+					b.Fatalf("%s: %s", out.FailureKind(), out.Detail())
 				}
 			}
 		})

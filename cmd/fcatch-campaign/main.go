@@ -164,7 +164,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fcatch-campaign: saved %s (%d runs) to %s\n", what, res.Runs, *corpus)
 	}
 	if *metricsOut != "" {
-		writeManifest(*metricsOut, fcatch.NewCampaignManifest(res, *runs, elapsed, reg))
+		m := fcatch.NewCampaignManifest(res, *runs, elapsed, reg)
+		if err := cliflag.WriteMetrics(*metricsOut, &m); err != nil {
+			fatal(err)
+		}
+		if *metricsOut != "-" {
+			fmt.Fprintf(os.Stderr, "fcatch-campaign: wrote run manifest to %s\n", *metricsOut)
+		}
 	}
 	if interrupted {
 		os.Exit(130)
@@ -180,25 +186,6 @@ func splitScenarios(s string) []string {
 		}
 	}
 	return out
-}
-
-// writeManifest writes the -metrics end-of-run manifest ("-" = stdout).
-func writeManifest(path string, m fcatch.CampaignManifest) {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := m.WriteJSON(w); err != nil {
-		fatal(err)
-	}
-	if path != "-" {
-		fmt.Fprintf(os.Stderr, "fcatch-campaign: wrote run manifest to %s\n", path)
-	}
 }
 
 func runDiff(pathA, pathB string) {

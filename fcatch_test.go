@@ -291,3 +291,23 @@ func TestReportsCarryTriggerableCoordinates(t *testing.T) {
 		}
 	}
 }
+
+// TestTriggerDetailNamesEachSymptomOnce: a trigger outcome's Detail names
+// each symptom once. The checker only judges runs that ended cleanly, so a
+// "check:" clause appears only when the checker's complaint is the failure.
+func TestTriggerDetailNamesEachSymptomOnce(t *testing.T) {
+	e := eval(t)
+	n := 0
+	for _, name := range e.Order {
+		for _, o := range e.Outcomes[name] {
+			n++
+			kind := strings.TrimPrefix(o.FailureKind, "expected-")
+			if strings.Contains(o.Detail, "check:") && kind != "check" {
+				t.Errorf("%s %s: %s outcome's detail repeats a checker clause: %s", name, o.Report.ResClass, o.FailureKind, o.Detail)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no trigger outcomes")
+	}
+}

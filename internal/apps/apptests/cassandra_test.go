@@ -21,14 +21,9 @@ func find(reports []*detect.Report, typ detect.BugType, classHint string) *detec
 }
 
 func TestCassandraFaultFreeRun(t *testing.T) {
-	w := cassandra.New()
-	cfg := sim.Config{Seed: 1}
-	w.Tune(&cfg)
-	c := sim.NewCluster(cfg)
-	w.Configure(c)
-	out := c.Run()
-	if err := w.Check(c, out); err != nil {
-		t.Fatalf("fault-free: %v", err)
+	c, out := core.Run(cassandra.New(), sim.Config{Seed: 1})
+	if out.Failed() {
+		t.Fatalf("fault-free: %s: %s", out.FailureKind(), out.Detail())
 	}
 	if c.FactStr("ca.repair") != "done" {
 		t.Fatalf("repair state = %q", c.FactStr("ca.repair"))
@@ -115,21 +110,18 @@ func TestCassandraTriggerMatrix(t *testing.T) {
 
 func TestCassandraExhaustiveTracingKillsGossip(t *testing.T) {
 	w := cassandra.New()
-	run := func(mode sim.TracingMode, cost int64) error {
-		cfg := sim.Config{Seed: 1, Tracing: mode, TraceTickCost: cost}
-		w.Tune(&cfg)
-		c := sim.NewCluster(cfg)
-		w.Configure(c)
-		return w.Check(c, c.Run())
+	run := func(mode sim.TracingMode, cost int64) *sim.Outcome {
+		_, out := core.Run(w, sim.Config{Seed: 1, Tracing: mode, TraceTickCost: cost})
+		return out
 	}
-	if err := run(sim.TraceSelective, 1); err != nil {
-		t.Fatalf("selective tracing must be survivable: %v", err)
+	if out := run(sim.TraceSelective, 1); out.Failed() {
+		t.Fatalf("selective tracing must be survivable: %s: %s", out.FailureKind(), out.Detail())
 	}
-	err := run(sim.TraceExhaustive, 6)
-	if err == nil {
+	out := run(sim.TraceExhaustive, 6)
+	if !out.Failed() {
 		t.Fatal("exhaustive tracing should make the failure detector convict a live node (§8.2)")
 	}
-	if !strings.Contains(err.Error(), "convicted a live node") {
-		t.Fatalf("unexpected exhaustive failure: %v", err)
+	if out.FailureKind() != "check" || !strings.Contains(out.Detail(), "convicted a live node") {
+		t.Fatalf("unexpected exhaustive failure: %s: %s", out.FailureKind(), out.Detail())
 	}
 }

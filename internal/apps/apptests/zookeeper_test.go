@@ -15,14 +15,8 @@ import (
 )
 
 func TestZKFaultFreeRun(t *testing.T) {
-	w := zookeeper.New()
-	cfg := sim.Config{Seed: 1}
-	w.Tune(&cfg)
-	c := sim.NewCluster(cfg)
-	w.Configure(c)
-	out := c.Run()
-	if err := w.Check(c, out); err != nil {
-		t.Fatalf("fault-free: %v", err)
+	if _, out := core.Run(zookeeper.New(), sim.Config{Seed: 1}); out.Failed() {
+		t.Fatalf("fault-free: %s: %s", out.FailureKind(), out.Detail())
 	}
 }
 

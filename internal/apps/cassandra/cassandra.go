@@ -125,18 +125,9 @@ func (w *Workload) Configure(c *sim.Cluster) {
 }
 
 // Check implements core.Workload: the run is correct when the repair session
-// either completed or was aborted by real node death — and nothing was
-// falsely convicted or hung.
-func (w *Workload) Check(c *sim.Cluster, out *sim.Outcome) error {
-	if !out.Completed {
-		return fmt.Errorf("cassandra: hang: %+v", out.Hung)
-	}
-	if len(out.FatalLogs) > 0 {
-		return fmt.Errorf("cassandra: fatal: %v", out.FatalLogs)
-	}
-	if len(out.UncaughtExceptions) > 0 {
-		return fmt.Errorf("cassandra: exceptions: %v", out.UncaughtExceptions)
-	}
+// either completed or was aborted by real node death, and no live node was
+// falsely convicted.
+func (w *Workload) Check(c *sim.Cluster) error {
 	switch c.FactStr("ca.repair") {
 	case "done":
 		// A completed repair must have converged every replica. A node's

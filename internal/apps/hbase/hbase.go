@@ -169,16 +169,7 @@ func (w *Workload) Configure(c *sim.Cluster) {
 }
 
 // Check implements core.Workload.
-func (w *Workload) Check(c *sim.Cluster, out *sim.Outcome) error {
-	if !out.Completed {
-		return fmt.Errorf("hbase: did not finish: %+v", out.Hung)
-	}
-	if len(out.FatalLogs) > 0 {
-		return fmt.Errorf("hbase: fatal: %v", out.FatalLogs)
-	}
-	if len(out.UncaughtExceptions) > 0 {
-		return fmt.Errorf("hbase: exceptions: %v", out.UncaughtExceptions)
-	}
+func (w *Workload) Check(c *sim.Cluster) error {
 	if w.p.version == "0.96.0" {
 		if c.FactStr("hb.metaLocation") == "" {
 			return fmt.Errorf("hbase: META never assigned")

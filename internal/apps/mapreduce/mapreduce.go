@@ -186,16 +186,7 @@ func (p params) expectedCounts() map[string]int {
 
 // Check implements core.Workload: the job must be done with the right word
 // count and a successful commit marker.
-func (w *Workload) Check(c *sim.Cluster, out *sim.Outcome) error {
-	if !out.Completed {
-		return fmt.Errorf("mr: job did not finish: %+v", out.Hung)
-	}
-	if len(out.FatalLogs) > 0 {
-		return fmt.Errorf("mr: fatal: %v", out.FatalLogs)
-	}
-	if len(out.UncaughtExceptions) > 0 {
-		return fmt.Errorf("mr: exceptions: %v", out.UncaughtExceptions)
-	}
+func (w *Workload) Check(c *sim.Cluster) error {
 	if c.FactStr("mr.done") != "true" {
 		return fmt.Errorf("mr: job not marked done")
 	}

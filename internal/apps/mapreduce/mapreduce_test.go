@@ -24,13 +24,8 @@ func find(reports []*detect.Report, typ detect.BugType, classHint string) *detec
 
 func TestWordCountFaultFreeRun(t *testing.T) {
 	for _, w := range []*mapreduce.Workload{mapreduce.NewMR1(), mapreduce.NewMR2()} {
-		cfg := sim.Config{Seed: 1}
-		w.Tune(&cfg)
-		c := sim.NewCluster(cfg)
-		w.Configure(c)
-		out := c.Run()
-		if err := w.Check(c, out); err != nil {
-			t.Errorf("%s fault-free run incorrect: %v", w.Name(), err)
+		if _, out := core.Run(w, sim.Config{Seed: 1}); out.Failed() {
+			t.Errorf("%s fault-free run incorrect: %s: %s", w.Name(), out.FailureKind(), out.Detail())
 		}
 	}
 }

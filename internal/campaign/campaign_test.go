@@ -110,13 +110,9 @@ func TestPlanKeyAndLowering(t *testing.T) {
 // tracedFaultFree returns the fault-free trace and step count of a workload.
 func tracedFaultFree(t *testing.T, w core.Workload) (*sim.Cluster, int64) {
 	t.Helper()
-	cfg := sim.Config{Seed: 1, Tracing: sim.TraceSelective}
-	w.Tune(&cfg)
-	c := sim.NewCluster(cfg)
-	w.Configure(c)
-	out := c.Run()
-	if err := w.Check(c, out); err != nil {
-		t.Fatalf("fault-free run: %v", err)
+	c, out := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective})
+	if out.Failed() {
+		t.Fatalf("fault-free run: %s: %s", out.FailureKind(), out.Detail())
 	}
 	return c, out.Steps
 }

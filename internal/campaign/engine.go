@@ -229,8 +229,8 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 		rcfg.Tracing, rcfg.Fold = sim.TraceSelective, fold.Window
 	}
 	_, base := core.Run(w, rcfg)
-	if base.CheckErr != nil {
-		return nil, fmt.Errorf("campaign: fault-free run of %s incorrect: %w", w.Name(), base.CheckErr)
+	if base.Failed() {
+		return nil, fmt.Errorf("campaign: fault-free run of %s incorrect (%s): %s", w.Name(), base.FailureKind(), base.Detail())
 	}
 	sp := &Space{Target: w.CrashTarget()}
 	if traced {
@@ -371,7 +371,7 @@ func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[str
 	verdict := VerdictTolerated
 	if out.Failed() {
 		sig.Symptom = Symptom(out)
-		sig.Expected = ExpectedSymptom(w, sig.Symptom)
+		sig.Expected = core.Expected(w, sig.Symptom)
 		verdict = VerdictFailure
 		if sig.Expected {
 			verdict = VerdictExpected

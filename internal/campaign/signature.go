@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/trace"
 )
@@ -110,18 +109,6 @@ func Symptom(out *sim.Outcome) string {
 		return "check:" + out.CheckErr.Error()
 	}
 	return "unknown"
-}
-
-// ExpectedSymptom reports whether the symptom matches one of the workload's
-// expected fault reactions (e.g. HMaster legitimately waits forever when
-// every regionserver is gone).
-func ExpectedSymptom(w core.Workload, symptom string) bool {
-	for _, pat := range w.ExpectedBehaviors() {
-		if pat != "" && strings.Contains(symptom, pat) {
-			return true
-		}
-	}
-	return false
 }
 
 // stripPID removes "#N" incarnation suffixes so signatures are stable across

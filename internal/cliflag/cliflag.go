@@ -5,6 +5,7 @@ package cliflag
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fcatch/internal/obs"
@@ -38,20 +39,20 @@ func NewRegistry(path string, extra bool) *obs.Registry {
 	return obs.New()
 }
 
-// WriteMetrics writes reg's snapshot to path as indented JSON. A no-op when
-// path is empty; "-" writes to stdout.
-func WriteMetrics(path string, reg *obs.Registry) error {
+// WriteMetrics writes v — a metrics registry or a campaign's run manifest —
+// to path as indented JSON. A no-op when path is empty; "-" writes to stdout.
+func WriteMetrics(path string, v interface{ WriteJSON(io.Writer) error }) error {
 	if path == "" {
 		return nil
 	}
 	if path == "-" {
-		return reg.WriteJSON(os.Stdout)
+		return v.WriteJSON(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("writing metrics: %w", err)
 	}
-	if err := reg.WriteJSON(f); err != nil {
+	if err := v.WriteJSON(f); err != nil {
 		f.Close()
 		return fmt.Errorf("writing metrics: %w", err)
 	}

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"fcatch/internal/detect"
@@ -26,10 +27,12 @@ type Workload interface {
 	// Configure builds the system inside the cluster: machines, processes,
 	// storage substrates, workload driver threads.
 	Configure(c *sim.Cluster)
-	// Check validates the end state of a finished run (the correctness
-	// oracle): nil means the run is correct. It must accept runs that
-	// recovered from a tolerated fault.
-	Check(c *sim.Cluster, out *sim.Outcome) error
+	// Check judges the end state of a run (the correctness oracle): nil
+	// means the run is correct. Run calls it only for a run that completed
+	// with no fatal log and no uncaught exception — the outcome has already
+	// judged those. It must accept runs that recovered from a tolerated
+	// fault.
+	Check(c *sim.Cluster) error
 	// CrashTarget is the role observation runs and the random-injection
 	// baseline crash.
 	CrashTarget() string
@@ -180,16 +183,31 @@ func scenarioPlan(w Workload, scenario []sim.FaultSpec, step int64) *sim.FaultPl
 }
 
 // Run is the one way a workload is executed: tune the config, build the
-// cluster, configure the system in it, run it, and let the workload's
-// correctness oracle fill out.CheckErr — so Outcome.Failed/FailureKind see
-// checker failures and no caller carries the verdict on the side.
+// cluster, configure the system in it, run it, and — if the run finished
+// cleanly — let the workload's correctness oracle fill out.CheckErr, so
+// Outcome.Failed, FailureKind and Detail are the one verdict every caller
+// reads.
 func Run(w Workload, cfg sim.Config) (*sim.Cluster, *sim.Outcome) {
 	w.Tune(&cfg)
 	c := sim.NewCluster(cfg)
 	w.Configure(c)
 	out := c.Run()
-	out.CheckErr = w.Check(c, out)
+	if !out.Failed() {
+		out.CheckErr = w.Check(c)
+	}
 	return c, out
+}
+
+// Expected reports whether a failure's description (an Outcome.Detail or a
+// campaign symptom) matches one of the workload's expected fault reactions
+// (e.g. HMaster legitimately waits forever when every regionserver is gone).
+func Expected(w Workload, s string) bool {
+	for _, pat := range w.ExpectedBehaviors() {
+		if pat != "" && strings.Contains(s, pat) {
+			return true
+		}
+	}
+	return false
 }
 
 // runOnce is Run with the pipeline's tracing cost model.
@@ -257,8 +275,8 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 	endFF := opts.Metrics.Span("core/observe/fault-free")
 	cf, outF := runOnce(w, opts.Seed, opts.Tracing, nil)
 	endFF()
-	if err := outF.CheckErr; err != nil {
-		return nil, nil, nil, fmt.Errorf("core: fault-free run of %s is incorrect: %w", w.Name(), err)
+	if outF.Failed() {
+		return nil, nil, nil, fmt.Errorf("core: fault-free run of %s is incorrect (%s): %s", w.Name(), outF.FailureKind(), outF.Detail())
 	}
 	obs.FaultFree = cf.Trace()
 	obs.FaultFreeOutcome = outF
@@ -275,7 +293,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 
 	total := outF.Steps
 	step := int64(float64(total) * opts.Phase.fraction())
-	var lastErr error
+	var last *sim.Outcome
 	for attempt := 0; attempt < 8; attempt++ {
 		if attempt > 0 {
 			opts.Metrics.Counter("core/observe/retries").Inc()
@@ -287,8 +305,8 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		// passes is indexed.
 		cy, outY := runOnce(w, opts.Seed, opts.Tracing, plan)
 		endAttempt()
-		if err := outY.CheckErr; err != nil {
-			lastErr = err
+		if outY.Failed() {
+			last = outY
 			step += total/23 + 7 // nudge the crash point and retry
 			continue
 		}
@@ -308,7 +326,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		}
 		return obs, gf, gy, nil
 	}
-	return nil, nil, nil, fmt.Errorf("core: could not obtain a correct faulty run of %s: %w", w.Name(), lastErr)
+	return nil, nil, nil, fmt.Errorf("core: could not obtain a correct faulty run of %s (%s): %s", w.Name(), last.FailureKind(), last.Detail())
 }
 
 // baselineRuns is how many untraced runs a Table 4 baseline is the fastest

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,8 +9,36 @@ import (
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
+	"fcatch/internal/sim"
 	"fcatch/internal/trace"
 )
+
+// throwingToy is the toy workload plus one extra process that dies of an
+// uncaught exception: every run of it fails, whatever the end state.
+type throwingToy struct{ *toy.Workload }
+
+func (w throwingToy) Configure(c *sim.Cluster) {
+	w.Workload.Configure(c)
+	c.StartProcess("extra", "m9", func(ctx *sim.Context) { ctx.Throw("IllegalState") })
+}
+
+// TestObserveRejectsFailedRun: observation accepts only correct runs
+// (§3.1), and a run that failed by the outcome's own evidence — here an
+// uncaught exception the workload's end-state check does not look for — is
+// not correct.
+func TestObserveRejectsFailedRun(t *testing.T) {
+	w := throwingToy{toy.New()}
+	if _, out := core.Run(w, sim.Config{Seed: 1}); out.FailureKind() != "exception" {
+		t.Fatalf("run ends in %q, want exception", out.FailureKind())
+	}
+	_, err := core.Observe(w, core.DefaultOptions())
+	if err == nil {
+		t.Fatal("Observe accepted a fault-free run that threw an uncaught exception")
+	}
+	if !strings.Contains(err.Error(), "exception") || !strings.Contains(err.Error(), "IllegalState") {
+		t.Fatalf("error does not name the failure: %v", err)
+	}
+}
 
 func TestObserveProducesCorrectRunPair(t *testing.T) {
 	obs, err := core.Observe(toy.New(), core.DefaultOptions())

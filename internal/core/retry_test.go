@@ -30,12 +30,12 @@ func (f *flakyFirstFaulty) Tune(cfg *sim.Config) {
 	}
 }
 
-func (f *flakyFirstFaulty) Check(c *sim.Cluster, out *sim.Outcome) error {
+func (f *flakyFirstFaulty) Check(c *sim.Cluster) error {
 	f.checks++
 	if f.checks == 2 { // check #1 is the fault-free run
 		return errors.New("synthetic first-attempt failure")
 	}
-	return f.Workload.Check(c, out)
+	return f.Workload.Check(c)
 }
 
 // TestObserveRetryNudgesCrashStep pins the retry loop's contract: a faulty

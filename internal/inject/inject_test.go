@@ -103,15 +103,23 @@ func TestRandomResultSignaturesSorted(t *testing.T) {
 // outcomeWorkload is a one-node system that ends every run in one chosen
 // failure class, whatever is injected. The worse classes also show the
 // milder ones' evidence — an exception run logs a fatal and leaves a thread
-// hung, and every failing run fails its check — so the class a caller names
-// is decided by precedence, not by which evidence happens to be present.
+// hung — so the class a caller names is decided by precedence, not by which
+// evidence happens to be present. Its Check would fail every class but
+// "ok", and it counts the runs it was tuned for and the checks it was asked
+// for.
 type outcomeWorkload struct {
 	*toy.Workload
-	class    string
-	expected []string
+	class        string
+	expected     []string
+	runs, checks int
 }
 
 func (w *outcomeWorkload) ExpectedBehaviors() []string { return w.expected }
+
+func (w *outcomeWorkload) Tune(cfg *sim.Config) {
+	w.runs++
+	w.Workload.Tune(cfg)
+}
 
 func (w *outcomeWorkload) Configure(c *sim.Cluster) {
 	c.StartProcess("worker", "m1", func(ctx *sim.Context) {
@@ -127,7 +135,8 @@ func (w *outcomeWorkload) Configure(c *sim.Cluster) {
 	})
 }
 
-func (w *outcomeWorkload) Check(c *sim.Cluster, out *sim.Outcome) error {
+func (w *outcomeWorkload) Check(c *sim.Cluster) error {
+	w.checks++
 	if w.class != "ok" {
 		return errors.New("result lost")
 	}
@@ -136,7 +145,9 @@ func (w *outcomeWorkload) Check(c *sim.Cluster, out *sim.Outcome) error {
 
 // TestOneFailurePrecedenceTable: trigger classification and campaign
 // signatures both name the class sim.Outcome.FailureKind returns — for every
-// class, as a true bug and as an expected reaction.
+// class, as a true bug and as an expected reaction — and core.Run asks the
+// workload's Check exactly once per run that ended cleanly ("check" and
+// "ok") and never for one the outcome already failed.
 func TestOneFailurePrecedenceTable(t *testing.T) {
 	for _, class := range []string{"exception", "fatal", "hang", "check", "ok"} {
 		for _, expected := range []bool{false, true} {
@@ -152,12 +163,25 @@ func TestOneFailurePrecedenceTable(t *testing.T) {
 			if out.Failed() != (class != "ok") {
 				t.Fatalf("%s: Failed() = %v", class, out.Failed())
 			}
+			clean := class == "check" || class == "ok"
+			checked := func(stage string) {
+				t.Helper()
+				want := 0
+				if clean {
+					want = w.runs
+				}
+				if w.runs == 0 || w.checks != want {
+					t.Errorf("%s: after %s, Check ran %d times over %d runs, want %d", class, stage, w.checks, w.runs, want)
+				}
+			}
+			checked("core.Run")
 
 			// A crash-recovery report whose W site never executes: the
 			// replay injects nothing and the run ends as the workload says.
 			rep := &detect.Report{Type: detect.CrashRecovery,
 				W: detect.OpSummary{Site: "never.go:1", Occurrence: 1}, R: detect.OpSummary{Site: "never.go:2"}}
 			trig := NewTriggerer(w, 1).Trigger(rep)
+			checked("Trigger")
 			wantKind, wantClass := class, TrueBug
 			switch {
 			case class == "ok":
@@ -174,6 +198,7 @@ func TestOneFailurePrecedenceTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checked("ExecPlans")
 			wantVerdict := campaign.VerdictFailure
 			switch {
 			case class == "ok":

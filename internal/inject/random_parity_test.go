@@ -26,15 +26,25 @@ type randomCounts struct {
 // referenceRandomCampaign is a direct implementation of the Section 8.3
 // baseline — draw every crash step from the seeded RNG, run, fingerprint the
 // failures — independent of the campaign engine. It is the parity oracle:
-// the engine's `random` strategy must reproduce its counts exactly.
+// the engine's `random` strategy must reproduce its counts exactly. It
+// judges runs itself, not through core.Run or sim.Outcome.Failed.
 func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism int) (*randomCounts, error) {
+	// judge fails a run that hung, logged a fatal or threw an uncaught
+	// exception, and otherwise asks the workload's checker.
+	judge := func(c *sim.Cluster, out *sim.Outcome) bool {
+		if !out.Completed || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 {
+			return true
+		}
+		out.CheckErr = w.Check(c)
+		return out.CheckErr != nil
+	}
 	cfg := sim.Config{Seed: seed, Tracing: sim.TraceOff}
 	w.Tune(&cfg)
 	c := sim.NewCluster(cfg)
 	w.Configure(c)
 	base := c.Run()
-	if err := w.Check(c, base); err != nil {
-		return nil, fmt.Errorf("inject: fault-free run of %s incorrect: %w", w.Name(), err)
+	if judge(c, base) {
+		return nil, fmt.Errorf("inject: fault-free run of %s incorrect: %+v", w.Name(), base)
 	}
 
 	rng := rand.New(rand.NewSource(seed * 7919))
@@ -49,10 +59,8 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 		w.Tune(&rcfg)
 		rc := sim.NewCluster(rcfg)
 		w.Configure(rc)
-		out := rc.Run()
-		out.CheckErr = w.Check(rc, out)
-		if !out.Completed || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 || out.CheckErr != nil {
-			if sig := campaign.Symptom(out); !campaign.ExpectedSymptom(w, sig) {
+		if out := rc.Run(); judge(rc, out) {
+			if sig := campaign.Symptom(out); !core.Expected(w, sig) {
 				return sig
 			}
 		}

@@ -5,7 +5,6 @@ package inject
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"fcatch/internal/core"
@@ -220,8 +219,8 @@ func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int
 // classify turns a trigger run's outcome into a verdict for one report.
 func (tg *Triggerer) classify(out *sim.Outcome, fold *handledExcFold) (Classification, string, string) {
 	if out.Failed() {
-		detail := failureDetail(out)
-		if tg.isExpected(detail) {
+		detail := out.Detail()
+		if core.Expected(tg.W, detail) {
 			return Expected, "expected-" + out.FailureKind(), detail
 		}
 		return TrueBug, out.FailureKind(), detail
@@ -301,28 +300,6 @@ func (f *handledExcFold) Window(tr *trace.Trace, recs []trace.Record) {
 			}
 		}
 	}
-}
-
-func failureDetail(out *sim.Outcome) string {
-	var parts []string
-	for _, h := range out.Hung {
-		parts = append(parts, fmt.Sprintf("hang:%s/%s@%s(%s)", h.PID, h.Name, h.Site, h.Reason))
-	}
-	parts = append(parts, out.FatalLogs...)
-	parts = append(parts, out.UncaughtExceptions...)
-	if out.CheckErr != nil {
-		parts = append(parts, "check:"+out.CheckErr.Error())
-	}
-	return strings.Join(parts, "; ")
-}
-
-func (tg *Triggerer) isExpected(detail string) bool {
-	for _, pat := range tg.W.ExpectedBehaviors() {
-		if pat != "" && strings.Contains(detail, pat) {
-			return true
-		}
-	}
-	return false
 }
 
 // CompoundOutcome is the result of replaying a cross-window finding's two

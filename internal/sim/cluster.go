@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"fcatch/internal/trace"
@@ -313,16 +314,16 @@ type Outcome struct {
 	Elapsed       time.Duration
 
 	Hung               []HangSite
-	Crashed            []string // PIDs crashed (injected or cascading)
 	FatalLogs          []string
 	UncaughtExceptions []string
-	HandledExceptions  []string
-	CheckErr           error // the workload checker's verdict (filled by core.Run)
+	// CheckErr is the workload checker's verdict on the end state, filled
+	// by core.Run only for a run that ended with none of the failures
+	// above.
+	CheckErr error
 
 	// FaultFirings are the plan's scenario events that actually fired, in
 	// firing order — each with its victim, step and anchor. This is the
-	// per-fault record hazard-window derivation consumes; Crashed above
-	// remains the flat union (plan victims plus app-level kills).
+	// per-fault record hazard-window derivation consumes.
 	FaultFirings []trace.FaultFiring
 }
 
@@ -357,4 +358,20 @@ func (o *Outcome) FailureKind() string {
 		return "check"
 	}
 	return "ok"
+}
+
+// Detail describes how the run failed, naming each symptom once: every hung
+// thread, then the fatal logs, the uncaught exceptions and the checker's
+// complaint, joined by "; ". Empty for a run that did not fail.
+func (o *Outcome) Detail() string {
+	var parts []string
+	for _, h := range o.Hung {
+		parts = append(parts, fmt.Sprintf("hang:%s/%s@%s(%s)", h.PID, h.Name, h.Site, h.Reason))
+	}
+	parts = append(parts, o.FatalLogs...)
+	parts = append(parts, o.UncaughtExceptions...)
+	if o.CheckErr != nil {
+		parts = append(parts, "check:"+o.CheckErr.Error())
+	}
+	return strings.Join(parts, "; ")
 }

@@ -256,8 +256,8 @@ func (ctx *Context) Throw(kind string, vs ...Value) {
 }
 
 // Try runs fn, catching application exceptions (never simulator kills). A
-// caught exception is a *handled* exception: it is recorded as such and does
-// not fail the run — the paper's "well-handled exception" false-positive
+// caught exception is a *handled* exception: it is traced as a KCatch op and
+// does not fail the run — the paper's "well-handled exception" false-positive
 // category.
 func (ctx *Context) Try(fn func()) (err *AppError) {
 	defer func() {
@@ -267,8 +267,6 @@ func (ctx *Context) Try(fn func()) (err *AppError) {
 				panic(r) // killedPanic or a real bug: keep unwinding
 			}
 			ctx.Do(OpReq{Kind: trace.KCatch, Aux: p.kind, Taint: p.taint, Site: p.site})
-			ctx.c.out.HandledExceptions = append(ctx.c.out.HandledExceptions,
-				fmt.Sprintf("%s@%s in %s", p.kind, ctx.c.siteStr(p.site), ctx.PID()))
 			err = &AppError{Kind: p.kind, Site: ctx.c.siteStr(p.site)}
 		}
 	}()

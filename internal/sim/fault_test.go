@@ -31,16 +31,31 @@ func twoNodeApp(pings int) func(c *sim.Cluster) {
 	}
 }
 
+// crashes lists the processes a traced run crashed, injected or cascading,
+// in crash order: the victims of its KCrash records.
+func crashes(tr *trace.Trace) []string {
+	var pids []string
+	for i := range tr.Records {
+		if r := &tr.Records[i]; r.Kind == trace.KCrash {
+			pids = append(pids, tr.Str(r.Aux))
+		}
+	}
+	return pids
+}
+
 func TestCrashAtStepKillsProcess(t *testing.T) {
 	plan := sim.NewObservationPlan("producer", 100, nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: plan})
 	twoNodeApp(20)(c)
 	out := c.Run()
-	if len(out.Crashed) != 1 || out.Crashed[0] != "producer#1" {
-		t.Fatalf("crashed = %v", out.Crashed)
+	tr := c.Trace()
+	if got := crashes(tr); len(got) != 1 || got[0] != "producer#1" {
+		t.Fatalf("crashed = %v", got)
+	}
+	if f := out.FaultFirings; len(f) != 1 || f[0].Victim != "producer#1" {
+		t.Fatalf("firings = %+v, want the producer#1 crash", f)
 	}
 	// No producer op may appear after the crash step.
-	tr := c.Trace()
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		if tr.Str(r.PID) == "producer#1" && r.TS > tr.CrashStep && r.Kind != trace.KThreadExit {
@@ -179,24 +194,27 @@ func TestTriggerCrashBeforeOp(t *testing.T) {
 	plan := sim.NewScenarioPlan([]sim.FaultSpec{{
 		Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
 	}}, nil)
-	c, out := build(plan)
+	c, _ := build(plan)
 	if c.FactStr("got-marker") != "" {
 		t.Fatal("crash-before-send did not suppress the send")
 	}
-	if len(out.Crashed) != 1 || out.Crashed[0] != "tx#1" {
-		t.Fatalf("crashed = %v, want tx#1", out.Crashed)
+	if got := crashes(c.Trace()); len(got) != 1 || got[0] != "tx#1" {
+		t.Fatalf("crashed = %v, want tx#1", got)
 	}
 
 	// Kernel drop: the sender survives, the message is lost.
 	plan = sim.NewScenarioPlan([]sim.FaultSpec{{
 		Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionKernelDrop,
 	}}, nil)
-	c, out = build(plan)
+	c, out := build(plan)
 	if c.FactStr("got-marker") != "" {
 		t.Fatal("kernel drop did not suppress delivery")
 	}
-	if len(out.Crashed) != 0 {
-		t.Fatalf("kernel drop crashed something: %v", out.Crashed)
+	if got := crashes(c.Trace()); len(got) != 0 {
+		t.Fatalf("kernel drop crashed something: %v", got)
+	}
+	if f := out.FaultFirings; len(f) != 1 || f[0].Action != "kernel-drop" || f[0].Victim != "tx#1" {
+		t.Fatalf("firings = %+v, want one kernel drop of tx#1's send", f)
 	}
 }
 

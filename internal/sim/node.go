@@ -254,7 +254,6 @@ func (c *Cluster) crashProcess(pid string, selfSite SiteID, restartOverride *int
 		return
 	}
 	n.crashed = true
-	c.out.Crashed = append(c.out.Crashed, pid)
 	if c.roleService[n.roleID] == n {
 		c.roleService[n.roleID] = nil
 	}

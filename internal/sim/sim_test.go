@@ -439,7 +439,7 @@ func TestRPCRemoteException(t *testing.T) {
 }
 
 func TestThrowAndTry(t *testing.T) {
-	c := sim.NewCluster(sim.Config{Seed: 1})
+	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective})
 	c.StartProcess("n", "m0", func(ctx *sim.Context) {
 		err := ctx.Try(func() {
 			ctx.Throw("HandledException", sim.V("why"))
@@ -452,8 +452,15 @@ func TestThrowAndTry(t *testing.T) {
 	if len(out.UncaughtExceptions) != 0 {
 		t.Fatalf("caught exception recorded as uncaught: %v", out.UncaughtExceptions)
 	}
-	if len(out.HandledExceptions) != 1 {
-		t.Fatalf("handled exceptions = %v", out.HandledExceptions)
+	var caught []string
+	tr := c.Trace()
+	for i := range tr.Records {
+		if r := &tr.Records[i]; r.Kind == trace.KCatch {
+			caught = append(caught, tr.Str(r.Aux))
+		}
+	}
+	if len(caught) != 1 || caught[0] != "HandledException" {
+		t.Fatalf("handled exceptions = %v, want one KCatch of HandledException", caught)
 	}
 }
 

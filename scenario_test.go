@@ -140,8 +140,8 @@ func roundTrip(t *testing.T, sc []fcatch.FaultSpec) {
 func TestPlanKeyIsAScenario(t *testing.T) {
 	for _, w := range fcatch.Workloads() {
 		c, out := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective})
-		if out.CheckErr != nil {
-			t.Fatalf("%s: fault-free run: %v", w.Name(), out.CheckErr)
+		if out.Failed() {
+			t.Fatalf("%s: fault-free run: %s: %s", w.Name(), out.FailureKind(), out.Detail())
 		}
 		sp := campaign.NewSpace(c.Trace(), out.Steps, w.CrashTarget(), 0)
 		single := len(sp.Points)

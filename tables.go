@@ -358,18 +358,15 @@ func AblationTraceAll(seed int64) []AblationRow {
 		row := AblationRow{Workload: w.Name()}
 		for _, mode := range []sim.TracingMode{sim.TraceSelective, sim.TraceExhaustive} {
 			_, out := core.Run(w, sim.Config{Seed: seed, Tracing: mode, TraceTickCost: core.TraceTickCost(mode)})
-			err := out.CheckErr
 			if mode == sim.TraceSelective {
 				row.SelectiveSteps = out.Steps
 				row.SelectiveTime = out.Elapsed
-				row.SelectiveOK = err == nil
+				row.SelectiveOK = !out.Failed()
 			} else {
 				row.ExhaustiveSteps = out.Steps
 				row.ExhaustiveTime = out.Elapsed
-				row.ExhaustiveOK = err == nil
-				if err != nil {
-					row.ExhaustiveNote = err.Error()
-				}
+				row.ExhaustiveOK = !out.Failed()
+				row.ExhaustiveNote = out.Detail()
 			}
 		}
 		return row
