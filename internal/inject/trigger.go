@@ -66,20 +66,21 @@ type Triggerer struct {
 	// suits single-fault observations, whose reports all sit in window 0.
 	Windows []detect.Window
 
-	// budget measures, once, the fault-free run that sizes every replay's
-	// work budget: maxPicks = hangPicks × its scheduler picks.
-	budget   sync.Once
-	maxPicks int64
+	// stall measures, once, the fault-free run that sizes every replay's
+	// stall rule: stallPicks = stallMultiple × its scheduler picks.
+	stall      sync.Once
+	stallPicks int64
 }
 
-// hangPicks is a trigger replay's work budget in multiples of the scheduler
-// picks its workload's fault-free run makes: a replay still running after
-// that much work is hung. No completing replay of the six workloads at seeds
-// 1–10 uses more than 4.93× (MR2's post-fatal runs; later-window and compound
-// replays stay below 2.5×); 6 keeps a 20 % margin over that
-// (TestPickBudgetCutsOnlyHangs pins it on all three replay paths). The
+// stallMultiple is a trigger replay's stall rule in multiples of the
+// scheduler picks its workload's fault-free run makes: a replay whose
+// non-daemon threads reach no new op site for that much work is hung. No
+// replay of the six workloads at seeds 1–10 that ends ok or check goes more
+// than 0.86× without a new site (ZK's tail after its last new site; between
+// two new sites at most 0.65×), so 2 keeps a 2.3× margin
+// (TestStallCutsOnlyHangs pins it below 1× on all three replay paths). The
 // workload's clock budget (Config.MaxSteps) stays the outer bound.
-const hangPicks = 6
+const stallMultiple = 2
 
 // NewTriggerer builds a triggerer for one workload/seed (use the same seed
 // as the observation runs so occurrence counts line up).
@@ -201,18 +202,18 @@ func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fo
 }
 
 // replayConfig is the simulator configuration of one replay, records kept.
-// Its pick budget comes from the workload's fault-free run, made once per
+// Its stall rule comes from the workload's fault-free run, made once per
 // Triggerer with the same tracing and tick cost (so the same picks) as the
 // observation's.
 func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
 	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective)}
-	tg.budget.Do(func() {
+	tg.stall.Do(func() {
 		ff := cfg
 		ff.Fold = (*handledExcFold)(nil).Window
 		_, out := core.Run(tg.W, ff)
-		tg.maxPicks = hangPicks * out.Picks
+		tg.stallPicks = stallMultiple * out.Picks
 	})
-	cfg.Plan, cfg.MaxPicks = sim.NewScenarioPlan(events, restart), tg.maxPicks
+	cfg.Plan, cfg.StallPicks = sim.NewScenarioPlan(events, restart), tg.stallPicks
 	return cfg
 }
 

@@ -30,10 +30,13 @@ type Config struct {
 	Tracing  TracingMode
 	MaxSteps int64 // step budget; exceeding it marks the run hung
 
-	// MaxPicks, when >0, is a work budget: the run is hung once the scheduler
-	// has resumed threads that many times (Outcome.Picks), whatever the clock
-	// reads. Trigger replays set it from their workload's fault-free run.
-	MaxPicks int64
+	// StallPicks, when >0, is the stall rule: the run is hung once the
+	// scheduler has resumed threads that many times (Outcome.Picks) since a
+	// non-daemon thread last executed an op at a site no non-daemon thread of
+	// the run had reached before, whatever the clock reads. Each site is new
+	// only once, so such a run ends within (sites + 1) × (StallPicks + 1)
+	// picks. Trigger replays set it from their workload's fault-free run.
+	StallPicks int64
 
 	// TraceTickCost is added to the logical clock per traced record,
 	// modelling instrumentation slowdown inside simulated time. It is what
@@ -110,6 +113,11 @@ type Cluster struct {
 	siteCounts []int32               // SiteID -> occurrences, for trigger points
 	siteCache  map[uintptr]SiteID    // PC -> SiteID (NoSite = substrate frame)
 	sitePCs    [sitePCWindow]uintptr // callsite's scratch (one thread runs at a time)
+
+	// Stall rule bookkeeping, kept only when cfg.StallPicks > 0.
+	siteSeen     []bool // SiteID -> a non-daemon thread has executed an op there
+	lastProgress int64  // Outcome.Picks when a non-daemon thread last reached a new site
+	stalled      bool   // the run ended by the stall rule
 
 	// Pre-interned fixed sites (pseudo-sites that are not source positions).
 	sitePlan          SiteID // "plan"
@@ -308,10 +316,13 @@ func (c *Cluster) RestartRole(role string, causor trace.OpID) string {
 // Outcome summarizes a finished run.
 type Outcome struct {
 	Completed     bool  // every non-daemon thread finished
-	StepBudgetHit bool  // the run hit MaxSteps or MaxPicks
+	StepBudgetHit bool  // the run hit the clock budget (MaxSteps) or stalled (StallPicks)
 	Steps         int64 // simulated time at the end, timer jumps included
 	Picks         int64 // scheduler work: thread resumes made by the run
-	Elapsed       time.Duration
+	// LongestStall is the most picks the run went without a non-daemon
+	// thread reaching a new op site (measured only under the stall rule).
+	LongestStall int64
+	Elapsed      time.Duration
 
 	Hung               []HangSite
 	FatalLogs          []string

@@ -85,7 +85,25 @@ func (ctx *Context) site() SiteID {
 	if !ctx.c.needSites() {
 		return NoSite
 	}
-	return ctx.c.callsite()
+	site := ctx.c.callsite()
+	ctx.reached(site)
+	return site
+}
+
+// reached records, for the stall rule, that the thread executes an op at
+// site: the first non-daemon op there is progress.
+func (ctx *Context) reached(site SiteID) {
+	c := ctx.c
+	if c.cfg.StallPicks == 0 || ctx.t.daemon {
+		return
+	}
+	if int(site) >= len(c.siteSeen) {
+		c.siteSeen = append(c.siteSeen, make([]bool, len(c.siteStrs)-len(c.siteSeen))...)
+	}
+	if !c.siteSeen[site] {
+		c.siteSeen[site] = true
+		c.endStretch()
+	}
 }
 
 // OpReq describes one operation for the generic op pipeline: trigger check →
@@ -123,6 +141,8 @@ func (ctx *Context) Do(req OpReq) (id trace.OpID, dropAction TriggerAction, drop
 	site := req.Site
 	if site == NoSite {
 		site = ctx.site()
+	} else {
+		ctx.reached(site)
 	}
 	dropAction, dropped = ctx.c.checkTrigger(site, Before, req.IsSend)
 	if !dropped && req.Apply != nil {

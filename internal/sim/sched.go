@@ -200,7 +200,7 @@ func (c *Cluster) compactThreads() {
 
 // step runs one scheduler step: the step-boundary work, then the pick, and
 // then the picked thread until its next pause. It returns false when the run
-// is over (workload complete, deadlock, or step or pick budget).
+// is over (workload complete, deadlock, clock budget or stall).
 //
 // The sequencing is fixed, and every trace depends on it: the due timers
 // fire, then the plan's step events are applied (a crash kills its victims
@@ -225,8 +225,12 @@ func (c *Cluster) step() bool {
 			}
 			return false // deadlock: blocked non-daemon threads remain
 		}
-		if c.clock >= c.cfg.MaxSteps || (c.cfg.MaxPicks > 0 && c.out.Picks >= c.cfg.MaxPicks) {
+		if c.clock >= c.cfg.MaxSteps {
 			c.out.StepBudgetHit = true
+			return false
+		}
+		if c.cfg.StallPicks > 0 && c.out.Picks-c.lastProgress > c.cfg.StallPicks {
+			c.out.StepBudgetHit, c.stalled = true, true
 			return false
 		}
 		t := runnable[c.rng.Intn(len(runnable))]
@@ -239,10 +243,18 @@ func (c *Cluster) step() bool {
 	}
 }
 
+// endStretch closes the stall rule's current stretch of picks without a new
+// site, keeping the longest in Outcome.LongestStall.
+func (c *Cluster) endStretch() {
+	c.out.LongestStall = max(c.out.LongestStall, c.out.Picks-c.lastProgress)
+	c.lastProgress = c.out.Picks
+}
+
 // Run executes the cluster to completion: until the workload finishes, the
-// system deadlocks, or the step budget is exhausted, and returns the outcome
-// (the trace, if enabled, via Trace()). A thread panic that is not an app
-// exception propagates out of Run and abandons every live thread's carrier.
+// system deadlocks, the clock budget is exhausted or the run stalls, and
+// returns the outcome (the trace, if enabled, via Trace()). A thread panic
+// that is not an app exception propagates out of Run and abandons every live
+// thread's carrier.
 func (c *Cluster) Run() *Outcome {
 	if c.running {
 		panic("sim: cluster already ran")
@@ -263,6 +275,9 @@ func (c *Cluster) Run() *Outcome {
 			reason := t.blockReason
 			if t.state == tsRunnable {
 				reason = "live (budget exhausted)"
+				if c.stalled {
+					reason = "live (stalled)"
+				}
 			}
 			if t.loopName != "" {
 				reason = "loop:" + t.loopName
@@ -275,6 +290,9 @@ func (c *Cluster) Run() *Outcome {
 		c.kill(t)
 	}
 
+	if c.cfg.StallPicks > 0 {
+		c.endStretch()
+	}
 	c.tracer.finish()
 	c.out.Steps = c.clock
 	if p := c.pendingPlan; p != nil {

@@ -100,6 +100,45 @@ func TestStepBudget(t *testing.T) {
 	}
 }
 
+// TestStallRuleCutsLoopOverSeenSites: a non-daemon thread that loops over a
+// site it has already reached makes no progress however busy a daemon keeps
+// the scheduler, so the stall rule cuts the run StallPicks picks after the
+// last new site; without the rule the same cluster runs to its clock budget.
+func TestStallRuleCutsLoopOverSeenSites(t *testing.T) {
+	const maxSteps, stall = 5_000, 300
+	for _, stallPicks := range []int64{stall, 0} {
+		var lastNew int64
+		_, out := runCluster(t, sim.Config{Seed: 1, MaxSteps: maxSteps, StallPicks: stallPicks}, func(ctx *sim.Context) {
+			ctx.GoDaemon("gossip", func(ctx *sim.Context) {
+				for {
+					ctx.Now()
+					ctx.Yield()
+				}
+			})
+			for i := 0; ; i++ {
+				ctx.Now()
+				if i == 0 {
+					lastNew = ctx.Cluster().Clock() // the clock counts picks and timer jumps
+				}
+				ctx.Yield()
+			}
+		})
+		if out.Completed || !out.StepBudgetHit || len(out.Hung) != 1 {
+			t.Fatalf("StallPicks %d: Completed=%v StepBudgetHit=%v Hung=%+v, want one hung thread", stallPicks, out.Completed, out.StepBudgetHit, out.Hung)
+		}
+		if stallPicks == 0 {
+			if out.Steps < maxSteps || out.Hung[0].Reason != "live (budget exhausted)" {
+				t.Fatalf("without the stall rule: Steps=%d reason %q, want the %d-tick clock budget", out.Steps, out.Hung[0].Reason, maxSteps)
+			}
+			continue
+		}
+		if out.Picks-lastNew > stallPicks+1 || out.LongestStall != stallPicks+1 || out.Hung[0].Reason != "live (stalled)" {
+			t.Fatalf("stall rule: cut at pick %d, last new site at tick %d, LongestStall %d, reason %q; want a cut %d picks after the last new site",
+				out.Picks, lastNew, out.LongestStall, out.Hung[0].Reason, stallPicks+1)
+		}
+	}
+}
+
 // TestThreadPanicPropagatesOutOfRun: a panic in a thread body that is not an
 // app exception is a bug in the model, and Run's caller can recover it. The
 // cluster's other live threads (bystanders and the process's system threads)

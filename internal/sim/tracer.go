@@ -179,7 +179,8 @@ func (tr *tracer) emitSystem(op opSpec) trace.OpID {
 }
 
 // needSites reports whether op sites must be computed this run (they are
-// needed for traces and for matching site-anchored fault events).
+// needed for traces, for matching site-anchored fault events and for the
+// stall rule).
 func (c *Cluster) needSites() bool {
-	return c.tracer.trace != nil || (c.pendingPlan != nil && c.pendingPlan.siteEvents > 0)
+	return c.tracer.trace != nil || (c.pendingPlan != nil && c.pendingPlan.siteEvents > 0) || c.cfg.StallPicks > 0
 }

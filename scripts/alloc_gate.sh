@@ -12,10 +12,10 @@
 #     (campaign 18 613 KB / 373 423 mallocs per op, predict 1 680 KB /
 #     8 408); each ceiling is below the value before that change (campaign
 #     19 888 KB / 387 478, predict 1 706 KB / 8 669).
-#   evaluation — 1 % over the median measured once trigger replays were hung
-#     after 6x their workload's fault-free scheduler picks (6 097 KB /
-#     89 519 mallocs per op); the ceiling is below the value under the clock
-#     budget alone (7 451 KB / 127 211).
+#   evaluation — 1 % over the median measured once a trigger replay was hung
+#     after 2x its workload's fault-free scheduler picks without reaching a
+#     new op site (4 726 KB / 61 208 mallocs per op); the ceiling is below
+#     the value under the 6x pick budget it replaced (6 090 KB / 89 379).
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -47,7 +47,7 @@ sys.exit(0 if ok else 1)' "$@"
 
 fail=0
 gate campaign   18799 377158 || fail=1
-gate evaluation 6158  90414  || fail=1
+gate evaluation 4774  61821  || fail=1
 gate offline    596   974    || fail=1
 gate predict    1697  8492   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
