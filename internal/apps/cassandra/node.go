@@ -30,7 +30,7 @@ func role(pid string) string {
 // cassMain is one ring node: gossip, failure detection, repair participation
 // — and, on node 0, the anti-entropy repair coordinator.
 func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, coordinator bool) {
-	defer ctx.Scope("cassMain")()
+	defer ctx.Scope("cassMain").End()
 	self := ctx.Self()
 	me := ctx.PID()
 	myRole := ctx.Role()
@@ -49,7 +49,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 
 	// --- Gossip receive path: record whatever the sender advertises. ---
 	self.HandleMsg("gossip-digest", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("applyGossip")()
+		defer ctx.Scope("applyGossip").End()
 		from := role(m.From)
 		state.Set(ctx, "lastSeen-"+from, ctx.Now())
 		// The full endpoint state is only re-advertised every few rounds.
@@ -68,7 +68,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	// A (re)joining node announces itself; the generation is rewritten and
 	// then consulted (dependence-pruning fodder: reset before read).
 	self.HandleMsg("announce", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("handleAnnounce")()
+		defer ctx.Scope("handleAnnounce").End()
 		from := role(m.From)
 		state.Set(ctx, "gen-"+from, m.Payload)
 		state.Set(ctx, "hb-"+from, m.Payload)
@@ -81,7 +81,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	// A joining node pulls the cluster view; the reads feed logs only
 	// (impact-pruning fodder).
 	self.HandleRPC("GossipInfo", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("gossipInfo")()
+		defer ctx.Scope("gossipInfo").End()
 		for _, peer := range peers {
 			hb := state.Get(ctx, "hb-"+peer)
 			load := state.Get(ctx, "load-"+peer)
@@ -98,14 +98,14 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	// --- Repair participant side. Replies are droppable messages —
 	// Cassandra's droppable verbs, eligible for application-level drops. ---
 	self.HandleMsg("take-snapshot", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("takeSnapshot")()
+		defer ctx.Scope("takeSnapshot").End()
 		ctx.Sleep(35) // flush + hard-link the sstables
 		lfs.Write(ctx, "/var/cassandra/snapshot-repair", sim.V(me))
 		_ = ctx.Send(m.From, "snapshot-ack", sim.V(me), sim.Droppable())
 	})
 
 	self.HandleMsg("tree-request", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("validateTree")()
+		defer ctx.Scope("validateTree").End()
 		ctx.Sleep(30)
 		// A real (miniature) merkle pass: hash every key of the local
 		// column store into the response.
@@ -131,7 +131,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	})
 
 	self.HandleMsg("stream-request", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("applyStream")()
+		defer ctx.Scope("applyStream").End()
 		// Streamed key/value pairs land in the memtable (they reach the
 		// sstables at the next flush, like real Cassandra).
 		mem := ctx.NamedObject("memtable")
@@ -152,7 +152,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 
 	// --- Coordinator-side session tracking. ---
 	self.HandleMsg("snapshot-ack", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("snapshotAck")()
+		defer ctx.Scope("snapshotAck").End()
 		n := session.Get(ctx, "snapshotAcks")
 		session.Set(ctx, "snapshotAcks", sim.Derive(n.Int()+1, n))
 		if n.Int()+1 >= session.Get(ctx, "neighbors").Int() {
@@ -162,7 +162,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	})
 
 	self.HandleMsg("tree-response", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("treeResponse")()
+		defer ctx.Scope("treeResponse").End()
 		// Remember each neighbour's tree for the diff phase.
 		body := m.Payload.Str()
 		if i := strings.Index(body, "|"); i > 0 {
@@ -177,7 +177,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	})
 
 	self.HandleMsg("stream-finished", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("streamFinished")()
+		defer ctx.Scope("streamFinished").End()
 		n := session.Get(ctx, "pendingStreams")
 		// CA3's W: the loop-exit write the streaming phase polls for.
 		session.Set(ctx, "pendingStreams", sim.Derive(n.Int()-1, n))
@@ -187,7 +187,7 @@ func cassMain(ctx *sim.Context, p params, lfs *storage.LocalFS, peers []string, 
 	// net that aborts in-flight repair phases... except streaming, which the
 	// implementers forgot (CA3's root cause).
 	self.HandleMsg("convict", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("convict")()
+		defer ctx.Scope("convict").End()
 		dead := role(m.Payload.Str())
 		state.Set(ctx, "dead-"+dead, sim.V(true))
 		phase := session.Get(ctx, "phase")
@@ -304,7 +304,7 @@ func startGossip(ctx *sim.Context, p params, peers []string, myRole string, stat
 	// one, stretching full-digest rounds until the failure detector declares
 	// this live node dead. ---
 	ctx.GoDaemon("heartbeat-gossiper", func(ctx *sim.Context) {
-		defer ctx.Scope("heartbeatGossiper")()
+		defer ctx.Scope("heartbeatGossiper").End()
 		for round := 1; ; round++ {
 			digest := sim.Derive(round, state.Get(ctx, "tokens"))
 			for _, peer := range peers {
@@ -317,7 +317,7 @@ func startGossip(ctx *sim.Context, p params, peers []string, myRole string, stat
 	})
 
 	ctx.GoDaemon("full-digest-worker", func(ctx *sim.Context) {
-		defer ctx.Scope("fullDigestWorker")()
+		defer ctx.Scope("fullDigestWorker").End()
 		scratch := ctx.NamedObject("digestScratch")
 		for round := 1; ; round++ {
 			for i := 0; i < p.digestWork; i++ {
@@ -336,7 +336,7 @@ func startGossip(ctx *sim.Context, p params, peers []string, myRole string, stat
 	// --- Accrual failure detector: a silent-but-alive peer is a false
 	// conviction (what the §8.2 exhaustive-tracing slowdown provokes). ---
 	ctx.GoDaemon("failure-detector", func(ctx *sim.Context) {
-		defer ctx.Scope("failureDetector")()
+		defer ctx.Scope("failureDetector").End()
 		for {
 			ctx.Sleep(p.fdThreshold / 3)
 			now := ctx.Now()

@@ -13,7 +13,7 @@ import (
 // its ZK watcher — recovers a dead RegionServer's write-ahead log and
 // replication queue.
 func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS) {
-	defer ctx.Scope("masterMain")()
+	defer ctx.Scope("masterMain").End()
 	self := ctx.Self()
 	state := ctx.NamedObject("masterState")
 
@@ -27,7 +27,7 @@ func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 		change := payload.Str()
 		switch {
 		case strings.HasPrefix(change, "created:"):
-			defer ctx.Scope("rsRegistered")()
+			defer ctx.Scope("rsRegistered").End()
 			cnt := state.Get(ctx, "serverCount")
 			state.Set(ctx, "serverCount", sim.Derive(cnt.Int()+1, cnt))
 			state.Set(ctx, "liveRS", sim.V(strings.TrimPrefix(change, "created:/hbase/rs/")))
@@ -40,7 +40,7 @@ func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	})
 
 	self.HandleEvent("rs-changed-deleted", func(ctx *sim.Context, payload sim.Value) {
-		defer ctx.Scope("serverShutdownHandler")()
+		defer ctx.Scope("serverShutdownHandler").End()
 		dead := payload.Str()
 		cnt := state.Get(ctx, "serverCount")
 		state.Set(ctx, "serverCount", sim.Derive(cnt.Int()-1, cnt))
@@ -56,14 +56,14 @@ func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 		}
 		// Recover the dead server's state in a worker of its own.
 		ctx.Go("serverRecovery", func(ctx *sim.Context) {
-			defer ctx.Scope("serverRecovery")()
+			defer ctx.Scope("serverRecovery").End()
 			splitDeadLogs(ctx, p, kv, gfs, dead)
 			adoptReplicationQueue(ctx, p, kv, dead)
 		})
 	})
 
 	self.HandleMsg("root-opened", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("rootOpened")()
+		defer ctx.Scope("rootOpened").End()
 		state.Set(ctx, "rootAssignInProgress", sim.V(false))
 		// HB4's W: the root location write the catalog poller waits on.
 		state.Set(ctx, "rootLoc", m.Payload)
@@ -79,7 +79,7 @@ func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// Client put routing with failover to master-hosting when the region
 	// server is gone.
 	self.HandleRPC("Put", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("routePut")()
+		defer ctx.Scope("routePut").End()
 		key := args[0]
 		for {
 			owner := state.Get(ctx, "owner")
@@ -129,7 +129,7 @@ func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 
 	// The client finishes the job synchronously through this RPC.
 	self.HandleRPC("FinishJob", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("finishJob")()
+		defer ctx.Scope("finishJob").End()
 		owner := state.Get(ctx, "owner")
 		if ctx.Guard(sim.Derive(owner.Str() != "self", owner)) {
 			_ = ctx.Send(owner.Str(), "flush", sim.V("now"))
@@ -148,7 +148,7 @@ func master090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 // unflushed edits survive. HB2: the split lock znode is plain (not
 // ephemeral); one left behind by the dead server aborts the split.
 func splitDeadLogs(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS, dead string) {
-	defer ctx.Scope("splitDeadLogs")()
+	defer ctx.Scope("splitDeadLogs").End()
 
 	// Dependence-pruning fodder: the split progress marker is rewritten
 	// before any consultation.
@@ -162,7 +162,7 @@ func splitDeadLogs(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// Impact-pruning fodder: the dead server's metric znodes are read for
 	// the recovery log only.
 	func() {
-		defer ctx.Scope("readDeadMetrics")()
+		defer ctx.Scope("readDeadMetrics").End()
 		for i := 0; i < p.regions; i++ {
 			metric, _ := kv.GetData(ctx, fmt.Sprintf("/hbase/rs-info/%s/metric-%d", dead, i))
 			ctx.Log(metric.Str())
@@ -196,7 +196,7 @@ func splitDeadLogs(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 // still holds. HB5/HB6: the queue trusts znodes the dead server deleted a
 // moment too early.
 func adoptReplicationQueue(ctx *sim.Context, p params, kv *storage.KV, dead string) {
-	defer ctx.Scope("adoptReplicationQueue")()
+	defer ctx.Scope("adoptReplicationQueue").End()
 	summary := sim.V("adopted:" + dead)
 	marker, err := kv.GetData(ctx, "/hbase/replication/"+dead)
 	if err != nil || !ctx.Guard(marker) {

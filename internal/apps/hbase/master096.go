@@ -21,14 +21,14 @@ func roleOf(pid string) string {
 // the fresh master and in the restarted one, reading whatever the previous
 // incarnation left in ZooKeeper and the global FS.
 func master096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS) {
-	defer ctx.Scope("masterMain")()
+	defer ctx.Scope("masterMain").End()
 	self := ctx.Self()
 	rit := ctx.NamedObject("rit")
 	flags := ctx.NamedObject("flags")
 
 	// ZK watch events: the unassigned znode drives the RIT map (Figure 6).
 	self.HandleEvent("unassigned-changed", func(ctx *sim.Context, payload sim.Value) {
-		defer ctx.Scope("ritUpdate")()
+		defer ctx.Scope("ritUpdate").End()
 		state, err := kv.GetData(ctx, "/hbase/unassigned/meta")
 		if err != nil {
 			return
@@ -93,7 +93,7 @@ func master096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// The cluster id marker is consulted in a confined scope with no
 	// failure-prone consequence, so impact estimation prunes its pair.
 	func() {
-		defer ctx.Scope("readClusterID")()
+		defer ctx.Scope("readClusterID").End()
 		id := kv.Exists(ctx, "/hbase/clusterid")
 		if !ctx.Guard(id) {
 			_, _ = kv.Create(ctx, "/hbase/clusterid", sim.V("cluster-1"))
@@ -127,7 +127,7 @@ func master096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// Impact-pruning fodder: region-state znodes written by the
 	// RegionServers (on this master's orders) are re-read for logging only.
 	func() {
-		defer ctx.Scope("reloadRegionStates")()
+		defer ctx.Scope("reloadRegionStates").End()
 		for r := 0; r < p.regions; r++ {
 			st, _ := kv.GetData(ctx, fmt.Sprintf("/hbase/region-state/region-%d", r))
 			ctx.Log(st.Str())
@@ -208,7 +208,7 @@ func master096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// The timeout-monitor component: it force-completes assignments and log
 	// splits that dawdle (HBase's TimeoutMonitor).
 	ctx.GoDaemon("timeout-monitor", func(ctx *sim.Context) {
-		defer ctx.Scope("timeoutMonitor")()
+		defer ctx.Scope("timeoutMonitor").End()
 		ctx.Sleep(p.rescueAfter)
 		flags := ctx.NamedObject("flags")
 		if !flags.Get(ctx, "ack-special").Bool() {

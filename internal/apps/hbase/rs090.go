@@ -11,7 +11,7 @@ import (
 // edit to its write-ahead log, and replicates edits to the peer cluster via
 // a znode-backed queue — with the buggy early deletions of HB2/HB5/HB6.
 func rs090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS) {
-	defer ctx.Scope("rsMain")()
+	defer ctx.Scope("rsMain").End()
 	self := ctx.Self()
 	me := ctx.PID()
 	mem := ctx.NamedObject("memstore")
@@ -23,7 +23,7 @@ func rs090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	// Metric znodes, periodically refreshed (impact-pruning fodder: the
 	// recovery path reads them for logging only).
 	ctx.GoDaemon("metrics-writer", func(ctx *sim.Context) {
-		defer ctx.Scope("metricsWriter")()
+		defer ctx.Scope("metricsWriter").End()
 		for round := 0; ; round++ {
 			for i := 0; i < p.regions; i++ {
 				path := fmt.Sprintf("/hbase/rs-info/%s/metric-%d", me, i)
@@ -48,7 +48,7 @@ func rs090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	})
 
 	self.HandleMsg("open-root", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("openRoot")()
+		defer ctx.Scope("openRoot").End()
 		gfs.Write(ctx, "/hbase/root/info-"+me, sim.V(me))
 		_, _ = kv.Create(ctx, "/hbase/root-region-server", sim.V(me))
 		ctx.Sleep(25)
@@ -58,7 +58,7 @@ func rs090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	})
 
 	self.HandleRPC("PutLocal", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("putLocal")()
+		defer ctx.Scope("putLocal").End()
 		key := args[0]
 		n := mem.Get(ctx, "count").Int()
 		mem.Set(ctx, fmt.Sprintf("edit-%d", n), key)
@@ -88,7 +88,7 @@ func rs090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	self.HandleMsg("flush", func(ctx *sim.Context, m sim.Message) {
 		from := m.From
 		ctx.Go("flush-and-replicate", func(ctx *sim.Context) {
-			defer ctx.Scope("flushAndReplicate")()
+			defer ctx.Scope("flushAndReplicate").End()
 			flushAndReplicate(ctx, p, kv, gfs, me)
 			_ = ctx.Send(from, "flush-done", sim.V(me))
 		})
@@ -186,7 +186,7 @@ func joinKeys(keys []string) string {
 // client090Main drives the HB2 workload: six puts routed through the master,
 // then the completion signal.
 func client090Main(ctx *sim.Context, p params) {
-	defer ctx.Scope("clientMain")()
+	defer ctx.Scope("clientMain").End()
 	ctx.Sleep(120) // let the cluster come up
 	for i := 0; i < p.edits; i++ {
 		key := sim.V(fmt.Sprintf("row%d", i))

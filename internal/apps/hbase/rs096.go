@@ -8,7 +8,7 @@ import (
 // rs096Main is a 0.96.0 RegionServer: it registers an ephemeral liveness
 // znode and serves the master's assignment and coordination requests.
 func rs096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS) {
-	defer ctx.Scope("rsMain")()
+	defer ctx.Scope("rsMain").End()
 	self := ctx.Self()
 
 	self.HandleMsg("master-ping", func(ctx *sim.Context, m sim.Message) {
@@ -35,7 +35,7 @@ func rs096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	})
 
 	self.HandleMsg("split-old", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("splitOldLogs")()
+		defer ctx.Scope("splitOldLogs").End()
 		ctx.Sleep(70)
 		_ = gfs.Delete(ctx, "/hbase/oldlogs/"+ctx.PID())
 		// The completion report the master's untimed wait depends on.
@@ -43,13 +43,13 @@ func rs096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	})
 
 	self.HandleMsg("ns-init", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("namespaceInit")()
+		defer ctx.Scope("namespaceInit").End()
 		ctx.Sleep(60)
 		_ = ctx.Send(m.From, "ns-ready", sim.V(ctx.PID()))
 	})
 
 	self.HandleMsg("open-region", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("openRegion")()
+		defer ctx.Scope("openRegion").End()
 		region := m.Payload.Str()
 		path := "/hbase/region-state/" + region
 		for k := 0; k < p.stateWrites; k++ {
@@ -71,7 +71,7 @@ func rs096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	// ZooKeeper, so a network-level message drop cannot remove it — which is
 	// why HB1 is only triggerable by a node crash (Section 8.4).
 	self.HandleMsg("open-meta", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("openMeta")()
+		defer ctx.Scope("openMeta").End()
 		if err := kv.SetData(ctx, "/hbase/unassigned/meta", sim.V("OPENING")); err != nil {
 			_, _ = kv.Create(ctx, "/hbase/unassigned/meta", sim.V("OPENING"))
 		}
@@ -86,7 +86,7 @@ func rs096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 
 	// Periodic server-load reports feed the master's balancer.
 	ctx.GoDaemon("load-reporter", func(ctx *sim.Context) {
-		defer ctx.Scope("loadReporter")()
+		defer ctx.Scope("loadReporter").End()
 		for load := 0; ; load++ {
 			_ = ctx.Send("hmaster", "server-load", sim.Derive(load, sim.V(ctx.PID())))
 			ctx.Sleep(160)

@@ -11,12 +11,12 @@ import (
 // directory, serves the task commit protocol, watches attempt liveness, and
 // commits the job output.
 func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
-	defer ctx.Scope("amMain")()
+	defer ctx.Scope("amMain").End()
 	self := ctx.Self()
 
 	// --- Commit protocol (Figure 1 of the paper, verbatim in miniature) ---
 	self.HandleRPC("CanCommit", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("CanCommit")()
+		defer ctx.Scope("CanCommit").End()
 		task := ctx.NamedObject("task" + args[0].Str())
 		commit := task.Get(ctx, "commit")
 		if ctx.Guard(commit) {
@@ -29,7 +29,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	})
 
 	self.HandleRPC("StartCommit", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("StartCommit")()
+		defer ctx.Scope("StartCommit").End()
 		task := ctx.NamedObject("task" + args[0].Str())
 		// MR4: COMMITTING sticks if the attempt dies before DoneCommit.
 		task.Set(ctx, "state", sim.Derive("COMMITTING", args[1]))
@@ -37,14 +37,14 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	})
 
 	self.HandleRPC("DoneCommit", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("DoneCommit")()
+		defer ctx.Scope("DoneCommit").End()
 		task := ctx.NamedObject("task" + args[0].Str())
 		task.Set(ctx, "state", sim.V("done"))
 		return sim.V("ok")
 	})
 
 	self.HandleRPC("GetTaskState", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("GetTaskState")()
+		defer ctx.Scope("GetTaskState").End()
 		task := ctx.NamedObject("task" + args[0].Str())
 		state := task.Get(ctx, "state")
 		// Impact-pruning fodder: progress and history notes are consulted
@@ -63,7 +63,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	})
 
 	self.HandleMsg("task-heartbeat", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("heartbeat")()
+		defer ctx.Scope("heartbeat").End()
 		task := ctx.NamedObject("task" + m.Payload.Str())
 		// Dependence-pruning fodder: lastBeat is rewritten by the live
 		// attempt before any consumer reads it.
@@ -72,13 +72,13 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	})
 
 	self.HandleMsg("progress-update", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("progress")()
+		defer ctx.Scope("progress").End()
 		task := ctx.NamedObject("task" + m.Payload.Str())
 		task.Set(ctx, "progress", sim.Derive("progress@", m.Payload))
 	})
 
 	self.HandleRPC("MapsDone", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("mapsDone")()
+		defer ctx.Scope("mapsDone").End()
 		all := true
 		var deps []sim.Value
 		for i := 0; i < p.numTasks; i++ {
@@ -173,7 +173,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	// --- Slow attempt monitor: clears RUNNING state of silent attempts
 	// (it forgets the COMMITTING case — that omission is MR4). ---
 	ctx.GoDaemon("attempt-monitor", func(ctx *sim.Context) {
-		defer ctx.Scope("attemptMonitor")()
+		defer ctx.Scope("attemptMonitor").End()
 		for {
 			ctx.Sleep(p.monitorEvery)
 			now := ctx.Now()
@@ -192,7 +192,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	// --- Board writer: persists a status line per heartbeat round
 	// (dependence/impact fodder scaled by run length). ---
 	ctx.GoDaemon("board-writer", func(ctx *sim.Context) {
-		defer ctx.Scope("boardWriter")()
+		defer ctx.Scope("boardWriter").End()
 		for round := 0; ; round++ {
 			ctx.Sleep(p.heartbeatEvery)
 			for i := 0; i < p.numTasks; i++ {
@@ -214,7 +214,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	// this plain thread — a write selective tracing does not see. ---
 	finish := ctx.NamedObject("finish")
 	ctx.GoDaemon("finish-watcher", func(ctx *sim.Context) {
-		defer ctx.Scope("finishWatcher")()
+		defer ctx.Scope("finishWatcher").End()
 		for {
 			for _, id := range p.taskIDs() {
 				field := "task" + id

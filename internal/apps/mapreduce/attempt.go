@@ -85,7 +85,7 @@ func decodeCounts(s string) map[string]int {
 // CanCommit/StartCommit/DoneCommit protocol (whose hazard windows are bugs
 // MR1 and MR4).
 func attemptMain(ctx *sim.Context, p params, gfs *storage.GlobalFS, taskID string) {
-	defer ctx.Scope("attemptMain")()
+	defer ctx.Scope("attemptMain").End()
 	me := sim.V(ctx.PID())
 	taskV := sim.V(taskID)
 	local := ctx.NamedObject("local")

@@ -18,12 +18,12 @@ import (
 // is the paper's Section 8.3 false negative, exposable only by random fault
 // injection.
 func rmMain(ctx *sim.Context, p params) {
-	defer ctx.Scope("rmMain")()
+	defer ctx.Scope("rmMain").End()
 	self := ctx.Self()
 	cache := ctx.NamedObject("statusCache")
 
 	self.HandleRPC("RegisterAM", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("RegisterAM")()
+		defer ctx.Scope("RegisterAM").End()
 		rmState := ctx.NamedObject("rmState")
 		rmState.Set(ctx, "amPID", args[0])
 		if p.version == "2.1.1" {
@@ -46,7 +46,7 @@ func rmMain(ctx *sim.Context, p params) {
 	// The platform's failure detector: relaunch whatever died — except
 	// attempts whose task the status cache already believes finished.
 	self.HandleMsg("convict", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("convict")()
+		defer ctx.Scope("convict").End()
 		dead := m.Payload.Str()
 		role := dead
 		if i := strings.IndexByte(dead, '#'); i >= 0 {
@@ -70,7 +70,7 @@ func rmMain(ctx *sim.Context, p params) {
 	// Status poller: refreshes the cache from the AM. The cache writes run
 	// on this plain thread — outside every handler.
 	ctx.GoDaemon("status-poller", func(ctx *sim.Context) {
-		defer ctx.Scope("statusPoller")()
+		defer ctx.Scope("statusPoller").End()
 		for {
 			for _, id := range p.taskIDs() {
 				s, err := ctx.Call("am", "GetTaskState", sim.V(id))

@@ -47,7 +47,7 @@ func (w *Workload) Configure(c *sim.Cluster) {
 	c.SetFact("toy.gfs", gfs)
 
 	c.StartProcess("server", "m1", func(ctx *sim.Context) {
-		defer ctx.Scope("serverMain")()
+		defer ctx.Scope("serverMain").End()
 		self := ctx.Self()
 
 		self.HandleMsg("hello", func(ctx *sim.Context, m sim.Message) {
@@ -56,7 +56,7 @@ func (w *Workload) Configure(c *sim.Cluster) {
 		})
 
 		self.HandleRPC("CanCommit", func(ctx *sim.Context, args []sim.Value) sim.Value {
-			defer ctx.Scope("CanCommit")()
+			defer ctx.Scope("CanCommit").End()
 			task := ctx.NamedObject("Task")
 			cur := task.Get(ctx, "committed")
 			if ctx.Guard(cur) {
@@ -80,7 +80,7 @@ func (w *Workload) Configure(c *sim.Cluster) {
 }
 
 func workerMain(ctx *sim.Context, gfs *storage.GlobalFS) {
-	defer ctx.Scope("workerMain")()
+	defer ctx.Scope("workerMain").End()
 	me := sim.V(ctx.PID())
 
 	ctx.Self().HandleMsg("ack", func(ctx *sim.Context, m sim.Message) {

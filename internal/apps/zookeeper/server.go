@@ -14,7 +14,7 @@ const dataDir = "/zk/data"
 // restart-recovery path: epochs, snapshots and the transaction log are all
 // read back from the machine-local disk, which survives the crash.
 func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
-	defer ctx.Scope("serverMain")()
+	defer ctx.Scope("serverMain").End()
 	self := ctx.Self()
 	state := ctx.NamedObject("serverState")
 	var pendingQuorum *sim.Cond
@@ -27,7 +27,7 @@ func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
 	})
 
 	self.HandleMsg("proposal", func(ctx *sim.Context, m sim.Message) {
-		defer ctx.Scope("applyProposal")()
+		defer ctx.Scope("applyProposal").End()
 		state.Set(ctx, "lastProposal", m.Payload)
 		_ = ctx.Send(m.From, "prop-ack", m.Payload)
 	})
@@ -44,7 +44,7 @@ func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
 
 	// Followers synchronize from the leader's in-memory database view.
 	self.HandleRPC("SyncState", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("syncState")()
+		defer ctx.Scope("syncState").End()
 		applied := state.Get(ctx, "applied")
 		return sim.Derive(applied.Int(), applied, args[0])
 	})
@@ -72,7 +72,7 @@ func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
 		// two-step (tearable) fashion as every snapshot. Later incarnations
 		// keep whatever baseline already exists.
 		func() {
-			defer ctx.Scope("baselineSnapshot")()
+			defer ctx.Scope("baselineSnapshot").End()
 			if ctx.Guard(lfs.Exists(ctx, dataDir+"/snap-000")) {
 				return
 			}
@@ -144,7 +144,7 @@ func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
 		// Keep the database view synchronized with the leader — across its
 		// restarts — until the workload ends.
 		ctx.GoDaemon("state-syncer", func(ctx *sim.Context) {
-			defer ctx.Scope("stateSyncer")()
+			defer ctx.Scope("stateSyncer").End()
 			for {
 				if v, err := ctx.Call("zkleader", "SyncState", myid); err == nil {
 					state.Set(ctx, "syncedSize", v)
@@ -179,7 +179,7 @@ func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
 
 	// --- Serve client writes until the client is done. ---
 	self.HandleRPC("Create", func(ctx *sim.Context, args []sim.Value) sim.Value {
-		defer ctx.Scope("createZnode")()
+		defer ctx.Scope("createZnode").End()
 		key := args[0]
 		lfs.Append(ctx, dataDir+"/txnlog", key)
 		lfs.Write(ctx, dataDir+"/zxid-meta", sim.Derive("zxid", key))
@@ -221,7 +221,7 @@ func serverMain(ctx *sim.Context, p params, lfs *storage.LocalFS, leader bool) {
 // clientMain drives the ZK workload: znode creates with retry across the
 // leader's restarts.
 func clientMain(ctx *sim.Context, p params) {
-	defer ctx.Scope("zkClient")()
+	defer ctx.Scope("zkClient").End()
 	ctx.Sleep(180)
 	acked := 0
 	for i := 0; i < p.edits; i++ {

@@ -11,20 +11,21 @@ import (
 	"fcatch/internal/apps/zookeeper"
 	"fcatch/internal/core"
 	"fcatch/internal/sim"
+	"fcatch/internal/storage"
 )
 
-// TestSteadyStateStepZeroAllocs pins the scheduler's allocation contract: once
-// a cluster is in steady state, one scheduler step (yield → pick → resume)
-// allocates nothing. A cluster is single-use, so
-// the test can't loop one step under testing.AllocsPerRun; instead it runs two
-// clusters differing only in yield count and attributes the malloc delta to
-// the extra steps.
-func TestSteadyStateStepZeroAllocs(t *testing.T) {
-	mallocsFor := func(yields int) uint64 {
-		c := sim.NewCluster(sim.Config{Seed: 1, MaxSteps: int64(yields) + 1_000})
+// mallocsPerOp measures what one call of op costs in mallocs once a cluster
+// is in steady state. A cluster is single-use, so the test can't loop one op
+// under testing.AllocsPerRun; instead it runs two clusters whose main thread
+// differs only in how often it calls op and attributes the malloc delta to
+// the extra calls. setup builds the cluster's substrates and returns op.
+func mallocsPerOp(setup func(c *sim.Cluster) func(ctx *sim.Context)) float64 {
+	mallocsFor := func(calls int) uint64 {
+		c := sim.NewCluster(sim.Config{Seed: 1, MaxSteps: int64(calls) + 1_000})
+		op := setup(c)
 		c.StartProcess("node", "m0", func(ctx *sim.Context) {
-			for i := 0; i < yields; i++ {
-				ctx.Yield()
+			for i := 0; i < calls; i++ {
+				op(ctx)
 			}
 		})
 		var before, after runtime.MemStats
@@ -38,12 +39,60 @@ func TestSteadyStateStepZeroAllocs(t *testing.T) {
 	mallocsFor(100) // warm the runtime (lazily grown internals)
 	small := mallocsFor(1_000)
 	large := mallocsFor(21_000)
+	return float64(int64(large)-int64(small)) / 20_000
+}
 
-	extra := int64(large) - int64(small)
-	const steps = 20_000
-	if perStep := float64(extra) / steps; perStep > 0.01 {
-		t.Fatalf("steady-state stepping allocates: %d extra mallocs over %d extra steps (%.4f/step), want 0",
-			extra, steps, perStep)
+// TestSteadyStateStepZeroAllocs pins the scheduler's allocation contract: once
+// a cluster is in steady state, one scheduler step (yield → pick → resume)
+// allocates nothing.
+func TestSteadyStateStepZeroAllocs(t *testing.T) {
+	perStep := mallocsPerOp(func(*sim.Cluster) func(*sim.Context) {
+		return func(ctx *sim.Context) { ctx.Yield() }
+	})
+	if perStep > 0.01 {
+		t.Fatalf("steady-state stepping allocates %.4f mallocs/step, want 0", perStep)
+	}
+}
+
+// TestOpBookkeepingZeroAllocs pins the op path's allocation contract: with
+// tracing off, an op allocates nothing for its own bookkeeping — no escaping
+// callbacks, scope closures or per-op resource names.
+func TestOpBookkeepingZeroAllocs(t *testing.T) {
+	val := sim.V("v")
+	cases := []struct {
+		name  string
+		setup func(c *sim.Cluster) func(*sim.Context)
+	}{
+		{"Scope.End", func(*sim.Cluster) func(*sim.Context) {
+			return func(ctx *sim.Context) { ctx.Scope("s").End() }
+		}},
+		{"KV.SetData", func(c *sim.Cluster) func(*sim.Context) {
+			kv := storage.NewKV(c)
+			kv.Seed("/z", val)
+			return func(ctx *sim.Context) { _ = kv.SetData(ctx, "/z", val) }
+		}},
+		{"KV.GetData", func(c *sim.Cluster) func(*sim.Context) {
+			kv := storage.NewKV(c)
+			kv.Seed("/z", val)
+			return func(ctx *sim.Context) { _, _ = kv.GetData(ctx, "/z") }
+		}},
+		{"GlobalFS.Write", func(*sim.Cluster) func(*sim.Context) {
+			gfs := storage.NewGlobalFS()
+			gfs.Seed("/d/f", val)
+			return func(ctx *sim.Context) { gfs.Write(ctx, "/d/f", val) }
+		}},
+		{"GlobalFS.Read", func(*sim.Cluster) func(*sim.Context) {
+			gfs := storage.NewGlobalFS()
+			gfs.Seed("/d/f", val)
+			return func(ctx *sim.Context) { _, _ = gfs.Read(ctx, "/d/f") }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if perOp := mallocsPerOp(tc.setup); perOp > 0.01 {
+				t.Fatalf("%s allocates %.4f mallocs/op with tracing off, want 0", tc.name, perOp)
+			}
+		})
 	}
 }
 

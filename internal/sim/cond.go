@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"fcatch/internal/trace"
 )
@@ -30,7 +31,7 @@ func (ctx *Context) NewCond(name string) *Cond {
 	n := ctx.t.node
 	n.nextObj++
 	cv := &Cond{node: n, id: n.nextObj, name: name}
-	cv.res = fmt.Sprintf("cv:%s:%s/%d", n.PID, name, cv.id)
+	cv.res = "cv:" + n.PID + ":" + name + "/" + strconv.FormatInt(cv.id, 10)
 	return cv
 }
 
@@ -59,16 +60,15 @@ func (cv *Cond) signalInternal(ctx *Context, v Value, err error, site SiteID) {
 		Aux:    cv.name,
 		Taint:  v.taint,
 		Site:   site,
-		Apply: func() {
-			cv.set = true
-			cv.payload = v
-			cv.err = err
-			for _, w := range cv.waiters {
-				w.wake(resumeMsg{val: v, err: err})
-			}
-			cv.waiters = nil
-		},
-	})
+	}, &OpEffects{Apply: func() {
+		cv.set = true
+		cv.payload = v
+		cv.err = err
+		for _, w := range cv.waiters {
+			w.wake(resumeMsg{val: v, err: err})
+		}
+		cv.waiters = nil
+	}})
 }
 
 // failInternal wakes waiters with an error without emitting a signal op —
@@ -112,7 +112,7 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	if site == NoSite {
 		site = ctx.site()
 	}
-	ctx.Do(OpReq{Kind: trace.KWait, Res: cv.res, ResSym: &cv.resSym, Aux: cv.name, Flags: flags, Site: site})
+	ctx.Do(OpReq{Kind: trace.KWait, Res: cv.res, ResSym: &cv.resSym, Aux: cv.name, Flags: flags, Site: site}, nil)
 	if cv.set {
 		return cv.payload, cv.err
 	}
@@ -122,7 +122,7 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	if timeout > 0 {
 		ctx.c.addTimedWaitTimer(ctx.c.clock+timeout, t)
 	}
-	msg := t.block("wait:"+cv.name, site)
+	msg := t.block("wait:", cv.name, site)
 	if msg.timedOut {
 		// Deregister: the latch may fire later for other waiters.
 		for i, w := range cv.waiters {

@@ -30,14 +30,22 @@ func (ctx *Context) Machine() string { return ctx.t.node.Machine }
 func (ctx *Context) Self() *Node { return ctx.t.node }
 
 // Scope pushes a callstack label (and a control-dependence scope) and
-// returns the function that pops it; use `defer ctx.Scope("name")()`.
-func (ctx *Context) Scope(label string) func() {
+// returns the handle that pops it; use `defer ctx.Scope("name").End()`. The
+// handle is a value, so opening a scope allocates nothing.
+func (ctx *Context) Scope(label string) Scope {
 	ctx.t.pushScope(ctx.c, ctlFrame{label: label})
-	depth := len(ctx.t.scopes)
-	return func() {
-		ctx.t.popScopesTo(depth - 1)
-	}
+	return Scope{t: ctx.t, depth: len(ctx.t.scopes)}
 }
+
+// Scope is an open scope; End pops it together with any scope opened inside
+// it and left open.
+type Scope struct {
+	t     *Thread
+	depth int
+}
+
+// End pops the scope.
+func (s Scope) End() { s.t.popScopesTo(s.depth - 1) }
 
 // Guard records that subsequent operations in the current scope are
 // control-dependent on v (the dynamic stand-in for the paper's WALA
@@ -66,7 +74,7 @@ func (ctx *Context) Sleep(ticks int64) {
 	}
 	ctx.t.blockToken++
 	ctx.c.addTimer(ctx.c.clock+ticks, ctx.t, nil)
-	ctx.t.block("sleep", NoSite)
+	ctx.t.block("sleep", "", NoSite)
 }
 
 // Now reads the system clock; the returned value is tainted by a time-read
@@ -121,7 +129,15 @@ type OpReq struct {
 	Taint  []trace.OpID
 	Site   SiteID // optional override; computed if NoSite
 	IsSend bool
+}
 
+// OpEffects are an op's callbacks. They travel beside the OpReq, not in it:
+// Do stores the request's Res and Taint in the trace, and escape analysis
+// does not track struct fields separately, so a callback inside OpReq would
+// leak with them and every closure literal passed to Do (with every variable
+// it captures) would go to the heap. Do never keeps fx, so a caller's
+// &OpEffects{...} and its closures stay on the caller's stack.
+type OpEffects struct {
 	// Apply performs the op's semantic effect (may be nil for pure reads).
 	Apply func()
 	// FlagsAfter, if set, contributes flags computed after Apply ran (e.g.
@@ -134,22 +150,26 @@ type OpReq struct {
 	PostEmit func(id trace.OpID)
 }
 
-// Do runs one operation through the pipeline and returns its op ID (NoOp if
-// untraced) plus whether a fault-injection drop suppressed the effect and
-// which drop it was.
-func (ctx *Context) Do(req OpReq) (id trace.OpID, dropAction TriggerAction, dropped bool) {
+// Do runs one operation through the pipeline, with fx's callbacks (fx may be
+// nil), and returns its op ID (NoOp if untraced) plus whether a
+// fault-injection drop suppressed the effect and which drop it was.
+func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, dropAction TriggerAction, dropped bool) {
 	site := req.Site
 	if site == NoSite {
 		site = ctx.site()
 	} else {
 		ctx.reached(site)
 	}
-	dropAction, dropped = ctx.c.checkTrigger(site, Before, req.IsSend)
-	if !dropped && req.Apply != nil {
-		req.Apply()
+	var none OpEffects
+	if fx == nil {
+		fx = &none
 	}
-	if req.FlagsAfter != nil {
-		req.Flags |= req.FlagsAfter()
+	dropAction, dropped = ctx.c.checkTrigger(site, Before, req.IsSend)
+	if !dropped && fx.Apply != nil {
+		fx.Apply()
+	}
+	if fx.FlagsAfter != nil {
+		req.Flags |= fx.FlagsAfter()
 	}
 	op := opSpec{
 		Kind: req.Kind, Res: req.Res, ResSym: req.ResSym, Aux: req.Aux,
@@ -160,8 +180,8 @@ func (ctx *Context) Do(req OpReq) (id trace.OpID, dropAction TriggerAction, drop
 		op.Flags |= trace.FlagDropped
 	}
 	id = ctx.c.tracer.emit(ctx.t, op)
-	if req.PostEmit != nil {
-		req.PostEmit(id)
+	if fx.PostEmit != nil {
+		fx.PostEmit(id)
 	}
 	if a, d := ctx.c.checkTrigger(site, After, req.IsSend); d && !dropped {
 		dropAction, dropped = a, d
@@ -183,7 +203,7 @@ func (ctx *Context) GoDaemon(name string, fn func(*Context)) {
 }
 
 func (ctx *Context) goThread(name string, fn func(*Context), daemon bool) {
-	id, _, _ := ctx.Do(OpReq{Kind: trace.KThreadCreate, Aux: name})
+	id, _, _ := ctx.Do(OpReq{Kind: trace.KThreadCreate, Aux: name}, nil)
 	ctx.c.spawnThread(ctx.t.node, name, fn, id, daemon, false)
 }
 
@@ -194,7 +214,7 @@ func (ctx *Context) Emit(eventType string, payload Value) {
 		Kind:  trace.KEventEnq,
 		Aux:   eventType,
 		Taint: payload.taint,
-	})
+	}, nil)
 	ctx.t.node.eventQ.push(queuedItem{verb: eventType, payload: payload, causor: id})
 }
 
@@ -244,19 +264,19 @@ func (ctx *Context) Log(msg string) { _ = msg }
 
 // LogError records an error-level log; values passed taint the sink.
 func (ctx *Context) LogError(msg string, vs ...Value) {
-	ctx.Do(OpReq{Kind: trace.KLogError, Aux: msg, Taint: taintsOf(vs...)})
+	ctx.Do(OpReq{Kind: trace.KLogError, Aux: msg, Taint: taintsOf(vs...)}, nil)
 }
 
 // LogFatal records a severe/fatal-level log — a failure-prone local impact.
 func (ctx *Context) LogFatal(msg string, vs ...Value) {
 	ctx.c.out.FatalLogs = append(ctx.c.out.FatalLogs, fmt.Sprintf("%s@%s", msg, ctx.PID()))
-	ctx.Do(OpReq{Kind: trace.KLogFatal, Aux: msg, Taint: taintsOf(vs...)})
+	ctx.Do(OpReq{Kind: trace.KLogFatal, Aux: msg, Taint: taintsOf(vs...)}, nil)
 }
 
 // StartService records the startup of a service — a failure-prone local
 // impact when influenced by a recovery read.
 func (ctx *Context) StartService(name string, vs ...Value) {
-	ctx.Do(OpReq{Kind: trace.KServiceStart, Aux: name, Taint: taintsOf(vs...)})
+	ctx.Do(OpReq{Kind: trace.KServiceStart, Aux: name, Taint: taintsOf(vs...)}, nil)
 }
 
 // AppError is a thrown application exception.
@@ -271,7 +291,7 @@ func (e *AppError) Error() string { return fmt.Sprintf("%s@%s", e.Kind, e.Site) 
 // it, the thread (or handler) dies and the outcome records it as uncaught.
 func (ctx *Context) Throw(kind string, vs ...Value) {
 	site := ctx.site()
-	ctx.Do(OpReq{Kind: trace.KThrow, Aux: kind, Taint: taintsOf(vs...), Site: site})
+	ctx.Do(OpReq{Kind: trace.KThrow, Aux: kind, Taint: taintsOf(vs...), Site: site}, nil)
 	panic(appPanic{kind: kind, site: site, taint: taintsOf(vs...)})
 }
 
@@ -286,7 +306,7 @@ func (ctx *Context) Try(fn func()) (err *AppError) {
 			if !ok {
 				panic(r) // killedPanic or a real bug: keep unwinding
 			}
-			ctx.Do(OpReq{Kind: trace.KCatch, Aux: p.kind, Taint: p.taint, Site: p.site})
+			ctx.Do(OpReq{Kind: trace.KCatch, Aux: p.kind, Taint: p.taint, Site: p.site}, nil)
 			err = &AppError{Kind: p.kind, Site: ctx.c.siteStr(p.site)}
 		}
 	}()

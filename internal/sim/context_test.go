@@ -71,9 +71,9 @@ func TestStartServiceIsTracedSink(t *testing.T) {
 func TestScopeLabelsAppearInCallstacks(t *testing.T) {
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective})
 	c.StartProcess("n", "m0", func(ctx *sim.Context) {
-		defer ctx.Scope("outer")()
+		defer ctx.Scope("outer").End()
 		func() {
-			defer ctx.Scope("inner")()
+			defer ctx.Scope("inner").End()
 			ctx.LogError("marker")
 		}()
 	})

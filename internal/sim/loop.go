@@ -4,20 +4,15 @@ import (
 	"fcatch/internal/trace"
 )
 
-// loopState marks a scope as a sync-loop condition body; heap reads under it
-// are recorded as loop reads.
-type loopState struct {
-	reads []trace.OpID
-}
-
-// currentLoop returns the innermost sync-loop scope, or nil.
-func (t *Thread) currentLoop() *loopState {
+// inSyncLoop reports whether an open scope is a sync-loop condition body;
+// heap reads under one are recorded as loop reads.
+func (t *Thread) inSyncLoop() bool {
 	for i := len(t.scopes) - 1; i >= 0; i-- {
-		if t.scopes[i].loop != nil {
-			return t.scopes[i].loop
+		if t.scopes[i].loop {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // LoopOpts configures a synchronization-style polling loop.
@@ -47,28 +42,25 @@ type LoopOpts struct {
 func (ctx *Context) SyncLoop(opts LoopOpts, body func(*Context) Value) Value {
 	likelySync := !opts.Bounded && opts.SleepTicks > 0
 	if likelySync {
-		ctx.Do(OpReq{Kind: trace.KLoopEnter, Aux: opts.Name})
+		ctx.Do(OpReq{Kind: trace.KLoopEnter, Aux: opts.Name}, nil)
 	}
 	prevLoop := ctx.t.loopName
 	ctx.t.loopName = opts.Name
 	defer func() { ctx.t.loopName = prevLoop }()
+	label := "loop:" + opts.Name
 	iters := 0
 	for {
 		var cond Value
 		func() {
 			depth := len(ctx.t.scopes)
-			frame := ctlFrame{label: "loop:" + opts.Name}
-			if likelySync {
-				frame.loop = &loopState{}
-			}
-			ctx.t.pushScope(ctx.c, frame)
+			ctx.t.pushScope(ctx.c, ctlFrame{label: label, loop: likelySync})
 			defer func() { ctx.t.popScopesTo(depth) }()
 			cond = body(ctx)
 		}()
 		iters++
 		if cond.Bool() {
 			if likelySync {
-				ctx.Do(OpReq{Kind: trace.KLoopExit, Aux: opts.Name, Taint: cond.taint})
+				ctx.Do(OpReq{Kind: trace.KLoopExit, Aux: opts.Name, Taint: cond.taint}, nil)
 			}
 			return cond
 		}

@@ -15,6 +15,19 @@ type sendCfg struct {
 // droppable verbs): the fault injector may silently skip the send.
 func Droppable() SendOpt { return func(c *sendCfg) { c.droppable = true } }
 
+// sendOptions applies opts; the config escapes to the options, so it is
+// allocated only when there are any.
+func sendOptions(opts []SendOpt) sendCfg {
+	if len(opts) == 0 {
+		return sendCfg{}
+	}
+	cfg := new(sendCfg)
+	for _, o := range opts {
+		o(cfg)
+	}
+	return *cfg
+}
+
 // Send delivers an asynchronous message to the process currently serving the
 // target role (or an explicit PID containing '#'). The handler registered
 // for the verb runs on the receiver's message-dispatcher thread and causally
@@ -25,10 +38,7 @@ func Droppable() SendOpt { return func(c *sendCfg) { c.droppable = true } }
 // only) makes Send silently succeed without delivery. Sends to a crashed or
 // unknown destination return ErrSocket / ErrNoRoute.
 func (ctx *Context) Send(target, verb string, payload Value, opts ...SendOpt) error {
-	var cfg sendCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := sendOptions(opts)
 	pid := ctx.c.resolve(target)
 	var flags uint32
 	if cfg.droppable {

@@ -172,7 +172,7 @@ func (q *dispatchQueue) pop(ctx *Context) queuedItem {
 		q.items = q.items[:0]
 		q.head = 0
 		q.waiter = ctx.t
-		ctx.t.block("dispatch-idle", NoSite)
+		ctx.t.block("dispatch-idle", "", NoSite)
 	}
 	it := q.items[q.head]
 	q.items[q.head] = queuedItem{} // release payload references

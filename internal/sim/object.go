@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"fcatch/internal/trace"
 )
@@ -61,9 +62,8 @@ func (o *Object) checkAccess(ctx *Context) {
 //
 // Heap accesses dominate traced runs, so Set and Get inline the Do pipeline
 // (trigger check → effect → record → trigger check → scheduler step) instead
-// of packaging the effect into OpReq closures: the closures were the single
-// largest allocation source in the op layer, and heap ops are never sends so
-// the drop-handling half of Do cannot apply to them.
+// of passing the effect to Do as an OpEffects callback: heap ops are never
+// sends, so the drop-handling half of Do cannot apply to them.
 func (o *Object) Set(ctx *Context, field string, v Value) {
 	o.checkAccess(ctx)
 	slot := o.slot(field)
@@ -94,8 +94,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	o.checkAccess(ctx)
 	slot := o.slot(field)
 	kind := trace.KHeapRead
-	ls := ctx.t.currentLoop()
-	if ls != nil {
+	if ctx.t.inSyncLoop() {
 		kind = trace.KLoopRead
 	}
 	c := ctx.c
@@ -113,9 +112,6 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	ctx.t.yieldStep()
 	if id != trace.NoOp {
 		out = out.withTaint1(id)
-		if ls != nil {
-			ls.reads = append(ls.reads, id)
-		}
 	}
 	return out
 }
@@ -123,7 +119,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 func (o *Object) slot(field string) *fieldSlot {
 	s, ok := o.fields[field]
 	if !ok {
-		s = &fieldSlot{res: fmt.Sprintf("heap:%s:%s%d.%s", o.node.PID, o.class, o.id, field)}
+		s = &fieldSlot{res: "heap:" + o.node.PID + ":" + o.class + strconv.FormatInt(o.id, 10) + "." + field}
 		o.fields[field] = s
 	}
 	return s

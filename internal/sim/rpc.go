@@ -50,7 +50,7 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 		Target: pid,
 		Taint:  taintsOf(args...),
 		IsSend: true,
-	})
+	}, nil)
 	if dropped && (dropAction == ActDropKernel || dropAction == ActDropApp) {
 		return Value{}, ErrSocket
 	}
@@ -94,7 +94,7 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 func (n *Node) spawnRPCHandler(p pendingRPC) {
 	h := n.rpcHandlers[p.method]
 	n.c.spawnThread(n, h.name, func(hctx *Context) {
-		defer hctx.Scope(h.name)()
+		defer hctx.Scope(h.name).End()
 		var result Value
 		var remoteErr error
 		if err := hctx.Try(func() { result = h.fn(hctx, p.args) }); err != nil {
@@ -114,11 +114,10 @@ func (n *Node) spawnRPCHandler(p pendingRPC) {
 			Taint:  result.taint,
 			Site:   hctx.c.siteRPCReplySend,
 			IsSend: true,
-			Apply: func() {
-				cn := hctx.c.nodes[p.callerPID]
-				deliverable = cn != nil && !cn.crashed
-			},
-		})
+		}, &OpEffects{Apply: func() {
+			cn := hctx.c.nodes[p.callerPID]
+			deliverable = cn != nil && !cn.crashed
+		}})
 		if dr && (da == ActDropKernel || da == ActDropApp) {
 			return // reply lost on the wire; server moves on
 		}

@@ -272,7 +272,7 @@ func (c *Cluster) Run() *Outcome {
 			continue
 		}
 		if !t.daemon {
-			reason := t.blockReason
+			reason := t.blockReason + t.blockObject
 			if t.state == tsRunnable {
 				reason = "live (budget exhausted)"
 				if c.stalled {

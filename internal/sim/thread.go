@@ -41,7 +41,7 @@ type ctlFrame struct {
 	label string
 	// ctl is owned by this frame: only Guard extends it, through growTaints.
 	ctl  []trace.OpID
-	loop *loopState // non-nil when the scope is a sync-loop body
+	loop bool // the scope is a sync-loop body
 	// prevStack is the thread's interned callstack before this scope was
 	// pushed; popping the scope restores it.
 	prevStack trace.StackID
@@ -59,7 +59,8 @@ type Thread struct {
 	state       threadState
 	blockSite   SiteID
 	blockReason string
-	blockToken  int64 // invalidates stale timed-wait timers
+	blockObject string // what the thread waits on, appended to blockReason
+	blockToken  int64  // invalidates stale timed-wait timers
 
 	// fn is the body; car, the carrier running it from first resume to finish.
 	fn  func(*Context)
@@ -77,7 +78,10 @@ type Thread struct {
 	// Stays NoStack when tracing is off.
 	stack trace.StackID
 
-	scopes []ctlFrame
+	// scopes are the open scopes; the first two live inline in scopeBuf, so
+	// a thread opens them without allocating.
+	scopes   []ctlFrame
+	scopeBuf [2]ctlFrame
 	// ctlCache memoizes ctlTaints() across records: the merged control taints
 	// of the open scopes change only when a scope is pushed, popped, or
 	// guarded, which is far rarer than record emission. The cached slice is
@@ -120,6 +124,7 @@ func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor tr
 		fn:         fn,
 		frame:      trace.NoOp,
 	}
+	t.scopes = t.scopeBuf[:0]
 	t.ctx = Context{c: c, t: t}
 	c.threads = append(c.threads, t)
 	n.threads = append(n.threads, t)
@@ -253,10 +258,12 @@ func (t *Thread) yieldStep() {
 	t.pause()
 }
 
-// block suspends the thread in the blocked state until someone wakes it.
-func (t *Thread) block(reason string, site SiteID) resumeMsg {
+// block suspends the thread in the blocked state until someone wakes it. A
+// hang report names the reason as reason+object, joined only then.
+func (t *Thread) block(reason, object string, site SiteID) resumeMsg {
 	t.state = tsBlocked
 	t.blockReason = reason
+	t.blockObject = object
 	t.blockSite = site
 	return t.pause()
 }

@@ -8,7 +8,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 
@@ -48,6 +47,26 @@ func dirOf(path string) string {
 	return path[:i]
 }
 
+// resNames is one store's path -> trace resource name map: each name is
+// built once, so an op on a known path builds no string.
+type resNames struct {
+	prefix string
+	m      map[string]string
+}
+
+func newResNames(prefix string) resNames {
+	return resNames{prefix: prefix, m: make(map[string]string)}
+}
+
+func (n resNames) of(path string) string {
+	r, ok := n.m[path]
+	if !ok {
+		r = n.prefix + path
+		n.m[path] = r
+	}
+	return r
+}
+
 func (fs *fileStore) noteDirChange(res string, id trace.OpID) {
 	fs.dirWrites[res] = id
 }
@@ -61,29 +80,28 @@ func (fs *fileStore) create(ctx *sim.Context, res, dirRes string, v sim.Value) (
 	if s, ok := fs.slots[res]; ok {
 		src = s.lastWrite
 	}
-	req := trcOp(trace.KStCreate, res, v.Taint(), src, func() {
-		if _, ok := fs.slots[res]; ok {
-			err = ErrAlreadyExists
-			return
-		}
-		fs.slots[res] = &fileSlot{data: v}
+	id, _, _ := ctx.Do(trcOp(trace.KStCreate, res, v.Taint(), src), &sim.OpEffects{
+		Apply: func() {
+			if _, ok := fs.slots[res]; ok {
+				err = ErrAlreadyExists
+				return
+			}
+			fs.slots[res] = &fileSlot{data: v}
+		},
+		FlagsAfter: failFlag(&err),
+		PostEmit: func(id trace.OpID) {
+			if err != nil || id == trace.NoOp {
+				return
+			}
+			if s := fs.slots[res]; s != nil {
+				s.lastWrite = id
+			}
+			fs.noteDirChange(dirRes, id)
+		},
 	})
-	req.FlagsAfter = failFlag(&err)
-	var opID trace.OpID
-	req.PostEmit = func(id trace.OpID) {
-		opID = id
-		if err != nil || id == trace.NoOp {
-			return
-		}
-		if s := fs.slots[res]; s != nil {
-			s.lastWrite = id
-		}
-		fs.noteDirChange(dirRes, id)
-	}
-	ctx.Do(req)
 	ok := sim.V(err == nil)
-	if opID != trace.NoOp {
-		ok = ok.WithTaint(opID)
+	if id != trace.NoOp {
+		ok = ok.WithTaint(id)
 	}
 	return ok, err
 }
@@ -91,58 +109,54 @@ func (fs *fileStore) create(ctx *sim.Context, res, dirRes string, v sim.Value) (
 // write stores content, creating the file if needed.
 func (fs *fileStore) write(ctx *sim.Context, res, dirRes string, v sim.Value) {
 	created := false
-	req := trcOp(trace.KStWrite, res, v.Taint(), trace.NoOp, func() {
-		s, ok := fs.slots[res]
-		if !ok {
-			s = &fileSlot{}
-			fs.slots[res] = s
-			created = true
-		}
-		s.data = v
+	ctx.Do(trcOp(trace.KStWrite, res, v.Taint(), trace.NoOp), &sim.OpEffects{
+		Apply: func() {
+			s, ok := fs.slots[res]
+			if !ok {
+				s = &fileSlot{}
+				fs.slots[res] = s
+				created = true
+			}
+			s.data = v
+		},
+		PostEmit: func(id trace.OpID) { fs.noteWrite(res, dirRes, id, created) },
 	})
-	req.PostEmit = func(id trace.OpID) {
-		if id == trace.NoOp {
-			return
-		}
-		if s := fs.slots[res]; s != nil {
-			s.lastWrite = id
-		}
-		if created {
-			fs.noteDirChange(dirRes, id)
-		}
-	}
-	ctx.Do(req)
 }
 
 // appendTo concatenates a comma-separated entry onto a file in one write op
 // (a log append does not re-read the log).
 func (fs *fileStore) appendTo(ctx *sim.Context, res, dirRes string, v sim.Value) {
 	created := false
-	req := trcOp(trace.KStWrite, res, v.Taint(), trace.NoOp, func() {
-		s, ok := fs.slots[res]
-		if !ok {
-			s = &fileSlot{}
-			fs.slots[res] = s
-			created = true
-		}
-		if prev, _ := s.data.Data.(string); prev != "" {
-			s.data = sim.Derive(prev+","+v.Str(), s.data, v)
-		} else {
-			s.data = sim.Derive(v.Str(), v)
-		}
+	ctx.Do(trcOp(trace.KStWrite, res, v.Taint(), trace.NoOp), &sim.OpEffects{
+		Apply: func() {
+			s, ok := fs.slots[res]
+			if !ok {
+				s = &fileSlot{}
+				fs.slots[res] = s
+				created = true
+			}
+			if prev, _ := s.data.Data.(string); prev != "" {
+				s.data = sim.Derive(prev+","+v.Str(), s.data, v)
+			} else {
+				s.data = sim.Derive(v.Str(), v)
+			}
+		},
+		PostEmit: func(id trace.OpID) { fs.noteWrite(res, dirRes, id, created) },
 	})
-	req.PostEmit = func(id trace.OpID) {
-		if id == trace.NoOp {
-			return
-		}
-		if s := fs.slots[res]; s != nil {
-			s.lastWrite = id
-		}
-		if created {
-			fs.noteDirChange(dirRes, id)
-		}
+}
+
+// noteWrite publishes a traced write's op ID as the file's last write and,
+// when the write created the file, as its directory's last change.
+func (fs *fileStore) noteWrite(res, dirRes string, id trace.OpID, created bool) {
+	if id == trace.NoOp {
+		return
 	}
-	ctx.Do(req)
+	if s := fs.slots[res]; s != nil {
+		s.lastWrite = id
+	}
+	if created {
+		fs.noteDirChange(dirRes, id)
+	}
 }
 
 // read returns content; ErrNotFound if absent.
@@ -153,16 +167,17 @@ func (fs *fileStore) read(ctx *sim.Context, res string) (sim.Value, error) {
 	if s, ok := fs.slots[res]; ok {
 		src = s.lastWrite
 	}
-	req := trcOp(trace.KStRead, res, nil, src, func() {
-		s, ok := fs.slots[res]
-		if !ok {
-			err = ErrNotFound
-			return
-		}
-		out = s.data
+	id, _, _ := ctx.Do(trcOp(trace.KStRead, res, nil, src), &sim.OpEffects{
+		Apply: func() {
+			s, ok := fs.slots[res]
+			if !ok {
+				err = ErrNotFound
+				return
+			}
+			out = s.data
+		},
+		FlagsAfter: failFlag(&err),
 	})
-	req.FlagsAfter = failFlag(&err)
-	id, _, _ := ctx.Do(req)
 	if id != trace.NoOp {
 		// A failed read still carries its op taint: the observed absence is
 		// information derived from the read.
@@ -177,20 +192,21 @@ func (fs *fileStore) read(ctx *sim.Context, res string) (sim.Value, error) {
 // del removes a file; ErrNotFound if absent.
 func (fs *fileStore) del(ctx *sim.Context, res, dirRes string) error {
 	var err error
-	req := trcOp(trace.KStDelete, res, nil, trace.NoOp, func() {
-		if _, ok := fs.slots[res]; !ok {
-			err = ErrNotFound
-			return
-		}
-		delete(fs.slots, res)
+	ctx.Do(trcOp(trace.KStDelete, res, nil, trace.NoOp), &sim.OpEffects{
+		Apply: func() {
+			if _, ok := fs.slots[res]; !ok {
+				err = ErrNotFound
+				return
+			}
+			delete(fs.slots, res)
+		},
+		FlagsAfter: failFlag(&err),
+		PostEmit: func(id trace.OpID) {
+			if err == nil {
+				fs.noteDirChange(dirRes, id)
+			}
+		},
 	})
-	req.FlagsAfter = failFlag(&err)
-	req.PostEmit = func(id trace.OpID) {
-		if err == nil {
-			fs.noteDirChange(dirRes, id)
-		}
-	}
-	ctx.Do(req)
 	return err
 }
 
@@ -202,9 +218,9 @@ func (fs *fileStore) exists(ctx *sim.Context, res, dirRes string) sim.Value {
 	if s, ok := fs.slots[res]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(trcOp(trace.KStExists, res, nil, src, func() {
+	id, _, _ := ctx.Do(trcOp(trace.KStExists, res, nil, src), &sim.OpEffects{Apply: func() {
 		_, present = fs.slots[res]
-	}))
+	}})
 	out := sim.V(present)
 	if id != trace.NoOp {
 		out = out.WithTaint(id)
@@ -215,26 +231,27 @@ func (fs *fileStore) exists(ctx *sim.Context, res, dirRes string) sim.Value {
 // rename moves a file; ErrNotFound if src is absent.
 func (fs *fileStore) rename(ctx *sim.Context, fromRes, toRes, dirRes string) error {
 	var err error
-	req := trcOp(trace.KStRename, fromRes, nil, trace.NoOp, func() {
-		s, ok := fs.slots[fromRes]
-		if !ok {
-			err = ErrNotFound
-			return
-		}
-		delete(fs.slots, fromRes)
-		fs.slots[toRes] = s
+	ctx.Do(trcOp(trace.KStRename, fromRes, nil, trace.NoOp), &sim.OpEffects{
+		Apply: func() {
+			s, ok := fs.slots[fromRes]
+			if !ok {
+				err = ErrNotFound
+				return
+			}
+			delete(fs.slots, fromRes)
+			fs.slots[toRes] = s
+		},
+		FlagsAfter: failFlag(&err),
+		PostEmit: func(id trace.OpID) {
+			if err != nil || id == trace.NoOp {
+				return
+			}
+			if s := fs.slots[toRes]; s != nil {
+				s.lastWrite = id
+			}
+			fs.noteDirChange(dirRes, id)
+		},
 	})
-	req.FlagsAfter = failFlag(&err)
-	req.PostEmit = func(id trace.OpID) {
-		if err != nil || id == trace.NoOp {
-			return
-		}
-		if s := fs.slots[toRes]; s != nil {
-			s.lastWrite = id
-		}
-		fs.noteDirChange(dirRes, id)
-	}
-	ctx.Do(req)
 	return err
 }
 
@@ -242,14 +259,14 @@ func (fs *fileStore) rename(ctx *sim.Context, fromRes, toRes, dirRes string) err
 // not enforced; callers filter).
 func (fs *fileStore) list(ctx *sim.Context, dirRes, prefix string) []string {
 	var names []string
-	ctx.Do(trcOp(trace.KStList, dirRes, nil, fs.dirWrites[dirRes], func() {
+	ctx.Do(trcOp(trace.KStList, dirRes, nil, fs.dirWrites[dirRes]), &sim.OpEffects{Apply: func() {
 		for res := range fs.slots {
 			if strings.HasPrefix(res, prefix) {
 				names = append(names, res)
 			}
 		}
 		sort.Strings(names)
-	}))
+	}})
 	return names
 }
 
@@ -265,22 +282,23 @@ func (fs *fileStore) deleteTree(ctx *sim.Context, treeRes, prefix string) int {
 	}
 	sort.Strings(victims)
 	for _, res := range victims {
-		target := res
-		ctx.Do(trcOp(trace.KStDelete, target, nil, trace.NoOp, func() {
-			delete(fs.slots, target)
-		}))
+		ctx.Do(trcOp(trace.KStDelete, res, nil, trace.NoOp), &sim.OpEffects{Apply: func() {
+			delete(fs.slots, res)
+		}})
 	}
-	id, _, _ := ctx.Do(trcOp(trace.KStDelete, treeRes, nil, trace.NoOp, nil))
+	id, _, _ := ctx.Do(trcOp(trace.KStDelete, treeRes, nil, trace.NoOp), nil)
 	fs.noteDirChange(treeRes, id)
 	return len(victims)
 }
 
-func trcOp(kind trace.Kind, res string, taint []trace.OpID, src trace.OpID, apply func()) sim.OpReq {
-	return sim.OpReq{Kind: kind, Res: res, Taint: taint, Src: src, Apply: apply}
+func trcOp(kind trace.Kind, res string, taint []trace.OpID, src trace.OpID) sim.OpReq {
+	return sim.OpReq{Kind: kind, Res: res, Taint: taint, Src: src}
 }
 
 // failFlag marks the record failed when *err is set after Apply; failed
 // write-like ops define no content and must not count as recovery resets.
+// It inlines, so the closure stays on the caller's stack with its
+// OpEffects.
 func failFlag(err *error) func() uint32 {
 	return func() uint32 {
 		if *err != nil {
@@ -299,11 +317,14 @@ type LocalFS struct{ fs *fileStore }
 func NewLocalFS() *LocalFS { return &LocalFS{fs: newFileStore()} }
 
 func (l *LocalFS) res(ctx *sim.Context, path string) string {
-	return fmt.Sprintf("lfs:%s:%s", ctx.Machine(), path)
+	return lres(ctx.Machine(), path)
 }
 func (l *LocalFS) dirRes(ctx *sim.Context, path string) string {
-	return fmt.Sprintf("lfs:%s:%s", ctx.Machine(), dirOf(path))
+	return lres(ctx.Machine(), dirOf(path))
 }
+
+// lres is the trace resource name of path on machine's disk.
+func lres(machine, path string) string { return "lfs:" + machine + ":" + path }
 
 // Create adds a local file; ErrAlreadyExists if present. The returned value
 // is the tainted success flag.
@@ -341,7 +362,7 @@ func (l *LocalFS) List(ctx *sim.Context, dir string) []string {
 	prefix := l.res(ctx, strings.TrimSuffix(dir, "/")+"/")
 	out := l.fs.list(ctx, l.res(ctx, dir), prefix)
 	for i, res := range out {
-		out[i] = strings.TrimPrefix(res, fmt.Sprintf("lfs:%s:", ctx.Machine()))
+		out[i] = strings.TrimPrefix(res, lres(ctx.Machine(), ""))
 	}
 	return out
 }
@@ -349,12 +370,12 @@ func (l *LocalFS) List(ctx *sim.Context, dir string) []string {
 // Seed pre-populates a local file before the run starts (no tracing, no
 // scheduling) — input data the workload begins with.
 func (l *LocalFS) Seed(machine, path string, v sim.Value) {
-	l.fs.slots[fmt.Sprintf("lfs:%s:%s", machine, path)] = &fileSlot{data: v}
+	l.fs.slots[lres(machine, path)] = &fileSlot{data: v}
 }
 
 // PeekLocal inspects a local file's content from outside the simulation.
 func (l *LocalFS) PeekLocal(machine, path string) (any, bool) {
-	if s, ok := l.fs.slots[fmt.Sprintf("lfs:%s:%s", machine, path)]; ok {
+	if s, ok := l.fs.slots[lres(machine, path)]; ok {
 		return s.data.Data, true
 	}
 	return nil, false
@@ -362,73 +383,78 @@ func (l *LocalFS) PeekLocal(machine, path string) (any, bool) {
 
 // GlobalFS is the cluster-wide file system (HDFS stand-in). Content survives
 // any process crash and is visible everywhere.
-type GlobalFS struct{ fs *fileStore }
+type GlobalFS struct {
+	fs    *fileStore
+	names resNames
+}
 
 // NewGlobalFS creates an empty global file system.
-func NewGlobalFS() *GlobalFS { return &GlobalFS{fs: newFileStore()} }
+func NewGlobalFS() *GlobalFS {
+	return &GlobalFS{fs: newFileStore(), names: newResNames("gfs:")}
+}
 
 // Seed pre-populates a global file before the run starts (no tracing, no
 // scheduling) — input data the workload begins with.
 func (g *GlobalFS) Seed(path string, v sim.Value) {
-	g.fs.slots[gres(path)] = &fileSlot{data: v}
+	g.fs.slots[g.res(path)] = &fileSlot{data: v}
 }
 
 // Peek inspects a file's content from outside the simulation (checkers).
 func (g *GlobalFS) Peek(path string) (any, bool) {
-	if s, ok := g.fs.slots[gres(path)]; ok {
+	if s, ok := g.fs.slots[g.res(path)]; ok {
 		return s.data.Data, true
 	}
 	return nil, false
 }
 
-func gres(path string) string { return "gfs:" + path }
+func (g *GlobalFS) res(path string) string { return g.names.of(path) }
 
 // Create adds a global file; ErrAlreadyExists if present. The returned value
 // is the tainted success flag.
 func (g *GlobalFS) Create(ctx *sim.Context, path string, v sim.Value) (sim.Value, error) {
-	return g.fs.create(ctx, gres(path), gres(dirOf(path)), v)
+	return g.fs.create(ctx, g.res(path), g.res(dirOf(path)), v)
 }
 
 // Write stores content, creating the file if needed.
 func (g *GlobalFS) Write(ctx *sim.Context, path string, v sim.Value) {
-	g.fs.write(ctx, gres(path), gres(dirOf(path)), v)
+	g.fs.write(ctx, g.res(path), g.res(dirOf(path)), v)
 }
 
 // Read returns the file content (the "open" of bug MR2: opening a file whose
 // directory the crashed AM's cleanup deleted).
 func (g *GlobalFS) Read(ctx *sim.Context, path string) (sim.Value, error) {
-	return g.fs.read(ctx, gres(path))
+	return g.fs.read(ctx, g.res(path))
 }
 
 // Append concatenates an entry onto a global file (one write op).
 func (g *GlobalFS) Append(ctx *sim.Context, path string, v sim.Value) {
-	g.fs.appendTo(ctx, gres(path), gres(dirOf(path)), v)
+	g.fs.appendTo(ctx, g.res(path), g.res(dirOf(path)), v)
 }
 
 // Delete removes a global file.
 func (g *GlobalFS) Delete(ctx *sim.Context, path string) error {
-	return g.fs.del(ctx, gres(path), gres(dirOf(path)))
+	return g.fs.del(ctx, g.res(path), g.res(dirOf(path)))
 }
 
 // DeleteTree removes a directory recursively and returns how many files went.
 func (g *GlobalFS) DeleteTree(ctx *sim.Context, dir string) int {
-	return g.fs.deleteTree(ctx, gres(dir), gres(strings.TrimSuffix(dir, "/")+"/"))
+	return g.fs.deleteTree(ctx, g.res(dir), g.res(strings.TrimSuffix(dir, "/")+"/"))
 }
 
 // Rename moves a global file (the atomic commit primitive).
 func (g *GlobalFS) Rename(ctx *sim.Context, from, to string) error {
-	return g.fs.rename(ctx, gres(from), gres(to), gres(dirOf(to)))
+	return g.fs.rename(ctx, g.res(from), g.res(to), g.res(dirOf(to)))
 }
 
 // Exists probes a global file.
 func (g *GlobalFS) Exists(ctx *sim.Context, path string) sim.Value {
-	return g.fs.exists(ctx, gres(path), gres(dirOf(path)))
+	return g.fs.exists(ctx, g.res(path), g.res(dirOf(path)))
 }
 
 // List returns paths under dir, sorted.
 func (g *GlobalFS) List(ctx *sim.Context, dir string) []string {
-	prefix := gres(strings.TrimSuffix(dir, "/") + "/")
-	out := g.fs.list(ctx, gres(dir), prefix)
+	prefix := g.res(strings.TrimSuffix(dir, "/") + "/")
+	out := g.fs.list(ctx, g.res(dir), prefix)
 	for i, res := range out {
 		out[i] = strings.TrimPrefix(res, "gfs:")
 	}

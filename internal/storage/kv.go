@@ -21,6 +21,7 @@ type KV struct {
 	dirWrites   map[string]trace.OpID
 	watches     map[string][]watchReg // path -> registrations
 	ephemeral   map[string][]string   // owner pid -> paths
+	names       resNames
 	expiryDelay int64
 }
 
@@ -61,6 +62,7 @@ func NewKV(c *sim.Cluster) *KV {
 		dirWrites: make(map[string]trace.OpID),
 		watches:   make(map[string][]watchReg),
 		ephemeral: make(map[string][]string),
+		names:     newResNames("zk:"),
 	}
 	pid := c.StartProcess("zk-service", "zk-svc", func(ctx *sim.Context) {})
 	kv.svc = c.Node(pid)
@@ -78,7 +80,7 @@ func NewKV(c *sim.Cluster) *KV {
 	return kv
 }
 
-func zres(path string) string { return "zk:" + path }
+func (kv *KV) res(path string) string { return kv.names.of(path) }
 
 // Seed pre-populates a znode before the run starts (no tracing, no
 // scheduling) — configuration state the workload begins with.
@@ -102,24 +104,35 @@ type createCfg struct{ ephemeral bool }
 // Ephemeral makes the znode die with its creator's session (process).
 func Ephemeral() CreateOpt { return func(c *createCfg) { c.ephemeral = true } }
 
+// createOptions applies opts; the config escapes to the options, so it is
+// allocated only when there are any.
+func createOptions(opts []CreateOpt) createCfg {
+	if len(opts) == 0 {
+		return createCfg{}
+	}
+	cfg := new(createCfg)
+	for _, o := range opts {
+		o(cfg)
+	}
+	return *cfg
+}
+
 // Create adds a znode; ErrAlreadyExists if present. A create *consumes* the
 // prior existence state of the path (its record carries a define-use link to
 // whatever defined it), which is how two creates can conflict — the HB2
 // "Create vs Create" lock pattern. The returned value is the tainted success
 // flag; guard on it so the detectors see the control dependence.
 func (kv *KV) Create(ctx *sim.Context, path string, v sim.Value, opts ...CreateOpt) (sim.Value, error) {
-	var cfg createCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := createOptions(opts)
 	var err error
 	src := kv.dirWrites[dirOf(path)]
 	if s, ok := kv.znodes[path]; ok {
 		src = s.lastWrite
 	}
 	id, _, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KKVUpdate, Res: zres(path), Aux: "create", Taint: v.Taint(),
+		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "create", Taint: v.Taint(),
 		Flags: ephFlag(cfg.ephemeral), Src: src,
+	}, &sim.OpEffects{
 		FlagsAfter: func() uint32 {
 			if err != nil {
 				return trace.FlagFailed
@@ -170,7 +183,8 @@ func ephFlag(e bool) uint32 {
 func (kv *KV) SetData(ctx *sim.Context, path string, v sim.Value) error {
 	var err error
 	id, _, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KKVUpdate, Res: zres(path), Aux: "set", Taint: v.Taint(),
+		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "set", Taint: v.Taint(),
+	}, &sim.OpEffects{
 		FlagsAfter: func() uint32 {
 			if err != nil {
 				return trace.FlagFailed
@@ -209,7 +223,8 @@ func (kv *KV) Delete(ctx *sim.Context, path string) error {
 func (kv *KV) deleteInternal(ctx *sim.Context, path string) error {
 	var err error
 	id, _, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KKVUpdate, Res: zres(path), Aux: "delete",
+		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "delete",
+	}, &sim.OpEffects{
 		FlagsAfter: func() uint32 {
 			if err != nil {
 				return trace.FlagFailed
@@ -258,17 +273,14 @@ func (kv *KV) GetData(ctx *sim.Context, path string) (sim.Value, error) {
 	if s, ok := kv.znodes[path]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KStRead, Res: zres(path), Src: src,
-		Apply: func() {
-			s, ok := kv.znodes[path]
-			if !ok {
-				err = ErrNotFound
-				return
-			}
-			out = s.data
-		},
-	})
+	id, _, _ := ctx.Do(sim.OpReq{Kind: trace.KStRead, Res: kv.res(path), Src: src}, &sim.OpEffects{Apply: func() {
+		s, ok := kv.znodes[path]
+		if !ok {
+			err = ErrNotFound
+			return
+		}
+		out = s.data
+	}})
 	if id != trace.NoOp {
 		// Even a failed read yields information (the absence); the empty
 		// value carries the read's taint so dependence analysis sees it.
@@ -287,10 +299,8 @@ func (kv *KV) Exists(ctx *sim.Context, path string) sim.Value {
 	if s, ok := kv.znodes[path]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KStExists, Res: zres(path), Src: src,
-		Apply: func() { _, present = kv.znodes[path] },
-	})
+	id, _, _ := ctx.Do(sim.OpReq{Kind: trace.KStExists, Res: kv.res(path), Src: src},
+		&sim.OpEffects{Apply: func() { _, present = kv.znodes[path] }})
 	out := sim.V(present)
 	if id != trace.NoOp {
 		out = out.WithTaint(id)
@@ -302,26 +312,22 @@ func (kv *KV) Exists(ctx *sim.Context, path string) sim.Value {
 func (kv *KV) Children(ctx *sim.Context, dir string) []string {
 	prefix := strings.TrimSuffix(dir, "/") + "/"
 	var names []string
-	id, _, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KStList, Res: zres(dir), Src: kv.dirWrites[dir],
-		Apply: func() {
-			seen := map[string]bool{}
-			for p := range kv.znodes {
-				if strings.HasPrefix(p, prefix) {
-					rest := strings.TrimPrefix(p, prefix)
-					if i := strings.Index(rest, "/"); i >= 0 {
-						rest = rest[:i]
-					}
-					if !seen[rest] {
-						seen[rest] = true
-						names = append(names, rest)
-					}
+	ctx.Do(sim.OpReq{Kind: trace.KStList, Res: kv.res(dir), Src: kv.dirWrites[dir]}, &sim.OpEffects{Apply: func() {
+		seen := map[string]bool{}
+		for p := range kv.znodes {
+			if strings.HasPrefix(p, prefix) {
+				rest := strings.TrimPrefix(p, prefix)
+				if i := strings.Index(rest, "/"); i >= 0 {
+					rest = rest[:i]
+				}
+				if !seen[rest] {
+					seen[rest] = true
+					names = append(names, rest)
 				}
 			}
-			sort.Strings(names)
-		},
-	})
-	_ = id
+		}
+		sort.Strings(names)
+	}})
 	return names
 }
 
@@ -334,11 +340,18 @@ func (kv *KV) Watch(ctx *sim.Context, path, eventType string, child bool) {
 
 // fireWatches emits notify ops and posts watcher events for a change. Child
 // watches receive "created:<path>" / "deleted:<path>" payloads so watchers
-// can tell registrations from expirations.
+// can tell registrations from expirations. Both lists are checked before
+// any notify yields, so a change nobody watches builds no payload.
 func (kv *KV) fireWatches(ctx *sim.Context, path string, change ChangeKind, updateOp trace.OpID) {
+	direct := kv.watches[path]
+	parent := dirOf(path)
+	toParent := (change == ChangeCreated || change == ChangeDeleted) && parent != path
+	if len(direct) == 0 && (!toParent || len(kv.watches[parent]) == 0) {
+		return
+	}
 	payload := string(change) + ":" + path
-	kv.notifyList(ctx, kv.watches[path], path, payload, updateOp, false)
-	if parent := dirOf(path); (change == ChangeCreated || change == ChangeDeleted) && parent != path {
+	kv.notifyList(ctx, direct, path, payload, updateOp, false)
+	if toParent {
 		kv.notifyList(ctx, kv.watches[parent], path, payload, updateOp, true)
 	}
 }
@@ -353,9 +366,9 @@ func (kv *KV) notifyList(ctx *sim.Context, regs []watchReg, path, payload string
 			continue
 		}
 		nid, _, _ := ctx.Do(sim.OpReq{
-			Kind: trace.KKVNotify, Res: zres(path), Aux: w.event,
+			Kind: trace.KKVNotify, Res: kv.res(path), Aux: w.event,
 			Target: w.pid, Causor: updateOp,
-		})
+		}, nil)
 		dst.PostEvent(w.event, sim.V(payload), nid, 0)
 	}
 }

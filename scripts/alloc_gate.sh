@@ -7,15 +7,13 @@
 # that repeat to 0.02 % between runs — exceed their ceilings, so the gate
 # trips on a lost optimisation, not on a Go patch release:
 #
-#   campaign, predict — 1 % over the values measured once simulated threads
-#     ran on pooled coroutine carriers and a campaign made one fault-free run
-#     (campaign 18 613 KB / 373 423 mallocs per op, predict 1 680 KB /
-#     8 408); each ceiling is below the value before that change (campaign
-#     19 888 KB / 387 478, predict 1 706 KB / 8 669).
-#   evaluation — 1 % over the median measured once a trigger replay was hung
-#     after 2x its workload's fault-free scheduler picks without reaching a
-#     new op site (4 726 KB / 61 208 mallocs per op); the ceiling is below
-#     the value under the 6x pick budget it replaced (6 090 KB / 89 379).
+#   campaign, evaluation, predict — 1 % over the medians measured once
+#     simulator ops stopped allocating their own bookkeeping (op callbacks
+#     beside the request in Do's effects parameter, Scope returning a value,
+#     resource names built once): campaign 14 309 KB / 225 917 mallocs per
+#     op, evaluation 4 086 KB / 35 904, predict 1 604 KB / 5 243; each
+#     ceiling is below the value before that change (campaign 18 592 KB /
+#     372 885, evaluation 4 726 / 61 206, predict 1 679 / 8 397).
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -46,9 +44,9 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   18799 377158 || fail=1
-gate evaluation 4774  61821  || fail=1
+gate campaign   14453 228177 || fail=1
+gate evaluation 4127  36263  || fail=1
 gate offline    596   974    || fail=1
-gate predict    1697  8492   || fail=1
+gate predict    1620  5296   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
 echo "alloc-gate: ok"
