@@ -29,7 +29,7 @@ bench:
 bench-all:
 	$(GO) run ./bench -all
 
-# Allocation volume of injection runs (campaign, evaluation) and of the
+# Allocation volume of injection runs (campaign, dist, evaluation) and of the
 # analysis path (offline, predict) against fixed ceilings, bytes and mallocs
 # per op.
 alloc-gate:

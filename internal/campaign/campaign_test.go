@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"fcatch/internal/apps/cassandra"
 	"fcatch/internal/apps/hbase"
+	"fcatch/internal/apps/mapreduce"
 	"fcatch/internal/apps/toy"
+	"fcatch/internal/apps/zookeeper"
 	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/trace"
@@ -383,81 +387,135 @@ func TestExhaustiveStopsAtSpace(t *testing.T) {
 
 // keptRun replays p with every record kept and returns the run's trace.
 func keptRun(w core.Workload, p Plan, target string) *trace.Trace {
-	c, _ := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: p.simPlan(target, w.RestartRoles())})
+	c, _ := core.Run(w, planConfig(w, p, target))
 	return c.Trace()
 }
 
-// TestCoverageFoldMatchesMaterialized pins the coverage signature of the
-// engine's injection runs, which fold their records as they are emitted: it
-// must be exactly what the one-shot fold computes over the complete trace of
-// the same plan run with every record kept.
+// planConfig is the selectively traced configuration of one run of p, trace
+// kept.
+func planConfig(w core.Workload, p Plan, target string) sim.Config {
+	return sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: p.simPlan(target, w.RestartRoles())}
+}
+
+// factLog is a fold that keeps every fact it is passed. Site is zeroed: it is
+// a SiteID in a folded run and a symbol when sim.FoldTrace feeds a kept
+// trace, so facts compare by SiteName.
+type factLog struct {
+	deps  bool
+	facts []sim.Fact
+}
+
+func (l *factLog) Fact(x sim.Fact) { x.Site = sim.NoSite; l.facts = append(l.facts, x) }
+func (l *factLog) Deps() bool      { return l.deps }
+
+// tee passes every fact to each of its folds; it reads dependences when one
+// of them does.
+type tee []sim.Fold
+
+func (t tee) Fact(x sim.Fact) {
+	for _, f := range t {
+		f.Fact(x)
+	}
+}
+
+func (t tee) Deps() bool {
+	for _, f := range t {
+		if f.Deps() {
+			return true
+		}
+	}
+	return false
+}
+
+// checkFolds runs cfg with its trace kept, then twice folded: through a fact
+// log that reads dependences, and through one that reads none teed with the
+// campaign's own folds (CoverageFold and spaceFold, which read none either).
+// Both folded runs must make the kept run's picks, steps and failure detail
+// and keep no trace; each log must hold the kept trace's records as
+// sim.FoldTrace feeds them; and each campaign fold must give the answer it
+// gives fed the kept trace. It reports whether the run's fault fired.
+func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired bool) {
+	t.Helper()
+	kc, kept := core.Run(w, cfg)
+	tr := kc.Trace()
+	for i := range tr.Records {
+		if r := &tr.Records[i]; r.Kind == trace.KCrash || r.HasFlag(trace.FlagDropped) {
+			fired = true
+			break
+		}
+	}
+	cov, space := new(CoverageFold), newSpaceFold(w.CrashTarget())
+	for _, deps := range []bool{true, false} {
+		log := &factLog{deps: deps}
+		fc := cfg
+		fc.Fold = log
+		if !deps {
+			fc.Fold = tee{log, cov, space}
+		}
+		c, out := core.Run(w, fc)
+		form := map[bool]string{true: "folded", false: "dependence-free"}[deps]
+		if out.Picks != kept.Picks || out.Steps != kept.Steps || out.Detail() != kept.Detail() {
+			t.Errorf("%s: %s run made %d picks, %d steps, detail %q; the kept run %d, %d, %q",
+				at, form, out.Picks, out.Steps, out.Detail(), kept.Picks, kept.Steps, kept.Detail())
+		}
+		if c.Trace() != nil {
+			t.Errorf("%s: %s run kept a trace", at, form)
+		}
+		want := &factLog{deps: deps}
+		sim.FoldTrace(want, tr)
+		if !reflect.DeepEqual(log.facts, want.facts) {
+			i := 0
+			for i < min(len(log.facts), len(want.facts)) && reflect.DeepEqual(log.facts[i], want.facts[i]) {
+				i++
+			}
+			t.Errorf("%s: %s run passed %d facts, the kept trace feeds %d; they part at fact %d",
+				at, form, len(log.facts), len(want.facts), i)
+		}
+		if !deps {
+			if got, want := cov.Hash(c.SiteName), postFaultCoverage(tr); got != want {
+				t.Errorf("%s: folded run's coverage %#x, kept trace's %#x", at, got, want)
+			}
+			if got, want := space.finish(0), NewSpace(tr, 0, w.CrashTarget(), 0); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: folded run's space has %d sites, the kept trace's %d", at, len(got.Sites), len(want.Sites))
+			}
+		}
+	}
+	return fired
+}
+
+// TestCoverageFoldMatchesMaterialized pins the facts the campaign's runs fold
+// and the answers its folds give. The engine's injection runs and its
+// fault-free run fold their ops as they are emitted and track no
+// dependences: on the toy workload's fault-free run and first ten plans, and
+// on the six workloads' fault-free runs at seeds 1–3, every folded form of a
+// run must make the kept run's schedule and pass its records as facts
+// (checkFolds), and runPlan's coverage signature must be what the one-shot
+// fold computes over the kept trace of the same plan.
 func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	w := toy.New()
 	restart := w.RestartRoles()
 	c, steps := tracedFaultFree(t, w)
 	sp := NewSpace(c.Trace(), steps, w.CrashTarget(), 0)
-	n := len(sp.Points)
-	if n > 10 {
-		n = 10
-	}
+	checkFolds(t, w, sim.Config{Seed: 1, Tracing: sim.TraceSelective}, "toy fault-free")
 	var fired int
-	for _, p := range sp.Points[:n] {
-		streamed := runPlan(w, 1, p, sp.Target, restart, true)
-		refTr := keptRun(w, p, sp.Target)
-		for i := range refTr.Records {
-			r := &refTr.Records[i]
-			if r.Kind == trace.KCrash || r.Flags&trace.FlagDropped != 0 {
-				fired++
-				break
-			}
+	for _, p := range sp.Points[:min(10, len(sp.Points))] {
+		if checkFolds(t, w, planConfig(w, p, sp.Target), "toy "+p.Key()) {
+			fired++
 		}
-		if got, want := streamed.Sig.Coverage, postFaultCoverage(refTr); got != want {
-			t.Fatalf("plan %s: folded run's coverage %#x, kept trace's %#x", p.Key(), got, want)
+		streamed := runPlan(w, 1, p, sp.Target, restart, true)
+		if got, want := streamed.Sig.Coverage, postFaultCoverage(keptRun(w, p, sp.Target)); got != want {
+			t.Fatalf("plan %s: runPlan's coverage %#x, kept trace's %#x", p.Key(), got, want)
 		}
 	}
 	if fired == 0 {
 		t.Fatal("no sampled plan fired its fault; the post-fault path went untested")
 	}
-}
-
-// TestFoldsAreWindowInvariant: a fold's answer is a function of the record
-// sequence, not of how the tracer's window happens to cut it. CoverageFold
-// and spaceFold, fed a kept trace in windows of 1, 7 and 48 records, give the
-// answer they give fed the whole trace at once — on the fault-free trace and
-// on faulty ones, where the coverage fold's fault moment falls inside a
-// window at one size and on a boundary at another.
-func TestFoldsAreWindowInvariant(t *testing.T) {
-	w := toy.New()
-	c, steps := tracedFaultFree(t, w)
-	traces := map[string]*trace.Trace{"fault-free": c.Trace()}
-	sp := NewSpace(c.Trace(), steps, w.CrashTarget(), 0)
-	for _, p := range sp.Points[:min(6, len(sp.Points))] {
-		traces[p.Key()] = keptRun(w, p, sp.Target)
-	}
-	folds := map[string]func(tr *trace.Trace) (trace.WindowFn, func() any){
-		"CoverageFold": func(tr *trace.Trace) (trace.WindowFn, func() any) {
-			f := new(CoverageFold)
-			return f.Window, func() any { return f.Hash(tr) }
-		},
-		"spaceFold": func(*trace.Trace) (trace.WindowFn, func() any) {
-			f := newSpaceFold(w.CrashTarget())
-			return f.Window, func() any { return f.finish(0) }
-		},
-	}
-	for name, mk := range folds {
-		for run, tr := range traces {
-			fold, answer := mk(tr)
-			fold(tr, tr.Records)
-			want := answer()
-			for _, n := range []int{1, 7, 48} {
-				fold, answer := mk(tr)
-				for pos := 0; pos < len(tr.Records); pos += n {
-					fold(tr, tr.Records[pos:min(pos+n, len(tr.Records))])
-				}
-				if got := answer(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s over %s: windows of %d gave %v, the whole trace %v", name, run, n, got, want)
-				}
-			}
+	for _, w := range []core.Workload{
+		cassandra.New(), hbase.NewHB1(), hbase.NewHB2(),
+		mapreduce.NewMR1(), mapreduce.NewMR2(), zookeeper.New(),
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			checkFolds(t, w, sim.Config{Seed: seed, Tracing: sim.TraceSelective}, fmt.Sprintf("%s seed %d fault-free", w.Name(), seed))
 		}
 	}
 }

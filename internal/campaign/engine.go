@@ -218,15 +218,15 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 	// One fault-free run: its length is the `random` strategy's sample space.
 	// Site strategies trace it to enumerate the fault space (and trace their
 	// injection runs, so behavior signatures carry post-fault site coverage);
-	// its records pass through a space fold and none are kept — the engine
-	// never holds a full trace of its own. With no tick cost, a traced run is
+	// its ops pass through a space fold and none are kept — the engine never
+	// holds a full trace of its own. With no tick cost, a traced run is
 	// exactly as long as an untraced one.
 	traced := needsSpace(cfg.Strategy)
 	rcfg := sim.Config{Seed: cfg.Seed}
 	var fold *spaceFold
 	if traced {
 		fold = newSpaceFold(w.CrashTarget())
-		rcfg.Tracing, rcfg.Fold = sim.TraceSelective, fold.Window
+		rcfg.Tracing, rcfg.Fold = sim.TraceSelective, fold
 	}
 	_, base := core.Run(w, rcfg)
 	if base.Failed() {
@@ -353,20 +353,20 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 }
 
 // runPlan executes one injection run in its own isolated cluster. Traced runs
-// pass their records through a coverage fold and keep none, so a run
-// allocates for its symbol tables and live state, not per record emitted.
+// pass their ops through a coverage fold and keep no trace; the fold reads no
+// dependences, so a traced run costs an untraced one plus its site lookups.
 func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[string]int64, traced bool) RunResult {
 	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: p.simPlan(target, restart)}
 	var fold *CoverageFold
 	if traced {
 		fold = new(CoverageFold)
 		rcfg.Tracing = sim.TraceSelective
-		rcfg.Fold = fold.Window
+		rcfg.Fold = fold
 	}
 	c, out := core.Run(w, rcfg)
 	sig := Signature{Outcome: out.FailureKind(), Windows: WindowsFingerprint(out.FaultFirings)}
 	if fold != nil {
-		sig.Coverage = fold.Hash(c.Trace())
+		sig.Coverage = fold.Hash(c.SiteName)
 	}
 	verdict := VerdictTolerated
 	if out.Failed() {

@@ -131,18 +131,18 @@ func stripPID(s string) string {
 }
 
 // CoverageFold computes the post-fault site-coverage hash incrementally from
-// record windows, so injection runs can fold their records (sim.Config.Fold)
-// instead of keeping a full trace per run. Window is a trace.WindowFn; after
-// the run, Hash resolves the accumulated site set against the run's symbol
-// table.
+// a run's facts, so injection runs fold them (a sim.Fold) instead of keeping
+// a full trace per run. It reads no dependences, so its runs number no ops
+// and merge no taint. After the run, Hash resolves the accumulated SiteIDs
+// through the cluster's site strings.
 //
-// The fault moment is the first crash bookkeeping record or the first dropped
-// send. A site counts when some execution of it has TS >= the fault's TS; if
-// the fault never fired, the whole run counts. Timestamps are monotonically
-// non-decreasing in simulator traces, which is what lets one forward pass
-// replicate the two-pass definition exactly: once the fault record appears,
-// every later record is at or past its TS, and the only look-back needed is
-// the run of records sharing the fault's own timestamp, which the fold
+// The fault moment is the first crash mark or the first dropped send. A site
+// counts when some execution of it has TS >= the fault's TS; if the fault
+// never fired, the whole run counts. Timestamps are monotonically
+// non-decreasing in simulator runs, which is what lets one forward pass
+// replicate the two-pass definition exactly: once the fault fact arrives,
+// every later fact is at or past its TS, and the only look-back needed is
+// the run of facts sharing the fault's own timestamp, which the fold
 // buffers.
 type CoverageFold struct {
 	fired bool
@@ -150,46 +150,45 @@ type CoverageFold struct {
 	post  []bool // countable sites at or after the fault moment
 
 	// curTS/curSites buffer the countable sites of the current (pre-fire)
-	// timestamp: records that share the fault's TS count even though they
-	// precede the fault record in trace order.
+	// timestamp: facts that share the fault's TS count even though they
+	// precede the fault in emission order.
 	curTS    int64
-	curSites []trace.Sym
+	curSites []sim.SiteID
 }
 
-// Window folds one window of records into the coverage state (a
-// trace.WindowFn).
-func (f *CoverageFold) Window(t *trace.Trace, recs []trace.Record) {
-	for i := range recs {
-		r := &recs[i]
-		if !f.fired && (r.Kind == trace.KCrash || r.HasFlag(trace.FlagDropped)) {
-			f.fired = true
-			if f.curTS == r.TS {
-				for _, y := range f.curSites {
-					markSym(&f.post, y)
-				}
+// Fact folds one fact into the coverage state.
+func (f *CoverageFold) Fact(x sim.Fact) {
+	if !f.fired && (x.Kind == trace.KCrash || x.Flags&trace.FlagDropped != 0) {
+		f.fired = true
+		if f.curTS == x.TS {
+			for _, y := range f.curSites {
+				markSite(&f.post, y)
 			}
-			f.curSites = nil
 		}
-		if r.Site == trace.NoSym || r.Kind == trace.KCrash || r.Kind == trace.KRestart {
-			continue
-		}
-		if f.fired {
-			markSym(&f.post, r.Site)
-			continue
-		}
-		markSym(&f.pre, r.Site)
-		if r.TS != f.curTS {
-			f.curTS = r.TS
-			f.curSites = f.curSites[:0]
-		}
-		f.curSites = append(f.curSites, r.Site)
+		f.curSites = nil
 	}
+	if x.Site == sim.NoSite || x.Kind == trace.KCrash || x.Kind == trace.KRestart {
+		return
+	}
+	if f.fired {
+		markSite(&f.post, x.Site)
+		return
+	}
+	markSite(&f.pre, x.Site)
+	if x.TS != f.curTS {
+		f.curTS = x.TS
+		f.curSites = f.curSites[:0]
+	}
+	f.curSites = append(f.curSites, x.Site)
 }
 
-// Hash resolves the accumulated site set against t's symbol table and returns
-// the FNV-1a hash of the sorted distinct site strings — byte-identical input
-// to the materialized postFaultCoverage.
-func (f *CoverageFold) Hash(t *trace.Trace) uint64 {
+// Deps reports that the fold reads no dependences.
+func (*CoverageFold) Deps() bool { return false }
+
+// Hash resolves the accumulated site set through siteName (a run's
+// Cluster.SiteName) and returns the FNV-1a hash of the sorted distinct site
+// strings.
+func (f *CoverageFold) Hash(siteName func(sim.SiteID) string) uint64 {
 	chosen := f.pre
 	if f.fired {
 		chosen = f.post
@@ -197,16 +196,16 @@ func (f *CoverageFold) Hash(t *trace.Trace) uint64 {
 	sites := make([]string, 0, len(chosen))
 	for y, ok := range chosen {
 		if ok {
-			sites = append(sites, t.Str(trace.Sym(y)))
+			sites = append(sites, siteName(sim.SiteID(y)))
 		}
 	}
 	sort.Strings(sites)
 	return hashSiteSet(sites)
 }
 
-// markSym sets s[y], growing the slice (amortized doubling) as new symbols
-// appear mid-stream.
-func markSym(s *[]bool, y trace.Sym) {
+// markSite sets s[y], growing the slice (amortized doubling) as new sites
+// appear mid-run.
+func markSite(s *[]bool, y sim.SiteID) {
 	if int(y) >= len(*s) {
 		n := 2 * len(*s)
 		if n <= int(y) {
@@ -236,10 +235,10 @@ func hashSiteSet(sites []string) uint64 {
 }
 
 // postFaultCoverage hashes the set of static sites the system reached at or
-// after the moment the fault fired — the kept-trace form, one window over the
-// fold (one implementation, one hash).
+// after the moment the fault fired — the kept-trace form: the trace's records
+// through the same fold.
 func postFaultCoverage(tr *trace.Trace) uint64 {
 	var f CoverageFold
-	f.Window(tr, tr.Records)
-	return f.Hash(tr)
+	sim.FoldTrace(&f, tr)
+	return f.Hash(func(y sim.SiteID) string { return tr.Str(trace.Sym(y)) })
 }

@@ -55,66 +55,66 @@ const maxOccurrenceDefault = 3
 // NewSpace enumerates the fault space of a traced fault-free run.
 func NewSpace(tr *trace.Trace, baseSteps int64, target string, maxOcc int) *Space {
 	f := newSpaceFold(target)
-	f.Window(tr, tr.Records)
+	sim.FoldTrace(f, tr)
 	sp := f.finish(maxOcc)
 	sp.BaseSteps = baseSteps
 	return sp
 }
 
-// spaceFold accumulates per-site statistics from record windows; its Window
-// method is a trace.WindowFn, so the engine's traced fault-free run can
-// enumerate the space without keeping its records.
+// spaceFold accumulates per-site statistics from a run's facts. It is a
+// sim.Fold that reads no dependences, so the engine's traced fault-free run
+// enumerates the space without keeping a trace, numbering ops or merging
+// taints.
 type spaceFold struct {
 	sp *Space
-	// Per-Sym ordinal table for the enumeration loop (one slice probe per
-	// record, grown as symbols appear mid-stream); the string-keyed siteOrd
-	// stays for SiteOrdinal's public API and is filled once per distinct site.
-	ordBySym []int
+	// Per-SiteID ordinal table for the enumeration loop (one slice probe per
+	// fact, grown as sites appear mid-run); the string-keyed siteOrd stays
+	// for SiteOrdinal's public API and is filled once per distinct site.
+	ordBySite []int
 }
 
 func newSpaceFold(target string) *spaceFold {
 	return &spaceFold{sp: &Space{Target: target, siteOrd: map[string]int{}}}
 }
 
-// Window folds one window of records into the site statistics (a
-// trace.WindowFn).
-func (f *spaceFold) Window(t *trace.Trace, recs []trace.Record) {
+// Fact folds one fact into the site statistics, recording a site's string
+// the first time it is seen.
+func (f *spaceFold) Fact(x sim.Fact) {
+	if x.Site == sim.NoSite || x.Kind == trace.KCrash || x.Kind == trace.KRestart {
+		return
+	}
+	for int(x.Site) >= len(f.ordBySite) {
+		n := 2 * len(f.ordBySite)
+		if n <= int(x.Site) {
+			n = int(x.Site) + 1
+		}
+		grown := make([]int, n)
+		copy(grown, f.ordBySite)
+		for j := len(f.ordBySite); j < n; j++ {
+			grown[j] = -1
+		}
+		f.ordBySite = grown
+	}
 	sp := f.sp
-	for i := range recs {
-		r := &recs[i]
-		if r.Site == trace.NoSym || r.Kind == trace.KCrash || r.Kind == trace.KRestart {
-			continue
-		}
-		for int(r.Site) >= len(f.ordBySym) {
-			n := 2 * len(f.ordBySym)
-			if n <= int(r.Site) {
-				n = int(r.Site) + 1
-			}
-			grown := make([]int, n)
-			copy(grown, f.ordBySym)
-			for j := len(f.ordBySym); j < n; j++ {
-				grown[j] = -1
-			}
-			f.ordBySym = grown
-		}
-		ord := f.ordBySym[r.Site]
-		if ord < 0 {
-			ord = len(sp.Sites)
-			f.ordBySym[r.Site] = ord
-			site := t.Str(r.Site)
-			sp.siteOrd[site] = ord
-			sp.Sites = append(sp.Sites, SiteInfo{Site: site, FirstTS: r.TS})
-		}
-		si := &sp.Sites[ord]
-		si.Count++
-		if r.Kind == trace.KMsgSend || r.Kind == trace.KRPCCall {
-			si.Sendable = true
-			if r.HasFlag(trace.FlagDroppable) {
-				si.Droppable = true
-			}
+	ord := f.ordBySite[x.Site]
+	if ord < 0 {
+		ord = len(sp.Sites)
+		f.ordBySite[x.Site] = ord
+		sp.siteOrd[x.SiteName] = ord
+		sp.Sites = append(sp.Sites, SiteInfo{Site: x.SiteName, FirstTS: x.TS})
+	}
+	si := &sp.Sites[ord]
+	si.Count++
+	if x.Kind == trace.KMsgSend || x.Kind == trace.KRPCCall {
+		si.Sendable = true
+		if x.Flags&trace.FlagDroppable != 0 {
+			si.Droppable = true
 		}
 	}
 }
+
+// Deps reports that the fold reads no dependences.
+func (*spaceFold) Deps() bool { return false }
 
 // finish enumerates the candidate plans over the accumulated sites and
 // returns the completed space.

@@ -3,11 +3,15 @@ package inject
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"fcatch/internal/apps/cassandra"
 	"fcatch/internal/apps/hbase"
 	"fcatch/internal/apps/mapreduce"
 	"fcatch/internal/apps/toy"
+	"fcatch/internal/apps/zookeeper"
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
@@ -214,12 +218,80 @@ func TestOneFailurePrecedenceTable(t *testing.T) {
 	}
 }
 
+// factLog is a fold that keeps every fact it is passed and passes it on to
+// next, reading dependences when next does. Site is zeroed: it is a SiteID in
+// a folded run and a symbol when sim.FoldTrace feeds a kept trace, so facts
+// compare by SiteName.
+type factLog struct {
+	next  *handledExcFold
+	facts []sim.Fact
+}
+
+func (l *factLog) Fact(x sim.Fact) {
+	l.next.Fact(x)
+	x.Site = sim.NoSite
+	l.facts = append(l.facts, x)
+}
+
+func (l *factLog) Deps() bool { return l.next.Deps() }
+
+// checkReplayFolds runs cfg with its trace kept, then folded twice: through a
+// handledExcFold for readSite, which reads dependences as window-0 replays
+// do, and through a nil one, which reads none as compound replays and the
+// stall-sizing run do. Both folded runs must make the kept run's picks,
+// steps and failure detail and keep no trace, and must pass the kept trace's
+// records as facts (as sim.FoldTrace feeds them); the fold's verdict must be
+// the one it reaches fed the kept trace. It returns the kept run's outcome
+// and whether the fold found a handled exception.
+func checkReplayFolds(t *testing.T, w core.Workload, cfg sim.Config, readSite, at string) (*sim.Outcome, bool) {
+	t.Helper()
+	kc, kept := core.Run(w, cfg)
+	tr := kc.Trace()
+	var streamed *handledExcFold
+	for _, fold := range []*handledExcFold{{site: readSite}, nil} {
+		log := &factLog{next: fold}
+		fc := cfg
+		fc.Fold = log
+		c, out := core.Run(w, fc)
+		form := "dependence-free"
+		if fold != nil {
+			form, streamed = "folded", fold
+		}
+		if out.Picks != kept.Picks || out.Steps != kept.Steps || out.Detail() != kept.Detail() {
+			t.Errorf("%s: %s run made %d picks, %d steps, detail %q; the kept run %d, %d, %q",
+				at, form, out.Picks, out.Steps, out.Detail(), kept.Picks, kept.Steps, kept.Detail())
+		}
+		if c.Trace() != nil {
+			t.Errorf("%s: %s run kept a trace", at, form)
+		}
+		want := &factLog{}
+		if fold != nil {
+			want.next = &handledExcFold{site: readSite}
+		}
+		sim.FoldTrace(want, tr)
+		if !reflect.DeepEqual(log.facts, want.facts) {
+			i := 0
+			for i < min(len(log.facts), len(want.facts)) && reflect.DeepEqual(log.facts[i], want.facts[i]) {
+				i++
+			}
+			t.Errorf("%s: %s run passed %d facts, the kept trace feeds %d; they part at fact %d",
+				at, form, len(log.facts), len(want.facts), i)
+		}
+		if fold != nil && (want.next.found != fold.found || want.next.detail != fold.detail) {
+			t.Errorf("%s: fed the kept trace the fold found=%v %q, in the replay found=%v %q",
+				at, want.next.found, want.next.detail, fold.found, fold.detail)
+		}
+	}
+	return kept, streamed.found
+}
+
 // TestHandledExcFoldMatchesMaterialized is the trigger-side twin of
-// campaign's TestCoverageFoldMatchesMaterialized and
-// TestFoldsAreWindowInvariant: for every report of two workloads (HB1 has
-// well-handled exceptions, MR1 none), the fold a replay passes its records
-// through must reach the verdict the same fold reaches over the kept trace
-// of that replay, fed in windows of 1, 7 and 48 records and all at once.
+// campaign's TestCoverageFoldMatchesMaterialized. For every report of two
+// workloads (HB1 has well-handled exceptions, MR1 none), the replay's folded
+// forms must match its kept run (checkReplayFolds). On the six workloads'
+// fault-free runs at seeds 1–3 they must too, and the Triggerer's stall rule,
+// sized by a dependence-free fault-free run, must be stallMultiple × the kept
+// run's picks — the picks of the observation's fault-free run.
 func TestHandledExcFoldMatchesMaterialized(t *testing.T) {
 	var found int
 	for _, w := range []core.Workload{hbase.NewHB1(), mapreduce.NewMR1()} {
@@ -229,32 +301,31 @@ func TestHandledExcFoldMatchesMaterialized(t *testing.T) {
 		}
 		tg := NewTriggerer(w, 1)
 		for _, rep := range res.Reports {
-			events := TriggerScenario(rep, res.Windows)
 			restart := w.RestartRoles()
 			if rep.Type == detect.CrashRegular {
 				restart = nil
 			}
-			streamed := &handledExcFold{site: rep.R.Site}
-			tg.replay(events, restart, streamed)
-			if streamed.found {
+			cfg := tg.replayConfig(TriggerScenario(rep, res.Windows), restart)
+			if _, ok := checkReplayFolds(t, w, cfg, rep.R.Site, w.Name()+" "+rep.Key()); ok {
 				found++
-			}
-
-			c, _ := core.Run(w, tg.replayConfig(events, restart))
-			tr := c.Trace()
-			for _, batch := range []int{1, 7, 48, len(tr.Records)} {
-				f := &handledExcFold{site: rep.R.Site}
-				for pos := 0; pos < len(tr.Records); pos += batch {
-					f.Window(tr, tr.Records[pos:min(pos+batch, len(tr.Records))])
-				}
-				if f.found != streamed.found || f.detail != streamed.detail {
-					t.Errorf("%s %s, windows of %d: found=%v %q, streamed replay found=%v %q",
-						w.Name(), rep.Key(), batch, f.found, f.detail, streamed.found, streamed.detail)
-				}
 			}
 		}
 	}
 	if found == 0 {
 		t.Fatal("no replay met a handled exception; the comparison never saw the found branch")
+	}
+	for _, w := range []core.Workload{
+		cassandra.New(), hbase.NewHB1(), hbase.NewHB2(),
+		mapreduce.NewMR1(), mapreduce.NewMR2(), zookeeper.New(),
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := sim.Config{Seed: seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective)}
+			at := fmt.Sprintf("%s seed %d fault-free", w.Name(), seed)
+			kept, _ := checkReplayFolds(t, w, cfg, "", at)
+			tg := NewTriggerer(w, seed)
+			if tg.replayConfig(nil, nil); tg.stallPicks != stallMultiple*kept.Picks {
+				t.Errorf("%s: StallPicks %d, want %d × the kept run's %d picks", at, tg.stallPicks, stallMultiple, kept.Picks)
+			}
+		}
 	}
 }

@@ -16,11 +16,15 @@ import (
 	"fcatch/internal/sim"
 )
 
-// replayOutcome is replay, returning the run's outcome beside its verdict.
+// replayOutcome is replay, returning the run's outcome beside its verdict. An
+// empty readSite folds as compound replays do: into nothing.
 func replayOutcome(tg *Triggerer, events []sim.FaultSpec, restart map[string]int64, readSite string) (*sim.Outcome, Classification, string) {
-	fold := &handledExcFold{site: readSite}
+	var fold *handledExcFold
+	if readSite != "" {
+		fold = &handledExcFold{site: readSite}
+	}
 	cfg := tg.replayConfig(events, restart)
-	cfg.Fold = fold.Window
+	cfg.Fold = fold
 	_, out := core.Run(tg.W, cfg)
 	cls, kind, _ := tg.classify(out, fold)
 	return out, cls, kind

@@ -190,26 +190,26 @@ func (tg *Triggerer) Trigger(rep *detect.Report) *Outcome {
 
 // replay runs the workload once with events injected (restart is the role
 // restart policy, nil = victims stay down) and classifies the run. Replays
-// keep no trace records: they pass through fold — classification needs only
-// its verdict — so a replay allocates for its symbol tables and live state,
-// not per record. A nil fold (compound replays classify by outcome alone)
-// still folds, into nothing.
+// keep no trace: their ops pass through fold — classification needs only its
+// verdict — so a replay allocates for its live state and dependences, not per
+// op. A nil fold (compound replays classify by outcome alone) still folds,
+// into nothing, and reads no dependences.
 func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fold *handledExcFold) (Classification, string, string) {
 	cfg := tg.replayConfig(events, restart)
-	cfg.Fold = fold.Window
+	cfg.Fold = fold
 	_, out := core.Run(tg.W, cfg)
 	return tg.classify(out, fold)
 }
 
-// replayConfig is the simulator configuration of one replay, records kept.
+// replayConfig is the simulator configuration of one replay, trace kept.
 // Its stall rule comes from the workload's fault-free run, made once per
 // Triggerer with the same tracing and tick cost (so the same picks) as the
-// observation's.
+// observation's. That run folds into nothing and tracks no dependences.
 func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
 	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective)}
 	tg.stall.Do(func() {
 		ff := cfg
-		ff.Fold = (*handledExcFold)(nil).Window
+		ff.Fold = (*handledExcFold)(nil)
 		_, out := core.Run(tg.W, ff)
 		tg.stallPicks = stallMultiple * out.Picks
 	})
@@ -239,69 +239,46 @@ func (tg *Triggerer) classify(out *sim.Outcome, fold *handledExcFold) (Classific
 }
 
 // handledExcFold detects the "well-handled exception" condition in one pass
-// over record windows: a KThrow whose taint or control set contains
-// an execution of the report's read site. Exact as a forward fold because a
+// over a replay's facts: a KThrow whose taint or control set contains an
+// execution of the report's read site. Exact as a forward fold because a
 // throw's dependence sets only ever reference earlier operations (smaller
 // OpIDs), so every relevant site execution has been folded in before its
-// dependent throw arrives. Its Window method is a trace.WindowFn.
+// dependent throw arrives. It is a sim.Fold that reads dependences; a nil
+// one reads none and looks for nothing.
 type handledExcFold struct {
 	site string // the report's read site, as a string
-
-	// siteY is the site's Sym in this run's own symbol table, resolved
-	// lazily: windows are delivered after their records' strings were
-	// interned, so the lookup succeeds by the first window that matters.
-	// Fold windows are small and many, so the string-map probe is retried
-	// only when the table has grown since the last miss (symsSeen). NoSym =
-	// not resolved yet.
-	siteY    trace.Sym
-	symsSeen int
 
 	rOps   map[trace.OpID]bool // executions of the site seen so far
 	found  bool
 	detail string
 }
 
-// Window folds one window of records (a trace.WindowFn). A nil fold takes
-// the records and looks for nothing.
-func (f *handledExcFold) Window(tr *trace.Trace, recs []trace.Record) {
+// Fact folds one fact.
+func (f *handledExcFold) Fact(x sim.Fact) {
 	if f == nil || f.found {
 		return
 	}
-	if f.siteY == trace.NoSym {
-		n := tr.NumSyms()
-		if n == f.symsSeen {
-			return // nothing interned since the last miss
+	if x.SiteName == f.site {
+		if f.rOps == nil {
+			f.rOps = map[trace.OpID]bool{}
 		}
-		f.symsSeen = n
-		if f.siteY, _ = tr.Lookup(f.site); f.siteY == trace.NoSym {
-			return // no execution of the site can be in this window either
-		}
+		f.rOps[x.ID] = true
 	}
-	for i := range recs {
-		r := &recs[i]
-		if r.Site == f.siteY {
-			if f.rOps == nil {
-				f.rOps = map[trace.OpID]bool{}
-			}
-			f.rOps[r.ID] = true
-		}
-		if r.Kind != trace.KThrow {
-			continue
-		}
-		for _, t := range r.Taint {
+	if x.Kind != trace.KThrow {
+		return
+	}
+	for _, deps := range [...][]trace.OpID{x.Taint, x.Ctl} {
+		for _, t := range deps {
 			if f.rOps[t] {
-				f.found, f.detail = true, tr.Str(r.Aux)+"@"+tr.Str(r.Site)
-				return
-			}
-		}
-		for _, t := range r.Ctl {
-			if f.rOps[t] {
-				f.found, f.detail = true, tr.Str(r.Aux)+"@"+tr.Str(r.Site)
+				f.found, f.detail = true, x.Aux+"@"+x.SiteName
 				return
 			}
 		}
 	}
 }
+
+// Deps reports whether the fold reads dependences: all but a nil one do.
+func (f *handledExcFold) Deps() bool { return f != nil }
 
 // CompoundOutcome is the result of replaying a cross-window finding's two
 // window anchors as one scenario.

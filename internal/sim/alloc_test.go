@@ -3,6 +3,7 @@ package sim_test
 import (
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"testing"
 
 	"fcatch/internal/apps/cassandra"
@@ -16,21 +17,41 @@ import (
 
 // mallocsPerOp measures what one call of op costs in mallocs once a cluster
 // is in steady state. A cluster is single-use, so the test can't loop one op
-// under testing.AllocsPerRun; instead it runs two clusters whose main thread
+// under testing.AllocsPerRun; instead it runs two clusters whose op loop
 // differs only in how often it calls op and attributes the malloc delta to
-// the extra calls. setup builds the cluster's substrates and returns op.
-func mallocsPerOp(setup func(c *sim.Cluster) func(ctx *sim.Context)) float64 {
+// the extra calls. cfg configures the clusters (seed and budget aside);
+// inHandler runs the loop inside an event handler, where selective tracing
+// records heap accesses. setup builds the cluster's substrates and returns
+// op.
+func mallocsPerOp(cfg sim.Config, inHandler bool, setup func(c *sim.Cluster) func(ctx *sim.Context)) float64 {
 	mallocsFor := func(calls int) uint64 {
-		c := sim.NewCluster(sim.Config{Seed: 1, MaxSteps: int64(calls) + 1_000})
+		cfg := cfg
+		cfg.Seed, cfg.MaxSteps = 1, 4*int64(calls)+1_000
+		c := sim.NewCluster(cfg)
 		op := setup(c)
-		c.StartProcess("node", "m0", func(ctx *sim.Context) {
+		loop := func(ctx *sim.Context) {
 			for i := 0; i < calls; i++ {
 				op(ctx)
 			}
+		}
+		c.StartProcess("node", "m0", func(ctx *sim.Context) {
+			if !inHandler {
+				loop(ctx)
+				return
+			}
+			done := ctx.NewCond("done")
+			ctx.Self().HandleEvent("ops", func(ctx *sim.Context, _ sim.Value) {
+				loop(ctx)
+				done.Signal(ctx)
+			})
+			ctx.Emit("ops", sim.Value{})
+			done.Wait(ctx)
 		})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c.Run()
+		if out := c.Run(); !out.Completed {
+			panic("mallocsPerOp: the op loop did not complete: " + out.Detail())
+		}
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
@@ -46,7 +67,7 @@ func mallocsPerOp(setup func(c *sim.Cluster) func(ctx *sim.Context)) float64 {
 // a cluster is in steady state, one scheduler step (yield → pick → resume)
 // allocates nothing.
 func TestSteadyStateStepZeroAllocs(t *testing.T) {
-	perStep := mallocsPerOp(func(*sim.Cluster) func(*sim.Context) {
+	perStep := mallocsPerOp(sim.Config{}, false, func(*sim.Cluster) func(*sim.Context) {
 		return func(ctx *sim.Context) { ctx.Yield() }
 	})
 	if perStep > 0.01 {
@@ -89,10 +110,74 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if perOp := mallocsPerOp(tc.setup); perOp > 0.01 {
+			if perOp := mallocsPerOp(sim.Config{}, false, tc.setup); perOp > 0.01 {
 				t.Fatalf("%s allocates %.4f mallocs/op with tracing off, want 0", tc.name, perOp)
 			}
 		})
+	}
+}
+
+// discard is a fold that reads no dependences and keeps nothing.
+type discard struct{}
+
+func (discard) Fact(sim.Fact) {}
+func (discard) Deps() bool    { return false }
+
+// TestFoldedOpsZeroAllocs pins the allocation contract of a run that keeps
+// no trace. Under a fold that reads no dependences, handler-context heap
+// accesses and a latch handing a heap read's value to a guarding waiter
+// allocate nothing per op: no records, symbols, resource names, op numbers
+// or taint sets. With tracing off, the first touch of a heap field allocates
+// its slot and no resource name.
+func TestFoldedOpsZeroAllocs(t *testing.T) {
+	folded := sim.Config{Tracing: sim.TraceSelective, Fold: discard{}}
+	getSet := func(*sim.Cluster) func(*sim.Context) {
+		var o *sim.Object
+		return func(ctx *sim.Context) {
+			if o == nil {
+				o = ctx.NewObject("C")
+			}
+			o.Set(ctx, "f", o.Get(ctx, "f"))
+		}
+	}
+	signalWait := func(*sim.Cluster) func(*sim.Context) {
+		var o *sim.Object
+		var cv *sim.Cond
+		return func(ctx *sim.Context) {
+			if cv == nil {
+				o, cv = ctx.NewObject("C"), ctx.NewCond("cv")
+			}
+			cv.Signal(ctx, o.Get(ctx, "f"))
+			got, _ := cv.Wait(ctx)
+			ctx.Guard(got)
+		}
+	}
+	for name, setup := range map[string]func(*sim.Cluster) func(*sim.Context){
+		"Object.Get/Set": getSet, "Cond.Signal/Wait": signalWait,
+	} {
+		if perOp := mallocsPerOp(folded, true, setup); perOp > 0.01 {
+			t.Errorf("%s in a handler allocates %.4f mallocs/op under a dependence-free fold, want 0", name, perOp)
+		}
+	}
+
+	fields := make([]string, 21_000)
+	for i := range fields {
+		fields[i] = "f" + strconv.Itoa(i)
+	}
+	val := sim.V("v")
+	firstTouch := func(*sim.Cluster) func(*sim.Context) {
+		var o *sim.Object
+		next := 0
+		return func(ctx *sim.Context) {
+			if o == nil {
+				o = ctx.NewObject("C")
+			}
+			o.Set(ctx, fields[next], val)
+			next++
+		}
+	}
+	if perOp := mallocsPerOp(sim.Config{}, false, firstTouch); perOp > 1.1 {
+		t.Errorf("the first Set of a heap field allocates %.4f mallocs with tracing off, want 1 (its slot, no name)", perOp)
 	}
 }
 

@@ -56,16 +56,16 @@ type Config struct {
 	// Plan is the fault plan for this run (nil = fault-free).
 	Plan *FaultPlan
 
-	// Fold decides where a traced run's records go. nil keeps every record
-	// in Trace().Records, for whatever analyses the complete trace afterwards.
-	// A fold is passed each record once instead — while one simulated thread
-	// runs, in one small fixed window that is reused (see trace.Writer), the
-	// last partial window before Run returns — and none is kept: Trace() then
-	// carries only symbol/stack tables, PIDs and run metadata, so the run
-	// allocates for its live state and symbol tables, not per record emitted.
-	// Injection runs (campaigns, trigger replays) fold; they keep a verdict or
-	// a signature, not a trace.
-	Fold trace.WindowFn
+	// Fold decides where a traced run's ops go. nil keeps every op as a
+	// record in Trace().Records, for whatever analyses the complete trace
+	// afterwards. A fold is passed each op as a Fact instead, and the run
+	// keeps no trace: Trace() is nil, and the run interns no symbols or
+	// stacks and builds no resource names. A fold that reads no dependences
+	// (Fold.Deps) also spares the run numbering its ops and merging taints.
+	// Either way TraceTickCost is charged per selected op, so a folded run
+	// makes the schedule its kept twin makes. Injection runs (campaigns,
+	// trigger replays) fold; they keep a verdict or a signature, not a trace.
+	Fold Fold
 }
 
 // DefaultMaxSteps bounds runs that hang.
@@ -186,8 +186,8 @@ func (c *Cluster) internSite(s string) SiteID {
 	return id
 }
 
-// siteStr renders a SiteID back to its string form (boundary output only).
-func (c *Cluster) siteStr(id SiteID) string {
+// SiteName renders a SiteID back to its string form (boundary output only).
+func (c *Cluster) SiteName(id SiteID) string {
 	if int(id) < len(c.siteStrs) {
 		return c.siteStrs[id]
 	}
@@ -215,7 +215,8 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Clock returns the current logical time.
 func (c *Cluster) Clock() int64 { return c.clock }
 
-// Trace returns the trace recorded so far (nil when tracing is off).
+// Trace returns the trace recorded so far (nil when tracing is off or the
+// run folds).
 func (c *Cluster) Trace() *trace.Trace { return c.tracer.trace }
 
 // SetFact publishes an app-level fact (e.g. a job result) that workload

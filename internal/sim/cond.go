@@ -18,8 +18,7 @@ type Cond struct {
 	node    *Node
 	id      int64
 	name    string
-	res     string    // cached Res(), rendered once at creation
-	resSym  trace.Sym // trace symbol for res, interned at first traced emit
+	resSym  trace.Sym // trace symbol of resName(), named at the first kept emit
 	set     bool
 	payload Value
 	err     error
@@ -30,15 +29,16 @@ type Cond struct {
 func (ctx *Context) NewCond(name string) *Cond {
 	n := ctx.t.node
 	n.nextObj++
-	cv := &Cond{node: n, id: n.nextObj, name: name}
-	cv.res = "cv:" + n.PID + ":" + name + "/" + strconv.FormatInt(cv.id, 10)
-	return cv
+	return &Cond{node: n, id: n.nextObj, name: name}
 }
 
-// Res is the trace resource ID of this condition instance. The name part is
-// the condition's *class*: report deduplication strips the PID and instance
-// number, so per-call instances (e.g. RPC reply latches) group together.
-func (cv *Cond) Res() string { return cv.res }
+// resName is the trace resource ID of this condition instance. The name part
+// is the condition's *class*: report deduplication strips the PID and
+// instance number, so per-call instances (e.g. RPC reply latches) group
+// together.
+func (cv *Cond) resName() string {
+	return "cv:" + cv.node.PID + ":" + cv.name + "/" + strconv.FormatInt(cv.id, 10)
+}
 
 // Signal sets the latch and wakes every waiter, delivering the first value
 // (or true) as the wait result. Its disappearance (the signalling node
@@ -55,8 +55,8 @@ func (cv *Cond) Signal(ctx *Context, vs ...Value) {
 func (cv *Cond) signalInternal(ctx *Context, v Value, err error, site SiteID) {
 	ctx.Do(OpReq{
 		Kind:   trace.KSignal,
-		Res:    cv.res,
 		ResSym: &cv.resSym,
+		resOf:  cv,
 		Aux:    cv.name,
 		Taint:  v.taint,
 		Site:   site,
@@ -112,7 +112,7 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	if site == NoSite {
 		site = ctx.site()
 	}
-	ctx.Do(OpReq{Kind: trace.KWait, Res: cv.res, ResSym: &cv.resSym, Aux: cv.name, Flags: flags, Site: site}, nil)
+	ctx.Do(OpReq{Kind: trace.KWait, ResSym: &cv.resSym, resOf: cv, Aux: cv.name, Flags: flags, Site: site}, nil)
 	if cv.set {
 		return cv.payload, cv.err
 	}

@@ -121,6 +121,7 @@ type OpReq struct {
 	Kind   trace.Kind
 	Res    string
 	ResSym *trace.Sym // optional per-resource Sym cache slot (see opSpec)
+	resOf  resNamer   // names Res lazily (see opSpec)
 	Aux    string
 	Target string
 	Src    trace.OpID
@@ -172,7 +173,7 @@ func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, dropAction Trig
 		req.Flags |= fx.FlagsAfter()
 	}
 	op := opSpec{
-		Kind: req.Kind, Res: req.Res, ResSym: req.ResSym, Aux: req.Aux,
+		Kind: req.Kind, Res: req.Res, ResSym: req.ResSym, resOf: req.resOf, Aux: req.Aux,
 		Target: req.Target, Src: req.Src, Causor: req.Causor,
 		Flags: req.Flags, Taint: req.Taint, Site: site,
 	}
@@ -242,7 +243,7 @@ func (ctx *Context) runHandlerFrame(label string, causor trace.OpID, flags uint3
 		if r := recover(); r != nil {
 			if p, ok := r.(appPanic); ok {
 				ctx.c.out.UncaughtExceptions = append(ctx.c.out.UncaughtExceptions,
-					fmt.Sprintf("%s@%s in %s handler %s", p.kind, ctx.c.siteStr(p.site), t.node.PID, label))
+					fmt.Sprintf("%s@%s in %s handler %s", p.kind, ctx.c.SiteName(p.site), t.node.PID, label))
 			} else {
 				panic(r)
 			}
@@ -307,7 +308,7 @@ func (ctx *Context) Try(fn func()) (err *AppError) {
 				panic(r) // killedPanic or a real bug: keep unwinding
 			}
 			ctx.Do(OpReq{Kind: trace.KCatch, Aux: p.kind, Taint: p.taint, Site: p.site}, nil)
-			err = &AppError{Kind: p.kind, Site: ctx.c.siteStr(p.site)}
+			err = &AppError{Kind: p.kind, Site: ctx.c.SiteName(p.site)}
 		}
 	}()
 	fn()

@@ -13,8 +13,16 @@ import (
 type fieldSlot struct {
 	val       Value
 	lastWrite trace.OpID
-	res       string    // cached resource ID, rendered once per field
-	resSym    trace.Sym // trace symbol for res, interned at first traced emit
+	resSym    trace.Sym // trace symbol of the field's resource, named at its first kept emit
+	obj       *Object
+	field     string
+}
+
+// resName is the field's trace resource ID. The process id (not the
+// incarnation-free role) is part of it: heap content dies with the process.
+func (s *fieldSlot) resName() string {
+	o := s.obj
+	return "heap:" + o.node.PID + ":" + o.class + strconv.FormatInt(o.id, 10) + "." + s.field
 }
 
 // Object is a heap object owned by one process. Object IDs are deterministic
@@ -39,13 +47,6 @@ func (ctx *Context) NewObject(class string) *Object {
 
 // ID returns the object's deterministic identity.
 func (o *Object) ID() int64 { return o.id }
-
-// Res returns the trace resource ID for one field of this object. The
-// process id (not incarnation-free role) is part of it: heap content dies
-// with the process.
-func (o *Object) Res(field string) string {
-	return o.slot(field).res
-}
 
 func (o *Object) checkAccess(ctx *Context) {
 	if o.node != ctx.t.node {
@@ -73,8 +74,8 @@ func (o *Object) Set(ctx *Context, field string, v Value) {
 	slot.val = v
 	id := c.tracer.emit(ctx.t, opSpec{
 		Kind:   trace.KHeapWrite,
-		Res:    slot.res,
 		ResSym: &slot.resSym,
+		resOf:  slot,
 		Taint:  v.taint,
 		Site:   site,
 	})
@@ -103,8 +104,8 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	out := slot.val
 	id := c.tracer.emit(ctx.t, opSpec{
 		Kind:   kind,
-		Res:    slot.res,
 		ResSym: &slot.resSym,
+		resOf:  slot,
 		Src:    slot.lastWrite,
 		Site:   site,
 	})
@@ -119,7 +120,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 func (o *Object) slot(field string) *fieldSlot {
 	s, ok := o.fields[field]
 	if !ok {
-		s = &fieldSlot{res: "heap:" + o.node.PID + ":" + o.class + strconv.FormatInt(o.id, 10) + "." + field}
+		s = &fieldSlot{obj: o, field: field}
 		o.fields[field] = s
 	}
 	return s

@@ -284,7 +284,7 @@ func (c *Cluster) Run() *Outcome {
 			}
 			c.out.Hung = append(c.out.Hung, HangSite{
 				PID: t.node.PID, Thread: t.id, Name: t.name,
-				Site: c.siteStr(t.blockSite), Reason: reason,
+				Site: c.SiteName(t.blockSite), Reason: reason,
 			})
 		}
 		c.kill(t)
@@ -293,7 +293,6 @@ func (c *Cluster) Run() *Outcome {
 	if c.cfg.StallPicks > 0 {
 		c.endStretch()
 	}
-	c.tracer.finish()
 	c.out.Steps = c.clock
 	if p := c.pendingPlan; p != nil {
 		c.out.FaultFirings = p.firings

@@ -66,7 +66,7 @@ func TestCallsiteZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s: callsite allocates %.1f times per call, want 0", d.name, allocs)
 			}
-			if s := c.siteStr(id); !strings.HasPrefix(s, appFrame) {
+			if s := c.SiteName(id); !strings.HasPrefix(s, appFrame) {
 				t.Errorf("%s: site = %q, want the %s frame that ran the body", d.name, s, appFrame)
 			}
 		}
@@ -81,8 +81,8 @@ func TestCallsiteUnknownOutsideWindow(t *testing.T) {
 		c := NewCluster(Config{Seed: 1})
 		var id SiteID
 		fromApp(func(int) { atDepth(outsideDepth, func() { id = c.callsite() }) })
-		if id != c.siteUnknown || c.siteStr(id) != "unknown" {
-			t.Fatalf("site = %d %q, want the unknown site", id, c.siteStr(id))
+		if id != c.siteUnknown || c.SiteName(id) != "unknown" {
+			t.Fatalf("site = %d %q, want the unknown site", id, c.SiteName(id))
 		}
 	})
 }
@@ -101,7 +101,7 @@ func TestResolvePCSharedAcrossClusters(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c := NewCluster(Config{Seed: 1})
 				fromApp(func(int) {
-					atDepth(i%deepDepth, func() { sites[w] = c.siteStr(c.callsite()) })
+					atDepth(i%deepDepth, func() { sites[w] = c.SiteName(c.callsite()) })
 				})
 			}
 		}(w)

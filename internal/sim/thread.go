@@ -152,7 +152,7 @@ func (t *Thread) run() {
 			t.finish(c, tsKilled)
 		case appPanic:
 			c.out.UncaughtExceptions = append(c.out.UncaughtExceptions,
-				fmt.Sprintf("%s@%s in %s/%s", p.kind, c.siteStr(p.site), t.node.PID, t.name))
+				fmt.Sprintf("%s@%s in %s/%s", p.kind, c.SiteName(p.site), t.node.PID, t.name))
 			t.finish(c, tsDone)
 		default:
 			panic(p)

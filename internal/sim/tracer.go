@@ -8,13 +8,16 @@ import (
 // it with the sim's dense site id plus plain strings, and the tracer interns
 // them into the run's trace, so application code and substrates never touch
 // symbol tables. ResSym, when non-nil, points at the emitting object's cached
-// trace symbol for Res: the first traced emit interns Res and writes the Sym
+// trace symbol for Res: the first kept emit interns Res and writes the Sym
 // back through the pointer, and every later emit skips the string table.
+// Heap fields and conds leave Res empty and name it through resOf, so a run
+// that keeps no trace never builds their names.
 type opSpec struct {
 	Kind   trace.Kind
 	Site   SiteID
 	Res    string
 	ResSym *trace.Sym
+	resOf  resNamer
 	Aux    string
 	Target string
 	Src    trace.OpID
@@ -24,40 +27,85 @@ type opSpec struct {
 	Ctl    []trace.OpID
 }
 
-// tracer writes records through a trace.Writer sink, implementing the
-// paper's selective tracing policy (Section 3.2): happens-before operations,
-// storage operations and synchronization-loop reads are always recorded;
-// plain heap accesses only when they execute inside an RPC/message/event
-// handler (or its callees) — or everywhere in the exhaustive ablation mode.
-// The sink keeps the records in the trace, or passes them through
-// Config.Fold and keeps none.
+// resNamer builds a resource name on demand (see opSpec.resOf).
+type resNamer interface{ resName() string }
+
+// Fact is one op the tracing policy selects, or one crash or restart mark,
+// as a folded run passes it to its Fold: the record a kept run would write,
+// less the names only a kept trace needs. ID, Taint and Ctl are filled only
+// when the fold's Deps is true; otherwise the run numbers no ops and merges
+// no taint, as an untraced run does.
+type Fact struct {
+	Kind     trace.Kind
+	Site     SiteID
+	SiteName string // the site's string (Cluster.SiteName(Site))
+	TS       int64
+	Flags    uint32
+	Aux      string // the op's Aux: a throw's exception kind, a crash's PID
+
+	ID    trace.OpID
+	Taint []trace.OpID
+	Ctl   []trace.OpID
+}
+
+// Fold consumes a run that keeps no trace (Config.Fold): Fact is passed each
+// selected op in emission order, while the emitting thread runs. Deps, asked
+// once when the cluster is built, reports whether Fact reads ID, Taint and
+// Ctl.
+type Fold interface {
+	Fact(Fact)
+	Deps() bool
+}
+
+// FoldTrace passes a kept trace's records to fold as the facts a folded run
+// of the same schedule passes it. A record's site symbol stands in for the
+// SiteID, so Sites resolve through tr.Str.
+func FoldTrace(fold Fold, tr *trace.Trace) {
+	deps := fold.Deps()
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		f := Fact{Kind: r.Kind, Site: SiteID(r.Site), SiteName: tr.Str(r.Site), TS: r.TS, Flags: r.Flags, Aux: tr.Str(r.Aux)}
+		if deps {
+			f.ID, f.Taint, f.Ctl = r.ID, r.Taint, r.Ctl
+		}
+		fold.Fact(f)
+	}
+}
+
+// tracer implements the paper's selective tracing policy (Section 3.2):
+// happens-before operations, storage operations and synchronization-loop
+// reads are always recorded; plain heap accesses only when they execute
+// inside an RPC/message/event handler (or its callees) — or everywhere in the
+// exhaustive ablation mode. A selected op becomes a record of the kept trace,
+// or, when Config.Fold is set, a Fact passed to the fold and no record.
 type tracer struct {
 	c     *Cluster
-	trace *trace.Trace
-	sink  *trace.Writer
+	trace *trace.Trace // a kept run's trace
+	fold  Fold         // a folded run's consumer
+	// deps is set when the run numbers its ops and tracks their
+	// dependences: a kept run, or a fold that reads them. ops numbers a
+	// folded run's ops.
+	deps bool
+	ops  trace.OpID
 	// sysPID is the interned "system" PID for scheduler-context records.
 	sysPID trace.Sym
 }
 
 func newTracer(c *Cluster) *tracer {
 	tr := &tracer{c: c}
-	if c.cfg.Tracing != TraceOff {
-		tr.trace = trace.New()
-		tr.sink = trace.NewWriter(tr.trace, c.cfg.Fold)
+	switch {
+	case c.cfg.Tracing == TraceOff:
+	case c.cfg.Fold != nil:
+		tr.fold, tr.deps = c.cfg.Fold, c.cfg.Fold.Deps()
+	default:
+		tr.trace, tr.deps = trace.New(), true
 		tr.sysPID = tr.trace.Intern("system")
 	}
 	return tr
 }
 
-// finish folds the final partial window of a folded run (called once, at the
-// end of Run).
-func (tr *tracer) finish() {
-	if tr.sink != nil {
-		tr.sink.Flush()
-	}
-}
-
-// sym interns s into the run's trace (NoSym when s is empty).
+// sym interns s into the run's trace (NoSym when s is empty or no trace is
+// kept).
 func (tr *tracer) sym(s string) trace.Sym {
 	if s == "" || tr.trace == nil {
 		return trace.NoSym
@@ -82,24 +130,31 @@ func (tr *tracer) siteSym(id SiteID) trace.Sym {
 	return s
 }
 
-// internRes resolves the Res symbol, going through the caller's cache slot
-// when one is provided (heap fields and conds emit against the same resource
-// every time, so after the first emit the slot short-circuits the intern).
-func (tr *tracer) internRes(res string, cache *trace.Sym) trace.Sym {
-	if cache != nil {
-		s := *cache
-		if s == trace.NoSym && res != "" {
-			s = tr.trace.Intern(res)
-			*cache = s
-		}
-		return s
+// internRes resolves the Res symbol, going through the op's cache slot when
+// it has one (heap fields, conds and storage resources emit against the same
+// resource every time, so after the first emit the slot short-circuits the
+// intern, and a lazily named resource is named then).
+func (tr *tracer) internRes(op *opSpec) trace.Sym {
+	if op.ResSym == nil {
+		return tr.trace.Intern(op.Res)
 	}
-	return tr.trace.Intern(res)
+	s := *op.ResSym
+	if s == trace.NoSym {
+		res := op.Res
+		if op.resOf != nil {
+			res = op.resOf.resName()
+		}
+		if res != "" {
+			s = tr.trace.Intern(res)
+			*op.ResSym = s
+		}
+	}
+	return s
 }
 
 // shouldTrace applies the selectivity policy to one op kind.
 func (tr *tracer) shouldTrace(t *Thread, k trace.Kind) bool {
-	if tr.trace == nil {
+	if tr.c.cfg.Tracing == TraceOff {
 		return false
 	}
 	switch k {
@@ -114,19 +169,31 @@ func (tr *tracer) shouldTrace(t *Thread, k trace.Kind) bool {
 	return true
 }
 
-// emit records an operation performed by thread t. It interns the op's
-// strings, fills in the ambient fields (timestamp, pid, thread, frame, the
-// thread's incrementally-maintained callstack, handler flag) and returns the
-// new op's ID — or trace.NoOp when the record is not traced.
+// emit records an operation performed by thread t, filling in the ambient
+// fields (timestamp, handler flag, the thread's control taints; for a kept
+// record also pid, thread, frame and the thread's incrementally-maintained
+// callstack), and returns the new op's ID — or trace.NoOp when the op is not
+// traced or the run tracks no dependences.
 func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 	if !tr.shouldTrace(t, op.Kind) {
 		return trace.NoOp
 	}
+	if t.handlerCtx {
+		op.Flags |= trace.FlagHandlerCtx
+	}
+	if tr.deps && len(op.Ctl) == 0 {
+		op.Ctl = t.ctlTaints()
+	}
+	ts := tr.c.clock
+	tr.c.clock += tr.c.cfg.TraceTickCost
+	if tr.fold != nil {
+		return tr.fact(&op, ts)
+	}
 	w := tr.trace
 	// Interning order Site, Res, Aux, Target fixes symbol numbering, hence
 	// encoded bytes.
-	r := trace.Record{
-		TS:      tr.c.clock,
+	id := w.Append(trace.Record{
+		TS:      ts,
 		Machine: t.node.machineSym,
 		PID:     t.node.pidSym,
 		Thread:  t.id,
@@ -134,7 +201,7 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 		Kind:    op.Kind,
 		Site:    tr.siteSym(op.Site),
 		Stack:   t.stack,
-		Res:     tr.internRes(op.Res, op.ResSym),
+		Res:     tr.internRes(&op),
 		Src:     op.Src,
 		Aux:     w.Intern(op.Aux),
 		Target:  w.Intern(op.Target),
@@ -142,15 +209,7 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 		Causor:  op.Causor,
 		Taint:   op.Taint,
 		Ctl:     op.Ctl,
-	}
-	if t.handlerCtx {
-		r.Flags |= trace.FlagHandlerCtx
-	}
-	if len(r.Ctl) == 0 {
-		r.Ctl = t.ctlTaints()
-	}
-	tr.c.clock += tr.c.cfg.TraceTickCost
-	id := tr.sink.Append(r)
+	})
 	if op.Kind == trace.KThreadStart {
 		w.AddPID(t.node.PID)
 	}
@@ -159,16 +218,19 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 
 // emitSystem records scheduler-context bookkeeping (crash/restart marks).
 func (tr *tracer) emitSystem(op opSpec) trace.OpID {
-	if tr.trace == nil {
+	switch {
+	case tr.fold != nil:
+		return tr.fact(&op, tr.c.clock)
+	case tr.trace == nil:
 		return trace.NoOp
 	}
 	w := tr.trace
-	return tr.sink.Append(trace.Record{
+	return w.Append(trace.Record{
 		TS:     tr.c.clock,
 		PID:    tr.sysPID,
 		Kind:   op.Kind,
 		Site:   tr.siteSym(op.Site),
-		Res:    tr.internRes(op.Res, op.ResSym),
+		Res:    tr.internRes(&op),
 		Aux:    w.Intern(op.Aux),
 		Target: w.Intern(op.Target),
 		Flags:  op.Flags,
@@ -178,9 +240,21 @@ func (tr *tracer) emitSystem(op opSpec) trace.OpID {
 	})
 }
 
+// fact passes one selected op, stamped ts, to the run's fold, numbering it
+// when the fold reads dependences.
+func (tr *tracer) fact(op *opSpec, ts int64) trace.OpID {
+	f := Fact{Kind: op.Kind, Site: op.Site, SiteName: tr.c.siteStrs[op.Site], TS: ts, Flags: op.Flags, Aux: op.Aux}
+	if tr.deps {
+		tr.ops++
+		f.ID, f.Taint, f.Ctl = tr.ops, op.Taint, op.Ctl
+	}
+	tr.fold.Fact(f)
+	return f.ID
+}
+
 // needSites reports whether op sites must be computed this run (they are
-// needed for traces, for matching site-anchored fault events and for the
-// stall rule).
+// needed for traces and folds, for matching site-anchored fault events and
+// for the stall rule).
 func (c *Cluster) needSites() bool {
-	return c.tracer.trace != nil || (c.pendingPlan != nil && c.pendingPlan.siteEvents > 0) || c.cfg.StallPicks > 0
+	return c.cfg.Tracing != TraceOff || (c.pendingPlan != nil && c.pendingPlan.siteEvents > 0) || c.cfg.StallPicks > 0
 }

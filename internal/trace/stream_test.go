@@ -54,107 +54,6 @@ func decodeShapes(t *testing.T, raw []byte) (*trace.Trace, error) {
 	return first, firstErr
 }
 
-// collector is a fold that copies every window it is passed (copying
-// matters: a folding writer reuses the window slice).
-type collector struct {
-	wins [][]trace.Record
-}
-
-func (c *collector) fn(t *trace.Trace, recs []trace.Record) {
-	c.wins = append(c.wins, append([]trace.Record(nil), recs...))
-}
-
-func (c *collector) flat() []trace.Record {
-	var out []trace.Record
-	for _, w := range c.wins {
-		out = append(out, w...)
-	}
-	return out
-}
-
-// TestWriterKeepsWithoutFold: with no fold a Writer is the trace's own
-// Append, and Flush has nothing to do.
-func TestWriterKeepsWithoutFold(t *testing.T) {
-	tr := trace.New()
-	w := trace.NewWriter(tr, nil)
-	for i := 0; i < 7; i++ {
-		if id := w.Append(trace.Record{TS: int64(i), Kind: trace.KHeapRead}); id != trace.OpID(i+1) {
-			t.Fatalf("Append %d: id %d, want %d", i, id, i+1)
-		}
-	}
-	w.Flush()
-	if len(tr.Records) != 7 || tr.Records[6].ID != 7 || tr.Records[6].TS != 6 {
-		t.Fatalf("kept %d records, last %+v; want all 7", len(tr.Records), tr.Records[len(tr.Records)-1])
-	}
-}
-
-func TestWriterDiscardStreamsWithoutRetaining(t *testing.T) {
-	tr := trace.New()
-	var c collector
-	w := trace.NewWriter(tr, c.fn)
-
-	const n = 100 // two full windows and a partial one
-	for i := 0; i < n; i++ {
-		id := w.Append(trace.Record{TS: int64(i), Kind: trace.KHeapWrite, Res: tr.Intern("r")})
-		if id != trace.OpID(i+1) {
-			t.Fatalf("Append %d: id %d, want %d", i, id, i+1)
-		}
-	}
-	w.Flush()
-
-	if len(tr.Records) != 0 {
-		t.Fatalf("folding writer kept %d records", len(tr.Records))
-	}
-	flat := c.flat()
-	if len(flat) != n || len(c.wins) != 3 {
-		t.Fatalf("the fold saw %d records in %d windows, want %d in 3", len(flat), len(c.wins), n)
-	}
-	for i, r := range flat {
-		if r.ID != trace.OpID(i+1) || r.TS != int64(i) {
-			t.Fatalf("record %d: ID=%d TS=%d, want ID=%d TS=%d", i, r.ID, r.TS, i+1, i)
-		}
-	}
-}
-
-// TestWriterDiscardWindowIsFixed: a folding writer owns one window for its
-// whole life — after construction, appending allocates nothing, however many
-// records pass through — and Flush never folds an empty window, however
-// often it is called.
-func TestWriterDiscardWindowIsFixed(t *testing.T) {
-	tr := trace.New()
-	var windows, records int
-	w := trace.NewWriter(tr, func(_ *trace.Trace, recs []trace.Record) {
-		windows++
-		records += len(recs)
-	})
-	w.Flush() // never-filled window: nothing to deliver
-	if windows != 0 {
-		t.Fatalf("Flush on an empty writer delivered %d windows", windows)
-	}
-
-	res := tr.Intern("r")
-	const appends = 10_000
-	allocs := testing.AllocsPerRun(3, func() {
-		for i := 0; i < appends; i++ {
-			w.Append(trace.Record{Kind: trace.KHeapWrite, Res: res})
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%d appends to a folding writer allocated %.0f times, want 0", appends, allocs)
-	}
-
-	last := w.Append(trace.Record{Kind: trace.KHeapWrite, Res: res}) // leave a partial window
-	before := windows
-	w.Flush()
-	w.Flush()
-	if windows != before+1 {
-		t.Fatalf("two Flushes of one partial window delivered %d windows, want 1", windows-before)
-	}
-	if records != int(last) || len(tr.Records) != 0 { // ids are dense: the last one is the count
-		t.Fatalf("the fold saw %d of %d records; the trace kept %d", records, last, len(tr.Records))
-	}
-}
-
 // TestFCT2SourceHints: the header's size hints are advice. A stream without
 // them, and one whose header declares 2^40 of everything, decode to the trace
 // the hinted stream gives, and what the decoder pre-sizes on the hostile

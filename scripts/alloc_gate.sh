@@ -2,18 +2,21 @@
 # alloc_gate.sh — allocation-volume gate for injection runs and for the
 # analysis path.
 #
-# Runs four of the repository benchmark's workloads for two seconds each and
+# Runs five of the repository benchmark's workloads for two seconds each and
 # fails when alloc_kb_per_op or allocs_per_op — the two end-to-end metrics
 # that repeat to 0.02 % between runs — exceed their ceilings, so the gate
 # trips on a lost optimisation, not on a Go patch release:
 #
-#   campaign, evaluation, predict — 1 % over the medians measured once
-#     simulator ops stopped allocating their own bookkeeping (op callbacks
-#     beside the request in Do's effects parameter, Scope returning a value,
-#     resource names built once): campaign 14 309 KB / 225 917 mallocs per
-#     op, evaluation 4 086 KB / 35 904, predict 1 604 KB / 5 243; each
-#     ceiling is below the value before that change (campaign 18 592 KB /
-#     372 885, evaluation 4 726 / 61 206, predict 1 679 / 8 397).
+#   campaign, dist, evaluation, predict — 1 % over the medians measured once
+#     runs that keep no trace stopped building what only a trace reads
+#     (folds take simulator facts, dependence-free folds number no ops and
+#     merge no taint, heap and cond names are built at the first kept emit):
+#     campaign 9 770 KB / 174 202 mallocs per op, dist 9 877 KB / 175 579,
+#     evaluation 3 628 KB / 34 316, predict 1 602 KB / 5 232; each ceiling is
+#     below the value before that change (campaign 14 310 KB / 225 917, dist
+#     14 425 / 227 317, evaluation 4 086 / 35 905, predict 1 604 / 5 243).
+#     dist runs the same campaign runs through the coordinator, so its counts
+#     are campaign's plus the wire's.
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -44,9 +47,10 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   14453 228177 || fail=1
-gate evaluation 4127  36263  || fail=1
+gate campaign   9868  175944 || fail=1
+gate dist       9976  177335 || fail=1
+gate evaluation 3664  34659  || fail=1
 gate offline    596   974    || fail=1
-gate predict    1620  5296   || fail=1
+gate predict    1618  5284   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
 echo "alloc-gate: ok"
