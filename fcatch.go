@@ -235,10 +235,6 @@ const (
 	TraceFormatVersion = trace.FormatVersion
 )
 
-// LoadTrace reads a trace saved by Trace.Save; anything else is rejected as
-// an unrecognized trace format.
-func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
-
 // ReportGroup is a correlated set of crash-recovery reports (the Section 2.3
 // multi-resource extension).
 type ReportGroup = detect.ReportGroup

@@ -63,40 +63,16 @@ func TestSymptomShapes(t *testing.T) {
 	}
 }
 
-func TestPlanKeyAndLowering(t *testing.T) {
+// TestPlanKey: a plan's key is its -scenario string.
+func TestPlanKey(t *testing.T) {
 	step := Plan{{CrashStep: 77}}
 	if step.Key() != "step=77" {
 		t.Fatalf("step plan key = %q", step.Key())
 	}
-	fp := step.simPlan("worker", map[string]int64{"worker": 40})
-	sc := fp.Scenario()
-	if len(sc) != 1 || sc[0].CrashStep != 77 || sc[0].Target != "worker" || len(fp.RestartRoles) != 1 {
-		t.Fatalf("step plan lowered wrong: %+v", fp)
-	}
-	// The default target lands on the run's event copies, never on the plan
-	// parallel runs share.
-	if step[0].Target != "" {
-		t.Fatalf("simPlan wrote the default target into the shared plan: %+v", step)
-	}
-
 	site := Plan{{Site: "a.go:10", Occurrence: 2, When: sim.WhenAfter, Action: sim.ActionKernelDrop}}
 	if site.Key() != "site=a.go:10,occ=2,when=after,action=kernel-drop" {
 		t.Fatalf("site plan key = %q", site.Key())
 	}
-	fp = site.simPlan("worker", map[string]int64{"worker": 40})
-	sc = fp.Scenario()
-	if len(sc) != 1 || fp.RestartRoles != nil {
-		t.Fatalf("drop plan lowered wrong: %+v", fp)
-	}
-	if sc[0].Site != "a.go:10" || sc[0].Occurrence != 2 || sc[0].When != sim.WhenAfter || sc[0].Action != sim.ActionKernelDrop {
-		t.Fatalf("site event wrong: %+v", sc[0])
-	}
-
-	crash := Plan{{Site: "a.go:10", Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash}}
-	if fp := crash.simPlan("worker", map[string]int64{"worker": 40}); len(fp.RestartRoles) != 1 {
-		t.Fatal("crash plans must carry the restart map")
-	}
-
 	rd := int64(40)
 	comp := Plan{
 		{Site: "a.go:10", Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Restart: &rd},
@@ -104,10 +80,6 @@ func TestPlanKeyAndLowering(t *testing.T) {
 	}
 	if comp.Key() != "site=a.go:10,occ=1,when=before,action=node-crash,restart=40;action=node-crash,delay=48" {
 		t.Fatalf("composite plan key = %q", comp.Key())
-	}
-	fp = comp.simPlan("worker", map[string]int64{"worker": 40})
-	if sc = fp.Scenario(); len(sc) != 2 || sc[1].Delay != 48 || sc[1].Target != "" {
-		t.Fatalf("composite plan lowered wrong: %+v", sc)
 	}
 }
 
@@ -221,8 +193,8 @@ func TestSignatureStability(t *testing.T) {
 
 	// Repeated runs of one plan are byte-identical.
 	for _, p := range sp.Points[:6] {
-		a := runPlan(w, 1, p, sp.Target, restart, true)
-		b := runPlan(w, 1, p, sp.Target, restart, true)
+		a := runPlan(w, 1, p, restart, true)
+		b := runPlan(w, 1, p, restart, true)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("plan %s: signature unstable across runs:\n%+v\n%+v", p.Key(), a, b)
 		}
@@ -234,7 +206,7 @@ func TestSignatureStability(t *testing.T) {
 	// (crash-recovery, the Figure 1 miniature).
 	bySymptom := map[string]Plan{}
 	for _, p := range sp.Points {
-		r := runPlan(w, 1, p, sp.Target, restart, true)
+		r := runPlan(w, 1, p, restart, true)
 		if r.Verdict == VerdictFailure {
 			if _, ok := bySymptom[r.Sig.Symptom]; !ok {
 				bySymptom[r.Sig.Symptom] = p
@@ -386,15 +358,15 @@ func TestExhaustiveStopsAtSpace(t *testing.T) {
 }
 
 // keptRun replays p with every record kept and returns the run's trace.
-func keptRun(w core.Workload, p Plan, target string) *trace.Trace {
-	c, _ := core.Run(w, planConfig(w, p, target))
+func keptRun(w core.Workload, p Plan) *trace.Trace {
+	c, _ := core.Run(w, planConfig(w, p))
 	return c.Trace()
 }
 
 // planConfig is the selectively traced configuration of one run of p, trace
 // kept.
-func planConfig(w core.Workload, p Plan, target string) sim.Config {
-	return sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: p.simPlan(target, w.RestartRoles())}
+func planConfig(w core.Workload, p Plan) sim.Config {
+	return sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(p, w.CrashTarget(), w.RestartRoles())}
 }
 
 // factLog is a fold that keeps every fact it is passed. Site is zeroed: it is
@@ -444,7 +416,7 @@ func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired
 			break
 		}
 	}
-	cov, space := new(CoverageFold), newSpaceFold(w.CrashTarget())
+	cov, space := new(CoverageFold), newSpaceFold()
 	for _, deps := range []bool{true, false} {
 		log := &factLog{deps: deps}
 		fc := cfg
@@ -499,11 +471,11 @@ func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	checkFolds(t, w, sim.Config{Seed: 1, Tracing: sim.TraceSelective}, "toy fault-free")
 	var fired int
 	for _, p := range sp.Points[:min(10, len(sp.Points))] {
-		if checkFolds(t, w, planConfig(w, p, sp.Target), "toy "+p.Key()) {
+		if checkFolds(t, w, planConfig(w, p), "toy "+p.Key()) {
 			fired++
 		}
-		streamed := runPlan(w, 1, p, sp.Target, restart, true)
-		if got, want := streamed.Sig.Coverage, postFaultCoverage(keptRun(w, p, sp.Target)); got != want {
+		streamed := runPlan(w, 1, p, restart, true)
+		if got, want := streamed.Sig.Coverage, postFaultCoverage(keptRun(w, p)); got != want {
 			t.Fatalf("plan %s: runPlan's coverage %#x, kept trace's %#x", p.Key(), got, want)
 		}
 	}

@@ -151,7 +151,6 @@ type Executor interface {
 type localExecutor struct {
 	w           core.Workload
 	seed        int64
-	target      string
 	restart     map[string]int64
 	traced      bool
 	parallelism int
@@ -159,7 +158,7 @@ type localExecutor struct {
 
 func (e *localExecutor) ExecuteBatch(ctx context.Context, plans []Plan) ([]RunResult, error) {
 	return parallel.Map(ctx, e.parallelism, len(plans), func(i int) RunResult {
-		return runPlan(e.w, e.seed, plans[i], e.target, e.restart, e.traced)
+		return runPlan(e.w, e.seed, plans[i], e.restart, e.traced)
 	})
 }
 
@@ -170,8 +169,7 @@ func (e *localExecutor) ExecuteBatch(ctx context.Context, plans []Plan) ([]RunRe
 // results are a pure function of (workload, seed, plan), the coordinator can
 // fold them into the corpus as if it had run them itself.
 func ExecPlans(ctx context.Context, w core.Workload, seed int64, traced bool, parallelism int, plans []Plan) ([]RunResult, error) {
-	e := &localExecutor{w: w, seed: seed, target: w.CrashTarget(),
-		restart: w.RestartRoles(), traced: traced, parallelism: parallelism}
+	e := &localExecutor{w: w, seed: seed, restart: w.RestartRoles(), traced: traced, parallelism: parallelism}
 	return e.ExecuteBatch(ctx, plans)
 }
 
@@ -225,14 +223,14 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 	rcfg := sim.Config{Seed: cfg.Seed}
 	var fold *spaceFold
 	if traced {
-		fold = newSpaceFold(w.CrashTarget())
+		fold = newSpaceFold()
 		rcfg.Tracing, rcfg.Fold = sim.TraceSelective, fold
 	}
 	_, base := core.Run(w, rcfg)
 	if base.Failed() {
 		return nil, fmt.Errorf("campaign: fault-free run of %s incorrect (%s): %s", w.Name(), base.FailureKind(), base.Detail())
 	}
-	sp := &Space{Target: w.CrashTarget()}
+	sp := &Space{}
 	if traced {
 		sp = fold.finish(maxOccurrenceDefault)
 	}
@@ -249,8 +247,7 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 	st.Init(sp, cfg.Seed, cfg.Budget)
 
 	if exec == nil {
-		exec = &localExecutor{w: w, seed: cfg.Seed, target: sp.Target,
-			restart: w.RestartRoles(), traced: traced, parallelism: cfg.Parallelism}
+		exec = &localExecutor{w: w, seed: cfg.Seed, restart: w.RestartRoles(), traced: traced, parallelism: cfg.Parallelism}
 	}
 	cor := NewCorpus(w.Name(), cfg.Strategy, cfg.Seed)
 	cor.Scenarios = cfg.Scenarios
@@ -352,11 +349,14 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 	return res, nil
 }
 
-// runPlan executes one injection run in its own isolated cluster. Traced runs
-// pass their ops through a coverage fold and keep no trace; the fold reads no
+// runPlan executes one injection run in its own isolated cluster. The plan
+// goes to the simulator verbatim: its step crashes with no target kill the
+// workload's crash target, and its crashes restart per the workload's
+// restart map (restart, computed once per executor). Traced runs pass their
+// ops through a coverage fold and keep no trace; the fold reads no
 // dependences, so a traced run costs an untraced one plus its site lookups.
-func runPlan(w core.Workload, seed int64, p Plan, target string, restart map[string]int64, traced bool) RunResult {
-	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: p.simPlan(target, restart)}
+func runPlan(w core.Workload, seed int64, p Plan, restart map[string]int64, traced bool) RunResult {
+	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: sim.NewScenarioPlan(p, w.CrashTarget(), restart)}
 	var fold *CoverageFold
 	if traced {
 		fold = new(CoverageFold)

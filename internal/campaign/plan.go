@@ -28,28 +28,3 @@ type Plan []sim.FaultSpec
 func (p Plan) Key() string { return sim.FormatScenario(p) }
 
 func (p Plan) String() string { return p.Key() }
-
-// simPlan lowers the plan to the simulator's fault-plan form. Step crashes
-// with no explicit target aim at the workload's crash target — on the run's
-// own event copies, never on p, which parallel runs share; scenarios
-// containing a node crash carry the workload's restart map (the operator
-// restarts dead nodes, as in the random baseline) while pure drop plans
-// leave nothing to restart.
-func (p Plan) simPlan(target string, restart map[string]int64) *sim.FaultPlan {
-	withRestart := false
-	for i := range p {
-		if p[i].Site == "" || p[i].Action == sim.ActionNodeCrash {
-			withRestart = true
-		}
-	}
-	if !withRestart {
-		restart = nil
-	}
-	fp := sim.NewScenarioPlan(p, restart)
-	for i := range fp.Events {
-		if ev := &fp.Events[i]; ev.Site == "" && ev.Target == "" && ev.Delay == 0 {
-			ev.Target = target
-		}
-	}
-	return fp
-}

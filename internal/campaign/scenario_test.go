@@ -194,7 +194,7 @@ func TestRecoveryCrashScenarioFires(t *testing.T) {
 
 	fired := false
 	for _, p := range sp.Points[before:] {
-		fp := p.simPlan(sp.Target, w.RestartRoles())
+		fp := sim.NewScenarioPlan(p, w.CrashTarget(), w.RestartRoles())
 		rcfg := sim.Config{Seed: 1, Tracing: sim.TraceOff, Plan: fp}
 		w.Tune(&rcfg)
 		cl := sim.NewCluster(rcfg)

@@ -36,7 +36,7 @@ func TestSiteStringsAreSourceIndependent(t *testing.T) {
 		bad := map[string]string{} // site -> first plan that reached it
 		for _, e := range res.Corpus.Entries {
 			c, _ := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective,
-				Plan: e.Plan.simPlan(w.CrashTarget(), w.RestartRoles())})
+				Plan: sim.NewScenarioPlan(e.Plan, w.CrashTarget(), w.RestartRoles())})
 			tr := c.Trace()
 			for i := range tr.Records {
 				s := tr.Str(tr.Records[i].Site)

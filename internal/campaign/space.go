@@ -31,8 +31,6 @@ type SiteInfo struct {
 // a pure function of the trace, so the space (and every strategy walking it)
 // is deterministic.
 type Space struct {
-	// Target is the workload's crash-target role (used by step plans).
-	Target string
 	// BaseSteps is the fault-free execution length in scheduler steps (the
 	// sample space of the random strategy).
 	BaseSteps int64
@@ -52,9 +50,11 @@ type Space struct {
 // the space quadratically.
 const maxOccurrenceDefault = 3
 
-// NewSpace enumerates the fault space of a traced fault-free run.
-func NewSpace(tr *trace.Trace, baseSteps int64, target string, maxOcc int) *Space {
-	f := newSpaceFold(target)
+// NewSpace enumerates the fault space of a traced fault-free run. The third
+// argument, the workload's crash target, is unused: a plan's step crashes
+// find their default victim in the simulator (sim.NewScenarioPlan).
+func NewSpace(tr *trace.Trace, baseSteps int64, _ string, maxOcc int) *Space {
+	f := newSpaceFold()
 	sim.FoldTrace(f, tr)
 	sp := f.finish(maxOcc)
 	sp.BaseSteps = baseSteps
@@ -73,8 +73,8 @@ type spaceFold struct {
 	ordBySite []int
 }
 
-func newSpaceFold(target string) *spaceFold {
-	return &spaceFold{sp: &Space{Target: target, siteOrd: map[string]int{}}}
+func newSpaceFold() *spaceFold {
+	return &spaceFold{sp: &Space{siteOrd: map[string]int{}}}
 }
 
 // Fact folds one fact into the site statistics, recording a site's string

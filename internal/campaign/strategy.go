@@ -23,8 +23,6 @@ const (
 // at batch boundaries, which is what makes campaigns parallelism-invariant:
 // every random decision is drawn before any run of the batch starts.
 type Strategy interface {
-	// Name is the registry name.
-	Name() string
 	// Init is called once before the campaign starts.
 	Init(sp *Space, seed int64, budget int)
 	// NextBatch proposes up to max plans; an empty batch ends the campaign
@@ -67,8 +65,6 @@ type randomStrategy struct {
 	next  int
 }
 
-func (s *randomStrategy) Name() string { return StrategyRandom }
-
 func (s *randomStrategy) Init(sp *Space, seed int64, budget int) {
 	rng := rand.New(rand.NewSource(seed * 7919))
 	s.steps = make([]int64, budget)
@@ -103,8 +99,6 @@ type exhaustiveStrategy struct {
 	sp   *Space
 	next int
 }
-
-func (s *exhaustiveStrategy) Name() string { return StrategyExhaustive }
 
 func (s *exhaustiveStrategy) Init(sp *Space, seed int64, budget int) { s.sp = sp }
 
@@ -153,8 +147,6 @@ type coverageStrategy struct {
 	byKey   map[string]int // plan key -> point index
 	left    int            // untried points remaining
 }
-
-func (s *coverageStrategy) Name() string { return StrategyCoverage }
 
 func (s *coverageStrategy) Init(sp *Space, seed int64, budget int) {
 	s.sp = sp

@@ -96,8 +96,9 @@ type Options struct {
 	// Scenario is the fault scenario observation runs inject. Empty means
 	// the default provider: a one-event crash of the workload's
 	// CrashTarget() at the phase-chosen step. Step-anchored crash events
-	// with CrashStep 0 inherit that step too (and are re-nudged on retry);
-	// events with an empty Target aim at the workload's crash target.
+	// with CrashStep 0 inherit that step too (and are re-nudged on retry),
+	// and the simulator aims step crashes with an empty Target at the
+	// crash target.
 	Scenario []sim.FaultSpec
 	// Detect toggles the fault-tolerance pruning analyses (ablations only).
 	Detect detect.Options
@@ -164,22 +165,16 @@ type Observation struct {
 
 // scenarioPlan lowers the observation scenario for one faulty attempt:
 // step-anchored crash events with no explicit step inherit the phase-chosen
-// (and, on retry, nudged) step, and empty targets default to the workload's
-// crash target.
+// (and, on retry, nudged) step. The plan aims step crashes that name no
+// victim at the workload's crash target.
 func scenarioPlan(w Workload, scenario []sim.FaultSpec, step int64) *sim.FaultPlan {
 	specs := append([]sim.FaultSpec(nil), scenario...)
 	for i := range specs {
-		s := &specs[i]
-		if s.Site == "" && s.Delay == 0 {
-			if s.CrashStep == 0 {
-				s.CrashStep = step
-			}
-			if s.Target == "" {
-				s.Target = w.CrashTarget()
-			}
+		if s := &specs[i]; s.Site == "" && s.Delay == 0 && s.CrashStep == 0 {
+			s.CrashStep = step
 		}
 	}
-	return sim.NewScenarioPlan(specs, w.RestartRoles())
+	return sim.NewScenarioPlan(specs, w.CrashTarget(), w.RestartRoles())
 }
 
 // Run is the one way a workload is executed: tune the config, build the
@@ -284,11 +279,11 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 	gf, d := index("core/index/fault-free", obs.FaultFree)
 	obs.Timings.AnalysisRegular = d
 
-	// The scenario to inject: the plan is the source of truth, with
-	// Workload.CrashTarget() as the default provider.
+	// The scenario to inject: by default, one crash of the workload's crash
+	// target at the phase-chosen step.
 	scenario := opts.Scenario
 	if len(scenario) == 0 {
-		scenario = []sim.FaultSpec{{Action: sim.ActionNodeCrash, Target: w.CrashTarget()}}
+		scenario = []sim.FaultSpec{{Action: sim.ActionNodeCrash}}
 	}
 
 	total := outF.Steps

@@ -54,7 +54,7 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 	}
 
 	sigs, _ := parallel.Map(context.Background(), parallelism, runs, func(i int) string {
-		plan := sim.NewObservationPlan(w.CrashTarget(), steps[i], w.RestartRoles())
+		plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: steps[i]}}, w.CrashTarget(), w.RestartRoles())
 		rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: plan}
 		w.Tune(&rcfg)
 		rc := sim.NewCluster(rcfg)

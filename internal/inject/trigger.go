@@ -201,7 +201,8 @@ func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fo
 	return tg.classify(out, fold)
 }
 
-// replayConfig is the simulator configuration of one replay, trace kept.
+// replayConfig is the simulator configuration of one replay, less its fold:
+// replay sets Config.Fold, so every replay folds and keeps no trace.
 // Its stall rule comes from the workload's fault-free run, made once per
 // Triggerer with the same tracing and tick cost (so the same picks) as the
 // observation's. That run folds into nothing and tracks no dependences.
@@ -213,7 +214,7 @@ func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int
 		_, out := core.Run(tg.W, ff)
 		tg.stallPicks = stallMultiple * out.Picks
 	})
-	cfg.Plan, cfg.StallPicks = sim.NewScenarioPlan(events, restart), tg.stallPicks
+	cfg.Plan, cfg.StallPicks = sim.NewScenarioPlan(events, tg.W.CrashTarget(), restart), tg.stallPicks
 	return cfg
 }
 

@@ -50,7 +50,8 @@ type Config struct {
 	RPCClientTimeout int64
 
 	// RPCFailFast makes in-flight calls fail immediately when the callee
-	// crashes (TCP reset analog). MR's ancient IPC layer does not do this.
+	// crashes (TCP reset analog). Every Table 1 workload sets it; only the
+	// toy workload runs without it.
 	RPCFailFast bool
 
 	// Plan is the fault plan for this run (nil = fault-free).

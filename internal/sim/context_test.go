@@ -131,7 +131,7 @@ func TestHandlerExceptionDoesNotKillDispatcher(t *testing.T) {
 }
 
 func TestRestartRoleKeepsMachineAndRole(t *testing.T) {
-	plan := sim.NewObservationPlan("svc", 40, map[string]int64{"svc": 30})
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 40}}, "svc", map[string]int64{"svc": 30})
 	c := sim.NewCluster(sim.Config{Seed: 1, Plan: plan})
 	var machines []string
 	c.StartProcess("svc", "the-machine", func(ctx *sim.Context) {

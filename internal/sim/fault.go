@@ -186,6 +186,10 @@ type FaultPlan struct {
 	// process of that role is restarted — the operator/recovery behaviour.
 	RestartRoles map[string]int64
 
+	// target is the workload's crash target (role or PID): the default
+	// victim of a step-anchored crash with no Target.
+	target string
+
 	// siteEvents is the static count of site-anchored events (needSites);
 	// sitePending counts the unfired ones so the per-op check is O(1) once
 	// the scenario is exhausted.
@@ -203,21 +207,16 @@ type FaultPlan struct {
 	firings []trace.FaultFiring
 }
 
-// NewScenarioPlan builds a plan that injects the given fault scenario and
-// restarts the listed roles after their mapped delay.
-func NewScenarioPlan(scenario []FaultSpec, restartRoles map[string]int64) *FaultPlan {
-	p := &FaultPlan{Events: make([]FaultEvent, len(scenario)), RestartRoles: restartRoles}
+// NewScenarioPlan builds a plan that injects the given fault scenario,
+// crashes target (the workload's crash target) at step-anchored events that
+// name no victim, and restarts the listed roles after their mapped delay.
+// The scenario is copied, never modified.
+func NewScenarioPlan(scenario []FaultSpec, target string, restartRoles map[string]int64) *FaultPlan {
+	p := &FaultPlan{Events: make([]FaultEvent, len(scenario)), RestartRoles: restartRoles, target: target}
 	for i, s := range scenario {
 		p.Events[i].FaultSpec = s
 	}
 	return p
-}
-
-// NewObservationPlan crashes `target` (PID or role) at the given step and
-// restarts the listed roles after their mapped delay — the classic
-// one-event observation scenario.
-func NewObservationPlan(target string, step int64, restartRoles map[string]int64) *FaultPlan {
-	return NewScenarioPlan([]FaultSpec{{CrashStep: step, Target: target, Action: ActionNodeCrash}}, restartRoles)
 }
 
 // Scenario returns the plan's events in their JSON-stable form.

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +45,7 @@ func crashes(tr *trace.Trace) []string {
 }
 
 func TestCrashAtStepKillsProcess(t *testing.T) {
-	plan := sim.NewObservationPlan("producer", 100, nil)
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 100}}, "producer", nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: plan})
 	twoNodeApp(20)(c)
 	out := c.Run()
@@ -68,7 +69,7 @@ func TestCrashAtStepKillsProcess(t *testing.T) {
 }
 
 func TestRestartRolesSpawnsNewIncarnation(t *testing.T) {
-	plan := sim.NewObservationPlan("producer", 100, map[string]int64{"producer": 60})
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 100}}, "producer", map[string]int64{"producer": 60})
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: plan})
 	twoNodeApp(6)(c)
 	out := c.Run()
@@ -85,7 +86,7 @@ func TestRestartRolesSpawnsNewIncarnation(t *testing.T) {
 
 func TestSendToCrashedProcessFails(t *testing.T) {
 	var sendErr error
-	c := sim.NewCluster(sim.Config{Seed: 1, Plan: sim.NewObservationPlan("victim", 5, nil)})
+	c := sim.NewCluster(sim.Config{Seed: 1, Plan: sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 5}}, "victim", nil)})
 	c.StartProcess("victim", "m0", func(ctx *sim.Context) { ctx.Sleep(400) })
 	c.StartProcess("sender", "m1", func(ctx *sim.Context) {
 		ctx.Sleep(200) // the victim is long dead by now
@@ -98,7 +99,7 @@ func TestSendToCrashedProcessFails(t *testing.T) {
 }
 
 func TestRPCFailFastOnCalleeCrash(t *testing.T) {
-	plan := sim.NewObservationPlan("srv", 150, nil)
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 150}}, "srv", nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, RPCFailFast: true, Plan: plan})
 	c.StartProcess("srv", "m0", func(ctx *sim.Context) {
 		ctx.Self().HandleRPC("Slow", func(ctx *sim.Context, args []sim.Value) sim.Value {
@@ -122,7 +123,7 @@ func TestRPCFailFastOnCalleeCrash(t *testing.T) {
 }
 
 func TestRPCWithoutFailFastHangsOnCalleeCrash(t *testing.T) {
-	plan := sim.NewObservationPlan("srv", 150, nil)
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 150}}, "srv", nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, RPCFailFast: false, MaxSteps: 5_000, Plan: plan})
 	c.StartProcess("srv", "m0", func(ctx *sim.Context) {
 		ctx.Self().HandleRPC("Slow", func(ctx *sim.Context, args []sim.Value) sim.Value {
@@ -193,7 +194,7 @@ func TestTriggerCrashBeforeOp(t *testing.T) {
 
 	plan := sim.NewScenarioPlan([]sim.FaultSpec{{
 		Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
-	}}, nil)
+	}}, "", nil)
 	c, _ := build(plan)
 	if c.FactStr("got-marker") != "" {
 		t.Fatal("crash-before-send did not suppress the send")
@@ -205,7 +206,7 @@ func TestTriggerCrashBeforeOp(t *testing.T) {
 	// Kernel drop: the sender survives, the message is lost.
 	plan = sim.NewScenarioPlan([]sim.FaultSpec{{
 		Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionKernelDrop,
-	}}, nil)
+	}}, "", nil)
 	c, out := build(plan)
 	if c.FactStr("got-marker") != "" {
 		t.Fatal("kernel drop did not suppress delivery")
@@ -247,14 +248,14 @@ func TestTriggerOccurrenceCounting(t *testing.T) {
 	// Crash the sender right before the 3rd send: only 1 and 2 arrive.
 	c = build(sim.NewScenarioPlan([]sim.FaultSpec{{
 		Site: site, Occurrence: 3, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
-	}}, nil))
+	}}, "", nil))
 	if got := c.FactStr("last"); got != "2" {
 		t.Fatalf("last received = %q, want 2", got)
 	}
 }
 
 func TestConvictSubscription(t *testing.T) {
-	plan := sim.NewObservationPlan("worker", 80, nil)
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 80}}, "worker", nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, Plan: plan})
 	c.StartProcess("worker", "m0", func(ctx *sim.Context) { ctx.Sleep(1_000) })
 	boss := c.StartProcess("boss", "m1", func(ctx *sim.Context) {
@@ -350,5 +351,99 @@ func TestTaintCapIsBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultVictim: who a crash event kills, by anchor × the event's Target
+// × the plan's crash target. A step crash with no Target kills the plan's
+// crash target; a relative one re-crashes the last victim's role, and a
+// site one the process executing the op, whatever the plan's target. An
+// explicit role or PID Target wins everywhere.
+func TestDefaultVictim(t *testing.T) {
+	app := func(c *sim.Cluster) {
+		c.StartProcess("sender", "m0", func(ctx *sim.Context) {
+			for i := 0; i < 10; i++ {
+				ctx.Sleep(20)
+				_ = ctx.Send("sink", "tick", sim.V(i))
+			}
+		})
+		c.StartProcess("sink", "m1", func(ctx *sim.Context) {
+			ctx.Self().HandleMsg("tick", func(ctx *sim.Context, m sim.Message) {})
+			ctx.Sleep(400)
+		})
+		c.StartProcess("bystander", "m2", func(ctx *sim.Context) { ctx.Sleep(400) })
+	}
+	run := func(plan *sim.FaultPlan) (*sim.Cluster, *sim.Outcome) {
+		c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: plan})
+		app(c)
+		return c, c.Run()
+	}
+	c, _ := run(nil)
+	var site string
+	for i := range c.Trace().Records {
+		if r := &c.Trace().Records[i]; r.Kind == trace.KMsgSend && c.Trace().Str(r.Aux) == "tick" {
+			site = c.Trace().Str(r.Site)
+			break
+		}
+	}
+	if site == "" {
+		t.Fatal("tick send not traced")
+	}
+
+	restart := int64(10)
+	anchors := []struct {
+		name string
+		// scenario builds the events; the one under test is the last.
+		scenario func(target string) []sim.FaultSpec
+		// byDefault is the victims when the event under test has no Target,
+		// with the plan's crash target set ("sink") and empty.
+		byDefault, byDefaultNoPlanTarget []string
+	}{
+		{
+			name:                  "step",
+			scenario:              func(tg string) []sim.FaultSpec { return []sim.FaultSpec{{CrashStep: 30, Target: tg}} },
+			byDefault:             []string{"sink#1"},
+			byDefaultNoPlanTarget: []string{""},
+		},
+		{
+			name: "relative",
+			scenario: func(tg string) []sim.FaultSpec {
+				return []sim.FaultSpec{
+					{CrashStep: 30, Target: "sender", Restart: &restart},
+					{Delay: 40, Target: tg},
+				}
+			},
+			byDefault:             []string{"sender#1", "sender#2"},
+			byDefaultNoPlanTarget: []string{"sender#1", "sender#2"},
+		},
+		{
+			name: "site",
+			scenario: func(tg string) []sim.FaultSpec {
+				return []sim.FaultSpec{{Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Target: tg}}
+			},
+			byDefault:             []string{"sender#1"},
+			byDefaultNoPlanTarget: []string{"sender#1"},
+		},
+	}
+	for _, a := range anchors {
+		for _, target := range []string{"", "bystander", "bystander#1"} {
+			for _, planTarget := range []string{"sink", ""} {
+				want := a.byDefault
+				if planTarget == "" {
+					want = a.byDefaultNoPlanTarget
+				}
+				if target != "" {
+					want = append(append([]string(nil), want[:len(want)-1]...), "bystander#1")
+				}
+				_, out := run(sim.NewScenarioPlan(a.scenario(target), planTarget, nil))
+				var got []string
+				for _, f := range out.FaultFirings {
+					got = append(got, f.Victim)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s event, target %q, plan target %q: victims %q, want %q", a.name, target, planTarget, got, want)
+				}
+			}
+		}
 	}
 }

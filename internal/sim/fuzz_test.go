@@ -142,7 +142,7 @@ func TestFuzzCheckpointPrefix(t *testing.T) {
 		rng := rand.New(rand.NewSource(genSeed ^ 0x5eed))
 		step := 1 + rng.Int63n(baseOut.Steps)
 		victim := fmt.Sprintf("proc%d", rng.Intn(2))
-		plan := sim.NewObservationPlan(victim, step, nil)
+		plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: step}}, victim, nil)
 		faulty := genCluster(genSeed, fuzzConfig(genSeed, plan))
 		faulty.Run()
 
@@ -170,7 +170,7 @@ func TestFuzzCrashSemantics(t *testing.T) {
 			continue
 		}
 		step := baseOut.Steps / 3
-		plan := sim.NewObservationPlan("proc0", step, nil)
+		plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: step}}, "proc0", nil)
 		c := genCluster(genSeed, fuzzConfig(genSeed, plan))
 		c.Run()
 		ty := c.Trace()

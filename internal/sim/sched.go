@@ -135,10 +135,14 @@ func (c *Cluster) applyPlanAtStep() {
 		ev.fired = true
 		c.armNextEvent(p, i)
 		target := ev.Target
-		if target == "" && ev.Delay > 0 {
-			// A relative crash with no explicit target re-crashes the most
-			// recently crashed role's current (restarted) incarnation.
-			target = p.lastCrashRole
+		if target == "" {
+			// A step crash with no explicit target kills the workload's
+			// crash target; a relative one re-crashes the most recently
+			// crashed role's current (restarted) incarnation.
+			target = p.target
+			if ev.Delay > 0 {
+				target = p.lastCrashRole
+			}
 		}
 		pid := target
 		if n := c.nodes[pid]; n == nil {

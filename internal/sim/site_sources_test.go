@@ -56,7 +56,7 @@ func TestCallsiteSourcesAgree(t *testing.T) {
 				}
 				_, outs[1], traces[1] = run(sim.NewScenarioPlan([]sim.FaultSpec{{
 					Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
-				}}, w.RestartRoles()))
+				}}, w.CrashTarget(), w.RestartRoles()))
 				if len(outs[1].FaultFirings) != 1 {
 					t.Fatalf("fault anchored at %s fired %d times, want 1", site, len(outs[1].FaultFirings))
 				}

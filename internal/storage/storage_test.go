@@ -149,7 +149,7 @@ func TestLocalFSIsPerMachine(t *testing.T) {
 
 func TestLocalFSSurvivesProcessCrash(t *testing.T) {
 	lfs := storage.NewLocalFS()
-	plan := sim.NewObservationPlan("srv", 60, map[string]int64{"srv": 40})
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 60}}, "srv", map[string]int64{"srv": 40})
 	c := sim.NewCluster(sim.Config{Seed: 1, Plan: plan})
 	var recovered string
 	c.StartProcess("srv", "m0", func(ctx *sim.Context) {
@@ -302,7 +302,7 @@ func TestKVChildWatch(t *testing.T) {
 }
 
 func TestKVEphemeralExpiry(t *testing.T) {
-	plan := sim.NewObservationPlan("owner", 80, nil)
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 80}}, "owner", nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, Plan: plan})
 	kv := storage.NewKV(c)
 	kv.SetSessionExpiryDelay(120)

@@ -32,9 +32,14 @@ func (t *Trace) Save(path string) error {
 
 // Load reads a trace written by Save.
 func Load(path string) (*Trace, error) {
-	src, err := Open(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: open: %w", err)
+	}
+	defer f.Close()
+	src, err := NewSource(f)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
 	return src.Drain()
 }

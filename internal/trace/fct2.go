@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -156,7 +155,7 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 // decodeState is the per-stream machinery of a decode, recycled through
 // decodePool: the reader the magic is peeked through (and the inflater then
 // pulls bytes from), the inflater, the decoder's byte window and the scratch
-// it stages lists and strings in. A source borrows one in newSource and
+// it stages lists and strings in. A source borrows one in NewSource and
 // returns it exactly once, in Close, dropping its own references first —
 // nothing a source hands out (records, Taint/Ctl lists, symbols) points into
 // it.
@@ -179,25 +178,18 @@ func (st *decodeState) release() {
 
 var errSourceClosed = errors.New("trace: source is closed")
 
-// Source is the FCT2 decoder: a saved trace being read back. Each Next call
-// decodes sections up to and including one record chunk, appends the chunk
-// to the trace and returns it; io.EOF follows the last chunk, and a wrapped,
-// position-bearing error (repeated by every later call) a truncated or
-// corrupt stream. Trace() is the trace being filled — its tables and PID
-// list cover every record decoded so far, its crash metadata is complete by
-// io.EOF. Single-use and not safe for concurrent use; a source that is never
-// closed is simply not recycled.
+// Source is the FCT2 decoder: a saved trace being read back. Drain decodes
+// it whole; a truncated or corrupt stream yields a wrapped, position-bearing
+// error. Single-use and not safe for concurrent use; a source that is never
+// drained or closed is simply not recycled.
 type Source struct {
 	t  *Trace
 	d  colDecoder
 	st *decodeState // nil once closed
-	rc io.Closer    // underlying file, when opened from a path
 
-	recHint  int // the header's record total (clamped), 0 if it gave none
-	prevTS   int64
-	sawMeta  bool
-	done     bool
-	firstErr error
+	recHint int // the header's record total (clamped), 0 if it gave none
+	prevTS  int64
+	sawMeta bool
 }
 
 // newFCT2Source starts decoding the gzip stream behind st.br; on error the
@@ -235,35 +227,23 @@ func newFCT2Source(st *decodeState) (*Source, error) {
 	return s, nil
 }
 
-// Trace returns the trace the source fills as it is read.
-func (s *Source) Trace() *Trace { return s.t }
-
 // fail wraps a section decode error with the stream position. A plain EOF
 // mid-section is a truncation, not a clean end.
 func (s *Source) fail(section string, err error) error {
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	werr := fmt.Errorf("trace: fct2 %s section at decompressed offset %d (%d records decoded): %w",
+	return fmt.Errorf("trace: fct2 %s section at decompressed offset %d (%d records decoded): %w",
 		section, s.d.pos(), len(s.t.Records), err)
-	if s.firstErr == nil {
-		s.firstErr = werr
-	}
-	return werr
 }
 
-// Next decodes up to and including the next record chunk and returns it (a
-// slice of the trace's Records).
-func (s *Source) Next() ([]Record, error) {
-	if s.firstErr != nil {
-		return nil, s.firstErr
-	}
-	if s.done {
-		return nil, io.EOF
-	}
+// Drain decodes the rest of the stream, closes the source and returns the
+// complete trace.
+func (s *Source) Drain() (*Trace, error) {
 	if s.st == nil {
 		return nil, errSourceClosed
 	}
+	defer s.Close()
 	for {
 		tag := s.d.uvarint()
 		if s.d.err != nil {
@@ -306,7 +286,9 @@ func (s *Source) Next() ([]Record, error) {
 			if n > fct2ChunkCap {
 				return nil, s.fail("records", fmt.Errorf("chunk of %d records exceeds cap %d", n, fct2ChunkCap))
 			}
-			return s.decodeChunk(int(n))
+			if err := s.decodeChunk(int(n)); err != nil {
+				return nil, err
+			}
 		case secMeta:
 			s.t.CrashStep = s.d.varint()
 			s.t.CrashedPID = s.d.str()
@@ -332,8 +314,7 @@ func (s *Source) Next() ([]Record, error) {
 			if err := s.d.drain(); err != nil {
 				return nil, s.fail("end", err)
 			}
-			s.done = true
-			return nil, io.EOF
+			return s.t, nil
 		default:
 			return nil, s.fail("tag", fmt.Errorf("unknown section tag %d", tag))
 		}
@@ -343,9 +324,8 @@ func (s *Source) Next() ([]Record, error) {
 // decodeChunk decodes one chunk of n records onto the end of the trace.
 // Every table index and op reference in it is range-checked as it is read
 // (colDecoder.ref), so consumers may index dense per-Sym and per-op tables
-// with a decoded record's fields without checking again. A chunk that fails
-// part-way leaves the trace as it was before the chunk.
-func (s *Source) decodeChunk(n int) ([]Record, error) {
+// with a decoded record's fields without checking again.
+func (s *Source) decodeChunk(n int) error {
 	base := len(s.t.Records)
 	if base == 0 && cap(s.t.Records) < s.recHint {
 		s.t.Records = make([]Record, 0, s.recHint)
@@ -360,27 +340,13 @@ func (s *Source) decodeChunk(n int) ([]Record, error) {
 	s.d.maxOp = uint64(base + n)
 	if err := decodeRecColumns(&s.d, rs, &s.prevTS); err != nil {
 		s.t.Records = s.t.Records[:base]
-		return nil, s.fail("records", err)
+		return s.fail("records", err)
 	}
-	return rs, nil
+	return nil
 }
 
-// Drain decodes the rest of the stream, closes the source and returns the
-// complete trace.
-func (s *Source) Drain() (*Trace, error) {
-	defer s.Close()
-	for {
-		if _, err := s.Next(); err == io.EOF {
-			return s.t, nil
-		} else if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// Close returns the decode state to the pool and closes the underlying file,
-// if the source opened one. Afterwards the source holds no reference to the
-// pooled state and Next fails.
+// Close returns the decode state to the pool. Afterwards the source holds no
+// reference to the pooled state and Drain fails.
 func (s *Source) Close() error {
 	st := s.st
 	if st == nil {
@@ -390,11 +356,6 @@ func (s *Source) Close() error {
 	s.st, s.d.r, s.d.win, s.d.ids, s.d.lens, s.d.text = nil, nil, nil, nil, nil, nil
 	err := st.zr.Close()
 	st.release()
-	if s.rc != nil {
-		if cerr := s.rc.Close(); err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
@@ -512,26 +473,8 @@ func decodeRecColumns(d *colDecoder, rs []Record, prevTS *int64) error {
 	return d.err
 }
 
-// Open opens an FCT2 trace file for decoding; Close closes the file.
-func Open(path string) (*Source, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open: %w", err)
-	}
-	src, err := newSource(f, f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return src, nil
-}
-
 // NewSource starts decoding the FCT2 stream r holds.
 func NewSource(r io.Reader) (*Source, error) {
-	return newSource(r, nil)
-}
-
-func newSource(r io.Reader, closer io.Closer) (*Source, error) {
 	st := decodePool.Get().(*decodeState)
 	st.br.Reset(r)
 	head, err := st.br.Peek(len(FormatMagic))
@@ -548,6 +491,5 @@ func newSource(r io.Reader, closer io.Closer) (*Source, error) {
 		st.release()
 		return nil, err
 	}
-	s.rc = closer
 	return s, nil
 }

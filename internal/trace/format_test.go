@@ -265,7 +265,7 @@ func TestRetiredFormatsFailClosed(t *testing.T) {
 		entries := map[string]func() error{
 			"Decode":    func() error { _, err := trace.Decode(bytes.NewReader(raw)); return err },
 			"NewSource": func() error { _, err := trace.NewSource(bytes.NewReader(raw)); return err },
-			"Open":      func() error { _, err := trace.Open(path); return err },
+			"Load":      func() error { _, err := trace.Load(path); return err },
 		}
 		for entry, call := range entries {
 			var before, after runtime.MemStats

@@ -146,7 +146,7 @@ func TestDecodeStateRecycledSafely(t *testing.T) {
 }
 
 // TestSourceFailsClosedAfterClose: Close hands the decode state back, so a
-// later Next must not touch it.
+// later Drain must not touch it.
 func TestSourceFailsClosedAfterClose(t *testing.T) {
 	raw := encode(t, randomTrace(3, 100))
 	src, err := trace.NewSource(bytes.NewReader(raw))
@@ -159,8 +159,8 @@ func TestSourceFailsClosedAfterClose(t *testing.T) {
 	if err := src.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if win, err := src.Next(); err == nil || win != nil {
-		t.Fatalf("Next after Close = (%d records, %v), want an error", len(win), err)
+	if tr, err := src.Drain(); err == nil || tr != nil {
+		t.Fatalf("Drain after Close = (%v, %v), want an error", tr, err)
 	}
 }
 

@@ -235,9 +235,9 @@ func TestFCT2RejectsCorruptSections(t *testing.T) {
 	}
 }
 
-// TestSourceErrorIsSticky: after a decode error, further Next calls return
-// the same error instead of silently resuming mid-stream.
-func TestSourceErrorIsSticky(t *testing.T) {
+// TestSourceTruncationIsUnexpectedEOF: a stream cut mid-section drains to
+// an error wrapping io.ErrUnexpectedEOF, never to a clean, short trace.
+func TestSourceTruncationIsUnexpectedEOF(t *testing.T) {
 	tr := randomTrace(6, 50)
 	var buf bytes.Buffer
 	if err := trace.EncodeChunked(tr, &buf, 7); err != nil {
@@ -262,18 +262,11 @@ func TestSourceErrorIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-	var firstErr error
-	for firstErr == nil {
-		_, firstErr = src.Next()
+	got, err := src.Drain()
+	if err == nil {
+		t.Fatalf("truncated stream drained to a clean trace of %d records", len(got.Records))
 	}
-	if firstErr == io.EOF {
-		t.Fatal("truncated stream drained to clean EOF")
-	}
-	if !errors.Is(firstErr, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncation error = %v, want io.ErrUnexpectedEOF in chain", firstErr)
-	}
-	if _, err := src.Next(); err != firstErr {
-		t.Fatalf("error not sticky: %v then %v", firstErr, err)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncation error = %v, want io.ErrUnexpectedEOF in chain", err)
 	}
 }

@@ -47,7 +47,7 @@ func TestTriggerReplaysEarlierWindows(t *testing.T) {
 				got := outs[i]
 				cfg := sim.Config{
 					Seed: opts.Seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective),
-					Plan: sim.NewScenarioPlan(fcatch.TriggerScenario(rep, res.Windows), w.RestartRoles()),
+					Plan: sim.NewScenarioPlan(fcatch.TriggerScenario(rep, res.Windows), w.CrashTarget(), w.RestartRoles()),
 				}
 				_, out := core.Run(w, cfg)
 				want := ""
