@@ -30,18 +30,13 @@ func replayOutcome(tg *Triggerer, events []sim.FaultSpec, restart map[string]int
 	return out, cls, kind
 }
 
-// withoutStallRule makes tg's replays run under the workload's clock budget
-// alone and returns the StallPicks they would have run under.
+// withoutStallRule makes tg's replays run without the stall rule, under the
+// workload's clock budget and the simulator's quiescence rule, and returns
+// the StallPicks they would have run under.
 func withoutStallRule(tg *Triggerer) (stallPicks int64) {
 	tg.replayConfig(nil, nil) // measure the fault-free run
 	stallPicks, tg.stallPicks = tg.stallPicks, 0
 	return stallPicks
-}
-
-// cutByStall reports whether the stall rule ended a run made under
-// stallPicks.
-func cutByStall(out *sim.Outcome, stallPicks int64) bool {
-	return out.StepBudgetHit && out.LongestStall > stallPicks
 }
 
 // budgetAttempt is one replay a trigger path makes: its scenario, restart
@@ -155,7 +150,7 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 			_, fCls, fKind := replayOutcome(free, a.events, a.restart, a.readSite)
 			pt := tl.paths[a.path]
 			pt.attempts++
-			if cutByStall(sOut, stallPicks) {
+			if sOut.Stop == sim.StopStall {
 				pt.stalled++
 			}
 			at := fmt.Sprintf("%s seed %d %s %s", w.Name(), seed, a.path, a.label)
@@ -201,8 +196,9 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 // TestStallStopsHungReplay replays a CA1&2 attempt that hangs — the kernel
 // drops cass2's second message at node.go:104, and the gossip, dispatcher
 // and heartbeat daemons keep the scheduler busy — and checks that the stall
-// rule stops the replay well before the clock budget it runs to without the
-// rule.
+// rule stops the replay before the 50 000-tick clock budget. Without the
+// stall rule the same replay is quiescent (every non-daemon thread waits on
+// a latch while only daemons tick), so the quiescence rule ends it, later.
 func TestStallStopsHungReplay(t *testing.T) {
 	events, err := sim.ParseScenario("site=apps/cassandra/node.go:104,occ=2,when=before,action=kernel-drop")
 	if err != nil {
@@ -214,16 +210,17 @@ func TestStallStopsHungReplay(t *testing.T) {
 	if out.FailureKind() != "hang" {
 		t.Fatalf("replay under the stall rule ends in %q, want hang", out.FailureKind())
 	}
-	if stallPicks <= 0 || !cutByStall(out, stallPicks) || out.Steps >= 50_000 {
-		t.Fatalf("replay under the stall rule: StepBudgetHit=%v Picks=%d LongestStall=%d (StallPicks %d) Steps=%d, want a stall cut before the 50 000-tick clock budget",
-			out.StepBudgetHit, out.Picks, out.LongestStall, stallPicks, out.Steps)
+	if stallPicks <= 0 || out.Stop != sim.StopStall || out.Steps >= 50_000 {
+		t.Fatalf("replay under the stall rule: Stop=%q Picks=%d LongestStall=%d (StallPicks %d) Steps=%d, want a stall cut before the 50 000-tick clock budget",
+			out.Stop, out.Picks, out.LongestStall, stallPicks, out.Steps)
 	}
 	t.Logf("cut by the stall rule after %d picks (StallPicks %d)", out.Picks, stallPicks)
 
 	withoutStallRule(tg)
 	free, _, _ := replayOutcome(tg, events, nil, "")
-	if !free.StepBudgetHit || free.Steps < 50_000 || free.Picks <= out.Picks {
-		t.Fatalf("replay under the clock budget alone: StepBudgetHit=%v Steps=%d Picks=%d, want the clock budget after more than %d picks",
-			free.StepBudgetHit, free.Steps, free.Picks, out.Picks)
+	if free.FailureKind() != "hang" || free.Stop != sim.StopQuiescent || free.Picks <= out.Picks {
+		t.Fatalf("replay without the stall rule: %q, Stop=%q Steps=%d Picks=%d, want a quiescent hang after more than %d picks",
+			free.FailureKind(), free.Stop, free.Steps, free.Picks, out.Picks)
 	}
+	t.Logf("ended quiescent after %d picks without the stall rule", free.Picks)
 }

@@ -26,9 +26,12 @@ const (
 
 // Config parameterizes a cluster run.
 type Config struct {
-	Seed     int64
-	Tracing  TracingMode
-	MaxSteps int64 // step budget; exceeding it marks the run hung
+	Seed    int64
+	Tracing TracingMode
+	// MaxSteps is the clock budget: a run whose clock reaches it is hung. A
+	// run is hung sooner once it has been quiescent for MaxSteps/quietShare
+	// picks (see quietShare).
+	MaxSteps int64
 
 	// StallPicks, when >0, is the stall rule: the run is hung once the
 	// scheduler has resumed threads that many times (Outcome.Picks) since a
@@ -72,6 +75,24 @@ type Config struct {
 // DefaultMaxSteps bounds runs that hang.
 const DefaultMaxSteps = 400_000
 
+// quietShare sizes the quiescence rule: a run in which every live non-daemon
+// thread waits on a latch with no timeout, no restart is armed and every
+// fault event has fired can only be changed by its daemons, and it is hung
+// once it stays so for MaxSteps/quietShare picks. The longest quiescent
+// stretch of a run that went on to finish is under 2 % of its MaxSteps
+// (DESIGN.md §11, "Quiescent runs"). A variable only so that tests can turn
+// the rule off (0) and compare.
+var quietShare int64 = 5
+
+// Why a run ended (Outcome.Stop).
+const (
+	StopDone      = "done"      // every non-daemon thread finished
+	StopDeadlock  = "deadlock"  // nothing could run and no timer was armed
+	StopBudget    = "budget"    // the clock reached MaxSteps
+	StopStall     = "stall"     // StallPicks picks passed with no new site
+	StopQuiescent = "quiescent" // MaxSteps/quietShare picks in which only daemons could act
+)
+
 // Cluster is one simulated distributed system instance. Only Run's loop and
 // the threads it resumes, one at a time, mutate it, so it needs no locking.
 type Cluster struct {
@@ -91,6 +112,8 @@ type Cluster struct {
 	curThread     *Thread   // the thread running this step (nil between steps)
 	runScratch    []*Thread // reusable runnable-scan buffer
 	liveNonDaemon int       // non-daemon threads still alive (workloadDone is O(1))
+	waiting       int       // non-daemon threads blocked in an untimed Cond wait
+	quietSince    int64     // Outcome.Picks when the run last became quiescent; -1 while it is not
 	fnTimers      int       // armed scheduler-callback timers
 	deadThreads   int       // finished threads still on the scan list
 
@@ -118,7 +141,6 @@ type Cluster struct {
 	// Stall rule bookkeeping, kept only when cfg.StallPicks > 0.
 	siteSeen     []bool // SiteID -> a non-daemon thread has executed an op there
 	lastProgress int64  // Outcome.Picks when a non-daemon thread last reached a new site
-	stalled      bool   // the run ended by the stall rule
 
 	// Pre-interned fixed sites (pseudo-sites that are not source positions).
 	sitePlan          SiteID // "plan"
@@ -157,6 +179,7 @@ func NewCluster(cfg Config) *Cluster {
 		convictSubs:    make(map[string][]string),
 		recoveryLabels: make(map[string]bool),
 		pendingPlan:    cfg.Plan,
+		quietSince:     -1,
 	}
 	c.siteIdx[""] = NoSite
 	c.sitePlan = c.internSite("plan")
@@ -317,10 +340,10 @@ func (c *Cluster) RestartRole(role string, causor trace.OpID) string {
 
 // Outcome summarizes a finished run.
 type Outcome struct {
-	Completed     bool  // every non-daemon thread finished
-	StepBudgetHit bool  // the run hit the clock budget (MaxSteps) or stalled (StallPicks)
-	Steps         int64 // simulated time at the end, timer jumps included
-	Picks         int64 // scheduler work: thread resumes made by the run
+	Completed bool   // every non-daemon thread finished
+	Stop      string // the rule that ended the run: StopDone, StopDeadlock, StopBudget, StopStall or StopQuiescent
+	Steps     int64  // simulated time at the end, timer jumps included
+	Picks     int64  // scheduler work: thread resumes made by the run
 	// LongestStall is the most picks the run went without a non-daemon
 	// thread reaching a new op site (measured only under the stall rule).
 	LongestStall int64

@@ -121,6 +121,9 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	cv.waiters = append(cv.waiters, t)
 	if timeout > 0 {
 		ctx.c.addTimedWaitTimer(ctx.c.clock+timeout, t)
+	} else if !t.daemon {
+		t.waiting = true
+		ctx.c.waiting++
 	}
 	msg := t.block("wait:", cv.name, site)
 	if msg.timedOut {

@@ -97,7 +97,7 @@ func TestOutcomeFailureKinds(t *testing.T) {
 		{sim.Outcome{Completed: true, UncaughtExceptions: []string{"x"}}, "exception"},
 		{sim.Outcome{Completed: true, FatalLogs: []string{"x"}}, "fatal"},
 		{sim.Outcome{Completed: false}, "hang"},
-		{sim.Outcome{Completed: false, StepBudgetHit: true}, "hang"},
+		{sim.Outcome{Completed: false, Stop: sim.StopBudget}, "hang"},
 	}
 	for i, cse := range cases {
 		if got := cse.out.FailureKind(); got != cse.want {

@@ -26,3 +26,12 @@ func LiveThreads(c *Cluster) int {
 	}
 	return n
 }
+
+// SetQuietShare sets the quiescence rule's share of MaxSteps (0 turns the
+// rule off) until the returned function is called. Not safe while clusters
+// run on other goroutines.
+func SetQuietShare(share int64) (restore func()) {
+	prev := quietShare
+	quietShare = share
+	return func() { quietShare = prev }
+}

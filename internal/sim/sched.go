@@ -202,9 +202,22 @@ func (c *Cluster) compactThreads() {
 	c.deadThreads = 0
 }
 
+// quiescent reports whether only daemons can change the run: every live
+// non-daemon thread waits on a latch with no timeout, no restart is armed and
+// every fault event has fired. A Sleep, a WaitTimeout or a SyncLoop poller
+// has a timer that will wake it, so such a thread keeps the run from being
+// quiescent. Both counts are kept incrementally, so the check is O(1).
+func (c *Cluster) quiescent() bool {
+	if c.waiting != c.liveNonDaemon || c.fnTimers != 0 {
+		return false
+	}
+	p := c.pendingPlan
+	return p == nil || p.sitePending == 0 && p.stepPending == 0
+}
+
 // step runs one scheduler step: the step-boundary work, then the pick, and
 // then the picked thread until its next pause. It returns false when the run
-// is over (workload complete, deadlock, clock budget or stall).
+// is over, with Outcome.Stop naming the rule that ended it.
 //
 // The sequencing is fixed, and every trace depends on it: the due timers
 // fire, then the plan's step events are applied (a crash kills its victims
@@ -219,7 +232,7 @@ func (c *Cluster) step() bool {
 	for {
 		c.applyPlanAtStep()
 		if c.workloadDone() {
-			c.out.Completed = true
+			c.out.Completed, c.out.Stop = true, StopDone
 			return false
 		}
 		runnable := c.runnable()
@@ -227,15 +240,27 @@ func (c *Cluster) step() bool {
 			if c.advanceToNextTimer() {
 				continue
 			}
-			return false // deadlock: blocked non-daemon threads remain
+			c.out.Stop = StopDeadlock // blocked non-daemon threads remain
+			return false
 		}
 		if c.clock >= c.cfg.MaxSteps {
-			c.out.StepBudgetHit = true
+			c.out.Stop = StopBudget
 			return false
 		}
 		if c.cfg.StallPicks > 0 && c.out.Picks-c.lastProgress > c.cfg.StallPicks {
-			c.out.StepBudgetHit, c.stalled = true, true
+			c.out.Stop = StopStall
 			return false
+		}
+		if quietShare > 0 && c.quiescent() {
+			if c.quietSince < 0 {
+				c.quietSince = c.out.Picks
+			}
+			if c.out.Picks-c.quietSince >= c.cfg.MaxSteps/quietShare {
+				c.out.Stop = StopQuiescent
+				return false
+			}
+		} else {
+			c.quietSince = -1
 		}
 		t := runnable[c.rng.Intn(len(runnable))]
 		c.clock++
@@ -255,10 +280,10 @@ func (c *Cluster) endStretch() {
 }
 
 // Run executes the cluster to completion: until the workload finishes, the
-// system deadlocks, the clock budget is exhausted or the run stalls, and
-// returns the outcome (the trace, if enabled, via Trace()). A thread panic
-// that is not an app exception propagates out of Run and abandons every live
-// thread's carrier.
+// system deadlocks, or a hang rule (clock budget, stall, quiescence) cuts the
+// run, and returns the outcome (the trace, if enabled, via Trace()). A thread
+// panic that is not an app exception propagates out of Run and abandons every
+// live thread's carrier.
 func (c *Cluster) Run() *Outcome {
 	if c.running {
 		panic("sim: cluster already ran")
@@ -279,7 +304,7 @@ func (c *Cluster) Run() *Outcome {
 			reason := t.blockReason + t.blockObject
 			if t.state == tsRunnable {
 				reason = "live (budget exhausted)"
-				if c.stalled {
+				if c.out.Stop == StopStall {
 					reason = "live (stalled)"
 				}
 			}

@@ -95,7 +95,7 @@ func TestStepBudget(t *testing.T) {
 			ctx.Yield()
 		}
 	})
-	if out.Completed || !out.StepBudgetHit {
+	if out.Completed || out.Stop != sim.StopBudget {
 		t.Fatalf("budget not enforced: %+v", out)
 	}
 }
@@ -123,8 +123,12 @@ func TestStallRuleCutsLoopOverSeenSites(t *testing.T) {
 				ctx.Yield()
 			}
 		})
-		if out.Completed || !out.StepBudgetHit || len(out.Hung) != 1 {
-			t.Fatalf("StallPicks %d: Completed=%v StepBudgetHit=%v Hung=%+v, want one hung thread", stallPicks, out.Completed, out.StepBudgetHit, out.Hung)
+		want := sim.StopStall
+		if stallPicks == 0 {
+			want = sim.StopBudget
+		}
+		if out.Completed || out.Stop != want || len(out.Hung) != 1 {
+			t.Fatalf("StallPicks %d: Completed=%v Stop=%q Hung=%+v, want one hung thread and stop %q", stallPicks, out.Completed, out.Stop, out.Hung, want)
 		}
 		if stallPicks == 0 {
 			if out.Steps < maxSteps || out.Hung[0].Reason != "live (budget exhausted)" {
@@ -136,6 +140,127 @@ func TestStallRuleCutsLoopOverSeenSites(t *testing.T) {
 			t.Fatalf("stall rule: cut at pick %d, last new site at tick %d, LongestStall %d, reason %q; want a cut %d picks after the last new site",
 				out.Picks, lastNew, out.LongestStall, out.Hung[0].Reason, stallPicks+1)
 		}
+	}
+}
+
+// TestQuiescenceRule: main waits on a latch while a daemon sleeps in a loop.
+// Once every live non-daemon thread waits on a latch with no timeout, no
+// restart is armed and every fault event has fired, only daemons can act, and
+// the run is hung after exactly MaxSteps/5 such picks. A thread with a timer
+// that will wake it (WaitTimeout, Sleep, a SyncLoop poller), a pending
+// restart or an unfired fault event keeps the run on its clock budget.
+func TestQuiescenceRule(t *testing.T) {
+	const budget = 5_000
+	// quiet counts the daemon's wakeups while main is blocked in an untimed
+	// wait: during quiescence every pick is one.
+	type quiet struct {
+		blocked bool
+		picks   int
+	}
+	untimedOn := func(name string) func(*sim.Context, *sim.Cond, *quiet) {
+		return func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			if name != "latch" {
+				latch = ctx.NewCond(name)
+			}
+			q.blocked, q.picks = true, 0
+			_, _ = latch.Wait(ctx)
+			q.blocked = false
+		}
+	}
+	untimed := untimedOn("latch")
+	victim := func(c *sim.Cluster) {
+		c.StartProcess("victim", "m1", func(ctx *sim.Context) {
+			for {
+				ctx.Sleep(1)
+			}
+		})
+	}
+	cases := []struct {
+		name     string
+		wait     func(ctx *sim.Context, latch *sim.Cond, q *quiet)
+		signalAt int // the daemon's loop iteration that signals the latch (0: none)
+		plan     func() *sim.FaultPlan
+		boot     func(c *sim.Cluster)
+		stop     string
+		reason   string // the hung main thread's reason ("" when the run completes)
+	}{
+		{name: "latch never signalled", wait: untimed, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "daemon signals in time", wait: untimed, signalAt: budget/5 - 50, stop: sim.StopDone},
+		{name: "quiescent again after a signal", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			untimed(ctx, latch, q)
+			untimedOn("again")(ctx, latch, q)
+		}, signalAt: budget/5 - 50, stop: sim.StopQuiescent, reason: "wait:again"},
+		{name: "a daemon waits too", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			ctx.GoDaemon("idle", func(ctx *sim.Context) { _, _ = ctx.NewCond("idle").Wait(ctx) })
+			ctx.Sleep(10) // the daemon blocks first
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "WaitTimeout waiter", wait: func(ctx *sim.Context, latch *sim.Cond, _ *quiet) {
+			_, _ = latch.WaitTimeout(ctx, 2*budget)
+		}, stop: sim.StopBudget, reason: "wait:latch"},
+		{name: "Sleep waiter", wait: func(ctx *sim.Context, _ *sim.Cond, _ *quiet) {
+			ctx.Sleep(2 * budget)
+		}, stop: sim.StopBudget, reason: "sleep"},
+		{name: "SyncLoop poller", wait: func(ctx *sim.Context, _ *sim.Cond, _ *quiet) {
+			ctx.SyncLoop(sim.LoopOpts{Name: "poll", SleepTicks: 2 * budget}, func(*sim.Context) sim.Value { return sim.V(false) })
+		}, stop: sim.StopBudget, reason: "loop:poll"},
+		{name: "restart pending", wait: untimed, boot: victim, plan: func() *sim.FaultPlan {
+			return sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 20, Target: "victim"}}, "", map[string]int64{"victim": 1 << 40})
+		}, stop: sim.StopBudget, reason: "wait:latch"},
+		{name: "site fault unfired", wait: untimed, plan: func() *sim.FaultPlan {
+			return sim.NewScenarioPlan([]sim.FaultSpec{{Site: "nowhere.go:1"}}, "", nil)
+		}, stop: sim.StopBudget, reason: "wait:latch"},
+		{name: "step fault unfired", wait: untimed, plan: func() *sim.FaultPlan {
+			return sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 2 * budget, Target: "node"}}, "", nil)
+		}, stop: sim.StopBudget, reason: "wait:latch"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.Config{Seed: 1, MaxSteps: budget}
+			if tc.plan != nil {
+				cfg.Plan = tc.plan()
+			}
+			c := sim.NewCluster(cfg)
+			var q quiet
+			c.StartProcess("node", "m0", func(ctx *sim.Context) {
+				latch := ctx.NewCond("latch")
+				// The daemon sleeps past main's first wait, and again after it
+				// signals, so main blocks while no other thread is runnable:
+				// each of the daemon's later wakeups is one quiescent pick.
+				ctx.GoDaemon("gossip", func(ctx *sim.Context) {
+					ctx.Sleep(100)
+					for i := 1; ; i++ {
+						if q.blocked {
+							q.picks++
+						}
+						nap := int64(1)
+						if i == tc.signalAt {
+							latch.Signal(ctx)
+							nap = 100
+						}
+						ctx.Sleep(nap)
+					}
+				})
+				ctx.Sleep(50)
+				tc.wait(ctx, latch, &q)
+			})
+			if tc.boot != nil {
+				tc.boot(c)
+			}
+			out := c.Run()
+			if out.Stop != tc.stop || out.Completed != (tc.stop == sim.StopDone) {
+				t.Fatalf("Stop=%q Completed=%v after %d picks (%d steps), want Stop %q", out.Stop, out.Completed, out.Picks, out.Steps, tc.stop)
+			}
+			if tc.reason == "" {
+				return
+			}
+			if len(out.Hung) != 1 || out.Hung[0].Name != "main" || out.Hung[0].Reason != tc.reason {
+				t.Fatalf("Hung=%+v, want main hung with reason %q", out.Hung, tc.reason)
+			}
+			if tc.stop == sim.StopQuiescent && q.picks != budget/5 {
+				t.Fatalf("cut after %d quiescent picks, want %d", q.picks, budget/5)
+			}
+		})
 	}
 }
 

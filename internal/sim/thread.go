@@ -61,6 +61,9 @@ type Thread struct {
 	blockReason string
 	blockObject string // what the thread waits on, appended to blockReason
 	blockToken  int64  // invalidates stale timed-wait timers
+	// waiting marks a non-daemon thread blocked in a Cond wait with no
+	// timeout: nothing but a signal wakes it (Cluster.waiting counts them).
+	waiting bool
 
 	// fn is the body; car, the carrier running it from first resume to finish.
 	fn  func(*Context)
@@ -164,6 +167,7 @@ func (t *Thread) run() {
 // finish emits the exit record and retires the thread.
 func (t *Thread) finish(c *Cluster, st threadState) {
 	t.state = st
+	t.stopWaiting(c)
 	if st == tsDone {
 		c.tracer.emit(t, opSpec{Kind: trace.KThreadExit})
 	}
@@ -276,6 +280,16 @@ func (t *Thread) wake(msg resumeMsg) {
 	}
 	t.state = tsRunnable
 	t.pendingWake = msg
+	t.stopWaiting(t.ctx.c)
+}
+
+// stopWaiting takes the thread out of the untimed waiters the quiescence rule
+// counts.
+func (t *Thread) stopWaiting(c *Cluster) {
+	if t.waiting {
+		t.waiting = false
+		c.waiting--
+	}
 }
 
 // alive reports whether the thread can still run.

@@ -7,16 +7,22 @@
 # that repeat to 0.02 % between runs — exceed their ceilings, so the gate
 # trips on a lost optimisation, not on a Go patch release:
 #
-#   campaign, dist, evaluation, predict — 1 % over the medians measured once
-#     runs that keep no trace stopped building what only a trace reads
-#     (folds take simulator facts, dependence-free folds number no ops and
-#     merge no taint, heap and cond names are built at the first kept emit):
-#     campaign 9 770 KB / 174 202 mallocs per op, dist 9 877 KB / 175 579,
+#   campaign, dist — 1 % over the medians measured once the simulator ended
+#     quiescent runs (every non-daemon thread waiting on a latch with no
+#     timeout while only daemons tick) at a fifth of their clock budget:
+#     campaign 9 532 KB / 150 433 mallocs per op, dist 9 640 KB / 151 813;
+#     each ceiling is below the value before that change (campaign
+#     9 770 KB / 174 200, dist 9 878 / 175 578). dist runs the same campaign
+#     runs through the coordinator, so its counts are campaign's plus the
+#     wire's.
+#   evaluation, predict — 1 % over the medians measured once runs that keep
+#     no trace stopped building what only a trace reads (folds take
+#     simulator facts, dependence-free folds number no ops and merge no
+#     taint, heap and cond names are built at the first kept emit):
 #     evaluation 3 628 KB / 34 316, predict 1 602 KB / 5 232; each ceiling is
-#     below the value before that change (campaign 14 310 KB / 225 917, dist
-#     14 425 / 227 317, evaluation 4 086 / 35 905, predict 1 604 / 5 243).
-#     dist runs the same campaign runs through the coordinator, so its counts
-#     are campaign's plus the wire's.
+#     below the value before that change (evaluation 4 086 / 35 905, predict
+#     1 604 / 5 243). The quiescence rule leaves both unchanged: trigger
+#     replays are cut by the stall rule first.
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -47,8 +53,8 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   9868  175944 || fail=1
-gate dist       9976  177335 || fail=1
+gate campaign   9628  151938 || fail=1
+gate dist       9737  153332 || fail=1
 gate evaluation 3664  34659  || fail=1
 gate offline    596   974    || fail=1
 gate predict    1618  5284   || fail=1
