@@ -82,16 +82,18 @@ func budgetAttempts(w core.Workload, res *core.Result) []budgetAttempt {
 	return out
 }
 
-// TestStallCutsOnlyHangs replays every trigger attempt under the stall rule
-// and under the clock budget alone: the six workloads' default single-fault
-// observations, MR1's crash+recovery-crash and HB1's crash+drop composite
-// observations (compound_test.go's), and a two-crash observation of CA1&2
-// and ZK. Later-window reports replay their prefix faults; compound reports
-// replay every recovery-policy variant TriggerCompound tries. The two must
-// agree on every verdict and failure kind, every path must see the rule cut
-// a hang, and no run that ends ok or check may go half its StallPicks
-// without a new site — the margin stallMultiple is chosen for is pinned
-// here, not assumed.
+// TestStallCutsOnlyHangs replays every trigger attempt with and without the
+// stall rule (the clock budget and the quiescence rule apply to both): the
+// six workloads' default single-fault observations, MR1's
+// crash+recovery-crash and HB1's crash+drop composite observations
+// (compound_test.go's), and a two-crash observation of CA1&2 and ZK.
+// Later-window reports replay their prefix faults; compound reports replay
+// every recovery-policy variant TriggerCompound tries. The two must agree on
+// every verdict and failure kind, every path must see the rule cut a hang,
+// and no run that ends ok or check may go half its StallPicks without a new
+// site, nor stay quiescent for half the quiescence budget the stall rule
+// gives it (StallPicks/3 when that is below MaxSteps/5) — the margins
+// stallMultiple and that budget are chosen for are pinned here, not assumed.
 func TestStallCutsOnlyHangs(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -128,6 +130,7 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 	type pathTally struct {
 		attempts, stalled int
 		worst             float64 // longest stretch without a new site in a run ending ok or check, in fault-free picks
+		worstQuiet        float64 // longest quiescent stretch in a run ending ok or check, in quiescence budgets
 	}
 	type tally struct {
 		paths map[string]pathTally
@@ -145,6 +148,9 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 		tl := tally{paths: map[string]pathTally{}}
 		ruled, free := NewTriggerer(w, seed), NewTriggerer(w, seed)
 		stallPicks := withoutStallRule(free)
+		ruledCfg := ruled.replayConfig(nil, nil)
+		w.Tune(&ruledCfg)
+		quietPicks := ruledCfg.QuietPicks()
 		for _, a := range budgetAttempts(w, res) {
 			sOut, sCls, sKind := replayOutcome(ruled, a.events, a.restart, a.readSite)
 			_, fCls, fKind := replayOutcome(free, a.events, a.restart, a.readSite)
@@ -155,12 +161,16 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 			}
 			at := fmt.Sprintf("%s seed %d %s %s", w.Name(), seed, a.path, a.label)
 			if sCls != fCls || sKind != fKind {
-				tl.errs = append(tl.errs, fmt.Sprintf("%s: stall rule %v %q, clock budget alone %v %q", at, sCls, sKind, fCls, fKind))
+				tl.errs = append(tl.errs, fmt.Sprintf("%s: stall rule %v %q, without it %v %q", at, sCls, sKind, fCls, fKind))
 			}
 			if k := sOut.FailureKind(); k == "ok" || k == "check" {
 				pt.worst = max(pt.worst, float64(sOut.LongestStall)*stallMultiple/float64(stallPicks))
 				if 2*sOut.LongestStall >= stallPicks {
 					tl.errs = append(tl.errs, fmt.Sprintf("%s: ends %s after %d picks without a new site, not below half of StallPicks %d", at, k, sOut.LongestStall, stallPicks))
+				}
+				pt.worstQuiet = max(pt.worstQuiet, float64(sOut.LongestQuiet)/float64(quietPicks))
+				if 2*sOut.LongestQuiet >= quietPicks {
+					tl.errs = append(tl.errs, fmt.Sprintf("%s: ends %s after %d quiescent picks, not below half of the quiescence budget %d", at, k, sOut.LongestQuiet, quietPicks))
 				}
 			}
 			tl.paths[a.path] = pt
@@ -177,6 +187,7 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 			sum.attempts += pt.attempts
 			sum.stalled += pt.stalled
 			sum.worst = max(sum.worst, pt.worst)
+			sum.worstQuiet = max(sum.worstQuiet, pt.worstQuiet)
 			total[p] = sum
 		}
 		for _, e := range tl.errs {
@@ -185,42 +196,62 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 	}
 	for _, p := range []string{"window-0", "later-window", "compound"} {
 		pt := total[p]
-		t.Logf("%s: %d attempts, %d cut by the stall rule; runs ending ok or check go at most %.3f× the fault-free picks without a new site",
-			p, pt.attempts, pt.stalled, pt.worst)
+		t.Logf("%s: %d attempts, %d cut by the stall rule; runs ending ok or check go at most %.3f× the fault-free picks without a new site and stay quiescent at most %.3f× the quiescence budget",
+			p, pt.attempts, pt.stalled, pt.worst, pt.worstQuiet)
 		if pt.stalled == 0 {
 			t.Errorf("no %s replay was cut by the stall rule: the comparison never saw a cut hang on that path", p)
 		}
 	}
 }
 
-// TestStallStopsHungReplay replays a CA1&2 attempt that hangs — the kernel
-// drops cass2's second message at node.go:104, and the gossip, dispatcher
-// and heartbeat daemons keep the scheduler busy — and checks that the stall
-// rule stops the replay before the 50 000-tick clock budget. Without the
-// stall rule the same replay is quiescent (every non-daemon thread waits on
-// a latch while only daemons tick), so the quiescence rule ends it, later.
+// TestStallStopsHungReplay replays two attempts that hang and checks which
+// rule stops each, well before the clock budget, with the verdict the replay
+// gets without the stall rule.
+//   - MR1, the kernel drops a task's RPC reply: rm#1/main sits in a timed
+//     job-finished wait, so the run is never quiescent, and only the stall
+//     rule stops it (without it, the clock budget does).
+//   - CA1&2, the kernel drops cass2's second message at node.go:104: every
+//     non-daemon thread waits on a latch or polls while the gossip,
+//     dispatcher and heartbeat daemons keep the scheduler busy, so the run is
+//     quiescent, and under the stall rule the quiescence rule ends it after
+//     StallPicks/3 quiescent picks, before the stall rule would (without the
+//     stall rule it ends quiescent too, after MaxSteps/5).
 func TestStallStopsHungReplay(t *testing.T) {
-	events, err := sim.ParseScenario("site=apps/cassandra/node.go:104,occ=2,when=before,action=kernel-drop")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		w               func() core.Workload
+		scenario        string
+		stop, stopAlone string // Outcome.Stop with and without the stall rule
+	}{
+		{func() core.Workload { return mapreduce.NewMR1() }, "site=sim/rpc.go:reply-send,occ=28,when=before,action=kernel-drop",
+			sim.StopStall, sim.StopBudget},
+		{func() core.Workload { return cassandra.New() }, "site=apps/cassandra/node.go:104,occ=2,when=before,action=kernel-drop",
+			sim.StopQuiescent, sim.StopQuiescent},
 	}
-	tg := NewTriggerer(cassandra.New(), 1)
-	out, _, _ := replayOutcome(tg, events, nil, "")
-	stallPicks := tg.stallPicks
-	if out.FailureKind() != "hang" {
-		t.Fatalf("replay under the stall rule ends in %q, want hang", out.FailureKind())
-	}
-	if stallPicks <= 0 || out.Stop != sim.StopStall || out.Steps >= 50_000 {
-		t.Fatalf("replay under the stall rule: Stop=%q Picks=%d LongestStall=%d (StallPicks %d) Steps=%d, want a stall cut before the 50 000-tick clock budget",
-			out.Stop, out.Picks, out.LongestStall, stallPicks, out.Steps)
-	}
-	t.Logf("cut by the stall rule after %d picks (StallPicks %d)", out.Picks, stallPicks)
+	for _, tc := range cases {
+		w := tc.w()
+		events, err := sim.ParseScenario(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := NewTriggerer(w, 1)
+		out, cls, kind := replayOutcome(tg, events, nil, "")
+		cfg := tg.replayConfig(nil, nil)
+		w.Tune(&cfg)
+		if kind != "hang" || out.Stop != tc.stop || out.Steps >= cfg.MaxSteps {
+			t.Fatalf("%s %s under the stall rule: %q, Stop=%q Picks=%d LongestStall=%d LongestQuiet=%d (StallPicks %d) Steps=%d, want a hang stopped by %q before the %d-tick clock budget",
+				w.Name(), tc.scenario, kind, out.Stop, out.Picks, out.LongestStall, out.LongestQuiet, cfg.StallPicks, out.Steps, tc.stop, cfg.MaxSteps)
+		}
+		if tc.stop == sim.StopQuiescent && out.LongestQuiet != cfg.QuietPicks() {
+			t.Fatalf("%s %s: cut after %d quiescent picks, want StallPicks/3 = %d", w.Name(), tc.scenario, out.LongestQuiet, cfg.QuietPicks())
+		}
+		t.Logf("%s: stopped %s after %d picks (StallPicks %d)", w.Name(), out.Stop, out.Picks, cfg.StallPicks)
 
-	withoutStallRule(tg)
-	free, _, _ := replayOutcome(tg, events, nil, "")
-	if free.FailureKind() != "hang" || free.Stop != sim.StopQuiescent || free.Picks <= out.Picks {
-		t.Fatalf("replay without the stall rule: %q, Stop=%q Steps=%d Picks=%d, want a quiescent hang after more than %d picks",
-			free.FailureKind(), free.Stop, free.Steps, free.Picks, out.Picks)
+		withoutStallRule(tg)
+		alone, aloneCls, aloneKind := replayOutcome(tg, events, nil, "")
+		if aloneCls != cls || aloneKind != kind || alone.Stop != tc.stopAlone || alone.Picks <= out.Picks {
+			t.Fatalf("%s %s without the stall rule: %v %q, Stop=%q Steps=%d Picks=%d, want %v %q stopped by %q after more than %d picks",
+				w.Name(), tc.scenario, aloneCls, aloneKind, alone.Stop, alone.Steps, alone.Picks, cls, kind, tc.stopAlone, out.Picks)
+		}
+		t.Logf("%s: stopped %s after %d picks without the stall rule", w.Name(), alone.Stop, alone.Picks)
 	}
-	t.Logf("ended quiescent after %d picks without the stall rule", free.Picks)
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"cmp"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -19,14 +20,15 @@ import (
 // is in steady state. A cluster is single-use, so the test can't loop one op
 // under testing.AllocsPerRun; instead it runs two clusters whose op loop
 // differs only in how often it calls op and attributes the malloc delta to
-// the extra calls. cfg configures the clusters (seed and budget aside);
-// inHandler runs the loop inside an event handler, where selective tracing
-// records heap accesses. setup builds the cluster's substrates and returns
-// op.
+// the extra calls. cfg configures the clusters (seed aside; its MaxSteps is
+// the clock ticks one call may take, 4 if unset); inHandler runs the loop
+// inside an event handler, where selective tracing records heap accesses.
+// setup builds the cluster's substrates and returns op.
 func mallocsPerOp(cfg sim.Config, inHandler bool, setup func(c *sim.Cluster) func(ctx *sim.Context)) float64 {
+	perCall := cmp.Or(cfg.MaxSteps, 4)
 	mallocsFor := func(calls int) uint64 {
 		cfg := cfg
-		cfg.Seed, cfg.MaxSteps = 1, 4*int64(calls)+1_000
+		cfg.Seed, cfg.MaxSteps = 1, perCall*int64(calls)+1_000
 		if inHandler {
 			// main waits on a latch with no timeout while a daemon handler
 			// runs the loop, so the run is quiescent throughout, and the
@@ -121,6 +123,26 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// A poll iteration (the condition found false, the polling bit the
+	// quiescence rule counts, the sleep) allocates nothing: a sync loop that
+	// polls three times costs what one that polls once costs.
+	t.Run("SyncLoop poll", func(t *testing.T) {
+		loop := func(polls int) func(*sim.Cluster) func(*sim.Context) {
+			return func(*sim.Cluster) func(*sim.Context) {
+				return func(ctx *sim.Context) {
+					n := 0
+					ctx.SyncLoop(sim.LoopOpts{Name: "poll", SleepTicks: 1}, func(*sim.Context) sim.Value {
+						n++
+						return sim.V(n > polls)
+					})
+				}
+			}
+		}
+		cfg := sim.Config{MaxSteps: 16}
+		if perPoll := (mallocsPerOp(cfg, false, loop(3)) - mallocsPerOp(cfg, false, loop(1))) / 2; perPoll > 0.01 {
+			t.Fatalf("a poll iteration allocates %.4f mallocs with tracing off, want 0", perPoll)
+		}
+	})
 }
 
 // discard is a fold that reads no dependences and keeps nothing.

@@ -29,8 +29,7 @@ type Config struct {
 	Seed    int64
 	Tracing TracingMode
 	// MaxSteps is the clock budget: a run whose clock reaches it is hung. A
-	// run is hung sooner once it has been quiescent for MaxSteps/quietShare
-	// picks (see quietShare).
+	// run is hung sooner once it has been quiescent for QuietPicks() picks.
 	MaxSteps int64
 
 	// StallPicks, when >0, is the stall rule: the run is hung once the
@@ -76,13 +75,40 @@ type Config struct {
 const DefaultMaxSteps = 400_000
 
 // quietShare sizes the quiescence rule: a run in which every live non-daemon
-// thread waits on a latch with no timeout, no restart is armed and every
-// fault event has fired can only be changed by its daemons, and it is hung
-// once it stays so for MaxSteps/quietShare picks. The longest quiescent
-// stretch of a run that went on to finish is under 2 % of its MaxSteps
-// (DESIGN.md §11, "Quiescent runs"). A variable only so that tests can turn
-// the rule off (0) and compare.
+// thread waits on a latch with no timeout or polls in a sync loop, no restart
+// is armed and every fault event has fired can only be changed by its
+// daemons, and it is hung once it stays so for MaxSteps/quietShare picks. The
+// longest quiescent stretch of a run that went on to finish is under 2.5 %
+// of its MaxSteps (DESIGN.md §11, "Quiescent runs"). A variable only so that
+// tests can turn the rule off (0) and compare.
 var quietShare int64 = 5
+
+// quietStallShare sizes the quiescence rule under the stall rule: a trigger
+// replay is hung once it stays quiescent for StallPicks/quietStallShare
+// picks, if that is fewer than MaxSteps/quietShare. No replay of the six
+// workloads at seeds 1–10 that ends ok or check stays quiescent for more
+// than 0.483 of that budget, a 2.07× margin (the inject package's
+// TestStallCutsOnlyHangs fails at half).
+const quietStallShare = 3
+
+// QuietPicks is the quiescence rule's budget under cfg: the picks a
+// quiescent run may make before it is hung, MaxSteps/quietShare or, under the
+// stall rule, StallPicks/quietStallShare if that is fewer. 0 turns the rule
+// off.
+func (cfg Config) QuietPicks() int64 {
+	if quietShare == 0 {
+		return 0
+	}
+	maxSteps := cfg.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = DefaultMaxSteps
+	}
+	picks := maxSteps / quietShare
+	if cfg.StallPicks > 0 {
+		picks = min(picks, cfg.StallPicks/quietStallShare)
+	}
+	return picks
+}
 
 // Why a run ended (Outcome.Stop).
 const (
@@ -90,7 +116,7 @@ const (
 	StopDeadlock  = "deadlock"  // nothing could run and no timer was armed
 	StopBudget    = "budget"    // the clock reached MaxSteps
 	StopStall     = "stall"     // StallPicks picks passed with no new site
-	StopQuiescent = "quiescent" // MaxSteps/quietShare picks in which only daemons could act
+	StopQuiescent = "quiescent" // Config.QuietPicks() picks in which only daemons could act
 )
 
 // Cluster is one simulated distributed system instance. Only Run's loop and
@@ -112,7 +138,8 @@ type Cluster struct {
 	curThread     *Thread   // the thread running this step (nil between steps)
 	runScratch    []*Thread // reusable runnable-scan buffer
 	liveNonDaemon int       // non-daemon threads still alive (workloadDone is O(1))
-	waiting       int       // non-daemon threads blocked in an untimed Cond wait
+	waiting       int       // non-daemon threads blocked in an untimed Cond wait or polling
+	quietPicks    int64     // cfg.QuietPicks(): the quiescence rule's budget (0: off)
 	quietSince    int64     // Outcome.Picks when the run last became quiescent; -1 while it is not
 	fnTimers      int       // armed scheduler-callback timers
 	deadThreads   int       // finished threads still on the scan list
@@ -179,6 +206,7 @@ func NewCluster(cfg Config) *Cluster {
 		convictSubs:    make(map[string][]string),
 		recoveryLabels: make(map[string]bool),
 		pendingPlan:    cfg.Plan,
+		quietPicks:     cfg.QuietPicks(),
 		quietSince:     -1,
 	}
 	c.siteIdx[""] = NoSite
@@ -347,6 +375,9 @@ type Outcome struct {
 	// LongestStall is the most picks the run went without a non-daemon
 	// thread reaching a new op site (measured only under the stall rule).
 	LongestStall int64
+	// LongestQuiet is the most picks the run stayed quiescent (measured only
+	// while the quiescence rule is on).
+	LongestQuiet int64
 	Elapsed      time.Duration
 
 	Hung               []HangSite

@@ -121,7 +121,7 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	cv.waiters = append(cv.waiters, t)
 	if timeout > 0 {
 		ctx.c.addTimedWaitTimer(ctx.c.clock+timeout, t)
-	} else if !t.daemon {
+	} else if !t.daemon && !t.polling {
 		t.waiting = true
 		ctx.c.waiting++
 	}

@@ -35,3 +35,10 @@ func SetQuietShare(share int64) (restore func()) {
 	quietShare = share
 	return func() { quietShare = prev }
 }
+
+// ReachSite records, as the op pipeline does for every op, that ctx's thread
+// executes an op at the source position site: test files in this package
+// resolve to the substrate, so their own ops all share one site.
+func ReachSite(ctx *Context, site string) {
+	ctx.reached(ctx.c.internSite(site))
+}

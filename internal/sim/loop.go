@@ -44,17 +44,24 @@ func (ctx *Context) SyncLoop(opts LoopOpts, body func(*Context) Value) Value {
 	if likelySync {
 		ctx.Do(OpReq{Kind: trace.KLoopEnter, Aux: opts.Name}, nil)
 	}
-	prevLoop := ctx.t.loopName
-	ctx.t.loopName = opts.Name
-	defer func() { ctx.t.loopName = prevLoop }()
+	// A non-daemon thread polls once an iteration has found the condition
+	// false, until the loop returns: the quiescence rule counts it waiting.
+	t := ctx.t
+	poll := likelySync && !t.daemon
+	prevLoop, prevPolling := t.loopName, t.polling
+	t.loopName = opts.Name
+	defer func() {
+		t.loopName = prevLoop
+		t.setPolling(ctx.c, prevPolling)
+	}()
 	label := "loop:" + opts.Name
 	iters := 0
 	for {
 		var cond Value
 		func() {
-			depth := len(ctx.t.scopes)
-			ctx.t.pushScope(ctx.c, ctlFrame{label: label, loop: likelySync})
-			defer func() { ctx.t.popScopesTo(depth) }()
+			depth := len(t.scopes)
+			t.pushScope(ctx.c, ctlFrame{label: label, loop: likelySync})
+			defer func() { t.popScopesTo(depth) }()
 			cond = body(ctx)
 		}()
 		iters++
@@ -66,6 +73,9 @@ func (ctx *Context) SyncLoop(opts LoopOpts, body func(*Context) Value) Value {
 		}
 		if opts.Bounded && opts.MaxIters > 0 && iters >= opts.MaxIters {
 			return cond
+		}
+		if poll {
+			t.setPolling(ctx.c, true)
 		}
 		if opts.SleepTicks > 0 {
 			ctx.Sleep(opts.SleepTicks)

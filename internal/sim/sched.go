@@ -203,10 +203,12 @@ func (c *Cluster) compactThreads() {
 }
 
 // quiescent reports whether only daemons can change the run: every live
-// non-daemon thread waits on a latch with no timeout, no restart is armed and
-// every fault event has fired. A Sleep, a WaitTimeout or a SyncLoop poller
-// has a timer that will wake it, so such a thread keeps the run from being
-// quiescent. Both counts are kept incrementally, so the check is O(1).
+// non-daemon thread waits on a latch with no timeout or polls in a
+// likely-sync SyncLoop, no restart is armed and every fault event has fired.
+// A poller's timer only re-runs its condition, which stays false until
+// another thread writes; a Sleep or a WaitTimeout has a timer that will move
+// its thread on, so such a thread keeps the run from being quiescent. Both
+// counts are kept incrementally, so the check is O(1).
 func (c *Cluster) quiescent() bool {
 	if c.waiting != c.liveNonDaemon || c.fnTimers != 0 {
 		return false
@@ -251,16 +253,16 @@ func (c *Cluster) step() bool {
 			c.out.Stop = StopStall
 			return false
 		}
-		if quietShare > 0 && c.quiescent() {
+		if c.quietPicks > 0 && c.quiescent() {
 			if c.quietSince < 0 {
 				c.quietSince = c.out.Picks
 			}
-			if c.out.Picks-c.quietSince >= c.cfg.MaxSteps/quietShare {
+			if c.out.Picks-c.quietSince >= c.quietPicks {
 				c.out.Stop = StopQuiescent
 				return false
 			}
 		} else {
-			c.quietSince = -1
+			c.endQuiet()
 		}
 		t := runnable[c.rng.Intn(len(runnable))]
 		c.clock++
@@ -273,10 +275,21 @@ func (c *Cluster) step() bool {
 }
 
 // endStretch closes the stall rule's current stretch of picks without a new
-// site, keeping the longest in Outcome.LongestStall.
+// site, keeping the longest in Outcome.LongestStall. A new site is progress
+// the quiescence rule counts too, so it restarts the quiescent stretch.
 func (c *Cluster) endStretch() {
 	c.out.LongestStall = max(c.out.LongestStall, c.out.Picks-c.lastProgress)
 	c.lastProgress = c.out.Picks
+	c.endQuiet()
+}
+
+// endQuiet closes the current quiescent stretch, if any, keeping the longest
+// in Outcome.LongestQuiet.
+func (c *Cluster) endQuiet() {
+	if c.quietSince >= 0 {
+		c.out.LongestQuiet = max(c.out.LongestQuiet, c.out.Picks-c.quietSince)
+		c.quietSince = -1
+	}
 }
 
 // Run executes the cluster to completion: until the workload finishes, the
@@ -322,6 +335,7 @@ func (c *Cluster) Run() *Outcome {
 	if c.cfg.StallPicks > 0 {
 		c.endStretch()
 	}
+	c.endQuiet()
 	c.out.Steps = c.clock
 	if p := c.pendingPlan; p != nil {
 		c.out.FaultFirings = p.firings

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -143,19 +144,24 @@ func TestStallRuleCutsLoopOverSeenSites(t *testing.T) {
 	}
 }
 
-// TestQuiescenceRule: main waits on a latch while a daemon sleeps in a loop.
-// Once every live non-daemon thread waits on a latch with no timeout, no
-// restart is armed and every fault event has fired, only daemons can act, and
-// the run is hung after exactly MaxSteps/5 such picks. A thread with a timer
-// that will wake it (WaitTimeout, Sleep, a SyncLoop poller), a pending
-// restart or an unfired fault event keeps the run on its clock budget.
+// TestQuiescenceRule: main waits on a latch, or polls in a sync loop, while a
+// daemon sleeps in a loop. Once every live non-daemon thread waits on a latch
+// with no timeout or polls a condition found false, no restart is armed and
+// every fault event has fired, only daemons can act, and the run is hung
+// after exactly MaxSteps/5 such picks — or StallPicks/3 under the stall
+// rule, if fewer; a new site restarts that count. A thread with a timer that
+// will move it on (WaitTimeout, Sleep), a loop the likely-sync heuristic
+// rejects (bounded, or not giving up the CPU), a pending restart or an
+// unfired fault event keeps the run on its clock budget; a daemon's wait or
+// poll does not count.
 func TestQuiescenceRule(t *testing.T) {
-	const budget = 5_000
-	// quiet counts the daemon's wakeups while main is blocked in an untimed
-	// wait: during quiescence every pick is one.
+	const budget, stallPicks = 5_000, 3*300 + 2
+	// quiet counts main's quiescent picks: the daemon's wakeups while main
+	// is blocked or polling, and main's own poll iterations after its first.
+	// The daemon sets signalled once it has signalled the latch.
 	type quiet struct {
-		blocked bool
-		picks   int
+		blocked, signalled bool
+		picks              int
 	}
 	untimedOn := func(name string) func(*sim.Context, *sim.Cond, *quiet) {
 		return func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
@@ -168,6 +174,25 @@ func TestQuiescenceRule(t *testing.T) {
 		}
 	}
 	untimed := untimedOn("latch")
+	// poll runs a sync loop whose condition is the daemon's signal; onIter,
+	// if set, runs in each iteration with the iteration's number.
+	poll := func(opts sim.LoopOpts, onIter func(ctx *sim.Context, q *quiet, iter int)) func(*sim.Context, *sim.Cond, *quiet) {
+		return func(ctx *sim.Context, _ *sim.Cond, q *quiet) {
+			iter := 0
+			ctx.SyncLoop(opts, func(ctx *sim.Context) sim.Value {
+				if iter++; iter == 1 {
+					q.blocked, q.picks = true, 0
+				} else {
+					q.picks++
+				}
+				if onIter != nil {
+					onIter(ctx, q, iter)
+				}
+				return sim.V(q.signalled)
+			})
+			q.blocked = false
+		}
+	}
 	victim := func(c *sim.Cluster) {
 		c.StartProcess("victim", "m1", func(ctx *sim.Context) {
 			for {
@@ -176,13 +201,15 @@ func TestQuiescenceRule(t *testing.T) {
 		})
 	}
 	cases := []struct {
-		name     string
-		wait     func(ctx *sim.Context, latch *sim.Cond, q *quiet)
-		signalAt int // the daemon's loop iteration that signals the latch (0: none)
-		plan     func() *sim.FaultPlan
-		boot     func(c *sim.Cluster)
-		stop     string
-		reason   string // the hung main thread's reason ("" when the run completes)
+		name       string
+		wait       func(ctx *sim.Context, latch *sim.Cond, q *quiet)
+		signalAt   int   // the daemon's loop iteration that signals the latch (0: none)
+		stallPicks int64 // Config.StallPicks
+		plan       func() *sim.FaultPlan
+		boot       func(c *sim.Cluster)
+		stop       string
+		reason     string // the hung main thread's reason ("" when the run completes)
+		cut        int    // quiescent picks at a quiescent cut (0: MaxSteps/5)
 	}{
 		{name: "latch never signalled", wait: untimed, stop: sim.StopQuiescent, reason: "wait:latch"},
 		{name: "daemon signals in time", wait: untimed, signalAt: budget/5 - 50, stop: sim.StopDone},
@@ -195,15 +222,35 @@ func TestQuiescenceRule(t *testing.T) {
 			ctx.Sleep(10) // the daemon blocks first
 			untimed(ctx, latch, q)
 		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "SyncLoop poller", wait: poll(sim.LoopOpts{Name: "poll", SleepTicks: 2 * budget}, nil),
+			stop: sim.StopQuiescent, reason: "loop:poll"},
+		{name: "poller's condition turns true in time", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			poll(sim.LoopOpts{Name: "poll", SleepTicks: 20}, nil)(ctx, latch, q)
+			ctx.Sleep(budget / 2) // not quiescent: the returned loop no longer counts main
+		}, signalAt: budget / 10, stop: sim.StopDone},
+		{name: "a poller waits in its body", wait: poll(sim.LoopOpts{Name: "poll", SleepTicks: 20}, func(ctx *sim.Context, q *quiet, iter int) {
+			if iter == 2 { // polling: the wait must not count main twice
+				q.picks++ // the wait op's own step
+				_, _ = ctx.NewCond("inner").Wait(ctx)
+			}
+		}), stop: sim.StopQuiescent, reason: "loop:poll"},
+		{name: "a daemon polls too", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			ctx.GoDaemon("idle", func(ctx *sim.Context) {
+				ctx.SyncLoop(sim.LoopOpts{Name: "idle", SleepTicks: 2 * budget}, func(*sim.Context) sim.Value { return sim.V(false) })
+			})
+			ctx.Sleep(10) // the daemon polls first
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "bounded loop", wait: poll(sim.LoopOpts{Name: "poll", SleepTicks: 2 * budget, Bounded: true}, nil),
+			stop: sim.StopBudget, reason: "loop:poll"},
+		{name: "loop that keeps the CPU", wait: poll(sim.LoopOpts{Name: "spin"}, nil),
+			stop: sim.StopBudget, reason: "loop:spin"},
 		{name: "WaitTimeout waiter", wait: func(ctx *sim.Context, latch *sim.Cond, _ *quiet) {
 			_, _ = latch.WaitTimeout(ctx, 2*budget)
 		}, stop: sim.StopBudget, reason: "wait:latch"},
 		{name: "Sleep waiter", wait: func(ctx *sim.Context, _ *sim.Cond, _ *quiet) {
 			ctx.Sleep(2 * budget)
 		}, stop: sim.StopBudget, reason: "sleep"},
-		{name: "SyncLoop poller", wait: func(ctx *sim.Context, _ *sim.Cond, _ *quiet) {
-			ctx.SyncLoop(sim.LoopOpts{Name: "poll", SleepTicks: 2 * budget}, func(*sim.Context) sim.Value { return sim.V(false) })
-		}, stop: sim.StopBudget, reason: "loop:poll"},
 		{name: "restart pending", wait: untimed, boot: victim, plan: func() *sim.FaultPlan {
 			return sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 20, Target: "victim"}}, "", map[string]int64{"victim": 1 << 40})
 		}, stop: sim.StopBudget, reason: "wait:latch"},
@@ -213,10 +260,21 @@ func TestQuiescenceRule(t *testing.T) {
 		{name: "step fault unfired", wait: untimed, plan: func() *sim.FaultPlan {
 			return sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 2 * budget, Target: "node"}}, "", nil)
 		}, stop: sim.StopBudget, reason: "wait:latch"},
+		{name: "StallPicks/3 under the stall rule", wait: untimed, stallPicks: stallPicks,
+			stop: sim.StopQuiescent, reason: "wait:latch", cut: stallPicks / 3},
+		{name: "signal in time under the stall rule", wait: untimed, stallPicks: stallPicks,
+			signalAt: stallPicks/3 - 20, stop: sim.StopDone},
+		{name: "a poller reaches a new site", stallPicks: stallPicks,
+			wait: poll(sim.LoopOpts{Name: "poll", SleepTicks: 100}, func(ctx *sim.Context, q *quiet, iter int) {
+				if iter == 3 { // well into the quiescent stretch
+					q.picks = 0
+					sim.ReachSite(ctx, "poll.go:1")
+				}
+			}), stop: sim.StopQuiescent, reason: "loop:poll", cut: stallPicks / 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := sim.Config{Seed: 1, MaxSteps: budget}
+			cfg := sim.Config{Seed: 1, MaxSteps: budget, StallPicks: tc.stallPicks}
 			if tc.plan != nil {
 				cfg.Plan = tc.plan()
 			}
@@ -236,6 +294,7 @@ func TestQuiescenceRule(t *testing.T) {
 						nap := int64(1)
 						if i == tc.signalAt {
 							latch.Signal(ctx)
+							q.signalled = true
 							nap = 100
 						}
 						ctx.Sleep(nap)
@@ -257,8 +316,12 @@ func TestQuiescenceRule(t *testing.T) {
 			if len(out.Hung) != 1 || out.Hung[0].Name != "main" || out.Hung[0].Reason != tc.reason {
 				t.Fatalf("Hung=%+v, want main hung with reason %q", out.Hung, tc.reason)
 			}
-			if tc.stop == sim.StopQuiescent && q.picks != budget/5 {
-				t.Fatalf("cut after %d quiescent picks, want %d", q.picks, budget/5)
+			if tc.stop != sim.StopQuiescent {
+				return
+			}
+			cut := cmp.Or(tc.cut, budget/5)
+			if q.picks != cut || out.LongestQuiet != int64(cut) {
+				t.Fatalf("cut after %d quiescent picks (LongestQuiet %d), want %d", q.picks, out.LongestQuiet, cut)
 			}
 		})
 	}

@@ -62,8 +62,12 @@ type Thread struct {
 	blockObject string // what the thread waits on, appended to blockReason
 	blockToken  int64  // invalidates stale timed-wait timers
 	// waiting marks a non-daemon thread blocked in a Cond wait with no
-	// timeout: nothing but a signal wakes it (Cluster.waiting counts them).
+	// timeout: nothing but a signal wakes it. polling marks a non-daemon
+	// thread inside a likely-sync SyncLoop whose condition has been found
+	// false: only another thread's write ends it, its custom wait (§3.1).
+	// Cluster.waiting counts the threads with either bit set (never both).
 	waiting bool
+	polling bool
 
 	// fn is the body; car, the carrier running it from first resume to finish.
 	fn  func(*Context)
@@ -289,6 +293,21 @@ func (t *Thread) stopWaiting(c *Cluster) {
 	if t.waiting {
 		t.waiting = false
 		c.waiting--
+	}
+}
+
+// setPolling sets the thread's polling bit and counts it among the waiters
+// while it is set. Only the running thread sets it, and a running thread is
+// not waiting: a poller's untimed waits are already counted, so Cond.waitAt
+// marks them no further and the two bits are never both set.
+func (t *Thread) setPolling(c *Cluster, on bool) {
+	if t.polling != on {
+		t.polling = on
+		if on {
+			c.waiting++
+		} else {
+			c.waiting--
+		}
 	}
 }
 

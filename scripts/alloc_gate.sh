@@ -15,14 +15,16 @@
 #     9 770 KB / 174 200, dist 9 878 / 175 578). dist runs the same campaign
 #     runs through the coordinator, so its counts are campaign's plus the
 #     wire's.
-#   evaluation, predict — 1 % over the medians measured once runs that keep
-#     no trace stopped building what only a trace reads (folds take
-#     simulator facts, dependence-free folds number no ops and merge no
-#     taint, heap and cond names are built at the first kept emit):
-#     evaluation 3 628 KB / 34 316, predict 1 602 KB / 5 232; each ceiling is
-#     below the value before that change (evaluation 4 086 / 35 905, predict
-#     1 604 / 5 243). The quiescence rule leaves both unchanged: trigger
-#     replays are cut by the stall rule first.
+#   evaluation — 1 % over the median measured once sync-loop pollers counted
+#     as waiting and a trigger replay's quiescence budget became a third of
+#     its stall budget: 3 597 KB / 31 485 mallocs per op; the allocs ceiling
+#     is below the value before that change (3 629 KB / 34 316).
+#   predict — 1 % over the median measured once runs that keep no trace
+#     stopped building what only a trace reads (folds take simulator facts,
+#     dependence-free folds number no ops and merge no taint, heap and cond
+#     names are built at the first kept emit): 1 602 KB / 5 232; the ceiling
+#     is below the value before that change (1 604 / 5 243). The quiescence
+#     rule leaves it unchanged: observations are never quiescent for long.
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -55,7 +57,7 @@ sys.exit(0 if ok else 1)' "$@"
 fail=0
 gate campaign   9628  151938 || fail=1
 gate dist       9737  153332 || fail=1
-gate evaluation 3664  34659  || fail=1
+gate evaluation 3633  31800  || fail=1
 gate offline    596   974    || fail=1
 gate predict    1618  5284   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
