@@ -105,8 +105,8 @@ func BenchmarkTable5Pruning(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pruned = res.Regular.Pruned.LoopTimeout + res.Regular.Pruned.WaitTimeout +
-					res.Recovery.Pruned.Dependence + res.Recovery.Pruned.Impact
+				p := fcatch.PruneRow(w.Name(), res)
+				pruned = p.LoopTimeout + p.WaitTimeout + p.Dependence + p.Impact
 			}
 			b.ReportMetric(float64(pruned), "pruned")
 		})

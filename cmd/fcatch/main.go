@@ -117,9 +117,9 @@ func main() {
 			fmt.Print(fcatch.RenderWindows(res))
 		}
 		fmt.Print(fcatch.RenderCompound(res))
+		p := fcatch.PruneRow(w.Name(), res)
 		fmt.Printf("pruned: loop-timeout=%d wait-timeout=%d dependence=%d impact=%d\n",
-			res.Regular.Pruned.LoopTimeout, res.Regular.Pruned.WaitTimeout,
-			res.Recovery.Pruned.Dependence, res.Recovery.Pruned.Impact)
+			p.LoopTimeout, p.WaitTimeout, p.Dependence, p.Impact)
 		if *explain {
 			fmt.Print(fcatch.RenderExplain(res))
 		}
@@ -136,9 +136,8 @@ func main() {
 			}
 			fmt.Println()
 		}
-		for _, c := range res.Compound {
-			o := fcatch.TriggerCompound(w, res, c)
-			fmt.Printf("  [%s] %s\n", o.Class, c)
+		for _, o := range fcatch.TriggerCompounds(w, res) {
+			fmt.Printf("  [%s] %s\n", o.Class, o.Compound)
 			if o.Class != fcatch.Benign {
 				fmt.Printf("      -> %s (%s) under policy %s\n      -> scenario %q\n",
 					o.FailureKind, o.Detail, o.Variant, fcatch.FormatScenario(o.Scenario))

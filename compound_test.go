@@ -14,7 +14,7 @@ import (
 // during recovery). Both observations are tolerated — MR1's AM reschedules
 // when the incarnation stays down, HB1's timeout monitor force-completes the
 // dropped assignment — which is exactly what core.Observe requires; the
-// harm surfaces when TriggerCompound perturbs the recovery policy.
+// harm surfaces when TriggerCompounds perturbs the recovery policy.
 var compositeScenarios = map[string]string{
 	"MR1": "site=sim/rpc.go:client-wait,occ=1,when=before,restart=40;delay=48",
 	"HB1": "site=apps/hbase/master096.go:202,occ=1,when=before,restart=150;" +
@@ -56,7 +56,14 @@ func TestCompoundDetectionOnCompositeScenarios(t *testing.T) {
 					c.Inner.OpenStep, c.Outer.OpenStep, c.Outer.CloseStep)
 			}
 			// The report's two window anchors must reproduce the failure.
-			out := fcatch.TriggerCompound(w, res, c)
+			outs := fcatch.TriggerCompounds(w, res)
+			if len(outs) != len(res.Compound) {
+				t.Fatalf("%d compound outcomes for %d reports", len(outs), len(res.Compound))
+			}
+			out := outs[0]
+			if out.Compound != c {
+				t.Fatalf("first outcome replays %s, want %s", out.Compound, c)
+			}
 			if out.Class == fcatch.Benign {
 				t.Fatalf("compound replay benign: %s (%s)", out.FailureKind, out.Detail)
 			}

@@ -125,9 +125,6 @@ const (
 // PruneRuleNames lists every Decision.Rule value in kill-table display order.
 func PruneRuleNames() []string { return detect.RuleNames() }
 
-// KillTable tallies explain decisions by rule.
-func KillTable(decisions []Decision) map[string]int { return detect.KillTable(decisions) }
-
 // ExplainDecisions collects a detection result's per-candidate decision
 // trail, crash-regular first: one entry per candidate either detector judged.
 // Empty unless the pass ran with Options.Detect.Explain.
@@ -213,12 +210,19 @@ func CompoundScenario(rep *CompoundReport) []FaultSpec {
 	return []FaultSpec{inject.WindowEvent(&rep.Outer), inject.WindowEvent(&rep.Inner)}
 }
 
-// TriggerCompound replays a compound report: both window anchors are lowered
-// back to scenario events and injected in order, confirming (or refuting)
-// that the inner fault landing inside the outer window reproduces the
-// composite failure under some recovery policy.
-func TriggerCompound(w Workload, res *Result, rep *CompoundReport) *CompoundOutcome {
-	return inject.NewTriggerer(w, res.Options.Seed).TriggerCompound(rep)
+// TriggerCompounds replays a result's compound reports and returns their
+// outcomes in res.Compound order. Each replay lowers both window anchors back
+// to scenario events and injects them in order, confirming (or refuting) that
+// the inner fault landing inside the outer window reproduces the composite
+// failure under some recovery policy. One triggerer serves every report, so
+// the fault-free run that sizes the replays' stall rule runs once.
+func TriggerCompounds(w Workload, res *Result) []*CompoundOutcome {
+	tg := inject.NewTriggerer(w, res.Options.Seed)
+	outs := make([]*CompoundOutcome, len(res.Compound))
+	for i, c := range res.Compound {
+		outs[i] = tg.TriggerCompound(c)
+	}
+	return outs
 }
 
 // Trace is one observation run's interned record stream. Record fields that

@@ -42,8 +42,8 @@ func TestZKDetectionAndEpochBug(t *testing.T) {
 			t.Errorf("unexpected crash-regular report in ZK: %s", r)
 		}
 	}
-	if res.Regular.Pruned.LoopTimeout != 2 || res.Regular.Pruned.WaitTimeout != 2 {
-		t.Errorf("pruned = %+v, want LoopTimeout=2 WaitTimeout=2", res.Regular.Pruned)
+	if reg := res.Regular.Tally; reg.Of(detect.RuleLoopTimeout) != 2 || reg.Of(detect.RuleWaitTimeout) != 2 {
+		t.Errorf("tally = %v, want loop-timeout=2 wait-timeout=2", reg)
 	}
 
 	cur := find(res.Reports, detect.CrashRecovery, "currentEpoch")

@@ -55,8 +55,8 @@ func TestHB1WorkloadDetection(t *testing.T) {
 		t.Errorf("HB1 crash-recovery reports = %d, want 6 (4 Exp + 2 benign)", rec)
 	}
 	// Timeout pruning: 6 app rounds + 1 RPC wait; 3 deadline-bounded loops.
-	if res.Regular.Pruned.WaitTimeout != 7 || res.Regular.Pruned.LoopTimeout != 3 {
-		t.Errorf("pruned = %+v, want WaitTimeout=7 LoopTimeout=3", res.Regular.Pruned)
+	if reg := res.Regular.Tally; reg.Of(detect.RuleWaitTimeout) != 7 || reg.Of(detect.RuleLoopTimeout) != 3 {
+		t.Errorf("tally = %v, want wait-timeout=7 loop-timeout=3", reg)
 	}
 }
 

@@ -64,8 +64,8 @@ func TestMR1WorkloadDetectsPlantedBugs(t *testing.T) {
 	}
 	// Fault-tolerance pruning at work: exactly one timed-wait candidate
 	// (the RM's bounded job wait).
-	if res.Regular.Pruned.WaitTimeout != 1 {
-		t.Errorf("wait-timeout pruned = %d, want 1", res.Regular.Pruned.WaitTimeout)
+	if n := res.Regular.Tally.Of(detect.RuleWaitTimeout); n != 1 {
+		t.Errorf("wait-timeout pruned = %d, want 1", n)
 	}
 }
 

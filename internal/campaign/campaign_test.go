@@ -58,6 +58,13 @@ func TestSymptomShapes(t *testing.T) {
 		t.Fatalf("fatal signature = %q", got)
 	}
 
+	// A fatal log signs the run even beside an uncaught exception, though
+	// FailureKind ranks the exception first.
+	both := &sim.Outcome{Completed: true, FatalLogs: []string{"boom@am#2"}, UncaughtExceptions: []string{"npe@task1#3"}}
+	if got, kind := Symptom(both), both.FailureKind(); got != "fatal:boom@am" || kind != "exception" {
+		t.Fatalf("fatal+exception signature = %q, kind = %q; want fatal:boom@am and exception", got, kind)
+	}
+
 	if got := Symptom(&sim.Outcome{Completed: true, CheckErr: errors.New("lost data")}); got != "check:lost data" {
 		t.Fatalf("check signature = %q", got)
 	}

@@ -80,7 +80,9 @@ func WindowsFingerprint(firings []trace.FaultFiring) string {
 // Symptom fingerprints a failed run coarsely enough that repeated
 // manifestations of one bug collapse to one signature, while different hang
 // shapes stay distinct. Fatal logs and exceptions identify a failure more
-// precisely than the hang they often also cause, so they take precedence.
+// precisely than the hang they often also cause, so they take precedence —
+// a fatal log first, unlike Outcome.FailureKind, which ranks an uncaught
+// exception above it; every pinned corpus is signed in this order.
 // (This is the Section 8.3 baseline's signature function, hoisted here so
 // every campaign strategy is measured with the same yardstick.)
 func Symptom(out *sim.Outcome) string {

@@ -147,16 +147,16 @@ func TestDetectFindsPlantedToyBugs(t *testing.T) {
 			t.Errorf("timeout-protected wait was reported: %s", r)
 		}
 	}
-	if res.Regular.Pruned.WaitTimeout < 1 {
-		t.Errorf("expected >=1 wait-timeout pruned, got %d", res.Regular.Pruned.WaitTimeout)
+	if n := res.Regular.Tally.Of(detect.RuleWaitTimeout); n < 1 {
+		t.Errorf("expected >=1 wait-timeout pruned, got %d", n)
 	}
 	// /job/status is reset before read -> dependence pruning; /job/note has
 	// no impact -> impact pruning.
-	if res.Recovery.Pruned.Dependence < 1 {
-		t.Errorf("expected >=1 dependence-pruned pair, got %+v", res.Recovery.Pruned)
+	if rec := res.Recovery.Tally; rec.Of(detect.RuleSanityCheck)+rec.Of(detect.RuleReset) < 1 {
+		t.Errorf("expected >=1 dependence-pruned pair, got %v", rec)
 	}
-	if res.Recovery.Pruned.Impact < 1 {
-		t.Errorf("expected >=1 impact-pruned pair, got %+v", res.Recovery.Pruned)
+	if res.Recovery.Tally.Of(detect.RuleImpact) < 1 {
+		t.Errorf("expected >=1 impact-pruned pair, got %v", res.Recovery.Tally)
 	}
 }
 

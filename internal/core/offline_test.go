@@ -42,7 +42,7 @@ func TestOfflineDetectionFromSavedTraces(t *testing.T) {
 
 	live := detect.DetectRegularOpts(hb.New(obs.FaultFree), w.Name(), detect.Options{})
 	loaded := detect.DetectRegularOpts(hb.New(ff), w.Name(), detect.Options{})
-	if len(live.Reports) != len(loaded.Reports) || live.Pruned != loaded.Pruned {
+	if len(live.Reports) != len(loaded.Reports) || live.Tally != loaded.Tally {
 		t.Fatalf("crash-regular detection diverges across the disk round trip: %d vs %d reports",
 			len(live.Reports), len(loaded.Reports))
 	}
@@ -54,7 +54,7 @@ func TestOfflineDetectionFromSavedTraces(t *testing.T) {
 
 	liveRec := detect.DetectRecoveryOpts(hb.New(obs.FaultFree), hb.New(obs.Faulty), w.Name(), detect.Options{})
 	loadedRec := detect.DetectRecoveryOpts(hb.New(ff), hb.New(fy), w.Name(), detect.Options{})
-	if len(liveRec.Reports) != len(loadedRec.Reports) || liveRec.Pruned != loadedRec.Pruned {
+	if len(liveRec.Reports) != len(loadedRec.Reports) || liveRec.Tally != loadedRec.Tally {
 		t.Fatalf("crash-recovery detection diverges across the disk round trip: %d vs %d reports",
 			len(liveRec.Reports), len(loadedRec.Reports))
 	}

@@ -68,15 +68,15 @@ func TestDetectRegularSignalWait(t *testing.T) {
 	if r.WPrime == nil || r.WPrime.Site != "a.go:5" || r.WPrime.PID != "a#1" {
 		t.Fatalf("W' = %+v, want the remote send", r.WPrime)
 	}
-	if res.Pruned.WaitTimeout != 0 {
-		t.Fatalf("pruned = %+v", res.Pruned)
+	if res.Tally.Of(RuleWaitTimeout) != 0 {
+		t.Fatalf("tally = %v", res.Tally)
 	}
 }
 
 func TestDetectRegularPrunesTimedWaits(t *testing.T) {
 	res := DetectRegularOpts(hb.New(regularTrace(true)), "wl", Options{})
-	if len(res.Reports) != 0 || res.Pruned.WaitTimeout != 1 {
-		t.Fatalf("timed wait not pruned: reports=%d pruned=%+v", len(res.Reports), res.Pruned)
+	if len(res.Reports) != 0 || res.Tally.Of(RuleWaitTimeout) != 1 {
+		t.Fatalf("timed wait not pruned: reports=%d tally=%v", len(res.Reports), res.Tally)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestDetectRegularLoopSignal(t *testing.T) {
 
 func TestDetectRegularPrunesTimeBoundedLoops(t *testing.T) {
 	res := DetectRegularOpts(hb.New(loopTrace(true)), "wl", Options{})
-	if len(res.Reports) != 0 || res.Pruned.LoopTimeout != 1 {
-		t.Fatalf("time-bounded loop not pruned: %+v", res.Pruned)
+	if len(res.Reports) != 0 || res.Tally.Of(RuleLoopTimeout) != 1 {
+		t.Fatalf("time-bounded loop not pruned: %v", res.Tally)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestDetectRecoveryFindsConflictingPair(t *testing.T) {
 	ff, fy := recoveryPair(false, false, true)
 	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	if len(res.Reports) != 1 {
-		t.Fatalf("reports = %d (%+v)", len(res.Reports), res.Pruned)
+		t.Fatalf("reports = %d (%v)", len(res.Reports), res.Tally)
 	}
 	r := res.Reports[0]
 	if r.Type != CrashRecovery || r.W.Site != "c.go:5" || r.R.Site != "r.go:10" {
@@ -213,8 +213,8 @@ func TestDetectRecoveryFindsConflictingPair(t *testing.T) {
 func TestDetectRecoveryResetPruning(t *testing.T) {
 	ff, fy := recoveryPair(true, false, true)
 	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
-	if len(res.Reports) != 0 || res.Pruned.Dependence == 0 {
-		t.Fatalf("reset-protected read not pruned: %d reports, %+v", len(res.Reports), res.Pruned)
+	if len(res.Reports) != 0 || res.Tally.Of(RuleReset) == 0 {
+		t.Fatalf("reset-protected read not pruned: %d reports, %v", len(res.Reports), res.Tally)
 	}
 }
 
@@ -228,16 +228,16 @@ func TestDetectRecoverySanityCheckPruning(t *testing.T) {
 			t.Fatalf("sanity-checked read still reported: %s", r)
 		}
 	}
-	if res.Pruned.Dependence == 0 {
-		t.Fatalf("no dependence pruning recorded: %+v", res.Pruned)
+	if res.Tally.Of(RuleSanityCheck) == 0 {
+		t.Fatalf("no sanity-check pruning recorded: %v", res.Tally)
 	}
 }
 
 func TestDetectRecoveryImpactPruning(t *testing.T) {
 	ff, fy := recoveryPair(false, false, false)
 	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
-	if len(res.Reports) != 0 || res.Pruned.Impact == 0 {
-		t.Fatalf("impact-free read not pruned: %d reports, %+v", len(res.Reports), res.Pruned)
+	if len(res.Reports) != 0 || res.Tally.Of(RuleImpact) == 0 {
+		t.Fatalf("impact-free read not pruned: %d reports, %v", len(res.Reports), res.Tally)
 	}
 }
 
@@ -262,6 +262,85 @@ func TestDetectRecoveryIgnoresCrashNodeHeap(t *testing.T) {
 	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
 	if len(res.Reports) != 0 {
 		t.Fatalf("heap on the crashed node must be ignored (it is wiped): %v", res.Reports[0])
+	}
+}
+
+// TestDetectRecoveryCrashWrites pins which writes the crash-recovery
+// detector pairs with a later recovery read of the same resource, for both
+// crash-write sources: a victim of the fault-free run (crash#1) and an
+// incarnation victim (am#2, absent from the fault-free run, whose window
+// opens at step 20). W is written by the victim itself, by other#1 handling
+// a message the victim sent (remote), or by other#1 on its own (unrelated).
+func TestDetectRecoveryCrashWrites(t *testing.T) {
+	cases := []struct {
+		name        string
+		incarnation bool
+		by          string // "victim", "remote" or "unrelated"
+		kind        trace.Kind
+		res         string
+		ts          int64
+		flags       uint32
+		pairs       int
+	}{
+		{"own persistent write", false, "victim", trace.KStWrite, "gfs:/f", 5, 0, 1},
+		{"own failed write", false, "victim", trace.KStWrite, "gfs:/f", 5, trace.FlagFailed, 0},
+		{"remote heap write", false, "remote", trace.KHeapWrite, "heap:other#1:o.f", 5, 0, 1},
+		{"unrelated write", false, "unrelated", trace.KStWrite, "gfs:/f", 5, 0, 0},
+		{"incarnation own write", true, "victim", trace.KStWrite, "gfs:/f", 10, 0, 1},
+		{"incarnation remote write before window", true, "remote", trace.KHeapWrite, "heap:other#1:o.f", 15, 0, 1},
+		{"incarnation remote write after window", true, "remote", trace.KHeapWrite, "heap:other#1:o.f", 25, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// threads appends victim's and other#1's thread starts, then W.
+			threads := func(tr *trace.Trace, victim string) {
+				vs := tr.Append(trace.Record{Kind: trace.KThreadStart, PID: tr.Intern(victim), Thread: 1, Causor: trace.NoOp, TS: 1})
+				ots := tr.Append(trace.Record{Kind: trace.KThreadStart, PID: tr.Intern("other#1"), Thread: 2, Causor: trace.NoOp, TS: 1})
+				w := trace.Record{Kind: c.kind, PID: tr.Intern(victim), Thread: 1, Frame: vs,
+					Res: tr.Intern(c.res), Flags: c.flags, Site: tr.Intern("w.go:1"), TS: c.ts}
+				switch c.by {
+				case "remote":
+					send := tr.Append(trace.Record{Kind: trace.KMsgSend, PID: tr.Intern(victim), Thread: 1, Frame: vs,
+						Target: tr.Intern("other#1"), Site: tr.Intern("v.go:2"), TS: 2})
+					h := tr.Append(trace.Record{Kind: trace.KHandlerBegin, PID: tr.Intern("other#1"), Thread: 3, Frame: ots, Causor: send, TS: 3})
+					w.PID, w.Thread, w.Frame = tr.Intern("other#1"), 3, h
+				case "unrelated":
+					w.PID, w.Thread, w.Frame = tr.Intern("other#1"), 2, ots
+				}
+				tr.Append(w)
+			}
+			ff, fy := trace.New(), trace.New()
+			var opts Options
+			if c.incarnation {
+				ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("am#1"), Thread: 1, Causor: trace.NoOp})
+				ff.PIDs = []string{"am#1", "other#1"}
+				threads(fy, "am#2")
+				fy.PIDs = []string{"am#2", "other#1", "rec#3"}
+				opts.Windows = []Window{{Kind: WindowCrashRecovery, Victim: "am#2", OpenStep: 20}}
+			} else {
+				threads(ff, "crash#1")
+				ff.PIDs = []string{"crash#1", "other#1"}
+				fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("crash#1"), Thread: 1, Causor: trace.NoOp, TS: 1})
+				fy.PIDs = []string{"crash#1", "rec#3"}
+				fy.CrashedPID, fy.CrashStep = "crash#1", 10
+			}
+			read := trace.KStRead
+			if c.kind == trace.KHeapWrite {
+				read = trace.KHeapRead
+			}
+			rs := fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("rec#3"), Thread: 4, Causor: trace.NoOp, TS: 30})
+			fy.Append(trace.Record{Kind: read, PID: fy.Intern("rec#3"), Thread: 4, Frame: rs,
+				Res: fy.Intern(c.res), Site: fy.Intern("r.go:1"), TS: 32})
+
+			res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", opts)
+			pairs := 0
+			for _, n := range res.Tally {
+				pairs += n
+			}
+			if pairs != c.pairs {
+				t.Fatalf("conflicting pairs = %d, want %d (tally %v)", pairs, c.pairs, res.Tally)
+			}
+		})
 	}
 }
 

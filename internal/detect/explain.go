@@ -53,31 +53,35 @@ type Decision struct {
 	Rule      string `json:"rule"`
 }
 
-// discardRuleCells is the rule-cell map for un-instrumented passes: every
-// rule resolves to the nil registry's shared discard counter, built once so
-// the common no-metrics detector pass allocates nothing for attribution.
-var discardRuleCells = ruleCellsFor(nil)
+// Tally is a detector pass's kill table: how many candidates each rule
+// judged, kept included, in RuleNames order. Table 5, the `fcatch detect`
+// pruned line, RenderExplain and the detect/rule/* counters all read it.
+type Tally [6]int
 
-// ruleCells resolves the per-rule kill counters once per detector pass, so
-// the per-candidate cost is one map hit and one atomic add — no name
-// concatenation on the detection hot path.
-func ruleCells(reg *obs.Registry) map[string]*obs.Counter {
+// Of is rule's count.
+func (t Tally) Of(rule string) int { return t[ruleIndex(rule)] }
+
+func ruleIndex(rule string) int {
+	for i, name := range RuleNames() {
+		if name == rule {
+			return i
+		}
+	}
+	panic("detect: unknown pruning rule " + rule)
+}
+
+// publish adds the tally to reg's detect/rule/* counters, once per pass.
+func (t *Tally) publish(reg *obs.Registry) {
 	if reg == nil {
-		return discardRuleCells
+		return
 	}
-	return ruleCellsFor(reg)
+	for i, rule := range RuleNames() {
+		reg.Counter("detect/rule/" + rule).Add(int64(t[i]))
+	}
 }
 
-func ruleCellsFor(reg *obs.Registry) map[string]*obs.Counter {
-	names := RuleNames()
-	cells := make(map[string]*obs.Counter, len(names))
-	for _, rule := range names {
-		cells[rule] = reg.Counter("detect/rule/" + rule)
-	}
-	return cells
-}
-
-// KillTable tallies decisions by rule.
+// KillTable tallies decisions by rule: the reference a pass's Tally must
+// equal when it ran with Options.Explain.
 func KillTable(decisions []Decision) map[string]int {
 	out := make(map[string]int, len(RuleNames()))
 	for _, d := range decisions {

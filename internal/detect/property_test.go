@@ -112,7 +112,7 @@ func TestRegularDetectorDeterministicOnRandomTraces(t *testing.T) {
 		tr := genRegularTrace(seed)
 		a := DetectRegularOpts(hb.New(tr), "fuzz", Options{})
 		b := DetectRegularOpts(hb.New(tr), "fuzz", Options{})
-		if len(a.Reports) != len(b.Reports) || a.Pruned != b.Pruned {
+		if len(a.Reports) != len(b.Reports) || a.Tally != b.Tally {
 			t.Fatalf("seed %d: nondeterministic detection", seed)
 		}
 		for i := range a.Reports {

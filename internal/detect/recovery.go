@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"strings"
 
 	"fcatch/internal/hb"
@@ -11,7 +12,7 @@ import (
 // checkpoint-paired run pair.
 type RecoveryResult struct {
 	Reports []*Report
-	Pruned  PruneCounters
+	Tally   Tally
 	// RecoveryPIDs are the processes identified as recovery nodes.
 	RecoveryPIDs []string
 	// Windows are the hazard windows the pass analyzed, in firing order
@@ -85,18 +86,13 @@ func isImpactSink(k trace.Kind) bool {
 	return false
 }
 
-// crashWrite is one candidate W: a write the fault orphaned. Window 0's
-// writes come from the fault-free trace (what the crashing node did and
-// *could have done* had it lived longer); an incarnation window's writes come
-// from the faulty trace itself (what its victim actually did before dying —
-// the incarnation never existed in the fault-free run). Site/PID are
-// pre-translated to faulty-run Syms so the pair loop compares integers.
+// crashWrite is one candidate W: a write the fault orphaned, from the
+// window's crash-write source (see Step 2). Site/PID are pre-translated to
+// faulty-run Syms so the pair loop compares integers.
 type crashWrite struct {
 	r             *trace.Record
-	t             *trace.Trace // owning trace (tf or ty)
-	siteY, pidY   trace.Sym    // w.Site/w.PID in ty's table
-	siteOK, pidOK bool         // false: the string never appears in ty
-	inFaulty      bool         // sourced from the faulty run itself
+	siteY, pidY   trace.Sym // w.Site/w.PID in ty's table
+	siteOK, pidOK bool      // false: the string never appears in ty
 }
 
 // DetectRecoveryOpts predicts crash-recovery TOF bugs from a
@@ -126,7 +122,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 	if len(wins) == 0 {
 		return res
 	}
-	ixF, ixY := gf.Ix, gy.Ix
+	ixY := gy.Ix
 	mFY := tf.SymMapTo(ty)
 	createY, _ := ty.Lookup("create")
 
@@ -204,7 +200,6 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 	// vicsThrough accumulates the victims dead by each window's open step —
 	// the window's heap-death set for classifyRes.
 	var vicsThrough []string
-	cells := ruleCells(opts.Metrics)
 	for wi, win := range wins {
 		endWin := opts.Metrics.Span("detect/recovery/window")
 		vicsThrough = append(vicsThrough, win.Victim)
@@ -234,74 +229,44 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 			}
 		}
 
-		// --- Step 2: this window's crash operations, keyed by faulty-run
-		// resource Sym so the pair loop needs no per-read translation.
+		// --- Step 2: this window's crash writes — the victim's own persistent
+		// writes and the persistent/heap writes causally downstream of it —
+		// keyed by faulty-run resource Sym so the pair loop needs no per-read
+		// translation. A victim of the fault-free run orphans what it did
+		// there and could have done had it lived longer. An incarnation
+		// victim (a restarted process killed by a later fault) never existed
+		// in the fault-free run: it orphans what it actually wrote in the
+		// faulty run before the window opened. Writes to a resSkip resource or
+		// to one absent from the faulty run could never pair (no recovery read
+		// touches them); skipping them only saves work.
+		src, g, class, cutoff := ty, gy, classY, win.OpenStep
+		inFaulty := !tf.HasPID(win.Victim)
+		if !inFaulty {
+			src, g, class, cutoff = tf, gf, classifyRes(tf, vicsThrough), math.MaxInt64
+		}
+		victim, hasVictim := src.Lookup(win.Victim)
+		remote := g.ForwardClosureDense(g.EscapingSeeds(win.Victim))
 		crashWrites := make([][]crashWrite, ty.NumSyms())
-		if tf.HasPID(win.Victim) {
-			// The victim ran in the fault-free run: its writes there are what
-			// it did and could have done had it lived longer.
-			classF := classifyRes(tf, vicsThrough)
-			addF := func(r *trace.Record) {
-				if r.Res == trace.NoSym || classF[r.Res]&resSkip != 0 || r.HasFlag(trace.FlagFailed) {
-					return
+		for i := range src.Records {
+			r := &src.Records[i]
+			if r.TS > cutoff || !r.Kind.IsWriteLike() || r.Res == trace.NoSym || r.HasFlag(trace.FlagFailed) {
+				continue
+			}
+			cls := class[r.Res]
+			own := hasVictim && r.PID == victim && cls&resPersistent != 0
+			rem := remote[r.ID] && cls&(resPersistent|resHeap) != 0
+			if cls&resSkip != 0 || !own && !rem {
+				continue
+			}
+			w, resY := crashWrite{r: r, siteY: r.Site, pidY: r.PID, siteOK: true, pidOK: true}, r.Res
+			if !inFaulty {
+				if resY = mFY[r.Res]; resY == trace.NoSym {
+					continue // the resource never appears in the faulty run
 				}
-				resY := mFY[r.Res]
-				if resY == trace.NoSym {
-					return // the resource never appears in the faulty run
-				}
-				w := crashWrite{r: r, t: tf}
 				w.siteY, w.siteOK = ty.Lookup(tf.Str(r.Site))
 				w.pidY, w.pidOK = ty.Lookup(tf.Str(r.PID))
-				crashWrites[resY] = append(crashWrites[resY], w)
 			}
-			crashedSymF, crashedInF := tf.Lookup(win.Victim)
-			remote := gf.ForwardClosureDense(gf.EscapingSeeds(win.Victim))
-			for i := range tf.Records {
-				r := &tf.Records[i]
-				if !r.Kind.IsWriteLike() {
-					continue
-				}
-				cls := uint8(0)
-				if r.Res != trace.NoSym {
-					cls = classF[r.Res]
-				}
-				if crashedInF && r.PID == crashedSymF && cls&resPersistent != 0 {
-					addF(r)
-					continue
-				}
-				if remote[r.ID] && cls&(resPersistent|resHeap) != 0 {
-					addF(r)
-				}
-			}
-		} else {
-			// An incarnation victim (a restarted process killed by a later
-			// fault) never existed in the fault-free run: the state its crash
-			// orphaned is what it actually wrote in the faulty run before the
-			// window opened.
-			symY, inY := ty.Lookup(win.Victim)
-			remoteY := gy.ForwardClosureDense(gy.EscapingSeeds(win.Victim))
-			for i := range ty.Records {
-				r := &ty.Records[i]
-				if r.TS > win.OpenStep || !r.Kind.IsWriteLike() {
-					continue
-				}
-				if r.Res == trace.NoSym || r.HasFlag(trace.FlagFailed) {
-					continue
-				}
-				cls := classY[r.Res]
-				if cls&resSkip != 0 {
-					continue
-				}
-				own := inY && r.PID == symY && cls&resPersistent != 0
-				rem := remoteY[r.ID] && cls&(resPersistent|resHeap) != 0
-				if !own && !rem {
-					continue
-				}
-				crashWrites[r.Res] = append(crashWrites[r.Res], crashWrite{
-					r: r, t: ty, siteY: r.Site, pidY: r.PID,
-					siteOK: true, pidOK: true, inFaulty: true,
-				})
-			}
+			crashWrites[resY] = append(crashWrites[resY], w)
 		}
 
 		// --- Step 3: conflicting pairs by resource ID.
@@ -353,77 +318,54 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 			return w != trace.NoOp && w < r.ID
 		}
 
-		// decide records p's verdict (explain trail + per-rule counter) and
-		// reports whether the rule killed it. Called exactly once per pair,
-		// with the first rule that actually discarded it or RuleKept.
-		decide := func(p pair, rule string) bool {
+		for _, p := range pairs {
+			rule := RuleKept
+			switch {
+			case !opts.DisableDependencePruning && sanityChecked[p.r.ID]:
+				rule = RuleSanityCheck
+			case !opts.DisableDependencePruning && resetProtected(p.r):
+				rule = RuleReset
+			case !opts.DisableImpactPruning && !impacted[p.r.ID]:
+				rule = RuleImpact
+			}
 			if opts.Explain {
 				res.Decisions = append(res.Decisions, Decision{
 					Detector:  CrashRecovery.String(),
 					Window:    win.ID,
-					Candidate: recoveryCandidate(p.w.t, p.w.r, ty, p.r),
+					Candidate: recoveryCandidate(src, p.w.r, ty, p.r),
 					Rule:      rule,
 				})
 			}
-			cells[rule].Inc()
-			return rule != RuleKept
-		}
-		for _, p := range pairs {
-			if sanityChecked[p.r.ID] || resetProtected(p.r) {
-				res.Pruned.Dependence++
-				if !opts.DisableDependencePruning {
-					rule := RuleReset
-					if sanityChecked[p.r.ID] {
-						rule = RuleSanityCheck
-					}
-					decide(p, rule)
-					continue
-				}
+			res.Tally[ruleIndex(rule)]++
+			if rule != RuleKept {
+				continue
 			}
-			if !impacted[p.r.ID] {
-				res.Pruned.Impact++
-				if !opts.DisableImpactPruning {
-					decide(p, RuleImpact)
-					continue
-				}
-			}
-			decide(p, RuleKept)
 
 			// Trigger timing (Section 5): if W already executed before this
 			// window opened in the faulty run, inject the fault right before
 			// it; if it only appears in the fault-free continuation, inject
-			// right after it.
-			var wSum OpSummary
-			inFaulty := p.w.inFaulty // ty-sourced writes executed pre-window by construction
-			if inFaulty {
-				wSum = summarize(ty, p.w.r, occurrence(ixY, p.w.r))
-			} else {
-				occF := occurrence(ixF, p.w.r)
-				var faultySite []trace.OpID
-				if p.w.siteOK {
-					faultySite = ixY.SiteIDs(p.w.siteY)
+			// right after it. A write from the faulty run executed before the
+			// window by construction; one from the fault-free run counts if
+			// its occurrence in the faulty run predates the window (it must,
+			// by prefix equality, but stay defensive).
+			occ := occurrence(g.Ix, p.w.r)
+			wInFaulty := inFaulty
+			if !inFaulty && p.w.siteOK {
+				if ids := ixY.SiteIDs(p.w.siteY); len(ids) >= occ {
+					rec := ty.At(ids[occ-1])
+					wInFaulty = rec != nil && rec.TS <= win.OpenStep
 				}
-				inFaulty = len(faultySite) >= occF
-				if inFaulty {
-					// Confirm the occurrence in the faulty run predates the
-					// window (it must, by prefix equality, but stay defensive).
-					id := faultySite[occF-1]
-					if rec := ty.At(id); rec == nil || rec.TS > win.OpenStep {
-						inFaulty = false
-					}
-				}
-				wSum = summarize(tf, p.w.r, occF)
 			}
 
 			resStr := ty.Str(p.r.Res)
 			reports = append(reports, &Report{
 				Type:            CrashRecovery,
-				OpsDesc:         opsDesc(p.w.t, p.w.r, ty, p.r),
+				OpsDesc:         opsDesc(src, p.w.r, ty, p.r),
 				Resource:        resStr,
 				ResClass:        normalizeRes(resStr),
-				W:               wSum,
+				W:               summarize(src, p.w.r, occ),
 				R:               summarize(ty, p.r, occurrence(ixY, p.r)),
-				WInFaultyRun:    inFaulty,
+				WInFaultyRun:    wInFaulty,
 				CrashTargetPID:  win.Victim,
 				CrashTargetRole: trace.Role(win.Victim),
 				WindowID:        win.ID,
@@ -434,6 +376,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 		endWin()
 	}
 	res.Reports = Dedup(reports)
+	res.Tally.publish(opts.Metrics)
 	return res
 }
 

@@ -10,7 +10,7 @@ import (
 // RegularResult is the crash-regular detector's output on one correct run.
 type RegularResult struct {
 	Reports []*Report
-	Pruned  PruneCounters
+	Tally   Tally
 	// Decisions is the per-candidate verdict trail, one entry per
 	// deduplicated candidate group; nil unless Options.Explain.
 	Decisions []Decision
@@ -171,22 +171,14 @@ func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResul
 
 	// --- Timeout pruning (Section 4.2.2), per deduplicated candidate. ---
 	sort.Strings(order)
-	cells := ruleCells(opts.Metrics)
 	for _, k := range order {
 		grp := groups[k]
 		rep := grp.reports[0]
 		rule := RuleKept
-		if grp.timed {
+		if grp.timed && !opts.DisableTimeoutPruning {
+			rule = RuleLoopTimeout
 			if rep.OpsDesc == "Signal vs Wait" {
-				res.Pruned.WaitTimeout++
-				if !opts.DisableTimeoutPruning {
-					rule = RuleWaitTimeout
-				}
-			} else {
-				res.Pruned.LoopTimeout++
-				if !opts.DisableTimeoutPruning {
-					rule = RuleLoopTimeout
-				}
+				rule = RuleWaitTimeout
 			}
 		}
 		if opts.Explain {
@@ -196,11 +188,11 @@ func DetectRegularOpts(g *hb.Graph, workload string, opts Options) *RegularResul
 				Rule:      rule,
 			})
 		}
-		cells[rule].Inc()
-		if rule != RuleKept {
-			continue
+		res.Tally[ruleIndex(rule)]++
+		if rule == RuleKept {
+			res.Reports = append(res.Reports, rep)
 		}
-		res.Reports = append(res.Reports, rep)
 	}
+	res.Tally.publish(opts.Metrics)
 	return res
 }

@@ -149,25 +149,6 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// PruneCounters tallies how many candidates each fault-tolerance analysis
-// eliminated — the per-workload rows of Table 5. Loop/Wait timeout counts
-// are deduplicated candidate groups; Dependence and Impact counts are raw
-// conflicting pairs (those analyses run before deduplication).
-type PruneCounters struct {
-	LoopTimeout int
-	WaitTimeout int
-	Dependence  int
-	Impact      int
-}
-
-// Add accumulates counters.
-func (p *PruneCounters) Add(o PruneCounters) {
-	p.LoopTimeout += o.LoopTimeout
-	p.WaitTimeout += o.WaitTimeout
-	p.Dependence += o.Dependence
-	p.Impact += o.Impact
-}
-
 // normalizeRes maps a concrete resource ID to its class: process IDs and
 // numeric instance suffixes are collapsed, so "cv:regionserver#2:open/17"
 // and "cv:regionserver#1:open/9" both become "cv:open".

@@ -51,14 +51,6 @@ func TestOpsDescNames(t *testing.T) {
 	}
 }
 
-func TestPruneCountersAdd(t *testing.T) {
-	a := PruneCounters{LoopTimeout: 1, WaitTimeout: 2, Dependence: 3, Impact: 4}
-	a.Add(PruneCounters{LoopTimeout: 10, WaitTimeout: 20, Dependence: 30, Impact: 40})
-	if a != (PruneCounters{11, 22, 33, 44}) {
-		t.Fatalf("Add = %+v", a)
-	}
-}
-
 func TestCorrelateSingletonFallback(t *testing.T) {
 	// A report whose read op cannot be resolved still lands in a group.
 	ty := trace.New()

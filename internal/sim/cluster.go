@@ -409,10 +409,11 @@ func (o *Outcome) Failed() bool {
 	return o.FailureKind() != "ok"
 }
 
-// FailureKind classifies the run — the one failure-precedence table trigger
-// verdicts and campaign signatures share: an uncaught exception identifies a
-// failure more precisely than the fatal it logs, which beats the hang they
-// often also cause; checker complaints rank last; "ok" means !Failed().
+// FailureKind classifies the run for trigger verdicts: an uncaught exception
+// identifies a failure more precisely than the fatal it logs, which beats the
+// hang they often also cause; checker complaints rank last; "ok" means
+// !Failed(). Campaign signatures (campaign.Symptom) rank the same symptoms
+// except that a fatal log comes before an exception.
 func (o *Outcome) FailureKind() string {
 	switch {
 	case len(o.UncaughtExceptions) > 0:

@@ -19,6 +19,7 @@ import (
 
 	"fcatch"
 	"fcatch/internal/core"
+	"fcatch/internal/detect"
 	"fcatch/internal/sim"
 )
 
@@ -63,6 +64,18 @@ func truncate(s string) string {
 	return s
 }
 
+// prunedLine renders both detectors' tallies in the goldens' layout, one
+// {LoopTimeout WaitTimeout Dependence Impact} group per detector, with
+// dependence pruning the sanity-check and reset rules together.
+func prunedLine(res *fcatch.Result) string {
+	group := func(t detect.Tally) string {
+		return fmt.Sprintf("{LoopTimeout:%d WaitTimeout:%d Dependence:%d Impact:%d}",
+			t.Of(detect.RuleLoopTimeout), t.Of(detect.RuleWaitTimeout),
+			t.Of(detect.RuleSanityCheck)+t.Of(detect.RuleReset), t.Of(detect.RuleImpact))
+	}
+	return "pruned regular=" + group(res.Regular.Tally) + " recovery=" + group(res.Recovery.Tally) + "\n"
+}
+
 // TestGoldenDetectionReports pins every workload's full detection output —
 // report lines, summaries, prune counters, crash metadata — against goldens
 // generated before the symbol-interning refactor.
@@ -79,7 +92,7 @@ func TestGoldenDetectionReports(t *testing.T) {
 			fmt.Fprintf(&b, "workload=%s crash=%s step=%d records=%d+%d\n",
 				w.Name(), res.Observation.Faulty.CrashedPID, res.Observation.Faulty.CrashStep,
 				res.Observation.FaultFree.Len(), res.Observation.Faulty.Len())
-			fmt.Fprintf(&b, "pruned regular=%+v recovery=%+v\n", res.Regular.Pruned, res.Recovery.Pruned)
+			b.WriteString(prunedLine(res))
 			for i, r := range res.Reports {
 				wp := "-"
 				if r.WPrime != nil {

@@ -30,7 +30,7 @@ func evalFingerprint(e *fcatch.EvalRun) string {
 	for _, wl := range e.Order {
 		res := e.Results[wl]
 		fmt.Fprintf(&b, "== %s crash=%s step=%d\n", wl, res.Observation.Faulty.CrashedPID, res.Observation.Faulty.CrashStep)
-		fmt.Fprintf(&b, "pruned regular=%+v recovery=%+v\n", res.Regular.Pruned, res.Recovery.Pruned)
+		b.WriteString(prunedLine(res))
 		for _, r := range res.Reports {
 			wp := "-"
 			if r.WPrime != nil {

@@ -159,22 +159,22 @@ func RenderCompound(res *Result) string {
 }
 
 // RenderExplain renders a detection result's pruning attribution: the
-// per-rule kill table (which §4 analysis discarded how many candidates) and
-// the per-candidate decision trail. The pass must have run with
-// Options.Detect.Explain; per the explain contract, the rule counts always
-// sum to the candidate count.
+// per-rule kill table (which §4 analysis discarded how many candidates,
+// summed over both detectors' tallies) and the per-candidate decision trail,
+// which is empty unless the pass ran with Options.Detect.Explain.
 func RenderExplain(res *Result) string {
-	ds := ExplainDecisions(res)
-	kt := KillTable(ds)
+	count := func(rule string) int { return res.Regular.Tally.Of(rule) + res.Recovery.Tally.Of(rule) }
+	var rows [][]string
+	total := 0
+	for _, r := range PruneRuleNames() {
+		total += count(r)
+		rows = append(rows, []string{r, fmt.Sprint(count(r))})
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Pruning attribution for %s: %d candidate(s), %d kept, %d killed.\n",
-		res.Workload, len(ds), kt[RuleKept], len(ds)-kt[RuleKept])
-	var rows [][]string
-	for _, r := range PruneRuleNames() {
-		rows = append(rows, []string{r, fmt.Sprint(kt[r])})
-	}
+		res.Workload, total, count(RuleKept), total-count(RuleKept))
 	b.WriteString(renderTable([]string{"Rule", "Candidates"}, rows))
-	if len(ds) > 0 {
+	if ds := ExplainDecisions(res); len(ds) > 0 {
 		b.WriteString("Decision trail:\n")
 		for _, d := range ds {
 			fmt.Fprintf(&b, "  %-12s [%s w%d] %s\n", d.Rule, d.Detector, d.Window, d.Candidate)

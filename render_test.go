@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fcatch"
+	"fcatch/internal/detect"
 )
 
 func TestRenderTable1Contents(t *testing.T) {
@@ -162,7 +163,7 @@ func TestRenderExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := fcatch.ExplainDecisions(res)
-	kt := fcatch.KillTable(ds)
+	kt := detect.KillTable(ds)
 	s := fcatch.RenderExplain(res)
 	if want := fmt.Sprintf("%d candidate(s), %d kept, %d killed",
 		len(ds), kt[fcatch.RuleKept], len(ds)-kt[fcatch.RuleKept]); !strings.Contains(s, want) {

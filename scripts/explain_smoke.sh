@@ -3,7 +3,9 @@
 #
 # Runs `fcatch detect -explain` on every benchmark workload and asserts the
 # explain contract from the shipped binary: the per-rule kill table's counts
-# sum to the candidate count (every candidate gets exactly one verdict).
+# sum to the candidate count (every candidate gets exactly one verdict), and
+# the `pruned:` line reads the same tally — loop-timeout, wait-timeout,
+# dependence = sanity-check + reset, impact.
 #
 # Usage: scripts/explain_smoke.sh <fcatch-binary>
 set -euo pipefail
@@ -29,6 +31,15 @@ for wl in $WORKLOADS; do
     echo "$out" >&2
     exit 1
   fi
-  echo "explain-smoke: $wl OK ($candidates candidates, rule counts sum to $sum)"
+  rule() { awk -v r="$1" '/^Rule +Candidates/{t=1; next} t && $1 == r {print $2; exit}' <<<"$out"; }
+  want="pruned: loop-timeout=$(rule loop-timeout) wait-timeout=$(rule wait-timeout)"
+  want+=" dependence=$(($(rule sanity-check) + $(rule reset))) impact=$(rule impact)"
+  pruned=$(grep '^pruned:' <<<"$out")
+  if [ "$pruned" != "$want" ]; then
+    echo "explain-smoke: FAIL — $wl: '$pruned' disagrees with the kill table ('$want')" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  echo "explain-smoke: $wl OK ($candidates candidates, rule counts sum to $sum, $pruned)"
 done
 echo "explain-smoke: PASS"

@@ -231,16 +231,22 @@ type Table5Row struct {
 func (e *EvalRun) Table5() []Table5Row {
 	var rows []Table5Row
 	for _, wl := range e.Order {
-		res := e.Results[wl]
-		rows = append(rows, Table5Row{
-			Workload:    wl,
-			LoopTimeout: res.Regular.Pruned.LoopTimeout,
-			WaitTimeout: res.Regular.Pruned.WaitTimeout,
-			Dependence:  res.Recovery.Pruned.Dependence,
-			Impact:      res.Recovery.Pruned.Impact,
-		})
+		rows = append(rows, PruneRow(wl, e.Results[wl]))
 	}
 	return rows
+}
+
+// PruneRow is one detection result's Table 5 row, read off the detectors'
+// tallies: dependence pruning is the sanity-check and reset rules together.
+func PruneRow(wl string, res *Result) Table5Row {
+	reg, rec := res.Regular.Tally, res.Recovery.Tally
+	return Table5Row{
+		Workload:    wl,
+		LoopTimeout: reg.Of(RuleLoopTimeout),
+		WaitTimeout: reg.Of(RuleWaitTimeout),
+		Dependence:  rec.Of(RuleSanityCheck) + rec.Of(RuleReset),
+		Impact:      rec.Of(RuleImpact),
+	}
 }
 
 // --- Hazard windows: the per-fault breakdown of one detection result. ---
