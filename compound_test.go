@@ -1,6 +1,8 @@
 package fcatch_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fcatch"
@@ -105,6 +107,45 @@ func TestCompoundZeroOnSingleFault(t *testing.T) {
 		for _, r := range res.Reports {
 			if r.WindowID != 0 {
 				t.Fatalf("%s: single-fault report in window %d", wl, r.WindowID)
+			}
+		}
+	}
+}
+
+// TestCompoundVariantsParallelismInvariant: TriggerCompounds replays a
+// report's recovery-policy variants across res.Options.Parallelism workers
+// and reduces their verdicts in variant order, so every setting gives the
+// same outcomes.
+func TestCompoundVariantsParallelismInvariant(t *testing.T) {
+	for _, wl := range []string{"MR1", "HB1"} {
+		w := fcatch.MustWorkload(wl)
+		opts := fcatch.DefaultOptions()
+		sc, err := fcatch.ParseScenario(compositeScenarios[wl])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Scenario = sc
+		res, err := fcatch.Detect(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		for _, p := range []int{1, 2, 0} {
+			res.Options.Parallelism = p
+			var b strings.Builder
+			for _, o := range fcatch.TriggerCompounds(w, res) {
+				fmt.Fprintf(&b, "%s -> %v %s (%s) via %s %s\n", o.Compound.Key(), o.Class, o.FailureKind, o.Detail,
+					o.Variant, fcatch.FormatScenario(o.Scenario))
+			}
+			if p == 1 {
+				want = b.String()
+				if want == "" {
+					t.Fatalf("%s: no compound outcomes", wl)
+				}
+				continue
+			}
+			if got := b.String(); got != want {
+				t.Errorf("%s: Parallelism %d:\n%s\nParallelism 1:\n%s", wl, p, got, want)
 			}
 		}
 	}

@@ -32,6 +32,7 @@ import (
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
 	"fcatch/internal/obs"
+	"fcatch/internal/sim"
 	"fcatch/internal/trace"
 )
 
@@ -189,10 +190,22 @@ func Detect(w Workload, opts Options) (*Result, error) {
 // before it (res.Windows), and fans the replays across
 // res.Options.Parallelism workers (outcomes stay in report order).
 func Trigger(w Workload, res *Result) []*TriggerOutcome {
+	return triggerer(w, res).TriggerAll(res.Reports)
+}
+
+// triggerer builds the Triggerer that replays res's findings: the
+// observation's seed (so trigger points land on the reported operations), its
+// hazard windows, res.Options.Parallelism and — when the observation traced
+// selectively, as replays do — its fault-free run's picks, which size the
+// replays' stall rule without a fault-free run of their own.
+func triggerer(w Workload, res *Result) *inject.Triggerer {
 	tg := inject.NewTriggerer(w, res.Options.Seed)
 	tg.Parallelism = res.Options.Parallelism
 	tg.Windows = res.Windows
-	return tg.TriggerAll(res.Reports)
+	if res.Options.Tracing == sim.TraceSelective {
+		tg.FaultFreePicks = res.Observation.FaultFreeOutcome.Picks
+	}
+	return tg
 }
 
 // TriggerScenario rebuilds the fault scenario that replays one report from
@@ -214,10 +227,10 @@ func CompoundScenario(rep *CompoundReport) []FaultSpec {
 // outcomes in res.Compound order. Each replay lowers both window anchors back
 // to scenario events and injects them in order, confirming (or refuting) that
 // the inner fault landing inside the outer window reproduces the composite
-// failure under some recovery policy. One triggerer serves every report, so
-// the fault-free run that sizes the replays' stall rule runs once.
+// failure under some recovery policy. A report's recovery-policy variants
+// replay across res.Options.Parallelism workers.
 func TriggerCompounds(w Workload, res *Result) []*CompoundOutcome {
-	tg := inject.NewTriggerer(w, res.Options.Seed)
+	tg := triggerer(w, res)
 	outs := make([]*CompoundOutcome, len(res.Compound))
 	for i, c := range res.Compound {
 		outs[i] = tg.TriggerCompound(c)

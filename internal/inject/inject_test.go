@@ -323,8 +323,8 @@ func TestHandledExcFoldMatchesMaterialized(t *testing.T) {
 			at := fmt.Sprintf("%s seed %d fault-free", w.Name(), seed)
 			kept, _ := checkReplayFolds(t, w, cfg, "", at)
 			tg := NewTriggerer(w, seed)
-			if tg.replayConfig(nil, nil); tg.stallPicks != stallMultiple*kept.Picks {
-				t.Errorf("%s: StallPicks %d, want %d × the kept run's %d picks", at, tg.stallPicks, stallMultiple, kept.Picks)
+			if got := tg.StallPicks(); got != stallMultiple*kept.Picks {
+				t.Errorf("%s: StallPicks %d, want %d × the kept run's %d picks", at, got, stallMultiple, kept.Picks)
 			}
 		}
 	}

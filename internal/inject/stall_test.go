@@ -34,8 +34,7 @@ func replayOutcome(tg *Triggerer, events []sim.FaultSpec, restart map[string]int
 // workload's clock budget and the simulator's quiescence rule, and returns
 // the StallPicks they would have run under.
 func withoutStallRule(tg *Triggerer) (stallPicks int64) {
-	tg.replayConfig(nil, nil) // measure the fault-free run
-	stallPicks, tg.stallPicks = tg.stallPicks, 0
+	stallPicks, tg.stallPicks = tg.StallPicks(), 0
 	return stallPicks
 }
 
@@ -204,12 +203,20 @@ func TestStallCutsOnlyHangs(t *testing.T) {
 	}
 }
 
-// TestStallStopsHungReplay replays two attempts that hang and checks which
+// TestStallStopsHungReplay replays three attempts that hang and checks which
 // rule stops each, well before the clock budget, with the verdict the replay
 // gets without the stall rule.
-//   - MR1, the kernel drops a task's RPC reply: rm#1/main sits in a timed
-//     job-finished wait, so the run is never quiescent, and only the stall
-//     rule stops it (without it, the clock budget does).
+//   - MR1, the kernel drops a task's RPC reply: am#1/main polls and rm#1/main
+//     sits in a timed job-finished wait while the status-poller daemon, and
+//     the RPC handlers serving it, keep the scheduler busy. Under the stall
+//     rule a timed wait counts as waiting, so the run is quiescent and the
+//     quiescence rule ends it after StallPicks/3 quiescent picks; without
+//     the stall rule the timed wait keeps it from being quiescent, and the
+//     clock budget ends it.
+//   - HB2, the kernel drops the root-opened message at rs090.go:57: the
+//     client retries its timed-out Put, sleeping between attempts, so the
+//     run is never quiescent for long, and only the stall rule stops it
+//     (without it, the clock budget does).
 //   - CA1&2, the kernel drops cass2's second message at node.go:104: every
 //     non-daemon thread waits on a latch or polls while the gossip,
 //     dispatcher and heartbeat daemons keep the scheduler busy, so the run is
@@ -223,6 +230,8 @@ func TestStallStopsHungReplay(t *testing.T) {
 		stop, stopAlone string // Outcome.Stop with and without the stall rule
 	}{
 		{func() core.Workload { return mapreduce.NewMR1() }, "site=sim/rpc.go:reply-send,occ=28,when=before,action=kernel-drop",
+			sim.StopQuiescent, sim.StopBudget},
+		{func() core.Workload { return hbase.NewHB2() }, "site=apps/hbase/rs090.go:57,occ=1,when=before,action=kernel-drop",
 			sim.StopStall, sim.StopBudget},
 		{func() core.Workload { return cassandra.New() }, "site=apps/cassandra/node.go:104,occ=2,when=before,action=kernel-drop",
 			sim.StopQuiescent, sim.StopQuiescent},

@@ -55,19 +55,24 @@ type Outcome struct {
 type Triggerer struct {
 	W    core.Workload
 	Seed int64
-	// Parallelism bounds how many reports TriggerAll replays concurrently
-	// (0 = GOMAXPROCS, 1 = sequential). Every replay builds its own
-	// cluster, and outcomes land in per-report slots, so the result is
-	// identical at any setting.
+	// Parallelism bounds how many reports TriggerAll, or compound variants
+	// TriggerCompound, replays concurrently (0 = GOMAXPROCS, 1 =
+	// sequential). Every replay builds its own cluster, and outcomes land
+	// in per-replay slots, so the result is identical at any setting.
 	Parallelism int
 	// Windows are the observation's hazard windows. A report from a later
 	// window replays the faults that opened the windows before it, so its
 	// aimed fault lands in the recovery context it was detected in. Nil
 	// suits single-fault observations, whose reports all sit in window 0.
 	Windows []detect.Window
+	// FaultFreePicks are the scheduler picks of the workload's fault-free
+	// run at Seed under selective tracing, which size every replay's stall
+	// rule. An observation made that way has them (its FaultFreeOutcome);
+	// 0 makes the triggerer measure them with one fault-free run of its own.
+	FaultFreePicks int64
 
-	// stall measures, once, the fault-free run that sizes every replay's
-	// stall rule: stallPicks = stallMultiple × its scheduler picks.
+	// stall sizes, once, every replay's stall rule: stallPicks =
+	// stallMultiple × the fault-free run's picks.
 	stall      sync.Once
 	stallPicks int64
 }
@@ -203,19 +208,37 @@ func (tg *Triggerer) replay(events []sim.FaultSpec, restart map[string]int64, fo
 
 // replayConfig is the simulator configuration of one replay, less its fold:
 // replay sets Config.Fold, so every replay folds and keeps no trace.
-// Its stall rule comes from the workload's fault-free run, made once per
-// Triggerer with the same tracing and tick cost (so the same picks) as the
-// observation's. That run folds into nothing and tracks no dependences.
+// Its stall rule comes from the workload's fault-free run under the same
+// tracing and tick cost (so the same picks) as a selective observation's
+// (StallPicks).
 func (tg *Triggerer) replayConfig(events []sim.FaultSpec, restart map[string]int64) sim.Config {
-	cfg := sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective)}
-	tg.stall.Do(func() {
-		ff := cfg
-		ff.Fold = (*handledExcFold)(nil)
-		_, out := core.Run(tg.W, ff)
-		tg.stallPicks = stallMultiple * out.Picks
-	})
-	cfg.Plan, cfg.StallPicks = sim.NewScenarioPlan(events, tg.W.CrashTarget(), restart), tg.stallPicks
+	cfg := tg.baseConfig()
+	cfg.Plan, cfg.StallPicks = sim.NewScenarioPlan(events, tg.W.CrashTarget(), restart), tg.StallPicks()
 	return cfg
+}
+
+// baseConfig is what every run a triggerer makes shares: its seed, and
+// selective tracing at the observation's tick cost.
+func (tg *Triggerer) baseConfig() sim.Config {
+	return sim.Config{Seed: tg.Seed, Tracing: sim.TraceSelective, TraceTickCost: core.TraceTickCost(sim.TraceSelective)}
+}
+
+// StallPicks is the stall rule tg's replays run under (sim.Config.StallPicks):
+// stallMultiple × the fault-free run's picks. When FaultFreePicks is 0 the
+// first call measures them with a fault-free run that folds into nothing and
+// tracks no dependences.
+func (tg *Triggerer) StallPicks() int64 {
+	tg.stall.Do(func() {
+		picks := tg.FaultFreePicks
+		if picks == 0 {
+			ff := tg.baseConfig()
+			ff.Fold = (*handledExcFold)(nil)
+			_, out := core.Run(tg.W, ff)
+			picks = out.Picks
+		}
+		tg.stallPicks = stallMultiple * picks
+	})
+	return tg.stallPicks
 }
 
 // classify turns a trigger run's outcome into a verdict for one report.
@@ -318,15 +341,25 @@ const compoundRestartProbes = 64
 // anchors leave free. For a drop-opened inner window the outer victim is the
 // one left down, so nothing ever re-sends the dropped message. The strongest
 // verdict across variants wins.
+//
+// The variants replay up to tg.Parallelism at a time, and their verdicts are
+// reduced in variant order, so the outcome is the same at any setting.
 func (tg *Triggerer) TriggerCompound(rep *detect.CompoundReport) *CompoundOutcome {
 	variants := compoundVariants(rep)
+	type verdict struct {
+		cls          Classification
+		kind, detail string
+	}
+	verdicts, _ := parallel.Map(context.Background(), tg.Parallelism, len(variants), func(i int) verdict {
+		cls, kind, detail := tg.replay(variants[i].scenario, tg.W.RestartRoles(), nil)
+		return verdict{cls, kind, detail}
+	})
 	out := &CompoundOutcome{Compound: rep, Scenario: variants[0].scenario,
 		Class: Benign, Variant: variants[0].name}
-	for _, v := range variants {
-		cls, kind, detail := tg.replay(v.scenario, tg.W.RestartRoles(), nil)
-		if cls < out.Class {
-			out.Class, out.FailureKind, out.Detail = cls, kind, detail
-			out.Scenario, out.Variant = v.scenario, v.name
+	for i, v := range verdicts {
+		if v.cls < out.Class {
+			out.Class, out.FailureKind, out.Detail = v.cls, v.kind, v.detail
+			out.Scenario, out.Variant = variants[i].scenario, variants[i].name
 		}
 	}
 	return out

@@ -138,7 +138,8 @@ type Cluster struct {
 	curThread     *Thread   // the thread running this step (nil between steps)
 	runScratch    []*Thread // reusable runnable-scan buffer
 	liveNonDaemon int       // non-daemon threads still alive (workloadDone is O(1))
-	waiting       int       // non-daemon threads blocked in an untimed Cond wait or polling
+	serving       int       // live non-daemon threads that serve a daemon (Thread.servesDaemon)
+	waiting       int       // threads with Thread.waiting or Thread.polling set
 	quietPicks    int64     // cfg.QuietPicks(): the quiescence rule's budget (0: off)
 	quietSince    int64     // Outcome.Picks when the run last became quiescent; -1 while it is not
 	fnTimers      int       // armed scheduler-callback timers
@@ -380,6 +381,8 @@ type Outcome struct {
 	LongestQuiet int64
 	Elapsed      time.Duration
 
+	// Hung are the threads still alive at the end, daemons and the RPC
+	// handlers serving them left out.
 	Hung               []HangSite
 	FatalLogs          []string
 	UncaughtExceptions []string

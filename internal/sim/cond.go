@@ -121,7 +121,11 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	cv.waiters = append(cv.waiters, t)
 	if timeout > 0 {
 		ctx.c.addTimedWaitTimer(ctx.c.clock+timeout, t)
-	} else if !t.daemon && !t.polling {
+	}
+	// Under the stall rule a timed wait counts as waiting too: only its
+	// deadline would move the thread on, and a replay that stays quiescent
+	// until then is hung (Config.QuietPicks).
+	if (timeout == 0 || ctx.c.cfg.StallPicks > 0) && !t.background() && !t.polling {
 		t.waiting = true
 		ctx.c.waiting++
 	}

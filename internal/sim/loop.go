@@ -44,10 +44,11 @@ func (ctx *Context) SyncLoop(opts LoopOpts, body func(*Context) Value) Value {
 	if likelySync {
 		ctx.Do(OpReq{Kind: trace.KLoopEnter, Aux: opts.Name}, nil)
 	}
-	// A non-daemon thread polls once an iteration has found the condition
-	// false, until the loop returns: the quiescence rule counts it waiting.
+	// A thread that is not background polls once an iteration has found the
+	// condition false, until the loop returns: the quiescence rule counts it
+	// waiting.
 	t := ctx.t
-	poll := likelySync && !t.daemon
+	poll := likelySync && !t.background()
 	prevLoop, prevPolling := t.loopName, t.polling
 	t.loopName = opts.Name
 	defer func() {

@@ -44,13 +44,17 @@ type Node struct {
 	namedConds map[string]*Cond
 }
 
-// pendingRPC is a call that arrived before its handler was registered.
+// pendingRPC is one incoming call: handed to a handler thread, or parked in
+// rpcStash until its handler is registered.
 type pendingRPC struct {
 	method    string
 	args      []Value
 	callOp    trace.OpID
 	callerPID string
 	callID    int64
+	// servesDaemon: the caller is background (a daemon or a handler serving
+	// one), so the handler thread serves a daemon too.
+	servesDaemon bool
 }
 
 // Handler registrations carry their frame/thread labels precomputed, so

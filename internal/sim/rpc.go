@@ -66,7 +66,8 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 	cs := &callState{callID: c.nextSeq, callee: pid, done: ctx.NewCond("rpc-reply")}
 	caller.pendingCalls[cs.callID] = cs
 
-	p := pendingRPC{method: method, args: args, callOp: callOp, callerPID: caller.PID, callID: cs.callID}
+	p := pendingRPC{method: method, args: args, callOp: callOp, callerPID: caller.PID, callID: cs.callID,
+		servesDaemon: ctx.t.background()}
 	if _, ok := dst.rpcHandlers[method]; ok {
 		dst.spawnRPCHandler(p)
 	} else {
@@ -90,10 +91,11 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 	return v, err
 }
 
-// spawnRPCHandler runs one incoming call in a fresh handler thread on n.
+// spawnRPCHandler runs one incoming call in a fresh handler thread on n. The
+// thread serves a daemon when the call's caller did.
 func (n *Node) spawnRPCHandler(p pendingRPC) {
 	h := n.rpcHandlers[p.method]
-	n.c.spawnThread(n, h.name, func(hctx *Context) {
+	t := n.c.spawnThread(n, h.name, func(hctx *Context) {
 		defer hctx.Scope(h.name).End()
 		var result Value
 		var remoteErr error
@@ -132,4 +134,8 @@ func (n *Node) spawnRPCHandler(p pendingRPC) {
 			err:     remoteErr,
 		})
 	}, p.callOp, false, true)
+	if p.servesDaemon {
+		t.servesDaemon = true
+		n.c.serving++
+	}
 }

@@ -203,14 +203,15 @@ func (c *Cluster) compactThreads() {
 }
 
 // quiescent reports whether only daemons can change the run: every live
-// non-daemon thread waits on a latch with no timeout or polls in a
-// likely-sync SyncLoop, no restart is armed and every fault event has fired.
-// A poller's timer only re-runs its condition, which stays false until
-// another thread writes; a Sleep or a WaitTimeout has a timer that will move
-// its thread on, so such a thread keeps the run from being quiescent. Both
-// counts are kept incrementally, so the check is O(1).
+// thread that is not background (a daemon or an RPC handler serving one)
+// waits on a latch with no timeout or polls in a likely-sync SyncLoop, no
+// restart is armed and every fault event has fired. A poller's timer only
+// re-runs its condition, which stays false until another thread writes; a
+// Sleep has a timer that will move its thread on, so a sleeper keeps the run
+// from being quiescent, and so does a WaitTimeout unless the stall rule is
+// on (Cond.waitAt). The counts are kept incrementally, so the check is O(1).
 func (c *Cluster) quiescent() bool {
-	if c.waiting != c.liveNonDaemon || c.fnTimers != 0 {
+	if c.waiting != c.liveNonDaemon-c.serving || c.fnTimers != 0 {
 		return false
 	}
 	p := c.pendingPlan
@@ -313,7 +314,7 @@ func (c *Cluster) Run() *Outcome {
 		if !t.alive() {
 			continue
 		}
-		if !t.daemon {
+		if !t.background() {
 			reason := t.blockReason + t.blockObject
 			if t.state == tsRunnable {
 				reason = "live (budget exhausted)"

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -150,10 +151,11 @@ func TestStallRuleCutsLoopOverSeenSites(t *testing.T) {
 // every fault event has fired, only daemons can act, and the run is hung
 // after exactly MaxSteps/5 such picks — or StallPicks/3 under the stall
 // rule, if fewer; a new site restarts that count. A thread with a timer that
-// will move it on (WaitTimeout, Sleep), a loop the likely-sync heuristic
-// rejects (bounded, or not giving up the CPU), a pending restart or an
-// unfired fault event keeps the run on its clock budget; a daemon's wait or
-// poll does not count.
+// will move it on (Sleep, or WaitTimeout without the stall rule), a loop the
+// likely-sync heuristic rejects (bounded, or not giving up the CPU), a
+// pending restart or an unfired fault event keeps the run on its clock
+// budget; a daemon's wait or poll does not count, and neither does an RPC
+// handler serving a daemon, which the hang report leaves out too.
 func TestQuiescenceRule(t *testing.T) {
 	const budget, stallPicks = 5_000, 3*300 + 2
 	// quiet counts main's quiescent picks: the daemon's wakeups while main
@@ -174,6 +176,26 @@ func TestQuiescenceRule(t *testing.T) {
 		}
 	}
 	untimed := untimedOn("latch")
+	timed := func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+		q.blocked, q.picks = true, 0
+		_, _ = latch.WaitTimeout(ctx, 2*budget)
+		q.blocked = false
+	}
+	// serveSleep registers an RPC method on main's node whose handler sleeps
+	// past the clock budget: a sleeper keeps the run from being quiescent
+	// unless it serves a daemon.
+	serveSleep := func(ctx *sim.Context, method string) {
+		ctx.Self().HandleRPC(method, func(ctx *sim.Context, _ []sim.Value) sim.Value {
+			ctx.Sleep(2 * budget)
+			return sim.Value{}
+		})
+	}
+	// callFromDaemon has a daemon call method on main's node, then lets the
+	// call's handlers start before main waits.
+	callFromDaemon := func(ctx *sim.Context, method string) {
+		ctx.GoDaemon("caller", func(ctx *sim.Context) { _, _ = ctx.Call("node", method) })
+		ctx.Sleep(20)
+	}
 	// poll runs a sync loop whose condition is the daemon's signal; onIter,
 	// if set, runs in each iteration with the iteration's number.
 	poll := func(opts sim.LoopOpts, onIter func(ctx *sim.Context, q *quiet, iter int)) func(*sim.Context, *sim.Cond, *quiet) {
@@ -209,6 +231,7 @@ func TestQuiescenceRule(t *testing.T) {
 		boot       func(c *sim.Cluster)
 		stop       string
 		reason     string // the hung main thread's reason ("" when the run completes)
+		alsoHung   string // another thread the hang report lists, after main
 		cut        int    // quiescent picks at a quiescent cut (0: MaxSteps/5)
 	}{
 		{name: "latch never signalled", wait: untimed, stop: sim.StopQuiescent, reason: "wait:latch"},
@@ -245,9 +268,9 @@ func TestQuiescenceRule(t *testing.T) {
 			stop: sim.StopBudget, reason: "loop:poll"},
 		{name: "loop that keeps the CPU", wait: poll(sim.LoopOpts{Name: "spin"}, nil),
 			stop: sim.StopBudget, reason: "loop:spin"},
-		{name: "WaitTimeout waiter", wait: func(ctx *sim.Context, latch *sim.Cond, _ *quiet) {
-			_, _ = latch.WaitTimeout(ctx, 2*budget)
-		}, stop: sim.StopBudget, reason: "wait:latch"},
+		{name: "WaitTimeout waiter", wait: timed, stop: sim.StopBudget, reason: "wait:latch"},
+		{name: "WaitTimeout under the stall rule", wait: timed, stallPicks: stallPicks,
+			stop: sim.StopQuiescent, reason: "wait:latch", cut: stallPicks / 3},
 		{name: "Sleep waiter", wait: func(ctx *sim.Context, _ *sim.Cond, _ *quiet) {
 			ctx.Sleep(2 * budget)
 		}, stop: sim.StopBudget, reason: "sleep"},
@@ -264,6 +287,42 @@ func TestQuiescenceRule(t *testing.T) {
 			stop: sim.StopQuiescent, reason: "wait:latch", cut: stallPicks / 3},
 		{name: "signal in time under the stall rule", wait: untimed, stallPicks: stallPicks,
 			signalAt: stallPicks/3 - 20, stop: sim.StopDone},
+		{name: "a handler called by a daemon", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			serveSleep(ctx, "Nap")
+			callFromDaemon(ctx, "Nap")
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "a handler of a handler of a daemon", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			serveSleep(ctx, "Nap")
+			ctx.Self().HandleRPC("Relay", func(ctx *sim.Context, _ []sim.Value) sim.Value {
+				v, _ := ctx.Call("node", "Nap")
+				return v
+			})
+			callFromDaemon(ctx, "Relay")
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "a daemon's call stashed until its handler is registered", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			callFromDaemon(ctx, "Nap")
+			serveSleep(ctx, "Nap")
+			ctx.Sleep(20) // the handler starts
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "a daemon's handler that returned", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			ctx.Self().HandleRPC("Ping", func(*sim.Context, []sim.Value) sim.Value { return sim.Value{} })
+			callFromDaemon(ctx, "Ping")
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "a daemon's handler polls", wait: func(ctx *sim.Context, latch *sim.Cond, q *quiet) {
+			ctx.Self().HandleRPC("Poll", func(ctx *sim.Context, _ []sim.Value) sim.Value {
+				return ctx.SyncLoop(sim.LoopOpts{Name: "poll", SleepTicks: 2 * budget}, func(*sim.Context) sim.Value { return sim.V(false) })
+			})
+			callFromDaemon(ctx, "Poll")
+			untimed(ctx, latch, q)
+		}, stop: sim.StopQuiescent, reason: "wait:latch"},
+		{name: "a handler called by a non-daemon", wait: func(ctx *sim.Context, _ *sim.Cond, _ *quiet) {
+			serveSleep(ctx, "Nap")
+			_, _ = ctx.Call("node", "Nap")
+		}, stop: sim.StopBudget, reason: "wait:rpc-reply", alsoHung: "rpc:Nap"},
 		{name: "a poller reaches a new site", stallPicks: stallPicks,
 			wait: poll(sim.LoopOpts{Name: "poll", SleepTicks: 100}, func(ctx *sim.Context, q *quiet, iter int) {
 				if iter == 3 { // well into the quiescent stretch
@@ -313,8 +372,17 @@ func TestQuiescenceRule(t *testing.T) {
 			if tc.reason == "" {
 				return
 			}
-			if len(out.Hung) != 1 || out.Hung[0].Name != "main" || out.Hung[0].Reason != tc.reason {
-				t.Fatalf("Hung=%+v, want main hung with reason %q", out.Hung, tc.reason)
+			// Daemons and the handlers serving them are left out.
+			hung := []string{"main"}
+			if tc.alsoHung != "" {
+				hung = append(hung, tc.alsoHung)
+			}
+			var names []string
+			for _, h := range out.Hung {
+				names = append(names, h.Name)
+			}
+			if !slices.Equal(names, hung) || out.Hung[0].Reason != tc.reason {
+				t.Fatalf("Hung=%+v, want %v hung, main with reason %q", out.Hung, hung, tc.reason)
 			}
 			if tc.stop != sim.StopQuiescent {
 				return

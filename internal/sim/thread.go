@@ -55,17 +55,24 @@ type Thread struct {
 
 	daemon     bool
 	handlerCtx bool // inside an RPC/message/event handler (or its callees)
+	// servesDaemon marks an RPC handler whose caller is a daemon or itself
+	// serves one: it does a daemon's work, so it is background (see
+	// background), yet it keeps the workload from completing like any
+	// non-daemon thread.
+	servesDaemon bool
 
 	state       threadState
 	blockSite   SiteID
 	blockReason string
 	blockObject string // what the thread waits on, appended to blockReason
 	blockToken  int64  // invalidates stale timed-wait timers
-	// waiting marks a non-daemon thread blocked in a Cond wait with no
-	// timeout: nothing but a signal wakes it. polling marks a non-daemon
-	// thread inside a likely-sync SyncLoop whose condition has been found
-	// false: only another thread's write ends it, its custom wait (§3.1).
-	// Cluster.waiting counts the threads with either bit set (never both).
+	// waiting marks a thread that is not background blocked in a Cond wait
+	// with no timeout, or under the stall rule in any Cond wait: nothing but
+	// a signal (or a deadline the rule does not wait for) wakes it. polling
+	// marks such a thread inside a likely-sync SyncLoop whose condition has
+	// been found false: only another thread's write ends it, its custom wait
+	// (§3.1). Cluster.waiting counts the threads with either bit set (never
+	// both).
 	waiting bool
 	polling bool
 
@@ -177,6 +184,9 @@ func (t *Thread) finish(c *Cluster, st threadState) {
 	}
 	if !t.daemon {
 		c.liveNonDaemon--
+	}
+	if t.servesDaemon {
+		c.serving--
 	}
 	c.deadThreads++
 }
@@ -310,6 +320,11 @@ func (t *Thread) setPolling(c *Cluster, on bool) {
 		}
 	}
 }
+
+// background reports whether the thread works for the run's daemons: it is a
+// daemon, or an RPC handler serving one. The quiescence rule and hang reports
+// leave background threads out.
+func (t *Thread) background() bool { return t.daemon || t.servesDaemon }
 
 // alive reports whether the thread can still run.
 func (t *Thread) alive() bool {

@@ -129,9 +129,7 @@ func Reproduce(bugID string, opts Options) (*Reproduction, error) {
 	if report == nil {
 		return nil, fmt.Errorf("fcatch: bug %s was not predicted by detection on %s", bugID, wl)
 	}
-	tg := inject.NewTriggerer(w, opts.Seed)
-	tg.Windows = res.Windows
-	out := tg.Trigger(report)
+	out := triggerer(w, res).Trigger(report)
 	rep := &Reproduction{
 		Spec: spec, Workload: wl, Report: report,
 		Windows: res.Windows,

@@ -15,10 +15,12 @@
 #     9 770 KB / 174 200, dist 9 878 / 175 578). dist runs the same campaign
 #     runs through the coordinator, so its counts are campaign's plus the
 #     wire's.
-#   evaluation — 1 % over the median measured once sync-loop pollers counted
-#     as waiting and a trigger replay's quiescence budget became a third of
-#     its stall budget: 3 597 KB / 31 485 mallocs per op; the allocs ceiling
-#     is below the value before that change (3 629 KB / 34 316).
+#   evaluation — 1 % over the median measured once RPC handlers serving a
+#     daemon stopped holding off quiescence, timed waits counted as waiting
+#     under the stall rule, and trigger replays took the observation's
+#     fault-free picks instead of re-running it: 3 151 KB / 26 544 mallocs
+#     per op; both ceilings are below the values before that change
+#     (3 594 KB / 31 485).
 #   predict — 1 % over the median measured once runs that keep no trace
 #     stopped building what only a trace reads (folds take simulator facts,
 #     dependence-free folds number no ops and merge no taint, heap and cond
@@ -57,7 +59,7 @@ sys.exit(0 if ok else 1)' "$@"
 fail=0
 gate campaign   9628  151938 || fail=1
 gate dist       9737  153332 || fail=1
-gate evaluation 3633  31800  || fail=1
+gate evaluation 3182  26809  || fail=1
 gate offline    596   974    || fail=1
 gate predict    1618  5284   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
