@@ -221,13 +221,14 @@ func BenchmarkDetectorAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		opts := detect.Options{Windows: detect.DeriveWindows(obs.Faulty, obs.FaultFirings)}
 		b.Run(w.Name(), func(b *testing.B) {
 			reports := 0
 			for i := 0; i < b.N; i++ {
 				gf := hb.New(obs.FaultFree)
 				gy := hb.New(obs.Faulty)
-				reg := detect.DetectRegularOpts(gf, w.Name(), detect.Options{})
-				rec := detect.DetectRecoveryOpts(gf, gy, w.Name(), detect.Options{})
+				reg := detect.DetectRegularOpts(gf, w.Name(), opts)
+				rec := detect.DetectRecoveryOpts(gf, gy, w.Name(), opts)
 				reports = len(reg.Reports) + len(rec.Reports)
 			}
 			b.ReportMetric(float64(reports), "reports")
@@ -237,7 +238,7 @@ func BenchmarkDetectorAnalysis(b *testing.B) {
 
 // BenchmarkOfflineSweep is the repository benchmark's `offline` op as a Go
 // benchmark, for profiling: one iteration analyses every workload's saved
-// trace pair — FCT2 bytes through trace.NewSource and hb.NewFromSource, then
+// trace pair — FCT3 bytes through trace.NewSource and hb.NewFromSource, then
 // both detectors over the observation's windows — with no simulation. CPU
 // profiles of it (-cpu 1, as `go run ./bench -workload offline` runs) are
 // where CHANGES.md's decode/index shares come from.

@@ -160,9 +160,12 @@ func main() {
 		if err := obs.Faulty.Save(fy); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("saved %s (%d records) and %s (%d records, crash of %s at step %d) in %s format\n",
-			ff, obs.FaultFree.Len(), fy, obs.Faulty.Len(), obs.Faulty.CrashedPID, obs.Faulty.CrashStep,
-			trace.FormatMagic)
+		crash := "no crash"
+		if c := obs.Faulty.Filter(trace.Query{Kinds: []trace.Kind{trace.KCrash}}); len(c) > 0 {
+			crash = fmt.Sprintf("crash of %s at step %d", obs.Faulty.Str(c[0].Aux), c[0].TS)
+		}
+		fmt.Printf("saved %s (%d records) and %s (%d records, %s) in %s format\n",
+			ff, obs.FaultFree.Len(), fy, obs.Faulty.Len(), crash, trace.FormatMagic)
 
 	case "grep":
 		q := trace.Query{ResContains: *res, PID: *pid}

@@ -30,7 +30,6 @@ var compositeScenarios = map[string]string{
 // policy.
 func TestCompoundDetectionOnCompositeScenarios(t *testing.T) {
 	for _, wl := range []string{"MR1", "HB1"} {
-		wl := wl
 		t.Run(wl, func(t *testing.T) {
 			w := fcatch.MustWorkload(wl)
 			opts := fcatch.DefaultOptions()

@@ -2,6 +2,7 @@ package apps_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
 	"fcatch/internal/sim"
+	"fcatch/internal/trace"
 )
 
 func TestZKFaultFreeRun(t *testing.T) {
@@ -25,8 +27,10 @@ func TestZKToleratesLeaderRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Faulty.CrashedPID != "zkleader#1" || !obs.Faulty.HasPID("zkleader#2") {
-		t.Fatalf("leader restart missing: crashed=%s pids=%v", obs.Faulty.CrashedPID, obs.Faulty.PIDs)
+	crashes := obs.Faulty.Filter(trace.Query{Kinds: []trace.Kind{trace.KCrash}})
+	pids := obs.Faulty.StartedPIDs()
+	if len(crashes) == 0 || obs.Faulty.Str(crashes[0].Aux) != "zkleader#1" || !slices.Contains(pids, "zkleader#2") {
+		t.Fatalf("leader restart missing: crashes=%v pids=%v", crashes, pids)
 	}
 }
 

@@ -2,6 +2,7 @@ package mapreduce_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
 	"fcatch/internal/sim"
+	"fcatch/internal/trace"
 )
 
 func find(reports []*detect.Report, typ detect.BugType, classHint string) *detect.Report {
@@ -36,10 +38,11 @@ func TestWordCountToleratesObservationCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	if obs.Faulty.CrashedPID != "task1#1" {
-		t.Fatalf("crashed %q, want the task1 attempt", obs.Faulty.CrashedPID)
+	crashes := obs.Faulty.Filter(trace.Query{Kinds: []trace.Kind{trace.KCrash}})
+	if len(crashes) == 0 || obs.Faulty.Str(crashes[0].Aux) != "task1#1" {
+		t.Fatalf("crash records %v, want the task1 attempt's first", crashes)
 	}
-	if !obs.Faulty.HasPID("task1#2") {
+	if !slices.Contains(obs.Faulty.StartedPIDs(), "task1#2") {
 		t.Fatal("no recovery attempt in the faulty run")
 	}
 }

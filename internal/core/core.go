@@ -387,12 +387,7 @@ func Detect(w Workload, opts Options) (*Result, error) {
 	if dopts.Metrics == nil {
 		dopts.Metrics = opts.Metrics
 	}
-	if len(dopts.Firings) == 0 {
-		dopts.Firings = obs.FaultFirings
-	}
-	if len(dopts.Windows) == 0 {
-		dopts.Windows = detect.ObservationWindows(obs.Faulty, dopts)
-	}
+	dopts.Windows = detect.DeriveWindows(obs.Faulty, obs.FaultFirings)
 	res.Windows = dopts.Windows
 	opts.Metrics.Counter("detect/windows").Add(int64(len(res.Windows)))
 	t0 := time.Now()

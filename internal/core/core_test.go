@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,22 +49,24 @@ func TestObserveProducesCorrectRunPair(t *testing.T) {
 	if obs.FaultFree == nil || obs.Faulty == nil {
 		t.Fatal("missing traces")
 	}
-	if obs.Faulty.CrashedPID == "" {
+	if crashRecord(obs.Faulty) == nil {
 		t.Fatal("faulty run recorded no crash")
 	}
 	if obs.FaultFree.Len() == 0 || obs.Faulty.Len() == 0 {
 		t.Fatal("empty traces")
 	}
 	// The faulty run must have seen the recovery incarnation.
-	found := false
-	for _, pid := range obs.Faulty.PIDs {
-		if pid == "worker#2" {
-			found = true
-		}
+	if pids := obs.Faulty.StartedPIDs(); !slices.Contains(pids, "worker#2") {
+		t.Fatalf("no recovery process in faulty run; pids=%v", pids)
 	}
-	if !found {
-		t.Fatalf("no recovery process in faulty run; pids=%v", obs.Faulty.PIDs)
+}
+
+// crashRecord is the first crash record of a trace, nil when nothing crashed.
+func crashRecord(tr *trace.Trace) *trace.Record {
+	if c := tr.Filter(trace.Query{Kinds: []trace.Kind{trace.KCrash}}); len(c) > 0 {
+		return c[0]
 	}
+	return nil
 }
 
 func TestCheckpointPairSharesPrefix(t *testing.T) {
@@ -72,10 +75,11 @@ func TestCheckpointPairSharesPrefix(t *testing.T) {
 		t.Fatalf("Observe: %v", err)
 	}
 	tf, ty := obs.FaultFree, obs.Faulty
+	crashStep := crashRecord(ty).TS
 	n := 0
 	for i := 0; i < tf.Len() && i < ty.Len(); i++ {
 		a, b := tf.Records[i], ty.Records[i]
-		if a.TS >= ty.CrashStep || b.TS >= ty.CrashStep {
+		if a.TS >= crashStep || b.TS >= crashStep {
 			break
 		}
 		if a.Kind != b.Kind || tf.Str(a.Res) != ty.Str(b.Res) || tf.Str(a.PID) != ty.Str(b.PID) || tf.Str(a.Site) != ty.Str(b.Site) {
@@ -107,8 +111,8 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("record %d differs:\n  %s\n  %s", i, a, b)
 		}
 	}
-	if o1.Faulty.CrashStep != o2.Faulty.CrashStep {
-		t.Fatalf("crash steps differ: %d vs %d", o1.Faulty.CrashStep, o2.Faulty.CrashStep)
+	if c1, c2 := crashRecord(o1.Faulty).TS, crashRecord(o2.Faulty).TS; c1 != c2 {
+		t.Fatalf("crash steps differ: %d vs %d", c1, c2)
 	}
 }
 
@@ -202,8 +206,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if got.Len() != obs.FaultFree.Len() {
 		t.Fatalf("round-trip length mismatch: %d vs %d", got.Len(), obs.FaultFree.Len())
 	}
-	if got.CrashStep != obs.FaultFree.CrashStep {
-		t.Fatal("round-trip lost metadata")
+	if !slices.Equal(got.StartedPIDs(), obs.FaultFree.StartedPIDs()) {
+		t.Fatal("round-trip lost the thread starts")
 	}
 }
 

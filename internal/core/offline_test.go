@@ -52,8 +52,15 @@ func TestOfflineDetectionFromSavedTraces(t *testing.T) {
 		}
 	}
 
-	liveRec := detect.DetectRecoveryOpts(hb.New(obs.FaultFree), hb.New(obs.Faulty), w.Name(), detect.Options{})
-	loadedRec := detect.DetectRecoveryOpts(hb.New(ff), hb.New(fy), w.Name(), detect.Options{})
+	// The live pass takes the windows of the scenario's firings; the loaded
+	// one has only the saved trace, whose crash records vouch for the same.
+	liveOpts := detect.Options{Windows: detect.DeriveWindows(obs.Faulty, obs.FaultFirings)}
+	loadedOpts := detect.Options{Windows: detect.ObservationWindows(fy, detect.Options{})}
+	liveRec := detect.DetectRecoveryOpts(hb.New(obs.FaultFree), hb.New(obs.Faulty), w.Name(), liveOpts)
+	loadedRec := detect.DetectRecoveryOpts(hb.New(ff), hb.New(fy), w.Name(), loadedOpts)
+	if len(liveRec.Reports) == 0 {
+		t.Fatal("the live crash-recovery pass made no reports: the round trip compares nothing")
+	}
 	if len(liveRec.Reports) != len(loadedRec.Reports) || liveRec.Tally != loadedRec.Tally {
 		t.Fatalf("crash-recovery detection diverges across the disk round trip: %d vs %d reports",
 			len(liveRec.Reports), len(loadedRec.Reports))

@@ -25,20 +25,20 @@ func allWorkloads() []core.Workload {
 // step (identical prefix, identical resource IDs).
 func TestCheckpointPairPropertyAllWorkloads(t *testing.T) {
 	for _, w := range allWorkloads() {
-		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			obs, err := core.Observe(w, core.DefaultOptions())
 			if err != nil {
 				t.Fatalf("Observe: %v", err)
 			}
 			tf, ty := obs.FaultFree, obs.Faulty
-			if ty.CrashedPID == "" || ty.CrashStep <= 0 {
-				t.Fatalf("faulty run lacks crash metadata: pid=%q step=%d", ty.CrashedPID, ty.CrashStep)
+			crash := crashRecord(ty)
+			if crash == nil || crash.TS <= 0 {
+				t.Fatalf("faulty run lacks a crash record: %v", crash)
 			}
 			shared := 0
 			for i := 0; i < tf.Len() && i < ty.Len(); i++ {
 				a, b := &tf.Records[i], &ty.Records[i]
-				if a.TS >= ty.CrashStep || b.TS >= ty.CrashStep {
+				if a.TS >= crash.TS || b.TS >= crash.TS {
 					break
 				}
 				if a.Kind != b.Kind || tf.Str(a.Res) != ty.Str(b.Res) || tf.Str(a.PID) != ty.Str(b.PID) || tf.Str(a.Site) != ty.Str(b.Site) || a.Src != b.Src {
@@ -58,7 +58,6 @@ func TestCheckpointPairPropertyAllWorkloads(t *testing.T) {
 // correctness oracle — FCatch predicts bugs from correct executions only.
 func TestObservationRunsAreCorrect(t *testing.T) {
 	for _, w := range allWorkloads() {
-		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			obs, err := core.Observe(w, core.DefaultOptions())
 			if err != nil {
@@ -78,7 +77,6 @@ func TestObservationRunsAreCorrect(t *testing.T) {
 // must produce identical report lists.
 func TestDetectionDeterministicAllWorkloads(t *testing.T) {
 	for _, w := range allWorkloads() {
-		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			a, err := core.Detect(w, core.DefaultOptions())
 			if err != nil {
@@ -115,7 +113,7 @@ func TestPhaseOptionsMoveTheCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("phase %s: %v", ph, err)
 		}
-		steps[ph] = obs.Faulty.CrashStep
+		steps[ph] = crashRecord(obs.Faulty).TS
 	}
 	if !(steps[core.PhaseBegin] < steps[core.PhaseMiddle] && steps[core.PhaseMiddle] < steps[core.PhaseEnd]) {
 		t.Fatalf("crash steps not ordered: %v", steps)

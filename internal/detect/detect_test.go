@@ -161,13 +161,10 @@ func recoveryPair(withReset, withSanity, withImpact bool) (ff, fy *trace.Trace) 
 	ffStart := ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("crash#1"), Thread: 1, Causor: trace.NoOp})
 	ff.Append(trace.Record{Kind: trace.KKVUpdate, PID: ff.Intern("crash#1"), Thread: 1, Frame: ffStart,
 		Res: ff.Intern("zk:/state"), Aux: ff.Intern("set"), Site: ff.Intern("c.go:5"), TS: 3})
-	ff.PIDs = []string{"crash#1"}
 
 	fy = trace.New()
-	fy.CrashedPID = "crash#1"
-	fy.CrashStep = 10
-	fyStart := fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("crash#1"), Thread: 1, Causor: trace.NoOp})
-	_ = fyStart
+	fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("crash#1"), Thread: 1, Causor: trace.NoOp})
+	fy.Append(trace.Record{Kind: trace.KCrash, PID: fy.Intern("system"), Aux: fy.Intern("crash#1"), TS: 10})
 	recStart := fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("rec#2"), Thread: 2, Causor: trace.NoOp})
 	if withReset {
 		fy.Append(trace.Record{Kind: trace.KKVUpdate, PID: fy.Intern("rec#2"), Thread: 2, Frame: recStart,
@@ -188,13 +185,18 @@ func recoveryPair(withReset, withSanity, withImpact bool) (ff, fy *trace.Trace) 
 		fy.Append(trace.Record{Kind: trace.KMsgSend, PID: fy.Intern("rec#2"), Thread: 2, Frame: recStart,
 			Target: fy.Intern("other#1"), Taint: []trace.OpID{read}, Site: fy.Intern("r.go:12"), TS: 16})
 	}
-	fy.PIDs = []string{"crash#1", "rec#2"}
 	return ff, fy
+}
+
+// detectRecovery runs the crash-recovery detector on a saved-trace pair: the
+// windows are the ones the faulty trace's crash records vouch for.
+func detectRecovery(ff, fy *trace.Trace) *RecoveryResult {
+	return DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{Windows: ObservationWindows(fy, Options{})})
 }
 
 func TestDetectRecoveryFindsConflictingPair(t *testing.T) {
 	ff, fy := recoveryPair(false, false, true)
-	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
+	res := detectRecovery(ff, fy)
 	if len(res.Reports) != 1 {
 		t.Fatalf("reports = %d (%v)", len(res.Reports), res.Tally)
 	}
@@ -212,7 +214,7 @@ func TestDetectRecoveryFindsConflictingPair(t *testing.T) {
 
 func TestDetectRecoveryResetPruning(t *testing.T) {
 	ff, fy := recoveryPair(true, false, true)
-	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
+	res := detectRecovery(ff, fy)
 	if len(res.Reports) != 0 || res.Tally.Of(RuleReset) == 0 {
 		t.Fatalf("reset-protected read not pruned: %d reports, %v", len(res.Reports), res.Tally)
 	}
@@ -220,7 +222,7 @@ func TestDetectRecoveryResetPruning(t *testing.T) {
 
 func TestDetectRecoverySanityCheckPruning(t *testing.T) {
 	ff, fy := recoveryPair(false, true, true)
-	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
+	res := detectRecovery(ff, fy)
 	// The guarded read (R2) is pruned; the sanity check itself (R1, the
 	// exists probe) still pairs and has no impact — pruned by impact.
 	for _, r := range res.Reports {
@@ -235,7 +237,7 @@ func TestDetectRecoverySanityCheckPruning(t *testing.T) {
 
 func TestDetectRecoveryImpactPruning(t *testing.T) {
 	ff, fy := recoveryPair(false, false, false)
-	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
+	res := detectRecovery(ff, fy)
 	if len(res.Reports) != 0 || res.Tally.Of(RuleImpact) == 0 {
 		t.Fatalf("impact-free read not pruned: %d reports, %v", len(res.Reports), res.Tally)
 	}
@@ -246,20 +248,17 @@ func TestDetectRecoveryIgnoresCrashNodeHeap(t *testing.T) {
 	s := ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("crash#1"), Thread: 1, Causor: trace.NoOp})
 	ff.Append(trace.Record{Kind: trace.KHeapWrite, PID: ff.Intern("crash#1"), Thread: 1, Frame: s,
 		Res: ff.Intern("heap:crash#1:o.f"), Site: ff.Intern("c.go:1"), TS: 2})
-	ff.PIDs = []string{"crash#1"}
 
 	fy := trace.New()
-	fy.CrashedPID = "crash#1"
-	fy.CrashStep = 5
 	fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("crash#1"), Thread: 1, Causor: trace.NoOp})
+	fy.Append(trace.Record{Kind: trace.KCrash, PID: fy.Intern("system"), Aux: fy.Intern("crash#1"), TS: 5})
 	rs := fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("rec#2"), Thread: 2, Causor: trace.NoOp})
 	read := fy.Append(trace.Record{Kind: trace.KHeapRead, PID: fy.Intern("rec#2"), Thread: 2, Frame: rs,
 		Res: fy.Intern("heap:crash#1:o.f"), Site: fy.Intern("r.go:1"), TS: 7})
 	fy.Append(trace.Record{Kind: trace.KMsgSend, PID: fy.Intern("rec#2"), Thread: 2, Frame: rs,
 		Target: fy.Intern("x#1"), Taint: []trace.OpID{read}, TS: 8})
-	fy.PIDs = []string{"crash#1", "rec#2"}
 
-	res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", Options{})
+	res := detectRecovery(ff, fy)
 	if len(res.Reports) != 0 {
 		t.Fatalf("heap on the crashed node must be ignored (it is wiped): %v", res.Reports[0])
 	}
@@ -313,16 +312,13 @@ func TestDetectRecoveryCrashWrites(t *testing.T) {
 			var opts Options
 			if c.incarnation {
 				ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("am#1"), Thread: 1, Causor: trace.NoOp})
-				ff.PIDs = []string{"am#1", "other#1"}
+				ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("other#1"), Thread: 2, Causor: trace.NoOp})
 				threads(fy, "am#2")
-				fy.PIDs = []string{"am#2", "other#1", "rec#3"}
 				opts.Windows = []Window{{Kind: WindowCrashRecovery, Victim: "am#2", OpenStep: 20}}
 			} else {
 				threads(ff, "crash#1")
-				ff.PIDs = []string{"crash#1", "other#1"}
 				fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("crash#1"), Thread: 1, Causor: trace.NoOp, TS: 1})
-				fy.PIDs = []string{"crash#1", "rec#3"}
-				fy.CrashedPID, fy.CrashStep = "crash#1", 10
+				fy.Append(trace.Record{Kind: trace.KCrash, PID: fy.Intern("system"), Aux: fy.Intern("crash#1"), TS: 10})
 			}
 			read := trace.KStRead
 			if c.kind == trace.KHeapWrite {
@@ -331,6 +327,9 @@ func TestDetectRecoveryCrashWrites(t *testing.T) {
 			rs := fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("rec#3"), Thread: 4, Causor: trace.NoOp, TS: 30})
 			fy.Append(trace.Record{Kind: read, PID: fy.Intern("rec#3"), Thread: 4, Frame: rs,
 				Res: fy.Intern(c.res), Site: fy.Intern("r.go:1"), TS: 32})
+			if !c.incarnation {
+				opts.Windows = ObservationWindows(fy, Options{})
+			}
 
 			res := DetectRecoveryOpts(hb.New(ff), hb.New(fy), "wl", opts)
 			pairs := 0
@@ -346,7 +345,7 @@ func TestDetectRecoveryCrashWrites(t *testing.T) {
 
 func TestDetectRecoveryNoCrashNoReports(t *testing.T) {
 	ff, _ := recoveryPair(false, false, true)
-	res := DetectRecoveryOpts(hb.New(ff), hb.New(ff), "wl", Options{})
+	res := detectRecovery(ff, ff)
 	if len(res.Reports) != 0 {
 		t.Fatal("fault-free pair produced crash-recovery reports")
 	}

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"fcatch/internal/hb"
@@ -15,9 +16,6 @@ type RecoveryResult struct {
 	Tally   Tally
 	// RecoveryPIDs are the processes identified as recovery nodes.
 	RecoveryPIDs []string
-	// Windows are the hazard windows the pass analyzed, in firing order
-	// (including drop-induced windows, which open no recovery of their own).
-	Windows []Window
 	// Decisions is the per-candidate verdict trail, one entry per raw
 	// conflicting pair (pre-dedup); nil unless Options.Explain.
 	Decisions []Decision
@@ -106,17 +104,18 @@ type crashWrite struct {
 // crash-recovery window gets its own resource classification (a heap dies at
 // its window's open step, not globally), its own recovery-node set, its own
 // crash-write source and its own dependence-prune context. A single-fault
-// observation lowers to exactly one window.
+// observation lowers to exactly one window. The windows are opts.Windows
+// (ObservationWindows resolves them); without any, the pass has nothing to
+// analyze.
 func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *RecoveryResult {
 	res := &RecoveryResult{}
 	tf, ty := gf.Ix.T, gy.Ix.T
-	res.Windows = resolveWindows(ty, &opts)
 	// Only crash windows open a recovery to analyze; drop-induced windows
 	// still participate in report anchoring and compound pairing.
 	var wins []*Window
-	for i := range res.Windows {
-		if res.Windows[i].Kind == WindowCrashRecovery && res.Windows[i].Victim != "" {
-			wins = append(wins, &res.Windows[i])
+	for i := range opts.Windows {
+		if w := &opts.Windows[i]; w.Kind == WindowCrashRecovery && w.Victim != "" {
+			wins = append(wins, w)
 		}
 	}
 	if len(wins) == 0 {
@@ -150,8 +149,9 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 	}
 	recPIDs := make([]bool, ty.NumSyms())
 	pidWin := make([]int, ty.NumSyms())
-	for _, pid := range ty.PIDs {
-		if !tf.HasPID(pid) && pid != "system" {
+	ranFaultFree := tf.StartedPIDs()
+	for _, pid := range ty.StartedPIDs() {
+		if !slices.Contains(ranFaultFree, pid) && pid != "system" {
 			if y, ok := ty.Lookup(pid); ok {
 				recPIDs[y] = true
 				pidWin[y] = winAt(firstTS[y])
@@ -240,7 +240,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 		// to one absent from the faulty run could never pair (no recovery read
 		// touches them); skipping them only saves work.
 		src, g, class, cutoff := ty, gy, classY, win.OpenStep
-		inFaulty := !tf.HasPID(win.Victim)
+		inFaulty := !slices.Contains(ranFaultFree, win.Victim)
 		if !inFaulty {
 			src, g, class, cutoff = tf, gf, classifyRes(tf, vicsThrough), math.MaxInt64
 		}

@@ -128,16 +128,19 @@ type Options struct {
 	// DisableImpactPruning keeps reads with no failure-prone impact
 	// (Section 4.3.3).
 	DisableImpactPruning bool
-	// CrashedPIDs are crash victims for callers with no firings or windows
-	// (saved traces): each lowers to a node-crash firing at its recorded
-	// crash step; empty means the trace's first recorded crash.
+	// CrashedPIDs are crash victims for ObservationWindows callers with no
+	// firings or windows (saved traces): each lowers to a node-crash firing
+	// at its recorded crash step; empty means the trace's first crash
+	// record. The detectors do not read it.
 	CrashedPIDs []string
 	// Firings are the scenario's actual fault firings (victim, step,
-	// anchor per event). When set, hazard windows are derived from them.
+	// anchor per event), from which ObservationWindows derives windows.
+	// The detectors do not read it.
 	Firings []trace.FaultFiring
-	// Windows, when non-empty, are the observation's hazard windows,
-	// derived once by the caller (core.Detect) and shared by both
-	// detectors and the cross-window pairing pass.
+	// Windows are the observation's hazard windows, the only fault surface
+	// the detectors read: derived once by the caller (core.Detect, or
+	// ObservationWindows) and shared by both detectors and the
+	// cross-window pairing pass.
 	Windows []Window
 	// Explain records one Decision per candidate the detectors judge,
 	// naming the pruning rule that discarded it (or "kept"). Reports are

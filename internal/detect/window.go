@@ -107,11 +107,10 @@ func DeriveWindows(ty *trace.Trace, firings []trace.FaultFiring) []Window {
 	if len(firings) == 0 {
 		return nil
 	}
-	crashAt, restartAt := crashBookkeeping(ty)
-	return deriveWindows(ty, firings, crashAt, restartAt)
+	return deriveWindows(ty, firings, crashBookkeeping(ty))
 }
 
-func deriveWindows(ty *trace.Trace, firings []trace.FaultFiring, crashAt, restartAt map[string]int64) []Window {
+func deriveWindows(ty *trace.Trace, firings []trace.FaultFiring, bk bookkeeping) []Window {
 	end := traceEnd(ty)
 	var out []Window
 	for _, f := range firings {
@@ -129,7 +128,7 @@ func deriveWindows(ty *trace.Trace, firings []trace.FaultFiring, crashAt, restar
 			w.Kind = WindowDropInduced
 		} else {
 			w.Kind = WindowCrashRecovery
-			closeCrashWindow(&w, crashAt, restartAt)
+			closeCrashWindow(&w, bk)
 		}
 		out = append(out, w)
 	}
@@ -138,42 +137,52 @@ func deriveWindows(ty *trace.Trace, firings []trace.FaultFiring, crashAt, restar
 
 // closeCrashWindow resolves a crash window's recovery incarnation, restart
 // step and close step from the trace's crash/restart bookkeeping.
-func closeCrashWindow(w *Window, crashAt, restartAt map[string]int64) {
+func closeCrashWindow(w *Window, bk bookkeeping) {
 	inc := nextIncarnation(w.Victim)
 	if inc == "" {
 		return
 	}
-	ts, ok := restartAt[inc]
+	ts, ok := bk.restartAt[inc]
 	if !ok {
 		return
 	}
 	w.Incarnation, w.RestartStep = inc, ts
-	if ts, ok := crashAt[inc]; ok {
+	if ts, ok := bk.crashAt[inc]; ok {
 		w.CloseStep = ts
 	}
 }
 
-// crashBookkeeping scans the trace once for crash and restart records: the
-// first crash step and the first restart step per PID.
-func crashBookkeeping(ty *trace.Trace) (crashAt, restartAt map[string]int64) {
-	crashAt = map[string]int64{}
-	restartAt = map[string]int64{}
+// bookkeeping is what a trace's crash and restart records say: the first
+// crash step and the first restart step per PID, and the first crash record
+// of all (nil when nothing crashed).
+type bookkeeping struct {
+	crashAt, restartAt map[string]int64
+	first              *trace.Record
+}
+
+// crashBookkeeping scans the trace once for crash and restart records.
+func crashBookkeeping(ty *trace.Trace) bookkeeping {
+	bk := bookkeeping{crashAt: map[string]int64{}, restartAt: map[string]int64{}}
 	for i := range ty.Records {
 		r := &ty.Records[i]
+		var at map[string]int64
 		switch r.Kind {
 		case trace.KCrash:
-			pid := ty.Str(r.Aux)
-			if _, ok := crashAt[pid]; !ok {
-				crashAt[pid] = r.TS
+			at = bk.crashAt
+			if bk.first == nil {
+				bk.first = r
 			}
 		case trace.KRestart:
-			pid := ty.Str(r.Aux)
-			if _, ok := restartAt[pid]; !ok {
-				restartAt[pid] = r.TS
-			}
+			at = bk.restartAt
+		default:
+			continue
+		}
+		pid := ty.Str(r.Aux)
+		if _, ok := at[pid]; !ok {
+			at[pid] = r.TS
 		}
 	}
-	return crashAt, restartAt
+	return bk
 }
 
 // nextIncarnation names the victim's restarted replacement: "am#1" → "am#2".
@@ -190,50 +199,49 @@ func nextIncarnation(pid string) string {
 	return pid[:i+1] + strconv.Itoa(n+1)
 }
 
-// traceEnd is the last recorded step of the trace.
+// traceEnd is the last recorded step of the trace (0 for an empty one).
 func traceEnd(t *trace.Trace) int64 {
 	if n := len(t.Records); n > 0 {
 		return t.Records[n-1].TS
 	}
-	return t.CrashStep
+	return 0
 }
 
-// ObservationWindows derives an observation's hazard windows through the
-// same lowering ladder the detectors use internally — callers that need the
-// windows once (core.Detect shares them across both detectors and the
-// compound pairing pass) derive them here and pass them via Options.Windows.
+// ObservationWindows resolves an observation's hazard windows from whatever
+// the caller has — the lowering ladder, and the only place windows are
+// resolved; the detectors take its result in Options.Windows. Explicit
+// windows win, then the scenario's fault firings; a caller with neither
+// (saved traces) gets the firings the trace itself can vouch for: a node
+// crash per listed victim, or of the victim of the trace's first crash
+// record, at the step the victim's crash record carries (a victim with none
+// opens at the first crash record's). Every rung ends in DeriveWindows'
+// constructor.
 func ObservationWindows(ty *trace.Trace, opts Options) []Window {
-	return resolveWindows(ty, &opts)
-}
-
-// resolveWindows is the lowering ladder every detector entry point shares:
-// explicit windows win, then the scenario's fault firings; a caller with
-// neither (direct detector calls, saved traces) gets the firings the trace
-// itself can vouch for — a node crash per listed victim, or of the trace's
-// first recorded crash, at the step its crash record carries. Every rung
-// ends in DeriveWindows' constructor.
-func resolveWindows(ty *trace.Trace, opts *Options) []Window {
 	if len(opts.Windows) > 0 {
 		return opts.Windows
 	}
 	if len(opts.Firings) > 0 {
 		return DeriveWindows(ty, opts.Firings)
 	}
+	bk := crashBookkeeping(ty)
+	var firstStep int64
 	victims := opts.CrashedPIDs
-	if len(victims) == 0 && ty.CrashedPID != "" {
-		victims = []string{ty.CrashedPID}
+	if bk.first != nil {
+		firstStep = bk.first.TS
+		if len(victims) == 0 {
+			victims = []string{ty.Str(bk.first.Aux)}
+		}
 	}
-	crashAt, restartAt := crashBookkeeping(ty)
 	var firings []trace.FaultFiring
 	for _, pid := range victims {
 		if pid == "" {
 			continue
 		}
-		step, ok := crashAt[pid]
+		step, ok := bk.crashAt[pid]
 		if !ok {
-			step = ty.CrashStep
+			step = firstStep
 		}
 		firings = append(firings, trace.FaultFiring{Index: len(firings), Action: "node-crash", Step: step, Victim: pid})
 	}
-	return deriveWindows(ty, firings, crashAt, restartAt)
+	return deriveWindows(ty, firings, bk)
 }

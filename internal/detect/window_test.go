@@ -25,7 +25,6 @@ func windowedTrace() *trace.Trace {
 	tr.Append(trace.Record{Kind: trace.KStRead, PID: tr.Intern("am#3"), Thread: 3, Frame: rs3,
 		Res: tr.Intern("zk:/job"), Site: tr.Intern("rec.go:4"), TS: 200})
 	_ = s
-	tr.CrashedPID, tr.CrashStep = "am#1", 100
 	return tr
 }
 
@@ -76,7 +75,8 @@ func TestDeriveWindows(t *testing.T) {
 	}
 }
 
-// TestResolveWindowsLadder: explicit windows win over firings, and the two
+// TestResolveWindowsLadder: ObservationWindows is the one lowering ladder.
+// Explicit windows win over firings, and the two
 // rungs below them — a victim list, a bare trace — are not constructors of
 // their own: each equals DeriveWindows on the node-crash firings the trace's
 // crash records vouch for, so a saved-trace analysis sees the same
@@ -85,7 +85,7 @@ func TestResolveWindowsLadder(t *testing.T) {
 	ty := windowedTrace()
 
 	explicit := []Window{{ID: 0, Victim: "custom", OpenStep: 7, CloseStep: 9}}
-	got := resolveWindows(ty, &Options{Windows: explicit, Firings: []trace.FaultFiring{{Victim: "am#1", Step: 100}}})
+	got := ObservationWindows(ty, Options{Windows: explicit, Firings: []trace.FaultFiring{{Victim: "am#1", Step: 100}}})
 	if len(got) != 1 || got[0].Victim != "custom" {
 		t.Fatalf("explicit windows ignored: %v", got)
 	}
@@ -93,19 +93,19 @@ func TestResolveWindowsLadder(t *testing.T) {
 	first := trace.FaultFiring{Index: 0, Action: "node-crash", Step: 100, Victim: "am#1"}
 	second := trace.FaultFiring{Index: 1, Action: "node-crash", Step: 150, Victim: "am#2"}
 
-	got = resolveWindows(ty, &Options{Firings: []trace.FaultFiring{first}})
+	got = ObservationWindows(ty, Options{Firings: []trace.FaultFiring{first}})
 	if len(got) != 1 || got[0].Victim != "am#1" || got[0].CloseStep != 150 {
 		t.Fatalf("firing lowering = %v", got)
 	}
 
-	got = resolveWindows(ty, &Options{CrashedPIDs: []string{"am#1", "", "am#2"}})
+	got = ObservationWindows(ty, Options{CrashedPIDs: []string{"am#1", "", "am#2"}})
 	if want := DeriveWindows(ty, []trace.FaultFiring{first, second}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("victim-list rung = %v, want DeriveWindows' %v", got, want)
 	}
 
 	// The bare trace: one window for its first recorded crash, recovery
 	// fields included.
-	got = resolveWindows(ty, &Options{})
+	got = ObservationWindows(ty, Options{})
 	if want := DeriveWindows(ty, []trace.FaultFiring{first}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("bare-trace rung = %v, want DeriveWindows' %v", got, want)
 	}
@@ -114,16 +114,22 @@ func TestResolveWindowsLadder(t *testing.T) {
 		t.Fatalf("bare-trace window = %+v", got)
 	}
 
-	// A victim the trace has no crash record for opens at the trace's
-	// recorded crash step.
-	got = resolveWindows(ty, &Options{CrashedPIDs: []string{"rs#1"}})
-	if len(got) != 1 || got[0].OpenStep != ty.CrashStep || got[0].Incarnation != "" {
+	// A victim the trace has no crash record for opens at the trace's first
+	// crash record's step.
+	got = ObservationWindows(ty, Options{CrashedPIDs: []string{"rs#1"}})
+	if len(got) != 1 || got[0].OpenStep != 100 || got[0].Incarnation != "" {
 		t.Fatalf("unrecorded victim = %+v", got)
 	}
 
+	// With no crash record at all, a listed victim opens at step 0 and an
+	// empty trace ends there.
 	empty := trace.New()
-	if got = resolveWindows(empty, &Options{}); got != nil {
+	if got = ObservationWindows(empty, Options{}); got != nil {
 		t.Fatalf("no crash, no windows; got %v", got)
+	}
+	got = ObservationWindows(empty, Options{CrashedPIDs: []string{"rs#1"}})
+	if len(got) != 1 || got[0].OpenStep != 0 || got[0].CloseStep != 0 {
+		t.Fatalf("victim of an empty trace = %+v", got)
 	}
 }
 

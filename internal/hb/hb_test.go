@@ -204,7 +204,7 @@ func tiled(n int) *trace.Trace {
 }
 
 // TestNewFromSourceMatchesNew pins the decode-then-build path: the graph
-// built from the source of an FCT2 stream, of one chunk or of several, equals
+// built from the source of an FCT3 stream, of one chunk or of several, equals
 // the one built from the trace that was encoded.
 func TestNewFromSourceMatchesNew(t *testing.T) {
 	small, _ := build()
@@ -223,7 +223,7 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !sameIndex(g.Ix, want.Ix) {
-			t.Fatalf("%s: index built from the decoded FCT2 stream diverged", name)
+			t.Fatalf("%s: index built from the decoded FCT3 stream diverged", name)
 		}
 		// The graphs must also agree behaviorally, not just structurally.
 		for op := trace.OpID(1); int(op) <= len(tr.Records); op++ {

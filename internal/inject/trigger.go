@@ -403,7 +403,6 @@ func compoundVariants(rep *detect.CompoundReport) []compoundVariant {
 		if inner.Restart != nil && d == *inner.Restart {
 			continue // the as-observed variant already covers this delay
 		}
-		d := d
 		variants = append(variants, variant(fmt.Sprintf("inner-restart@%d", d), outer.Restart, &d))
 	}
 	return variants

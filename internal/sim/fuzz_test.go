@@ -41,7 +41,6 @@ func genCluster(genSeed int64, cfg sim.Config) *sim.Cluster {
 	c := sim.NewCluster(cfg)
 	gfs := storage.NewGlobalFS()
 	for p := 0; p < nProcs; p++ {
-		p := p
 		role := fmt.Sprintf("proc%d", p)
 		c.StartProcess(role, "m-"+role, func(ctx *sim.Context) {
 			self := ctx.Self()
@@ -161,7 +160,7 @@ func TestFuzzCheckpointPrefix(t *testing.T) {
 }
 
 // TestFuzzCrashSemantics: after a crash, the victim contributes no further
-// operations, and the trace records the crash metadata.
+// operations, and the trace records the crash.
 func TestFuzzCrashSemantics(t *testing.T) {
 	for genSeed := int64(0); genSeed < 25; genSeed++ {
 		base := genCluster(genSeed, fuzzConfig(genSeed, nil))
@@ -174,12 +173,13 @@ func TestFuzzCrashSemantics(t *testing.T) {
 		c := genCluster(genSeed, fuzzConfig(genSeed, plan))
 		c.Run()
 		ty := c.Trace()
-		if ty.CrashedPID != "proc0#1" {
-			t.Fatalf("genSeed %d: crash metadata missing (pid=%q)", genSeed, ty.CrashedPID)
+		crashes := ty.Filter(trace.Query{Kinds: []trace.Kind{trace.KCrash}})
+		if len(crashes) == 0 || ty.Str(crashes[0].Aux) != "proc0#1" {
+			t.Fatalf("genSeed %d: crash record missing (%d crash records)", genSeed, len(crashes))
 		}
 		for i := range ty.Records {
 			r := &ty.Records[i]
-			if ty.Str(r.PID) == "proc0#1" && r.TS > ty.CrashStep && r.Kind != trace.KThreadExit {
+			if ty.Str(r.PID) == "proc0#1" && r.TS > crashes[0].TS && r.Kind != trace.KThreadExit {
 				t.Fatalf("genSeed %d: victim op after crash: %s", genSeed, ty.Format(r))
 			}
 		}

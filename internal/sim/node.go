@@ -262,10 +262,6 @@ func (c *Cluster) crashProcess(pid string, selfSite SiteID, restartOverride *int
 		c.roleService[n.roleID] = nil
 	}
 	c.tracer.emitSystem(opSpec{Kind: trace.KCrash, Aux: pid, Site: selfSite})
-	if c.tracer.trace != nil && c.tracer.trace.CrashedPID == "" {
-		c.tracer.trace.CrashedPID = pid
-		c.tracer.trace.CrashStep = c.clock
-	}
 
 	// Kill the process's threads now. The running thread is the one that
 	// crashed its own process: it unwinds itself (checkTrigger).

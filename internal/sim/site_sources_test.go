@@ -24,7 +24,6 @@ func TestCallsiteSourcesAgree(t *testing.T) {
 		cassandra.New(), hbase.NewHB1(), hbase.NewHB2(),
 		mapreduce.NewMR1(), mapreduce.NewMR2(), zookeeper.New(),
 	} {
-		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			run := func(plan *sim.FaultPlan) (*sim.Cluster, *sim.Outcome, []byte) {
 				cfg := sim.Config{Seed: 1, Tracing: sim.TraceSelective, TraceTickCost: 1, Plan: plan}
@@ -70,7 +69,7 @@ func TestCallsiteSourcesAgree(t *testing.T) {
 
 			for i, name := range []string{"fault-free", "faulty"} {
 				if !bytes.Equal(selTraces[i], portTraces[i]) {
-					t.Errorf("%s run: FCT2 bytes differ between PC sources (%d vs %d bytes)",
+					t.Errorf("%s run: FCT3 bytes differ between PC sources (%d vs %d bytes)",
 						name, len(selTraces[i]), len(portTraces[i]))
 				}
 				if !reflect.DeepEqual(selOuts[i], portOuts[i]) {

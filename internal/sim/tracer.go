@@ -192,7 +192,7 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 	w := tr.trace
 	// Interning order Site, Res, Aux, Target fixes symbol numbering, hence
 	// encoded bytes.
-	id := w.Append(trace.Record{
+	return w.Append(trace.Record{
 		TS:      ts,
 		Machine: t.node.machineSym,
 		PID:     t.node.pidSym,
@@ -210,10 +210,6 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 		Taint:   op.Taint,
 		Ctl:     op.Ctl,
 	})
-	if op.Kind == trace.KThreadStart {
-		w.AddPID(t.node.PID)
-	}
-	return id
 }
 
 // emitSystem records scheduler-context bookkeeping (crash/restart marks).

@@ -9,15 +9,15 @@ import (
 	"os"
 )
 
-// FormatMagic is the 4-byte tag leading every trace file (the chunked FCT2
-// layout — see fct2.go). It sits outside the gzip layer so a reader can
+// FormatMagic is the 4-byte tag leading every trace file (the chunked FCT3
+// layout — see fct3.go). It sits outside the gzip layer so a reader can
 // reject anything else before decompressing a byte.
-const FormatMagic = "FCT2"
+const FormatMagic = "FCT3"
 
 // FormatVersion is the trace-format generation the magic encodes.
-const FormatVersion = 2
+const FormatVersion = 3
 
-// Save writes the trace to path in the FCT2 format.
+// Save writes the trace to path in the FCT3 format.
 func (t *Trace) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -44,10 +44,10 @@ func Load(path string) (*Trace, error) {
 	return src.Drain()
 }
 
-// Encode writes the trace to w in the FCT2 format.
+// Encode writes the trace to w in the FCT3 format.
 func (t *Trace) Encode(w io.Writer) error { return t.encode(w, encodeChunk) }
 
-// Decode reads an FCT2 trace from r.
+// Decode reads an FCT3 trace from r.
 func Decode(r io.Reader) (*Trace, error) {
 	src, err := NewSource(r)
 	if err != nil {
@@ -288,11 +288,6 @@ func (d *colDecoder) appendStr(dst []byte) []byte {
 		need -= k
 	}
 	return dst
-}
-
-func (d *colDecoder) str() string {
-	d.text = d.appendStr(d.text[:0])
-	return string(d.text)
 }
 
 // strs reads a table section's n strings and hands them to add in order,

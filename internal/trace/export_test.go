@@ -14,9 +14,9 @@ import (
 // streams of many chunks from small traces.
 func EncodeChunked(t *Trace, w io.Writer, n int) error { return t.encode(w, n) }
 
-// WithHeader returns the encoded stream raw with its header (the flags and
-// the four size hints Encode always writes) replaced by hdr — {0} is the
-// hint-less header a reader must still take, since files come from outside.
+// WithHeader returns the encoded stream raw with its header (the three size
+// hints Encode writes) replaced by hdr, so a test can hand the decoder hints
+// that are wrong.
 func WithHeader(raw, hdr []byte) ([]byte, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(raw[len(FormatMagic):]))
 	if err != nil {
@@ -26,7 +26,7 @@ func WithHeader(raw, hdr []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < 5; i++ { // flags, then symbol, stack, PID and record totals
+	for i := 0; i < 3; i++ { // symbol, stack and record totals
 		_, n := binary.Uvarint(payload)
 		if n <= 0 {
 			return nil, fmt.Errorf("header varint %d is cut or overflows", i)

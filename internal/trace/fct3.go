@@ -9,53 +9,45 @@ import (
 	"sync"
 )
 
-// The FCT2 layout, after the magic, is one gzip stream of tagged sections:
+// The FCT3 layout, after the magic, is one gzip stream of tagged sections:
 //
-//	header         uvarint flags; flags&1 = size hints follow (uvarint symbol,
-//	               stack, PID and record totals — Encode always writes them;
-//	               a reader must take a header without them too)
+//	header         uvarint symbol, stack and record totals: size hints, which
+//	               a decoder clamps before pre-allocating by them
 //	secSyms (1)    uvarint count, then count strings (uvarint len + bytes)
 //	               appended to the symbol table (continuing from wherever the
 //	               table stood)
 //	secStacks (2)  uvarint count, then count (uvarint parent, uvarint frame)
 //	               nodes appended to the stack table
-//	secPIDs (3)    uvarint count, then count PID strings appended to the list
-//	secRecords (4) uvarint count, then just those count records column by
+//	secRecords (3) uvarint count, then just those count records column by
 //	               column (all TS, then all Machines, ... in Record field
 //	               order): TS delta-encoded varints continuing across chunks;
 //	               Sym/StackID/OpID/flag columns as uvarints; Taint and Ctl as
 //	               uvarint count + delta-encoded varint IDs per record. Record
 //	               IDs are implicit and continue from the previous chunk
-//	secMeta (5)    varint CrashStep, string CrashedPID, varint 0 (a retired
-//	               wall-clock slot: written as 0, read and skipped)
-//	secEnd (6)     uvarint total record count (truncation check) — always last
+//	secEnd (4)     uvarint total record count (truncation check) — always last
 //
 // A table section may appear anywhere before the first record chunk that
 // needs its entries, and more than once (each continues its table), so a
-// decoder can resolve and range-check every Sym/StackID/PID of a chunk the
+// decoder can resolve and range-check every Sym/StackID of a chunk the
 // moment it arrives. Encode has the whole trace and writes each table once,
 // ahead of the first chunk. Strings are stored once in the symbol table; the
 // column data is small integers, which is where the format's compactness
-// comes from.
+// comes from. The records are all there is: the processes of a run and its
+// crashes are read from its thread-start and crash records.
 
 const (
 	secSyms = 1 + iota
 	secStacks
-	secPIDs
 	secRecords
-	secMeta
 	secEnd
 )
 
-// hintedFlag marks an FCT2 header that carries size hints.
-const hintedFlag = 1
-
-// fct2ChunkCap bounds one record chunk's declared count — a corrupt stream
+// chunkCap bounds one record chunk's declared count — a corrupt stream
 // cannot make the decoder allocate an unbounded chunk.
-const fct2ChunkCap = 1 << 22
+const chunkCap = 1 << 22
 
-// fct2HintCap bounds the header size hints used for eager pre-allocation.
-const fct2HintCap = 1 << 18
+// hintCap bounds the header size hints used for eager pre-allocation.
+const hintCap = 1 << 18
 
 // encodeChunk is the number of records Encode puts in one chunk.
 const encodeChunk = 1024
@@ -80,12 +72,12 @@ func newDeflater() *gzip.Writer {
 // would cost a second Reset) but never writes to it again.
 var deflaterPool = sync.Pool{New: func() any { return newDeflater() }}
 
-// encode writes t to w as one FCT2 stream: the header with the trace's
-// totals as size hints, the three tables, the records in chunks of chunk,
-// the run metadata and the end section.
+// encode writes t to w as one FCT3 stream: the header with the trace's
+// totals as size hints, the two tables, the records in chunks of chunk and
+// the end section.
 func (t *Trace) encode(w io.Writer, chunk int) error {
 	if _, err := io.WriteString(w, FormatMagic); err != nil {
-		return fmt.Errorf("trace: fct2 magic: %w", err)
+		return fmt.Errorf("trace: fct3 magic: %w", err)
 	}
 	zw := deflaterPool.Get().(*gzip.Writer)
 	zw.Reset(w)
@@ -93,10 +85,8 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 	bw := bufio.NewWriter(zw)
 	e := colEncoder{w: bw}
 
-	e.uvarint(hintedFlag)
 	e.uvarint(uint64(t.NumSyms()))
 	e.uvarint(uint64(t.NumStacks()))
-	e.uvarint(uint64(len(t.PIDs)))
 	e.uvarint(uint64(len(t.Records)))
 
 	// Slot 0 of the symbol and stack tables is the reserved empty entry every
@@ -116,13 +106,6 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 			e.uvarint(uint64(node.frame))
 		}
 	}
-	if len(t.PIDs) > 0 {
-		e.uvarint(secPIDs)
-		e.uvarint(uint64(len(t.PIDs)))
-		for _, pid := range t.PIDs {
-			e.str(pid)
-		}
-	}
 
 	prevTS := int64(0)
 	for recs := t.Records; len(recs) > 0 && e.err == nil; {
@@ -133,10 +116,6 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 		recs = recs[n:]
 	}
 
-	e.uvarint(secMeta)
-	e.varint(t.CrashStep)
-	e.str(t.CrashedPID)
-	e.varint(0) // the retired wall-clock slot
 	e.uvarint(secEnd)
 	e.uvarint(uint64(len(t.Records)))
 	err := e.err
@@ -147,7 +126,7 @@ func (t *Trace) encode(w io.Writer, chunk int) error {
 		err = zw.Close()
 	}
 	if err != nil {
-		return fmt.Errorf("trace: fct2 encode: %w", err)
+		return fmt.Errorf("trace: fct3 encode: %w", err)
 	}
 	return nil
 }
@@ -178,7 +157,7 @@ func (st *decodeState) release() {
 
 var errSourceClosed = errors.New("trace: source is closed")
 
-// Source is the FCT2 decoder: a saved trace being read back. Drain decodes
+// Source is the FCT3 decoder: a saved trace being read back. Drain decodes
 // it whole; a truncated or corrupt stream yields a wrapped, position-bearing
 // error. Single-use and not safe for concurrent use; a source that is never
 // drained or closed is simply not recycled.
@@ -187,43 +166,35 @@ type Source struct {
 	d  colDecoder
 	st *decodeState // nil once closed
 
-	recHint int // the header's record total (clamped), 0 if it gave none
+	recHint int // the header's record total (clamped)
 	prevTS  int64
-	sawMeta bool
 }
 
-// newFCT2Source starts decoding the gzip stream behind st.br; on error the
+// newSource starts decoding the gzip stream behind st.br; on error the
 // caller still owns st.
-func newFCT2Source(st *decodeState) (*Source, error) {
+func newSource(st *decodeState) (*Source, error) {
 	// Reset leaves the reader in multistream mode, so the drain at secEnd
 	// runs to the real end of input and every gzip footer on the way is
 	// checked.
 	if err := st.zr.Reset(&st.br); err != nil {
-		return nil, fmt.Errorf("trace: fct2 gunzip: %w", err)
+		return nil, fmt.Errorf("trace: fct3 gunzip: %w", err)
 	}
 	s := &Source{t: New(), st: st}
 	s.d = newColDecoder(&st.zr, st.win[:])
 	s.d.ids, s.d.lens, s.d.text = st.ids, st.lens, st.text
 
-	flags := s.d.uvarint()
+	// Hints are advisory pre-sizing data; clamp them so a corrupt or hostile
+	// header cannot force huge allocations before a single byte of real data
+	// has decoded. Streams larger than the cap still decode — they just grow
+	// incrementally past it.
+	syms := min(s.d.uvarint(), hintCap)
+	stacks := min(s.d.uvarint(), hintCap)
+	s.recHint = int(min(s.d.uvarint(), hintCap))
 	if s.d.err != nil {
 		return nil, s.fail("header", s.d.err)
 	}
-	if flags&hintedFlag != 0 {
-		// Hints are advisory pre-sizing data; clamp them so a corrupt or
-		// hostile header cannot force huge allocations before a single byte
-		// of real data has decoded. Streams larger than the cap still decode
-		// — they just grow incrementally past it.
-		syms := min(int(s.d.uvarint()), fct2HintCap)
-		stacks := min(int(s.d.uvarint()), fct2HintCap)
-		s.d.uvarint() // the PID total: nothing is sized by it
-		s.recHint = min(int(s.d.uvarint()), fct2HintCap)
-		if s.d.err != nil {
-			return nil, s.fail("header", s.d.err)
-		}
-		s.t.syms.grow(syms)
-		s.t.stacks.grow(stacks)
-	}
+	s.t.syms.grow(int(syms))
+	s.t.stacks.grow(int(stacks))
 	return s, nil
 }
 
@@ -233,7 +204,7 @@ func (s *Source) fail(section string, err error) error {
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("trace: fct2 %s section at decompressed offset %d (%d records decoded): %w",
+	return fmt.Errorf("trace: fct3 %s section at decompressed offset %d (%d records decoded): %w",
 		section, s.d.pos(), len(s.t.Records), err)
 }
 
@@ -273,30 +244,17 @@ func (s *Source) Drain() (*Trace, error) {
 			if s.d.err != nil {
 				return nil, s.fail("stacks", s.d.err)
 			}
-		case secPIDs:
-			s.d.strs(s.d.uvarint(), func(pid string) { s.t.PIDs = append(s.t.PIDs, pid) })
-			if s.d.err != nil {
-				return nil, s.fail("pids", s.d.err)
-			}
 		case secRecords:
 			n := s.d.uvarint()
 			if s.d.err != nil {
 				return nil, s.fail("records", s.d.err)
 			}
-			if n > fct2ChunkCap {
-				return nil, s.fail("records", fmt.Errorf("chunk of %d records exceeds cap %d", n, fct2ChunkCap))
+			if n > chunkCap {
+				return nil, s.fail("records", fmt.Errorf("chunk of %d records exceeds cap %d", n, chunkCap))
 			}
 			if err := s.decodeChunk(int(n)); err != nil {
 				return nil, err
 			}
-		case secMeta:
-			s.t.CrashStep = s.d.varint()
-			s.t.CrashedPID = s.d.str()
-			s.d.varint() // the retired wall-clock slot
-			if s.d.err != nil {
-				return nil, s.fail("meta", s.d.err)
-			}
-			s.sawMeta = true
 		case secEnd:
 			total := s.d.uvarint()
 			if s.d.err != nil {
@@ -304,9 +262,6 @@ func (s *Source) Drain() (*Trace, error) {
 			}
 			if total != uint64(len(s.t.Records)) {
 				return nil, s.fail("end", fmt.Errorf("stream declares %d records, decoded %d", total, len(s.t.Records)))
-			}
-			if !s.sawMeta {
-				return nil, s.fail("end", fmt.Errorf("missing meta section"))
 			}
 			// Drain to EOF so the gzip layer validates its footer — a
 			// partial write that clips the CRC must not pass as a clean
@@ -473,7 +428,7 @@ func decodeRecColumns(d *colDecoder, rs []Record, prevTS *int64) error {
 	return d.err
 }
 
-// NewSource starts decoding the FCT2 stream r holds.
+// NewSource starts decoding the FCT3 stream r holds.
 func NewSource(r io.Reader) (*Source, error) {
 	st := decodePool.Get().(*decodeState)
 	st.br.Reset(r)
@@ -486,7 +441,7 @@ func NewSource(r io.Reader) (*Source, error) {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
 	st.br.Discard(len(FormatMagic)) // just peeked: cannot fail
-	s, err := newFCT2Source(st)
+	s, err := newSource(st)
 	if err != nil {
 		st.release()
 		return nil, err

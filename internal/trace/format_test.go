@@ -20,18 +20,11 @@ import (
 // so traces from different codecs can be compared even though their symbol
 // tables may assign different Syms.
 type semantic struct {
-	PIDs       []string
-	CrashStep  int64
-	CrashedPID string
-	Records    []trace.RecordData
+	Records []trace.RecordData
 }
 
 func flatten(t *trace.Trace) semantic {
-	s := semantic{
-		PIDs:       t.PIDs,
-		CrashStep:  t.CrashStep,
-		CrashedPID: t.CrashedPID,
-	}
+	var s semantic
 	for i := range t.Records {
 		s.Records = append(s.Records, t.Data(&t.Records[i]))
 	}
@@ -39,7 +32,7 @@ func flatten(t *trace.Trace) semantic {
 }
 
 // randomTrace builds a deterministic pseudo-random trace exercising every
-// field the codecs carry: symbols, stacks, taint/ctl sets, flags, metadata.
+// field the codecs carry: symbols, stacks, taint/ctl sets, flags.
 func randomTrace(seed int64, n int) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := trace.New()
@@ -50,9 +43,6 @@ func randomTrace(seed int64, n int) *trace.Trace {
 	stacks := []trace.StackID{trace.NoStack}
 	for _, fr := range []string{"main", "rpc:ping", "scope"} {
 		stacks = append(stacks, tr.PushFrame(stacks[len(stacks)-1], tr.Intern(fr)))
-	}
-	for _, p := range pids {
-		tr.AddPID(p)
 	}
 	for i := 0; i < n; i++ {
 		r := trace.Record{
@@ -81,13 +71,11 @@ func randomTrace(seed int64, n int) *trace.Trace {
 		}
 		tr.Append(r)
 	}
-	tr.CrashStep = 42
-	tr.CrashedPID = "node#1"
 	return tr
 }
 
 // TestFormatsRoundTripEquivalent is the codec property test: a trace must
-// round-trip through FCT2 to the same semantic content, through Decode and
+// round-trip through FCT3 to the same semantic content, through Decode and
 // through a Source drained by its caller.
 func TestFormatsRoundTripEquivalent(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -199,10 +187,11 @@ func TestEncodeWritesStoredBlocks(t *testing.T) {
 	}
 }
 
-// TestCompressedFCT2StillDecodes: the reader takes what earlier builds
-// wrote. Every observation trace of the six workloads, encoded through a
-// default-level deflater, decodes to the same tables, records, lists and
-// metadata as its stored encoding — re-encoding either gives the same bytes.
+// TestCompressedFCT2StillDecodes: the reader takes any DEFLATE block the
+// gzip layer carries, not just the stored ones Encode writes. Every
+// observation trace of the six workloads, encoded through a default-level
+// deflater, decodes to the same tables, records and lists as its stored
+// encoding — re-encoding either gives the same bytes.
 func TestCompressedFCT2StillDecodes(t *testing.T) {
 	for name, tr := range observedTraces(t) {
 		stored, deflated := encode(t, tr), encodeDeflated(t, tr)
@@ -231,29 +220,37 @@ type retiredFormat struct {
 
 // retiredFormats are the leading bytes of the trace formats this package no
 // longer reads. The FCT1 stream declares 2^27 records after empty tables, so
-// a reader that trusted it would allocate gigabytes.
+// a reader that trusted it would allocate gigabytes. The FCT2 stream is a
+// whole empty trace in that layout: a hinted header, a meta section naming a
+// crash and the end section.
 func retiredFormats(t testing.TB) []retiredFormat {
-	var fct1 bytes.Buffer
-	fct1.WriteString("FCT1")
-	zw := gzip.NewWriter(&fct1)
+	gzipped := func(magic string, payload []byte) []byte {
+		var b bytes.Buffer
+		b.WriteString(magic)
+		zw := gzip.NewWriter(&b)
+		zw.Write(payload)
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
 	// syms, stacks, PIDs, the three meta fields, then the record count as a
 	// uvarint.
-	zw.Write([]byte{0, 0, 0, 0, 0, 0})
-	zw.Write(binary.AppendUvarint(nil, 1<<27))
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	fct1 := gzipped("FCT1", binary.AppendUvarint([]byte{0, 0, 0, 0, 0, 0}, 1<<27))
+	// flags 1, hints 1 1 0 0; meta (5): step 7, PID "a#1", the 0 slot; end (6): 0.
+	fct2 := gzipped("FCT2", []byte{1, 1, 1, 0, 0, 5, 14, 3, 'a', '#', '1', 0, 6, 0})
 	return []retiredFormat{
-		{"fct1", fct1.Bytes()},
+		{"fct1", fct1},
+		{"fct2", fct2},
 		{"bare gzip", []byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff}},
 		// The first 32 bytes of the gob fixture the package used to ship.
 		{"gzipped gob", []byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x6c, 0x8f, 0x5f, 0x6b, 0x13, 0x41, 0x14, 0xc5, 0xef, 0x99, 0x99, 0xdd, 0xae, 0x31, 0x16, 0x14, 0x11, 0x11, 0x85, 0xa2, 0x7d, 0xe8}},
 	}
 }
 
-// TestRetiredFormatsFailClosed: FCT2 is the only format. Streams in the
-// retired FCT1 and gzipped-gob layouts are rejected on their first four
-// bytes by every entry point, before anything they declare is believed.
+// TestRetiredFormatsFailClosed: FCT3 is the only format. Streams in the
+// retired FCT2, FCT1 and gzipped-gob layouts are rejected on their first
+// four bytes by every entry point, before anything they declare is believed.
 func TestRetiredFormatsFailClosed(t *testing.T) {
 	const want = "unrecognized trace format"
 	for _, f := range retiredFormats(t) {

@@ -15,13 +15,13 @@ func FuzzDecode(f *testing.F) {
 	// Seed with valid streams, stored and deflated, streams whose records
 	// point outside the tables, the retired formats' leading bytes, and
 	// garbage.
-	var fct2 bytes.Buffer
-	if err := randomTrace(1, 40).Encode(&fct2); err != nil {
+	var fct3 bytes.Buffer
+	if err := randomTrace(1, 40).Encode(&fct3); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(fct2.Bytes())
-	// The same stream behind a hint-less header, which Encode never writes.
-	unhinted, err := trace.WithHeader(fct2.Bytes(), []byte{0})
+	f.Add(fct3.Bytes())
+	// The same stream behind a header whose hints all say 0.
+	unhinted, err := trace.WithHeader(fct3.Bytes(), []byte{0, 0, 0})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,6 +31,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(encodeDeflated(f, randomTrace(1, 40)))
 	// Exactly four bytes: the magic peek succeeds with nothing behind it.
 	f.Add([]byte(trace.FormatMagic))
+	f.Add([]byte("FCT2"))
 	f.Add([]byte("FCT1"))
 	f.Add([]byte("not a trace"))
 	for _, r := range retiredFormats(f) {

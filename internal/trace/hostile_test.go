@@ -10,7 +10,7 @@ import (
 	"fcatch/internal/trace"
 )
 
-// danglingRefs are well-formed FCT2 streams — right magic, intact gzip, every
+// danglingRefs are well-formed FCT3 streams — right magic, intact gzip, every
 // section in place — whose second record points outside the tables or past
 // the end of the trace. The index and the fault-space fold use these fields
 // as dense table indices on whatever the decoder returns, so the decoder is
@@ -35,7 +35,6 @@ func danglingRefs(t testing.TB) map[string][]byte {
 	out := map[string][]byte{}
 	for name, corrupt := range poison {
 		tr := trace.New()
-		tr.AddPID("p#1")
 		start := tr.Append(trace.Record{Kind: trace.KThreadStart, PID: tr.Intern("p#1"), Thread: 1})
 		tr.Append(trace.Record{
 			Kind: trace.KHeapWrite, PID: tr.Intern("p#1"), Thread: 1, Frame: start,
@@ -76,7 +75,7 @@ func TestDecodeRejectsDanglingRefs(t *testing.T) {
 				t.Errorf("%s accepted a record with a dangling %s", entry, field)
 				continue
 			}
-			for _, want := range []string{"fct2 records section at decompressed offset", "(0 records decoded)", "out of range"} {
+			for _, want := range []string{"fct3 records section at decompressed offset", "(0 records decoded)", "out of range"} {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("%s, dangling %s: error %q lacks %q", entry, field, err, want)
 				}

@@ -91,10 +91,9 @@ func TestEncodeIgnoresDeflaterHistory(t *testing.T) {
 }
 
 // snapshot deep-copies what a decoded trace hands out: records with their
-// Taint/Ctl lists, and every symbol and PID string.
+// Taint/Ctl lists, and every symbol string.
 func snapshot(tr *trace.Trace) semantic {
 	s := flatten(tr)
-	s.PIDs = append([]string(nil), s.PIDs...)
 	for i := range s.Records {
 		r := &s.Records[i]
 		r.Taint = append([]trace.OpID(nil), r.Taint...)
@@ -235,12 +234,11 @@ func TestDecodeAllocsPerTrace(t *testing.T) {
 	decode() // warm the pools
 	inflate()
 	const chunks = 10
-	// Per chunk: its list arena. Per table section (symbols, PIDs): one string
-	// backing all of its strings. The constant covers the trace, the source,
-	// the record slice, the symbol and stack tables with their maps, the PID
-	// list as it grows and the crashed PID. A string per symbol or PID would
-	// add the fixture's 19 of them and fail.
-	budget := float64(chunks + 2 + 16)
+	// Per chunk: its list arena. Per symbol section: one string backing all
+	// of its strings. The constant covers the trace, the source, the record
+	// slice and the symbol and stack tables with their maps. A string per
+	// symbol would add the fixture's 16 of them and fail.
+	budget := float64(chunks + 1 + 12)
 	if got := testing.AllocsPerRun(20, decode) - testing.AllocsPerRun(20, inflate); got > budget {
 		t.Fatalf("decoding %d records in %d chunks allocated %.0f times on top of the inflater, budget %.0f (%d symbols)",
 			len(tr.Records), chunks, got, budget, tr.NumSyms())

@@ -54,19 +54,19 @@ func decodeShapes(t *testing.T, raw []byte) (*trace.Trace, error) {
 	return first, firstErr
 }
 
-// TestFCT2SourceHints: the header's size hints are advice. A stream without
-// them, and one whose header declares 2^40 of everything, decode to the trace
-// the hinted stream gives, and what the decoder pre-sizes on the hostile
-// header's word is bounded by its clamp (2^18 entries per table, some 26 MiB
-// of empty tables) — believed, the header asks for terabytes.
+// TestFCT2SourceHints: the header's size hints are advice. A stream whose
+// hints all say 0, and one whose header declares 2^40 of everything, decode
+// to the trace the true hints give, and what the decoder pre-sizes on the
+// hostile header's word is bounded by its clamp (2^18 entries per table,
+// some 26 MiB of empty tables) — believed, the header asks for terabytes.
 func TestFCT2SourceHints(t *testing.T) {
 	tr := randomTrace(9, 120)
 	raw := encode(t, tr)
-	hugeHints := []byte{1} // hinted, then 2^40 symbols, stacks, PIDs and records
-	for i := 0; i < 4; i++ {
+	var hugeHints []byte // 2^40 symbols, stacks and records
+	for i := 0; i < 3; i++ {
 		hugeHints = binary.AppendUvarint(hugeHints, 1<<40)
 	}
-	for name, hdr := range map[string][]byte{"hint-less": {0}, "2^40 of everything": hugeHints} {
+	for name, hdr := range map[string][]byte{"zero hints": {0, 0, 0}, "2^40 of everything": hugeHints} {
 		alt, err := trace.WithHeader(raw, hdr)
 		if err != nil {
 			t.Fatal(err)
@@ -92,15 +92,15 @@ func TestFCT2SourceHints(t *testing.T) {
 	}
 }
 
-// TestFCT2TruncationEveryBoundary regenerates the FCT2 stream's decompressed
+// TestFCT2TruncationEveryBoundary regenerates the FCT3 stream's decompressed
 // payload, truncates it at every byte offset (a superset of every section
 // boundary), re-compresses the prefix and decodes it: every cut must produce
 // a wrapped, position-bearing error — never a panic, never a silently short
 // trace — whatever shape of reader delivers the bytes. The messages are
 // pinned in testdata/fct2_truncation.golden (runs of cuts that fail alike
-// share a line, the offset replaced by "<cut>"), which was written by the
-// bufio-based decoder this one replaced: section names, offsets and record
-// counts are part of the format's contract.
+// share a line, the offset replaced by "<cut>"): section names, offsets and
+// record counts are part of the format's contract, and the file changes
+// only with the layout.
 func TestFCT2TruncationEveryBoundary(t *testing.T) {
 	tr := randomTrace(4, 60)
 	var buf bytes.Buffer
@@ -227,7 +227,7 @@ func TestFCT2RejectsCorruptSections(t *testing.T) {
 	var bad2 bytes.Buffer
 	bad2.WriteString(trace.FormatMagic)
 	zw = gzip.NewWriter(&bad2)
-	zw.Write([]byte{0x00, 0x3f}) // header flags=0, then tag 63
+	zw.Write([]byte{0, 0, 0, 0x3f}) // three zero hints, then tag 63
 	zw.Close()
 	_, err = decodeShapes(t, bad2.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "unknown section tag") {

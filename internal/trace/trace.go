@@ -5,38 +5,27 @@ import (
 	"strings"
 )
 
-// Trace is the full record stream of one observed run, plus run-level
-// metadata the detectors need (which processes existed, where the injected
-// crash landed, which writes last defined each resource, ...). The trace owns
-// the symbol table its records' Sym fields index and the prefix tree their
-// StackIDs index; Syms from one trace are meaningless in another (translate
-// with SymMapTo or resolve through Str).
+// Trace is the full record stream of one observed run. The records are the
+// only place it states what happened: which processes ran (StartedPIDs),
+// where a crash landed (its KCrash record), which writes last defined each
+// resource. The trace owns the symbol table its records' Sym fields index and
+// the prefix tree their StackIDs index; Syms from one trace are meaningless
+// in another (translate with SymMapTo or resolve through Str).
 //
-// Interning (Intern, PushFrame, Append, AddPID) is single-writer: the tracer
-// runs while one simulated thread runs. After a run the trace is read-only:
-// its accessors (Str, Lookup, StackLabels, HasPID, ...) only read, so
+// Interning (Intern, PushFrame, Append) is single-writer: the tracer runs
+// while one simulated thread runs. After a run the trace is read-only: its
+// accessors (Str, Lookup, StackLabels, StartedPIDs, ...) only read, so
 // goroutines that share a finished trace need no locking.
 type Trace struct {
 	// Records in emission order; Records[i].ID == OpID(i+1).
 	Records []Record
 
-	// PIDs lists every process that appeared in the run, in start order.
-	PIDs []string
-
-	// CrashStep is the scheduler step at which the observation crash was
-	// injected, or -1 for a fault-free run.
-	CrashStep int64
-	// CrashedPID is the process crashed by the observation fault ("" if none).
-	CrashedPID string
-
 	syms   SymTab
 	stacks StackTab
 }
 
-// New returns an empty trace for a fault-free run.
-func New() *Trace {
-	return &Trace{CrashStep: -1}
-}
+// New returns an empty trace.
+func New() *Trace { return &Trace{} }
 
 // FaultFiring records one scenario event actually firing during a run:
 // which event, what it did, to whom, and when. The simulator records the
@@ -133,16 +122,22 @@ func (t *Trace) At(id OpID) *Record {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 
-// HasPID reports whether pid appeared in the run. Simulated clusters run a
-// handful of processes, so a scan of PIDs is the whole index.
-func (t *Trace) HasPID(pid string) bool { return slices.Contains(t.PIDs, pid) }
-
-// AddPID records pid in start order, once — the tracer calls it on every
-// thread start.
-func (t *Trace) AddPID(pid string) {
-	if !t.HasPID(pid) {
-		t.PIDs = append(t.PIDs, pid)
+// StartedPIDs lists the processes that started a thread in the run, in
+// first-start order, read from the KThreadStart records. Simulated clusters
+// run a handful of processes, so a scan of the list found so far is the
+// whole index.
+func (t *Trace) StartedPIDs() []string {
+	seen := make([]Sym, 0, 16)
+	for i := range t.Records {
+		if r := &t.Records[i]; r.Kind == KThreadStart && !slices.Contains(seen, r.PID) {
+			seen = append(seen, r.PID)
+		}
 	}
+	pids := make([]string, len(seen))
+	for i, y := range seen {
+		pids[i] = t.Str(y)
+	}
+	return pids
 }
 
 // Role strips the incarnation suffix from a PID ("hmaster#2" → "hmaster").

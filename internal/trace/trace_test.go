@@ -109,34 +109,26 @@ func TestIndexGroupsAndCausality(t *testing.T) {
 	}
 }
 
-func TestHasPID(t *testing.T) {
+// TestStartedPIDs: the processes of a run are read from its thread-start
+// records, in first-start order, each once — twenty starts of seventeen
+// PIDs, more than any simulated cluster runs, interleaved with other records
+// of PIDs that never start a thread.
+func TestStartedPIDs(t *testing.T) {
 	tr := trace.New()
-	tr.PIDs = []string{"a#1", "b#1"}
-	if !tr.HasPID("a#1") || tr.HasPID("c#1") {
-		t.Fatal("HasPID wrong")
+	if got := tr.StartedPIDs(); len(got) != 0 {
+		t.Fatalf("empty trace: StartedPIDs = %v", got)
 	}
-
-	// Twenty starts of seventeen PIDs, more than any simulated cluster runs:
-	// AddPID keeps first-start order and never repeats a PID.
-	tr = trace.New()
 	var want []string
 	for i := 0; i < 20; i++ {
 		pid := fmt.Sprintf("p%d#1", i%17)
 		if i < 17 {
 			want = append(want, pid)
 		}
-		tr.AddPID(pid)
+		tr.Append(trace.Record{Kind: trace.KThreadStart, PID: tr.Intern(pid), Thread: i})
+		tr.Append(trace.Record{Kind: trace.KHeapWrite, PID: tr.Intern(fmt.Sprintf("q%d#1", i))})
 	}
-	if !slices.Equal(tr.PIDs, want) {
-		t.Fatalf("PIDs = %v, want %v", tr.PIDs, want)
-	}
-	for _, pid := range want {
-		if !tr.HasPID(pid) {
-			t.Fatalf("HasPID(%q) = false after AddPID", pid)
-		}
-	}
-	if tr.HasPID("p17#1") {
-		t.Fatal("HasPID reports a PID never added")
+	if got := tr.StartedPIDs(); !slices.Equal(got, want) {
+		t.Fatalf("StartedPIDs = %v, want %v", got, want)
 	}
 }
 
@@ -150,9 +142,8 @@ func TestRole(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tr := trace.New()
-	tr.CrashStep = 42
-	tr.CrashedPID = "x#1"
-	tr.PIDs = []string{"x#1", "y#1"}
+	tr.Append(trace.Record{Kind: trace.KThreadStart, PID: tr.Intern("y#1")})
+	tr.Append(trace.Record{Kind: trace.KCrash, PID: tr.Intern("system"), Aux: tr.Intern("x#1"), TS: 42})
 	stack := tr.PushFrame(tr.PushFrame(trace.NoStack, tr.Intern("main")), tr.Intern("fn"))
 	for i := 0; i < 20; i++ {
 		tr.Append(trace.Record{
@@ -168,10 +159,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 20 || got.CrashStep != 42 || got.CrashedPID != "x#1" || len(got.PIDs) != 2 {
+	if got.Len() != 22 || !slices.Equal(got.StartedPIDs(), []string{"y#1"}) {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
-	if labels := got.StackLabels(got.Records[3].Stack); len(labels) != 2 || labels[1] != "fn" {
+	if c := got.Records[1]; c.Kind != trace.KCrash || got.Str(c.Aux) != "x#1" || c.TS != 42 {
+		t.Fatalf("round trip lost the crash record: %s", got.Format(&c))
+	}
+	if labels := got.StackLabels(got.Records[5].Stack); len(labels) != 2 || labels[1] != "fn" {
 		t.Fatalf("record contents lost: stack = %v", labels)
 	}
 }

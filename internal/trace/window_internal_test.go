@@ -82,6 +82,13 @@ func (d *refDecoder) str() string {
 	return string(buf)
 }
 
+// str reads one string through appendStr, the primitive strs reads each of
+// a table's strings with.
+func (d *colDecoder) str() string {
+	d.text = d.appendStr(d.text[:0])
+	return string(d.text)
+}
+
 // errText is an error as Source.fail reports it: a bare EOF is a truncation.
 func errText(err error) string {
 	if err == nil {
@@ -225,18 +232,22 @@ func TestColDecoderStopsAtFirstError(t *testing.T) {
 // TestSourceTakesTablesBetweenChunks: Encode writes each table once, ahead of
 // the first chunk, but the format lets a table section continue its table
 // anywhere before the chunk that needs the entries. A hand-written stream
-// that defines a fresh symbol, stack node and PID ahead of every one-record
-// chunk decodes to the trace it describes — and a chunk that names a symbol
+// that defines a fresh symbol and stack node ahead of every one-record chunk
+// decodes to the trace it describes — and a chunk that names a symbol
 // defined only after it is refused.
 func TestSourceTakesTablesBetweenChunks(t *testing.T) {
 	want := New()
 	var payload bytes.Buffer
 	e := colEncoder{w: bufio.NewWriter(&payload)}
-	e.uvarint(0) // the hint-less header
+	zeroHints := func() {
+		for range 3 {
+			e.uvarint(0)
+		}
+	}
+	zeroHints()
 	sentSyms, sentStacks, prevTS := 1, 1, int64(0)
 	for i := 0; i < 5; i++ {
 		pid := fmt.Sprintf("node#%d", i)
-		want.AddPID(pid)
 		want.Append(Record{
 			TS: int64(2 * i), Kind: KHeapRead, PID: want.Intern(pid), Causor: OpID(i),
 			Site:  want.Intern(fmt.Sprintf("app/f.go:%d", i)),
@@ -253,17 +264,10 @@ func TestSourceTakesTablesBetweenChunks(t *testing.T) {
 			e.uvarint(uint64(want.stacks.nodes[sentStacks].parent))
 			e.uvarint(uint64(want.stacks.nodes[sentStacks].frame))
 		}
-		e.uvarint(secPIDs)
-		e.uvarint(1)
-		e.str(pid)
 		e.uvarint(secRecords)
 		e.uvarint(1)
 		encodeRecColumns(&e, want.Records[i:], &prevTS)
 	}
-	e.uvarint(secMeta)
-	e.varint(want.CrashStep)
-	e.str(want.CrashedPID)
-	e.varint(12345) // older builds stored a run duration here; it is skipped
 	e.uvarint(secEnd)
 	e.uvarint(uint64(len(want.Records)))
 	if err := e.w.Flush(); err != nil {
@@ -296,7 +300,7 @@ func TestSourceTakesTablesBetweenChunks(t *testing.T) {
 	payload.Reset()
 	e = colEncoder{w: bufio.NewWriter(&payload)}
 	prevTS = 0
-	e.uvarint(0)
+	zeroHints()
 	e.uvarint(secRecords)
 	e.uvarint(uint64(len(want.Records)))
 	encodeRecColumns(&e, want.Records, &prevTS)

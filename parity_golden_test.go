@@ -81,7 +81,6 @@ func prunedLine(res *fcatch.Result) string {
 // generated before the symbol-interning refactor.
 func TestGoldenDetectionReports(t *testing.T) {
 	for _, w := range fcatch.Workloads() {
-		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			opts := core.Options{Seed: 1, Phase: fcatch.PhaseBegin, Tracing: sim.TraceSelective, Parallelism: 1}
 			res, err := fcatch.Detect(w, opts)
@@ -90,7 +89,7 @@ func TestGoldenDetectionReports(t *testing.T) {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "workload=%s crash=%s step=%d records=%d+%d\n",
-				w.Name(), res.Observation.Faulty.CrashedPID, res.Observation.Faulty.CrashStep,
+				w.Name(), res.Windows[0].Victim, res.Windows[0].OpenStep,
 				res.Observation.FaultFree.Len(), res.Observation.Faulty.Len())
 			b.WriteString(prunedLine(res))
 			for i, r := range res.Reports {
@@ -115,7 +114,6 @@ func TestGoldenCampaignCorpora(t *testing.T) {
 		t.Skip("campaign goldens are slow")
 	}
 	for _, w := range fcatch.Workloads() {
-		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			cfg := fcatch.CampaignConfig{Strategy: fcatch.StrategyCoverage, Seed: 1, Budget: 40, Parallelism: 1}
 			res, err := fcatch.Campaign(w, cfg)

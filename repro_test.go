@@ -18,7 +18,6 @@ func TestReproduceEveryCataloguedBug(t *testing.T) {
 		"MR2": "fatal", "MR2b": "fatal", "MR5": "fatal", "ZK": "fatal",
 	}
 	for _, spec := range fcatch.Catalog {
-		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
 			rep, err := fcatch.Reproduce(spec.ID, fcatch.DefaultOptions())
 			if err != nil {

@@ -127,11 +127,6 @@ type Table3Row struct {
 	RecOld, RecNew, RecExp, RecFalse int
 }
 
-// Total sums the row.
-func (r Table3Row) Total() int {
-	return r.RegOld + r.RegNew + r.RegExp + r.RegFalse + r.RecOld + r.RecNew + r.RecExp + r.RecFalse
-}
-
 // count tallies one trigger outcome of workload wl into its Table 3 cell.
 func (r *Table3Row) count(wl string, out *TriggerOutcome) {
 	reg := out.Report.Type == detect.CrashRegular
