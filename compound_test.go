@@ -52,9 +52,9 @@ func TestCompoundDetectionOnCompositeScenarios(t *testing.T) {
 			if c.Outer.Victim == "" || c.Inner.Victim == "" {
 				t.Fatalf("compound anchors missing victims: %s", c)
 			}
-			if !c.Outer.Contains(c.Inner.OpenStep) {
+			if !c.Outer.Contains(c.Inner.Step) {
 				t.Fatalf("inner fault @%d not inside outer window [%d..%d]",
-					c.Inner.OpenStep, c.Outer.OpenStep, c.Outer.CloseStep)
+					c.Inner.Step, c.Outer.Step, c.Outer.CloseStep)
 			}
 			// The report's two window anchors must reproduce the failure.
 			outs := fcatch.TriggerCompounds(w, res)

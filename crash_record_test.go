@@ -46,8 +46,8 @@ func TestCrashRecordIsTheCrash(t *testing.T) {
 				if victim != firing.Victim || first.TS != firing.Step {
 					t.Errorf("seed %d: crash record %s@%d, first node-crash firing %s@%d", seed, victim, first.TS, firing.Victim, firing.Step)
 				}
-				if victim != w0.Victim || first.TS != w0.OpenStep {
-					t.Errorf("seed %d: crash record %s@%d, window 0 %s@%d", seed, victim, first.TS, w0.Victim, w0.OpenStep)
+				if victim != w0.Victim || first.TS != w0.Step {
+					t.Errorf("seed %d: crash record %s@%d, window 0 %s@%d", seed, victim, first.TS, w0.Victim, w0.Step)
 				}
 				for _, pid := range obs.CrashedPIDs {
 					if !crashed[pid] {

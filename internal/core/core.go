@@ -98,7 +98,7 @@ type Options struct {
 	// CrashTarget() at the phase-chosen step. Step-anchored crash events
 	// with CrashStep 0 inherit that step too (and are re-nudged on retry),
 	// and the simulator aims step crashes with an empty Target at the
-	// crash target.
+	// crash target. Observe refuses a scenario sim.ValidateScenario refuses.
 	Scenario []sim.FaultSpec
 	// Detect toggles the fault-tolerance pruning analyses (ablations only).
 	Detect detect.Options
@@ -248,6 +248,11 @@ func ObserveIndexed(w Workload, opts Options) (*Observation, *hb.Graph, *hb.Grap
 }
 
 func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph, *hb.Graph, error) {
+	if len(opts.Scenario) > 0 {
+		if err := sim.ValidateScenario(opts.Scenario); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	obs := &Observation{}
 
 	if opts.MeasureBaseline {

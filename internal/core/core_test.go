@@ -41,6 +41,24 @@ func TestObserveRejectsFailedRun(t *testing.T) {
 	}
 }
 
+// TestObserveValidatesScenario: a library caller's scenario passes the same
+// check the CLI parser applies, so an unknown action or a siteless drop is
+// refused instead of running as a node crash.
+func TestObserveValidatesScenario(t *testing.T) {
+	for _, sc := range [][]sim.FaultSpec{
+		{{Action: "banana"}},
+		{{CrashStep: 100, Action: sim.ActionKernelDrop}},
+		{{CrashStep: 100, Delay: 5}},
+	} {
+		opts := core.DefaultOptions()
+		opts.Scenario = sc
+		_, err := core.Observe(toy.New(), opts)
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: scenario") {
+			t.Errorf("Observe(%s) error = %v, want a sim: scenario error", sim.FormatScenario(sc), err)
+		}
+	}
+}
+
 func TestObserveProducesCorrectRunPair(t *testing.T) {
 	obs, err := core.Observe(toy.New(), core.DefaultOptions())
 	if err != nil {

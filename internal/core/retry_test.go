@@ -23,7 +23,7 @@ type flakyFirstFaulty struct {
 func (f *flakyFirstFaulty) Tune(cfg *sim.Config) {
 	f.Workload.Tune(cfg)
 	if cfg.Plan != nil {
-		f.faultySteps = append(f.faultySteps, cfg.Plan.Scenario()[0].CrashStep)
+		f.faultySteps = append(f.faultySteps, cfg.Plan.Events[0].CrashStep)
 	}
 	if cfg.Fold != nil {
 		f.foldedRuns++

@@ -32,14 +32,14 @@ type CompoundReport struct {
 // Key is the deduplication identity: the pair of window anchors.
 func (c *CompoundReport) Key() string {
 	return fmt.Sprintf("compound|w%d:%s@%d|w%d:%s@%d",
-		c.Outer.ID, c.Outer.Victim, c.Outer.OpenStep,
-		c.Inner.ID, c.Inner.Victim, c.Inner.OpenStep)
+		c.Outer.ID, c.Outer.Victim, c.Outer.Step,
+		c.Inner.ID, c.Inner.Victim, c.Inner.Step)
 }
 
 // String renders a one-line summary.
 func (c *CompoundReport) String() string {
 	s := fmt.Sprintf("[compound] %s fault@%d inside %s recovery window [%d..%d] of %s",
-		c.Inner.Kind, c.Inner.OpenStep, c.Outer.Kind, c.Outer.OpenStep, c.Outer.CloseStep, c.Outer.Victim)
+		c.Inner.Kind(), c.Inner.Step, c.Outer.Kind(), c.Outer.Step, c.Outer.CloseStep, c.Outer.Victim)
 	if c.Orphaned.Op != 0 {
 		s += fmt.Sprintf(" orphans %s@%s(%s)", c.Orphaned.Kind, c.Orphaned.Site, c.Orphaned.PID)
 	}
@@ -59,16 +59,16 @@ func DetectCompound(gy *hb.Graph, windows []Window, workload string) []*Compound
 	var out []*CompoundReport
 	for k := range windows {
 		outer := &windows[k]
-		if outer.Kind != WindowCrashRecovery || outer.Victim == "" {
+		if outer.Kind() != WindowCrashRecovery || outer.Victim == "" {
 			continue // only crash windows open a recovery to interrupt
 		}
 		for j := k + 1; j < len(windows); j++ {
 			inner := &windows[j]
-			if !outer.Contains(inner.OpenStep) {
+			if !outer.Contains(inner.Step) {
 				continue
 			}
 			rep := &CompoundReport{Outer: *outer, Inner: *inner, Workload: workload}
-			if orphaned := lastRecoveryOp(ty, outer, inner.OpenStep); orphaned != nil {
+			if orphaned := lastRecoveryOp(ty, outer, inner.Step); orphaned != nil {
 				rep.Orphaned = summarize(ty, orphaned, occurrence(gy.Ix, orphaned))
 			}
 			out = append(out, rep)
@@ -98,11 +98,11 @@ func lastRecoveryOp(ty *trace.Trace, outer *Window, innerStep int64) *trace.Reco
 		}
 		if _, ok := firstSeen[r.PID]; !ok {
 			firstSeen[r.PID] = r.TS
-			if r.TS > outer.OpenStep {
+			if r.TS > outer.Step {
 				born[r.PID] = true // process born inside the window
 			}
 		}
-		if r.TS <= outer.OpenStep || !born[r.PID] {
+		if r.TS <= outer.Step || !born[r.PID] {
 			continue
 		}
 		switch r.Kind {

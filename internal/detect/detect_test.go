@@ -314,7 +314,7 @@ func TestDetectRecoveryCrashWrites(t *testing.T) {
 				ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("am#1"), Thread: 1, Causor: trace.NoOp})
 				ff.Append(trace.Record{Kind: trace.KThreadStart, PID: ff.Intern("other#1"), Thread: 2, Causor: trace.NoOp})
 				threads(fy, "am#2")
-				opts.Windows = []Window{{Kind: WindowCrashRecovery, Victim: "am#2", OpenStep: 20}}
+				opts.Windows = []Window{{FaultFiring: trace.FaultFiring{Action: "node-crash", Victim: "am#2", Step: 20}}}
 			} else {
 				threads(ff, "crash#1")
 				fy.Append(trace.Record{Kind: trace.KThreadStart, PID: fy.Intern("crash#1"), Thread: 1, Causor: trace.NoOp, TS: 1})

@@ -114,7 +114,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 	// still participate in report anchoring and compound pairing.
 	var wins []*Window
 	for i := range opts.Windows {
-		if w := &opts.Windows[i]; w.Kind == WindowCrashRecovery && w.Victim != "" {
+		if w := &opts.Windows[i]; w.Kind() == WindowCrashRecovery && w.Victim != "" {
 			wins = append(wins, w)
 		}
 	}
@@ -141,7 +141,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 	winAt := func(step int64) int {
 		w := 0
 		for k := range wins {
-			if wins[k].OpenStep <= step {
+			if wins[k].Step <= step {
 				w = k
 			}
 		}
@@ -239,7 +239,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 		// faulty run before the window opened. Writes to a resSkip resource or
 		// to one absent from the faulty run could never pair (no recovery read
 		// touches them); skipping them only saves work.
-		src, g, class, cutoff := ty, gy, classY, win.OpenStep
+		src, g, class, cutoff := ty, gy, classY, win.Step
 		inFaulty := !slices.Contains(ranFaultFree, win.Victim)
 		if !inFaulty {
 			src, g, class, cutoff = tf, gf, classifyRes(tf, vicsThrough), math.MaxInt64
@@ -353,7 +353,7 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 			if !inFaulty && p.w.siteOK {
 				if ids := ixY.SiteIDs(p.w.siteY); len(ids) >= occ {
 					rec := ty.At(ids[occ-1])
-					wInFaulty = rec != nil && rec.TS <= win.OpenStep
+					wInFaulty = rec != nil && rec.TS <= win.Step
 				}
 			}
 
@@ -369,7 +369,6 @@ func DetectRecoveryOpts(gf, gy *hb.Graph, workload string, opts Options) *Recove
 				CrashTargetPID:  win.Victim,
 				CrashTargetRole: trace.Role(win.Victim),
 				WindowID:        win.ID,
-				FaultIndex:      win.FaultIndex,
 				Workload:        workload,
 			})
 		}

@@ -78,13 +78,11 @@ type Report struct {
 	// restart it, exercising recovery).
 	CrashTargetRole string
 
-	// WindowID / FaultIndex anchor the report to the hazard window whose
-	// recovery it describes: WindowID is the window's position in the
-	// observation, FaultIndex the scenario event that opened it. Both are 0
-	// for single-fault observations (the 1-window special case) and for
+	// WindowID anchors the report to the hazard window whose recovery it
+	// describes: the window's position in the observation. It is 0 for
+	// single-fault observations (the 1-window special case) and for
 	// crash-regular reports, whose hazard is hypothetical.
-	WindowID   int
-	FaultIndex int
+	WindowID int
 
 	Workload string
 }

@@ -41,16 +41,16 @@ func (k WindowKind) String() string {
 }
 
 // Window is one hazard window of an observation, first-class: the interval
-// a fault opened, who it hit, and who recovers inside it.
+// a fault opened, who it hit, and who recovers inside it. It embeds the
+// firing that opened it, so its anchor is the anchor that fired: Index is
+// the scenario event, Action what it did, Victim the crashed process
+// (crash-recovery) or the sender whose message was dropped (drop-induced),
+// Step the logical-clock step the window opens at, and Site, Occurrence and
+// When the replayable site anchor of a site event ("" otherwise).
 type Window struct {
 	// ID is the window's 0-based position in the observation (firing order).
 	ID int
-	// FaultIndex is the index of the scenario event that opened the window.
-	FaultIndex int
-	Kind       WindowKind
-	// Victim is the crashed process (crash-recovery) or the sender whose
-	// message was dropped (drop-induced).
-	Victim string
+	trace.FaultFiring
 	// Incarnation is the victim's restarted replacement — the window's
 	// recovery node. Empty when the victim never came back (pinned down,
 	// drop-induced, or the run ended first).
@@ -60,28 +60,25 @@ type Window struct {
 	// replaying the window reproduces its recovery even when the workload's
 	// default policy would leave the victim down.
 	RestartStep int64
-	// Action is the fault action that opened the window, in the scenario
-	// vocabulary ("node-crash", "kernel-drop", "app-drop") — kept so a
-	// window anchor can be lowered back to a scenario event.
-	Action string
-	// OpenStep is the logical-clock step at which the fault fired. OpenSite,
-	// with OpenOcc and OpenWhen, is the replayable site anchor for
-	// site-anchored events ("" otherwise).
-	OpenStep int64
-	OpenSite string
-	OpenOcc  int
-	OpenWhen string
 	// CloseStep bounds the window: the step at which the window's own
 	// recovery node died (recovery aborted — the rolling-crash shape), or
 	// the end of the trace while recovery was still in flight.
 	CloseStep int64
 }
 
+// Kind is how the window was opened, read off the firing's action.
+func (w *Window) Kind() WindowKind {
+	if w.Action == "kernel-drop" || w.Action == "app-drop" {
+		return WindowDropInduced
+	}
+	return WindowCrashRecovery
+}
+
 // Contains reports whether a step falls inside the window: strictly after
 // the open, at or before the close. A fault that kills the window's own
 // recovery node fires exactly at CloseStep, so the close edge is inclusive.
 func (w *Window) Contains(step int64) bool {
-	return step > w.OpenStep && step <= w.CloseStep
+	return step > w.Step && step <= w.CloseStep
 }
 
 // Role is the victim's role, incarnation suffix stripped ("am#2" → "am") —
@@ -91,7 +88,7 @@ func (w *Window) Role() string { return trace.Role(w.Victim) }
 
 // String renders a compact one-line summary ("w0[crash-recovery] am#1@142..390 rec=am#2").
 func (w *Window) String() string {
-	s := fmt.Sprintf("w%d[%s] %s@%d..%d", w.ID, w.Kind, w.Victim, w.OpenStep, w.CloseStep)
+	s := fmt.Sprintf("w%d[%s] %s@%d..%d", w.ID, w.Kind(), w.Victim, w.Step, w.CloseStep)
 	if w.Incarnation != "" {
 		s += " rec=" + w.Incarnation
 	}
@@ -117,17 +114,8 @@ func deriveWindows(ty *trace.Trace, firings []trace.FaultFiring, bk bookkeeping)
 		if f.Victim == "" {
 			continue
 		}
-		w := Window{
-			ID: len(out), FaultIndex: f.Index,
-			Victim: f.Victim, Action: f.Action,
-			OpenStep: f.Step, OpenSite: f.Site,
-			OpenOcc: f.Occurrence, OpenWhen: f.When,
-			CloseStep: end,
-		}
-		if f.Action == "kernel-drop" || f.Action == "app-drop" {
-			w.Kind = WindowDropInduced
-		} else {
-			w.Kind = WindowCrashRecovery
+		w := Window{ID: len(out), FaultFiring: f, CloseStep: end}
+		if w.Kind() == WindowCrashRecovery {
 			closeCrashWindow(&w, bk)
 		}
 		out = append(out, w)

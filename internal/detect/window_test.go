@@ -32,7 +32,7 @@ func windowedTrace() *trace.Trace {
 // not "inside" its window), the close edge inclusive (a fault killing the
 // window's recovery node fires exactly at CloseStep).
 func TestWindowContains(t *testing.T) {
-	w := Window{OpenStep: 100, CloseStep: 150}
+	w := Window{FaultFiring: trace.FaultFiring{Step: 100}, CloseStep: 150}
 	for step, want := range map[int64]bool{99: false, 100: false, 101: true, 150: true, 151: false} {
 		if got := w.Contains(step); got != want {
 			t.Errorf("Contains(%d) = %v, want %v", step, got, want)
@@ -57,8 +57,8 @@ func TestDeriveWindows(t *testing.T) {
 		t.Fatalf("windows = %d, want 3", len(wins))
 	}
 	w0 := wins[0]
-	if w0.ID != 0 || w0.Kind != WindowCrashRecovery || w0.Victim != "am#1" ||
-		w0.Incarnation != "am#2" || w0.OpenStep != 100 || w0.CloseStep != 150 {
+	if w0.ID != 0 || w0.Kind() != WindowCrashRecovery || w0.Victim != "am#1" ||
+		w0.Incarnation != "am#2" || w0.Step != 100 || w0.CloseStep != 150 {
 		t.Fatalf("w0 = %s (inc %q)", &w0, w0.Incarnation)
 	}
 	w1 := wins[1]
@@ -66,12 +66,9 @@ func TestDeriveWindows(t *testing.T) {
 		t.Fatalf("w1 = %s (inc %q): am#3 never crashed, so the window runs to trace end", &w1, w1.Incarnation)
 	}
 	w2 := wins[2]
-	if w2.Kind != WindowDropInduced || w2.Victim != "rs#1" || w2.OpenSite != "a.go:5" ||
-		w2.OpenOcc != 1 || w2.OpenWhen != "before" || w2.CloseStep != 200 {
-		t.Fatalf("w2 = %s (site %q occ %d when %q)", &w2, w2.OpenSite, w2.OpenOcc, w2.OpenWhen)
-	}
-	if w2.FaultIndex != 2 {
-		t.Fatalf("w2 fault index = %d, want 2 (the missed firing keeps scenario indices)", w2.FaultIndex)
+	if w2.Kind() != WindowDropInduced || w2.FaultFiring != firings[2] || w2.CloseStep != 200 {
+		t.Fatalf("w2 = %s (firing %+v), want the firing %+v embedded (the missed firing keeps scenario indices)",
+			&w2, w2.FaultFiring, firings[2])
 	}
 }
 
@@ -84,7 +81,7 @@ func TestDeriveWindows(t *testing.T) {
 func TestResolveWindowsLadder(t *testing.T) {
 	ty := windowedTrace()
 
-	explicit := []Window{{ID: 0, Victim: "custom", OpenStep: 7, CloseStep: 9}}
+	explicit := []Window{{ID: 0, FaultFiring: trace.FaultFiring{Victim: "custom", Step: 7}, CloseStep: 9}}
 	got := ObservationWindows(ty, Options{Windows: explicit, Firings: []trace.FaultFiring{{Victim: "am#1", Step: 100}}})
 	if len(got) != 1 || got[0].Victim != "custom" {
 		t.Fatalf("explicit windows ignored: %v", got)
@@ -117,7 +114,7 @@ func TestResolveWindowsLadder(t *testing.T) {
 	// A victim the trace has no crash record for opens at the trace's first
 	// crash record's step.
 	got = ObservationWindows(ty, Options{CrashedPIDs: []string{"rs#1"}})
-	if len(got) != 1 || got[0].OpenStep != 100 || got[0].Incarnation != "" {
+	if len(got) != 1 || got[0].Step != 100 || got[0].Incarnation != "" {
 		t.Fatalf("unrecorded victim = %+v", got)
 	}
 
@@ -128,7 +125,7 @@ func TestResolveWindowsLadder(t *testing.T) {
 		t.Fatalf("no crash, no windows; got %v", got)
 	}
 	got = ObservationWindows(empty, Options{CrashedPIDs: []string{"rs#1"}})
-	if len(got) != 1 || got[0].OpenStep != 0 || got[0].CloseStep != 0 {
+	if len(got) != 1 || got[0].Step != 0 || got[0].CloseStep != 0 {
 		t.Fatalf("victim of an empty trace = %+v", got)
 	}
 }
@@ -177,8 +174,8 @@ func TestDetectCompoundDisjointWindows(t *testing.T) {
 	ty := windowedTrace()
 	gy := hb.New(ty)
 	wins := []Window{
-		{ID: 0, Kind: WindowCrashRecovery, Victim: "am#1", OpenStep: 100, CloseStep: 140},
-		{ID: 1, Kind: WindowCrashRecovery, Victim: "rs#1", OpenStep: 170, CloseStep: 200},
+		{ID: 0, FaultFiring: trace.FaultFiring{Action: "node-crash", Victim: "am#1", Step: 100}, CloseStep: 140},
+		{ID: 1, FaultFiring: trace.FaultFiring{Action: "node-crash", Victim: "rs#1", Step: 170}, CloseStep: 200},
 	}
 	if reps := DetectCompound(gy, wins, "wl"); len(reps) != 0 {
 		t.Fatalf("disjoint windows produced %d compound reports", len(reps))
@@ -189,8 +186,8 @@ func TestDetectCompoundDisjointWindows(t *testing.T) {
 	}
 	// Drop windows open no recovery: a fault inside one is not compound.
 	drop := []Window{
-		{ID: 0, Kind: WindowDropInduced, Victim: "rs#1", OpenStep: 100, CloseStep: 200},
-		{ID: 1, Kind: WindowCrashRecovery, Victim: "am#1", OpenStep: 150, CloseStep: 200},
+		{ID: 0, FaultFiring: trace.FaultFiring{Action: "kernel-drop", Victim: "rs#1", Step: 100}, CloseStep: 200},
+		{ID: 1, FaultFiring: trace.FaultFiring{Action: "node-crash", Victim: "am#1", Step: 150}, CloseStep: 200},
 	}
 	if reps := DetectCompound(gy, drop, "wl"); len(reps) != 0 {
 		t.Fatalf("drop outer window produced %d compound reports", len(reps))

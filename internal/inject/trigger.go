@@ -99,20 +99,18 @@ func NewTriggerer(w core.Workload, seed int64) *Triggerer {
 // aim at the victim's role, so they hit whatever incarnation is current when
 // they fire.
 func WindowEvent(w *detect.Window) sim.FaultSpec {
-	ev := sim.FaultSpec{Action: w.Action}
-	if w.OpenSite != "" {
-		ev.Site, ev.Occurrence, ev.When = w.OpenSite, w.OpenOcc, w.OpenWhen
-	} else {
-		ev.CrashStep = w.OpenStep
+	ev := sim.FaultSpec{Action: w.Action, Site: w.Site, Occurrence: w.Occurrence, When: w.When}
+	if w.Site == "" {
+		ev.CrashStep = w.Step
 	}
-	if w.Kind == detect.WindowCrashRecovery {
+	if w.Kind() == detect.WindowCrashRecovery {
 		ev.Target = w.Role()
 		// The window recovered in the observation, so the rebuilt event must
 		// force the same restart — the workload's own policy may leave the
 		// victim down (the observed restart could have come from a forced
 		// restart= in the scenario).
-		if w.Incarnation != "" && w.RestartStep > w.OpenStep {
-			d := w.RestartStep - w.OpenStep
+		if w.Incarnation != "" && w.RestartStep > w.Step {
+			d := w.RestartStep - w.Step
 			ev.Restart = &d
 		}
 	}
@@ -382,15 +380,15 @@ func compoundVariants(rep *detect.CompoundReport) []compoundVariant {
 	}
 	pin := int64(-1)
 	variants := []compoundVariant{variant("as-observed", outer.Restart, inner.Restart)}
-	if rep.Inner.Kind != detect.WindowCrashRecovery {
+	if rep.Inner.Kind() != detect.WindowCrashRecovery {
 		return append(variants, variant("outer-down", &pin, inner.Restart))
 	}
 	variants = append(variants, variant("inner-down", outer.Restart, &pin))
 	// The grid's scale: the inner victim's observed restart delay, else
 	// the outer window's, else the default operator timescale.
-	scale := rep.Inner.RestartStep - rep.Inner.OpenStep
+	scale := rep.Inner.RestartStep - rep.Inner.Step
 	if scale <= 0 {
-		scale = rep.Outer.RestartStep - rep.Outer.OpenStep
+		scale = rep.Outer.RestartStep - rep.Outer.Step
 	}
 	if scale <= 0 {
 		scale = compoundRestartDelay

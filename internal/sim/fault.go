@@ -130,8 +130,9 @@ type FaultSpec struct {
 
 	// Site/Occurrence/When/Action describe a site-anchored event.
 	// Occurrence is 1-based (0 means first); When is WhenBefore/WhenAfter;
-	// Action is one of ActionNames(). Step-anchored events ignore
-	// When/Occurrence and treat an empty Action as ActionNodeCrash.
+	// Action is one of ActionNames(). An event without a site is a node
+	// crash: ValidateScenario refuses a drop action, Occurrence or When on
+	// one (an empty Action means ActionNodeCrash).
 	Site       string `json:"site,omitempty"`
 	Occurrence int    `json:"occurrence,omitempty"`
 	When       string `json:"when,omitempty"`
@@ -219,15 +220,6 @@ func NewScenarioPlan(scenario []FaultSpec, target string, restartRoles map[strin
 	return p
 }
 
-// Scenario returns the plan's events in their JSON-stable form.
-func (p *FaultPlan) Scenario() []FaultSpec {
-	out := make([]FaultSpec, len(p.Events))
-	for i := range p.Events {
-		out[i] = p.Events[i].FaultSpec
-	}
-	return out
-}
-
 // preparePlan resolves the plan's events against this cluster: names become
 // enums, sites become dense ids (in event order, so site-table numbering is
 // stable), and step-anchored events arm. Called once from NewCluster.
@@ -289,21 +281,35 @@ func (c *Cluster) armNextEvent(p *FaultPlan, i int) {
 	p.recountStep()
 }
 
-// injectCrash is crashProcess for plan-injected crashes: it remembers the
-// victim's role so a relative follow-up event can re-crash its restarted
-// incarnation, and applies the event's restart override. It returns the
-// victim PID, or "" when the crash was a no-op (unknown target, or the
-// process was already dead).
-func (c *Cluster) injectCrash(pid string, selfSite SiteID, restart *int64) string {
-	victim := ""
-	if p := c.pendingPlan; p != nil {
-		if n := c.nodes[pid]; n != nil && !n.crashed {
-			p.lastCrashRole = n.Role
-			victim = pid
-		}
+// crash kills the process target names (a PID, or a role's current
+// incarnation) as a plan event's fault and returns the victim PID, or ""
+// when the crash hit nothing (unknown target, or the process was already
+// dead). It remembers the victim's role so a relative follow-up event can
+// re-crash its restarted incarnation, and applies the event's restart
+// override.
+func (c *Cluster) crash(p *FaultPlan, target string, selfSite SiteID, restart *int64) string {
+	pid := c.resolve(target)
+	n := c.nodes[pid]
+	if n == nil || n.crashed {
+		return ""
 	}
-	c.crashProcess(pid, selfSite, restart)
-	return victim
+	p.lastCrashRole = n.Role
+	c.crashProcess(n, selfSite, restart)
+	return pid
+}
+
+// fired marks event i fired, arms its relative successor and records the
+// firing: the action it applied, to whom, at which step and anchor.
+func (c *Cluster) fired(p *FaultPlan, i int, act TriggerAction, victim string) {
+	ev := &p.Events[i]
+	ev.fired = true
+	c.armNextEvent(p, i)
+	f := trace.FaultFiring{Index: i, Action: act.String(), Step: c.clock, Victim: victim}
+	if ev.Site != "" {
+		p.sitePending--
+		f.Site, f.Occurrence, f.When = ev.Site, max(ev.Occurrence, 1), ev.when.String()
+	}
+	p.firings = append(p.firings, f)
 }
 
 // checkTrigger is called by the op layer around every operation's effect.
@@ -324,43 +330,27 @@ func (c *Cluster) checkTrigger(site SiteID, when TriggerWhen, isSend bool) (drop
 		if ev.fired || ev.Site == "" || ev.siteID != site || ev.when != when {
 			continue
 		}
-		occ := ev.Occurrence
-		if occ == 0 {
-			occ = 1
-		}
-		if count != occ {
+		if count != max(ev.Occurrence, 1) {
 			continue
 		}
-		ev.fired = true
-		p.sitePending--
-		c.armNextEvent(p, i)
-		firing := trace.FaultFiring{
-			Index: i, Action: ev.action.String(), Step: c.clock,
-			Site: ev.Site, Occurrence: occ, When: ev.when.String(),
-		}
-		switch ev.action {
-		case ActCrashSelf:
+		switch {
+		case ev.action == ActCrashSelf:
 			cur := c.curThread
-			pid := cur.node.PID
-			if ev.Target != "" {
-				pid = c.resolve(ev.Target)
+			target := ev.Target
+			if target == "" {
+				target = cur.node.PID
 			}
-			if pid != "" {
-				firing.Victim = c.injectCrash(pid, site, ev.Restart)
-			}
-			p.firings = append(p.firings, firing)
+			c.fired(p, i, ev.action, c.crash(p, target, site, ev.Restart))
 			if cur.node.crashed {
 				// The fault hit the process executing this op: unwind now.
 				panic(killedPanic{})
 			}
-		case ActDropKernel, ActDropApp:
-			if isSend {
-				firing.Victim = c.curThread.node.PID
-				p.firings = append(p.firings, firing)
-				return ev.action, true
-			}
+		case isSend:
+			c.fired(p, i, ev.action, c.curThread.node.PID)
+			return ev.action, true
+		default:
 			// Consumed on a non-send op: the event fired but dropped nothing.
-			p.firings = append(p.firings, firing)
+			c.fired(p, i, ev.action, "")
 		}
 	}
 	return 0, false

@@ -45,17 +45,27 @@ func crashes(tr *trace.Trace) []string {
 	return pids
 }
 
+// TestCrashAtStepKillsProcess: a step event crashes its target, and its
+// firing records the crash it applied. A step event is a node crash whatever
+// action a plan built without ValidateScenario gives it.
 func TestCrashAtStepKillsProcess(t *testing.T) {
-	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 100}}, "producer", nil)
+	for _, act := range sim.ActionNames() {
+		crashAtStep(t, act)
+	}
+}
+
+func crashAtStep(t *testing.T, action string) {
+	t.Helper()
+	plan := sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: 100, Action: action}}, "producer", nil)
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: plan})
 	twoNodeApp(20)(c)
 	out := c.Run()
 	tr := c.Trace()
 	if got := crashes(tr); len(got) != 1 || got[0] != "producer#1" {
-		t.Fatalf("crashed = %v", got)
+		t.Fatalf("action %s: crashed = %v", action, got)
 	}
-	if f := out.FaultFirings; len(f) != 1 || f[0].Victim != "producer#1" {
-		t.Fatalf("firings = %+v, want the producer#1 crash", f)
+	if f := out.FaultFirings; len(f) != 1 || f[0].Victim != "producer#1" || f[0].Action != sim.ActionNodeCrash {
+		t.Fatalf("action %s: firings = %+v, want the producer#1 node crash", action, f)
 	}
 	// No producer op may appear after the crash record's step.
 	crashStep := tr.Filter(trace.Query{Kinds: []trace.Kind{trace.KCrash}})[0].TS

@@ -251,12 +251,10 @@ func (n *Node) PostEvent(typ string, payload Value, causor trace.OpID, flags uin
 // subscribers are notified, and restart policies fire. Local files survive —
 // they belong to the machine, not the process. restartOverride, when
 // non-nil, replaces the plan's RestartRoles entry for this victim (>= 0
-// restarts after that delay, < 0 pins the process down).
-func (c *Cluster) crashProcess(pid string, selfSite SiteID, restartOverride *int64) {
-	n := c.nodes[pid]
-	if n == nil || n.crashed {
-		return
-	}
+// restarts after that delay, < 0 pins the process down). Only a plan's
+// crash calls it, on a live process.
+func (c *Cluster) crashProcess(n *Node, selfSite SiteID, restartOverride *int64) {
+	pid := n.PID
 	n.crashed = true
 	if c.roleService[n.roleID] == n {
 		c.roleService[n.roleID] = nil
@@ -307,7 +305,7 @@ func (c *Cluster) crashProcess(pid string, selfSite SiteID, restartOverride *int
 		if *restartOverride >= 0 {
 			delay, restart = *restartOverride, true
 		}
-	} else if c.pendingPlan != nil {
+	} else {
 		delay, restart = c.pendingPlan.RestartRoles[n.Role]
 	}
 	if restart {

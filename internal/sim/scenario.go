@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,6 +16,9 @@ import (
 //	                              the previously crashed role's restarted
 //	                              incarnation (a recovery-window crash)
 //	site=a.go:10,occ=2,when=before,action=kernel-drop
+//	                              drop the message of the 2nd op at a.go:10
+//	                              (a drop needs site=; an event without a
+//	                              site is a node crash)
 //	...,restart=40                restart this event's victim after 40 ticks
 //	                              even if the workload wouldn't
 //	...,restart=-1                never restart this event's victim
@@ -111,6 +115,9 @@ func ValidateScenario(scenario []FaultSpec) error {
 		if ev.Occurrence < 0 {
 			return fmt.Errorf("sim: scenario occurrence %d is negative", ev.Occurrence)
 		}
+		if err := checkAnchor(ev); err != nil {
+			return fmt.Errorf("sim: scenario event %d (%s): %w", i+1, FormatScenario(scenario[i:i+1]), err)
+		}
 	}
 	if first := &scenario[0]; first.relative() && first.Target == "" {
 		// A relative event re-crashes the previously crashed role's
@@ -118,6 +125,39 @@ func ValidateScenario(scenario []FaultSpec) error {
 		// would silently fire at nothing.
 		return fmt.Errorf(
 			"sim: first scenario event (delay=%d) is relative with no target (no previous victim to re-crash)", first.Delay)
+	}
+	return nil
+}
+
+// checkAnchor refuses the fields an event's anchor would ignore, so a
+// scenario never runs differently from how it reads. A site event fires at
+// its site's occurrence: no step or delay. An event without a site is a node
+// crash at a step, or a delay after the previous event: no drop action, no
+// occurrence or edge, and not both a step and a delay. A drop hits the
+// sender of the matched message: no target or restart.
+func checkAnchor(ev *FaultSpec) error {
+	if ev.CrashStep < 0 || ev.Delay < 0 {
+		return errors.New("negative step or delay")
+	}
+	if ev.Site != "" {
+		if ev.CrashStep != 0 || ev.Delay != 0 {
+			return errors.New("step and delay do not apply to a site event")
+		}
+	} else {
+		if ev.Action != "" && ev.Action != ActionNodeCrash {
+			return fmt.Errorf("action %s needs site= (an event without a site is a node crash)", ev.Action)
+		}
+		if ev.Occurrence != 0 || ev.When != "" {
+			return errors.New("occ and when need site=")
+		}
+		if ev.CrashStep != 0 && ev.Delay != 0 {
+			return errors.New("step and delay are two anchors; give one")
+		}
+	}
+	if ev.Action == ActionKernelDrop || ev.Action == ActionAppDrop {
+		if ev.Target != "" || ev.Restart != nil {
+			return errors.New("target and restart do not apply to a drop")
+		}
 	}
 	return nil
 }

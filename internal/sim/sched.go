@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"time"
-
-	"fcatch/internal/trace"
-)
+import "time"
 
 // timer is a scheduled wakeup: either a thread wake (possibly a timed-wait
 // expiry) or a scheduler-context callback (e.g. a planned role restart).
@@ -132,8 +128,6 @@ func (c *Cluster) applyPlanAtStep() {
 		if ev.Site != "" || ev.fired || !ev.armed || c.clock < ev.armedAt {
 			continue
 		}
-		ev.fired = true
-		c.armNextEvent(p, i)
 		target := ev.Target
 		if target == "" {
 			// A step crash with no explicit target kills the workload's
@@ -144,16 +138,9 @@ func (c *Cluster) applyPlanAtStep() {
 				target = p.lastCrashRole
 			}
 		}
-		pid := target
-		if n := c.nodes[pid]; n == nil {
-			// Treat as a role name: crash its current incarnation.
-			pid = c.Lookup(target)
-		}
-		firing := trace.FaultFiring{Index: i, Action: ev.action.String(), Step: c.clock}
-		if pid != "" {
-			firing.Victim = c.injectCrash(pid, c.sitePlan, ev.Restart)
-		}
-		p.firings = append(p.firings, firing)
+		// A siteless event is a node crash (ValidateScenario refuses any
+		// other action on one).
+		c.fired(p, i, ActCrashSelf, c.crash(p, target, c.sitePlan, ev.Restart))
 	}
 	p.recountStep()
 }

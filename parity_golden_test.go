@@ -89,7 +89,7 @@ func TestGoldenDetectionReports(t *testing.T) {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "workload=%s crash=%s step=%d records=%d+%d\n",
-				w.Name(), res.Windows[0].Victim, res.Windows[0].OpenStep,
+				w.Name(), res.Windows[0].Victim, res.Windows[0].Step,
 				res.Observation.FaultFree.Len(), res.Observation.Faulty.Len())
 			b.WriteString(prunedLine(res))
 			for i, r := range res.Reports {

@@ -29,7 +29,7 @@ func evalFingerprint(e *fcatch.EvalRun) string {
 	b.WriteString(e.RenderTriggerMatrix())
 	for _, wl := range e.Order {
 		res := e.Results[wl]
-		fmt.Fprintf(&b, "== %s crash=%s step=%d\n", wl, res.Windows[0].Victim, res.Windows[0].OpenStep)
+		fmt.Fprintf(&b, "== %s crash=%s step=%d\n", wl, res.Windows[0].Victim, res.Windows[0].Step)
 		b.WriteString(prunedLine(res))
 		for _, r := range res.Reports {
 			wp := "-"

@@ -129,18 +129,27 @@ func (e *EvalRun) RenderTable5() string {
 }
 
 // RenderWindows renders a detection result's hazard-window breakdown: one
-// row per fault firing of the observed scenario, with the crash-recovery
-// reports anchored in each window.
+// row per fault firing of the observed scenario, with the number of
+// crash-recovery reports anchored in each window. Crash-regular reports are
+// not counted: their hazard window is hypothetical (the fault that would
+// expose them never fired in the observation).
 func RenderWindows(res *Result) string {
+	counts := map[int]int{}
+	for _, r := range res.Reports {
+		if r.Type == CrashRecoveryBug {
+			counts[r.WindowID]++
+		}
+	}
 	var rows [][]string
-	for _, r := range WindowsTable(res) {
-		rec := r.Recovery
+	for i := range res.Windows {
+		w := &res.Windows[i]
+		rec := w.Incarnation
 		if rec == "" {
 			rec = "-"
 		}
 		rows = append(rows, []string{
-			r.Window, r.Kind, r.Victim,
-			fmt.Sprint(r.Open), fmt.Sprint(r.Close), rec, fmt.Sprint(r.Reports),
+			fmt.Sprintf("w%d", w.ID), w.Kind().String(), w.Victim,
+			fmt.Sprint(w.Step), fmt.Sprint(w.CloseStep), rec, fmt.Sprint(counts[w.ID]),
 		})
 	}
 	return "Hazard windows (one per fault firing of the observed scenario).\n" +

@@ -2,6 +2,8 @@ package fcatch_test
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,12 +62,12 @@ func TestRenderPruningAblation(t *testing.T) {
 
 // composite observation for the window/compound rendering tests: two fault
 // firings, so the result has multiple hazard windows and a compound finding
-// (the same MR1 scenario the compound detection tests pin).
-func detectComposite(t *testing.T) *fcatch.Result {
+// (the scenarios the compound detection tests pin).
+func detectComposite(t *testing.T, wl string) *fcatch.Result {
 	t.Helper()
-	w := fcatch.MustWorkload("MR1")
+	w := fcatch.MustWorkload(wl)
 	opts := fcatch.DefaultOptions()
-	sc, err := fcatch.ParseScenario(compositeScenarios["MR1"])
+	sc, err := fcatch.ParseScenario(compositeScenarios[wl])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,58 +79,80 @@ func detectComposite(t *testing.T) *fcatch.Result {
 	return res
 }
 
-func TestWindowsTableRows(t *testing.T) {
-	res := detectComposite(t)
-	rows := fcatch.WindowsTable(res)
+// compositeWorkloads: MR1's composite has two crash windows; HB1's has
+// crash-recovery reports and a drop window with no recovery node.
+var compositeWorkloads = []string{"MR1", "HB1"}
+
+// windowRows renders res's hazard-window table, checks its title and that
+// it has one row per window, and returns the rows.
+func windowRows(t *testing.T, res *fcatch.Result) []string {
+	t.Helper()
+	s := fcatch.RenderWindows(res)
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	if !strings.Contains(lines[0], "Hazard windows") {
+		t.Errorf("window render missing title:\n%s", s)
+	}
+	rows := lines[3:] // title, header, separator
 	if len(rows) != len(res.Windows) {
-		t.Fatalf("WindowsTable has %d rows, want one per window (%d)", len(rows), len(res.Windows))
+		t.Fatalf("window render has %d rows, want one per window (%d):\n%s", len(rows), len(res.Windows), s)
 	}
-	recovery := 0
-	for _, r := range res.Reports {
-		if r.Type == fcatch.CrashRecoveryBug {
-			recovery++
-		}
-	}
-	total := 0
-	for i, row := range rows {
-		w := &res.Windows[i]
-		if want := fmt.Sprintf("w%d", w.ID); row.Window != want {
-			t.Errorf("row %d window = %q, want %q", i, row.Window, want)
-		}
-		if row.Victim != w.Victim || row.Open != w.OpenStep || row.Close != w.CloseStep {
-			t.Errorf("row %d anchors %+v diverge from window %+v", i, row, w)
-		}
-		if row.Kind != w.Kind.String() || row.Recovery != w.Incarnation {
-			t.Errorf("row %d kind/recovery %q/%q diverge from window %q/%q",
-				i, row.Kind, row.Recovery, w.Kind.String(), w.Incarnation)
-		}
-		total += row.Reports
-	}
-	if total != recovery {
-		t.Errorf("window rows account for %d reports, want the %d crash-recovery reports", total, recovery)
+	return rows
+}
+
+// TestRenderWindows: the hazard-window table is titled, has one row per
+// window, and each row names its window, kind, victim, open and close steps
+// and recovery node (a dash when there is none).
+func TestRenderWindows(t *testing.T) {
+	for _, wl := range compositeWorkloads {
+		t.Run(wl, func(t *testing.T) {
+			res := detectComposite(t, wl)
+			for i, row := range windowRows(t, res) {
+				w := &res.Windows[i]
+				rec := w.Incarnation
+				if rec == "" {
+					rec = "-" // an empty recovery shows as a dash
+				}
+				cells := strings.Fields(row)
+				want := []string{fmt.Sprintf("w%d", w.ID), w.Kind().String(), w.Victim,
+					fmt.Sprint(w.Step), fmt.Sprint(w.CloseStep), rec}
+				if len(cells) != len(want)+1 || !slices.Equal(cells[:len(want)], want) {
+					t.Errorf("row %d = %q, want cells %q then the report count", i, row, want)
+				}
+			}
+		})
 	}
 }
 
-func TestRenderWindows(t *testing.T) {
-	res := detectComposite(t)
-	s := fcatch.RenderWindows(res)
-	if !strings.Contains(s, "Hazard windows") {
-		t.Errorf("window render missing title:\n%s", s)
-	}
-	for _, row := range fcatch.WindowsTable(res) {
-		for _, want := range []string{row.Window, row.Kind, row.Victim} {
-			if !strings.Contains(s, want) {
-				t.Errorf("window render missing %q in:\n%s", want, s)
+// TestWindowsTableRows: the Reports column of the hazard-window table, its
+// last cell, accounts for every crash-recovery report.
+func TestWindowsTableRows(t *testing.T) {
+	for _, wl := range compositeWorkloads {
+		t.Run(wl, func(t *testing.T) {
+			res := detectComposite(t, wl)
+			recovery := 0
+			for _, r := range res.Reports {
+				if r.Type == fcatch.CrashRecoveryBug {
+					recovery++
+				}
 			}
-		}
-		if row.Recovery == "" && !strings.Contains(s, "-") {
-			t.Errorf("window render should show %q's empty recovery as a dash:\n%s", row.Window, s)
-		}
+			total := 0
+			for i, row := range windowRows(t, res) {
+				cells := strings.Fields(row)
+				n, err := strconv.Atoi(cells[len(cells)-1])
+				if err != nil {
+					t.Fatalf("row %d report count %q: %v", i, cells[len(cells)-1], err)
+				}
+				total += n
+			}
+			if total != recovery {
+				t.Errorf("window rows account for %d reports, want the %d crash-recovery reports", total, recovery)
+			}
+		})
 	}
 }
 
 func TestRenderCompound(t *testing.T) {
-	res := detectComposite(t)
+	res := detectComposite(t, "MR1")
 	if len(res.Compound) == 0 {
 		t.Fatal("composite MR1 observation produced no compound findings")
 	}

@@ -37,6 +37,20 @@ func TestParseScenarioErrors(t *testing.T) {
 		// A relative first event has no previous victim to re-crash.
 		{"delay=48", "relative with no target"},
 		{"delay=48,restart=40", "relative with no target"},
+		// An event without a site is a node crash: a drop, an occurrence
+		// or an edge there would be silently ignored.
+		{"action=kernel-drop,step=100", "action kernel-drop needs site="},
+		{"step=100;action=app-drop", "scenario event 2 (action=app-drop): action app-drop needs site="},
+		{"step=100,occ=2", "occ and when need site="},
+		{"step=100,when=after", "occ and when need site="},
+		// Fields the anchor would ignore are refused, not dropped.
+		{"step=-1", "negative step or delay"},
+		{"delay=-5,target=am", "negative step or delay"},
+		{"step=100,delay=5", "step and delay are two anchors"},
+		{"site=a.go:1,step=5", "do not apply to a site event"},
+		{"site=a.go:1,delay=5", "do not apply to a site event"},
+		{"site=a.go:1,action=kernel-drop,target=am", "do not apply to a drop"},
+		{"site=a.go:1,action=app-drop,restart=40", "do not apply to a drop"},
 	}
 	for _, c := range cases {
 		_, err := fcatch.ParseScenario(c.in)
@@ -98,16 +112,27 @@ func TestFormatScenarioRoundTrip(t *testing.T) {
 		n := 1 + rng.Intn(3)
 		sc := make([]fcatch.FaultSpec, n)
 		for j := range sc {
+			// Only the fields the event's anchor reads (sim.ValidateScenario):
+			// a site event's occurrence, edge and any action; a siteless
+			// crash's step or delay; a crash's target and restart.
 			ev := &sc[j]
-			ev.CrashStep = rng.Int63n(200)
 			ev.Site = sites[rng.Intn(len(sites))]
 			if ev.Site != "" {
 				ev.Occurrence = rng.Intn(4)
 				ev.When = whens[rng.Intn(len(whens))]
+				ev.Action = actions[rng.Intn(len(actions))]
+			} else {
+				ev.Action = actions[rng.Intn(2)]
+				if rng.Intn(2) == 0 {
+					ev.CrashStep = rng.Int63n(200)
+				} else {
+					ev.Delay = rng.Int63n(60)
+				}
 			}
-			ev.Action = actions[rng.Intn(len(actions))]
+			if ev.Action == fcatch.ActionKernelDrop || ev.Action == fcatch.ActionAppDrop {
+				continue
+			}
 			ev.Target = targets[rng.Intn(len(targets))]
-			ev.Delay = rng.Int63n(60)
 			if rng.Intn(2) == 0 {
 				r := rng.Int63n(50) - 1
 				ev.Restart = &r
@@ -172,7 +197,8 @@ func TestPlanKeyIsAScenario(t *testing.T) {
 
 // FuzzParseScenario hunts for inputs that crash the parser or break the
 // format/parse round trip: anything ParseScenario accepts must re-render via
-// FormatScenario to a string that parses back to the identical scenario.
+// FormatScenario to a string that parses back to the identical scenario, and
+// its siteless events must be node crashes at a non-negative step or delay.
 func FuzzParseScenario(f *testing.F) {
 	for _, seed := range []string{
 		"step=120",
@@ -192,6 +218,14 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if len(sc) == 0 {
 			t.Fatalf("ParseScenario(%q) accepted an empty scenario", s)
+		}
+		for _, ev := range sc {
+			if ev.Site == "" && ev.Action != "" && ev.Action != fcatch.ActionNodeCrash {
+				t.Fatalf("ParseScenario(%q) accepted a siteless %s: an event without a site is a node crash", s, ev.Action)
+			}
+			if ev.Site == "" && (ev.CrashStep < 0 || ev.Delay < 0) {
+				t.Fatalf("ParseScenario(%q) accepted a negative step or delay: %+v", s, ev)
+			}
 		}
 		out := fcatch.FormatScenario(sc)
 		back, err := fcatch.ParseScenario(out)

@@ -244,44 +244,6 @@ func PruneRow(wl string, res *Result) Table5Row {
 	}
 }
 
-// --- Hazard windows: the per-fault breakdown of one detection result. ---
-
-// WindowRow is one hazard window of a detection result, with the number of
-// crash-recovery reports anchored in it. Crash-regular reports are not
-// counted: their hazard window is hypothetical (the fault that would expose
-// them never fired in the observation).
-type WindowRow struct {
-	Window   string // "w0", "w1", ... (Report.WindowID anchors into these)
-	Kind     string // "crash-recovery" or "drop-induced"
-	Victim   string
-	Open     int64
-	Close    int64
-	Recovery string // the victim's restarted incarnation, "" if none
-	Reports  int
-}
-
-// WindowsTable breaks a detection result down per hazard window. A classic
-// single-fault observation yields exactly one row; composite scenarios yield
-// one row per fault that hit something.
-func WindowsTable(res *Result) []WindowRow {
-	counts := map[int]int{}
-	for _, r := range res.Reports {
-		if r.Type == detect.CrashRecovery {
-			counts[r.WindowID]++
-		}
-	}
-	rows := make([]WindowRow, 0, len(res.Windows))
-	for i := range res.Windows {
-		w := &res.Windows[i]
-		rows = append(rows, WindowRow{
-			Window: fmt.Sprintf("w%d", w.ID), Kind: w.Kind.String(),
-			Victim: w.Victim, Open: w.OpenStep, Close: w.CloseStep,
-			Recovery: w.Incarnation, Reports: counts[w.ID],
-		})
-	}
-	return rows
-}
-
 // --- Section 8.1.2: crash-point sensitivity. ---
 
 // SensitivityResult compares which catalogued bugs each crash phase's
