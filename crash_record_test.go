@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fcatch"
-	"fcatch/internal/sim"
 	"fcatch/internal/trace"
 )
 
@@ -34,7 +33,7 @@ func TestCrashRecordIsTheCrash(t *testing.T) {
 				}
 				var firing *trace.FaultFiring
 				for i, f := range obs.FaultFirings {
-					if f.Action == sim.ActionNodeCrash && f.Victim != "" {
+					if f.Action == trace.ActionNodeCrash && f.Victim != "" {
 						firing = &obs.FaultFirings[i]
 						break
 					}

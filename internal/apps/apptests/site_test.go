@@ -65,7 +65,7 @@ func TestOpSiteEdgeCases(t *testing.T) {
 		// app's call and the op.
 		kv.Create(ctx, "/edge", sim.V(1)) // site:through-storage
 	})
-	if out := c.Run(); !out.Completed {
+	if out := c.Run(); !out.Completed() {
 		t.Fatalf("run did not complete: %+v", out)
 	}
 

@@ -53,19 +53,19 @@ func TestSymptomShapes(t *testing.T) {
 		t.Fatalf("hang signature = %q", sig)
 	}
 
-	fatal := &sim.Outcome{Completed: true, FatalLogs: []string{"boom@am#2"}}
+	fatal := &sim.Outcome{Stop: sim.StopDone, FatalLogs: []string{"boom@am#2"}}
 	if got := Symptom(fatal); got != "fatal:boom@am" {
 		t.Fatalf("fatal signature = %q", got)
 	}
 
 	// A fatal log signs the run even beside an uncaught exception, though
 	// FailureKind ranks the exception first.
-	both := &sim.Outcome{Completed: true, FatalLogs: []string{"boom@am#2"}, UncaughtExceptions: []string{"npe@task1#3"}}
+	both := &sim.Outcome{Stop: sim.StopDone, FatalLogs: []string{"boom@am#2"}, UncaughtExceptions: []string{"npe@task1#3"}}
 	if got, kind := Symptom(both), both.FailureKind(); got != "fatal:boom@am" || kind != "exception" {
 		t.Fatalf("fatal+exception signature = %q, kind = %q; want fatal:boom@am and exception", got, kind)
 	}
 
-	if got := Symptom(&sim.Outcome{Completed: true, CheckErr: errors.New("lost data")}); got != "check:lost data" {
+	if got := Symptom(&sim.Outcome{Stop: sim.StopDone, CheckErr: errors.New("lost data")}); got != "check:lost data" {
 		t.Fatalf("check signature = %q", got)
 	}
 }
@@ -76,14 +76,14 @@ func TestPlanKey(t *testing.T) {
 	if step.Key() != "step=77" {
 		t.Fatalf("step plan key = %q", step.Key())
 	}
-	site := Plan{{Site: "a.go:10", Occurrence: 2, When: sim.WhenAfter, Action: sim.ActionKernelDrop}}
+	site := Plan{{Site: "a.go:10", Occurrence: 2, When: trace.WhenAfter, Action: trace.ActionKernelDrop}}
 	if site.Key() != "site=a.go:10,occ=2,when=after,action=kernel-drop" {
 		t.Fatalf("site plan key = %q", site.Key())
 	}
 	rd := int64(40)
 	comp := Plan{
-		{Site: "a.go:10", Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Restart: &rd},
-		{Delay: 48, Action: sim.ActionNodeCrash},
+		{Site: "a.go:10", Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionNodeCrash, Restart: &rd},
+		{Delay: 48, Action: trace.ActionNodeCrash},
 	}
 	if comp.Key() != "site=a.go:10,occ=1,when=before,action=node-crash,restart=40;action=node-crash,delay=48" {
 		t.Fatalf("composite plan key = %q", comp.Key())
@@ -135,12 +135,12 @@ func TestSpaceEnumeration(t *testing.T) {
 			t.Fatalf("occurrence out of range: %+v (site count %d)", p, si.Count)
 		}
 		switch p.Action {
-		case sim.ActionKernelDrop:
+		case trace.ActionKernelDrop:
 			hasDrop = true
 			if !si.Sendable {
 				t.Fatalf("kernel-drop on non-sendable site %s", p.Site)
 			}
-		case sim.ActionAppDrop:
+		case trace.ActionAppDrop:
 			if !si.Droppable {
 				t.Fatalf("app-drop on non-droppable site %s", p.Site)
 			}

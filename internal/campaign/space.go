@@ -129,15 +129,15 @@ func (f *spaceFold) finish(maxOcc int) *Space {
 				continue
 			}
 			sp.Points = append(sp.Points,
-				sitePoint(si.Site, occ, sim.WhenBefore, sim.ActionNodeCrash),
-				sitePoint(si.Site, occ, sim.WhenAfter, sim.ActionNodeCrash))
+				sitePoint(si.Site, occ, trace.WhenBefore, trace.ActionNodeCrash),
+				sitePoint(si.Site, occ, trace.WhenAfter, trace.ActionNodeCrash))
 			if si.Sendable {
 				sp.Points = append(sp.Points,
-					sitePoint(si.Site, occ, sim.WhenBefore, sim.ActionKernelDrop))
+					sitePoint(si.Site, occ, trace.WhenBefore, trace.ActionKernelDrop))
 			}
 			if si.Droppable {
 				sp.Points = append(sp.Points,
-					sitePoint(si.Site, occ, sim.WhenBefore, sim.ActionAppDrop))
+					sitePoint(si.Site, occ, trace.WhenBefore, trace.ActionAppDrop))
 			}
 		}
 	}
@@ -208,8 +208,8 @@ func (sp *Space) AppendScenarios(names []string, restart map[string]int64) error
 		for _, si := range sp.Sites {
 			rd := restartDelay
 			sp.Points = append(sp.Points, Plan{
-				{Site: si.Site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Restart: &rd},
-				{Delay: gap, Action: sim.ActionNodeCrash},
+				{Site: si.Site, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionNodeCrash, Restart: &rd},
+				{Delay: gap, Action: trace.ActionNodeCrash},
 			})
 		}
 	}
@@ -226,8 +226,8 @@ func (sp *Space) AppendScenarios(names []string, restart map[string]int64) error
 				continue
 			}
 			sp.Points = append(sp.Points, Plan{
-				{Site: si.Site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash},
-				{Site: drop, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionKernelDrop},
+				{Site: si.Site, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionNodeCrash},
+				{Site: drop, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionKernelDrop},
 			})
 		}
 	}

@@ -288,7 +288,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 	// target at the phase-chosen step.
 	scenario := opts.Scenario
 	if len(scenario) == 0 {
-		scenario = []sim.FaultSpec{{Action: sim.ActionNodeCrash}}
+		scenario = []sim.FaultSpec{{Action: trace.ActionNodeCrash}}
 	}
 
 	total := outF.Steps
@@ -320,7 +320,7 @@ func observe(w Workload, opts Options, withGraphs bool) (*Observation, *hb.Graph
 		obs.Timings.TracingFaulty = outY.Elapsed
 		obs.FaultFirings = outY.FaultFirings
 		for _, f := range outY.FaultFirings {
-			if f.Action == sim.ActionNodeCrash && f.Victim != "" {
+			if f.Action == trace.ActionNodeCrash && f.Victim != "" {
 				obs.CrashedPIDs = append(obs.CrashedPIDs, f.Victim)
 			}
 		}

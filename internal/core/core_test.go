@@ -47,7 +47,7 @@ func TestObserveRejectsFailedRun(t *testing.T) {
 func TestObserveValidatesScenario(t *testing.T) {
 	for _, sc := range [][]sim.FaultSpec{
 		{{Action: "banana"}},
-		{{CrashStep: 100, Action: sim.ActionKernelDrop}},
+		{{CrashStep: 100, Action: trace.ActionKernelDrop}},
 		{{CrashStep: 100, Delay: 5}},
 	} {
 		opts := core.DefaultOptions()

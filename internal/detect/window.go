@@ -68,7 +68,7 @@ type Window struct {
 
 // Kind is how the window was opened, read off the firing's action.
 func (w *Window) Kind() WindowKind {
-	if w.Action == "kernel-drop" || w.Action == "app-drop" {
+	if w.Action == trace.ActionKernelDrop || w.Action == trace.ActionAppDrop {
 		return WindowDropInduced
 	}
 	return WindowCrashRecovery
@@ -229,7 +229,7 @@ func ObservationWindows(ty *trace.Trace, opts Options) []Window {
 		if !ok {
 			step = firstStep
 		}
-		firings = append(firings, trace.FaultFiring{Index: len(firings), Action: "node-crash", Step: step, Victim: pid})
+		firings = append(firings, trace.FaultFiring{Index: len(firings), Action: trace.ActionNodeCrash, Step: step, Victim: pid})
 	}
 	return deriveWindows(ty, firings, bk)
 }

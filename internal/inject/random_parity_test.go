@@ -32,7 +32,7 @@ func referenceRandomCampaign(w core.Workload, runs int, seed int64, parallelism 
 	// judge fails a run that hung, logged a fatal or threw an uncaught
 	// exception, and otherwise asks the workload's checker.
 	judge := func(c *sim.Cluster, out *sim.Outcome) bool {
-		if !out.Completed || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 {
+		if !out.Completed() || len(out.FatalLogs) > 0 || len(out.UncaughtExceptions) > 0 {
 			return true
 		}
 		out.CheckErr = w.Check(c)

@@ -14,6 +14,7 @@ import (
 	"fcatch/internal/detect"
 	"fcatch/internal/parallel"
 	"fcatch/internal/sim"
+	"fcatch/internal/trace"
 )
 
 // replayOutcome is replay, returning the run's outcome beside its verdict. An
@@ -63,9 +64,9 @@ func budgetAttempts(w core.Workload, res *core.Result) []budgetAttempt {
 		if rep.WindowID > 0 {
 			path = "later-window"
 		}
-		actions, restart := []string{sim.ActionNodeCrash}, w.RestartRoles()
+		actions, restart := []string{trace.ActionNodeCrash}, w.RestartRoles()
 		if rep.Type == detect.CrashRegular {
-			actions, restart = sim.ActionNames(), nil
+			actions, restart = trace.ActionNames(), nil
 		}
 		for _, act := range actions {
 			ev := slices.Clone(events)

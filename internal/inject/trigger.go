@@ -1,5 +1,6 @@
-// Package inject implements FCatch's bug-triggering module (Section 5) and
-// the random fault-injection baseline it is compared against (Section 8.3).
+// Package inject implements FCatch's bug-triggering module (Section 5). The
+// random fault-injection baseline it is compared against (Section 8.3) is
+// the campaign engine's `random` strategy (internal/campaign).
 package inject
 
 import (
@@ -142,16 +143,16 @@ func TriggerScenario(rep *detect.Report, windows []detect.Window) []sim.FaultSpe
 			return nil
 		}
 		return []sim.FaultSpec{{
-			Site: wp.Site, Occurrence: wp.Occurrence, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
+			Site: wp.Site, Occurrence: wp.Occurrence, When: trace.WhenBefore, Action: trace.ActionNodeCrash,
 		}}
 	}
-	when := sim.WhenAfter
+	when := trace.WhenAfter
 	if rep.WInFaultyRun {
-		when = sim.WhenBefore
+		when = trace.WhenBefore
 	}
 	return append(prefixEvents(windows, rep.WindowID), sim.FaultSpec{
 		Site: rep.W.Site, Occurrence: rep.W.Occurrence, When: when,
-		Action: sim.ActionNodeCrash, Target: rep.CrashTargetRole,
+		Action: trace.ActionNodeCrash, Target: rep.CrashTargetRole,
 	})
 }
 
@@ -168,13 +169,13 @@ func (tg *Triggerer) Trigger(rep *detect.Report) *Outcome {
 	if events == nil {
 		return out
 	}
-	actions := []string{sim.ActionNodeCrash}
+	actions := []string{trace.ActionNodeCrash}
 	// Crash-recovery replays restart the crashed role so recovery runs. For
 	// crash-regular ones the paper emulates the crash with Runtime.halt(-1):
 	// the victim stays down; the remaining nodes must cope.
 	restart := tg.W.RestartRoles()
 	if rep.Type == detect.CrashRegular {
-		actions, restart = sim.ActionNames(), nil
+		actions, restart = trace.ActionNames(), nil
 	}
 	for _, act := range actions {
 		events[len(events)-1].Action = act
@@ -394,9 +395,6 @@ func compoundVariants(rep *detect.CompoundReport) []compoundVariant {
 		scale = compoundRestartDelay
 	}
 	step := (scale + compoundRestartProbes - 1) / compoundRestartProbes
-	if step < 1 {
-		step = 1
-	}
 	for d := step; d <= scale; d += step {
 		if inner.Restart != nil && d == *inner.Restart {
 			continue // the as-observed variant already covers this delay

@@ -57,7 +57,7 @@ func mallocsPerOp(cfg sim.Config, inHandler bool, setup func(c *sim.Cluster) fun
 		})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if out := c.Run(); !out.Completed {
+		if out := c.Run(); !out.Completed() {
 			panic("mallocsPerOp: the op loop did not complete: " + out.Detail())
 		}
 		runtime.ReadMemStats(&after)
@@ -222,7 +222,7 @@ func TestSpawnAllocatesOnlyTheThread(t *testing.T) {
 					ctx.Go("child", child)
 				}
 			})
-			if out := c.Run(); !out.Completed {
+			if out := c.Run(); !out.Completed() {
 				t.Fatalf("run did not complete: %+v", out.Hung)
 			}
 		})

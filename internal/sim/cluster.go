@@ -369,10 +369,9 @@ func (c *Cluster) RestartRole(role string, causor trace.OpID) string {
 
 // Outcome summarizes a finished run.
 type Outcome struct {
-	Completed bool   // every non-daemon thread finished
-	Stop      string // the rule that ended the run: StopDone, StopDeadlock, StopBudget, StopStall or StopQuiescent
-	Steps     int64  // simulated time at the end, timer jumps included
-	Picks     int64  // scheduler work: thread resumes made by the run
+	Stop  string // the rule that ended the run: StopDone, StopDeadlock, StopBudget, StopStall or StopQuiescent
+	Steps int64  // simulated time at the end, timer jumps included
+	Picks int64  // scheduler work: thread resumes made by the run
 	// LongestStall is the most picks the run went without a non-daemon
 	// thread reaching a new op site (measured only under the stall rule).
 	LongestStall int64
@@ -406,6 +405,10 @@ type HangSite struct {
 	Reason string
 }
 
+// Completed reports whether every non-daemon thread finished (Stop is
+// StopDone).
+func (o *Outcome) Completed() bool { return o.Stop == StopDone }
+
 // Failed reports whether the run ended badly (hang, fatal, uncaught
 // exception, or checker failure).
 func (o *Outcome) Failed() bool {
@@ -423,7 +426,7 @@ func (o *Outcome) FailureKind() string {
 		return "exception"
 	case len(o.FatalLogs) > 0:
 		return "fatal"
-	case !o.Completed:
+	case o.Stop != StopDone:
 		return "hang"
 	case o.CheckErr != nil:
 		return "check"

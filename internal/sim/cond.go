@@ -91,7 +91,7 @@ func (cv *Cond) Wait(ctx *Context) (Value, error) {
 
 // WaitTimeout blocks until the latch is signalled or ticks elapse. The wait
 // op carries the timed flag the timeout-pruning analysis looks for. On
-// timeout it returns ErrRPCTimeout-free (false) semantics via err.
+// timeout it returns an error that ErrWaitTimeout recognises.
 func (cv *Cond) WaitTimeout(ctx *Context, ticks int64) (Value, error) {
 	if ticks <= 0 {
 		panic("sim: WaitTimeout needs a positive timeout")

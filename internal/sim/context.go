@@ -152,9 +152,11 @@ type OpEffects struct {
 }
 
 // Do runs one operation through the pipeline, with fx's callbacks (fx may be
-// nil), and returns its op ID (NoOp if untraced) plus whether a
-// fault-injection drop suppressed the effect and which drop it was.
-func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, dropAction TriggerAction, dropped bool) {
+// nil), and returns its op ID (NoOp if untraced) plus the fault-injection
+// drop that hit it (trace.ActionKernelDrop or trace.ActionAppDrop; "" when
+// none did). Only a send (req.IsSend) is ever dropped; a drop on the before
+// edge also suppresses the effect and flags the record FlagDropped.
+func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, drop string) {
 	site := req.Site
 	if site == NoSite {
 		site = ctx.site()
@@ -165,8 +167,8 @@ func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, dropAction Trig
 	if fx == nil {
 		fx = &none
 	}
-	dropAction, dropped = ctx.c.checkTrigger(site, Before, req.IsSend)
-	if !dropped && fx.Apply != nil {
+	drop = ctx.c.checkTrigger(site, trace.WhenBefore, req.IsSend)
+	if drop == "" && fx.Apply != nil {
 		fx.Apply()
 	}
 	if fx.FlagsAfter != nil {
@@ -177,18 +179,18 @@ func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, dropAction Trig
 		Target: req.Target, Src: req.Src, Causor: req.Causor,
 		Flags: req.Flags, Taint: req.Taint, Site: site,
 	}
-	if dropped {
+	if drop != "" {
 		op.Flags |= trace.FlagDropped
 	}
 	id = ctx.c.tracer.emit(ctx.t, op)
 	if fx.PostEmit != nil {
 		fx.PostEmit(id)
 	}
-	if a, d := ctx.c.checkTrigger(site, After, req.IsSend); d && !dropped {
-		dropAction, dropped = a, d
+	if after := ctx.c.checkTrigger(site, trace.WhenAfter, req.IsSend); drop == "" {
+		drop = after
 	}
 	ctx.t.yieldStep()
-	return id, dropAction, dropped
+	return id, drop
 }
 
 // Go spawns a new thread on the current node. Its operations causally depend
@@ -204,14 +206,14 @@ func (ctx *Context) GoDaemon(name string, fn func(*Context)) {
 }
 
 func (ctx *Context) goThread(name string, fn func(*Context), daemon bool) {
-	id, _, _ := ctx.Do(OpReq{Kind: trace.KThreadCreate, Aux: name}, nil)
+	id, _ := ctx.Do(OpReq{Kind: trace.KThreadCreate, Aux: name}, nil)
 	ctx.c.spawnThread(ctx.t.node, name, fn, id, daemon, false)
 }
 
 // Emit enqueues an intra-node event; the registered handler runs on the
 // node's event-dispatcher thread and causally depends on this enqueue.
 func (ctx *Context) Emit(eventType string, payload Value) {
-	id, _, _ := ctx.Do(OpReq{
+	id, _ := ctx.Do(OpReq{
 		Kind:  trace.KEventEnq,
 		Aux:   eventType,
 		Taint: payload.taint,

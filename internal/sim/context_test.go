@@ -93,11 +93,11 @@ func TestOutcomeFailureKinds(t *testing.T) {
 		out  sim.Outcome
 		want string
 	}{
-		{sim.Outcome{Completed: true}, "ok"},
-		{sim.Outcome{Completed: true, UncaughtExceptions: []string{"x"}}, "exception"},
-		{sim.Outcome{Completed: true, FatalLogs: []string{"x"}}, "fatal"},
-		{sim.Outcome{Completed: false}, "hang"},
-		{sim.Outcome{Completed: false, Stop: sim.StopBudget}, "hang"},
+		{sim.Outcome{Stop: sim.StopDone}, "ok"},
+		{sim.Outcome{Stop: sim.StopDone, UncaughtExceptions: []string{"x"}}, "exception"},
+		{sim.Outcome{Stop: sim.StopDone, FatalLogs: []string{"x"}}, "fatal"},
+		{sim.Outcome{}, "hang"},
+		{sim.Outcome{Stop: sim.StopBudget}, "hang"},
 	}
 	for i, cse := range cases {
 		if got := cse.out.FailureKind(); got != cse.want {

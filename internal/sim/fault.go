@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"fcatch/internal/trace"
 )
@@ -17,95 +16,6 @@ var (
 	// ErrRPCTimeout means the client-side RPC timeout expired.
 	ErrRPCTimeout = errors.New("rpc: client timeout")
 )
-
-// TriggerWhen says on which side of the matched operation the fault fires.
-type TriggerWhen int
-
-const (
-	// Before fires the fault right before the op's effect (Section 5:
-	// "crashing the node of W right before W").
-	Before TriggerWhen = iota
-	// After fires right after the op's effect ("right after W").
-	After
-)
-
-// TriggerAction is the fault kind injected at a fault event.
-type TriggerAction int
-
-const (
-	// ActCrashSelf crashes the process that is executing the matched op.
-	ActCrashSelf TriggerAction = iota
-	// ActDropKernel drops the matched send and raises ErrSocket at the
-	// sender (kernel-level message drop).
-	ActDropKernel
-	// ActDropApp silently skips the matched send (application-level drop;
-	// legal only for droppable verbs, Cassandra-style).
-	ActDropApp
-)
-
-// JSON-stable fault vocabulary. This is the single source of truth for
-// action and edge names: the simulator's runtime enums, the campaign plan
-// encoding, report rendering, and the CLIs all spell faults with these
-// strings. Adding an action means extending this table (and the enum above)
-// in exactly one place.
-const (
-	// ActionNodeCrash is the JSON/name form of ActCrashSelf.
-	ActionNodeCrash = "node-crash"
-	// ActionKernelDrop is the JSON/name form of ActDropKernel.
-	ActionKernelDrop = "kernel-drop"
-	// ActionAppDrop is the JSON/name form of ActDropApp.
-	ActionAppDrop = "app-drop"
-
-	// WhenBefore / WhenAfter are the JSON/name forms of Before / After.
-	WhenBefore = "before"
-	WhenAfter  = "after"
-)
-
-var actionNames = [...]string{
-	ActCrashSelf:  ActionNodeCrash,
-	ActDropKernel: ActionKernelDrop,
-	ActDropApp:    ActionAppDrop,
-}
-
-// ActionNames lists every fault action name in canonical (enum) order.
-func ActionNames() []string {
-	return []string{ActionNodeCrash, ActionKernelDrop, ActionAppDrop}
-}
-
-func (a TriggerAction) String() string {
-	if a >= 0 && int(a) < len(actionNames) {
-		return actionNames[a]
-	}
-	return fmt.Sprintf("action(%d)", int(a))
-}
-
-func (w TriggerWhen) String() string {
-	if w == After {
-		return WhenAfter
-	}
-	return WhenBefore
-}
-
-// ParseAction maps an action name to its enum; ok is false for unknown names.
-func ParseAction(name string) (TriggerAction, bool) {
-	for a, s := range actionNames {
-		if s == name {
-			return TriggerAction(a), true
-		}
-	}
-	return ActCrashSelf, false
-}
-
-// ParseWhen maps an edge name to its enum; ok is false for unknown names.
-func ParseWhen(name string) (TriggerWhen, bool) {
-	switch name {
-	case WhenBefore:
-		return Before, true
-	case WhenAfter:
-		return After, true
-	}
-	return Before, false
-}
 
 // FaultSpec is one fault event of a scenario, in its JSON-stable form. The
 // same encoding travels from campaign corpora over the distributed-campaign
@@ -129,10 +39,11 @@ type FaultSpec struct {
 	CrashStep int64 `json:"crash_step,omitempty"`
 
 	// Site/Occurrence/When/Action describe a site-anchored event.
-	// Occurrence is 1-based (0 means first); When is WhenBefore/WhenAfter;
-	// Action is one of ActionNames(). An event without a site is a node
-	// crash: ValidateScenario refuses a drop action, Occurrence or When on
-	// one (an empty Action means ActionNodeCrash).
+	// Occurrence is 1-based (0 means first); When is trace.WhenBefore or
+	// trace.WhenAfter (empty means before); Action is one of
+	// trace.ActionNames() (empty means a node crash). An event without a
+	// site is a node crash: ValidateScenario refuses a drop action,
+	// Occurrence or When on one.
 	Site       string `json:"site,omitempty"`
 	Occurrence int    `json:"occurrence,omitempty"`
 	When       string `json:"when,omitempty"`
@@ -162,8 +73,6 @@ func (s *FaultSpec) relative() bool { return s.Site == "" && s.Delay > 0 }
 // tracks while matching it.
 type FaultEvent struct {
 	FaultSpec
-	when   TriggerWhen
-	action TriggerAction
 	// siteID is Site interned into the cluster's site table (set by
 	// NewCluster), so the per-op match compares dense ids, not strings.
 	siteID SiteID
@@ -220,17 +129,24 @@ func NewScenarioPlan(scenario []FaultSpec, target string, restartRoles map[strin
 	return p
 }
 
-// preparePlan resolves the plan's events against this cluster: names become
-// enums, sites become dense ids (in event order, so site-table numbering is
-// stable), and step-anchored events arm. Called once from NewCluster.
+// preparePlan resolves the plan's events against this cluster: unset names
+// get their defaults, sites become dense ids (in event order, so site-table
+// numbering is stable), and step-anchored events arm. Called once from
+// NewCluster.
 func (c *Cluster) preparePlan(p *FaultPlan) {
 	p.siteEvents, p.sitePending = 0, 0
 	for i := range p.Events {
 		ev := &p.Events[i]
-		// Unset names mean the zero edge/action (before / node crash);
-		// ValidateScenario refuses unknown ones at every boundary.
-		ev.when, _ = ParseWhen(ev.When)
-		ev.action, _ = ParseAction(ev.Action)
+		// The plan owns its copy of the scenario, so the defaults (before,
+		// node crash) are filled in place; ValidateScenario refuses unknown
+		// names at every boundary. An event without a site is a node crash
+		// whatever its action (ValidateScenario refuses any other on one).
+		if ev.When == "" {
+			ev.When = trace.WhenBefore
+		}
+		if ev.Action == "" || ev.Site == "" {
+			ev.Action = trace.ActionNodeCrash
+		}
 		ev.fired, ev.armed = false, false
 		if ev.Site != "" {
 			ev.siteID = c.internSite(ev.Site)
@@ -300,58 +216,59 @@ func (c *Cluster) crash(p *FaultPlan, target string, selfSite SiteID, restart *i
 
 // fired marks event i fired, arms its relative successor and records the
 // firing: the action it applied, to whom, at which step and anchor.
-func (c *Cluster) fired(p *FaultPlan, i int, act TriggerAction, victim string) {
+func (c *Cluster) fired(p *FaultPlan, i int, victim string) {
 	ev := &p.Events[i]
 	ev.fired = true
 	c.armNextEvent(p, i)
-	f := trace.FaultFiring{Index: i, Action: act.String(), Step: c.clock, Victim: victim}
+	f := trace.FaultFiring{Index: i, Action: ev.Action, Step: c.clock, Victim: victim}
 	if ev.Site != "" {
 		p.sitePending--
-		f.Site, f.Occurrence, f.When = ev.Site, max(ev.Occurrence, 1), ev.when.String()
+		f.Site, f.Occurrence, f.When = ev.Site, max(ev.Occurrence, 1), ev.When
 	}
 	p.firings = append(p.firings, f)
 }
 
-// checkTrigger is called by the op layer around every operation's effect.
-// It returns the action to apply to the op itself for drop actions; crash
-// actions are applied here directly.
-func (c *Cluster) checkTrigger(site SiteID, when TriggerWhen, isSend bool) (drop TriggerAction, dropped bool) {
+// checkTrigger is called by the op layer on each edge (trace.WhenBefore,
+// trace.WhenAfter) of every operation's effect. Crash actions are applied
+// here directly; for a drop matched on a send it returns the drop action to
+// apply to the op itself, and "" otherwise.
+func (c *Cluster) checkTrigger(site SiteID, when string, isSend bool) (drop string) {
 	p := c.pendingPlan
 	if p == nil || p.sitePending == 0 || site == NoSite {
-		return 0, false
+		return ""
 	}
-	// Occurrence accounting happens once per op, on the Before edge.
-	if when == Before {
+	// Occurrence accounting happens once per op, on the before edge.
+	if when == trace.WhenBefore {
 		c.siteCounts[site]++
 	}
 	count := int(c.siteCounts[site])
 	for i := range p.Events {
 		ev := &p.Events[i]
-		if ev.fired || ev.Site == "" || ev.siteID != site || ev.when != when {
+		if ev.fired || ev.Site == "" || ev.siteID != site || ev.When != when {
 			continue
 		}
 		if count != max(ev.Occurrence, 1) {
 			continue
 		}
 		switch {
-		case ev.action == ActCrashSelf:
+		case ev.Action == trace.ActionNodeCrash:
 			cur := c.curThread
 			target := ev.Target
 			if target == "" {
 				target = cur.node.PID
 			}
-			c.fired(p, i, ev.action, c.crash(p, target, site, ev.Restart))
+			c.fired(p, i, c.crash(p, target, site, ev.Restart))
 			if cur.node.crashed {
 				// The fault hit the process executing this op: unwind now.
 				panic(killedPanic{})
 			}
 		case isSend:
-			c.fired(p, i, ev.action, c.curThread.node.PID)
-			return ev.action, true
+			c.fired(p, i, c.curThread.node.PID)
+			return ev.Action
 		default:
 			// Consumed on a non-send op: the event fired but dropped nothing.
-			c.fired(p, i, ev.action, "")
+			c.fired(p, i, "")
 		}
 	}
-	return 0, false
+	return ""
 }

@@ -49,7 +49,7 @@ func crashes(tr *trace.Trace) []string {
 // firing records the crash it applied. A step event is a node crash whatever
 // action a plan built without ValidateScenario gives it.
 func TestCrashAtStepKillsProcess(t *testing.T) {
-	for _, act := range sim.ActionNames() {
+	for _, act := range trace.ActionNames() {
 		crashAtStep(t, act)
 	}
 }
@@ -64,7 +64,7 @@ func crashAtStep(t *testing.T, action string) {
 	if got := crashes(tr); len(got) != 1 || got[0] != "producer#1" {
 		t.Fatalf("action %s: crashed = %v", action, got)
 	}
-	if f := out.FaultFirings; len(f) != 1 || f[0].Victim != "producer#1" || f[0].Action != sim.ActionNodeCrash {
+	if f := out.FaultFirings; len(f) != 1 || f[0].Victim != "producer#1" || f[0].Action != trace.ActionNodeCrash {
 		t.Fatalf("action %s: firings = %+v, want the producer#1 node crash", action, f)
 	}
 	// No producer op may appear after the crash record's step.
@@ -75,7 +75,7 @@ func crashAtStep(t *testing.T, action string) {
 			t.Fatalf("producer op after crash: %s (crash at %d)", tr.Format(r), crashStep)
 		}
 	}
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("consumer should finish after producer death: %+v", out.Hung)
 	}
 }
@@ -85,7 +85,7 @@ func TestRestartRolesSpawnsNewIncarnation(t *testing.T) {
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: plan})
 	twoNodeApp(6)(c)
 	out := c.Run()
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("run hung: %+v", out.Hung)
 	}
 	if pids := c.Trace().StartedPIDs(); !slices.Contains(pids, "producer#2") {
@@ -126,7 +126,7 @@ func TestRPCFailFastOnCalleeCrash(t *testing.T) {
 		_, err = ctx.Call("srv", "Slow")
 	})
 	out := c.Run()
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("caller hung despite fail-fast: %+v", out.Hung)
 	}
 	if err != sim.ErrSocket {
@@ -149,7 +149,7 @@ func TestRPCWithoutFailFastHangsOnCalleeCrash(t *testing.T) {
 		_, _ = ctx.Call("srv", "Slow")
 	})
 	out := c.Run()
-	if out.Completed {
+	if out.Completed() {
 		t.Fatal("caller should hang forever without fail-fast (bug MR3's library behaviour)")
 	}
 }
@@ -168,7 +168,7 @@ func TestRPCClientTimeout(t *testing.T) {
 		_, err = ctx.Call("srv", "Slow")
 	})
 	out := c.Run()
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("hung: %+v", out.Hung)
 	}
 	if err != sim.ErrRPCTimeout {
@@ -205,7 +205,7 @@ func TestTriggerCrashBeforeOp(t *testing.T) {
 	}
 
 	plan := sim.NewScenarioPlan([]sim.FaultSpec{{
-		Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
+		Site: site, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionNodeCrash,
 	}}, "", nil)
 	c, _ := build(plan)
 	if c.FactStr("got-marker") != "" {
@@ -217,7 +217,7 @@ func TestTriggerCrashBeforeOp(t *testing.T) {
 
 	// Kernel drop: the sender survives, the message is lost.
 	plan = sim.NewScenarioPlan([]sim.FaultSpec{{
-		Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionKernelDrop,
+		Site: site, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionKernelDrop,
 	}}, "", nil)
 	c, out := build(plan)
 	if c.FactStr("got-marker") != "" {
@@ -259,7 +259,7 @@ func TestTriggerOccurrenceCounting(t *testing.T) {
 	}
 	// Crash the sender right before the 3rd send: only 1 and 2 arrive.
 	c = build(sim.NewScenarioPlan([]sim.FaultSpec{{
-		Site: site, Occurrence: 3, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
+		Site: site, Occurrence: 3, When: trace.WhenBefore, Action: trace.ActionNodeCrash,
 	}}, "", nil))
 	if got := c.FactStr("last"); got != "2" {
 		t.Fatalf("last received = %q, want 2", got)
@@ -431,7 +431,7 @@ func TestDefaultVictim(t *testing.T) {
 		{
 			name: "site",
 			scenario: func(tg string) []sim.FaultSpec {
-				return []sim.FaultSpec{{Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash, Target: tg}}
+				return []sim.FaultSpec{{Site: site, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionNodeCrash, Target: tg}}
 			},
 			byDefault:             []string{"sender#1"},
 			byDefaultNoPlanTarget: []string{"sender#1"},

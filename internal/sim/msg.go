@@ -34,9 +34,10 @@ func sendOptions(opts []SendOpt) sendCfg {
 // depends on this send.
 //
 // Faults: a kernel-level drop makes Send return ErrSocket (the analog of a
-// SocketException at the sender); an application-level drop (droppable verbs
-// only) makes Send silently succeed without delivery. Sends to a crashed or
-// unknown destination return ErrSocket / ErrNoRoute.
+// SocketException at the sender); an application-level drop makes a send of
+// a droppable verb silently succeed without delivery, and any other send
+// return ErrSocket. Sends to a crashed or unknown destination return
+// ErrSocket / ErrNoRoute.
 func (ctx *Context) Send(target, verb string, payload Value, opts ...SendOpt) error {
 	cfg := sendOptions(opts)
 	pid := ctx.c.resolve(target)
@@ -44,48 +45,27 @@ func (ctx *Context) Send(target, verb string, payload Value, opts ...SendOpt) er
 	if cfg.droppable {
 		flags |= trace.FlagDroppable
 	}
-
-	c := ctx.c
-	dst := c.nodes[pid]
+	dst := ctx.c.nodes[pid]
 	deliverable := dst != nil && !dst.crashed
 
-	// Inlined Do pipeline (sends are hot; the effect is a plain flag, so no
-	// closure is needed): trigger check → effect → record → trigger check →
-	// scheduler step, with the same drop handling Do applies to sends.
-	site := ctx.site()
-	dropAction, dropped := c.checkTrigger(site, Before, true)
-	sent := !dropped && deliverable
-	emitFlags := flags
-	if dropped {
-		emitFlags |= trace.FlagDropped
-	}
-	id := c.tracer.emit(ctx.t, opSpec{
+	id, drop := ctx.Do(OpReq{
 		Kind:   trace.KMsgSend,
 		Aux:    verb,
 		Target: pid,
 		Taint:  payload.taint,
-		Flags:  emitFlags,
-		Site:   site,
-	})
-	if a, d := c.checkTrigger(site, After, true); d && !dropped {
-		dropAction, dropped = a, d
-	}
-	ctx.t.yieldStep()
-	if dropped {
-		switch dropAction {
-		case ActDropKernel:
-			return ErrSocket
-		case ActDropApp:
-			if cfg.droppable {
-				return nil // silently lost in the sending queue
-			}
-			return ErrSocket
+		Flags:  flags,
+		IsSend: true,
+	}, nil)
+	if drop != "" {
+		if drop == trace.ActionAppDrop && cfg.droppable {
+			return nil // silently lost in the sending queue
 		}
+		return ErrSocket
 	}
 	if pid == "" {
 		return ErrNoRoute
 	}
-	if !sent {
+	if !deliverable {
 		return ErrSocket
 	}
 	dst.msgQ.push(queuedItem{verb: verb, payload: payload, from: ctx.PID(), causor: id})

@@ -70,7 +70,7 @@ func (o *Object) Set(ctx *Context, field string, v Value) {
 	slot := o.slot(field)
 	c := ctx.c
 	site := ctx.site()
-	c.checkTrigger(site, Before, false)
+	c.checkTrigger(site, trace.WhenBefore, false)
 	slot.val = v
 	id := c.tracer.emit(ctx.t, opSpec{
 		Kind:   trace.KHeapWrite,
@@ -82,7 +82,7 @@ func (o *Object) Set(ctx *Context, field string, v Value) {
 	if id != trace.NoOp {
 		slot.lastWrite = id
 	}
-	c.checkTrigger(site, After, false)
+	c.checkTrigger(site, trace.WhenAfter, false)
 	ctx.t.yieldStep()
 }
 
@@ -100,7 +100,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	}
 	c := ctx.c
 	site := ctx.site()
-	c.checkTrigger(site, Before, false)
+	c.checkTrigger(site, trace.WhenBefore, false)
 	out := slot.val
 	id := c.tracer.emit(ctx.t, opSpec{
 		Kind:   kind,
@@ -109,7 +109,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 		Src:    slot.lastWrite,
 		Site:   site,
 	})
-	c.checkTrigger(site, After, false)
+	c.checkTrigger(site, trace.WhenAfter, false)
 	ctx.t.yieldStep()
 	if id != trace.NoOp {
 		out = out.withTaint1(id)

@@ -44,14 +44,14 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 		dst = c.nodes[pid]
 	}
 
-	callOp, dropAction, dropped := ctx.Do(OpReq{
+	callOp, drop := ctx.Do(OpReq{
 		Kind:   trace.KRPCCall,
 		Aux:    method,
 		Target: pid,
 		Taint:  taintsOf(args...),
 		IsSend: true,
 	}, nil)
-	if dropped && (dropAction == ActDropKernel || dropAction == ActDropApp) {
+	if drop != "" {
 		return Value{}, ErrSocket
 	}
 	if pid == "" {
@@ -109,7 +109,7 @@ func (n *Node) spawnRPCHandler(p pendingRPC) {
 		// The reply message: its drop (or a crash right before it) makes the
 		// client-side signal disappear.
 		var deliverable bool
-		replyOp, da, dr := hctx.Do(OpReq{
+		replyOp, drop := hctx.Do(OpReq{
 			Kind:   trace.KMsgSend,
 			Aux:    "rpc-reply:" + p.method,
 			Target: p.callerPID,
@@ -120,7 +120,7 @@ func (n *Node) spawnRPCHandler(p pendingRPC) {
 			cn := hctx.c.nodes[p.callerPID]
 			deliverable = cn != nil && !cn.crashed
 		}})
-		if dr && (da == ActDropKernel || da == ActDropApp) {
+		if drop != "" {
 			return // reply lost on the wire; server moves on
 		}
 		if !deliverable {

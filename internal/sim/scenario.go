@@ -3,8 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"fcatch/internal/trace"
 )
 
 // ParseScenario parses the CLI scenario syntax: events separated by ";",
@@ -105,12 +108,12 @@ func ValidateScenario(scenario []FaultSpec) error {
 	}
 	for i := range scenario {
 		ev := &scenario[i]
-		if _, ok := ParseWhen(ev.When); !ok && ev.When != "" {
-			return fmt.Errorf("sim: scenario when %q (have %s, %s)", ev.When, WhenBefore, WhenAfter)
+		if ev.When != "" && ev.When != trace.WhenBefore && ev.When != trace.WhenAfter {
+			return fmt.Errorf("sim: scenario when %q (have %s, %s)", ev.When, trace.WhenBefore, trace.WhenAfter)
 		}
-		if _, ok := ParseAction(ev.Action); !ok && ev.Action != "" {
+		if ev.Action != "" && !slices.Contains(trace.ActionNames(), ev.Action) {
 			return fmt.Errorf("sim: scenario action %q (have %s)",
-				ev.Action, strings.Join(ActionNames(), ", "))
+				ev.Action, strings.Join(trace.ActionNames(), ", "))
 		}
 		if ev.Occurrence < 0 {
 			return fmt.Errorf("sim: scenario occurrence %d is negative", ev.Occurrence)
@@ -144,7 +147,7 @@ func checkAnchor(ev *FaultSpec) error {
 			return errors.New("step and delay do not apply to a site event")
 		}
 	} else {
-		if ev.Action != "" && ev.Action != ActionNodeCrash {
+		if ev.Action != "" && ev.Action != trace.ActionNodeCrash {
 			return fmt.Errorf("action %s needs site= (an event without a site is a node crash)", ev.Action)
 		}
 		if ev.Occurrence != 0 || ev.When != "" {
@@ -154,7 +157,7 @@ func checkAnchor(ev *FaultSpec) error {
 			return errors.New("step and delay are two anchors; give one")
 		}
 	}
-	if ev.Action == ActionKernelDrop || ev.Action == ActionAppDrop {
+	if ev.Action == trace.ActionKernelDrop || ev.Action == trace.ActionAppDrop {
 		if ev.Target != "" || ev.Restart != nil {
 			return errors.New("target and restart do not apply to a drop")
 		}

@@ -138,9 +138,8 @@ func (c *Cluster) applyPlanAtStep() {
 				target = p.lastCrashRole
 			}
 		}
-		// A siteless event is a node crash (ValidateScenario refuses any
-		// other action on one).
-		c.fired(p, i, ActCrashSelf, c.crash(p, target, c.sitePlan, ev.Restart))
+		// A siteless event is a node crash (preparePlan sets its action).
+		c.fired(p, i, c.crash(p, target, c.sitePlan, ev.Restart))
 	}
 	p.recountStep()
 }
@@ -222,7 +221,7 @@ func (c *Cluster) step() bool {
 	for {
 		c.applyPlanAtStep()
 		if c.workloadDone() {
-			c.out.Completed, c.out.Stop = true, StopDone
+			c.out.Stop = StopDone
 			return false
 		}
 		runnable := c.runnable()

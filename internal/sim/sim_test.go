@@ -30,7 +30,7 @@ func TestRunCompletesWhenMainFinishes(t *testing.T) {
 	_, out := runCluster(t, sim.Config{Seed: 1}, func(ctx *sim.Context) {
 		ctx.Yield()
 	})
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("run did not complete: %+v", out)
 	}
 	if out.Steps == 0 {
@@ -47,7 +47,7 @@ func TestDaemonsDoNotBlockCompletion(t *testing.T) {
 		})
 		ctx.Sleep(10)
 	})
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("daemon kept the run alive: %+v", out.Hung)
 	}
 }
@@ -60,7 +60,7 @@ func TestNonDaemonKeepsRunAlive(t *testing.T) {
 			val = 42
 		})
 	})
-	if !out.Completed || val != 42 {
+	if !out.Completed() || val != 42 {
 		t.Fatalf("worker did not finish before the run ended (val=%d)", val)
 	}
 }
@@ -83,7 +83,7 @@ func TestDeadlockDetection(t *testing.T) {
 		cv := ctx.NewCond("never")
 		_, _ = cv.Wait(ctx)
 	})
-	if out.Completed {
+	if out.Completed() {
 		t.Fatal("deadlocked run reported completed")
 	}
 	if len(out.Hung) != 1 || out.Hung[0].Reason != "wait:never" {
@@ -97,7 +97,7 @@ func TestStepBudget(t *testing.T) {
 			ctx.Yield()
 		}
 	})
-	if out.Completed || out.Stop != sim.StopBudget {
+	if out.Completed() || out.Stop != sim.StopBudget {
 		t.Fatalf("budget not enforced: %+v", out)
 	}
 }
@@ -129,8 +129,8 @@ func TestStallRuleCutsLoopOverSeenSites(t *testing.T) {
 		if stallPicks == 0 {
 			want = sim.StopBudget
 		}
-		if out.Completed || out.Stop != want || len(out.Hung) != 1 {
-			t.Fatalf("StallPicks %d: Completed=%v Stop=%q Hung=%+v, want one hung thread and stop %q", stallPicks, out.Completed, out.Stop, out.Hung, want)
+		if out.Completed() || out.Stop != want || len(out.Hung) != 1 {
+			t.Fatalf("StallPicks %d: Completed=%v Stop=%q Hung=%+v, want one hung thread and stop %q", stallPicks, out.Completed(), out.Stop, out.Hung, want)
 		}
 		if stallPicks == 0 {
 			if out.Steps < maxSteps || out.Hung[0].Reason != "live (budget exhausted)" {
@@ -366,8 +366,8 @@ func TestQuiescenceRule(t *testing.T) {
 				tc.boot(c)
 			}
 			out := c.Run()
-			if out.Stop != tc.stop || out.Completed != (tc.stop == sim.StopDone) {
-				t.Fatalf("Stop=%q Completed=%v after %d picks (%d steps), want Stop %q", out.Stop, out.Completed, out.Picks, out.Steps, tc.stop)
+			if out.Stop != tc.stop || out.Completed() != (tc.stop == sim.StopDone) {
+				t.Fatalf("Stop=%q Completed=%v after %d picks (%d steps), want Stop %q", out.Stop, out.Completed(), out.Picks, out.Steps, tc.stop)
 			}
 			if tc.reason == "" {
 				return
@@ -496,8 +496,8 @@ func TestCondWaitThenSignalAcrossThreads(t *testing.T) {
 		v, _ := cv.Wait(ctx)
 		got = v.Str()
 	})
-	if !out.Completed || got != "hi" {
-		t.Fatalf("cross-thread signal failed: completed=%v got=%q", out.Completed, got)
+	if !out.Completed() || got != "hi" {
+		t.Fatalf("cross-thread signal failed: completed=%v got=%q", out.Completed(), got)
 	}
 }
 
@@ -529,7 +529,7 @@ func TestCondTimeoutThenLateSignalDoesNotCrash(t *testing.T) {
 			t.Error("expected timeout before the late signal")
 		}
 	})
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("run hung: %+v", out.Hung)
 	}
 }
@@ -682,8 +682,8 @@ func TestRPCBasics(t *testing.T) {
 		got = v.Str()
 	})
 	out := c.Run()
-	if !out.Completed || err != nil || got != "echo:hi" {
-		t.Fatalf("rpc: completed=%v err=%v got=%q", out.Completed, err, got)
+	if !out.Completed() || err != nil || got != "echo:hi" {
+		t.Fatalf("rpc: completed=%v err=%v got=%q", out.Completed(), err, got)
 	}
 }
 
@@ -724,7 +724,7 @@ func TestRPCRemoteException(t *testing.T) {
 		_, err = ctx.Call("srv", "Boom")
 	})
 	out := c.Run()
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("run hung: %+v", out.Hung)
 	}
 	re, ok := err.(*sim.RemoteError)
@@ -770,7 +770,7 @@ func TestUncaughtExceptionKillsThreadNotRun(t *testing.T) {
 		survived = true
 	})
 	out := c.Run()
-	if !out.Completed || !survived {
+	if !out.Completed() || !survived {
 		t.Fatalf("uncaught exception broke the whole run: %+v", out)
 	}
 	if len(out.UncaughtExceptions) != 1 {
@@ -822,8 +822,8 @@ func TestSyncLoopExitsOnCondition(t *testing.T) {
 			return obj.Get(ctx, "flag")
 		})
 	})
-	if !out.Completed || iter < 2 {
-		t.Fatalf("loop did not poll then exit (iters=%d completed=%v)", iter, out.Completed)
+	if !out.Completed() || iter < 2 {
+		t.Fatalf("loop did not poll then exit (iters=%d completed=%v)", iter, out.Completed())
 	}
 }
 

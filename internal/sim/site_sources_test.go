@@ -11,6 +11,7 @@ import (
 	"fcatch/internal/apps/zookeeper"
 	"fcatch/internal/core"
 	"fcatch/internal/sim"
+	"fcatch/internal/trace"
 )
 
 // TestCallsiteSourcesAgree is the differential test that keeps the two PC
@@ -54,7 +55,7 @@ func TestCallsiteSourcesAgree(t *testing.T) {
 					t.Fatal("fault-free trace has no site to anchor the fault at")
 				}
 				_, outs[1], traces[1] = run(sim.NewScenarioPlan([]sim.FaultSpec{{
-					Site: site, Occurrence: 1, When: sim.WhenBefore, Action: sim.ActionNodeCrash,
+					Site: site, Occurrence: 1, When: trace.WhenBefore, Action: trace.ActionNodeCrash,
 				}}, w.CrashTarget(), w.RestartRoles()))
 				if len(outs[1].FaultFirings) != 1 {
 					t.Fatalf("fault anchored at %s fired %d times, want 1", site, len(outs[1].FaultFirings))

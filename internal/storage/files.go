@@ -80,7 +80,7 @@ func (fs *fileStore) create(ctx *sim.Context, res, dirRes string, v sim.Value) (
 	if s, ok := fs.slots[res]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(trcOp(trace.KStCreate, res, v.Taint(), src), &sim.OpEffects{
+	id, _ := ctx.Do(trcOp(trace.KStCreate, res, v.Taint(), src), &sim.OpEffects{
 		Apply: func() {
 			if _, ok := fs.slots[res]; ok {
 				err = ErrAlreadyExists
@@ -167,7 +167,7 @@ func (fs *fileStore) read(ctx *sim.Context, res string) (sim.Value, error) {
 	if s, ok := fs.slots[res]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(trcOp(trace.KStRead, res, nil, src), &sim.OpEffects{
+	id, _ := ctx.Do(trcOp(trace.KStRead, res, nil, src), &sim.OpEffects{
 		Apply: func() {
 			s, ok := fs.slots[res]
 			if !ok {
@@ -218,7 +218,7 @@ func (fs *fileStore) exists(ctx *sim.Context, res, dirRes string) sim.Value {
 	if s, ok := fs.slots[res]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(trcOp(trace.KStExists, res, nil, src), &sim.OpEffects{Apply: func() {
+	id, _ := ctx.Do(trcOp(trace.KStExists, res, nil, src), &sim.OpEffects{Apply: func() {
 		_, present = fs.slots[res]
 	}})
 	out := sim.V(present)
@@ -286,7 +286,7 @@ func (fs *fileStore) deleteTree(ctx *sim.Context, treeRes, prefix string) int {
 			delete(fs.slots, res)
 		}})
 	}
-	id, _, _ := ctx.Do(trcOp(trace.KStDelete, treeRes, nil, trace.NoOp), nil)
+	id, _ := ctx.Do(trcOp(trace.KStDelete, treeRes, nil, trace.NoOp), nil)
 	fs.noteDirChange(treeRes, id)
 	return len(victims)
 }

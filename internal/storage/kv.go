@@ -129,7 +129,7 @@ func (kv *KV) Create(ctx *sim.Context, path string, v sim.Value, opts ...CreateO
 	if s, ok := kv.znodes[path]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(sim.OpReq{
+	id, _ := ctx.Do(sim.OpReq{
 		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "create", Taint: v.Taint(),
 		Flags: ephFlag(cfg.ephemeral), Src: src,
 	}, &sim.OpEffects{
@@ -182,7 +182,7 @@ func ephFlag(e bool) uint32 {
 // SetData overwrites a znode's content; ErrNotFound if absent.
 func (kv *KV) SetData(ctx *sim.Context, path string, v sim.Value) error {
 	var err error
-	id, _, _ := ctx.Do(sim.OpReq{
+	id, _ := ctx.Do(sim.OpReq{
 		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "set", Taint: v.Taint(),
 	}, &sim.OpEffects{
 		FlagsAfter: func() uint32 {
@@ -222,7 +222,7 @@ func (kv *KV) Delete(ctx *sim.Context, path string) error {
 
 func (kv *KV) deleteInternal(ctx *sim.Context, path string) error {
 	var err error
-	id, _, _ := ctx.Do(sim.OpReq{
+	id, _ := ctx.Do(sim.OpReq{
 		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "delete",
 	}, &sim.OpEffects{
 		FlagsAfter: func() uint32 {
@@ -273,7 +273,7 @@ func (kv *KV) GetData(ctx *sim.Context, path string) (sim.Value, error) {
 	if s, ok := kv.znodes[path]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(sim.OpReq{Kind: trace.KStRead, Res: kv.res(path), Src: src}, &sim.OpEffects{Apply: func() {
+	id, _ := ctx.Do(sim.OpReq{Kind: trace.KStRead, Res: kv.res(path), Src: src}, &sim.OpEffects{Apply: func() {
 		s, ok := kv.znodes[path]
 		if !ok {
 			err = ErrNotFound
@@ -299,7 +299,7 @@ func (kv *KV) Exists(ctx *sim.Context, path string) sim.Value {
 	if s, ok := kv.znodes[path]; ok {
 		src = s.lastWrite
 	}
-	id, _, _ := ctx.Do(sim.OpReq{Kind: trace.KStExists, Res: kv.res(path), Src: src},
+	id, _ := ctx.Do(sim.OpReq{Kind: trace.KStExists, Res: kv.res(path), Src: src},
 		&sim.OpEffects{Apply: func() { _, present = kv.znodes[path] }})
 	out := sim.V(present)
 	if id != trace.NoOp {
@@ -365,7 +365,7 @@ func (kv *KV) notifyList(ctx *sim.Context, regs []watchReg, path, payload string
 		if dst == nil || dst.Crashed() {
 			continue
 		}
-		nid, _, _ := ctx.Do(sim.OpReq{
+		nid, _ := ctx.Do(sim.OpReq{
 			Kind: trace.KKVNotify, Res: kv.res(path), Aux: w.event,
 			Target: w.pid, Causor: updateOp,
 		}, nil)

@@ -17,7 +17,7 @@ func run(t *testing.T, fn func(ctx *sim.Context)) *sim.Cluster {
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective})
 	c.StartProcess("node", "m0", fn)
 	out := c.Run()
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("run hung: %+v", out.Hung)
 	}
 	return c
@@ -161,7 +161,7 @@ func TestLocalFSSurvivesProcessCrash(t *testing.T) {
 		ctx.Sleep(500)
 	})
 	out := c.Run()
-	if !out.Completed {
+	if !out.Completed() {
 		t.Fatalf("hung: %+v", out.Hung)
 	}
 	if recovered != "persisted" {

@@ -34,7 +34,7 @@ func New() *Trace { return &Trace{} }
 type FaultFiring struct {
 	// Index is the event's position in the scenario (sim.FaultPlan.Events).
 	Index int `json:"index"`
-	// Action is the event's fault action, in sim.ActionNames() form.
+	// Action is the event's fault action, one of ActionNames().
 	Action string `json:"action"`
 	// Step is the logical clock at the moment the event fired.
 	Step int64 `json:"step"`
@@ -49,6 +49,32 @@ type FaultFiring struct {
 	// message was dropped for drop actions. Empty when the event fired but
 	// hit nothing (unresolvable target, non-send op under a drop event).
 	Victim string `json:"victim,omitempty"`
+}
+
+// The fault vocabulary: the action and edge names a scenario event, a
+// FaultFiring, a hazard window and a campaign plan all spell faults with. The
+// paper confirms a report by one of three faults placed right before or
+// after the reported op (Section 5).
+const (
+	// ActionNodeCrash crashes the process executing the matched op, or the
+	// event's target.
+	ActionNodeCrash = "node-crash"
+	// ActionKernelDrop drops the matched send and raises a socket error at
+	// the sender (kernel-level message drop).
+	ActionKernelDrop = "kernel-drop"
+	// ActionAppDrop silently skips the matched send (application-level drop;
+	// legal only for droppable verbs, Cassandra-style).
+	ActionAppDrop = "app-drop"
+
+	// WhenBefore fires the fault right before the op's effect ("crashing
+	// the node of W right before W"); WhenAfter right after it.
+	WhenBefore = "before"
+	WhenAfter  = "after"
+)
+
+// ActionNames lists every fault action name in canonical order.
+func ActionNames() []string {
+	return []string{ActionNodeCrash, ActionKernelDrop, ActionAppDrop}
 }
 
 // Intern returns the trace-local Sym for s, adding it to the symbol table if

@@ -1,6 +1,9 @@
 package fcatch
 
-import "fcatch/internal/sim"
+import (
+	"fcatch/internal/sim"
+	"fcatch/internal/trace"
+)
 
 // FaultSpec is one fault event of an injection scenario, in the JSON-stable
 // form shared by the simulator, the campaign engine, and the
@@ -11,19 +14,19 @@ import "fcatch/internal/sim"
 // empty scenario uses the workload's default single crash.
 type FaultSpec = sim.FaultSpec
 
-// Fault action and edge names — the one shared vocabulary (see
-// internal/sim's fault table).
+// Fault action and edge names — the one shared vocabulary, declared beside
+// trace.FaultFiring.
 const (
-	ActionNodeCrash  = sim.ActionNodeCrash
-	ActionKernelDrop = sim.ActionKernelDrop
-	ActionAppDrop    = sim.ActionAppDrop
+	ActionNodeCrash  = trace.ActionNodeCrash
+	ActionKernelDrop = trace.ActionKernelDrop
+	ActionAppDrop    = trace.ActionAppDrop
 
-	WhenBefore = sim.WhenBefore
-	WhenAfter  = sim.WhenAfter
+	WhenBefore = trace.WhenBefore
+	WhenAfter  = trace.WhenAfter
 )
 
 // FaultActionNames lists every fault action name in canonical order.
-func FaultActionNames() []string { return sim.ActionNames() }
+func FaultActionNames() []string { return trace.ActionNames() }
 
 // ParseScenario parses the CLI scenario syntax — events separated by ";",
 // each a comma-separated list of key=value fields, e.g.
