@@ -235,6 +235,41 @@ func TestSpawnAllocatesOnlyTheThread(t *testing.T) {
 	}
 }
 
+// TestRPCRoundTripAllocatesOnlyItsCall pins the RPC path's allocation
+// contract: with tracing off, a Call answered by a handler costs one
+// allocation, its call record, which holds the reply latch, up to two
+// arguments and the handler thread. A call with more arguments adds one for
+// them.
+func TestRPCRoundTripAllocatesOnlyItsCall(t *testing.T) {
+	args := []sim.Value{sim.V("a"), sim.V("b"), sim.V("c")}
+	roundTrip := func(nargs int) func(c *sim.Cluster) func(*sim.Context) {
+		return func(c *sim.Cluster) func(*sim.Context) {
+			c.StartProcess("srv", "m1", func(ctx *sim.Context) {
+				ctx.Self().HandleRPC("Echo", func(_ *sim.Context, args []sim.Value) sim.Value { return args[0] })
+			})
+			return func(ctx *sim.Context) {
+				var err error
+				switch nargs {
+				case 1:
+					_, err = ctx.Call("srv", "Echo", args[0])
+				case 3:
+					_, err = ctx.Call("srv", "Echo", args[0], args[1], args[2])
+				}
+				if err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	cfg := sim.Config{MaxSteps: 32}
+	if perCall := mallocsPerOp(cfg, false, roundTrip(1)); perCall > 1.1 {
+		t.Errorf("a 1-arg RPC round trip allocates %.4f mallocs with tracing off, want 1 (its call record)", perCall)
+	}
+	if perCall := mallocsPerOp(cfg, false, roundTrip(3)); perCall > 2.1 {
+		t.Errorf("a 3-arg RPC round trip allocates %.4f mallocs with tracing off, want 2 (its call record and its args)", perCall)
+	}
+}
+
 // TestIdleCarriersStopGrowing: every run returns the carriers its threads
 // took, so running the observation pairs of the six workloads a second time
 // finds enough idle carriers and creates none.

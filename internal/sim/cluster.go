@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 
@@ -146,14 +147,10 @@ type Cluster struct {
 	deadThreads   int       // finished threads still on the scan list
 
 	// Role identities are interned to dense indices at first boot, so service
-	// resolution, incarnation counting and restart bookkeeping index slices
+	// resolution, incarnation counting and restart bookkeeping index a slice
 	// instead of hashing through role-keyed maps.
-	roleIdx     map[string]int
-	roleNames   []string
-	roleService []*Node // roleID -> live incarnation (nil = none)
-	roleIncarn  []int   // roleID -> next incarnation number
-	roleBootFn  []func(*Context)
-	roleBootMac []string
+	roleIdx map[string]int
+	roles   []roleState // roleID -> the role's state
 
 	// Site identities: every static op site (file:line, pseudo-sites, "plan")
 	// is interned once into a dense cluster-local table. Hot paths — trigger
@@ -186,6 +183,15 @@ type Cluster struct {
 	recoveryLabels map[string]bool     // handler labels registered as recovery roots
 	pendingPlan    *FaultPlan
 	startWall      time.Time
+}
+
+// roleState is what the cluster keeps per role.
+type roleState struct {
+	name    string
+	service *Node // live incarnation (nil = none)
+	incarn  int   // incarnations started so far
+	bootFn  func(*Context)
+	bootMac string
 }
 
 // NewCluster creates an empty cluster.
@@ -252,13 +258,9 @@ func (c *Cluster) roleID(role string) int {
 	if id, ok := c.roleIdx[role]; ok {
 		return id
 	}
-	id := len(c.roleNames)
+	id := len(c.roles)
 	c.roleIdx[role] = id
-	c.roleNames = append(c.roleNames, role)
-	c.roleService = append(c.roleService, nil)
-	c.roleIncarn = append(c.roleIncarn, 0)
-	c.roleBootFn = append(c.roleBootFn, nil)
-	c.roleBootMac = append(c.roleBootMac, "")
+	c.roles = append(c.roles, roleState{name: role})
 	return id
 }
 
@@ -324,7 +326,7 @@ func (c *Cluster) PIDs() []string {
 // Lookup resolves a role to its current live process PID ("" if none).
 func (c *Cluster) Lookup(role string) string {
 	if id, ok := c.roleIdx[role]; ok {
-		if n := c.roleService[id]; n != nil {
+		if n := c.roles[id].service; n != nil {
 			return n.PID
 		}
 	}
@@ -336,22 +338,23 @@ func (c *Cluster) Lookup(role string) string {
 // is remembered so fault plans can restart the role.
 func (c *Cluster) StartProcess(role, machine string, main func(*Context)) string {
 	id := c.roleID(role)
-	c.roleBootFn[id] = main
-	c.roleBootMac[id] = machine
-	return c.startIncarnation(id, machine, main, trace.NoOp)
+	c.roles[id].bootFn = main
+	c.roles[id].bootMac = machine
+	return c.startIncarnation(id, trace.NoOp)
 }
 
-func (c *Cluster) startIncarnation(roleID int, machine string, main func(*Context), causor trace.OpID) string {
-	c.roleIncarn[roleID]++
-	role := c.roleNames[roleID]
-	pid := fmt.Sprintf("%s#%d", role, c.roleIncarn[roleID])
-	n := newNode(c, pid, role, machine)
+// startIncarnation boots the role's next process ("role#N") on its machine.
+func (c *Cluster) startIncarnation(roleID int, causor trace.OpID) string {
+	r := &c.roles[roleID]
+	r.incarn++
+	pid := r.name + "#" + strconv.Itoa(r.incarn)
+	n := newNode(c, pid, r.name, r.bootMac)
 	n.roleID = roleID
 	c.nodes[pid] = n
 	c.nodeList = append(c.nodeList, n)
-	c.roleService[roleID] = n
+	r.service = n
 	n.startSystemThreads()
-	c.spawnThread(n, "main", main, causor, false, false)
+	c.spawnThread(n, "main", r.bootFn, causor, false, false)
 	return pid
 }
 
@@ -359,10 +362,10 @@ func (c *Cluster) startIncarnation(roleID int, machine string, main func(*Contex
 // of Section 4.3.1). Used by fault plans and by app-level supervisors.
 func (c *Cluster) RestartRole(role string, causor trace.OpID) string {
 	id, ok := c.roleIdx[role]
-	if !ok || c.roleBootFn[id] == nil {
+	if !ok || c.roles[id].bootFn == nil {
 		panic(fmt.Sprintf("sim: restart of unknown role %q", role))
 	}
-	pid := c.startIncarnation(id, c.roleBootMac[id], c.roleBootFn[id], causor)
+	pid := c.startIncarnation(id, causor)
 	c.tracer.emitSystem(opSpec{Kind: trace.KRestart, Aux: pid})
 	return pid
 }

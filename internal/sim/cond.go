@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"fcatch/internal/trace"
@@ -22,14 +23,25 @@ type Cond struct {
 	set     bool
 	payload Value
 	err     error
-	waiters []*Thread
+	// waiters are the threads blocked on the latch; the first lives inline
+	// in waiterBuf, so a latch with one waiter costs no append. waiters may
+	// point into waiterBuf, so a Cond is never copied.
+	waiters   []*Thread
+	waiterBuf [1]*Thread
 }
 
 // NewCond allocates a condition object on the current node.
 func (ctx *Context) NewCond(name string) *Cond {
-	n := ctx.t.node
+	cv := &Cond{}
+	cv.init(ctx.t.node, name)
+	return cv
+}
+
+// init names a zero Cond as the next object of node n; the RPC layer calls
+// it on the reply latch embedded in its call record.
+func (cv *Cond) init(n *Node, name string) {
 	n.nextObj++
-	return &Cond{node: n, id: n.nextObj, name: name}
+	cv.node, cv.id, cv.name = n, n.nextObj, name
 }
 
 // resName is the trace resource ID of this condition instance. The name part
@@ -64,10 +76,7 @@ func (cv *Cond) signalInternal(ctx *Context, v Value, err error, site SiteID) {
 		cv.set = true
 		cv.payload = v
 		cv.err = err
-		for _, w := range cv.waiters {
-			w.wake(resumeMsg{val: v, err: err})
-		}
-		cv.waiters = nil
+		cv.wakeAll(resumeMsg{val: v, err: err})
 	}})
 }
 
@@ -76,10 +85,15 @@ func (cv *Cond) signalInternal(ctx *Context, v Value, err error, site SiteID) {
 func (cv *Cond) failInternal(err error) {
 	cv.set = true
 	cv.err = err
+	cv.wakeAll(resumeMsg{err: err})
+}
+
+// wakeAll wakes every waiter with msg and lets go of them.
+func (cv *Cond) wakeAll(msg resumeMsg) {
 	for _, w := range cv.waiters {
-		w.wake(resumeMsg{err: err})
+		w.wake(msg)
 	}
-	cv.waiters = nil
+	cv.waiters, cv.waiterBuf[0] = nil, nil
 }
 
 // Wait blocks until the latch is signalled. The wait op is recorded at block
@@ -118,6 +132,9 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	}
 	t := ctx.t
 	t.blockToken++
+	if cv.waiters == nil {
+		cv.waiters = cv.waiterBuf[:0]
+	}
 	cv.waiters = append(cv.waiters, t)
 	if timeout > 0 {
 		ctx.c.addTimedWaitTimer(ctx.c.clock+timeout, t)
@@ -131,12 +148,10 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	}
 	msg := t.block("wait:", cv.name, site)
 	if msg.timedOut {
-		// Deregister: the latch may fire later for other waiters.
-		for i, w := range cv.waiters {
-			if w == t {
-				cv.waiters = append(cv.waiters[:i], cv.waiters[i+1:]...)
-				break
-			}
+		// Deregister: the latch may fire later for other waiters. Delete
+		// clears the vacated slot, so waiterBuf does not keep t.
+		if i := slices.Index(cv.waiters, t); i >= 0 {
+			cv.waiters = slices.Delete(cv.waiters, i, i+1)
 		}
 		return Value{}, errWaitTimeout
 	}

@@ -81,7 +81,7 @@ func (c *Cluster) resolve(target string) string {
 		}
 	}
 	if id, ok := c.roleIdx[target]; ok {
-		if n := c.roleService[id]; n != nil {
+		if n := c.roles[id].service; n != nil {
 			return n.PID
 		}
 	}

@@ -22,46 +22,34 @@ type Node struct {
 	threads []*Thread
 
 	nextObj int64
-	objects map[int64]*Object
 
 	rpcHandlers   map[string]rpcHandler
 	msgHandlers   map[string]msgHandler
 	eventHandlers map[string]eventHandler
 
-	msgQ         *dispatchQueue
-	eventQ       *dispatchQueue
-	replyQ       *dispatchQueue
+	msgQ         dispatchQueue
+	eventQ       dispatchQueue
+	replyQ       dispatchQueue
 	pendingCalls map[int64]*callState
 
 	// stashes hold items whose handler is not registered yet: processes
 	// register handlers at the top of their main function, and anything
 	// arriving earlier waits, like packets on a not-yet-accepted socket.
+	// Each is made at its first stash; most nodes never stash.
 	msgStash   map[string][]queuedItem
 	eventStash map[string][]queuedItem
-	rpcStash   map[string][]pendingRPC
+	rpcStash   map[string][]*callState
 
 	namedObjs  map[string]*Object
 	namedConds map[string]*Cond
 }
 
-// pendingRPC is one incoming call: handed to a handler thread, or parked in
-// rpcStash until its handler is registered.
-type pendingRPC struct {
-	method    string
-	args      []Value
-	callOp    trace.OpID
-	callerPID string
-	callID    int64
-	// servesDaemon: the caller is background (a daemon or a handler serving
-	// one), so the handler thread serves a daemon too.
-	servesDaemon bool
-}
-
 // Handler registrations carry their frame/thread labels precomputed, so
 // dispatching an item never concatenates strings.
 type rpcHandler struct {
-	fn   func(*Context, []Value) Value
-	name string // "rpc:<method>" — handler thread name and scope label
+	fn       func(*Context, []Value) Value
+	name     string // "rpc:<method>" — handler thread name and scope label
+	replyAux string // "rpc-reply:<method>" — the reply message's Aux
 }
 
 type msgHandler struct {
@@ -78,17 +66,10 @@ func newNode(c *Cluster, pid, role, machine string) *Node {
 	return &Node{
 		c: c, PID: pid, Role: role, Machine: machine,
 		pidSym: c.tracer.sym(pid), machineSym: c.tracer.sym(machine),
-		objects:       make(map[int64]*Object),
 		rpcHandlers:   make(map[string]rpcHandler),
 		msgHandlers:   make(map[string]msgHandler),
 		eventHandlers: make(map[string]eventHandler),
-		msgQ:          &dispatchQueue{},
-		eventQ:        &dispatchQueue{},
-		replyQ:        &dispatchQueue{},
 		pendingCalls:  make(map[int64]*callState),
-		msgStash:      make(map[string][]queuedItem),
-		eventStash:    make(map[string][]queuedItem),
-		rpcStash:      make(map[string][]pendingRPC),
 		namedObjs:     make(map[string]*Object),
 		namedConds:    make(map[string]*Cond),
 	}
@@ -101,11 +82,12 @@ func (n *Node) Crashed() bool { return n.crashed }
 // own handler thread whose operations causally come from the caller node.
 // Calls that arrived before registration are dispatched now.
 func (n *Node) HandleRPC(method string, fn func(*Context, []Value) Value) {
-	n.rpcHandlers[method] = rpcHandler{fn: fn, name: "rpc:" + method}
+	h := rpcHandler{fn: fn, name: "rpc:" + method, replyAux: "rpc-reply:" + method}
+	n.rpcHandlers[method] = h
 	pend := n.rpcStash[method]
 	delete(n.rpcStash, method)
-	for _, p := range pend {
-		n.spawnRPCHandler(p)
+	for _, cs := range pend {
+		n.spawnRPCHandler(cs, h)
 	}
 }
 
@@ -195,6 +177,9 @@ func (n *Node) startSystemThreads() {
 			it := n.msgQ.pop(ctx)
 			h, ok := n.msgHandlers[it.verb]
 			if !ok {
+				if n.msgStash == nil {
+					n.msgStash = make(map[string][]queuedItem)
+				}
 				n.msgStash[it.verb] = append(n.msgStash[it.verb], it)
 				continue
 			}
@@ -209,6 +194,9 @@ func (n *Node) startSystemThreads() {
 			it := n.eventQ.pop(ctx)
 			h, ok := n.eventHandlers[it.verb]
 			if !ok {
+				if n.eventStash == nil {
+					n.eventStash = make(map[string][]queuedItem)
+				}
 				n.eventStash[it.verb] = append(n.eventStash[it.verb], it)
 				continue
 			}
@@ -256,8 +244,8 @@ func (n *Node) PostEvent(typ string, payload Value, causor trace.OpID, flags uin
 func (c *Cluster) crashProcess(n *Node, selfSite SiteID, restartOverride *int64) {
 	pid := n.PID
 	n.crashed = true
-	if c.roleService[n.roleID] == n {
-		c.roleService[n.roleID] = nil
+	if r := &c.roles[n.roleID]; r.service == n {
+		r.service = nil
 	}
 	c.tracer.emitSystem(opSpec{Kind: trace.KCrash, Aux: pid, Site: selfSite})
 
@@ -273,7 +261,7 @@ func (c *Cluster) crashProcess(n *Node, selfSite SiteID, restartOverride *int64)
 	if c.cfg.RPCFailFast {
 		for _, pn := range c.nodeList {
 			for id, cs := range pn.pendingCalls {
-				if cs.callee == pid {
+				if cs.callee == n {
 					delete(pn.pendingCalls, id)
 					cs.done.failInternal(ErrSocket)
 				}

@@ -40,9 +40,7 @@ type Object struct {
 func (ctx *Context) NewObject(class string) *Object {
 	n := ctx.t.node
 	n.nextObj++
-	o := &Object{node: n, id: n.nextObj, class: class, fields: make(map[string]*fieldSlot)}
-	n.objects[o.id] = o
-	return o
+	return &Object{node: n, id: n.nextObj, class: class, fields: make(map[string]*fieldSlot)}
 }
 
 // ID returns the object's deterministic identity.

@@ -14,11 +14,30 @@ const (
 	SiteRPCReplySend  = "sim/rpc.go:reply-send"
 )
 
-// callState tracks one in-flight RPC on the caller node.
+// callState is one RPC call, from the caller's Call to the reply that
+// signals it: one heap object holds the reply latch, the arguments (up to two
+// inline) and the handler thread. done, argBuf and handler are embedded
+// because the slices of a Cond, the args and a Thread point into their own
+// buffers; a callState is never copied. Its fields are sized to keep it in
+// the 704-byte allocation class.
 type callState struct {
 	callID int64
-	callee string
-	done   *Cond
+	callOp trace.OpID
+	caller *Node
+	callee *Node
+
+	done Cond // the reply latch the caller waits on
+
+	args   []Value
+	argBuf [2]Value
+
+	// serve and replyAux are the registration of the handler the call was
+	// dispatched to (rpcHandler.fn and .replyAux).
+	serve    func(*Context, []Value) Value
+	replyAux string
+	// handler is the thread that runs serve; started at dispatch. Call sets
+	// its servesDaemon bit beforehand when the caller is background.
+	handler Thread
 }
 
 // RemoteError wraps an application exception thrown by an RPC handler and
@@ -63,17 +82,25 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 
 	caller := ctx.t.node
 	c.nextSeq++
-	cs := &callState{callID: c.nextSeq, callee: pid, done: ctx.NewCond("rpc-reply")}
+	cs := &callState{callID: c.nextSeq, callOp: callOp, caller: caller, callee: dst}
+	cs.done.init(caller, "rpc-reply")
+	if len(args) <= len(cs.argBuf) {
+		cs.args = cs.argBuf[:copy(cs.argBuf[:], args)]
+	} else {
+		cs.args = append([]Value(nil), args...)
+	}
+	cs.handler.servesDaemon = ctx.t.background()
 	caller.pendingCalls[cs.callID] = cs
 
-	p := pendingRPC{method: method, args: args, callOp: callOp, callerPID: caller.PID, callID: cs.callID,
-		servesDaemon: ctx.t.background()}
-	if _, ok := dst.rpcHandlers[method]; ok {
-		dst.spawnRPCHandler(p)
+	if h, ok := dst.rpcHandlers[method]; ok {
+		dst.spawnRPCHandler(cs, h)
 	} else {
 		// The callee has not bound this service yet (its main has not run
 		// that far); park the call like an unaccepted connection.
-		dst.rpcStash[method] = append(dst.rpcStash[method], p)
+		if dst.rpcStash == nil {
+			dst.rpcStash = make(map[string][]*callState)
+		}
+		dst.rpcStash[method] = append(dst.rpcStash[method], cs)
 	}
 
 	// Client-side wait for the reply signal.
@@ -91,51 +118,54 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 	return v, err
 }
 
-// spawnRPCHandler runs one incoming call in a fresh handler thread on n. The
-// thread serves a daemon when the call's caller did.
-func (n *Node) spawnRPCHandler(p pendingRPC) {
-	h := n.rpcHandlers[p.method]
-	t := n.c.spawnThread(n, h.name, func(hctx *Context) {
-		defer hctx.Scope(h.name).End()
-		var result Value
-		var remoteErr error
-		if err := hctx.Try(func() { result = h.fn(hctx, p.args) }); err != nil {
-			remoteErr = &RemoteError{Kind: err.Kind}
-		}
-		// Branches taken inside the handler control its return value; the
-		// reply inherits those taints so impact estimation can see that a
-		// read "affects the return value of an RPC function" (§4.3.3).
-		result = result.WithTaint(hctx.t.ctlHist...)
-		// The reply message: its drop (or a crash right before it) makes the
-		// client-side signal disappear.
-		var deliverable bool
-		replyOp, drop := hctx.Do(OpReq{
-			Kind:   trace.KMsgSend,
-			Aux:    "rpc-reply:" + p.method,
-			Target: p.callerPID,
-			Taint:  result.taint,
-			Site:   hctx.c.siteRPCReplySend,
-			IsSend: true,
-		}, &OpEffects{Apply: func() {
-			cn := hctx.c.nodes[p.callerPID]
-			deliverable = cn != nil && !cn.crashed
-		}})
-		if drop != "" {
-			return // reply lost on the wire; server moves on
-		}
-		if !deliverable {
-			return
-		}
-		hctx.c.nodes[p.callerPID].replyQ.push(queuedItem{
-			verb:    "rpc-reply",
-			payload: result,
-			causor:  replyOp,
-			callID:  p.callID,
-			err:     remoteErr,
-		})
-	}, p.callOp, false, true)
-	if p.servesDaemon {
-		t.servesDaemon = true
+// spawnRPCHandler runs one incoming call, dispatched to h, in its handler
+// thread on n. The thread serves a daemon when the call's caller did.
+func (n *Node) spawnRPCHandler(cs *callState, h rpcHandler) {
+	cs.serve, cs.replyAux = h.fn, h.replyAux
+	t := &cs.handler
+	t.call = cs
+	n.c.startThread(t, n, h.name, serveRPC, cs.callOp, false, true)
+	if t.servesDaemon {
 		n.c.serving++
 	}
+}
+
+// serveRPC is the body of every RPC handler thread: it runs the handler on
+// the call's arguments and sends the reply back to the caller.
+func serveRPC(hctx *Context) {
+	cs := hctx.t.call
+	defer hctx.Scope(hctx.t.name).End()
+	var result Value
+	var remoteErr error
+	if err := hctx.Try(func() { result = cs.serve(hctx, cs.args) }); err != nil {
+		remoteErr = &RemoteError{Kind: err.Kind}
+	}
+	// Branches taken inside the handler control its return value; the
+	// reply inherits those taints so impact estimation can see that a
+	// read "affects the return value of an RPC function" (§4.3.3).
+	result = result.WithTaint(hctx.t.ctlHist...)
+	// The reply message: its drop (or a crash right before it) makes the
+	// client-side signal disappear.
+	var deliverable bool
+	replyOp, drop := hctx.Do(OpReq{
+		Kind:   trace.KMsgSend,
+		Aux:    cs.replyAux,
+		Target: cs.caller.PID,
+		Taint:  result.taint,
+		Site:   hctx.c.siteRPCReplySend,
+		IsSend: true,
+	}, &OpEffects{Apply: func() { deliverable = !cs.caller.crashed }})
+	if drop != "" {
+		return // reply lost on the wire; server moves on
+	}
+	if !deliverable {
+		return
+	}
+	cs.caller.replyQ.push(queuedItem{
+		verb:    "rpc-reply",
+		payload: result,
+		causor:  replyOp,
+		callID:  cs.callID,
+		err:     remoteErr,
+	})
 }

@@ -694,6 +694,11 @@ func TestRPCStashedUntilHandlerRegistered(t *testing.T) {
 		ctx.Self().HandleRPC("Late", func(ctx *sim.Context, args []sim.Value) sim.Value {
 			return sim.V("late-ok")
 		})
+		// Two calls wait in the stash with different arguments; each
+		// handler must see its own.
+		ctx.Self().HandleRPC("Join", func(ctx *sim.Context, args []sim.Value) sim.Value {
+			return sim.V(args[0].Str() + args[1].Str())
+		})
 		ctx.Sleep(100)
 	})
 	var got string
@@ -704,9 +709,22 @@ func TestRPCStashedUntilHandlerRegistered(t *testing.T) {
 		}
 		got = v.Str()
 	})
+	joined := map[string]string{}
+	for _, cli := range []string{"a", "b"} {
+		c.StartProcess("cli-"+cli, "m1", func(ctx *sim.Context) {
+			v, err := ctx.Call("srv", "Join", sim.V(cli), sim.V(cli+"!"))
+			if err != nil {
+				t.Errorf("stashed call from %s: %v", cli, err)
+			}
+			joined[cli] = v.Str()
+		})
+	}
 	c.Run()
 	if got != "late-ok" {
 		t.Fatalf("stashed rpc lost: %q", got)
+	}
+	if joined["a"] != "aa!" || joined["b"] != "bb!" {
+		t.Fatalf("stashed calls answered %q and %q, want \"aa!\" and \"bb!\"", joined["a"], joined["b"])
 	}
 }
 

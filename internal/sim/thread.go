@@ -8,7 +8,7 @@ import (
 	"fcatch/internal/trace"
 )
 
-type threadState int
+type threadState uint8
 
 const (
 	tsRunnable threadState = iota
@@ -47,7 +47,9 @@ type ctlFrame struct {
 	prevStack trace.StackID
 }
 
-// Thread is one cooperative thread of a simulated process.
+// Thread is one cooperative thread of a simulated process. Its small fields
+// sit next to each other so that it fits a 416-byte allocation class; an
+// RPC call record embeds one (callState).
 type Thread struct {
 	id   int
 	node *Node
@@ -76,6 +78,12 @@ type Thread struct {
 	waiting bool
 	polling bool
 
+	// stack is the thread's current interned callstack (thread name plus open
+	// scope labels), maintained incrementally by pushScope/popScopesTo so
+	// emitting a record copies one StackID instead of building a []string.
+	// Stays NoStack when tracing is off.
+	stack trace.StackID
+
 	// fn is the body; car, the carrier running it from first resume to finish.
 	fn  func(*Context)
 	car *carrier
@@ -85,12 +93,6 @@ type Thread struct {
 	// dispatcher threads.
 	frame      trace.OpID
 	frameStack []trace.OpID
-
-	// stack is the thread's current interned callstack (thread name plus open
-	// scope labels), maintained incrementally by pushScope/popScopesTo so
-	// emitting a record copies one StackID instead of building a []string.
-	// Stays NoStack when tracing is off.
-	stack trace.StackID
 
 	// scopes are the open scopes; the first two live inline in scopeBuf, so
 	// a thread opens them without allocating.
@@ -122,22 +124,31 @@ type Thread struct {
 	// ctx is the handle the thread's function runs with; it lives in the
 	// Thread so a spawn is one heap object, not two.
 	ctx Context
+
+	// call is the RPC an RPC handler thread serves (nil for other threads);
+	// the thread is embedded in it.
+	call *callState
 }
 
 // spawnThread creates a thread on node n and makes it runnable. causor is the
 // op that created it (NoOp for process roots).
-func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor trace.OpID, daemon, handlerCtx bool) *Thread {
+func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor trace.OpID, daemon, handlerCtx bool) {
+	c.startThread(&Thread{}, n, name, fn, causor, daemon, handlerCtx)
+}
+
+// startThread makes the zero Thread t a runnable thread on node n. The RPC
+// layer passes the thread embedded in its call record; t points into itself
+// (ctx, scopes), so a Thread is never copied.
+func (c *Cluster) startThread(t *Thread, n *Node, name string, fn func(*Context), causor trace.OpID, daemon, handlerCtx bool) {
 	c.nextTID++
-	t := &Thread{
-		id:         c.nextTID,
-		node:       n,
-		name:       name,
-		daemon:     daemon,
-		handlerCtx: handlerCtx,
-		state:      tsRunnable,
-		fn:         fn,
-		frame:      trace.NoOp,
-	}
+	t.id = c.nextTID
+	t.node = n
+	t.name = name
+	t.daemon = daemon
+	t.handlerCtx = handlerCtx
+	t.state = tsRunnable
+	t.fn = fn
+	t.frame = trace.NoOp
 	t.scopes = t.scopeBuf[:0]
 	t.ctx = Context{c: c, t: t}
 	c.threads = append(c.threads, t)
@@ -150,7 +161,6 @@ func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor tr
 		t.stack = w.PushFrame(trace.NoStack, w.Intern(name))
 	}
 	t.frame = c.tracer.emit(t, opSpec{Kind: trace.KThreadStart, Aux: name, Causor: causor})
-	return t
 }
 
 // run executes the thread's body on its carrier and finishes the thread by

@@ -7,26 +7,22 @@
 # that repeat to 0.02 % between runs — exceed their ceilings, so the gate
 # trips on a lost optimisation, not on a Go patch release:
 #
-#   campaign, dist — 1 % over the medians measured once the simulator ended
-#     quiescent runs (every non-daemon thread waiting on a latch with no
-#     timeout while only daemons tick) at a fifth of their clock budget:
-#     campaign 9 532 KB / 150 433 mallocs per op, dist 9 640 KB / 151 813;
-#     each ceiling is below the value before that change (campaign
-#     9 770 KB / 174 200, dist 9 878 / 175 578). dist runs the same campaign
-#     runs through the coordinator, so its counts are campaign's plus the
-#     wire's.
-#   evaluation — 1 % over the median measured once RPC handlers serving a
-#     daemon stopped holding off quiescence, timed waits counted as waiting
-#     under the stall rule, and trigger replays took the observation's
-#     fault-free picks instead of re-running it: 3 151 KB / 26 544 mallocs
-#     per op; both ceilings are below the values before that change
-#     (3 594 KB / 31 485).
-#   predict — 1 % over the median measured once runs that keep no trace
-#     stopped building what only a trace reads (folds take simulator facts,
-#     dependence-free folds number no ops and merge no taint, heap and cond
-#     names are built at the first kept emit): 1 602 KB / 5 232; the ceiling
-#     is below the value before that change (1 604 / 5 243). The quiescence
-#     rule leaves it unchanged: observations are never quiescent for long.
+#   campaign, dist — 1 % over the medians measured once an RPC round trip
+#     became one allocation (the call record holds its reply latch, up to
+#     two arguments and its handler thread) and a node stopped making what
+#     it does not use: campaign 9 004 KB / 116 207 mallocs per op, dist
+#     9 112 KB / 117 581; each ceiling is below the value before that
+#     change (campaign 9 533 KB / 150 433, dist 9 640 / 151 813). dist runs
+#     the same campaign runs through the coordinator, so its counts are
+#     campaign's plus the wire's.
+#   evaluation — 1 % over the median measured after the same change:
+#     3 129 KB / 23 547 mallocs per op; both ceilings are below the values
+#     before it (3 149 KB / 26 537).
+#   predict — 1 % over the median measured after the same change:
+#     1 599 KB / 4 656; the mallocs ceiling is below the value before it
+#     (5 225). Its KB barely moves (1 598.3 before): a call record is one
+#     704-byte object, which saves bytes on calls with one or two arguments
+#     and costs a few on calls with none or more.
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -57,10 +53,10 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   9628  151938 || fail=1
-gate dist       9737  153332 || fail=1
-gate evaluation 3182  26809  || fail=1
+gate campaign   9094  117369 || fail=1
+gate dist       9203  118757 || fail=1
+gate evaluation 3161  23783  || fail=1
 gate offline    596   974    || fail=1
-gate predict    1618  5284   || fail=1
+gate predict    1615  4703   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
 echo "alloc-gate: ok"
