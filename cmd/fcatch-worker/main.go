@@ -8,7 +8,10 @@
 //
 // Workers are stateless and interchangeable: they can join late, be killed
 // mid-lease, or be restarted — the coordinator reassigns forfeited leases and
-// the final corpus is byte-identical regardless. Leases carry full fault
+// the final corpus is byte-identical regardless. A worker holding a lease
+// keeps it by finishing plans: one that finishes none for the coordinator's
+// lease timeout (15s), crashed, frozen or livelocked, loses it, while an idle
+// worker may stay silent indefinitely. Leases carry full fault
 // scenarios (including composite multi-fault plans from `-scenarios`
 // campaigns); the versioned handshake rejects a peer from a different
 // protocol generation rather than silently dropping scenario events.

@@ -10,9 +10,14 @@ import (
 // this package.
 type (
 	// DistOptions parameterizes a distributed campaign's coordinator: listen
-	// address, in-process worker count, lease sizing, and failure handling.
+	// address, in-process worker count and fan-out, lease size, and the
+	// callbacks and registry that observe it. Failure handling has no
+	// options: a worker that shows no progress on its lease for 15s loses
+	// it, and the campaign aborts once one lease has failed four times.
 	DistOptions = dist.Options
-	// CampaignWorkerConfig parameterizes one campaign worker process.
+	// CampaignWorkerConfig parameterizes one campaign worker process: the
+	// coordinator address, its name, its fan-out per lease, how it resolves
+	// the workload, and its metrics registry.
 	CampaignWorkerConfig = dist.WorkerConfig
 )
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -31,23 +32,6 @@ type Options struct {
 	// pipeline better across workers and lose less work to a crash; larger
 	// leases amortize framing. The corpus is byte-identical at any setting.
 	LeaseSize int
-	// LeaseTimeout is the liveness window: a worker that sends no frame
-	// (heartbeat or result) for this long is declared lost and its lease is
-	// requeued (0 = 15s). The coordinator dictates a heartbeat interval of a
-	// quarter of this to workers at handshake.
-	LeaseTimeout time.Duration
-	// LeaseExpiry, when positive, reassigns a lease that has been
-	// outstanding this long even if its worker still heartbeats — the
-	// hung-but-alive case. The worker's connection is torn down with the
-	// lease. Duplicate completions are deduped first-wins, which is safe
-	// because results are deterministic.
-	LeaseExpiry time.Duration
-	// MaxLeaseRetries bounds how many times one lease may be requeued after
-	// worker failures before the campaign aborts (0 = 3).
-	MaxLeaseRetries int
-	// RetryBackoff is the base delay before a failed lease re-enters the
-	// queue; it doubles per failure (0 = 25ms).
-	RetryBackoff time.Duration
 	// OnListen, when set, receives the bound listen address before the
 	// campaign starts (how callers learn the ephemeral port).
 	OnListen func(addr string)
@@ -55,9 +39,9 @@ type Options struct {
 	// lease reassignments, drain).
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives coordinator health telemetry: lease
-	// grant/requeue/expiry counters, worker join/loss counters, lease
-	// latency and heartbeat-gap histograms. Strictly observe-only — the
-	// merged corpus is byte-identical with or without it.
+	// grant/requeue counters, worker join/loss counters, lease latency and
+	// progress-gap histograms. Strictly observe-only — the merged corpus is
+	// byte-identical with or without it.
 	Metrics *obs.Registry
 }
 
@@ -68,35 +52,24 @@ func (o Options) withDefaults() Options {
 	if o.LeaseSize <= 0 {
 		o.LeaseSize = 4
 	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 15 * time.Second
-	}
-	if o.MaxLeaseRetries <= 0 {
-		o.MaxLeaseRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 25 * time.Millisecond
-	}
 	return o
 }
 
 // lease is one unit of distributable work: a slice of the current batch's
-// plans. A lease lives until exactly one result for it is merged (done
-// closes); requeues hand the same lease object to another worker.
+// plans. A forfeited lease is offered again as the same object.
 type lease struct {
 	id    uint64
 	batch uint64
 	idx   int // position in the batch's lease sequence
 	plans []campaign.Plan
-	fails int
-	done  chan struct{}
 }
 
-// leaseDone carries one completed lease from a connection handler to the
-// collecting ExecuteBatch.
-type leaseDone struct {
+// report is a connection handler's outcome for one granted lease: its
+// results, or the error that forfeited it.
+type report struct {
 	l       *lease
 	results []campaign.RunResult
+	err     error
 }
 
 // coordinator implements campaign.Executor over a fleet of TCP workers.
@@ -106,12 +79,9 @@ type coordinator struct {
 	seed     int64
 	traced   bool
 
-	queue    chan *lease     // unbuffered: a send is a grant to a ready worker
-	results  chan *leaseDone // completed leases, deduped by the collector
-	drain    chan struct{}   // closed when the campaign is over
-	failed   chan struct{}   // closed on an unrecoverable lease failure
-	failOnce sync.Once
-	failErr  error
+	queue   chan *lease   // unbuffered: a send is a grant to a ready worker
+	reports chan report   // every granted lease's outcome, back to ExecuteBatch
+	drain   chan struct{} // closed when the campaign is over
 
 	batchSeq atomic.Uint64
 	leaseSeq atomic.Uint64
@@ -124,62 +94,60 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *coordinator) fail(err error) {
-	c.failOnce.Do(func() {
-		c.failErr = err
-		close(c.failed)
-	})
-}
-
 // ExecuteBatch partitions one strategy batch into leases, streams them to
 // whichever workers are ready, and reassembles the results in lease order —
-// the distributed half of the engine's determinism contract. It feeds and
-// collects in one select loop, so results merge while later leases are still
-// being handed out.
+// the distributed half of the engine's determinism contract. It alone owns
+// the leases: it offers them on c.queue, merges or requeues what the
+// handlers report, and aborts once one lease has failed more than
+// maxLeaseRetries times. Feeding and collecting share one select loop, so
+// results merge while later leases are still being handed out.
 func (c *coordinator) ExecuteBatch(ctx context.Context, plans []campaign.Plan) ([]campaign.RunResult, error) {
 	batch := c.batchSeq.Add(1)
 	size := c.opts.LeaseSize
-	leases := make([]*lease, 0, (len(plans)+size-1)/size)
+	var pending []*lease // in the order they are offered
 	for at := 0; at < len(plans); at += size {
-		end := at + size
-		if end > len(plans) {
-			end = len(plans)
-		}
-		leases = append(leases, &lease{
+		pending = append(pending, &lease{
 			id:    c.leaseSeq.Add(1),
 			batch: batch,
-			idx:   len(leases),
-			plans: plans[at:end],
-			done:  make(chan struct{}),
+			idx:   len(pending),
+			plans: plans[at:min(at+size, len(plans))],
 		})
 	}
 
-	parts := make([][]campaign.RunResult, len(leases))
-	remaining := len(leases)
-	next := 0
-	for remaining > 0 {
-		// Only offer the queue a lease while some remain unhanded; a nil
-		// channel parks that select case.
+	parts := make([][]campaign.RunResult, len(pending))
+	fails := make([]int, len(pending))
+	for remaining := len(pending); remaining > 0; {
+		// Offer the queue a lease only while one is pending; a nil channel
+		// parks that select case.
 		var feed chan *lease
 		var offer *lease
-		if next < len(leases) {
-			feed, offer = c.queue, leases[next]
+		if len(pending) > 0 {
+			feed, offer = c.queue, pending[0]
 		}
 		select {
 		case feed <- offer:
-			next++
-		case d := <-c.results:
-			// First delivery wins; anything from an older batch or an
-			// already-merged lease is a deterministic duplicate — drop it.
-			if d.l.batch != batch || parts[d.l.idx] != nil {
+			pending = pending[1:]
+		case r := <-c.reports:
+			// Anything from an older batch or for an already-merged lease is
+			// a deterministic duplicate — drop it.
+			if r.l.batch != batch || parts[r.l.idx] != nil {
 				c.opts.Metrics.Counter("dist/results/duplicates").Inc()
 				continue
 			}
-			parts[d.l.idx] = d.results
-			close(d.l.done)
-			remaining--
-		case <-c.failed:
-			return nil, c.failErr
+			if r.err == nil {
+				parts[r.l.idx] = r.results
+				remaining--
+				continue
+			}
+			if fails[r.l.idx]++; fails[r.l.idx] > maxLeaseRetries {
+				c.opts.Metrics.Counter("dist/leases/exhausted").Inc()
+				return nil, fmt.Errorf("dist: lease %d (%d plan(s)) failed %d times, last cause: %w",
+					r.l.id, len(r.l.plans), fails[r.l.idx], r.err)
+			}
+			c.opts.Metrics.Counter("dist/leases/requeued").Inc()
+			c.logf("dist: requeueing lease %d (failure %d of %d allowed): %v",
+				r.l.id, fails[r.l.idx], maxLeaseRetries, r.err)
+			pending = append(pending, r.l)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -190,44 +158,6 @@ func (c *coordinator) ExecuteBatch(ctx context.Context, plans []campaign.Plan) (
 		out = append(out, p...)
 	}
 	return out, nil
-}
-
-// requeue puts a lease back in rotation after a worker failure, with
-// exponential backoff and a bounded retry count.
-func (c *coordinator) requeue(l *lease, cause error) {
-	select {
-	case <-l.done:
-		return // a duplicate grant already completed it
-	default:
-	}
-	l.fails++
-	if l.fails > c.opts.MaxLeaseRetries {
-		c.opts.Metrics.Counter("dist/leases/exhausted").Inc()
-		c.fail(fmt.Errorf("dist: lease %d (%d plan(s)) failed %d times, last cause: %w",
-			l.id, len(l.plans), l.fails, cause))
-		return
-	}
-	c.opts.Metrics.Counter("dist/leases/requeued").Inc()
-	backoff := c.opts.RetryBackoff << (l.fails - 1)
-	c.logf("dist: requeueing lease %d after %v (attempt %d/%d): %v",
-		l.id, backoff, l.fails, c.opts.MaxLeaseRetries, cause)
-	time.AfterFunc(backoff, func() {
-		select {
-		case c.queue <- l:
-		case <-l.done:
-		case <-c.drain:
-		}
-	})
-}
-
-// deliver hands a completed lease to the collector (or drops it if the lease
-// was already satisfied or the campaign is over).
-func (c *coordinator) deliver(l *lease, results []campaign.RunResult) {
-	select {
-	case c.results <- &leaseDone{l: l, results: results}:
-	case <-l.done:
-	case <-c.drain:
-	}
 }
 
 // checkResults refuses a result frame that does not answer its lease. What a
@@ -264,141 +194,133 @@ func (c *coordinator) acceptLoop(ln net.Listener) {
 }
 
 // handleConn drives one worker: handshake, then grant-await cycles until the
-// campaign drains or the worker fails. At most one lease is outstanding per
-// worker, so reassignment semantics stay simple: a worker that fails or
-// expires forfeits exactly one lease.
+// campaign drains or the worker is lost. At most one lease is outstanding per
+// worker, and every lease it is granted goes back to ExecuteBatch as one
+// report, so a worker that fails forfeits exactly one lease.
 func (c *coordinator) handleConn(conn net.Conn) {
 	defer c.connWG.Done()
 	defer conn.Close()
 
+	write := func(m *message) error {
+		_ = conn.SetWriteDeadline(time.Now().Add(leaseTimeout))
+		return writeMessage(conn, m)
+	}
 	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(c.opts.LeaseTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(leaseTimeout))
 	var hello message
 	if err := readMessage(br, &hello); err != nil || hello.Type != msgHello {
 		return
 	}
 	if hello.Proto != ProtoVersion {
-		_ = writeMessage(conn, &message{Type: msgError,
+		_ = write(&message{Type: msgError,
 			Err: fmt.Sprintf("protocol version %d, coordinator speaks %d", hello.Proto, ProtoVersion)})
 		return
 	}
-	heartbeat := c.opts.LeaseTimeout / 4
-	if err := writeMessage(conn, &message{
+	if err := write(&message{
 		Type: msgConfig, Workload: c.workload,
-		Seed: c.seed, Traced: c.traced, HeartbeatMS: heartbeat.Milliseconds(),
+		Seed: c.seed, Traced: c.traced, ProgressMS: (leaseTimeout / 4).Milliseconds(),
 	}); err != nil {
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{}) // an idle worker owes nothing
 	c.logf("dist: worker %q joined from %s", hello.Worker, conn.RemoteAddr())
 	c.opts.Metrics.Counter("dist/workers/joined").Inc()
 
-	// The reader turns the socket into liveness + results: every frame
-	// refreshes the deadline, so LeaseTimeout of silence — a crashed or
-	// frozen worker — kills the connection and requeues its lease.
+	// The reader forwards every frame; the loop below decides what a frame,
+	// or its absence, means.
 	dead := make(chan struct{})
-	inbox := make(chan *message, 4)
+	frames := make(chan *message)
 	go func() {
 		defer close(dead)
-		// Frame arrival gaps are the coordinator's view of worker liveness:
-		// a healthy worker's gaps cluster at the heartbeat interval, and the
-		// histogram's tail shows how close leases come to the timeout.
-		gaps := c.opts.Metrics.Histogram("dist/heartbeat-gap-ns")
-		last := time.Now()
 		for {
-			_ = conn.SetReadDeadline(time.Now().Add(c.opts.LeaseTimeout))
 			m := new(message)
 			if err := readMessage(br, m); err != nil {
 				return
 			}
-			now := time.Now()
-			gaps.Observe(now.Sub(last).Nanoseconds())
-			last = now
-			switch m.Type {
-			case msgHeartbeat:
-				// The deadline refresh above is the entire point.
-			case msgResult:
-				select {
-				case inbox <- m:
-				case <-c.drain:
-					return
-				}
-			default:
-				return // protocol violation
+			select {
+			case frames <- m:
+			case <-c.drain:
+				return
 			}
 		}
 	}()
 
-	sendDrain := func() {
-		_ = conn.SetWriteDeadline(time.Now().Add(c.opts.LeaseTimeout))
-		_ = writeMessage(conn, &message{Type: msgDrain})
+	// lose gives up on the worker, handing back the lease it held, if any.
+	lose := func(l *lease, cause error) {
+		c.logf("dist: worker %q lost: %v", hello.Worker, cause)
+		c.opts.Metrics.Counter("dist/workers/lost").Inc()
+		if l != nil {
+			c.report(report{l: l, err: fmt.Errorf("worker %q: %w", hello.Worker, cause)})
+		}
 	}
-
+	// Frame gaps within a lease are what the lease timer measures: the
+	// histogram's tail shows how close leases come to the timeout.
+	gaps := c.opts.Metrics.Histogram("dist/progress-gap-ns")
 	for {
+		var l *lease
 		select {
 		case <-c.drain:
-			sendDrain()
+			_ = write(&message{Type: msgDrain})
 			return
 		case <-dead:
-			c.logf("dist: worker %q left", hello.Worker)
-			c.opts.Metrics.Counter("dist/workers/lost").Inc()
+			lose(nil, errors.New("disconnected"))
 			return
-		case l := <-c.queue:
+		case m := <-frames:
+			lose(nil, fmt.Errorf("sent a %q frame while idle", m.Type))
+			return
+		case l = <-c.queue:
+		}
+		if err := write(&message{Type: msgLease, Lease: l.id, Plans: l.plans}); err != nil {
+			lose(l, fmt.Errorf("granting lease %d: %w", l.id, err))
+			return
+		}
+		c.opts.Metrics.Counter("dist/leases/granted").Inc()
+		granted := time.Now()
+		last := granted
+		timer := time.NewTimer(leaseTimeout)
+		var results []campaign.RunResult
+		for results == nil {
 			select {
-			case <-l.done:
-				continue // satisfied while queued (duplicate grant path)
-			default:
-			}
-			if err := writeMessage(conn, &message{Type: msgLease, Lease: l.id, Plans: l.plans}); err != nil {
-				c.requeue(l, fmt.Errorf("granting to %q: %w", hello.Worker, err))
+			case m := <-frames:
+				now := time.Now()
+				gaps.Observe(now.Sub(last).Nanoseconds())
+				last = now
+				timer.Reset(leaseTimeout)
+				if m.Type == msgProgress {
+					continue
+				}
+				err := fmt.Errorf("sent a %q frame for lease %d while holding lease %d", m.Type, m.Lease, l.id)
+				if m.Type == msgResult && m.Lease == l.id {
+					err = checkResults(l.plans, m.Results)
+				}
+				if err != nil {
+					lose(l, err)
+					return
+				}
+				results = m.Results
+			case <-timer.C:
+				lose(l, fmt.Errorf("showed no progress on lease %d for %v", l.id, leaseTimeout))
+				return
+			case <-dead:
+				lose(l, fmt.Errorf("disconnected holding lease %d", l.id))
+				return
+			case <-c.drain:
+				_ = write(&message{Type: msgDrain})
 				return
 			}
-			c.opts.Metrics.Counter("dist/leases/granted").Inc()
-			grantedAt := time.Now()
-			var expiry <-chan time.Time
-			var expiryTimer *time.Timer
-			if c.opts.LeaseExpiry > 0 {
-				expiryTimer = time.NewTimer(c.opts.LeaseExpiry)
-				expiry = expiryTimer.C
-			}
-			stopExpiry := func() {
-				if expiryTimer != nil {
-					expiryTimer.Stop()
-				}
-			}
-		await:
-			for {
-				select {
-				case m := <-inbox:
-					if m.Lease != l.id {
-						continue // stray result for an expired predecessor
-					}
-					if err := checkResults(l.plans, m.Results); err != nil {
-						stopExpiry()
-						c.requeue(l, fmt.Errorf("worker %q %w", hello.Worker, err))
-						return
-					}
-					c.opts.Metrics.Histogram("dist/lease-latency-ns").Observe(time.Since(grantedAt).Nanoseconds())
-					c.deliver(l, m.Results)
-					stopExpiry()
-					break await
-				case <-dead:
-					stopExpiry()
-					c.opts.Metrics.Counter("dist/workers/lost").Inc()
-					c.requeue(l, fmt.Errorf("worker %q lost mid-lease", hello.Worker))
-					return
-				case <-expiry:
-					// Hung but heartbeating: forfeit the lease and the worker.
-					c.opts.Metrics.Counter("dist/leases/expired").Inc()
-					c.requeue(l, fmt.Errorf("lease %d expired on worker %q after %v",
-						l.id, hello.Worker, c.opts.LeaseExpiry))
-					return
-				case <-c.drain:
-					stopExpiry()
-					sendDrain()
-					return
-				}
-			}
 		}
+		timer.Stop()
+		c.opts.Metrics.Histogram("dist/lease-latency-ns").Observe(time.Since(granted).Nanoseconds())
+		c.report(report{l: l, results: results})
+	}
+}
+
+// report hands one lease outcome to ExecuteBatch, or drops it once the
+// campaign is over.
+func (c *coordinator) report(r report) {
+	select {
+	case c.reports <- r:
+	case <-c.drain:
 	}
 }
 
@@ -406,7 +328,7 @@ func (c *coordinator) handleConn(conn net.Conn) {
 // campaign engine with leases fanned over them, drain, and return the
 // result. The produced corpus is byte-identical to the in-process
 // campaign.Run with the same (workload, cfg, prior) at any worker count —
-// including workers joining late, crashing mid-lease, or hanging.
+// including workers joining late, crashing mid-lease, hanging or livelocking.
 //
 // On context cancellation Serve returns the partial result of the complete
 // batches alongside the context error; saving its corpus and running again
@@ -429,9 +351,8 @@ func Serve(ctx context.Context, w core.Workload, cfg campaign.Config, prior *cam
 		seed:     cfg.Seed,
 		traced:   campaign.StrategyTraced(cfg.Strategy),
 		queue:    make(chan *lease),
-		results:  make(chan *leaseDone, 16),
+		reports:  make(chan report),
 		drain:    make(chan struct{}),
-		failed:   make(chan struct{}),
 	}
 	accepting := make(chan struct{})
 	go func() {

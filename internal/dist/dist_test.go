@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,15 +20,14 @@ import (
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/obs"
+	"fcatch/internal/sim"
 )
 
-// testOptions returns coordinator options tuned for fast failure handling in
-// tests: short liveness windows and near-zero retry backoff.
-func testOptions() Options {
-	return Options{
-		LeaseTimeout: 500 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
-	}
+// TestMain shortens the lease timeout, so a test that loses a worker waits a
+// quarter second for it, not fifteen.
+func TestMain(m *testing.M) {
+	leaseTimeout = 250 * time.Millisecond
+	os.Exit(m.Run())
 }
 
 // fromLease is a WorkerConfig.misbehave that serves the leases before the
@@ -170,35 +169,68 @@ func (s *staged) awaitJoined() {
 // once the fault has fired, with a channel for the worker's RunWorker result.
 func (s *staged) misbehave(name string, n int, fault leaseFault) <-chan error {
 	s.t.Helper()
-	var hit atomic.Bool
+	fired := make(chan struct{})
 	var once sync.Once
-	ended := make(chan struct{}) // the fault fired, or the worker returned
-	end := func() { once.Do(func() { close(ended) }) }
+	return s.startFaulty(name, fmt.Sprintf("fail lease %d", n), fired, WorkerConfig{
+		Resolve: resolveToy,
+		misbehave: func(lease int) leaseFault {
+			f := fromLease(n, fault)(lease)
+			if f != faultNone {
+				once.Do(func() { close(fired) })
+			}
+			return f
+		},
+	})
+}
+
+// stallingToy is the toy workload with its cluster setup blocked until
+// release closes: a worker running it is alive, connected and reading, and
+// finishes no plan.
+type stallingToy struct {
+	core.Workload
+	stalled chan struct{} // closed when the first plan stalls
+	once    sync.Once
+	release <-chan struct{}
+}
+
+func (w *stallingToy) Configure(c *sim.Cluster) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	w.Workload.Configure(c)
+}
+
+// livelock starts a worker whose first plan stalls until the campaign's
+// context ends, and returns once it has stalled.
+func (s *staged) livelock(name string) <-chan error {
+	s.t.Helper()
+	w := &stallingToy{Workload: toy.New(), stalled: make(chan struct{}), release: s.ctx.Done()}
+	return s.startFaulty(name, "stall a plan", w.stalled, WorkerConfig{
+		Resolve: func(string) (core.Workload, error) { return w, nil },
+	})
+}
+
+// startFaulty starts a worker the campaign must wait for and returns once
+// fired closes, with a channel for the worker's RunWorker result; the worker
+// returning first, the campaign ending first or stageTimeout fails the test.
+func (s *staged) startFaulty(name, what string, fired <-chan struct{}, cfg WorkerConfig) <-chan error {
+	s.t.Helper()
+	cfg.Addr, cfg.Name, cfg.Parallelism = s.addr, name, 1
 	done := make(chan error, 1)
 	s.start(name)
-	go func() {
-		done <- RunWorker(s.ctx, WorkerConfig{
-			Addr: s.addr, Name: name, Parallelism: 1, Resolve: resolveToy,
-			misbehave: func(lease int) leaseFault {
-				f := fromLease(n, fault)(lease)
-				if f != faultNone {
-					hit.Store(true)
-					end()
-				}
-				return f
-			},
-		})
-		end()
-	}()
+	go func() { done <- RunWorker(s.ctx, cfg) }()
 	select {
-	case <-ended:
+	case <-fired:
+	case err := <-done:
+		select {
+		case <-fired: // the fault was to return
+			done <- err
+		default:
+			s.t.Fatalf("%s worker returned (%v) before it could %s", name, err, what)
+		}
 	case r := <-s.served:
-		s.t.Fatalf("campaign ended (%v) before the %s worker failed lease %d", r.err, name, n)
+		s.t.Fatalf("campaign ended (%v) before the %s worker could %s", r.err, name, what)
 	case <-time.After(stageTimeout):
-		s.t.Fatalf("%s worker did not fail lease %d within %v", name, n, stageTimeout)
-	}
-	if !hit.Load() {
-		s.t.Fatalf("%s worker returned (%v) before failing lease %d", name, <-done, n)
+		s.t.Fatalf("%s worker did not %s within %v", name, what, stageTimeout)
 	}
 	return done
 }
@@ -216,9 +248,16 @@ func (s *staged) join(k int) {
 }
 
 // wait returns Serve's result once Serve and every honest worker have
-// returned; an honest worker's error fails the test.
+// returned; an honest worker's error, or a campaign still running after
+// stageTimeout, fails the test.
 func (s *staged) wait() (*campaign.Result, error) {
-	r := <-s.served
+	s.t.Helper()
+	var r servedResult
+	select {
+	case r = <-s.served:
+	case <-time.After(stageTimeout):
+		s.t.Fatalf("campaign did not finish within %v", stageTimeout)
+	}
 	for i := 0; i < s.honest; i++ {
 		if err := <-s.exits; err != nil {
 			s.t.Errorf("honest worker: %v", err)
@@ -231,7 +270,7 @@ func (s *staged) wait() (*campaign.Result, error) {
 func wireFrames() []message {
 	return []message{
 		{Type: msgHello, Proto: ProtoVersion, Worker: "w1"},
-		{Type: msgConfig, Workload: "TOY", Seed: 7, Traced: true, HeartbeatMS: 250},
+		{Type: msgConfig, Workload: "TOY", Seed: 7, Traced: true, ProgressMS: 250},
 		{Type: msgLease, Lease: 42, Plans: []campaign.Plan{
 			{{CrashStep: 9}},
 			{{Site: "a.go:10", Occurrence: 2, When: "after", Action: "kernel-drop"}, {Delay: 48, Action: "node-crash"}},
@@ -241,7 +280,7 @@ func wireFrames() []message {
 				Sig:     campaign.Signature{Outcome: "hang", Symptom: "hang:x", Coverage: 0xdeadbeefcafe0123},
 				Verdict: campaign.VerdictFailure},
 		}},
-		{Type: msgHeartbeat},
+		{Type: msgProgress},
 		{Type: msgDrain},
 		{Type: msgError, Err: "boom"},
 	}
@@ -286,6 +325,104 @@ func TestFrameSizeBound(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchOwnsLeases drives ExecuteBatch as its connection handlers
+// would, through c.queue and c.reports with no sockets: results merge in
+// lease order whatever order they are reported in, a forfeited lease is
+// offered again, stale and duplicate reports are dropped and counted, the
+// (maxLeaseRetries+1)-th failure of one lease aborts the batch naming it,
+// and a cancelled context ends the batch.
+func TestExecuteBatchOwnsLeases(t *testing.T) {
+	reg := obs.New()
+	c := &coordinator{
+		opts:    Options{LeaseSize: 2, Metrics: reg}.withDefaults(),
+		queue:   make(chan *lease),
+		reports: make(chan report),
+		drain:   make(chan struct{}),
+	}
+	plans := make([]campaign.Plan, 5)
+	for i := range plans {
+		plans[i] = campaign.Plan{{CrashStep: int64(i + 1)}}
+	}
+	type batchResult struct {
+		out []campaign.RunResult
+		err error
+	}
+	execute := func(ctx context.Context, plans []campaign.Plan) <-chan batchResult {
+		done := make(chan batchResult, 1)
+		go func() {
+			out, err := c.ExecuteBatch(ctx, plans)
+			done <- batchResult{out, err}
+		}()
+		return done
+	}
+	grant := func() *lease {
+		t.Helper()
+		select {
+		case l := <-c.queue:
+			return l
+		case <-time.After(stageTimeout):
+			t.Fatalf("no lease offered within %v", stageTimeout)
+			return nil
+		}
+	}
+	answer := func(l *lease) report {
+		rs := make([]campaign.RunResult, len(l.plans))
+		for i, p := range l.plans {
+			rs[i] = campaign.RunResult{Plan: p, Verdict: campaign.VerdictTolerated}
+		}
+		return report{l: l, results: rs}
+	}
+
+	done := execute(context.Background(), plans)
+	leases := []*lease{grant(), grant(), grant()}
+	c.reports <- report{l: leases[1], err: errors.New("worker lost")}
+	if again := grant(); again != leases[1] {
+		t.Fatalf("offered lease %d after lease %d was forfeited", again.id, leases[1].id)
+	}
+	stale := answer(leases[0])
+	stale.l = &lease{batch: leases[0].batch - 1, idx: 0}
+	for _, r := range []report{stale, answer(leases[2]), answer(leases[0]), answer(leases[0]), answer(leases[1])} {
+		c.reports <- r
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.out) != len(plans) {
+		t.Fatalf("%d results for %d plans", len(r.out), len(plans))
+	}
+	for i := range plans {
+		if got, want := r.out[i].Plan.Key(), plans[i].Key(); got != want {
+			t.Errorf("result %d is for plan %q, want %q", i, got, want)
+		}
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["dist/results/duplicates"]; n != 2 {
+		t.Errorf("dist/results/duplicates = %d, want the stale report and the second copy", n)
+	}
+	if n := snap.Counters["dist/leases/requeued"]; n != 1 {
+		t.Errorf("dist/leases/requeued = %d, want 1", n)
+	}
+
+	done = execute(context.Background(), plans[:1])
+	var l *lease
+	for i := 1; i <= maxLeaseRetries+1; i++ {
+		l = grant()
+		c.reports <- report{l: l, err: fmt.Errorf("failure %d", i)}
+	}
+	r = <-done
+	want := fmt.Sprintf("lease %d (1 plan(s)) failed %d times, last cause: failure %d", l.id, maxLeaseRetries+1, maxLeaseRetries+1)
+	if r.err == nil || !strings.Contains(r.err.Error(), want) {
+		t.Errorf("exhausted lease: err = %v, want %q", r.err, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r := <-execute(ctx, plans); !errors.Is(r.err, context.Canceled) {
+		t.Errorf("cancelled batch: err = %v, want context.Canceled", r.err)
+	}
+}
+
 // TestDistributedCorpusParity is the subsystem's core contract: the corpus
 // of a distributed campaign is byte-identical to the single-process
 // sequential run at every worker count and lease size, for the traced
@@ -296,7 +433,7 @@ func TestDistributedCorpusParity(t *testing.T) {
 		want := baseline(t, cfg)
 		for _, workers := range []int{1, 2, 4} {
 			for _, leaseSize := range []int{1, 3, 100} {
-				opts := testOptions()
+				var opts Options
 				opts.Workers = workers
 				opts.WorkerParallelism = 1
 				opts.LeaseSize = leaseSize
@@ -322,7 +459,7 @@ func TestWorkerCrashMidLease(t *testing.T) {
 	want := baseline(t, cfg)
 
 	reg := obs.New()
-	opts := testOptions()
+	var opts Options
 	opts.LeaseSize = 2
 	opts.Metrics = reg
 
@@ -346,16 +483,15 @@ func TestWorkerCrashMidLease(t *testing.T) {
 	}
 }
 
-// TestWorkerSilentHang: a worker freezes completely (no heartbeats, socket
-// open). The coordinator's liveness deadline declares it lost, the lease is
-// reassigned, and parity holds.
+// TestWorkerSilentHang: a worker freezes completely on its lease (no frames,
+// socket open). The lease timer declares it lost, the lease is reassigned,
+// and parity holds.
 func TestWorkerSilentHang(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 3, Budget: 25}
 	want := baseline(t, cfg)
 
 	reg := obs.New()
-	opts := testOptions()
-	opts.LeaseTimeout = 250 * time.Millisecond // cut the wait for the dead claim
+	var opts Options
 	opts.LeaseSize = 2
 	opts.Metrics = reg
 
@@ -380,23 +516,21 @@ func TestWorkerSilentHang(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryReassignsLivelockedWorker: the worker stays alive (it keeps
-// heartbeating) but never finishes its lease; only the hard lease expiry can
-// reclaim it. The reassigned lease reproduces the baseline corpus.
-func TestLeaseExpiryReassignsLivelockedWorker(t *testing.T) {
+// TestLivelockedWorkerLosesLease: the worker stays connected and reading but
+// finishes no plan of its lease, so it sends no frame, and the lease timer
+// reclaims the lease with no option set. The reassigned lease reproduces the
+// baseline corpus.
+func TestLivelockedWorkerLosesLease(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 3, Budget: 25}
 	want := baseline(t, cfg)
 
 	reg := obs.New()
-	opts := testOptions()
-	opts.LeaseExpiry = 200 * time.Millisecond
-	opts.LeaseSize = 2
-	opts.Metrics = reg
+	opts := Options{LeaseSize: 2, Metrics: reg}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := serveStaged(t, ctx, cfg, nil, opts)
-	lockedDone := s.misbehave("livelocked", 1, faultLivelock)
+	lockedDone := s.livelock("livelocked")
 	s.join(2)
 	res, err := s.wait()
 	if err != nil {
@@ -405,17 +539,40 @@ func TestLeaseExpiryReassignsLivelockedWorker(t *testing.T) {
 	if got := corpusJSON(t, res.Corpus); got != want {
 		t.Error("corpus after a livelocked worker differs from baseline")
 	}
-	cancel()
+	cancel() // release the stalled plan
 	if err := <-lockedDone; err != nil {
 		t.Fatalf("livelocked worker: %v", err)
 	}
 	snap := reg.Snapshot()
-	if n := snap.Counters["dist/leases/expired"]; n < 1 {
-		t.Errorf("%d lease(s) expired, want the livelocked worker's", n)
-	}
 	if n := snap.Counters["dist/leases/requeued"]; n < 1 {
-		t.Errorf("%d lease(s) requeued, want the expired one", n)
+		t.Errorf("%d lease(s) requeued, want the livelocked worker's", n)
 	}
+	if n := snap.Counters["dist/workers/lost"]; n < 1 {
+		t.Errorf("%d worker(s) lost, want the livelocked one", n)
+	}
+
+	t.Run("every worker", func(t *testing.T) {
+		// One lease per batch, and every worker stalls on the first plan it
+		// runs, so each holder of lease 1 loses it in turn until the
+		// campaign gives up on it.
+		cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 2, Budget: 20}
+		s := serveStaged(t, context.Background(), cfg, nil, Options{LeaseSize: cfg.Budget})
+		var done []<-chan error
+		for i := 0; i <= maxLeaseRetries; i++ {
+			done = append(done, s.livelock(fmt.Sprintf("livelocked-%d", i)))
+		}
+		_, err := s.wait()
+		want := fmt.Sprintf("failed %d times", maxLeaseRetries+1)
+		if err == nil || !strings.Contains(err.Error(), "lease 1 (") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want lease 1 %s", err, want)
+		}
+		s.cancel()
+		for i, d := range done {
+			if err := <-d; err != nil {
+				t.Errorf("livelocked worker %d: %v", i, err)
+			}
+		}
+	})
 }
 
 // TestLateJoiningWorkerKeepsParity: a second worker joining mid-campaign
@@ -427,7 +584,7 @@ func TestLateJoiningWorkerKeepsParity(t *testing.T) {
 	want := baseline(t, cfg)
 
 	reg := obs.New()
-	opts := testOptions()
+	var opts Options
 	opts.LeaseSize = 1
 	opts.Metrics = reg
 
@@ -475,7 +632,7 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyRandom, Seed: 9, Budget: 400, BatchSize: 50}
 	want := baseline(t, cfg)
 
-	opts := testOptions()
+	var opts Options
 	opts.LeaseSize = 5
 
 	runCtx, cancelRun := context.WithCancel(context.Background())
@@ -510,7 +667,7 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts2 := testOptions()
+	var opts2 Options
 	opts2.Workers = 2
 	opts2.WorkerParallelism = 1
 	opts2.LeaseSize = 5
@@ -531,7 +688,7 @@ func TestResumeAfterMidBatchInterruption(t *testing.T) {
 // campaign finish.
 func TestProtoVersionMismatchRejected(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 1, Budget: 4}
-	opts := testOptions()
+	var opts Options
 	addrCh := make(chan string, 1)
 	opts.OnListen = func(a string) { addrCh <- a }
 
@@ -593,9 +750,8 @@ func TestRogueResultFrameRequeued(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 1, Budget: 12}
 	want := baseline(t, cfg)
 	reg := obs.New()
-	opts := testOptions()
+	var opts Options
 	opts.LeaseSize = 4
-	opts.MaxLeaseRetries = 5 // every rogue may be handed the same lease
 	opts.Metrics = reg
 	addrCh := make(chan string, 1)
 	opts.OnListen = func(a string) { addrCh <- a }
@@ -711,14 +867,14 @@ func TestWorkerRefusesMalformedLease(t *testing.T) {
 				reported <- fmt.Sprintf("hello: %v %q", err, m.Type)
 				return
 			}
-			_ = writeMessage(conn, &message{Type: msgConfig, Workload: "TOY", Seed: 1, HeartbeatMS: 1000})
+			_ = writeMessage(conn, &message{Type: msgConfig, Workload: "TOY", Seed: 1, ProgressMS: 1000})
 			_ = writeMessage(conn, &message{Type: msgLease, Lease: 7, Plans: []campaign.Plan{{{CrashStep: 9}}, c.plan}})
 			for {
 				if err := readMessage(br, &m); err != nil {
 					reported <- "no error frame: " + err.Error()
 					return
 				}
-				if m.Type != msgHeartbeat {
+				if m.Type != msgProgress {
 					reported <- m.Type + ": " + m.Err
 					return
 				}
@@ -739,7 +895,8 @@ func TestWorkerRefusesMalformedLease(t *testing.T) {
 
 // TestWorkerCancelledWhileDialingExitsCleanly: cancellation is a clean exit
 // even before the worker reaches a coordinator. Nothing listens on the port,
-// so the first dial is refused and the deadline lands in the backoff wait.
+// so the first dial is refused and the deadline lands in the first backoff
+// wait (dialBackoff, twice the deadline).
 func TestWorkerCancelledWhileDialingExitsCleanly(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -749,7 +906,7 @@ func TestWorkerCancelledWhileDialingExitsCleanly(t *testing.T) {
 	ln.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	err = RunWorker(ctx, WorkerConfig{Addr: addr, Name: "w", Resolve: resolveToy, DialBackoff: time.Minute})
+	err = RunWorker(ctx, WorkerConfig{Addr: addr, Name: "w", Resolve: resolveToy})
 	if err != nil {
 		t.Fatalf("RunWorker cancelled while dialing = %v, want nil", err)
 	}
@@ -786,9 +943,7 @@ func TestWorkerCancelledDuringHandshakeExitsCleanly(t *testing.T) {
 // hanging forever.
 func TestAllWorkersLostAborts(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 2, Budget: 20}
-	opts := testOptions()
-	opts.LeaseTimeout = 200 * time.Millisecond
-	opts.MaxLeaseRetries = 2
+	var opts Options
 	// One lease per batch, so every doomed worker fails the SAME lease and
 	// the bounded retry count is what trips. (With many leases, each failure
 	// landing on a fresh lease would correctly keep the campaign waiting for
@@ -802,7 +957,7 @@ func TestAllWorkersLostAborts(t *testing.T) {
 	go func() {
 		// Every worker that connects dies on its first lease.
 		addr := <-addrCh
-		for i := 0; i < opts.MaxLeaseRetries+2; i++ {
+		for i := 0; i < maxLeaseRetries+2; i++ {
 			_ = RunWorker(ctx, WorkerConfig{
 				Addr: addr, Name: "doomed", Parallelism: 1,
 				Resolve:   func(string) (core.Workload, error) { return toy.New(), nil },
@@ -830,7 +985,7 @@ func TestMetricsKeepCorpusParity(t *testing.T) {
 	want := baseline(t, cfg)
 
 	reg := obs.New()
-	opts := testOptions()
+	var opts Options
 	opts.Metrics = reg
 
 	s := serveStaged(t, context.Background(), cfg, nil, opts)
@@ -859,7 +1014,7 @@ func TestMetricsKeepCorpusParity(t *testing.T) {
 func TestRequeueCounterOnWorkerCrash(t *testing.T) {
 	cfg := campaign.Config{Strategy: campaign.StrategyCoverage, Seed: 5, Budget: 40}
 	reg := obs.New()
-	opts := testOptions()
+	var opts Options
 	opts.LeaseSize = 2
 	opts.Metrics = reg
 

@@ -29,7 +29,7 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add(append(binary.BigEndian.AppendUint32(nil, maxFrame+1), "{}"...))
-	f.Add(frame(`{"type": "heartbeat"}`)[:12])
+	f.Add(frame(`{"type": "progress"}`)[:12])
 	f.Add(frame("not JSON"))
 	f.Add(frame(`{"lease": 7}`))
 	f.Add(frame(`{"type": "result", "lease": 7, "results": [{"plan": {"crash_step": 9}, "verdict": "tolerated"}]}`))

@@ -8,14 +8,16 @@
 // order, the final corpus is byte-identical to a single-process run
 // regardless of worker count, join order, or lease interleaving.
 //
-// Robustness model: worker liveness is "a frame arrived recently" — workers
-// heartbeat on an interval the coordinator dictates at handshake, and the
-// coordinator reads with a rolling deadline. A worker that crashes, hangs,
-// or disconnects forfeits its outstanding lease, which is requeued (bounded
-// attempts, exponential backoff) for the surviving workers. An optional hard
-// lease expiry reassigns a lease even from a worker that still heartbeats;
-// duplicate deliveries are deduped first-wins, which is safe precisely
-// because results are deterministic.
+// Robustness model: the coordinator's ExecuteBatch owns every lease. A
+// connection handler only grants what it offers and reports each outcome
+// back, results or the error that forfeited the lease; ExecuteBatch drops
+// stale and duplicate reports, puts a forfeited lease straight back in line,
+// and aborts the campaign once one lease has failed more than
+// maxLeaseRetries times. Liveness is one rule: a worker holding a lease shows
+// progress. As each plan finishes the worker sends a progress frame unless it
+// has sent one within the interval the coordinator dictated at handshake, and
+// a lease whose worker sends no frame for leaseTimeout is forfeited — whether
+// the worker crashed, froze or livelocked. An idle worker owes nothing.
 package dist
 
 import (
@@ -24,15 +26,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"fcatch/internal/campaign"
 )
 
+// leaseTimeout is how long a worker holding a lease may go without sending a
+// frame before it loses the lease; workers are told to show progress at a
+// quarter of it. This package's tests shorten it.
+var leaseTimeout = 15 * time.Second
+
+const (
+	// maxLeaseRetries is how many times one lease may be forfeited and
+	// requeued before the campaign aborts.
+	maxLeaseRetries = 3
+	// dialAttempts bounds a worker's connection attempts; retries back off
+	// exponentially from dialBackoff (capped at 2s), so a worker can be
+	// started before its coordinator.
+	dialAttempts = 10
+	dialBackoff  = 100 * time.Millisecond
+)
+
 // ProtoVersion is the wire protocol generation. A mismatch at handshake is a
 // hard error: leases carry strategy-proposed plans, and silently degrading
-// would break the corpus-parity contract. Version 3: a plan is a JSON array
-// of fault events (corpus schema 3); a version-2 worker expects objects.
-const ProtoVersion = 3
+// would break the corpus-parity contract. Version 4: a worker shows progress
+// only while it holds a lease, so an idle version-4 worker would time out
+// against a version-3 coordinator, which expects heartbeats throughout.
+const ProtoVersion = 4
 
 // maxFrame bounds one length-prefixed frame. Leases hold at most a strategy
 // batch of plans and results carry their signatures; 16 MiB is orders of
@@ -44,15 +64,15 @@ const (
 	// msgHello: worker -> coordinator, first frame after connect.
 	msgHello = "hello"
 	// msgConfig: coordinator -> worker, handshake reply pinning the campaign
-	// identity (workload, seed, tracing mode) and the heartbeat interval.
+	// identity (workload, seed, tracing mode) and the progress interval.
 	msgConfig = "config"
 	// msgLease: coordinator -> worker, one lease of plans to execute.
 	msgLease = "lease"
 	// msgResult: worker -> coordinator, the lease's results in plan order.
 	msgResult = "result"
-	// msgHeartbeat: worker -> coordinator, "still alive" (sent on a ticker,
-	// including while a lease is executing).
-	msgHeartbeat = "heartbeat"
+	// msgProgress: worker -> coordinator, "a plan of my lease finished" (sent
+	// when the worker has sent no frame for the progress interval).
+	msgProgress = "progress"
 	// msgDrain: coordinator -> worker, campaign over — exit cleanly.
 	msgDrain = "drain"
 	// msgError: either direction, fatal condition description before close.
@@ -70,10 +90,10 @@ type message struct {
 	Worker string `json:"worker,omitempty"`
 
 	// Config fields.
-	Workload    string `json:"workload,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	Traced      bool   `json:"traced,omitempty"`
-	HeartbeatMS int64  `json:"heartbeat_ms,omitempty"`
+	Workload   string `json:"workload,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Traced     bool   `json:"traced,omitempty"`
+	ProgressMS int64  `json:"progress_ms,omitempty"`
 
 	// Lease / result fields.
 	Lease   uint64               `json:"lease,omitempty"`
@@ -85,8 +105,8 @@ type message struct {
 }
 
 // writeMessage frames m as a big-endian uint32 length followed by its JSON
-// encoding. Callers serialize writes per connection (heartbeats and results
-// share a socket on the worker side).
+// encoding. Callers serialize writes per connection (a worker's plans report
+// progress concurrently).
 func writeMessage(w io.Writer, m *message) error {
 	data, err := json.Marshal(m)
 	if err != nil {

@@ -9,12 +9,12 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fcatch/internal/campaign"
 	"fcatch/internal/core"
 	"fcatch/internal/obs"
+	"fcatch/internal/parallel"
 	"fcatch/internal/sim"
 )
 
@@ -31,13 +31,9 @@ type WorkerConfig struct {
 	// Resolve maps the coordinator's workload name to a runnable workload
 	// (the CLI passes fcatch.ByName). Required.
 	Resolve func(name string) (core.Workload, error)
-	// DialAttempts bounds connection attempts before giving up (0 = 10);
-	// retries back off exponentially from DialBackoff (0 = 100ms, capped at
-	// 2s) so a worker can be started before its coordinator.
-	DialAttempts int
-	DialBackoff  time.Duration
 	// Metrics, when non-nil, receives worker-side telemetry: lease/plan
-	// counts, per-lease execution latency, heartbeats sent. Observe-only.
+	// counts, per-lease execution latency, progress frames sent.
+	// Observe-only.
 	Metrics *obs.Registry
 
 	// misbehave is the fault-injection hook of this package's own tests: it
@@ -55,23 +51,14 @@ const (
 	// executing or replying — "worker crashes between lease grant and result
 	// return".
 	faultCrash
-	// faultFreeze: no result, no heartbeats, connection held open, until the
-	// coordinator gives up (its read deadline fires) — the frozen process.
+	// faultFreeze: no result, no progress, connection held open, until the
+	// coordinator gives up on the lease — the frozen process.
 	faultFreeze
-	// faultLivelock: the worker keeps heartbeating but never returns a result
-	// — the hung-but-alive case only Options.LeaseExpiry can break.
-	faultLivelock
 )
 
 func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("worker-%d", os.Getpid())
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 10
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 100 * time.Millisecond
 	}
 	return cfg
 }
@@ -104,14 +91,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 	}()
 
-	var writeMu sync.Mutex
-	send := func(m *message) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		return writeMessage(conn, m)
-	}
-
-	if err := send(&message{Type: msgHello, Proto: ProtoVersion, Worker: cfg.Name}); err != nil {
+	if err := writeMessage(conn, &message{Type: msgHello, Proto: ProtoVersion, Worker: cfg.Name}); err != nil {
 		return cleanIfCancelled(ctx, fmt.Errorf("dist: hello: %w", err))
 	}
 	br := bufio.NewReader(conn)
@@ -128,38 +108,31 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	w, err := cfg.Resolve(conf.Workload)
 	if err != nil {
-		_ = send(&message{Type: msgError, Err: err.Error()})
+		_ = writeMessage(conn, &message{Type: msgError, Err: err.Error()})
 		return err
 	}
 
-	// Heartbeats cover long lease executions: the coordinator's liveness
-	// window is frame arrival, and a lease can legitimately run longer than
-	// it. silenced (faultFreeze) stops them without closing the socket.
-	var silenced atomic.Bool
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	interval := time.Duration(conf.HeartbeatMS) * time.Millisecond
-	if interval <= 0 {
-		interval = time.Second
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if silenced.Load() {
-					continue
-				}
-				if err := send(&message{Type: msgHeartbeat}); err != nil {
-					return
-				}
-				cfg.Metrics.Counter("worker/heartbeats").Inc()
-			case <-hbStop:
-				return
-			}
+	// send writes one frame; the plans of a lease finish concurrently. A
+	// progress frame goes out only once the coordinator has heard nothing
+	// for the interval it dictated, counted from the grant or the last frame.
+	interval := time.Duration(conf.ProgressMS) * time.Millisecond
+	var writeMu sync.Mutex
+	var heard time.Time
+	send := func(m *message) error {
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		if m.Type == msgProgress && time.Since(heard) < interval {
+			return nil
 		}
-	}()
+		heard = time.Now()
+		if err := writeMessage(conn, m); err != nil {
+			return err
+		}
+		if m.Type == msgProgress {
+			cfg.Metrics.Counter("worker/progress").Inc()
+		}
+		return nil
+	}
 
 	leases := 0
 	for {
@@ -178,11 +151,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				case faultCrash:
 					return nil // vanish between grant and result
 				case faultFreeze:
-					silenced.Store(true)
 					<-ctx.Done() // hold the socket, say nothing
-					return nil
-				case faultLivelock:
-					<-ctx.Done() // heartbeats keep flowing, no result
 					return nil
 				}
 			}
@@ -198,7 +167,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			cfg.Metrics.Counter("worker/leases").Inc()
 			cfg.Metrics.Counter("worker/plans").Add(int64(len(m.Plans)))
 			execStart := time.Now()
-			results, err := campaign.ExecPlans(ctx, w, conf.Seed, conf.Traced, cfg.Parallelism, m.Plans)
+			heard = execStart // no plan is running to race this write
+			results, err := parallel.MapErr(ctx, cfg.Parallelism, len(m.Plans), func(i int) (campaign.RunResult, error) {
+				r, err := campaign.ExecPlans(ctx, w, conf.Seed, conf.Traced, 1, m.Plans[i:i+1])
+				_ = send(&message{Type: msgProgress})
+				return r[0], err
+			})
 			if err != nil {
 				return nil // cancelled mid-lease; the coordinator requeues it
 			}
@@ -229,9 +203,9 @@ func cleanIfCancelled(ctx context.Context, err error) error {
 // launched before (or independently of) their coordinator.
 func dialRetry(ctx context.Context, cfg WorkerConfig) (net.Conn, error) {
 	var d net.Dialer
-	backoff := cfg.DialBackoff
+	backoff := dialBackoff
 	var lastErr error
-	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(backoff):
@@ -252,5 +226,5 @@ func dialRetry(ctx context.Context, cfg WorkerConfig) (net.Conn, error) {
 		}
 	}
 	return nil, fmt.Errorf("dist: cannot reach coordinator at %s after %d attempts: %w",
-		cfg.Addr, cfg.DialAttempts, lastErr)
+		cfg.Addr, dialAttempts, lastErr)
 }

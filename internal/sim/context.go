@@ -83,7 +83,7 @@ func (ctx *Context) Now() Value {
 	id := ctx.c.tracer.emit(ctx.t, opSpec{Kind: trace.KTimeRead, Site: ctx.site()})
 	v := V(ctx.c.clock)
 	if id != trace.NoOp {
-		v = v.withTaint1(id)
+		v = v.WithTaint(id)
 	}
 	return v
 }

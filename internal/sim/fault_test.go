@@ -332,8 +332,8 @@ func TestValueHelpers(t *testing.T) {
 }
 
 func TestDeriveMergesTaints(t *testing.T) {
-	a := sim.V(1).WithTaint(3, 1)
-	b := sim.V(2).WithTaint(2, 3)
+	a := sim.V(1).WithTaint(3).WithTaint(1)
+	b := sim.V(2).WithTaint(2).WithTaint(3)
 	d := sim.Derive("x", a, b)
 	got := d.Taint()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {

@@ -110,7 +110,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	c.checkTrigger(site, trace.WhenAfter, false)
 	ctx.t.yieldStep()
 	if id != trace.NoOp {
-		out = out.withTaint1(id)
+		out = out.WithTaint(id)
 	}
 	return out
 }

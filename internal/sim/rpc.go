@@ -143,7 +143,7 @@ func serveRPC(hctx *Context) {
 	// Branches taken inside the handler control its return value; the
 	// reply inherits those taints so impact estimation can see that a
 	// read "affects the return value of an RPC function" (§4.3.3).
-	result = result.WithTaint(hctx.t.ctlHist...)
+	result.taint = mergeTaints(result.taint, hctx.t.ctlHist)
 	// The reply message: its drop (or a crash right before it) makes the
 	// client-side signal disappear.
 	var deliverable bool

@@ -11,9 +11,10 @@ import (
 
 // taintInput draws one Guard argument relative to the reference set: fresh
 // ascending ids (the polling-loop case, weighted so in-place extension runs
-// for long stretches), old ids overlapping the set, a subset of it, an
-// unsorted mix with duplicates, a run longer than maxTaint, ids below the
-// set's newest that it does not hold, or nothing.
+// for long stretches), old ids overlapping the set, a subset of it, a mix of
+// old and fresh ids drawn with duplicates (sorted and compacted, as every
+// taint set is), a run longer than maxTaint, ids below the set's newest that
+// it does not hold, or nothing.
 func taintInput(rng *rand.Rand, ref []trace.OpID, next *trace.OpID) []trace.OpID {
 	fresh := func(n int) []trace.OpID {
 		out := make([]trace.OpID, n)
@@ -41,8 +42,8 @@ func taintInput(rng *rand.Rand, ref []trace.OpID, next *trace.OpID) []trace.OpID
 		return pick(8)
 	case k == 8:
 		in := append(append(pick(3), fresh(3)...), pick(2)...)
-		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-		return in
+		slices.Sort(in)
+		return slices.Compact(in)
 	case k == 9:
 		return fresh(maxTaint + rng.Intn(40))
 	case k == 10:
@@ -59,8 +60,8 @@ func taintInput(rng *rand.Rand, ref []trace.OpID, next *trace.OpID) []trace.OpID
 // TestGrowTaintsMatchesMergeTaints drives the owned merge and mergeTaints
 // side by side and checks, after every step, that they agree element for
 // element and that every slice handed out earlier — as Record.Ctl through
-// ctlTaints, as a saved ctlHist, as an RPC reply's WithTaint — still holds
-// what it held when it was handed out.
+// ctlTaints, as a saved ctlHist, as an RPC reply's taint — still holds what it
+// held when it was handed out.
 func TestGrowTaintsMatchesMergeTaints(t *testing.T) {
 	type handout struct{ alias, want []trace.OpID }
 	for seed := int64(1); seed <= 30; seed++ {
@@ -75,13 +76,12 @@ func TestGrowTaintsMatchesMergeTaints(t *testing.T) {
 				t.Fatalf("seed %d step %d: growTaints(.., %v) = %v, mergeTaints = %v", seed, step, in, own, ref)
 			}
 			var alias []trace.OpID
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(3) == 0 {
 				alias = own // prevHist in runHandlerFrame
-			case 1:
-				alias = mergeTaints(nil, own) // ctlTaints with one guarded scope
-			default:
-				alias = V(nil).WithTaint(own...).taint // an RPC reply
+			} else {
+				// ctlTaints with one guarded scope, or an RPC reply with no
+				// taint of its own
+				alias = mergeTaints(nil, own)
 			}
 			out = append(out, handout{alias, append([]trace.OpID(nil), alias...)})
 			for i, h := range out {

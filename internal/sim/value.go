@@ -13,7 +13,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"fcatch/internal/trace"
 )
@@ -76,15 +75,22 @@ func (v Value) IsNil() bool { return v.Data == nil }
 // Taint returns the op IDs that influenced this value.
 func (v Value) Taint() []trace.OpID { return v.taint }
 
-// WithTaint returns a copy of v additionally tainted by the given ops.
-func (v Value) WithTaint(ops ...trace.OpID) Value {
-	v.taint = mergeTaints(v.taint, ops)
-	return v
-}
-
-// withTaint1 is WithTaint for exactly one op, avoiding the variadic slice.
-func (v Value) withTaint1(id trace.OpID) Value {
-	v.taint = mergeTaint1(v.taint, id)
+// WithTaint returns a copy of v additionally tainted by op id. Taking one op
+// at a time keeps every taint set sorted by construction.
+func (v Value) WithTaint(id trace.OpID) Value {
+	// New ops have the highest IDs, so scan from the tail.
+	i := len(v.taint)
+	for i > 0 && v.taint[i-1] > id {
+		i--
+	}
+	if i > 0 && v.taint[i-1] == id {
+		return v
+	}
+	out := make([]trace.OpID, 0, len(v.taint)+1)
+	out = append(out, v.taint[:i]...)
+	out = append(out, id)
+	out = append(out, v.taint[i:]...)
+	v.taint = capTaints(out)
 	return v
 }
 
@@ -107,16 +113,14 @@ const maxTaint = 64
 //
 // Taint slices are immutable by convention (every mutation goes through a
 // merge that returns a fresh or aliased slice, never an in-place edit), and
-// every slice this package produces is already a sorted set. That makes the
-// union a linear two-pointer merge, and lets the subset cases return one of
-// the inputs unchanged — the dominant case in practice (repeated guards and
-// derives over the same dependencies), which then costs zero allocations.
+// every one is a sorted set by construction: WithTaint adds one op at a time
+// and the merges keep order. That makes the union a linear two-pointer merge,
+// and lets the subset cases return one of the inputs unchanged — the dominant
+// case in practice (repeated guards and derives over the same dependencies),
+// which then costs zero allocations.
 func mergeTaints(a []trace.OpID, b []trace.OpID) []trace.OpID {
 	if len(b) == 0 {
 		return a
-	}
-	if !sortedSet(a) || !sortedSet(b) {
-		return mergeTaintsSlow(a, b)
 	}
 	if len(a) == 0 {
 		return b
@@ -166,7 +170,7 @@ func growTaints(set, in []trace.OpID) []trace.OpID {
 	if len(in) == 0 {
 		return set
 	}
-	if n := len(set); n > 0 && in[0] > set[n-1] && sortedSet(in) {
+	if n := len(set); n > 0 && in[0] > set[n-1] {
 		if total := n + len(in); total > cap(set) {
 			// Geometric from a handful of ids (most scopes guard once or
 			// twice); a full set gets maxTaint slots of room to slide.
@@ -179,33 +183,6 @@ func growTaints(set, in []trace.OpID) []trace.OpID {
 	}
 	out := mergeTaints(set, in)
 	return out[:len(out):len(out)]
-}
-
-// mergeTaint1 merges a single op into a sorted taint set.
-func mergeTaint1(a []trace.OpID, id trace.OpID) []trace.OpID {
-	// New ops have the highest IDs, so scan from the tail.
-	i := len(a)
-	for i > 0 && a[i-1] > id {
-		i--
-	}
-	if i > 0 && a[i-1] == id {
-		return a
-	}
-	out := make([]trace.OpID, 0, len(a)+1)
-	out = append(out, a[:i]...)
-	out = append(out, id)
-	out = append(out, a[i:]...)
-	return capTaints(out)
-}
-
-// sortedSet reports whether s is strictly increasing (sorted and deduped).
-func sortedSet(s []trace.OpID) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // subsetOf reports whether sorted set sub ⊆ sorted set sup.
@@ -232,23 +209,6 @@ func capTaints(s []trace.OpID) []trace.OpID {
 		return s[len(s)-maxTaint:]
 	}
 	return s
-}
-
-// mergeTaintsSlow is the general-case union for inputs that are not sorted
-// sets (none are produced by this package; external callers could).
-func mergeTaintsSlow(a, b []trace.OpID) []trace.OpID {
-	out := make([]trace.OpID, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i, id := range out {
-		if i == 0 || id != out[w-1] {
-			out[w] = id
-			w++
-		}
-	}
-	return capTaints(out[:w])
 }
 
 // taintsOf unions the taints of several values.
