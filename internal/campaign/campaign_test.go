@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fcatch/internal/apps/cassandra"
@@ -200,8 +201,8 @@ func TestSignatureStability(t *testing.T) {
 
 	// Repeated runs of one plan are byte-identical.
 	for _, p := range sp.Points[:6] {
-		a := runPlan(w, 1, p, restart, true)
-		b := runPlan(w, 1, p, restart, true)
+		a := ExecPlan(w, 1, p, restart, true)
+		b := ExecPlan(w, 1, p, restart, true)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("plan %s: signature unstable across runs:\n%+v\n%+v", p.Key(), a, b)
 		}
@@ -213,7 +214,7 @@ func TestSignatureStability(t *testing.T) {
 	// (crash-recovery, the Figure 1 miniature).
 	bySymptom := map[string]Plan{}
 	for _, p := range sp.Points {
-		r := runPlan(w, 1, p, restart, true)
+		r := ExecPlan(w, 1, p, restart, true)
 		if r.Verdict == VerdictFailure {
 			if _, ok := bySymptom[r.Sig.Symptom]; !ok {
 				bySymptom[r.Sig.Symptom] = p
@@ -376,19 +377,20 @@ func planConfig(w core.Workload, p Plan) sim.Config {
 	return sim.Config{Seed: 1, Tracing: sim.TraceSelective, Plan: sim.NewScenarioPlan(p, w.CrashTarget(), w.RestartRoles())}
 }
 
-// factLog is a fold that keeps every fact it is passed. Site is zeroed: it is
-// a SiteID in a folded run and a symbol when sim.FoldTrace feeds a kept
-// trace, so facts compare by SiteName.
+// factLog is a fold that keeps every fact it is passed, reading dependences
+// on the executions of site. Site is zeroed: it is a SiteID in a folded run
+// and a symbol when sim.FoldTrace feeds a kept trace, so facts compare by
+// SiteName.
 type factLog struct {
-	deps  bool
+	site  string
 	facts []sim.Fact
 }
 
 func (l *factLog) Fact(x sim.Fact) { x.Site = sim.NoSite; l.facts = append(l.facts, x) }
-func (l *factLog) Deps() bool      { return l.deps }
+func (l *factLog) DepSite() string { return l.site }
 
-// tee passes every fact to each of its folds; it reads dependences when one
-// of them does.
+// tee passes every fact to each of its folds; it reads dependences on the
+// first source site one of them names.
 type tee []sim.Fold
 
 func (t tee) Fact(x sim.Fact) {
@@ -397,22 +399,44 @@ func (t tee) Fact(x sim.Fact) {
 	}
 }
 
-func (t tee) Deps() bool {
+func (t tee) DepSite() string {
 	for _, f := range t {
-		if f.Deps() {
-			return true
+		if s := f.DepSite(); s != "" {
+			return s
 		}
 	}
-	return false
+	return ""
+}
+
+// mostDependedSite is the site of tr whose executions the most records'
+// Taint and Ctl sets name, the source site that exercises a dependence fold
+// hardest.
+func mostDependedSite(tr *trace.Trace) string {
+	refs := map[trace.Sym]int{}
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		for _, id := range slices.Concat(r.Taint, r.Ctl) {
+			refs[tr.At(id).Site]++
+		}
+	}
+	best, most := "", 0
+	for s, n := range refs {
+		if site := tr.Str(s); site != "" && (n > most || n == most && site < best) {
+			best, most = site, n
+		}
+	}
+	return best
 }
 
 // checkFolds runs cfg with its trace kept, then twice folded: through a fact
-// log that reads dependences, and through one that reads none teed with the
-// campaign's own folds (CoverageFold and spaceFold, which read none either).
-// Both folded runs must make the kept run's picks, steps and failure detail
-// and keep no trace; each log must hold the kept trace's records as
-// sim.FoldTrace feeds them; and each campaign fold must give the answer it
-// gives fed the kept trace. It reports whether the run's fault fired.
+// log that reads dependences on the trace's most depended-on site, and
+// through one that reads none teed with the campaign's own folds
+// (CoverageFold and spaceFold, which read none either). Both folded runs must
+// make the kept run's picks, steps and failure detail and keep no trace; each
+// log must hold the kept trace's records as sim.FoldTrace feeds them, with
+// dependences cut to the log's site; and each campaign fold must give the
+// answer it gives fed the kept trace. It reports whether the run's fault
+// fired.
 func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired bool) {
 	t.Helper()
 	kc, kept := core.Run(w, cfg)
@@ -424,12 +448,16 @@ func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired
 		}
 	}
 	cov, space := new(CoverageFold), newSpaceFold()
+	site := mostDependedSite(tr)
+	if site == "" {
+		t.Fatalf("%s: no record of the kept trace depends on another", at)
+	}
 	for _, deps := range []bool{true, false} {
-		log := &factLog{deps: deps}
+		log := &factLog{}
 		fc := cfg
-		fc.Fold = log
-		if !deps {
-			fc.Fold = tee{log, cov, space}
+		fc.Fold = tee{log, cov, space}
+		if deps {
+			log.site, fc.Fold = site, log
 		}
 		c, out := core.Run(w, fc)
 		form := map[bool]string{true: "folded", false: "dependence-free"}[deps]
@@ -440,7 +468,7 @@ func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired
 		if c.Trace() != nil {
 			t.Errorf("%s: %s run kept a trace", at, form)
 		}
-		want := &factLog{deps: deps}
+		want := &factLog{site: log.site}
 		sim.FoldTrace(want, tr)
 		if !reflect.DeepEqual(log.facts, want.facts) {
 			i := 0
@@ -468,7 +496,7 @@ func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired
 // dependences: on the toy workload's fault-free run and first ten plans, and
 // on the six workloads' fault-free runs at seeds 1–3, every folded form of a
 // run must make the kept run's schedule and pass its records as facts
-// (checkFolds), and runPlan's coverage signature must be what the one-shot
+// (checkFolds), and ExecPlan's coverage signature must be what the one-shot
 // fold computes over the kept trace of the same plan.
 func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	w := toy.New()
@@ -481,9 +509,9 @@ func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 		if checkFolds(t, w, planConfig(w, p), "toy "+p.Key()) {
 			fired++
 		}
-		streamed := runPlan(w, 1, p, restart, true)
+		streamed := ExecPlan(w, 1, p, restart, true)
 		if got, want := streamed.Sig.Coverage, postFaultCoverage(keptRun(w, p)); got != want {
-			t.Fatalf("plan %s: runPlan's coverage %#x, kept trace's %#x", p.Key(), got, want)
+			t.Fatalf("plan %s: ExecPlan's coverage %#x, kept trace's %#x", p.Key(), got, want)
 		}
 	}
 	if fired == 0 {

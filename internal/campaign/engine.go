@@ -135,7 +135,7 @@ func (r *Result) Signatures() []string {
 // results in plan order. The engine owns everything around the executor —
 // batching, prior-corpus cache hits, merge order, strategy feedback — so an
 // executor only decides *where* plans run: in-process goroutines (the
-// default) or a fleet of remote workers (internal/dist). Because runPlan is a
+// default) or a fleet of remote workers (internal/dist). Because ExecPlan is a
 // pure function of (workload, seed, plan), any executor that returns results
 // in plan order yields a corpus byte-identical to the sequential run.
 //
@@ -158,14 +158,14 @@ type localExecutor struct {
 
 func (e *localExecutor) ExecuteBatch(ctx context.Context, plans []Plan) ([]RunResult, error) {
 	return parallel.Map(ctx, e.parallelism, len(plans), func(i int) RunResult {
-		return runPlan(e.w, e.seed, plans[i], e.restart, e.traced)
+		return ExecPlan(e.w, e.seed, plans[i], e.restart, e.traced)
 	})
 }
 
 // ExecPlans executes a slice of plans for workload w exactly as the engine's
-// local executor would — same isolation, same tracing mode, same determinism.
-// It is the worker half of the distributed campaign: a worker process calls
-// it on each lease it receives and ships the results back, and because the
+// local executor would — same isolation, same tracing mode, same determinism:
+// each plan through ExecPlan, up to parallelism at a time. A distributed
+// worker runs a lease's plans through ExecPlan itself, and because the
 // results are a pure function of (workload, seed, plan), the coordinator can
 // fold them into the corpus as if it had run them itself.
 func ExecPlans(ctx context.Context, w core.Workload, seed int64, traced bool, parallelism int, plans []Plan) ([]RunResult, error) {
@@ -349,13 +349,15 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 	return res, nil
 }
 
-// runPlan executes one injection run in its own isolated cluster. The plan
+// ExecPlan executes one injection run in its own isolated cluster. The plan
 // goes to the simulator verbatim: its step crashes with no target kill the
-// workload's crash target, and its crashes restart per the workload's
-// restart map (restart, computed once per executor). Traced runs pass their
-// ops through a coverage fold and keep no trace; the fold reads no
-// dependences, so a traced run costs an untraced one plus its site lookups.
-func runPlan(w core.Workload, seed int64, p Plan, restart map[string]int64, traced bool) RunResult {
+// workload's crash target, and its crashes restart per restart, the
+// workload's RestartRoles (computed once by the caller and only read here, so
+// concurrent runs may share it). Traced runs pass their ops through a
+// coverage fold and keep no trace; the fold reads no dependences, so a traced
+// run costs an untraced one plus its site lookups. The result is a pure
+// function of (w, seed, p, traced).
+func ExecPlan(w core.Workload, seed int64, p Plan, restart map[string]int64, traced bool) RunResult {
 	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: sim.NewScenarioPlan(p, w.CrashTarget(), restart)}
 	var fold *CoverageFold
 	if traced {

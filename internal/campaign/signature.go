@@ -184,8 +184,8 @@ func (f *CoverageFold) Fact(x sim.Fact) {
 	f.curSites = append(f.curSites, x.Site)
 }
 
-// Deps reports that the fold reads no dependences.
-func (*CoverageFold) Deps() bool { return false }
+// DepSite names no source site: the fold reads no dependences.
+func (*CoverageFold) DepSite() string { return "" }
 
 // Hash resolves the accumulated site set through siteName (a run's
 // Cluster.SiteName) and returns the FNV-1a hash of the sorted distinct site

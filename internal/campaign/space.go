@@ -113,8 +113,8 @@ func (f *spaceFold) Fact(x sim.Fact) {
 	}
 }
 
-// Deps reports that the fold reads no dependences.
-func (*spaceFold) Deps() bool { return false }
+// DepSite names no source site: the fold reads no dependences.
+func (*spaceFold) DepSite() string { return "" }
 
 // finish enumerates the candidate plans over the accumulated sites and
 // returns the completed space.

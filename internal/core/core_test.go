@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"fcatch/internal/apps/cassandra"
+	"fcatch/internal/apps/hbase"
+	"fcatch/internal/apps/mapreduce"
 	"fcatch/internal/apps/toy"
+	"fcatch/internal/apps/zookeeper"
 	"fcatch/internal/core"
 	"fcatch/internal/detect"
 	"fcatch/internal/inject"
@@ -85,6 +89,32 @@ func crashRecord(tr *trace.Trace) *trace.Record {
 		return c[0]
 	}
 	return nil
+}
+
+// TestObservationsHitNoTaintCap: no op of the fault-free or faulty
+// observation of the six default workloads at seeds 1–3 has a dependence set
+// at sim.MaxTaint, so the cap, which drops a full set's oldest ops, cuts no
+// dependence the detectors read.
+func TestObservationsHitNoTaintCap(t *testing.T) {
+	for _, w := range []core.Workload{
+		cassandra.New(), hbase.NewHB1(), hbase.NewHB2(),
+		mapreduce.NewMR1(), mapreduce.NewMR2(), zookeeper.New(),
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			opts := core.DefaultOptions()
+			opts.Seed = seed
+			obs, err := core.Observe(w, opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", w.Name(), seed, err)
+			}
+			for run, out := range map[string]*sim.Outcome{"fault-free": obs.FaultFreeOutcome, "faulty": obs.FaultyOutcome} {
+				if out.FullTaints != 0 {
+					t.Errorf("%s seed %d %s run: %d ops have a dependence set at the cap (%d)",
+						w.Name(), seed, run, out.FullTaints, sim.MaxTaint)
+				}
+			}
+		}
+	}
 }
 
 func TestCheckpointPairSharesPrefix(t *testing.T) {

@@ -64,7 +64,7 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 }
 
 // RunWorker connects to a coordinator, executes leases with the same
-// engine-identical code path local campaigns use (campaign.ExecPlans), and
+// engine-identical code path local campaigns use (campaign.ExecPlan), and
 // returns when the coordinator drains or the context is cancelled. A nil
 // error means a clean exit (drain or cancellation); anything else is a
 // protocol or execution failure.
@@ -111,6 +111,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		_ = writeMessage(conn, &message{Type: msgError, Err: err.Error()})
 		return err
 	}
+	restart := w.RestartRoles() // read-only, shared by every plan of every lease
 
 	// send writes one frame; the plans of a lease finish concurrently. A
 	// progress frame goes out only once the coordinator has heard nothing
@@ -168,10 +169,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			cfg.Metrics.Counter("worker/plans").Add(int64(len(m.Plans)))
 			execStart := time.Now()
 			heard = execStart // no plan is running to race this write
-			results, err := parallel.MapErr(ctx, cfg.Parallelism, len(m.Plans), func(i int) (campaign.RunResult, error) {
-				r, err := campaign.ExecPlans(ctx, w, conf.Seed, conf.Traced, 1, m.Plans[i:i+1])
+			results, err := parallel.Map(ctx, cfg.Parallelism, len(m.Plans), func(i int) campaign.RunResult {
+				r := campaign.ExecPlan(w, conf.Seed, m.Plans[i], restart, conf.Traced)
 				_ = send(&message{Type: msgProgress})
-				return r[0], err
+				return r
 			})
 			if err != nil {
 				return nil // cancelled mid-lease; the coordinator requeues it

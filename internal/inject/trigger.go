@@ -263,45 +263,35 @@ func (tg *Triggerer) classify(out *sim.Outcome, fold *handledExcFold) (Classific
 
 // handledExcFold detects the "well-handled exception" condition in one pass
 // over a replay's facts: a KThrow whose taint or control set contains an
-// execution of the report's read site. Exact as a forward fold because a
-// throw's dependence sets only ever reference earlier operations (smaller
-// OpIDs), so every relevant site execution has been folded in before its
-// dependent throw arrives. It is a sim.Fold that reads dependences; a nil
-// one reads none and looks for nothing.
+// execution of the report's read site. It names that site as its source
+// (DepSite), so the replay hands op IDs back only at the site and every ID
+// in a fact's Taint or Ctl is an execution of it: a throw with either set
+// non-empty is the throw sought. A nil fold names no site, reads no
+// dependences and looks for nothing.
 type handledExcFold struct {
 	site string // the report's read site, as a string
 
-	rOps   map[trace.OpID]bool // executions of the site seen so far
 	found  bool
 	detail string
 }
 
 // Fact folds one fact.
 func (f *handledExcFold) Fact(x sim.Fact) {
-	if f == nil || f.found {
+	if f == nil || f.found || x.Kind != trace.KThrow {
 		return
 	}
-	if x.SiteName == f.site {
-		if f.rOps == nil {
-			f.rOps = map[trace.OpID]bool{}
-		}
-		f.rOps[x.ID] = true
-	}
-	if x.Kind != trace.KThrow {
-		return
-	}
-	for _, deps := range [...][]trace.OpID{x.Taint, x.Ctl} {
-		for _, t := range deps {
-			if f.rOps[t] {
-				f.found, f.detail = true, x.Aux+"@"+x.SiteName
-				return
-			}
-		}
+	if len(x.Taint) > 0 || len(x.Ctl) > 0 {
+		f.found, f.detail = true, x.Aux+"@"+x.SiteName
 	}
 }
 
-// Deps reports whether the fold reads dependences: all but a nil one do.
-func (f *handledExcFold) Deps() bool { return f != nil }
+// DepSite names the report's read site; a nil fold names none.
+func (f *handledExcFold) DepSite() string {
+	if f == nil {
+		return ""
+	}
+	return f.site
+}
 
 // CompoundOutcome is the result of replaying a cross-window finding's two
 // window anchors as one scenario.

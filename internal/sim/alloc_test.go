@@ -145,20 +145,21 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 	})
 }
 
-// discard is a fold that reads no dependences and keeps nothing.
-type discard struct{}
+// discard is a fold that keeps nothing. It reads dependences on the
+// executions of site, none when site is "".
+type discard struct{ site string }
 
-func (discard) Fact(sim.Fact) {}
-func (discard) Deps() bool    { return false }
+func (discard) Fact(sim.Fact)     {}
+func (d discard) DepSite() string { return d.site }
 
 // TestFoldedOpsZeroAllocs pins the allocation contract of a run that keeps
-// no trace. Under a fold that reads no dependences, handler-context heap
-// accesses and a latch handing a heap read's value to a guarding waiter
-// allocate nothing per op: no records, symbols, resource names, op numbers
-// or taint sets. With tracing off, the first touch of a heap field allocates
-// its slot and no resource name.
+// no trace. Under a fold that reads no dependences, and under one that reads
+// them on a site the ops do not run at, handler-context heap accesses and a
+// latch handing a heap read's value to a guarding waiter allocate nothing per
+// op: no records, symbols, resource names or taint sets (an op away from the
+// fold's site is numbered but hands no ID back). With tracing off, the first
+// touch of a heap field allocates its slot and no resource name.
 func TestFoldedOpsZeroAllocs(t *testing.T) {
-	folded := sim.Config{Tracing: sim.TraceSelective, Fold: discard{}}
 	getSet := func(*sim.Cluster) func(*sim.Context) {
 		var o *sim.Object
 		return func(ctx *sim.Context) {
@@ -180,11 +181,14 @@ func TestFoldedOpsZeroAllocs(t *testing.T) {
 			ctx.Guard(got)
 		}
 	}
-	for name, setup := range map[string]func(*sim.Cluster) func(*sim.Context){
-		"Object.Get/Set": getSet, "Cond.Signal/Wait": signalWait,
-	} {
-		if perOp := mallocsPerOp(folded, true, setup); perOp > 0.01 {
-			t.Errorf("%s in a handler allocates %.4f mallocs/op under a dependence-free fold, want 0", name, perOp)
+	for _, fold := range []discard{{}, {site: "elsewhere.go:1"}} {
+		folded := sim.Config{Tracing: sim.TraceSelective, Fold: fold}
+		for name, setup := range map[string]func(*sim.Cluster) func(*sim.Context){
+			"Object.Get/Set": getSet, "Cond.Signal/Wait": signalWait,
+		} {
+			if perOp := mallocsPerOp(folded, true, setup); perOp > 0.01 {
+				t.Errorf("%s in a handler allocates %.4f mallocs/op under a fold reading dependences on %q, want 0", name, perOp, fold.site)
+			}
 		}
 	}
 

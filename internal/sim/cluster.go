@@ -381,7 +381,11 @@ type Outcome struct {
 	// LongestQuiet is the most picks the run stayed quiescent (measured only
 	// while the quiescence rule is on).
 	LongestQuiet int64
-	Elapsed      time.Duration
+	// FullTaints counts the emitted ops whose Taint or Ctl set had reached
+	// MaxTaint: every set that lost an op to the cap is among them, so 0
+	// means the cap cut no dependence.
+	FullTaints int
+	Elapsed    time.Duration
 
 	// Hung are the threads still alive at the end, daemons and the RPC
 	// handlers serving them left out.

@@ -603,6 +603,29 @@ func TestValueTaintFlow(t *testing.T) {
 	})
 }
 
+// TestFullTaintsCountsCappedSets: an op whose dependence set has reached
+// sim.MaxTaint counts in Outcome.FullTaints, and one just below it does not.
+// One value gathers a read's taint per read and is then written, so the
+// write's Taint holds one id per read, up to the cap.
+func TestFullTaintsCountsCappedSets(t *testing.T) {
+	for reads, want := range map[int]int{sim.MaxTaint - 1: 0, sim.MaxTaint + 6: 1} {
+		_, out := runCluster(t, sim.Config{Seed: 1, Tracing: sim.TraceExhaustive}, func(ctx *sim.Context) {
+			obj := ctx.NamedObject("o")
+			var v sim.Value
+			for range reads {
+				v = sim.Derive(nil, v, obj.Get(ctx, "src"))
+			}
+			if got := len(v.Taint()); got != min(reads, sim.MaxTaint) {
+				t.Errorf("after %d reads the value carries %d taints, want %d", reads, got, min(reads, sim.MaxTaint))
+			}
+			obj.Set(ctx, "dst", v)
+		})
+		if out.FullTaints != want {
+			t.Errorf("a write after %d reads: FullTaints %d, want %d", reads, out.FullTaints, want)
+		}
+	}
+}
+
 func TestGuardReturnsTruthiness(t *testing.T) {
 	runCluster(t, sim.Config{Seed: 1}, func(ctx *sim.Context) {
 		if !ctx.Guard(sim.V(true)) || ctx.Guard(sim.V(false)) {

@@ -13,7 +13,7 @@ import (
 // ascending ids (the polling-loop case, weighted so in-place extension runs
 // for long stretches), old ids overlapping the set, a subset of it, a mix of
 // old and fresh ids drawn with duplicates (sorted and compacted, as every
-// taint set is), a run longer than maxTaint, ids below the set's newest that
+// taint set is), a run longer than MaxTaint, ids below the set's newest that
 // it does not hold, or nothing.
 func taintInput(rng *rand.Rand, ref []trace.OpID, next *trace.OpID) []trace.OpID {
 	fresh := func(n int) []trace.OpID {
@@ -45,7 +45,7 @@ func taintInput(rng *rand.Rand, ref []trace.OpID, next *trace.OpID) []trace.OpID
 		slices.Sort(in)
 		return slices.Compact(in)
 	case k == 9:
-		return fresh(maxTaint + rng.Intn(40))
+		return fresh(MaxTaint + rng.Intn(40))
 	case k == 10:
 		var in []trace.OpID
 		for id := trace.OpID(1 + rng.Intn(5)); id < *next && len(in) < 3; id += trace.OpID(1 + rng.Intn(int(*next))) {
@@ -114,7 +114,7 @@ func TestGrowTaintsTwoOwners(t *testing.T) {
 		go func(o int) {
 			defer wg.Done()
 			set, ref := sets[o], []trace.OpID{1, 2}
-			for i := 0; i < 3*maxTaint; i++ {
+			for i := 0; i < 3*MaxTaint; i++ {
 				in := []trace.OpID{trace.OpID(10 + 3*i + o)}
 				set, ref = growTaints(set, in), mergeTaints(ref, in)
 			}

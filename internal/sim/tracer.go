@@ -33,8 +33,11 @@ type resNamer interface{ resName() string }
 // Fact is one op the tracing policy selects, or one crash or restart mark,
 // as a folded run passes it to its Fold: the record a kept run would write,
 // less the names only a kept trace needs. ID, Taint and Ctl are filled only
-// when the fold's Deps is true; otherwise the run numbers no ops and merges
-// no taint, as an untraced run does.
+// when the fold names a source site (Fold.DepSite); otherwise the run numbers
+// no ops and merges no taint, as an untraced run does. Every fact is numbered
+// as a kept run numbers its record, but only the ops at the source site hand
+// their ID back to the op layer, so Taint and Ctl hold executions of that
+// site alone.
 type Fact struct {
 	Kind     trace.Kind
 	Site     SiteID
@@ -49,24 +52,36 @@ type Fact struct {
 }
 
 // Fold consumes a run that keeps no trace (Config.Fold): Fact is passed each
-// selected op in emission order, while the emitting thread runs. Deps, asked
-// once when the cluster is built, reports whether Fact reads ID, Taint and
-// Ctl.
+// selected op in emission order, while the emitting thread runs. DepSite,
+// asked once when the cluster is built, names the one source site whose
+// executions Fact reads dependences on ("" for none): a fact's Taint and Ctl
+// then hold exactly the executions of that site its op depends on.
 type Fold interface {
 	Fact(Fact)
-	Deps() bool
+	DepSite() string
 }
 
 // FoldTrace passes a kept trace's records to fold as the facts a folded run
 // of the same schedule passes it. A record's site symbol stands in for the
-// SiteID, so Sites resolve through tr.Str.
+// SiteID, so Sites resolve through tr.Str. Each record's Taint and Ctl are cut
+// down to the records at the fold's source site, which is what the folded
+// run's op layer propagates.
 func FoldTrace(fold Fold, tr *trace.Trace) {
-	deps := fold.Deps()
+	site := fold.DepSite()
+	atSite := func(ids []trace.OpID) []trace.OpID {
+		var out []trace.OpID
+		for _, id := range ids {
+			if r := tr.At(id); r != nil && tr.Str(r.Site) == site {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		f := Fact{Kind: r.Kind, Site: SiteID(r.Site), SiteName: tr.Str(r.Site), TS: r.TS, Flags: r.Flags, Aux: tr.Str(r.Aux)}
-		if deps {
-			f.ID, f.Taint, f.Ctl = r.ID, r.Taint, r.Ctl
+		if site != "" {
+			f.ID, f.Taint, f.Ctl = r.ID, atSite(r.Taint), atSite(r.Ctl)
 		}
 		fold.Fact(f)
 	}
@@ -83,10 +98,12 @@ type tracer struct {
 	trace *trace.Trace // a kept run's trace
 	fold  Fold         // a folded run's consumer
 	// deps is set when the run numbers its ops and tracks their
-	// dependences: a kept run, or a fold that reads them. ops numbers a
-	// folded run's ops.
-	deps bool
-	ops  trace.OpID
+	// dependences: a kept run, or a fold that names a source site. depSite
+	// is that site: a folded run hands an op's ID back to the op layer only
+	// there. ops numbers a folded run's ops.
+	deps    bool
+	depSite SiteID
+	ops     trace.OpID
 	// sysPID is the interned "system" PID for scheduler-context records.
 	sysPID trace.Sym
 }
@@ -96,7 +113,8 @@ func newTracer(c *Cluster) *tracer {
 	switch {
 	case c.cfg.Tracing == TraceOff:
 	case c.cfg.Fold != nil:
-		tr.fold, tr.deps = c.cfg.Fold, c.cfg.Fold.Deps()
+		tr.fold, tr.depSite = c.cfg.Fold, c.internSite(c.cfg.Fold.DepSite())
+		tr.deps = tr.depSite != NoSite
 	default:
 		tr.trace, tr.deps = trace.New(), true
 		tr.sysPID = tr.trace.Intern("system")
@@ -173,7 +191,8 @@ func (tr *tracer) shouldTrace(t *Thread, k trace.Kind) bool {
 // fields (timestamp, handler flag, the thread's control taints; for a kept
 // record also pid, thread, frame and the thread's incrementally-maintained
 // callstack), and returns the new op's ID — or trace.NoOp when the op is not
-// traced or the run tracks no dependences.
+// traced, the run tracks no dependences, or a folded run's op is not at its
+// fold's source site.
 func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 	if !tr.shouldTrace(t, op.Kind) {
 		return trace.NoOp
@@ -183,6 +202,9 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 	}
 	if tr.deps && len(op.Ctl) == 0 {
 		op.Ctl = t.ctlTaints()
+	}
+	if max(len(op.Taint), len(op.Ctl)) >= MaxTaint {
+		tr.c.out.FullTaints++
 	}
 	ts := tr.c.clock
 	tr.c.clock += tr.c.cfg.TraceTickCost
@@ -237,7 +259,10 @@ func (tr *tracer) emitSystem(op opSpec) trace.OpID {
 }
 
 // fact passes one selected op, stamped ts, to the run's fold, numbering it
-// when the fold reads dependences.
+// when the fold reads dependences. Only an op at the fold's source site
+// returns its ID; every other op returns NoOp, so no value, control set or
+// storage define-use link carries it. (Without a source site, depSite is
+// NoSite and a siteless op's ID is NoOp too.)
 func (tr *tracer) fact(op *opSpec, ts int64) trace.OpID {
 	f := Fact{Kind: op.Kind, Site: op.Site, SiteName: tr.c.siteStrs[op.Site], TS: ts, Flags: op.Flags, Aux: op.Aux}
 	if tr.deps {
@@ -245,6 +270,9 @@ func (tr *tracer) fact(op *opSpec, ts int64) trace.OpID {
 		f.ID, f.Taint, f.Ctl = tr.ops, op.Taint, op.Ctl
 	}
 	tr.fold.Fact(f)
+	if op.Site != tr.depSite {
+		return trace.NoOp
+	}
 	return f.ID
 }
 

@@ -105,11 +105,13 @@ func Derive(data any, inputs ...Value) Value {
 	return out
 }
 
-// maxTaint bounds taint sets; real dependence chains in the mini systems are
-// short, so the cap only guards against pathological accumulation.
-const maxTaint = 64
+// MaxTaint bounds taint sets, which keep their newest ops; real dependence
+// chains in the mini systems are short, so the cap only guards against
+// pathological accumulation. Outcome.FullTaints counts the ops whose sets
+// reached it.
+const MaxTaint = 64
 
-// mergeTaints returns the sorted, deduplicated union, capped at maxTaint.
+// mergeTaints returns the sorted, deduplicated union, capped at MaxTaint.
 //
 // Taint slices are immutable by convention (every mutation goes through a
 // merge that returns a fresh or aliased slice, never an in-place edit), and
@@ -155,7 +157,7 @@ func mergeTaints(a []trace.OpID, b []trace.OpID) []trace.OpID {
 // growTaints is mergeTaints for a set that one field owns exclusively — a
 // scope's ctl, a thread's ctlHist — and that mostly grows by fresh reads,
 // whose op ids sort after everything already in it. Such an extension is
-// appended in place and the ≤maxTaint view slid forward, so a polling loop's
+// appended in place and the ≤MaxTaint view slid forward, so a polling loop's
 // guards cost an amortized few bytes each, not two full copies of the set.
 // The result is element for element what mergeTaints(set, in) returns.
 //
@@ -173,8 +175,8 @@ func growTaints(set, in []trace.OpID) []trace.OpID {
 	if n := len(set); n > 0 && in[0] > set[n-1] {
 		if total := n + len(in); total > cap(set) {
 			// Geometric from a handful of ids (most scopes guard once or
-			// twice); a full set gets maxTaint slots of room to slide.
-			set = append(make([]trace.OpID, 0, total+min(total, maxTaint)), set...)
+			// twice); a full set gets MaxTaint slots of room to slide.
+			set = append(make([]trace.OpID, 0, total+min(total, MaxTaint)), set...)
 		}
 		return capTaints(append(set, in...))
 	}
@@ -203,10 +205,10 @@ func subsetOf(sub, sup []trace.OpID) bool {
 	return true
 }
 
-// capTaints applies the maxTaint bound, keeping the highest (newest) ops.
+// capTaints applies the MaxTaint bound, keeping the highest (newest) ops.
 func capTaints(s []trace.OpID) []trace.OpID {
-	if len(s) > maxTaint {
-		return s[len(s)-maxTaint:]
+	if len(s) > MaxTaint {
+		return s[len(s)-MaxTaint:]
 	}
 	return s
 }
