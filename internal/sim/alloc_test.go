@@ -115,6 +115,18 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 			gfs.Seed("/d/f", val)
 			return func(ctx *sim.Context) { _, _ = gfs.Read(ctx, "/d/f") }
 		}},
+		// The resource name, lfs:m0:/var/cassandra/saved_tokens, is longer
+		// than a stack-built concatenation may be: it must not be built.
+		{"LocalFS.Write", func(*sim.Cluster) func(*sim.Context) {
+			lfs := storage.NewLocalFS()
+			lfs.Seed("m0", "/var/cassandra/saved_tokens", val)
+			return func(ctx *sim.Context) { lfs.Write(ctx, "/var/cassandra/saved_tokens", val) }
+		}},
+		{"LocalFS.Read", func(*sim.Cluster) func(*sim.Context) {
+			lfs := storage.NewLocalFS()
+			lfs.Seed("m0", "/var/cassandra/saved_tokens", val)
+			return func(ctx *sim.Context) { _, _ = lfs.Read(ctx, "/var/cassandra/saved_tokens") }
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,6 +222,41 @@ func TestFoldedOpsZeroAllocs(t *testing.T) {
 	}
 	if perOp := mallocsPerOp(sim.Config{}, false, firstTouch); perOp > 1.1 {
 		t.Errorf("the first Set of a heap field allocates %.4f mallocs with tracing off, want 1 (its slot, no name)", perOp)
+	}
+}
+
+// TestBuiltKeysZeroAllocs pins the key contract: a heap field, a named
+// object or a named cond that already exists is found by the key its caller
+// built, and the key is copied only when its slot is made. So an app key
+// concatenated on every call, like "lastSeen-"+from, stays on the caller's
+// stack, with tracing off and in a handler under a fold.
+func TestBuiltKeysZeroAllocs(t *testing.T) {
+	id := strconv.Itoa(7)
+	cases := map[string]func(*sim.Cluster) func(*sim.Context){
+		"Object.Get/Set": func(*sim.Cluster) func(*sim.Context) {
+			var o *sim.Object
+			return func(ctx *sim.Context) {
+				if o == nil {
+					o = ctx.NewObject("C")
+				}
+				o.Set(ctx, "field-"+id, o.Get(ctx, "field-"+id))
+			}
+		},
+		"NamedObject": func(*sim.Cluster) func(*sim.Context) {
+			return func(ctx *sim.Context) { ctx.NamedObject("task" + id) }
+		},
+		"NamedCond": func(*sim.Cluster) func(*sim.Context) {
+			return func(ctx *sim.Context) { ctx.NamedCond("ready-" + id) }
+		},
+	}
+	for name, setup := range cases {
+		if perOp := mallocsPerOp(sim.Config{}, false, setup); perOp > 0.01 {
+			t.Errorf("%s on a built key allocates %.4f mallocs/op with tracing off, want 0", name, perOp)
+		}
+		folded := sim.Config{Tracing: sim.TraceSelective, Fold: discard{}}
+		if perOp := mallocsPerOp(folded, true, setup); perOp > 0.01 {
+			t.Errorf("%s on a built key in a handler allocates %.4f mallocs/op under a fold, want 0", name, perOp)
+		}
 	}
 }
 

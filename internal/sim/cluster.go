@@ -177,6 +177,7 @@ type Cluster struct {
 	tracer *tracer
 	out    Outcome
 	facts  map[string]any
+	keys   keyArena // heap field, named object and named cond keys, copied at first use
 
 	crashHooks     []func(pid string)
 	convictSubs    map[string][]string // watched role -> subscriber PIDs (verb "convict")

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"fcatch/internal/trace"
 )
@@ -115,13 +116,39 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	return out
 }
 
+// slot looks field up as given and copies it only when it makes the slot,
+// so an existing field's key stays wherever its caller built it.
 func (o *Object) slot(field string) *fieldSlot {
 	s, ok := o.fields[field]
 	if !ok {
-		s = &fieldSlot{obj: o, field: field}
-		o.fields[field] = s
+		key := o.node.c.keys.copy(field)
+		s = &fieldSlot{obj: o, field: key}
+		o.fields[key] = s
 	}
 	return s
+}
+
+// keyChunk is the size of one key arena chunk. A cluster is one run, so a
+// larger chunk is paid again by every run that needs only a few keys.
+const keyChunk = 256
+
+// keyArena copies the keys a run stores (heap fields, named objects and
+// named conds) into shared chunks: a copy costs a malloc only when it starts
+// a chunk. A chunk is a strings.Builder grown once to its full size, so
+// appending never moves the bytes that earlier copies point at.
+type keyArena struct{ chunk strings.Builder }
+
+func (a *keyArena) copy(s string) string {
+	if len(s) > keyChunk {
+		return strings.Clone(s) // a chunk of its own
+	}
+	if a.chunk.Cap()-a.chunk.Len() < len(s) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(keyChunk)
+	}
+	start := a.chunk.Len()
+	a.chunk.WriteString(s)
+	return a.chunk.String()[start:]
 }
 
 // Peek inspects a field without scheduling, tracing, or taint — for workload
@@ -141,8 +168,9 @@ func (ctx *Context) NamedObject(name string) *Object {
 	if o, ok := n.namedObjs[name]; ok {
 		return o
 	}
-	o := ctx.NewObject(name)
-	n.namedObjs[name] = o
+	key := ctx.c.keys.copy(name)
+	o := ctx.NewObject(key)
+	n.namedObjs[key] = o
 	return o
 }
 
@@ -153,7 +181,8 @@ func (ctx *Context) NamedCond(name string) *Cond {
 	if cv, ok := n.namedConds[name]; ok {
 		return cv
 	}
-	cv := ctx.NewCond(name)
-	n.namedConds[name] = cv
+	key := ctx.c.keys.copy(name)
+	cv := ctx.NewCond(key)
+	n.namedConds[key] = cv
 	return cv
 }

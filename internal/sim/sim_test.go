@@ -3,8 +3,11 @@ package sim_test
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -564,6 +567,81 @@ func TestNamedObjectIsSingletonPerNode(t *testing.T) {
 		})
 		_, _ = done.Wait(ctx)
 	})
+}
+
+// TestKeyArenaKeepsEveryKey: a field's key is copied into the run's key
+// arena when its slot is made. Keys that fill several arena chunks, and one
+// longer than a chunk, each keep their value, and every traced access names
+// the field heap:<pid>:<class><id>.<field> and the cond cv:<pid>:<name>/<id>
+// (the instance number left out here).
+func TestKeyArenaKeepsEveryKey(t *testing.T) {
+	fields := []string{strings.Repeat("long", 100)}
+	for i := range 120 {
+		fields = append(fields, fmt.Sprintf("field-%03d", i))
+	}
+	objs := map[string]*sim.Object{}
+	want := map[string]bool{}
+	c := sim.NewCluster(traced(sim.Config{Seed: 1}))
+	c.StartProcess("node", "m0", func(ctx *sim.Context) {
+		done := ctx.NewCond("done")
+		ctx.Self().HandleEvent("touch", func(ctx *sim.Context, _ sim.Value) {
+			for i, f := range fields {
+				// Every name and key is built anew for each access.
+				name := "obj" + strconv.Itoa(i%3)
+				o := ctx.NamedObject(name)
+				objs[name] = o
+				o.Set(ctx, string([]byte(f)), sim.V(i))
+				if got := o.Get(ctx, string([]byte(f))).Int(); got != i {
+					t.Errorf("Get(%q) = %d, want %d", f, got, i)
+				}
+				want[fmt.Sprintf("heap:%s:%s%d.%s", ctx.PID(), name, o.ID(), f)] = true
+				ctx.NamedCond("cv-" + name).Signal(ctx)
+				want[fmt.Sprintf("cv:%s:cv-%s", ctx.PID(), name)] = true
+			}
+			done.Signal(ctx)
+		})
+		ctx.Emit("touch", sim.Value{})
+		_, _ = done.Wait(ctx)
+	})
+	if out := c.Run(); !out.Completed() {
+		t.Fatalf("run hung: %+v", out.Hung)
+	}
+	for i, f := range fields {
+		if got := objs["obj"+strconv.Itoa(i%3)].Peek(f); got != i {
+			t.Errorf("Peek(%q) = %v, want %d", f, got, i)
+		}
+	}
+	tr := c.Trace()
+	got := map[string]bool{}
+	for _, r := range tr.Filter(trace.Query{Kinds: []trace.Kind{trace.KHeapWrite, trace.KHeapRead, trace.KSignal}}) {
+		res := tr.Str(r.Res)
+		if r.Kind == trace.KSignal {
+			res = res[:strings.LastIndex(res, "/")] // the instance number
+		}
+		if !strings.HasSuffix(res, ":done") {
+			got[res] = true
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("traced %d resource names, want %d; missing or extra:\n%s", len(got), len(want), symDiff(got, want))
+	}
+}
+
+// symDiff lists the keys in exactly one of a and b, sorted.
+func symDiff(a, b map[string]bool) string {
+	var out []string
+	for k := range a {
+		if !b[k] {
+			out = append(out, "+ "+k)
+		}
+	}
+	for k := range b {
+		if !a[k] {
+			out = append(out, "- "+k)
+		}
+	}
+	slices.Sort(out)
+	return strings.Join(out, "\n")
 }
 
 func TestCrossProcessHeapAccessPanics(t *testing.T) {

@@ -48,10 +48,11 @@ func dirOf(path string) string {
 }
 
 // resNames is one store's path -> trace resource name map: each name is
-// built once, so an op on a known path builds no string.
+// built once, so an op on a known path builds no string and keeps the
+// caller's path where the caller built it.
 type resNames struct {
 	prefix string
-	m      map[string]string
+	m      map[string]string // name[len(prefix):] -> name
 }
 
 func newResNames(prefix string) resNames {
@@ -59,11 +60,11 @@ func newResNames(prefix string) resNames {
 }
 
 func (n resNames) of(path string) string {
-	r, ok := n.m[path]
-	if !ok {
-		r = n.prefix + path
-		n.m[path] = r
+	if r, ok := n.m[path]; ok {
+		return r
 	}
+	r := n.prefix + path
+	n.m[r[len(n.prefix):]] = r // the name's own suffix: no second copy of path
 	return r
 }
 
@@ -311,20 +312,32 @@ func failFlag(err *error) func() uint32 {
 // LocalFS is the per-machine file system. Content is keyed by machine, so it
 // survives process crashes and is visible to restarted incarnations — but
 // only to processes on the same machine.
-type LocalFS struct{ fs *fileStore }
+type LocalFS struct {
+	fs    *fileStore
+	disks map[string]resNames // machine -> its disk's names, "lfs:<machine>:<path>"
+}
 
 // NewLocalFS creates the cluster-wide registry of per-machine disks.
-func NewLocalFS() *LocalFS { return &LocalFS{fs: newFileStore()} }
+func NewLocalFS() *LocalFS {
+	return &LocalFS{fs: newFileStore(), disks: make(map[string]resNames)}
+}
+
+// names is machine's path -> resource name map.
+func (l *LocalFS) names(machine string) resNames {
+	n, ok := l.disks[machine]
+	if !ok {
+		n = newResNames("lfs:" + machine + ":")
+		l.disks[machine] = n
+	}
+	return n
+}
 
 func (l *LocalFS) res(ctx *sim.Context, path string) string {
-	return lres(ctx.Machine(), path)
+	return l.names(ctx.Machine()).of(path)
 }
 func (l *LocalFS) dirRes(ctx *sim.Context, path string) string {
-	return lres(ctx.Machine(), dirOf(path))
+	return l.names(ctx.Machine()).of(dirOf(path))
 }
-
-// lres is the trace resource name of path on machine's disk.
-func lres(machine, path string) string { return "lfs:" + machine + ":" + path }
 
 // Create adds a local file; ErrAlreadyExists if present. The returned value
 // is the tainted success flag.
@@ -361,8 +374,9 @@ func (l *LocalFS) Exists(ctx *sim.Context, path string) sim.Value {
 func (l *LocalFS) List(ctx *sim.Context, dir string) []string {
 	prefix := l.res(ctx, strings.TrimSuffix(dir, "/")+"/")
 	out := l.fs.list(ctx, l.res(ctx, dir), prefix)
+	disk := l.names(ctx.Machine()).prefix
 	for i, res := range out {
-		out[i] = strings.TrimPrefix(res, lres(ctx.Machine(), ""))
+		out[i] = strings.TrimPrefix(res, disk)
 	}
 	return out
 }
@@ -370,12 +384,12 @@ func (l *LocalFS) List(ctx *sim.Context, dir string) []string {
 // Seed pre-populates a local file before the run starts (no tracing, no
 // scheduling) — input data the workload begins with.
 func (l *LocalFS) Seed(machine, path string, v sim.Value) {
-	l.fs.slots[lres(machine, path)] = &fileSlot{data: v}
+	l.fs.slots[l.names(machine).of(path)] = &fileSlot{data: v}
 }
 
 // PeekLocal inspects a local file's content from outside the simulation.
 func (l *LocalFS) PeekLocal(machine, path string) (any, bool) {
-	if s, ok := l.fs.slots[lres(machine, path)]; ok {
+	if s, ok := l.fs.slots[l.names(machine).of(path)]; ok {
 		return s.data.Data, true
 	}
 	return nil, false

@@ -2,6 +2,8 @@ package storage_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -366,5 +368,66 @@ func TestGlobalFSWriteReadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResourceNamesInTrace pins every store's trace resource names —
+// lfs:<machine>:<path>, gfs:<path> and zk:<path> — whether a name was built
+// by the op, by Seed or by an earlier op on the same path, and the paths
+// List hands back.
+func TestResourceNamesInTrace(t *testing.T) {
+	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective})
+	lfs, gfs, kv := storage.NewLocalFS(), storage.NewGlobalFS(), storage.NewKV(c)
+	lfs.Seed("machine-a", "/dir/seeded", sim.V("s"))
+	gfs.Seed("/g/seeded", sim.V("s"))
+	kv.Seed("/z/seeded", sim.V("s"))
+	c.StartProcess("a", "machine-a", func(ctx *sim.Context) {
+		lfs.Write(ctx, "/dir/f", sim.V(1))
+		_, _ = lfs.Read(ctx, "/dir/seeded")
+		lfs.Exists(ctx, "/dir/f")
+		if got := lfs.List(ctx, "/dir"); !slices.Equal(got, []string{"/dir/f", "/dir/seeded"}) {
+			t.Errorf("LocalFS.List = %q", got)
+		}
+		_ = lfs.Delete(ctx, "/dir/f")
+		gfs.Write(ctx, "/g/f", sim.V(2))
+		_ = gfs.Rename(ctx, "/g/f", "/g/h")
+		if got := gfs.List(ctx, "/g"); !slices.Equal(got, []string{"/g/h", "/g/seeded"}) {
+			t.Errorf("GlobalFS.List = %q", got)
+		}
+		_, _ = kv.Create(ctx, "/z/n", sim.V(3))
+		_, _ = kv.GetData(ctx, "/z/seeded")
+	})
+	c.StartProcess("b", "machine-b", func(ctx *sim.Context) {
+		lfs.Write(ctx, "/dir/f", sim.V(4))
+	})
+	if out := c.Run(); !out.Completed() {
+		t.Fatalf("run hung: %+v", out.Hung)
+	}
+	want := map[string][]string{
+		"a": {
+			"lfs:machine-a:/dir/f", "lfs:machine-a:/dir/seeded", "lfs:machine-a:/dir/f",
+			"lfs:machine-a:/dir", "lfs:machine-a:/dir/f",
+			"gfs:/g/f", "gfs:/g/f", "gfs:/g",
+			"zk:/z/n", "zk:/z/seeded",
+		},
+		"b": {"lfs:machine-b:/dir/f"},
+	}
+	tr := c.Trace()
+	for pid, names := range want {
+		var got []string
+		for _, r := range tr.Filter(trace.Query{PID: pid + "*"}) {
+			if res := tr.Str(r.Res); strings.HasPrefix(res, "lfs:") || strings.HasPrefix(res, "gfs:") || strings.HasPrefix(res, "zk:") {
+				got = append(got, res)
+			}
+		}
+		if !slices.Equal(got, names) {
+			t.Errorf("%s's storage records name\n  %q\nwant\n  %q", pid, got, names)
+		}
+	}
+	if v, ok := lfs.PeekLocal("machine-b", "/dir/f"); !ok || v != 4 {
+		t.Errorf("PeekLocal(machine-b) = %v, %v", v, ok)
+	}
+	if _, ok := lfs.PeekLocal("machine-a", "/dir/f"); ok {
+		t.Error("PeekLocal(machine-a) finds the deleted file")
 	}
 }

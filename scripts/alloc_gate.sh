@@ -7,26 +7,16 @@
 # that repeat to 0.02 % between runs — exceed their ceilings, so the gate
 # trips on a lost optimisation, not on a Go patch release:
 #
-#   campaign, dist — 1 % over the medians measured once an RPC round trip
-#     became one allocation (the call record holds its reply latch, up to
-#     two arguments and its handler thread) and a node stopped making what
-#     it does not use: campaign 9 004 KB / 116 207 mallocs per op, dist
-#     9 112 KB / 117 581; each ceiling is below the value before that
-#     change (campaign 9 533 KB / 150 433, dist 9 640 / 151 813). dist runs
-#     the same campaign runs through the coordinator, so its counts are
-#     campaign's plus the wire's. Running each leased plan through
-#     campaign.ExecPlan now measures dist at 9 116 KB / 117 637; 1 % over
-#     that would lie above the ceiling, so the ceiling stays.
-#   evaluation — 1 % over the median measured once a trigger replay tracked
-#     dependences on the report's read site only (a fold names its source
-#     site and every other op hands back no taint): 2 999 KB / 19 918
-#     mallocs per op; both ceilings are below the values before that change
-#     (3 129 KB / 23 509).
-#   predict — 1 % over the median measured after the same change:
-#     1 599 KB / 4 656; the mallocs ceiling is below the value before it
-#     (5 225). Its KB barely moves (1 598.3 before): a call record is one
-#     704-byte object, which saves bytes on calls with one or two arguments
-#     and costs a few on calls with none or more.
+#   campaign, dist, evaluation, predict — 1 % over the medians measured
+#     once a simulated key was copied only when its slot is made (heap
+#     fields, named objects and conds, and storage names look a caller's key
+#     up as given, so a key an app builds on every op stays on its stack):
+#     campaign 8 805 KB / 90 362 mallocs per op, dist 8 918 / 91 790,
+#     evaluation 2 969 / 16 294, predict 1 594 / 4 100. Every ceiling is
+#     below the value before that change (campaign 9 004 / 116 207, dist
+#     9 116 / 117 637, evaluation 2 999 / 19 918, predict 1 599 / 4 646).
+#     dist runs the same campaign runs through the coordinator, so its
+#     counts are campaign's plus the wire's.
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
 #     two-pass index; 1 % over the median measured once saved traces were
@@ -57,10 +47,10 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   9094  117369 || fail=1
-gate dist       9203  118757 || fail=1
-gate evaluation 3030  20118  || fail=1
+gate campaign   8893  91266  || fail=1
+gate dist       9007  92708  || fail=1
+gate evaluation 2998  16457  || fail=1
 gate offline    596   974    || fail=1
-gate predict    1615  4703   || fail=1
+gate predict    1610  4141   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
 echo "alloc-gate: ok"
