@@ -238,7 +238,7 @@ func BenchmarkDetectorAnalysis(b *testing.B) {
 
 // BenchmarkOfflineSweep is the repository benchmark's `offline` op as a Go
 // benchmark, for profiling: one iteration analyses every workload's saved
-// trace pair — FCT3 bytes through trace.NewSource and hb.NewFromSource, then
+// trace pair — FCT4 bytes through trace.NewSource and hb.NewFromSource, then
 // both detectors over the observation's windows — with no simulation. CPU
 // profiles of it (-cpu 1, as `go run ./bench -workload offline` runs) are
 // where CHANGES.md's decode/index shares come from.

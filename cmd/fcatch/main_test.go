@@ -29,14 +29,14 @@ func buildCLI(t *testing.T) func(args ...string) (string, int) {
 	}
 }
 
-// TestHostileTraceFileFailsClosed: `grep -in` on a well-formed FCT3 file whose
+// TestHostileTraceFileFailsClosed: `grep -in` on a well-formed FCT4 file whose
 // one record names site 2^31 — a consumer sizing a table by the highest site
 // it meets would allocate gigabytes — is refused with the decoder's positioned
 // error and exit status 1.
 func TestHostileTraceFileFailsClosed(t *testing.T) {
 	tr := trace.New()
 	tr.Append(trace.Record{Kind: trace.KHeapWrite, PID: tr.Intern("p#1"), Site: 1 << 31})
-	hostile := filepath.Join(t.TempDir(), "hostile.fct3")
+	hostile := filepath.Join(t.TempDir(), "hostile.fct4")
 	if err := tr.Save(hostile); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestHostileTraceFileFailsClosed(t *testing.T) {
 	if status != 1 {
 		t.Fatalf("exit status %d, want 1\n%s", status, out)
 	}
-	for _, want := range []string{"fct3 records section at decompressed offset", "site symbol 2147483648 out of range"} {
+	for _, want := range []string{hostile + ": fct4 records section at decompressed offset", "site symbol 2147483648 out of range"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output %q lacks %q", out, want)
 		}

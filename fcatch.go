@@ -246,9 +246,9 @@ type Trace = trace.Trace
 // Trace-format identification for the versioned on-disk encoding.
 const (
 	// TraceFormatMagic is the 4-byte tag leading every trace file written
-	// in the current binary format.
+	// in the current binary format, FCT4; a file with any other is refused.
 	TraceFormatMagic = trace.FormatMagic
-	// TraceFormatVersion is the format generation the magic encodes.
+	// TraceFormatVersion is the format generation the magic encodes (4).
 	TraceFormatVersion = trace.FormatVersion
 )
 

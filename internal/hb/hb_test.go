@@ -182,7 +182,8 @@ func sameIndex(a, b *trace.Index) bool {
 }
 
 // tiled repeats build()'s nine records, op references shifted, until the
-// trace holds at least n — Encode starts a new chunk every 1 024 records.
+// trace holds at least n — a decoder allocates records 4 096 ahead of those
+// it has read.
 func tiled(n int) *trace.Trace {
 	unit, _ := build()
 	tr := trace.New()
@@ -204,11 +205,11 @@ func tiled(n int) *trace.Trace {
 }
 
 // TestNewFromSourceMatchesNew pins the decode-then-build path: the graph
-// built from the source of an FCT3 stream, of one chunk or of several, equals
-// the one built from the trace that was encoded.
+// built from the source of an FCT4 stream, of a small trace or a tiled one,
+// equals the one built from the trace that was encoded.
 func TestNewFromSourceMatchesNew(t *testing.T) {
 	small, _ := build()
-	for name, tr := range map[string]*trace.Trace{"one chunk": small, "three chunks": tiled(2500)} {
+	for name, tr := range map[string]*trace.Trace{"small": small, "tiled": tiled(5000)} {
 		want := hb.New(tr)
 		var buf bytes.Buffer
 		if err := tr.Encode(&buf); err != nil {
@@ -223,7 +224,7 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !sameIndex(g.Ix, want.Ix) {
-			t.Fatalf("%s: index built from the decoded FCT3 stream diverged", name)
+			t.Fatalf("%s: index built from the decoded FCT4 stream diverged", name)
 		}
 		// The graphs must also agree behaviorally, not just structurally.
 		for op := trace.OpID(1); int(op) <= len(tr.Records); op++ {

@@ -70,7 +70,7 @@ func TestCallsiteSourcesAgree(t *testing.T) {
 
 			for i, name := range []string{"fault-free", "faulty"} {
 				if !bytes.Equal(selTraces[i], portTraces[i]) {
-					t.Errorf("%s run: FCT3 bytes differ between PC sources (%d vs %d bytes)",
+					t.Errorf("%s run: FCT4 bytes differ between PC sources (%d vs %d bytes)",
 						name, len(selTraces[i]), len(portTraces[i]))
 				}
 				if !reflect.DeepEqual(selOuts[i], portOuts[i]) {

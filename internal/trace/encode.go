@@ -9,23 +9,26 @@ import (
 	"os"
 )
 
-// FormatMagic is the 4-byte tag leading every trace file (the chunked FCT3
-// layout — see fct3.go). It sits outside the gzip layer so a reader can
-// reject anything else before decompressing a byte.
-const FormatMagic = "FCT3"
+// FormatMagic is the 4-byte tag leading every trace file (the FCT4 layout —
+// see fct4.go). It sits outside the gzip layer so a reader can reject
+// anything else before decompressing a byte.
+const FormatMagic = "FCT4"
 
 // FormatVersion is the trace-format generation the magic encodes.
-const FormatVersion = 3
+const FormatVersion = 4
 
-// Save writes the trace to path in the FCT3 format.
+// Save writes the trace to path in the FCT4 format.
 func (t *Trace) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: save: %w", err)
 	}
-	defer f.Close()
-	if err := t.Encode(f); err != nil {
-		return fmt.Errorf("trace: encode %s: %w", path, err)
+	err = t.Encode(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace: save %s: %w", path, err)
 	}
 	return nil
 }
@@ -37,17 +40,14 @@ func Load(path string) (*Trace, error) {
 		return nil, fmt.Errorf("trace: open: %w", err)
 	}
 	defer f.Close()
-	src, err := NewSource(f)
+	t, err := Decode(f)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return src.Drain()
+	return t, nil
 }
 
-// Encode writes the trace to w in the FCT3 format.
-func (t *Trace) Encode(w io.Writer) error { return t.encode(w, encodeChunk) }
-
-// Decode reads an FCT3 trace from r.
+// Decode reads an FCT4 trace from r.
 func Decode(r io.Reader) (*Trace, error) {
 	src, err := NewSource(r)
 	if err != nil {
@@ -126,16 +126,13 @@ type colDecoder struct {
 	rerr error // what r returned once it stopped delivering (io.EOF at a clean end)
 	err  error
 
-	// Range limits for the record columns of the chunk being decoded (set by
-	// decodeChunk): the symbol and stack tables always precede the chunk that
-	// needs them, and an op may only be referenced from a chunk that contains
-	// it or follows it.
+	// The last valid symbol, stack and op for the record columns: the
+	// stream's counts.
 	maxSym, maxStack, maxOp uint64
 
-	// ids and lens stage one chunk's Taint and Ctl lists — all ids back to
-	// back, one length per list — until carveLists knows their total and can
-	// back them with one exact arena. text and lens likewise stage a table
-	// section's strings for strs.
+	// ids and lens stage the Taint and Ctl lists — all ids back to back, one
+	// length per list — until carveLists knows their total and can back them
+	// with one exact arena. text and lens likewise stage the symbol strings.
 	ids  []OpID
 	lens []int32
 	text []byte
@@ -205,10 +202,12 @@ func (d *colDecoder) fail(err error) {
 	d.win[d.hi] = endMark
 }
 
-// drain discards the rest of the stream and returns what ended it, nil for
-// a clean EOF.
-func (d *colDecoder) drain() error {
-	for d.lo = d.hi; d.fill(); d.lo = d.hi {
+// end refuses any byte after the last column and returns what ended the
+// stream, nil for a clean EOF. The gzip layer reports EOF only once it has
+// checked the footer, so a partial write that clips the CRC fails here.
+func (d *colDecoder) end() error {
+	if d.lo < d.hi || d.fill() {
+		return errors.New("data after the last record column")
 	}
 	if d.rerr == io.EOF {
 		return nil
@@ -290,11 +289,12 @@ func (d *colDecoder) appendStr(dst []byte) []byte {
 	return dst
 }
 
-// strs reads a table section's n strings and hands them to add in order,
-// all carved out of one allocation: a table's strings live exactly as long
-// as its trace, so sharing one backing array costs no memory. On an error
-// add is not called.
-func (d *colDecoder) strs(n uint64, add func(string)) {
+// symbols reads n strings into st, which holds only its empty slot, all
+// carved out of one allocation: a table's strings live exactly as long as
+// its trace, so sharing one backing array costs no memory. A string already
+// in the table (the empty one included) is refused, so the table ends up
+// exactly n+1 long.
+func (d *colDecoder) symbols(n uint64, st *SymTab) {
 	d.text, d.lens = d.text[:0], d.lens[:0]
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		before := len(d.text)
@@ -305,8 +305,11 @@ func (d *colDecoder) strs(n uint64, add func(string)) {
 		return
 	}
 	all := string(d.text)
-	for _, l := range d.lens {
-		add(all[:l])
+	for i, l := range d.lens {
+		if y := st.Intern(all[:l]); y != Sym(i+1) {
+			d.fail(fmt.Errorf("symbol %d repeats symbol %d", i+1, y))
+			return
+		}
 		all = all[l:]
 	}
 }
@@ -332,7 +335,7 @@ func (d *colDecoder) ops() {
 }
 
 // carveLists hands the staged lists to rs (all Taint lists, then all Ctl
-// lists, as the columns are laid out): one arena of exactly the chunk's ids,
+// lists, as the columns are laid out): one arena of exactly the trace's ids,
 // each list clipped to its own length so an append by a consumer reallocates
 // instead of running into its neighbour. Empty lists stay nil.
 func (d *colDecoder) carveLists(rs []Record) {

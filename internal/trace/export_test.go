@@ -10,13 +10,9 @@ import (
 	"sync/atomic"
 )
 
-// EncodeChunked is Encode with record chunks of n instead of 1 024, for
-// streams of many chunks from small traces.
-func EncodeChunked(t *Trace, w io.Writer, n int) error { return t.encode(w, n) }
-
-// WithHeader returns the encoded stream raw with its header (the three size
-// hints Encode writes) replaced by hdr, so a test can hand the decoder hints
-// that are wrong.
+// WithHeader returns the encoded stream raw with its header (the three
+// counts Encode writes) replaced by hdr, so a test can hand the decoder
+// counts that lie.
 func WithHeader(raw, hdr []byte) ([]byte, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(raw[len(FormatMagic):]))
 	if err != nil {
@@ -26,7 +22,7 @@ func WithHeader(raw, hdr []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < 3; i++ { // symbol, stack and record totals
+	for i := 0; i < 3; i++ { // symbol, stack and record counts
 		_, n := binary.Uvarint(payload)
 		if n <= 0 {
 			return nil, fmt.Errorf("header varint %d is cut or overflows", i)

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"fcatch/internal/trace"
@@ -15,22 +16,24 @@ func FuzzDecode(f *testing.F) {
 	// Seed with valid streams, stored and deflated, streams whose records
 	// point outside the tables, the retired formats' leading bytes, and
 	// garbage.
-	var fct3 bytes.Buffer
-	if err := randomTrace(1, 40).Encode(&fct3); err != nil {
+	var fct4 bytes.Buffer
+	if err := randomTrace(1, 40).Encode(&fct4); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(fct3.Bytes())
-	// The same stream behind a header whose hints all say 0.
-	unhinted, err := trace.WithHeader(fct3.Bytes(), []byte{0, 0, 0})
+	f.Add(fct4.Bytes())
+	// The same stream behind a header whose counts lie: one symbol, one stack
+	// node and 2^40 records.
+	lying, err := trace.WithHeader(fct4.Bytes(), binary.AppendUvarint([]byte{1, 1}, 1<<40))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(unhinted)
+	f.Add(lying)
 	// The same trace Huffman-coded, as builds before stored blocks wrote it,
 	// so fuzzing still reaches the inflater's block decoding.
 	f.Add(encodeDeflated(f, randomTrace(1, 40)))
 	// Exactly four bytes: the magic peek succeeds with nothing behind it.
 	f.Add([]byte(trace.FormatMagic))
+	f.Add([]byte("FCT3"))
 	f.Add([]byte("FCT2"))
 	f.Add([]byte("FCT1"))
 	f.Add([]byte("not a trace"))

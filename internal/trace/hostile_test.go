@@ -2,6 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,7 +14,7 @@ import (
 	"fcatch/internal/trace"
 )
 
-// danglingRefs are well-formed FCT3 streams — right magic, intact gzip, every
+// danglingRefs are well-formed FCT4 streams — right magic, intact gzip, every
 // section in place — whose second record points outside the tables or past
 // the end of the trace. The index and the fault-space fold use these fields
 // as dense table indices on whatever the decoder returns, so the decoder is
@@ -47,16 +51,28 @@ func danglingRefs(t testing.TB) map[string][]byte {
 	return out
 }
 
-// TestDecodeRejectsDanglingRefs: every entry point a saved trace can come in
-// through answers a dangling reference with a positioned decode error — no
-// panic in an index, no table sized by the hostile value.
-func TestDecodeRejectsDanglingRefs(t *testing.T) {
-	entries := map[string]func(raw []byte) error{
-		"trace.Decode": func(raw []byte) error {
-			_, err := trace.Decode(bytes.NewReader(raw))
+// failsClosed requires every entry point a saved trace can come in through
+// to answer raw with an error containing each of wants — no panic in an
+// index, no table sized by a hostile value — and to allocate under 1 MiB on
+// the way.
+func failsClosed(t *testing.T, name string, raw []byte, wants ...string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hostile.trace")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func() error{
+		"Decode": func() error { _, err := trace.Decode(bytes.NewReader(raw)); return err },
+		"NewSource+Drain": func() error {
+			src, err := trace.NewSource(bytes.NewReader(raw))
+			if err != nil {
+				return err
+			}
+			_, err = src.Drain()
 			return err
 		},
-		"hb.NewFromSource": func(raw []byte) error {
+		"Load": func() error { _, err := trace.Load(path); return err },
+		"hb.NewFromSource": func() error {
 			src, err := trace.NewSource(bytes.NewReader(raw))
 			if err != nil {
 				return err
@@ -65,24 +81,44 @@ func TestDecodeRejectsDanglingRefs(t *testing.T) {
 			return err
 		},
 	}
-	for field, raw := range danglingRefs(t) {
-		for entry, call := range entries {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := call(raw)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Errorf("%s accepted a record with a dangling %s", entry, field)
-				continue
-			}
-			for _, want := range []string{"fct3 records section at decompressed offset", "(0 records decoded)", "out of range"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("%s, dangling %s: error %q lacks %q", entry, field, err, want)
-				}
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-				t.Errorf("%s, dangling %s: allocated %d bytes on the way to the error", entry, field, grew)
+	for entry, call := range entries {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := call()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted %s", entry, name)
+			continue
+		}
+		for _, want := range wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: error %q lacks %q", entry, name, err, want)
 			}
 		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s, %s: allocated %d bytes on the way to the error", entry, name, grew)
+		}
 	}
+}
+
+// TestDecodeRejectsDanglingRefs: a record with a dangling reference is
+// refused with a positioned decode error.
+func TestDecodeRejectsDanglingRefs(t *testing.T) {
+	for field, raw := range danglingRefs(t) {
+		failsClosed(t, "a dangling "+field, raw, "fct4 records section at decompressed offset", "out of range")
+	}
+}
+
+// TestHostileCountsFailClosed: a stream whose counts declare 2^40 records
+// and that carries none is refused where the records should start, having
+// allocated no more than the decoder's step of records ahead of the TS
+// values it read — believed, the count asks for 150 TB.
+func TestHostileCountsFailClosed(t *testing.T) {
+	hdr := binary.AppendUvarint([]byte{0, 0}, 1<<40)
+	raw, err := trace.WithHeader(encode(t, trace.New()), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failsClosed(t, "2^40 records", raw,
+		fmt.Sprintf("fct4 records section at decompressed offset %d: unexpected EOF", len(hdr)))
 }

@@ -188,18 +188,14 @@ func TestConcurrentDecodes(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocsPerTrace: decoding allocates per chunk, per table section
-// and per trace — not per record, not per Taint/Ctl list and not per symbol.
+// TestDecodeAllocsPerTrace: decoding allocates per trace — not per record,
+// not per Taint/Ctl list and not per symbol.
 func TestDecodeAllocsPerTrace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool forget items at random")
 	}
 	tr := randomTrace(5, 1000)
-	var buf bytes.Buffer
-	if err := trace.EncodeChunked(tr, &buf, 100); err != nil { // ten chunks
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode(t, tr)
 	lists := 0
 	for i := range tr.Records {
 		if len(tr.Records[i].Taint) > 0 {
@@ -233,14 +229,13 @@ func TestDecodeAllocsPerTrace(t *testing.T) {
 	}
 	decode() // warm the pools
 	inflate()
-	const chunks = 10
-	// Per chunk: its list arena. Per symbol section: one string backing all
-	// of its strings. The constant covers the trace, the source, the record
-	// slice and the symbol and stack tables with their maps. A string per
-	// symbol would add the fixture's 16 of them and fail.
-	budget := float64(chunks + 1 + 12)
+	// One list arena, one string backing all the symbols, and the trace,
+	// the source, the record slice and the symbol and stack tables with
+	// their maps. A string per symbol would add the fixture's 16 of them and
+	// fail.
+	const budget = 1 + 1 + 12
 	if got := testing.AllocsPerRun(20, decode) - testing.AllocsPerRun(20, inflate); got > budget {
-		t.Fatalf("decoding %d records in %d chunks allocated %.0f times on top of the inflater, budget %.0f (%d symbols)",
-			len(tr.Records), chunks, got, budget, tr.NumSyms())
+		t.Fatalf("decoding %d records allocated %.0f times on top of the inflater, budget %d (%d symbols)",
+			len(tr.Records), got, budget, tr.NumSyms())
 	}
 }

@@ -54,61 +54,72 @@ func decodeShapes(t *testing.T, raw []byte) (*trace.Trace, error) {
 	return first, firstErr
 }
 
-// TestFCT2SourceHints: the header's size hints are advice. A stream whose
-// hints all say 0, and one whose header declares 2^40 of everything, decode
-// to the trace the true hints give, and what the decoder pre-sizes on the
-// hostile header's word is bounded by its clamp (2^18 entries per table,
-// some 26 MiB of empty tables) — believed, the header asks for terabytes.
-func TestFCT2SourceHints(t *testing.T) {
+// TestFCT4CountsMustBeExact: the header's counts are the whole truth about
+// the tables and records that follow. A stream whose symbol, stack or record
+// count is one more or one less than what it carries is refused, and so is
+// one whose header declares 2^40 of everything, with what the decoder
+// pre-sizes on that word bounded by its clamp (2^18 entries per table, some
+// 26 MiB of empty tables) — believed, the header asks for terabytes.
+func TestFCT4CountsMustBeExact(t *testing.T) {
 	tr := randomTrace(9, 120)
 	raw := encode(t, tr)
-	var hugeHints []byte // 2^40 symbols, stacks and records
-	for i := 0; i < 3; i++ {
-		hugeHints = binary.AppendUvarint(hugeHints, 1<<40)
+	counts := []uint64{uint64(tr.NumSyms() - 1), uint64(tr.NumStacks() - 1), uint64(len(tr.Records))}
+	header := func(cs []uint64) []byte {
+		var hdr []byte
+		for _, c := range cs {
+			hdr = binary.AppendUvarint(hdr, c)
+		}
+		return hdr
 	}
-	for name, hdr := range map[string][]byte{"zero hints": {0, 0, 0}, "2^40 of everything": hugeHints} {
-		alt, err := trace.WithHeader(raw, hdr)
-		if err != nil {
-			t.Fatal(err)
+	alt, err := trace.WithHeader(raw, header(counts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(alt, raw) {
+		t.Fatal("the header Encode writes is not the trace's three counts")
+	}
+	for i, what := range []string{"symbol", "stack", "record"} {
+		for _, delta := range []int64{-1, 1} {
+			lying := append([]uint64(nil), counts...)
+			lying[i] = uint64(int64(lying[i]) + delta)
+			alt, err := trace.WithHeader(raw, header(lying))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decodeShapes(t, alt); err == nil {
+				t.Errorf("a %s count off by %+d decoded cleanly", what, delta)
+			}
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		src, err := trace.NewSource(bytes.NewReader(alt))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("%s header: %v", name, err)
-		}
-		src.Close()
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
-			t.Errorf("%s header: %d bytes allocated before the first chunk", name, grew)
-		}
-		got, err := decodeShapes(t, alt)
-		if err != nil {
-			t.Fatalf("%s header: %v", name, err)
-		}
-		if !reflect.DeepEqual(flatten(got), flatten(tr)) {
-			t.Errorf("%s header: decoded a different trace", name)
-		}
+	}
+
+	alt, err = trace.WithHeader(raw, header([]uint64{1 << 40, 1 << 40, 1 << 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = trace.Decode(bytes.NewReader(alt))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header declaring 2^40 of everything decoded cleanly")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Errorf("a header declaring 2^40 of everything: %d bytes allocated on the way to the error", grew)
 	}
 }
 
-// TestFCT2TruncationEveryBoundary regenerates the FCT3 stream's decompressed
+// TestFCT4TruncationEveryBoundary regenerates the FCT4 stream's decompressed
 // payload, truncates it at every byte offset (a superset of every section
 // boundary), re-compresses the prefix and decodes it: every cut must produce
 // a wrapped, position-bearing error — never a panic, never a silently short
 // trace — whatever shape of reader delivers the bytes. The messages are
-// pinned in testdata/fct2_truncation.golden (runs of cuts that fail alike
-// share a line, the offset replaced by "<cut>"): section names, offsets and
-// record counts are part of the format's contract, and the file changes
-// only with the layout.
-func TestFCT2TruncationEveryBoundary(t *testing.T) {
+// pinned in testdata/fct4_truncation.golden (runs of cuts that fail alike
+// share a line, the offset replaced by "<cut>"): section names and offsets
+// are part of the format's contract, and the file changes only with the
+// layout.
+func TestFCT4TruncationEveryBoundary(t *testing.T) {
 	tr := randomTrace(4, 60)
-	var buf bytes.Buffer
-	// Small chunks, so cuts land in and between many of them.
-	if err := trace.EncodeChunked(tr, &buf, 13); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode(t, tr)
 	if string(raw[:4]) != trace.FormatMagic {
 		t.Fatalf("magic = %q", raw[:4])
 	}
@@ -144,18 +155,18 @@ func TestFCT2TruncationEveryBoundary(t *testing.T) {
 		if err == nil {
 			t.Fatalf("cut at %d/%d decoded cleanly", cut, len(payload))
 		}
-		at := fmt.Sprintf("decompressed offset %d ", cut)
+		at := fmt.Sprintf("decompressed offset %d:", cut)
 		if !strings.Contains(err.Error(), at) {
 			t.Fatalf("cut at %d: error does not place the truncation there: %v", cut, err)
 		}
-		if msg := strings.Replace(err.Error(), at, "decompressed offset <cut> ", 1); msg != runMsg {
+		if msg := strings.Replace(err.Error(), at, "decompressed offset <cut>:", 1); msg != runMsg {
 			endRun(cut)
 			runMsg = msg
 		}
 	}
 	endRun(len(payload))
 
-	const golden = "testdata/fct2_truncation.golden"
+	const golden = "testdata/fct4_truncation.golden"
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -195,16 +206,24 @@ func TestFCT2TruncationCompressed(t *testing.T) {
 	}
 }
 
-// TestFCT2RejectsCorruptSections flips declared counts and tags into
-// hostile values and checks for clean errors.
-func TestFCT2RejectsCorruptSections(t *testing.T) {
-	// An end section that under-declares the record count.
-	dst := trace.New()
-	dst.Append(trace.Record{TS: 1, Kind: trace.KHeapRead})
-	// The encoder writes the count it encoded, so corrupt the payload:
-	// rewrite the final end-count byte.
-	raw := encode(t, dst)
-	zr, err := gzip.NewReader(bytes.NewReader(raw[4:]))
+// TestFCT4RejectsTrailingOrMissingData: nothing may follow the last column
+// (a stray byte, or a second gzip member), and the tables must hold exactly
+// what their counts say: a repeated symbol or stack node, a stack node whose
+// parent comes after it, or a frame outside the symbol table is refused.
+func TestFCT4RejectsTrailingOrMissingData(t *testing.T) {
+	gzipped := func(parts ...[]byte) []byte {
+		out := bytes.NewBufferString(trace.FormatMagic)
+		for _, p := range parts {
+			zw := gzip.NewWriter(out)
+			zw.Write(p)
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.Bytes()
+	}
+	raw := encode(t, randomTrace(7, 30))
+	zr, err := gzip.NewReader(bytes.NewReader(raw[len(trace.FormatMagic):]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,38 +231,29 @@ func TestFCT2RejectsCorruptSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload[len(payload)-1] ^= 0x01 // end-section total: 1 -> 0
-	var bad bytes.Buffer
-	bad.WriteString(trace.FormatMagic)
-	zw := gzip.NewWriter(&bad)
-	zw.Write(payload)
-	zw.Close()
-	_, err = decodeShapes(t, bad.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "declares") {
-		t.Fatalf("mismatched end count not rejected: %v", err)
-	}
-
-	// An unknown section tag.
-	var bad2 bytes.Buffer
-	bad2.WriteString(trace.FormatMagic)
-	zw = gzip.NewWriter(&bad2)
-	zw.Write([]byte{0, 0, 0, 0x3f}) // three zero hints, then tag 63
-	zw.Close()
-	_, err = decodeShapes(t, bad2.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "unknown section tag") {
-		t.Fatalf("unknown tag not rejected: %v", err)
+	end := fmt.Sprintf("fct4 end section at decompressed offset %d: data after the last record column", len(payload))
+	for _, c := range []struct {
+		name, want string
+		raw        []byte
+	}{
+		{"a trailing byte", end, gzipped(append(payload[:len(payload):len(payload)], 0))},
+		{"a second gzip member", end, gzipped(payload, []byte{0})},
+		{"a repeated symbol", "symbol 2 repeats symbol 1", gzipped([]byte{2, 0, 0, 1, 'a', 1, 'a'})},
+		{"the empty symbol", "symbol 1 repeats symbol 0", gzipped([]byte{1, 0, 0, 0})},
+		{"a repeated stack node", "stack node 2 repeats node 1", gzipped([]byte{0, 2, 0, 0, 0, 0, 0})},
+		{"a stack node ahead of its parent", "stack parent 1 out of range (last valid: 0)", gzipped([]byte{0, 1, 0, 1, 0})},
+		{"a frame outside the symbols", "stack frame symbol 5 out of range (last valid: 0)", gzipped([]byte{0, 1, 0, 0, 5})},
+	} {
+		if _, err := decodeShapes(t, c.raw); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 
 // TestSourceTruncationIsUnexpectedEOF: a stream cut mid-section drains to
 // an error wrapping io.ErrUnexpectedEOF, never to a clean, short trace.
 func TestSourceTruncationIsUnexpectedEOF(t *testing.T) {
-	tr := randomTrace(6, 50)
-	var buf bytes.Buffer
-	if err := trace.EncodeChunked(tr, &buf, 7); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encode(t, randomTrace(6, 50))
 	zr, err := gzip.NewReader(bytes.NewReader(raw[4:]))
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ func (st *SymTab) Intern(s string) Sym {
 	return y
 }
 
-// grow pre-sizes the table for n total symbols (a decoder size hint). Only
-// worth it before real inserts.
+// grow pre-sizes the table for n total symbols, as a decoder does from a
+// stream's count. Only worth it before real inserts.
 func (st *SymTab) grow(n int) {
 	if len(st.idx) > 1 || n <= len(st.strs) {
 		return
@@ -114,8 +114,8 @@ func (st *StackTab) init() {
 	}
 }
 
-// grow pre-sizes the table for n total nodes (a decoder size hint). Only
-// worth it before real inserts.
+// grow pre-sizes the table for n total nodes, as a decoder does from a
+// stream's count. Only worth it before real inserts.
 func (st *StackTab) grow(n int) {
 	if len(st.idx) > 0 || n <= len(st.nodes) {
 		return

@@ -231,7 +231,7 @@ func indexesSite(r *Record) bool {
 // the second pass fills each group's share of it. Kinds, Syms and op
 // references are used as table indices unchecked: the tracer assigns them
 // densely and the decoder rejects a record whose fields fall outside the
-// tables (decodeChunk), so a violation here is a bug in the producer.
+// tables (decodeRecColumns), so a violation here is a bug in the producer.
 func BuildIndex(t *Trace) *Index {
 	recs := t.Records
 	nSyms := t.NumSyms()

@@ -3,8 +3,10 @@ package trace_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +169,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if labels := got.StackLabels(got.Records[5].Stack); len(labels) != 2 || labels[1] != "fn" {
 		t.Fatalf("record contents lost: stack = %v", labels)
+	}
+
+	// A file cut short fails to load with an error naming it.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.trace")
+	if err := os.WriteFile(cut, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Load(cut); err == nil || !strings.Contains(err.Error(), "trace: "+cut+": ") {
+		t.Fatalf("loading a truncated file: err = %v, want one naming %s", err, cut)
 	}
 }
 

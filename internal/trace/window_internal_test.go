@@ -3,13 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -226,86 +224,5 @@ func TestColDecoderStopsAtFirstError(t *testing.T) {
 				t.Fatalf("%s: read %d after the error gave (%d, %d, %q), err %v at %d", name, i, u, v, str, d.err, d.pos())
 			}
 		}
-	}
-}
-
-// TestSourceTakesTablesBetweenChunks: Encode writes each table once, ahead of
-// the first chunk, but the format lets a table section continue its table
-// anywhere before the chunk that needs the entries. A hand-written stream
-// that defines a fresh symbol and stack node ahead of every one-record chunk
-// decodes to the trace it describes — and a chunk that names a symbol
-// defined only after it is refused.
-func TestSourceTakesTablesBetweenChunks(t *testing.T) {
-	want := New()
-	var payload bytes.Buffer
-	e := colEncoder{w: bufio.NewWriter(&payload)}
-	zeroHints := func() {
-		for range 3 {
-			e.uvarint(0)
-		}
-	}
-	zeroHints()
-	sentSyms, sentStacks, prevTS := 1, 1, int64(0)
-	for i := 0; i < 5; i++ {
-		pid := fmt.Sprintf("node#%d", i)
-		want.Append(Record{
-			TS: int64(2 * i), Kind: KHeapRead, PID: want.Intern(pid), Causor: OpID(i),
-			Site:  want.Intern(fmt.Sprintf("app/f.go:%d", i)),
-			Stack: want.PushFrame(StackID(i), want.Intern(fmt.Sprintf("fn%d", i))),
-		})
-		e.uvarint(secSyms)
-		e.uvarint(uint64(want.NumSyms() - sentSyms))
-		for ; sentSyms < want.NumSyms(); sentSyms++ {
-			e.str(want.Str(Sym(sentSyms)))
-		}
-		e.uvarint(secStacks)
-		e.uvarint(uint64(want.NumStacks() - sentStacks))
-		for ; sentStacks < want.NumStacks(); sentStacks++ {
-			e.uvarint(uint64(want.stacks.nodes[sentStacks].parent))
-			e.uvarint(uint64(want.stacks.nodes[sentStacks].frame))
-		}
-		e.uvarint(secRecords)
-		e.uvarint(1)
-		encodeRecColumns(&e, want.Records[i:], &prevTS)
-	}
-	e.uvarint(secEnd)
-	e.uvarint(uint64(len(want.Records)))
-	if err := e.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	stream := func(payload []byte) io.Reader {
-		out := bytes.NewBufferString(FormatMagic)
-		zw := gzip.NewWriter(out)
-		zw.Write(payload)
-		zw.Close()
-		return out
-	}
-
-	got, err := Decode(stream(payload.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := got.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) || !reflect.DeepEqual(got.Records, want.Records) {
-		t.Fatal("a stream with a table section ahead of every chunk decoded to a different trace")
-	}
-
-	// The same records in one chunk ahead of their tables.
-	payload.Reset()
-	e = colEncoder{w: bufio.NewWriter(&payload)}
-	prevTS = 0
-	zeroHints()
-	e.uvarint(secRecords)
-	e.uvarint(uint64(len(want.Records)))
-	encodeRecColumns(&e, want.Records, &prevTS)
-	e.w.Flush()
-	if _, err := Decode(stream(payload.Bytes())); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("a chunk ahead of its tables: err = %v, want an out-of-range refusal", err)
 	}
 }
