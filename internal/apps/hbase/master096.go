@@ -80,7 +80,7 @@ func master096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// ephemeral znode may outlive it until the ZK session expires; the
 	// NodeExists exception is caught and retried.
 	for {
-		ok, err := kv.Create(ctx, "/hbase/master", sim.V(ctx.PID()), storage.Ephemeral())
+		ok, err := kv.CreateEphemeral(ctx, "/hbase/master", sim.V(ctx.PID()))
 		if err == nil {
 			break
 		}
@@ -162,7 +162,7 @@ func master096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.Glob
 	// caught exceptions are the paper's "Exp." false positives. ---
 
 	// Backup-master registration (scanned and pinged by the next master).
-	okBackup, _ := kv.Create(ctx, "/hbase/backup-masters/"+ctx.PID(), sim.V(ctx.PID()), storage.Ephemeral())
+	okBackup, _ := kv.CreateEphemeral(ctx, "/hbase/backup-masters/"+ctx.PID(), sim.V(ctx.PID()))
 
 	// The recovery-plan scratch file: a leftover raises a caught
 	// FileAlreadyExists and an alternate name is used.

@@ -96,7 +96,7 @@ func rs090Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 
 	// Liveness registration: the ephemeral znode whose creation registers
 	// this server and whose expiry triggers the master's recovery.
-	_, _ = kv.Create(ctx, "/hbase/rs/"+me, sim.V(me), storage.Ephemeral())
+	_, _ = kv.CreateEphemeral(ctx, "/hbase/rs/"+me, sim.V(me))
 }
 
 // flushAndReplicate persists the memstore and ships the replication queue —

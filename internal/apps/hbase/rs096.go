@@ -82,7 +82,7 @@ func rs096Main(ctx *sim.Context, p params, kv *storage.KV, gfs *storage.GlobalFS
 	})
 
 	// Liveness registration.
-	_, _ = kv.Create(ctx, "/hbase/rs/"+ctx.PID(), sim.V(ctx.PID()), storage.Ephemeral())
+	_, _ = kv.CreateEphemeral(ctx, "/hbase/rs/"+ctx.PID(), sim.V(ctx.PID()))
 
 	// Periodic server-load reports feed the master's balancer.
 	ctx.GoDaemon("load-reporter", func(ctx *sim.Context) {

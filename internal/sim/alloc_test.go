@@ -85,7 +85,8 @@ func TestSteadyStateStepZeroAllocs(t *testing.T) {
 
 // TestOpBookkeepingZeroAllocs pins the op path's allocation contract: with
 // tracing off, an op allocates nothing for its own bookkeeping — no escaping
-// callbacks, scope closures or per-op resource names.
+// callbacks, scope closures or per-op resource names — whether it succeeds
+// or fails.
 func TestOpBookkeepingZeroAllocs(t *testing.T) {
 	val := sim.V("v")
 	cases := []struct {
@@ -105,6 +106,16 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 			kv.Seed("/z", val)
 			return func(ctx *sim.Context) { _, _ = kv.GetData(ctx, "/z") }
 		}},
+		{"KV.Exists", func(c *sim.Cluster) func(*sim.Context) {
+			kv := storage.NewKV(c)
+			kv.Seed("/z", val)
+			return func(ctx *sim.Context) { kv.Exists(ctx, "/z") }
+		}},
+		{"KV.Create of an existing znode", func(c *sim.Cluster) func(*sim.Context) {
+			kv := storage.NewKV(c)
+			kv.Seed("/z", val)
+			return func(ctx *sim.Context) { _, _ = kv.Create(ctx, "/z", val) }
+		}},
 		{"GlobalFS.Write", func(*sim.Cluster) func(*sim.Context) {
 			gfs := storage.NewGlobalFS()
 			gfs.Seed("/d/f", val)
@@ -114,6 +125,16 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 			gfs := storage.NewGlobalFS()
 			gfs.Seed("/d/f", val)
 			return func(ctx *sim.Context) { _, _ = gfs.Read(ctx, "/d/f") }
+		}},
+		{"GlobalFS.Exists", func(*sim.Cluster) func(*sim.Context) {
+			gfs := storage.NewGlobalFS()
+			gfs.Seed("/d/f", val)
+			return func(ctx *sim.Context) { gfs.Exists(ctx, "/d/f") }
+		}},
+		{"GlobalFS.Create of an existing file", func(*sim.Cluster) func(*sim.Context) {
+			gfs := storage.NewGlobalFS()
+			gfs.Seed("/d/f", val)
+			return func(ctx *sim.Context) { _, _ = gfs.Create(ctx, "/d/f", val) }
 		}},
 		// The resource name, lfs:m0:/var/cassandra/saved_tokens, is longer
 		// than a stack-built concatenation may be: it must not be built.

@@ -72,11 +72,12 @@ func (cv *Cond) signalInternal(ctx *Context, v Value, err error, site SiteID) {
 		Aux:    cv.name,
 		Taint:  v.taint,
 		Site:   site,
-	}, &OpEffects{Apply: func() {
+	}, &OpEffects{Apply: func() error {
 		cv.set = true
 		cv.payload = v
 		cv.err = err
 		cv.wakeAll(resumeMsg{val: v, err: err})
+		return nil
 	}})
 }
 

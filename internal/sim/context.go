@@ -139,11 +139,9 @@ type OpReq struct {
 // it captures) would go to the heap. Do never keeps fx, so a caller's
 // &OpEffects{...} and its closures stay on the caller's stack.
 type OpEffects struct {
-	// Apply performs the op's semantic effect (may be nil for pure reads).
-	Apply func()
-	// FlagsAfter, if set, contributes flags computed after Apply ran (e.g.
-	// whether the operation failed).
-	FlagsAfter func() uint32
+	// Apply performs the op's semantic effect (may be nil for pure reads)
+	// and returns the op's error: Do flags a failed op's record FlagFailed.
+	Apply func() error
 	// PostEmit runs after the record is emitted but before the scheduler
 	// step, i.e. before the thread pauses. Substrates use it
 	// to publish the op's ID (define-use bookkeeping) atomically with the
@@ -168,11 +166,8 @@ func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, drop string) {
 		fx = &none
 	}
 	drop = ctx.c.checkTrigger(site, trace.WhenBefore, req.IsSend)
-	if drop == "" && fx.Apply != nil {
-		fx.Apply()
-	}
-	if fx.FlagsAfter != nil {
-		req.Flags |= fx.FlagsAfter()
+	if drop == "" && fx.Apply != nil && fx.Apply() != nil {
+		req.Flags |= trace.FlagFailed
 	}
 	op := opSpec{
 		Kind: req.Kind, Res: req.Res, ResSym: req.ResSym, resOf: req.resOf, Aux: req.Aux,

@@ -154,7 +154,10 @@ func serveRPC(hctx *Context) {
 		Taint:  result.taint,
 		Site:   hctx.c.siteRPCReplySend,
 		IsSend: true,
-	}, &OpEffects{Apply: func() { deliverable = !cs.caller.crashed }})
+	}, &OpEffects{Apply: func() error {
+		deliverable = !cs.caller.crashed
+		return nil
+	}})
 	if drop != "" {
 		return // reply lost on the wire; server moves on
 	}

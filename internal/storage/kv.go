@@ -17,10 +17,8 @@ type KV struct {
 	c   *sim.Cluster
 	svc *sim.Node // session-expiry worker (deletes ephemerals of dead PIDs)
 
-	znodes      map[string]*kvSlot
-	dirWrites   map[string]trace.OpID
+	st          store
 	watches     map[string][]watchReg // path -> registrations
-	ephemeral   map[string][]string   // owner pid -> paths
 	names       resNames
 	expiryDelay int64
 }
@@ -29,12 +27,6 @@ type KV struct {
 // ephemeral znodes linger before the session expires — the window in which a
 // restarted process finds its predecessor's locks still standing.
 func (kv *KV) SetSessionExpiryDelay(ticks int64) { kv.expiryDelay = ticks }
-
-type kvSlot struct {
-	data      sim.Value
-	lastWrite trace.OpID
-	owner     string // ephemeral owner pid ("" = persistent)
-}
 
 type watchReg struct {
 	pid   string // watcher process
@@ -57,12 +49,10 @@ const (
 // worker process on the dedicated "zk-svc" machine.
 func NewKV(c *sim.Cluster) *KV {
 	kv := &KV{
-		c:         c,
-		znodes:    make(map[string]*kvSlot),
-		dirWrites: make(map[string]trace.OpID),
-		watches:   make(map[string][]watchReg),
-		ephemeral: make(map[string][]string),
-		names:     newResNames("zk:"),
+		c:       c,
+		st:      newStore(),
+		watches: make(map[string][]watchReg),
+		names:   newResNames("zk:"),
 	}
 	pid := c.StartProcess("zk-service", "zk-svc", func(ctx *sim.Context) {})
 	kv.svc = c.Node(pid)
@@ -73,7 +63,7 @@ func NewKV(c *sim.Cluster) *KV {
 		kv.expireSession(ctx, payload.Str())
 	})
 	c.OnProcessCrash(func(dead string) {
-		if len(kv.ephemeral[dead]) > 0 {
+		if len(kv.owned(dead)) > 0 {
 			kv.svc.PostEvent("session-expire", sim.V(dead), trace.NoOp, 0)
 		}
 	})
@@ -85,36 +75,15 @@ func (kv *KV) res(path string) string { return kv.names.of(path) }
 // Seed pre-populates a znode before the run starts (no tracing, no
 // scheduling) — configuration state the workload begins with.
 func (kv *KV) Seed(path string, v sim.Value) {
-	kv.znodes[path] = &kvSlot{data: v}
+	kv.st.slots[kv.res(path)] = &slot{data: v}
 }
 
 // Peek inspects a znode from outside the simulation (workload checkers).
 func (kv *KV) Peek(path string) (any, bool) {
-	if s, ok := kv.znodes[path]; ok {
+	if s, ok := kv.st.slots[kv.res(path)]; ok {
 		return s.data.Data, true
 	}
 	return nil, false
-}
-
-// CreateOpt modifies Create.
-type CreateOpt func(*createCfg)
-
-type createCfg struct{ ephemeral bool }
-
-// Ephemeral makes the znode die with its creator's session (process).
-func Ephemeral() CreateOpt { return func(c *createCfg) { c.ephemeral = true } }
-
-// createOptions applies opts; the config escapes to the options, so it is
-// allocated only when there are any.
-func createOptions(opts []CreateOpt) createCfg {
-	if len(opts) == 0 {
-		return createCfg{}
-	}
-	cfg := new(createCfg)
-	for _, o := range opts {
-		o(cfg)
-	}
-	return *cfg
 }
 
 // Create adds a znode; ErrAlreadyExists if present. A create *consumes* the
@@ -122,212 +91,69 @@ func createOptions(opts []CreateOpt) createCfg {
 // whatever defined it), which is how two creates can conflict — the HB2
 // "Create vs Create" lock pattern. The returned value is the tainted success
 // flag; guard on it so the detectors see the control dependence.
-func (kv *KV) Create(ctx *sim.Context, path string, v sim.Value, opts ...CreateOpt) (sim.Value, error) {
-	cfg := createOptions(opts)
-	var err error
-	src := kv.dirWrites[dirOf(path)]
-	if s, ok := kv.znodes[path]; ok {
-		src = s.lastWrite
-	}
-	id, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "create", Taint: v.Taint(),
-		Flags: ephFlag(cfg.ephemeral), Src: src,
-	}, &sim.OpEffects{
-		FlagsAfter: func() uint32 {
-			if err != nil {
-				return trace.FlagFailed
-			}
-			return 0
-		},
-		PostEmit: func(id trace.OpID) {
-			if err != nil || id == trace.NoOp {
-				return
-			}
-			if s := kv.znodes[path]; s != nil {
-				s.lastWrite = id
-			}
-			kv.dirWrites[dirOf(path)] = id
-		},
-		Apply: func() {
-			if _, ok := kv.znodes[path]; ok {
-				err = ErrAlreadyExists
-				return
-			}
-			s := &kvSlot{data: v}
-			if cfg.ephemeral {
-				s.owner = ctx.PID()
-				kv.ephemeral[s.owner] = append(kv.ephemeral[s.owner], path)
-			}
-			kv.znodes[path] = s
-		},
-	})
-	ok := sim.V(err == nil)
-	if id != trace.NoOp {
-		ok = ok.WithTaint(id)
-	}
-	if err != nil {
-		return ok, err
-	}
-	kv.fireWatches(ctx, path, ChangeCreated, id)
-	return ok, nil
+func (kv *KV) Create(ctx *sim.Context, path string, v sim.Value) (sim.Value, error) {
+	return kv.create(ctx, path, v, "")
 }
 
-func ephFlag(e bool) uint32 {
-	if e {
-		return trace.FlagEphemeral
+// CreateEphemeral is Create of a znode that dies with its creator's session
+// (process).
+func (kv *KV) CreateEphemeral(ctx *sim.Context, path string, v sim.Value) (sim.Value, error) {
+	return kv.create(ctx, path, v, ctx.PID())
+}
+
+func (kv *KV) create(ctx *sim.Context, path string, v sim.Value, owner string) (sim.Value, error) {
+	o := op{eff: eCreate, kind: trace.KKVUpdate, aux: "create", res: kv.res(path), dir: kv.res(dirOf(path)), v: v, owner: owner}
+	if owner != "" {
+		o.flags = trace.FlagEphemeral
 	}
-	return 0
+	id, err := kv.st.do(ctx, &o)
+	if err == nil {
+		kv.fireWatches(ctx, path, ChangeCreated, id)
+	}
+	return o.out, err
 }
 
 // SetData overwrites a znode's content; ErrNotFound if absent.
 func (kv *KV) SetData(ctx *sim.Context, path string, v sim.Value) error {
-	var err error
-	id, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "set", Taint: v.Taint(),
-	}, &sim.OpEffects{
-		FlagsAfter: func() uint32 {
-			if err != nil {
-				return trace.FlagFailed
-			}
-			return 0
-		},
-		PostEmit: func(id trace.OpID) {
-			if err != nil || id == trace.NoOp {
-				return
-			}
-			if s := kv.znodes[path]; s != nil {
-				s.lastWrite = id
-			}
-		},
-		Apply: func() {
-			s, ok := kv.znodes[path]
-			if !ok {
-				err = ErrNotFound
-				return
-			}
-			s.data = v
-		},
-	})
-	if err != nil {
-		return err
+	id, err := kv.st.do(ctx, &op{eff: eSet, kind: trace.KKVUpdate, aux: "set", res: kv.res(path), v: v})
+	if err == nil {
+		kv.fireWatches(ctx, path, ChangeData, id)
 	}
-	kv.fireWatches(ctx, path, ChangeData, id)
-	return nil
+	return err
 }
 
 // Delete removes a znode; ErrNotFound if absent.
 func (kv *KV) Delete(ctx *sim.Context, path string) error {
-	return kv.deleteInternal(ctx, path)
-}
-
-func (kv *KV) deleteInternal(ctx *sim.Context, path string) error {
-	var err error
-	id, _ := ctx.Do(sim.OpReq{
-		Kind: trace.KKVUpdate, Res: kv.res(path), Aux: "delete",
-	}, &sim.OpEffects{
-		FlagsAfter: func() uint32 {
-			if err != nil {
-				return trace.FlagFailed
-			}
-			return 0
-		},
-		PostEmit: func(id trace.OpID) {
-			if err == nil && id != trace.NoOp {
-				kv.dirWrites[dirOf(path)] = id
-			}
-		},
-		Apply: func() {
-			s, ok := kv.znodes[path]
-			if !ok {
-				err = ErrNotFound
-				return
-			}
-			if s.owner != "" {
-				kv.dropEphemeralRef(s.owner, path)
-			}
-			delete(kv.znodes, path)
-		},
-	})
-	if err != nil {
-		return err
+	id, err := kv.st.do(ctx, &op{eff: eDelete, kind: trace.KKVUpdate, aux: "delete", res: kv.res(path), dir: kv.res(dirOf(path))})
+	if err == nil {
+		kv.fireWatches(ctx, path, ChangeDeleted, id)
 	}
-	kv.fireWatches(ctx, path, ChangeDeleted, id)
-	return nil
+	return err
 }
 
-func (kv *KV) dropEphemeralRef(owner, path string) {
-	paths := kv.ephemeral[owner]
-	for i, p := range paths {
-		if p == path {
-			kv.ephemeral[owner] = append(paths[:i], paths[i+1:]...)
-			return
-		}
-	}
-}
-
-// GetData reads a znode's content.
+// GetData reads a znode's content; ErrNotFound if absent.
 func (kv *KV) GetData(ctx *sim.Context, path string) (sim.Value, error) {
-	var out sim.Value
-	var err error
-	var src trace.OpID
-	if s, ok := kv.znodes[path]; ok {
-		src = s.lastWrite
-	}
-	id, _ := ctx.Do(sim.OpReq{Kind: trace.KStRead, Res: kv.res(path), Src: src}, &sim.OpEffects{Apply: func() {
-		s, ok := kv.znodes[path]
-		if !ok {
-			err = ErrNotFound
-			return
-		}
-		out = s.data
-	}})
-	if id != trace.NoOp {
-		// Even a failed read yields information (the absence); the empty
-		// value carries the read's taint so dependence analysis sees it.
-		out = out.WithTaint(id)
-	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	return kv.st.read(ctx, kv.res(path))
 }
 
 // Exists probes a znode; the result is a tainted boolean.
 func (kv *KV) Exists(ctx *sim.Context, path string) sim.Value {
-	var present bool
-	src := kv.dirWrites[dirOf(path)]
-	if s, ok := kv.znodes[path]; ok {
-		src = s.lastWrite
-	}
-	id, _ := ctx.Do(sim.OpReq{Kind: trace.KStExists, Res: kv.res(path), Src: src},
-		&sim.OpEffects{Apply: func() { _, present = kv.znodes[path] }})
-	out := sim.V(present)
-	if id != trace.NoOp {
-		out = out.WithTaint(id)
-	}
-	return out
+	return kv.st.exists(ctx, kv.res(path), kv.res(dirOf(path)))
 }
 
 // Children lists the immediate children names of dir, sorted.
 func (kv *KV) Children(ctx *sim.Context, dir string) []string {
-	prefix := strings.TrimSuffix(dir, "/") + "/"
+	prefix := kv.res(strings.TrimSuffix(dir, "/") + "/")
 	var names []string
-	ctx.Do(sim.OpReq{Kind: trace.KStList, Res: kv.res(dir), Src: kv.dirWrites[dir]}, &sim.OpEffects{Apply: func() {
-		seen := map[string]bool{}
-		for p := range kv.znodes {
-			if strings.HasPrefix(p, prefix) {
-				rest := strings.TrimPrefix(p, prefix)
-				if i := strings.Index(rest, "/"); i >= 0 {
-					rest = rest[:i]
-				}
-				if !seen[rest] {
-					seen[rest] = true
-					names = append(names, rest)
-				}
-			}
+	seen := map[string]bool{}
+	for _, res := range kv.st.list(ctx, kv.res(dir), prefix) {
+		child, _, _ := strings.Cut(res[len(prefix):], "/")
+		if !seen[child] {
+			seen[child] = true
+			names = append(names, child)
 		}
-		sort.Strings(names)
-	}})
+	}
+	sort.Strings(names)
 	return names
 }
 
@@ -365,23 +191,29 @@ func (kv *KV) notifyList(ctx *sim.Context, regs []watchReg, path, payload string
 		if dst == nil || dst.Crashed() {
 			continue
 		}
-		nid, _ := ctx.Do(sim.OpReq{
-			Kind: trace.KKVNotify, Res: kv.res(path), Aux: w.event,
-			Target: w.pid, Causor: updateOp,
-		}, nil)
+		nid, _ := kv.st.do(ctx, &op{eff: eNotify, kind: trace.KKVNotify, aux: w.event, target: w.pid, causor: updateOp, res: kv.res(path)})
 		dst.PostEvent(w.event, sim.V(payload), nid, 0)
 	}
 }
 
-// expireSession deletes every ephemeral znode owned by a dead process — the
-// session-expiry behaviour other nodes' recovery logic watches for.
-func (kv *KV) expireSession(ctx *sim.Context, dead string) {
-	paths := append([]string(nil), kv.ephemeral[dead]...)
-	sort.Strings(paths)
-	for _, p := range paths {
-		// Each delete is attributed to the service process; watchers see
-		// ordinary deletion events.
-		_ = kv.deleteInternal(ctx, p)
+// owned returns the paths of dead's ephemeral znodes, sorted.
+func (kv *KV) owned(dead string) []string {
+	var paths []string
+	for res, s := range kv.st.slots {
+		if s.owner == dead {
+			paths = append(paths, res[len(kv.names.prefix):])
+		}
 	}
-	delete(kv.ephemeral, dead)
+	sort.Strings(paths)
+	return paths
+}
+
+// expireSession deletes every ephemeral znode owned by a dead process — the
+// session-expiry behaviour other nodes' recovery logic watches for. Each
+// delete is attributed to the service process; watchers see ordinary
+// deletion events.
+func (kv *KV) expireSession(ctx *sim.Context, dead string) {
+	for _, p := range kv.owned(dead) {
+		_ = kv.Delete(ctx, p)
+	}
 }

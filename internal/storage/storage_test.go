@@ -213,6 +213,164 @@ func TestReadCarriesDefineUseLink(t *testing.T) {
 	}
 }
 
+// TestStoreOpRecords runs every op of the three substrates once on a
+// present file or znode and once on an absent one, in a directory whose
+// last change is a sibling's create, and checks the op's record: kind, aux,
+// FlagFailed, FlagEphemeral and its define-use link. An Exists probe after
+// the op checks what the op published: the probe links to the op when the
+// op defined or removed the probed slot, and to what it linked to before
+// otherwise.
+func TestStoreOpRecords(t *testing.T) {
+	type link int
+	const (
+		none      link = iota
+		slotWrite      // the slot's last write (the prep's write or create)
+		dirChange      // the directory's last change (the sibling's create)
+		self           // the op under test (only for the probe)
+	)
+	type outcome struct {
+		failed     bool
+		src, probe link
+	}
+	type world struct {
+		lfs *storage.LocalFS
+		gfs *storage.GlobalFS
+		kv  *storage.KV
+	}
+	// Each substrate's prep ops define the slot /d/f and the sibling /d/g,
+	// and its probe is Exists.
+	type substrate struct {
+		define, sibling func(w *world, ctx *sim.Context, path string)
+		exists          func(w *world, ctx *sim.Context, path string)
+	}
+	subs := map[string]substrate{
+		"LocalFS": {
+			func(w *world, ctx *sim.Context, p string) { w.lfs.Write(ctx, p, sim.V(1)) },
+			func(w *world, ctx *sim.Context, p string) { _, _ = w.lfs.Create(ctx, p, sim.V(1)) },
+			func(w *world, ctx *sim.Context, p string) { w.lfs.Exists(ctx, p) },
+		},
+		"GlobalFS": {
+			func(w *world, ctx *sim.Context, p string) { w.gfs.Write(ctx, p, sim.V(1)) },
+			func(w *world, ctx *sim.Context, p string) { _, _ = w.gfs.Create(ctx, p, sim.V(1)) },
+			func(w *world, ctx *sim.Context, p string) { w.gfs.Exists(ctx, p) },
+		},
+		"KV": {
+			func(w *world, ctx *sim.Context, p string) { _, _ = w.kv.Create(ctx, p, sim.V(1)) },
+			func(w *world, ctx *sim.Context, p string) { _, _ = w.kv.Create(ctx, p, sim.V(1)) },
+			func(w *world, ctx *sim.Context, p string) { w.kv.Exists(ctx, p) },
+		},
+	}
+	v := sim.V(2)
+	for _, c := range []struct {
+		sub, op   string
+		run       func(w *world, ctx *sim.Context)
+		kind      trace.Kind
+		aux       string
+		ephemeral bool
+		probe     string // the path probed after the op
+		present   outcome
+		absent    outcome
+	}{
+		{"LocalFS", "Create", func(w *world, ctx *sim.Context) { _, _ = w.lfs.Create(ctx, "/d/f", v) },
+			trace.KStCreate, "", false, "/d/f", outcome{true, slotWrite, slotWrite}, outcome{false, dirChange, self}},
+		{"LocalFS", "Write", func(w *world, ctx *sim.Context) { w.lfs.Write(ctx, "/d/f", v) },
+			trace.KStWrite, "", false, "/d/f", outcome{false, none, self}, outcome{false, none, self}},
+		{"LocalFS", "Append", func(w *world, ctx *sim.Context) { w.lfs.Append(ctx, "/d/f", v) },
+			trace.KStWrite, "", false, "/d/f", outcome{false, none, self}, outcome{false, none, self}},
+		{"LocalFS", "Read", func(w *world, ctx *sim.Context) { _, _ = w.lfs.Read(ctx, "/d/f") },
+			trace.KStRead, "", false, "/d/f", outcome{false, slotWrite, slotWrite}, outcome{true, none, dirChange}},
+		{"LocalFS", "Delete", func(w *world, ctx *sim.Context) { _ = w.lfs.Delete(ctx, "/d/f") },
+			trace.KStDelete, "", false, "/d/f", outcome{false, none, self}, outcome{true, none, dirChange}},
+		{"LocalFS", "Exists", func(w *world, ctx *sim.Context) { w.lfs.Exists(ctx, "/d/f") },
+			trace.KStExists, "", false, "/d/f", outcome{false, slotWrite, slotWrite}, outcome{false, dirChange, dirChange}},
+		{"LocalFS", "List", func(w *world, ctx *sim.Context) { w.lfs.List(ctx, "/d") },
+			trace.KStList, "", false, "/d/f", outcome{false, dirChange, slotWrite}, outcome{false, dirChange, dirChange}},
+		{"GlobalFS", "Create", func(w *world, ctx *sim.Context) { _, _ = w.gfs.Create(ctx, "/d/f", v) },
+			trace.KStCreate, "", false, "/d/f", outcome{true, slotWrite, slotWrite}, outcome{false, dirChange, self}},
+		{"GlobalFS", "Write", func(w *world, ctx *sim.Context) { w.gfs.Write(ctx, "/d/f", v) },
+			trace.KStWrite, "", false, "/d/f", outcome{false, none, self}, outcome{false, none, self}},
+		{"GlobalFS", "Append", func(w *world, ctx *sim.Context) { w.gfs.Append(ctx, "/d/f", v) },
+			trace.KStWrite, "", false, "/d/f", outcome{false, none, self}, outcome{false, none, self}},
+		{"GlobalFS", "Read", func(w *world, ctx *sim.Context) { _, _ = w.gfs.Read(ctx, "/d/f") },
+			trace.KStRead, "", false, "/d/f", outcome{false, slotWrite, slotWrite}, outcome{true, none, dirChange}},
+		{"GlobalFS", "Delete", func(w *world, ctx *sim.Context) { _ = w.gfs.Delete(ctx, "/d/f") },
+			trace.KStDelete, "", false, "/d/f", outcome{false, none, self}, outcome{true, none, dirChange}},
+		{"GlobalFS", "Exists", func(w *world, ctx *sim.Context) { w.gfs.Exists(ctx, "/d/f") },
+			trace.KStExists, "", false, "/d/f", outcome{false, slotWrite, slotWrite}, outcome{false, dirChange, dirChange}},
+		{"GlobalFS", "List", func(w *world, ctx *sim.Context) { w.gfs.List(ctx, "/d") },
+			trace.KStList, "", false, "/d/f", outcome{false, dirChange, slotWrite}, outcome{false, dirChange, dirChange}},
+		{"GlobalFS", "Rename", func(w *world, ctx *sim.Context) { _ = w.gfs.Rename(ctx, "/d/f", "/d/h") },
+			trace.KStRename, "", false, "/d/h", outcome{false, none, self}, outcome{true, none, dirChange}},
+		// The record checked is the tree root's delete, the last of the op's.
+		{"GlobalFS", "DeleteTree", func(w *world, ctx *sim.Context) { w.gfs.DeleteTree(ctx, "/d") },
+			trace.KStDelete, "", false, "/d/f", outcome{false, none, self}, outcome{false, none, self}},
+		{"KV", "Create", func(w *world, ctx *sim.Context) { _, _ = w.kv.Create(ctx, "/d/f", v) },
+			trace.KKVUpdate, "create", false, "/d/f", outcome{true, slotWrite, slotWrite}, outcome{false, dirChange, self}},
+		{"KV", "CreateEphemeral", func(w *world, ctx *sim.Context) { _, _ = w.kv.CreateEphemeral(ctx, "/d/f", v) },
+			trace.KKVUpdate, "create", true, "/d/f", outcome{true, slotWrite, slotWrite}, outcome{false, dirChange, self}},
+		{"KV", "SetData", func(w *world, ctx *sim.Context) { _ = w.kv.SetData(ctx, "/d/f", v) },
+			trace.KKVUpdate, "set", false, "/d/f", outcome{false, none, self}, outcome{true, none, dirChange}},
+		{"KV", "Delete", func(w *world, ctx *sim.Context) { _ = w.kv.Delete(ctx, "/d/f") },
+			trace.KKVUpdate, "delete", false, "/d/f", outcome{false, none, self}, outcome{true, none, dirChange}},
+		{"KV", "GetData", func(w *world, ctx *sim.Context) { _, _ = w.kv.GetData(ctx, "/d/f") },
+			trace.KStRead, "", false, "/d/f", outcome{false, slotWrite, slotWrite}, outcome{true, none, dirChange}},
+		{"KV", "Exists", func(w *world, ctx *sim.Context) { w.kv.Exists(ctx, "/d/f") },
+			trace.KStExists, "", false, "/d/f", outcome{false, slotWrite, slotWrite}, outcome{false, dirChange, dirChange}},
+		{"KV", "Children", func(w *world, ctx *sim.Context) { w.kv.Children(ctx, "/d") },
+			trace.KStList, "", false, "/d/f", outcome{false, dirChange, slotWrite}, outcome{false, dirChange, dirChange}},
+	} {
+		for _, present := range []bool{true, false} {
+			want := c.absent
+			if present {
+				want = c.present
+			}
+			c, sub := c, subs[c.sub]
+			t.Run(fmt.Sprintf("%s.%s/present=%v", c.sub, c.op, present), func(t *testing.T) {
+				cl := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective})
+				w := &world{storage.NewLocalFS(), storage.NewGlobalFS(), storage.NewKV(cl)}
+				cl.StartProcess("n", "m0", func(ctx *sim.Context) {
+					if present {
+						sub.define(w, ctx, "/d/f")
+					}
+					sub.sibling(w, ctx, "/d/g")
+					c.run(w, ctx)
+					sub.exists(w, ctx, c.probe)
+				})
+				if out := cl.Run(); !out.Completed() {
+					t.Fatalf("run hung: %+v", out.Hung)
+				}
+				// The storage records: the prep's, the op's, the probe's.
+				tr := cl.Trace()
+				var recs []*trace.Record
+				for i := range tr.Records {
+					if r := &tr.Records[i]; r.Kind == trace.KKVUpdate || r.Kind >= trace.KStCreate && r.Kind <= trace.KStList {
+						recs = append(recs, r)
+					}
+				}
+				ids := map[link]trace.OpID{none: trace.NoOp, dirChange: recs[0].ID}
+				if present {
+					ids[slotWrite], ids[dirChange] = recs[0].ID, recs[1].ID
+				}
+				op, probe := recs[len(recs)-2], recs[len(recs)-1]
+				ids[self] = op.ID
+				if op.Kind != c.kind || tr.Str(op.Aux) != c.aux {
+					t.Errorf("record is %s aux %q, want %s aux %q", op.Kind, tr.Str(op.Aux), c.kind, c.aux)
+				}
+				if op.HasFlag(trace.FlagFailed) != want.failed || op.HasFlag(trace.FlagEphemeral) != c.ephemeral {
+					t.Errorf("record failed=%v ephemeral=%v, want %v %v",
+						op.HasFlag(trace.FlagFailed), op.HasFlag(trace.FlagEphemeral), want.failed, c.ephemeral)
+				}
+				if op.Src != ids[want.src] {
+					t.Errorf("record Src = %d, want %d", op.Src, ids[want.src])
+				}
+				if probe.Kind != trace.KStExists || probe.Src != ids[want.probe] {
+					t.Errorf("probe %s Src = %d, want %d", probe.Kind, probe.Src, ids[want.probe])
+				}
+			})
+		}
+	}
+}
+
 func TestKVCreateGetSetDelete(t *testing.T) {
 	c := sim.NewCluster(sim.Config{Seed: 1, Tracing: sim.TraceSelective})
 	kv := storage.NewKV(c)
@@ -310,7 +468,7 @@ func TestKVEphemeralExpiry(t *testing.T) {
 	kv.SetSessionExpiryDelay(120)
 	var stillThereAtCrash, goneAtEnd bool
 	c.StartProcess("owner", "m0", func(ctx *sim.Context) {
-		_, _ = kv.Create(ctx, "/eph", sim.V("me"), storage.Ephemeral())
+		_, _ = kv.CreateEphemeral(ctx, "/eph", sim.V("me"))
 		ctx.Sleep(1_000)
 	})
 	c.StartProcess("observer", "m1", func(ctx *sim.Context) {

@@ -132,7 +132,9 @@ type colDecoder struct {
 
 	// ids and lens stage the Taint and Ctl lists — all ids back to back, one
 	// length per list — until carveLists knows their total and can back them
-	// with one exact arena. text and lens likewise stage the symbol strings.
+	// with one exact arena. text and lens likewise stage the symbol strings,
+	// and ids the stack nodes, so each table is sized once by what the
+	// stream carried.
 	ids  []OpID
 	lens []int32
 	text []byte
@@ -291,9 +293,10 @@ func (d *colDecoder) appendStr(dst []byte) []byte {
 
 // symbols reads n strings into st, which holds only its empty slot, all
 // carved out of one allocation: a table's strings live exactly as long as
-// its trace, so sharing one backing array costs no memory. A string already
-// in the table (the empty one included) is refused, so the table ends up
-// exactly n+1 long.
+// its trace, so sharing one backing array costs no memory. The strings are
+// staged first, so st is sized by the ones the stream carried, not by n. A
+// string already in the table (the empty one included) is refused, so the
+// table ends up exactly n+1 long.
 func (d *colDecoder) symbols(n uint64, st *SymTab) {
 	d.text, d.lens = d.text[:0], d.lens[:0]
 	for i := uint64(0); i < n && d.err == nil; i++ {
@@ -304,6 +307,7 @@ func (d *colDecoder) symbols(n uint64, st *SymTab) {
 	if d.err != nil {
 		return
 	}
+	st.grow(len(d.lens) + 1)
 	all := string(d.text)
 	for i, l := range d.lens {
 		if y := st.Intern(all[:l]); y != Sym(i+1) {
@@ -311,6 +315,30 @@ func (d *colDecoder) symbols(n uint64, st *SymTab) {
 			return
 		}
 		all = all[l:]
+	}
+}
+
+// stacks reads n stack nodes into st, which holds only its empty node. Each
+// node's parent must precede it and its frame be one of the stream's nsyms
+// symbols. The nodes are staged first, one per id (parent in the high half),
+// so st is sized by the ones the stream carried; a node already in the table
+// is refused, so the table ends up exactly n+1 long.
+func (d *colDecoder) stacks(n, nsyms uint64, st *StackTab) {
+	d.ids = d.ids[:0]
+	for id := uint64(1); id <= n && d.err == nil; id++ {
+		parent := d.ref(id-1, "stack parent")
+		frame := d.ref(nsyms, "stack frame symbol")
+		d.ids = append(d.ids, OpID(parent<<32|frame))
+	}
+	if d.err != nil {
+		return
+	}
+	st.grow(len(d.ids) + 1)
+	for i, node := range d.ids {
+		if y := st.Push(StackID(node>>32), Sym(uint32(node))); y != StackID(i+1) {
+			d.fail(fmt.Errorf("stack node %d repeats node %d", i+1, y))
+			return
+		}
 	}
 }
 

@@ -27,10 +27,6 @@ import (
 // are all there is: the processes of a run and its crashes are read from its
 // thread-start and crash records.
 
-// hintCap bounds how many table entries a decoder pre-sizes for on a count's
-// word, before the stream has shown it carries them.
-const hintCap = 1 << 18
-
 // recStep is how many records a decoder allocates ahead of the TS values it
 // has read, or as many as it has read if that is more: a stream that
 // declares more records than it carries costs at most that much.
@@ -176,24 +172,10 @@ func (s *Source) Drain() (*Trace, error) {
 		return nil, s.fail("counts", d.err)
 	}
 	t := New()
-	t.syms.grow(int(min(nsyms, hintCap)) + 1)
-	t.stacks.grow(int(min(nstacks, hintCap)) + 1)
-
-	d.symbols(nsyms, &t.syms)
-	if d.err != nil {
+	if d.symbols(nsyms, &t.syms); d.err != nil {
 		return nil, s.fail("symbols", d.err)
 	}
-	for id := uint64(1); id <= nstacks && d.err == nil; id++ {
-		parent := StackID(d.ref(id-1, "stack parent"))
-		frame := Sym(d.ref(nsyms, "stack frame symbol"))
-		if d.err != nil {
-			break
-		}
-		if y := t.stacks.Push(parent, frame); y != StackID(id) {
-			d.fail(fmt.Errorf("stack node %d repeats node %d", id, y))
-		}
-	}
-	if d.err != nil {
+	if d.stacks(nstacks, nsyms, &t.stacks); d.err != nil {
 		return nil, s.fail("stacks", d.err)
 	}
 	d.maxSym, d.maxStack, d.maxOp = nsyms, nstacks, nrecs

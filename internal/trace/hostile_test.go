@@ -109,16 +109,27 @@ func TestDecodeRejectsDanglingRefs(t *testing.T) {
 	}
 }
 
-// TestHostileCountsFailClosed: a stream whose counts declare 2^40 records
-// and that carries none is refused where the records should start, having
-// allocated no more than the decoder's step of records ahead of the TS
-// values it read — believed, the count asks for 150 TB.
+// TestHostileCountsFailClosed: a stream whose counts declare 2^40 records,
+// symbols or stack nodes and that carries none is refused where they should
+// start. The records cost no more than the decoder's step ahead of the TS
+// values it read, and each table is sized only once its entries are read —
+// believed, the counts ask for 150 TB.
 func TestHostileCountsFailClosed(t *testing.T) {
-	hdr := binary.AppendUvarint([]byte{0, 0}, 1<<40)
-	raw, err := trace.WithHeader(encode(t, trace.New()), hdr)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name               string
+		syms, stacks, recs uint64
+		section            string
+	}{
+		{"2^40 records", 0, 0, 1 << 40, "records"},
+		{"2^40 symbols and stack nodes", 1 << 40, 1 << 40, 0, "symbols"},
+		{"2^40 stack nodes", 0, 1 << 40, 0, "stacks"},
+	} {
+		hdr := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, c.syms), c.stacks), c.recs)
+		raw, err := trace.WithHeader(encode(t, trace.New()), hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failsClosed(t, c.name, raw,
+			fmt.Sprintf("fct4 %s section at decompressed offset %d: unexpected EOF", c.section, len(hdr)))
 	}
-	failsClosed(t, "2^40 records", raw,
-		fmt.Sprintf("fct4 records section at decompressed offset %d: unexpected EOF", len(hdr)))
 }

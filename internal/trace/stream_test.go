@@ -186,9 +186,9 @@ func TestFCT4TruncationEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestFCT2TruncationCompressed cuts the compressed byte stream itself (the
+// TestFCT4TruncationCompressed cuts the compressed byte stream itself (the
 // on-disk failure mode: partial writes) at a spread of offsets.
-func TestFCT2TruncationCompressed(t *testing.T) {
+func TestFCT4TruncationCompressed(t *testing.T) {
 	tr := randomTrace(5, 80)
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
