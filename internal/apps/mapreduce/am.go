@@ -80,7 +80,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	self.HandleRPC("MapsDone", func(ctx *sim.Context, args []sim.Value) sim.Value {
 		defer ctx.Scope("mapsDone").End()
 		all := true
-		var deps []sim.Value
+		deps := make([]sim.Value, 0, 8)
 		for i := 0; i < p.numTasks; i++ {
 			st := ctx.NamedObject(fmt.Sprintf("task%d", i)).Get(ctx, "state")
 			deps = append(deps, st)
@@ -238,7 +238,7 @@ func amMain(ctx *sim.Context, p params, gfs *storage.GlobalFS) {
 	// --- Wait for every task, then commit the job. ---
 	ctx.SyncLoop(sim.LoopOpts{Name: "awaitTasks", SleepTicks: 35}, func(ctx *sim.Context) sim.Value {
 		all := true
-		var deps []sim.Value
+		deps := make([]sim.Value, 0, 8)
 		for _, id := range p.taskIDs() {
 			f := finish.Get(ctx, "task"+id)
 			deps = append(deps, f)

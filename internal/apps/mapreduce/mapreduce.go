@@ -30,6 +30,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fcatch/internal/sim"
@@ -54,6 +55,8 @@ type params struct {
 	// (impact-pruning fodder scale).
 	progressUpdates int
 	crashTarget     string
+	// ids lists every task of the job (taskIDs), built once per workload.
+	ids []string
 }
 
 // Workload is one MapReduce benchmark row of Table 1.
@@ -62,7 +65,7 @@ type Workload struct{ p params }
 // NewMR1 is the "MR 0.23.1 Startup + WordCount" workload; observation runs
 // crash a task attempt.
 func NewMR1() *Workload {
-	return &Workload{p: params{
+	return newWorkload(params{
 		version:     "0.23.1",
 		numTasks:    3,
 		numReducers: 2,
@@ -77,13 +80,13 @@ func NewMR1() *Workload {
 		monitorTimeout:  240,
 		progressUpdates: 4,
 		crashTarget:     "task1",
-	}}
+	})
 }
 
 // NewMR2 is the "MR 2.1.1 Startup + WordCount" workload; observation runs
 // crash the ApplicationMaster.
 func NewMR2() *Workload {
-	return &Workload{p: params{
+	return newWorkload(params{
 		version:     "2.1.1",
 		numTasks:    3,
 		numReducers: 2,
@@ -98,7 +101,18 @@ func NewMR2() *Workload {
 		monitorTimeout:  240,
 		progressUpdates: 10,
 		crashTarget:     "am",
-	}}
+	})
+}
+
+// newWorkload builds the workload sized by p and lists its tasks.
+func newWorkload(p params) *Workload {
+	for i := 0; i < p.numTasks; i++ {
+		p.ids = append(p.ids, strconv.Itoa(i))
+	}
+	for r := 0; r < p.numReducers; r++ {
+		p.ids = append(p.ids, "r"+strconv.Itoa(r))
+	}
+	return &Workload{p: p}
 }
 
 // Name implements core.Workload.
@@ -161,17 +175,8 @@ func (w *Workload) Configure(c *sim.Cluster) {
 }
 
 // taskIDs lists every task of the job: map tasks "0".."n-1", then reduce
-// tasks "r0".."rk-1".
-func (p params) taskIDs() []string {
-	var ids []string
-	for i := 0; i < p.numTasks; i++ {
-		ids = append(ids, fmt.Sprintf("%d", i))
-	}
-	for r := 0; r < p.numReducers; r++ {
-		ids = append(ids, fmt.Sprintf("r%d", r))
-	}
-	return ids
-}
+// tasks "r0".."rk-1". Callers only read it.
+func (p params) taskIDs() []string { return p.ids }
 
 // expectedCounts computes the ground-truth WordCount result.
 func (p params) expectedCounts() map[string]int {

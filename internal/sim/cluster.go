@@ -132,7 +132,8 @@ type Cluster struct {
 
 	nodes    map[string]*Node // PID -> process (API-boundary lookups)
 	nodeList []*Node          // every process in start order (internal iteration)
-	threads  []*Thread
+	threads  []*Thread        // the scheduler's scan list: every live thread, in spawn order
+	finished []*Thread        // threads compactThreads dropped from threads, for handBack
 	timers   timerHeap
 	running  bool
 
@@ -202,7 +203,7 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:            cfg,
-		rng:            rand.New(rand.NewSource(cfg.Seed)),
+		rng:            newRand(cfg.Seed),
 		nodes:          make(map[string]*Node),
 		roleIdx:        make(map[string]int),
 		siteIdx:        make(map[string]SiteID, 64),

@@ -4,29 +4,14 @@ import (
 	"fcatch/internal/trace"
 )
 
-// SendOpt modifies Send behaviour.
-type SendOpt func(*sendCfg)
+// SendOpt modifies Send behaviour; a Send's options are or-ed together.
+type SendOpt uint8
 
-type sendCfg struct {
-	droppable bool
-}
+const sendDroppable SendOpt = 1 << iota
 
 // Droppable marks the message as application-level droppable (Cassandra's
 // droppable verbs): the fault injector may silently skip the send.
-func Droppable() SendOpt { return func(c *sendCfg) { c.droppable = true } }
-
-// sendOptions applies opts; the config escapes to the options, so it is
-// allocated only when there are any.
-func sendOptions(opts []SendOpt) sendCfg {
-	if len(opts) == 0 {
-		return sendCfg{}
-	}
-	cfg := new(sendCfg)
-	for _, o := range opts {
-		o(cfg)
-	}
-	return *cfg
-}
+func Droppable() SendOpt { return sendDroppable }
 
 // Send delivers an asynchronous message to the process currently serving the
 // target role (or an explicit PID containing '#'). The handler registered
@@ -39,10 +24,14 @@ func sendOptions(opts []SendOpt) sendCfg {
 // return ErrSocket. Sends to a crashed or unknown destination return
 // ErrSocket / ErrNoRoute.
 func (ctx *Context) Send(target, verb string, payload Value, opts ...SendOpt) error {
-	cfg := sendOptions(opts)
+	var opt SendOpt
+	for _, o := range opts {
+		opt |= o
+	}
+	droppable := opt&sendDroppable != 0
 	pid := ctx.c.resolve(target)
 	var flags uint32
-	if cfg.droppable {
+	if droppable {
 		flags |= trace.FlagDroppable
 	}
 	dst := ctx.c.nodes[pid]
@@ -57,7 +46,7 @@ func (ctx *Context) Send(target, verb string, payload Value, opts ...SendOpt) er
 		IsSend: true,
 	}, nil)
 	if drop != "" {
-		if drop == trace.ActionAppDrop && cfg.droppable {
+		if drop == trace.ActionAppDrop && droppable {
 			return nil // silently lost in the sending queue
 		}
 		return ErrSocket

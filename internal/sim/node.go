@@ -19,7 +19,6 @@ type Node struct {
 	machineSym trace.Sym
 
 	crashed bool
-	threads []*Thread
 
 	nextObj int64
 
@@ -63,7 +62,7 @@ type eventHandler struct {
 }
 
 func newNode(c *Cluster, pid, role, machine string) *Node {
-	return &Node{
+	n := &Node{
 		c: c, PID: pid, Role: role, Machine: machine,
 		pidSym: c.tracer.sym(pid), machineSym: c.tracer.sym(machine),
 		rpcHandlers:   make(map[string]rpcHandler),
@@ -73,6 +72,8 @@ func newNode(c *Cluster, pid, role, machine string) *Node {
 		namedObjs:     make(map[string]*Object),
 		namedConds:    make(map[string]*Cond),
 	}
+	n.takeQueues()
+	return n
 }
 
 // Crashed reports whether the process has crashed.
@@ -249,10 +250,11 @@ func (c *Cluster) crashProcess(n *Node, selfSite SiteID, restartOverride *int64)
 	}
 	c.tracer.emitSystem(opSpec{Kind: trace.KCrash, Aux: pid, Site: selfSite})
 
-	// Kill the process's threads now. The running thread is the one that
-	// crashed its own process: it unwinds itself (checkTrigger).
-	for _, t := range n.threads {
-		if t.alive() && t != c.curThread {
+	// Kill the process's threads now, in spawn order (c.threads keeps every
+	// live thread). The running thread is the one that crashed its own
+	// process: it unwinds itself (checkTrigger).
+	for _, t := range c.threads {
+		if t.node == n && t.alive() && t != c.curThread {
 			c.kill(t)
 		}
 	}

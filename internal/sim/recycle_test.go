@@ -1,0 +1,159 @@
+package sim_test
+
+import (
+	"bytes"
+	"maps"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"fcatch/internal/apps/mapreduce"
+	"fcatch/internal/apps/zookeeper"
+	"fcatch/internal/core"
+	"fcatch/internal/sim"
+)
+
+// tracedRun runs w fault-free under selective tracing and returns its
+// outcome (wall-clock time left out) and its saved trace bytes.
+func tracedRun(t *testing.T, w core.Workload) (sim.Outcome, []byte) {
+	t.Helper()
+	c, out := core.Run(w, sim.Config{Seed: 1, Tracing: sim.TraceSelective})
+	var buf bytes.Buffer
+	if err := c.Trace().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	o := *out
+	o.Elapsed = 0
+	return o, buf.Bytes()
+}
+
+// TestRunsRecycleRecords: a finished run hands its threads, call records,
+// queue arrays and rng to the next cluster, so a second identical run takes
+// every record it needs from the idle lists, makes none (the lists hold the
+// same records after it), and produces the same outcome and trace bytes.
+func TestRunsRecycleRecords(t *testing.T) {
+	first, firstTrace := tracedRun(t, mapreduce.NewMR1())
+	before := sim.IdleRecords()
+	kinds := map[string]int{}
+	for r := range before {
+		kinds[reflect.TypeOf(r).String()]++
+	}
+	for _, k := range []string{"*sim.Thread", "*sim.callState", "*rand.Rand", "*sim.queuedItem"} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %s on the idle lists after a run: %v", k, kinds)
+		}
+	}
+
+	second, secondTrace := tracedRun(t, mapreduce.NewMR1())
+	if after := sim.IdleRecords(); !maps.Equal(before, after) {
+		made := 0
+		for r := range after {
+			if before[r] == 0 {
+				made++
+			}
+		}
+		t.Errorf("the repeated run made %d records the idle lists did not hold", made)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("outcomes differ:\nfirst  %+v\nsecond %+v", first, second)
+	}
+	if !bytes.Equal(firstTrace, secondTrace) {
+		t.Errorf("trace bytes differ (%d and %d bytes)", len(firstTrace), len(secondTrace))
+	}
+}
+
+// TestConcurrentClustersShareRecords: clusters on two goroutines take
+// records from and give them to the same idle lists, so a record one
+// cluster zeroed serves the other; each run still saves the trace a run
+// made alone saves.
+func TestConcurrentClustersShareRecords(t *testing.T) {
+	workloads := []func() core.Workload{
+		func() core.Workload { return mapreduce.NewMR1() },
+		func() core.Workload { return zookeeper.New() },
+	}
+	want := make([][]byte, len(workloads))
+	for i, w := range workloads {
+		_, want[i] = tracedRun(t, w())
+	}
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 {
+				k := (g + i) % len(workloads)
+				if _, got := tracedRun(t, workloads[k]()); !bytes.Equal(got, want[k]) {
+					t.Errorf("goroutine %d run %d: trace differs from the run made alone", g, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestIdleListsStayWithinBounds: runs that finish with more records than a
+// list keeps leave every list at its bound, not past it.
+func TestIdleListsStayWithinBounds(t *testing.T) {
+	const nodes, children, calls, clusters = 70, 300, 4200, 20
+	var cs []*sim.Cluster
+	for range clusters {
+		cs = append(cs, sim.NewCluster(sim.Config{Seed: 1}))
+	}
+	c := cs[0]
+	for i := range nodes {
+		c.StartProcess("idle"+string(rune('A'+i/26))+string(rune('a'+i%26)), "m", func(*sim.Context) {})
+	}
+	c.StartProcess("srv", "m1", func(ctx *sim.Context) {
+		ctx.Self().HandleRPC("Echo", func(_ *sim.Context, args []sim.Value) sim.Value { return args[0] })
+	})
+	c.StartProcess("client", "m0", func(ctx *sim.Context) {
+		for range children {
+			ctx.Go("child", func(*sim.Context) {})
+		}
+		for range calls {
+			if _, err := ctx.Call("srv", "Echo", sim.V(1)); err != nil {
+				panic(err)
+			}
+		}
+	})
+	for _, c := range cs {
+		if out := c.Run(); !out.Completed() {
+			t.Fatalf("run did not complete: %s", out.Detail())
+		}
+	}
+	for name, l := range sim.IdleLists() {
+		if l[0] != l[1] {
+			t.Errorf("idle %s list holds %d records, want its bound %d", name, l[0], l[1])
+		}
+	}
+}
+
+// TestHandedBackRecordsKeepNoClusterAlive: a record is zeroed as it is
+// handed back, so the idle lists keep nothing of a finished cluster
+// reachable and the GC collects it. The finalizer sits on a fact, not on
+// the cluster: a finalizer on an object in a cycle never runs.
+func TestHandedBackRecordsKeepNoClusterAlive(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		w := mapreduce.NewMR1()
+		cfg := sim.Config{Seed: 1}
+		w.Tune(&cfg)
+		c := sim.NewCluster(cfg)
+		w.Configure(c)
+		probe := new([2]*byte)
+		runtime.SetFinalizer(probe, func(*[2]*byte) { close(collected) })
+		c.SetFact("probe", probe)
+		c.Run()
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a finished cluster is still reachable after its run handed its records back")
+}

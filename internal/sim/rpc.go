@@ -82,7 +82,8 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 
 	caller := ctx.t.node
 	c.nextSeq++
-	cs := &callState{callID: c.nextSeq, callOp: callOp, caller: caller, callee: dst}
+	cs := newCallState()
+	cs.callID, cs.callOp, cs.caller, cs.callee = c.nextSeq, callOp, caller, dst
 	cs.done.init(caller, "rpc-reply")
 	if len(args) <= len(cs.argBuf) {
 		cs.args = cs.argBuf[:copy(cs.argBuf[:], args)]

@@ -167,18 +167,20 @@ func (c *Cluster) runnable() []*Thread {
 	return out
 }
 
-// compactThreads drops finished threads from the scheduler's scan list once
-// they outnumber the live ones. Live threads keep their relative (spawn-id)
-// order, so runnable() still yields the deterministic order, and the trigger
-// depends only on deterministic counters, so paired runs compact identically.
-// Workloads that churn short-lived handler threads otherwise pay an
-// ever-growing runnable scan per step.
+// compactThreads moves finished threads from the scheduler's scan list to
+// c.finished once they outnumber the live ones. Live threads keep their
+// relative (spawn-id) order, so runnable() still yields the deterministic
+// order, and the trigger depends only on deterministic counters, so paired
+// runs compact identically. Workloads that churn short-lived handler
+// threads otherwise pay an ever-growing runnable scan per step.
 func (c *Cluster) compactThreads() {
 	w := 0
 	for _, t := range c.threads {
 		if t.alive() {
 			c.threads[w] = t
 			w++
+		} else {
+			c.finished = append(c.finished, t)
 		}
 	}
 	for i := w; i < len(c.threads); i++ {
@@ -281,9 +283,11 @@ func (c *Cluster) endQuiet() {
 
 // Run executes the cluster to completion: until the workload finishes, the
 // system deadlocks, or a hang rule (clock budget, stall, quiescence) cuts the
-// run, and returns the outcome (the trace, if enabled, via Trace()). A thread
-// panic that is not an app exception propagates out of Run and abandons every
-// live thread's carrier.
+// run, and returns the outcome (the trace, if enabled, via Trace()). It ends
+// by handing the run's thread and call records, queue arrays and rng to the
+// next cluster (handBack). A thread panic that is not an app exception
+// propagates out of Run, abandons every live thread's carrier and hands
+// nothing back.
 func (c *Cluster) Run() *Outcome {
 	if c.running {
 		panic("sim: cluster already ran")
@@ -328,5 +332,6 @@ func (c *Cluster) Run() *Outcome {
 		c.out.FaultFirings = p.firings
 	}
 	c.out.Elapsed = time.Since(c.startWall)
+	c.handBack()
 	return &c.out
 }

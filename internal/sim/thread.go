@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
-	"sync"
 
 	"fcatch/internal/trace"
 )
@@ -133,7 +131,7 @@ type Thread struct {
 // spawnThread creates a thread on node n and makes it runnable. causor is the
 // op that created it (NoOp for process roots).
 func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor trace.OpID, daemon, handlerCtx bool) {
-	c.startThread(&Thread{}, n, name, fn, causor, daemon, handlerCtx)
+	c.startThread(newThread(), n, name, fn, causor, daemon, handlerCtx)
 }
 
 // startThread makes the zero Thread t a runnable thread on node n. The RPC
@@ -152,7 +150,6 @@ func (c *Cluster) startThread(t *Thread, n *Node, name string, fn func(*Context)
 	t.scopes = t.scopeBuf[:0]
 	t.ctx = Context{c: c, t: t}
 	c.threads = append(c.threads, t)
-	n.threads = append(n.threads, t)
 	if !daemon {
 		c.liveNonDaemon++
 	}
@@ -211,34 +208,6 @@ type carrier struct {
 	next  func() (struct{}, bool)
 }
 
-// idleCarriers is shared by every cluster in the process: a carrier costs
-// eleven allocations to create and none to reuse (DESIGN.md §11).
-var idleCarriers struct {
-	sync.Mutex
-	list []*carrier
-}
-
-// takeCarrier hands out an idle carrier, creating one when none is idle.
-func takeCarrier() *carrier {
-	idleCarriers.Lock()
-	defer idleCarriers.Unlock()
-	if n := len(idleCarriers.list); n > 0 {
-		k := idleCarriers.list[n-1]
-		idleCarriers.list = idleCarriers.list[:n-1]
-		return k
-	}
-	k := &carrier{}
-	k.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		k.yield = yield
-		for {
-			k.t.run()
-			k.t = nil
-			yield(struct{}{})
-		}
-	})
-	return k
-}
-
 // resume runs t until its next pause or until it finishes. A finished thread
 // gives its carrier back; one whose body panicked does not, because iter.Pull
 // ends the coroutine and re-raises the panic here.
@@ -249,9 +218,7 @@ func (t *Thread) resume() {
 	}
 	t.car.next()
 	if !t.alive() {
-		idleCarriers.Lock()
-		idleCarriers.list = append(idleCarriers.list, t.car)
-		idleCarriers.Unlock()
+		giveCarrier(t.car)
 		t.car = nil
 	}
 }
