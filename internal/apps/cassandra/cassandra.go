@@ -27,6 +27,7 @@ package cassandra
 import (
 	"fmt"
 
+	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/storage"
 )
@@ -36,59 +37,39 @@ type params struct {
 	fullDigestEvery int64 // heavy full-digest recomputation period
 	digestWork      int   // heap accesses per full digest (§8.2 lever)
 	fdThreshold     int64 // failure-detector silence threshold
-	restartDelay    int64
 	repairDelay     int64 // coordinator waits this long after startup
 	rangesPerNode   int   // merkle ranges (stream volume)
 	// dataKeys / divergentKeys size the replicated column store and the
 	// inconsistency the anti-entropy session must repair.
 	dataKeys      int
 	divergentKeys int
-	crashTarget   string
 }
 
 // Workload is the "CA 1.1.12 Startup + AntiEntropy" benchmark row.
-type Workload struct{ p params }
+type Workload struct {
+	core.Profile
+	p params
+}
 
-// New returns the CA workload.
+// New returns the CA workload. The operator restarts a dead ring node.
 func New() *Workload {
-	return &Workload{p: params{
-		gossipEvery:     42,
-		fullDigestEvery: 200,
-		digestWork:      25,
-		fdThreshold:     3600,
-		restartDelay:    220,
-		repairDelay:     2300,
-		rangesPerNode:   2,
-		dataKeys:        8,
-		divergentKeys:   3,
-		crashTarget:     "cass1",
-	}}
+	return &Workload{
+		Profile: core.Profile{
+			ID: "CA1&2", Target: "cass1", Restart: map[string]int64{"cass1": 220},
+			RPCClientTimeout: 500, RPCFailFast: true, MaxSteps: 50_000,
+		},
+		p: params{
+			gossipEvery:     42,
+			fullDigestEvery: 200,
+			digestWork:      25,
+			fdThreshold:     3600,
+			repairDelay:     2300,
+			rangesPerNode:   2,
+			dataKeys:        8,
+			divergentKeys:   3,
+		},
+	}
 }
-
-// Name implements core.Workload.
-func (w *Workload) Name() string { return "CA1&2" }
-
-// System implements core.Workload.
-func (w *Workload) System() string { return "Cassandra 1.1.12" }
-
-// CrashTarget implements core.Workload.
-func (w *Workload) CrashTarget() string { return "cass1" }
-
-// RestartRoles implements core.Workload: the operator restarts a dead ring
-// node.
-func (w *Workload) RestartRoles() map[string]int64 {
-	return map[string]int64{"cass1": w.p.restartDelay}
-}
-
-// Tune implements core.Workload.
-func (w *Workload) Tune(cfg *sim.Config) {
-	cfg.RPCClientTimeout = 500
-	cfg.RPCFailFast = true
-	cfg.MaxSteps = 50_000
-}
-
-// ExpectedBehaviors implements core.Workload.
-func (w *Workload) ExpectedBehaviors() []string { return nil }
 
 // Configure implements core.Workload.
 func (w *Workload) Configure(c *sim.Cluster) {

@@ -37,6 +37,7 @@ package hbase
 import (
 	"fmt"
 
+	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/storage"
 )
@@ -54,86 +55,59 @@ type params struct {
 	stateWrites int
 	// sessionTimeout is the KV session-expiry delay for ephemeral znodes.
 	sessionTimeout int64
-	// restartDelay is the operator's master-restart delay.
-	restartDelay int64
 	// rescueAfter is the timeout-monitor rescue delay (the unrecognized
 	// timeout mechanism).
 	rescueAfter int64
 	// edits is the number of client edits the HB2 workload writes.
-	edits       int
-	crashTarget string
+	edits int
 }
 
-// Workload is one HBase benchmark row of Table 1.
-type Workload struct{ p params }
+// Workload is one HBase benchmark row of Table 1. HBase's RPC client has
+// timeouts.
+type Workload struct {
+	core.Profile
+	p params
+}
 
-// NewHB1 is the "HB 0.96.0 Startup + HMasterRestart" workload.
+// NewHB1 is the "HB 0.96.0 Startup + HMasterRestart" workload: the operator
+// restarts a crashed master.
 func NewHB1() *Workload {
-	return &Workload{p: params{
-		version:        "0.96.0",
-		regions:        23,
-		planWrites:     4,
-		stateWrites:    2,
-		sessionTimeout: 300,
-		restartDelay:   150,
-		rescueAfter:    2600,
-		crashTarget:    "hmaster",
-	}}
-}
-
-// NewHB2 is the "HB 0.90.1 Startup" workload.
-func NewHB2() *Workload {
-	return &Workload{p: params{
-		version:        "0.90.1",
-		regions:        6,
-		planWrites:     2,
-		stateWrites:    2,
-		sessionTimeout: 250,
-		restartDelay:   0, // regionservers are not restarted by the operator
-		rescueAfter:    2600,
-		edits:          6,
-		crashTarget:    "rs0",
-	}}
-}
-
-// Name implements core.Workload.
-func (w *Workload) Name() string {
-	if w.p.version == "0.96.0" {
-		return "HB1"
+	return &Workload{
+		Profile: core.Profile{
+			ID: "HB1", Target: "hmaster", Restart: map[string]int64{"hmaster": 150},
+			RPCClientTimeout: 600, RPCFailFast: true, MaxSteps: 40_000,
+		},
+		p: params{
+			version:        "0.96.0",
+			regions:        23,
+			planWrites:     4,
+			stateWrites:    2,
+			sessionTimeout: 300,
+			rescueAfter:    2600,
+		},
 	}
-	return "HB2"
 }
 
-// System implements core.Workload.
-func (w *Workload) System() string { return "HBase " + w.p.version }
-
-// CrashTarget implements core.Workload.
-func (w *Workload) CrashTarget() string { return w.p.crashTarget }
-
-// RestartRoles implements core.Workload: the operator restarts a crashed
-// master (the HMasterRestart part of the HB1 workload); dead RegionServers
-// stay dead — the master's ZK watcher recovers their state.
-func (w *Workload) RestartRoles() map[string]int64 {
-	if w.p.version == "0.96.0" {
-		return map[string]int64{"hmaster": w.p.restartDelay}
-	}
-	return map[string]int64{}
-}
-
-// Tune implements core.Workload: HBase's RPC client has timeouts.
-func (w *Workload) Tune(cfg *sim.Config) {
-	cfg.RPCClientTimeout = 600
-	cfg.RPCFailFast = true
-	cfg.MaxSteps = 40_000
-}
-
-// ExpectedBehaviors implements core.Workload: with every RegionServer dead
+// NewHB2 is the "HB 0.90.1 Startup" workload. Dead RegionServers stay dead
+// (the master's ZK watcher recovers their state), and with every one dead
 // during startup, waiting for one to come alive is intended behaviour.
-func (w *Workload) ExpectedBehaviors() []string {
-	if w.p.version == "0.90.1" {
-		return []string{"wait:rs-any-registered", "loop:waitServerCount"}
+func NewHB2() *Workload {
+	return &Workload{
+		Profile: core.Profile{
+			ID: "HB2", Target: "rs0",
+			Expected:         []string{"wait:rs-any-registered", "loop:waitServerCount"},
+			RPCClientTimeout: 600, RPCFailFast: true, MaxSteps: 40_000,
+		},
+		p: params{
+			version:        "0.90.1",
+			regions:        6,
+			planWrites:     2,
+			stateWrites:    2,
+			sessionTimeout: 250,
+			rescueAfter:    2600,
+			edits:          6,
+		},
 	}
-	return nil
 }
 
 // Configure implements core.Workload.

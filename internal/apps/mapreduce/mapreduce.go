@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/storage"
 )
@@ -54,18 +55,21 @@ type params struct {
 	// progressUpdates is how many progress messages each attempt sends
 	// (impact-pruning fodder scale).
 	progressUpdates int
-	crashTarget     string
 	// ids lists every task of the job (taskIDs), built once per workload.
 	ids []string
 }
 
-// Workload is one MapReduce benchmark row of Table 1.
-type Workload struct{ p params }
+// Workload is one MapReduce benchmark row of Table 1. No role is restarted
+// from outside: the ResourceManager itself relaunches dead AMs and attempts.
+type Workload struct {
+	core.Profile
+	p params
+}
 
 // NewMR1 is the "MR 0.23.1 Startup + WordCount" workload; observation runs
 // crash a task attempt.
 func NewMR1() *Workload {
-	return newWorkload(params{
+	return newWorkload("MR1", "task1", params{
 		version:     "0.23.1",
 		numTasks:    3,
 		numReducers: 2,
@@ -79,14 +83,13 @@ func NewMR1() *Workload {
 		monitorEvery:    80,
 		monitorTimeout:  240,
 		progressUpdates: 4,
-		crashTarget:     "task1",
 	})
 }
 
 // NewMR2 is the "MR 2.1.1 Startup + WordCount" workload; observation runs
 // crash the ApplicationMaster.
 func NewMR2() *Workload {
-	return newWorkload(params{
+	return newWorkload("MR2", "am", params{
 		version:     "2.1.1",
 		numTasks:    3,
 		numReducers: 2,
@@ -100,49 +103,23 @@ func NewMR2() *Workload {
 		monitorEvery:    80,
 		monitorTimeout:  240,
 		progressUpdates: 10,
-		crashTarget:     "am",
 	})
 }
 
-// newWorkload builds the workload sized by p and lists its tasks.
-func newWorkload(p params) *Workload {
+// newWorkload builds the workload sized by p and lists its tasks. The MR RPC
+// client has no timeout (version-accurate: bug MR3).
+func newWorkload(id, target string, p params) *Workload {
 	for i := 0; i < p.numTasks; i++ {
 		p.ids = append(p.ids, strconv.Itoa(i))
 	}
 	for r := 0; r < p.numReducers; r++ {
 		p.ids = append(p.ids, "r"+strconv.Itoa(r))
 	}
-	return &Workload{p: p}
-}
-
-// Name implements core.Workload.
-func (w *Workload) Name() string {
-	if w.p.version == "0.23.1" {
-		return "MR1"
+	return &Workload{
+		Profile: core.Profile{ID: id, Target: target, RPCFailFast: true, MaxSteps: 30_000},
+		p:       p,
 	}
-	return "MR2"
 }
-
-// System implements core.Workload.
-func (w *Workload) System() string { return "MapReduce " + w.p.version }
-
-// CrashTarget implements core.Workload.
-func (w *Workload) CrashTarget() string { return w.p.crashTarget }
-
-// RestartRoles implements core.Workload: empty — the ResourceManager itself
-// relaunches dead AMs and attempts (in-system recovery).
-func (w *Workload) RestartRoles() map[string]int64 { return map[string]int64{} }
-
-// Tune implements core.Workload. Version-accurate: the MR RPC client has no
-// timeout (bug MR3).
-func (w *Workload) Tune(cfg *sim.Config) {
-	cfg.RPCClientTimeout = 0
-	cfg.RPCFailFast = true
-	cfg.MaxSteps = 30_000
-}
-
-// ExpectedBehaviors implements core.Workload.
-func (w *Workload) ExpectedBehaviors() []string { return nil }
 
 const (
 	stagingDir = "/staging/job1"

@@ -8,38 +8,20 @@ package toy
 import (
 	"fmt"
 
+	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/storage"
 )
 
 // Workload implements core.Workload for the toy system.
-type Workload struct{}
+type Workload struct{ core.Profile }
 
-// New returns the toy workload.
-func New() *Workload { return &Workload{} }
-
-// Name implements core.Workload.
-func (w *Workload) Name() string { return "TOY" }
-
-// System implements core.Workload.
-func (w *Workload) System() string { return "ToyCommit" }
-
-// CrashTarget implements core.Workload: observation runs crash the worker.
-func (w *Workload) CrashTarget() string { return "worker" }
-
-// RestartRoles implements core.Workload.
-func (w *Workload) RestartRoles() map[string]int64 {
-	return map[string]int64{"worker": 40}
+// New returns the toy workload. Observation runs crash the worker, which the
+// operator restarts; nothing is expected to hang. The toy's RPC client, like
+// Hadoop-MR's, has no client-side timeout.
+func New() *Workload {
+	return &Workload{core.Profile{ID: "TOY", Target: "worker", Restart: map[string]int64{"worker": 40}, MaxSteps: 15_000}}
 }
-
-// Tune implements core.Workload. The toy's RPC client, like Hadoop-MR's, has
-// no client-side timeout.
-func (w *Workload) Tune(cfg *sim.Config) {
-	cfg.MaxSteps = 15_000
-}
-
-// ExpectedBehaviors implements core.Workload: nothing is expected to hang.
-func (w *Workload) ExpectedBehaviors() []string { return nil }
 
 // Configure implements core.Workload.
 func (w *Workload) Configure(c *sim.Cluster) {

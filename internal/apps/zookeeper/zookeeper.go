@@ -19,48 +19,33 @@ package zookeeper
 import (
 	"fmt"
 
+	"fcatch/internal/core"
 	"fcatch/internal/sim"
 	"fcatch/internal/storage"
 )
 
 type params struct {
-	edits        int
-	snapEvery    int // snapshot every N edits
-	restartDelay int64
+	edits     int
+	snapEvery int // snapshot every N edits
 }
 
 // Workload is the "ZK 3.4.5 Startup" benchmark row.
-type Workload struct{ p params }
+type Workload struct {
+	core.Profile
+	p params
+}
 
-// New returns the ZK workload.
+// New returns the ZK workload. The operator restarts a dead server on the
+// same machine (its disk survives).
 func New() *Workload {
-	return &Workload{p: params{edits: 10, snapEvery: 3, restartDelay: 160}}
+	return &Workload{
+		Profile: core.Profile{
+			ID: "ZK", Target: "zkleader", Restart: map[string]int64{"zkleader": 160},
+			RPCClientTimeout: 500, RPCFailFast: true, MaxSteps: 25_000,
+		},
+		p: params{edits: 10, snapEvery: 3},
+	}
 }
-
-// Name implements core.Workload.
-func (w *Workload) Name() string { return "ZK" }
-
-// System implements core.Workload.
-func (w *Workload) System() string { return "ZooKeeper 3.4.5" }
-
-// CrashTarget implements core.Workload.
-func (w *Workload) CrashTarget() string { return "zkleader" }
-
-// RestartRoles implements core.Workload: the operator restarts a dead
-// server on the same machine (its disk survives).
-func (w *Workload) RestartRoles() map[string]int64 {
-	return map[string]int64{"zkleader": w.p.restartDelay}
-}
-
-// Tune implements core.Workload.
-func (w *Workload) Tune(cfg *sim.Config) {
-	cfg.RPCClientTimeout = 500
-	cfg.RPCFailFast = true
-	cfg.MaxSteps = 25_000
-}
-
-// ExpectedBehaviors implements core.Workload.
-func (w *Workload) ExpectedBehaviors() []string { return nil }
 
 // Configure implements core.Workload.
 func (w *Workload) Configure(c *sim.Cluster) {

@@ -194,15 +194,14 @@ func TestCampaignParallelismInvariant(t *testing.T) {
 // distinct planted bugs produce distinct signatures.
 func TestSignatureStability(t *testing.T) {
 	w := toy.New()
-	restart := w.RestartRoles()
 
 	c, steps := tracedFaultFree(t, w)
 	sp := NewSpace(c.Trace(), steps, w.CrashTarget(), 0)
 
 	// Repeated runs of one plan are byte-identical.
 	for _, p := range sp.Points[:6] {
-		a := ExecPlan(w, 1, p, restart, true)
-		b := ExecPlan(w, 1, p, restart, true)
+		a := ExecPlan(w, 1, p, true)
+		b := ExecPlan(w, 1, p, true)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("plan %s: signature unstable across runs:\n%+v\n%+v", p.Key(), a, b)
 		}
@@ -214,7 +213,7 @@ func TestSignatureStability(t *testing.T) {
 	// (crash-recovery, the Figure 1 miniature).
 	bySymptom := map[string]Plan{}
 	for _, p := range sp.Points {
-		r := ExecPlan(w, 1, p, restart, true)
+		r := ExecPlan(w, 1, p, true)
 		if r.Verdict == VerdictFailure {
 			if _, ok := bySymptom[r.Sig.Symptom]; !ok {
 				bySymptom[r.Sig.Symptom] = p
@@ -500,7 +499,6 @@ func checkFolds(t *testing.T, w core.Workload, cfg sim.Config, at string) (fired
 // fold computes over the kept trace of the same plan.
 func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 	w := toy.New()
-	restart := w.RestartRoles()
 	c, steps := tracedFaultFree(t, w)
 	sp := NewSpace(c.Trace(), steps, w.CrashTarget(), 0)
 	checkFolds(t, w, sim.Config{Seed: 1, Tracing: sim.TraceSelective}, "toy fault-free")
@@ -509,7 +507,7 @@ func TestCoverageFoldMatchesMaterialized(t *testing.T) {
 		if checkFolds(t, w, planConfig(w, p), "toy "+p.Key()) {
 			fired++
 		}
-		streamed := ExecPlan(w, 1, p, restart, true)
+		streamed := ExecPlan(w, 1, p, true)
 		if got, want := streamed.Sig.Coverage, postFaultCoverage(keptRun(w, p)); got != want {
 			t.Fatalf("plan %s: ExecPlan's coverage %#x, kept trace's %#x", p.Key(), got, want)
 		}

@@ -151,14 +151,13 @@ type Executor interface {
 type localExecutor struct {
 	w           core.Workload
 	seed        int64
-	restart     map[string]int64
 	traced      bool
 	parallelism int
 }
 
 func (e *localExecutor) ExecuteBatch(ctx context.Context, plans []Plan) ([]RunResult, error) {
 	return parallel.Map(ctx, e.parallelism, len(plans), func(i int) RunResult {
-		return ExecPlan(e.w, e.seed, plans[i], e.restart, e.traced)
+		return ExecPlan(e.w, e.seed, plans[i], e.traced)
 	})
 }
 
@@ -169,7 +168,7 @@ func (e *localExecutor) ExecuteBatch(ctx context.Context, plans []Plan) ([]RunRe
 // results are a pure function of (workload, seed, plan), the coordinator can
 // fold them into the corpus as if it had run them itself.
 func ExecPlans(ctx context.Context, w core.Workload, seed int64, traced bool, parallelism int, plans []Plan) ([]RunResult, error) {
-	e := &localExecutor{w: w, seed: seed, restart: w.RestartRoles(), traced: traced, parallelism: parallelism}
+	e := &localExecutor{w: w, seed: seed, traced: traced, parallelism: parallelism}
 	return e.ExecuteBatch(ctx, plans)
 }
 
@@ -247,7 +246,7 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 	st.Init(sp, cfg.Seed, cfg.Budget)
 
 	if exec == nil {
-		exec = &localExecutor{w: w, seed: cfg.Seed, restart: w.RestartRoles(), traced: traced, parallelism: cfg.Parallelism}
+		exec = &localExecutor{w: w, seed: cfg.Seed, traced: traced, parallelism: cfg.Parallelism}
 	}
 	cor := NewCorpus(w.Name(), cfg.Strategy, cfg.Seed)
 	cor.Scenarios = cfg.Scenarios
@@ -351,14 +350,13 @@ func Run(ctx context.Context, w core.Workload, cfg Config, prior *Corpus, exec E
 
 // ExecPlan executes one injection run in its own isolated cluster. The plan
 // goes to the simulator verbatim: its step crashes with no target kill the
-// workload's crash target, and its crashes restart per restart, the
-// workload's RestartRoles (computed once by the caller and only read here, so
-// concurrent runs may share it). Traced runs pass their ops through a
-// coverage fold and keep no trace; the fold reads no dependences, so a traced
-// run costs an untraced one plus its site lookups. The result is a pure
-// function of (w, seed, p, traced).
-func ExecPlan(w core.Workload, seed int64, p Plan, restart map[string]int64, traced bool) RunResult {
-	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: sim.NewScenarioPlan(p, w.CrashTarget(), restart)}
+// workload's crash target, and its crashes restart per the workload's
+// RestartRoles, one read-only map that concurrent runs share. Traced runs
+// pass their ops through a coverage fold and keep no trace; the fold reads
+// no dependences, so a traced run costs an untraced one plus its site
+// lookups. The result is a pure function of (w, seed, p, traced).
+func ExecPlan(w core.Workload, seed int64, p Plan, traced bool) RunResult {
+	rcfg := sim.Config{Seed: seed, Tracing: sim.TraceOff, Plan: sim.NewScenarioPlan(p, w.CrashTarget(), w.RestartRoles())}
 	var fold *CoverageFold
 	if traced {
 		fold = new(CoverageFold)

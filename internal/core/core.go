@@ -18,12 +18,11 @@ import (
 )
 
 // Workload is one benchmark configuration (a Table 1 row): a system plus the
-// workload driven on it.
+// workload driven on it. An app implements it by embedding a Profile, which
+// states the row's facts, and writing Configure and Check.
 type Workload interface {
 	// Name is the benchmark id ("CA1&2", "HB1", "MR2", ...).
 	Name() string
-	// System is the application name ("Cassandra", "HBase", ...).
-	System() string
 	// Configure builds the system inside the cluster: machines, processes,
 	// storage substrates, workload driver threads.
 	Configure(c *sim.Cluster)
@@ -37,7 +36,7 @@ type Workload interface {
 	// baseline crash.
 	CrashTarget() string
 	// RestartRoles maps roles to restart delays, the operator/recovery
-	// behaviour after a crash.
+	// behaviour after a crash. Callers only read it.
 	RestartRoles() map[string]int64
 	// Tune sets app-specific cluster parameters (RPC timeout behaviour,
 	// step budget).
@@ -47,6 +46,42 @@ type Workload interface {
 	// forever when every regionserver is gone). The triggering module
 	// classifies matching failures as "Exp." rather than true bugs.
 	ExpectedBehaviors() []string
+}
+
+// Profile is the part of a Workload that is plain data: a benchmark row's
+// facts and the simulator settings its runs need. It implements every
+// Workload method but Configure and Check.
+type Profile struct {
+	ID     string // Name
+	Target string // CrashTarget
+	// Restart is RestartRoles: one map for every run of the workload,
+	// which no caller writes (nil: no role is restarted).
+	Restart  map[string]int64
+	Expected []string // ExpectedBehaviors
+
+	// Tune copies these into the run's sim.Config.
+	RPCClientTimeout int64
+	RPCFailFast      bool
+	MaxSteps         int64
+}
+
+// Name implements Workload.
+func (p *Profile) Name() string { return p.ID }
+
+// CrashTarget implements Workload.
+func (p *Profile) CrashTarget() string { return p.Target }
+
+// RestartRoles implements Workload.
+func (p *Profile) RestartRoles() map[string]int64 { return p.Restart }
+
+// ExpectedBehaviors implements Workload.
+func (p *Profile) ExpectedBehaviors() []string { return p.Expected }
+
+// Tune implements Workload.
+func (p *Profile) Tune(cfg *sim.Config) {
+	cfg.RPCClientTimeout = p.RPCClientTimeout
+	cfg.RPCFailFast = p.RPCFailFast
+	cfg.MaxSteps = p.MaxSteps
 }
 
 // Phase selects where the observation crash lands (the Section 8.1.2

@@ -111,8 +111,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		_ = writeMessage(conn, &message{Type: msgError, Err: err.Error()})
 		return err
 	}
-	restart := w.RestartRoles() // read-only, shared by every plan of every lease
-
 	// send writes one frame; the plans of a lease finish concurrently. A
 	// progress frame goes out only once the coordinator has heard nothing
 	// for the interval it dictated, counted from the grant or the last frame.
@@ -170,7 +168,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			execStart := time.Now()
 			heard = execStart // no plan is running to race this write
 			results, err := parallel.Map(ctx, cfg.Parallelism, len(m.Plans), func(i int) campaign.RunResult {
-				r := campaign.ExecPlan(w, conf.Seed, m.Plans[i], restart, conf.Traced)
+				r := campaign.ExecPlan(w, conf.Seed, m.Plans[i], conf.Traced)
 				_ = send(&message{Type: msgProgress})
 				return r
 			})

@@ -133,7 +133,8 @@ func (g *GlobalFS) Peek(path string) (any, bool) { return g.peek("", path) }
 // DeleteTree removes a directory recursively — the "rm -r" of the MR2
 // staging cleanup — and returns how many files went. Each removed file gets
 // its own delete record (a recursive delete really is a sequence of
-// unlinks), then the tree root gets one.
+// unlinks), published as the last change of the file's own directory, then
+// the tree root gets one.
 func (g *GlobalFS) DeleteTree(ctx *sim.Context, dir string) int {
 	n := g.names("")
 	prefix := n.of(strings.TrimSuffix(dir, "/") + "/")
@@ -145,7 +146,7 @@ func (g *GlobalFS) DeleteTree(ctx *sim.Context, dir string) int {
 	}
 	sort.Strings(victims)
 	for _, res := range victims {
-		g.st.do(ctx, &op{eff: eDrop, kind: trace.KStDelete, res: res})
+		g.st.do(ctx, &op{eff: eDrop, kind: trace.KStDelete, res: res, dir: n.of(dirOf(res[len(n.prefix):]))})
 	}
 	tree := n.of(dir)
 	g.st.do(ctx, &op{eff: eDrop, kind: trace.KStDelete, res: tree, dir: tree})

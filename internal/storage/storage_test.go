@@ -193,6 +193,40 @@ func TestFailedOpsAreFlagged(t *testing.T) {
 	}
 }
 
+// TestDeleteTreeUnlinkDecidesNestedAbsence: a file deleted from a directory
+// nested in the tree is absent because of its own unlink, so a later Exists
+// links to that unlink, not to the write that made the file.
+func TestDeleteTreeUnlinkDecidesNestedAbsence(t *testing.T) {
+	gfs := storage.NewGlobalFS()
+	c := run(t, func(ctx *sim.Context) {
+		gfs.Write(ctx, "/a/b/c", sim.V("x"))
+		gfs.DeleteTree(ctx, "/a")
+		gfs.Exists(ctx, "/a/b/c")
+	})
+	tr := c.Trace()
+	var write, unlink, probe *trace.Record
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		if tr.Str(r.Res) != "gfs:/a/b/c" {
+			continue
+		}
+		switch r.Kind {
+		case trace.KStWrite:
+			write = r
+		case trace.KStDelete:
+			unlink = r
+		case trace.KStExists:
+			probe = r
+		}
+	}
+	if write == nil || unlink == nil || probe == nil {
+		t.Fatalf("records of /a/b/c: write %v, unlink %v, exists %v", write, unlink, probe)
+	}
+	if probe.Src != unlink.ID {
+		t.Fatalf("exists Src = %d, want the unlink %d (the write is %d)", probe.Src, unlink.ID, write.ID)
+	}
+}
+
 func TestReadCarriesDefineUseLink(t *testing.T) {
 	gfs := storage.NewGlobalFS()
 	c := run(t, func(ctx *sim.Context) {
