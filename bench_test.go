@@ -304,6 +304,45 @@ func BenchmarkSimulatorSteps(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerManyThreads measures a scheduler step among many threads
+// of which few can run: 64 threads blocked on a latch while 2 others yield
+// 5 000 times each. It reports ns per pick, so it prices the pick itself,
+// not how many threads the run has spawned.
+func BenchmarkSchedulerManyThreads(b *testing.B) {
+	const blocked, yielders, yields = 64, 2, 5000
+	b.ReportAllocs()
+	var picks int64
+	for i := 0; i < b.N; i++ {
+		c := sim.NewCluster(sim.Config{Seed: 1})
+		c.StartProcess("n", "m0", func(ctx *sim.Context) {
+			release := ctx.NewCond("release")
+			for range blocked {
+				ctx.Go("waiter", func(ctx *sim.Context) { _, _ = release.Wait(ctx) })
+			}
+			var done [yielders]*sim.Cond
+			for k := range done {
+				done[k] = ctx.NewCond("done")
+				ctx.Go("yielder", func(ctx *sim.Context) {
+					for range yields {
+						ctx.Yield()
+					}
+					done[k].Signal(ctx)
+				})
+			}
+			for _, d := range done {
+				_, _ = d.Wait(ctx)
+			}
+			release.Signal(ctx)
+		})
+		out := c.Run()
+		if !out.Completed() {
+			b.Fatalf("run did not complete: %s", out.Detail())
+		}
+		picks += out.Picks
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(picks), "ns/pick")
+}
+
 // BenchmarkTracedHeapOps measures the tracer's per-op overhead.
 func BenchmarkTracedHeapOps(b *testing.B) {
 	for i := 0; i < b.N; i++ {

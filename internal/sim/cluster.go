@@ -132,20 +132,18 @@ type Cluster struct {
 
 	nodes    map[string]*Node // PID -> process (API-boundary lookups)
 	nodeList []*Node          // every process in start order (internal iteration)
-	threads  []*Thread        // the scheduler's scan list: every live thread, in spawn order
-	finished []*Thread        // threads compactThreads dropped from threads, for handBack
+	threads  []*Thread        // every thread of the run, in spawn order
+	ready    []*Thread        // runnable threads in id order, plus any that stopped since runnable() last ran
 	timers   timerHeap
 	running  bool
 
-	curThread     *Thread   // the thread running this step (nil between steps)
-	runScratch    []*Thread // reusable runnable-scan buffer
-	liveNonDaemon int       // non-daemon threads still alive (workloadDone is O(1))
-	serving       int       // live non-daemon threads that serve a daemon (Thread.servesDaemon)
-	waiting       int       // threads with Thread.waiting or Thread.polling set
-	quietPicks    int64     // cfg.QuietPicks(): the quiescence rule's budget (0: off)
-	quietSince    int64     // Outcome.Picks when the run last became quiescent; -1 while it is not
-	fnTimers      int       // armed scheduler-callback timers
-	deadThreads   int       // finished threads still on the scan list
+	curThread     *Thread // the thread running this step (nil between steps)
+	liveNonDaemon int     // non-daemon threads still alive (workloadDone is O(1))
+	serving       int     // live non-daemon threads that serve a daemon (Thread.servesDaemon)
+	waiting       int     // threads with Thread.waiting or Thread.polling set
+	quietPicks    int64   // cfg.QuietPicks(): the quiescence rule's budget (0: off)
+	quietSince    int64   // Outcome.Picks when the run last became quiescent; -1 while it is not
+	fnTimers      int     // armed scheduler-callback timers
 
 	// Role identities are interned to dense indices at first boot, so service
 	// resolution, incarnation counting and restart bookkeeping index a slice
@@ -225,6 +223,7 @@ func NewCluster(cfg Config) *Cluster {
 	c.siteRPCReplySig = c.internSite(SiteRPCReplySig)
 	c.siteRPCReplySend = c.internSite(SiteRPCReplySend)
 	c.tracer = newTracer(c)
+	c.takeSched()
 	if p := c.pendingPlan; p != nil {
 		c.preparePlan(p)
 	}

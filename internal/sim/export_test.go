@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"unsafe"
 )
 
@@ -18,8 +20,8 @@ func UsePortableCallers() (restore func()) {
 func IdleCarriers() int { return length(&idleCarriers) }
 
 // IdleRecords counts the records the idle lists hold by identity: each
-// thread, call record and rng by its pointer, each queue array by its first
-// element's address.
+// thread, call record and rng by its pointer, each queue and scheduler array
+// by its first element's address.
 func IdleRecords() map[any]int {
 	m := make(map[any]int)
 	each(&idleThreads, func(t *Thread) { m[t]++ })
@@ -32,6 +34,16 @@ func IdleRecords() map[any]int {
 			}
 		}
 	})
+	each(&idleScheds, func(s schedArrays) {
+		for _, a := range [2][]*Thread{s.threads, s.ready} {
+			if cap(a) > 0 {
+				m[unsafe.SliceData(a)]++
+			}
+		}
+		if cap(s.timers) > 0 {
+			m[unsafe.SliceData(s.timers)]++
+		}
+	})
 	return m
 }
 
@@ -42,6 +54,7 @@ func IdleLists() map[string][2]int {
 		"calls":   {length(&idleCalls), idleCalls.max},
 		"queues":  {length(&idleQueues), idleQueues.max},
 		"rngs":    {length(&idleRngs), idleRngs.max},
+		"scheds":  {length(&idleScheds), idleScheds.max},
 	}
 }
 
@@ -57,6 +70,47 @@ func length[T any](l *idleList[T]) int {
 	l.Lock()
 	defer l.Unlock()
 	return len(l.list)
+}
+
+// RunCheckingReady runs c as Run does and, after every pick, compares the
+// scheduler's ready list with a scan of every thread of the run for the
+// runnable ones, in spawn order. It returns the outcome and the first
+// difference it saw. The check reads the list as runnable() would return
+// it but drops nothing: dropping a blocked thread early would hide a second
+// listing of it, and leaves the checked run the run Run makes.
+func RunCheckingReady(c *Cluster) (*Outcome, error) {
+	c.start()
+	var err error
+	for c.step() {
+		if err == nil {
+			err = c.checkReady()
+		}
+	}
+	return c.finish(), err
+}
+
+func (c *Cluster) checkReady() error {
+	var listed, ready, scan []int
+	for _, t := range c.ready {
+		listed = append(listed, t.id)
+		if t.state == tsRunnable {
+			ready = append(ready, t.id)
+		}
+	}
+	for _, t := range c.threads {
+		if t.state == tsRunnable {
+			scan = append(scan, t.id)
+		}
+	}
+	for i, t := range c.ready {
+		if !t.queued || i > 0 && listed[i-1] >= t.id {
+			return fmt.Errorf("after pick %d: ready list %v is not in strict id order or lists thread %d unmarked", c.out.Picks, listed, t.id)
+		}
+	}
+	if !slices.Equal(ready, scan) {
+		return fmt.Errorf("after pick %d: ready list %v, scan %v", c.out.Picks, ready, scan)
+	}
+	return nil
 }
 
 // LiveThreads reports how many of c's threads have not finished.

@@ -228,6 +228,31 @@ func TestFuzzTraceWellFormed(t *testing.T) {
 	}
 }
 
+// TestFuzzReadyListIsTheScan: after every pick of a generated system's run,
+// fault-free and with a process crashed, the scheduler's ready list holds
+// exactly the runnable threads in spawn order, and the checked run saves the
+// trace a plain run saves.
+func TestFuzzReadyListIsTheScan(t *testing.T) {
+	for genSeed := int64(0); genSeed < 25; genSeed++ {
+		base := genCluster(genSeed, fuzzConfig(genSeed, nil))
+		plans := []*sim.FaultPlan{nil}
+		if steps := base.Run().Steps; steps >= 20 {
+			plans = append(plans, sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: steps / 3}}, "proc0", nil))
+		}
+		for _, plan := range plans {
+			c := genCluster(genSeed, fuzzConfig(genSeed, plan))
+			if _, err := sim.RunCheckingReady(c); err != nil {
+				t.Fatalf("genSeed %d (crash %v): %v", genSeed, plan != nil, err)
+			}
+			plain := genCluster(genSeed, fuzzConfig(genSeed, plan))
+			plain.Run()
+			if traceString(c.Trace()) != traceString(plain.Trace()) {
+				t.Fatalf("genSeed %d (crash %v): the checked run's trace differs from a plain run's", genSeed, plan != nil)
+			}
+		}
+	}
+}
+
 // TestFuzzRunsTerminate: every generated system ends (completion, deadlock
 // report, or a hang rule) — the scheduler never wedges.
 func TestFuzzRunsTerminate(t *testing.T) {

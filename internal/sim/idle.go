@@ -43,16 +43,20 @@ func (l *idleList[T]) put(x T) {
 // The lists' bounds. The largest runs of the six workloads (seeds 1–3,
 // crashed at steps 20–2000) hand back 46 threads, 1 543 call records, the
 // queue arrays of 8 nodes, the longest 585 items (an MR AM's message
-// queue), and one rng; the bench runs two clusters at a time. Full lists
-// hold at most 256 × 416 B of threads, 4 096 × 704 B of call records,
-// 32 × 3 queue arrays of up to 1 024 × 112 B and 16 × 4.9 KB of rng state:
-// 0.1 + 2.9 + 11 + 0.08 MB, about 14 MB.
+// queue), one rng and one set of scheduler arrays: a thread list of 1 538
+// threads, a ready list of at most 64 and a timer heap of at most 37 slots;
+// the bench runs two clusters at a time. Full lists hold at most
+// 256 × 416 B of threads, 4 096 × 704 B of call records, 32 × 3 queue arrays
+// of up to 1 024 × 112 B, 16 × 4.9 KB of rng state and 16 scheduler sets of
+// up to 4 096 × (8 + 8 + 48) B: 0.1 + 2.9 + 11 + 0.08 + 4.2 MB, about 18 MB.
 const (
 	maxIdleThreads    = 256
 	maxIdleCalls      = 4096
 	maxIdleQueueSets  = 32
 	maxIdleQueueItems = 1024 // a longer queue array is left to the GC
 	maxIdleRngs       = 16
+	maxIdleSchedSets  = 16
+	maxIdleSchedItems = 4096 // a longer scheduler array is left to the GC
 )
 
 var (
@@ -67,7 +71,15 @@ var (
 	// its namesake grew.
 	idleQueues = idleList[[3][]queuedItem]{max: maxIdleQueueSets}
 	idleRngs   = idleList[*rand.Rand]{max: maxIdleRngs}
+	idleScheds = idleList[schedArrays]{max: maxIdleSchedSets}
 )
+
+// schedArrays are a cluster's scheduler arrays: its thread list, its ready
+// list and its timer heap.
+type schedArrays struct {
+	threads, ready []*Thread
+	timers         timerHeap
+}
 
 // takeCarrier hands out an idle carrier, creating one when none is idle: a
 // carrier costs eleven allocations to create and none to reuse.
@@ -120,6 +132,24 @@ func newRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// takeSched gives a new cluster the thread lists and timer heap array of a
+// finished one.
+func (c *Cluster) takeSched() {
+	if s, ok := idleScheds.take(); ok {
+		c.threads, c.ready, c.timers = s.threads, s.ready, s.timers
+	}
+}
+
+// recycled returns a run's array emptied and zeroed for the next run, or nil
+// when it grew past max items and is left to the GC.
+func recycled[S ~[]E, E any](a S, max int) S {
+	if cap(a) > max {
+		return nil
+	}
+	clear(a[:cap(a)])
+	return a[:0]
+}
+
 // takeQueues gives a new node the dispatch-queue arrays of a finished one.
 func (n *Node) takeQueues() {
 	if q, ok := idleQueues.take(); ok {
@@ -138,26 +168,31 @@ func (n *Node) takeQueues() {
 func (c *Cluster) handBack() {
 	idleThreads.Lock()
 	idleCalls.Lock()
-	for _, ts := range [2][]*Thread{c.finished, c.threads} {
-		for _, t := range ts {
-			if t.alive() || t.car != nil {
-				continue
+	for _, t := range c.threads {
+		if t.alive() || t.car != nil {
+			continue
+		}
+		if cs := t.call; cs != nil {
+			if !idleCalls.full() {
+				*cs = callState{}
+				idleCalls.put(cs)
 			}
-			if cs := t.call; cs != nil {
-				if !idleCalls.full() {
-					*cs = callState{}
-					idleCalls.put(cs)
-				}
-			} else if !idleThreads.full() {
-				*t = Thread{}
-				idleThreads.put(t)
-			}
+		} else if !idleThreads.full() {
+			*t = Thread{}
+			idleThreads.put(t)
 		}
 	}
 	idleCalls.Unlock()
 	idleThreads.Unlock()
-	c.threads, c.finished, c.runScratch, c.curThread = nil, nil, nil, nil
-	c.timers = nil
+
+	idleScheds.Lock()
+	idleScheds.put(schedArrays{
+		recycled(c.threads, maxIdleSchedItems),
+		recycled(c.ready, maxIdleSchedItems),
+		recycled(c.timers, maxIdleSchedItems),
+	})
+	idleScheds.Unlock()
+	c.threads, c.ready, c.timers, c.curThread = nil, nil, nil, nil
 
 	// The last node's arrays go first, so the first node of the next run
 	// takes the first node's.
@@ -166,12 +201,7 @@ func (c *Cluster) handBack() {
 		n := c.nodeList[i]
 		q := [3][]queuedItem{n.msgQ.items, n.eventQ.items, n.replyQ.items}
 		for j, a := range q {
-			if cap(a) > maxIdleQueueItems {
-				q[j] = nil
-				continue
-			}
-			clear(a[:cap(a)])
-			q[j] = a[:0]
+			q[j] = recycled(a, maxIdleQueueItems)
 		}
 		idleQueues.put(q)
 		n.msgQ, n.eventQ, n.replyQ = dispatchQueue{}, dispatchQueue{}, dispatchQueue{}

@@ -251,7 +251,7 @@ func (c *Cluster) crashProcess(n *Node, selfSite SiteID, restartOverride *int64)
 	c.tracer.emitSystem(opSpec{Kind: trace.KCrash, Aux: pid, Site: selfSite})
 
 	// Kill the process's threads now, in spawn order (c.threads keeps every
-	// live thread). The running thread is the one that crashed its own
+	// thread of the run). The running thread is the one that crashed its own
 	// process: it unwinds itself (checkTrigger).
 	for _, t := range c.threads {
 		if t.node == n && t.alive() && t != c.curThread {

@@ -30,7 +30,8 @@ func tracedRun(t *testing.T, w core.Workload) (sim.Outcome, []byte) {
 }
 
 // TestRunsRecycleRecords: a finished run hands its threads, call records,
-// queue arrays and rng to the next cluster, so a second identical run takes
+// queue arrays, scheduler arrays (thread list, ready list, timer heap) and
+// rng to the next cluster, so a second identical run takes
 // every record it needs from the idle lists, makes none (the lists hold the
 // same records after it), and produces the same outcome and trace bytes.
 func TestRunsRecycleRecords(t *testing.T) {
@@ -40,7 +41,7 @@ func TestRunsRecycleRecords(t *testing.T) {
 	for r := range before {
 		kinds[reflect.TypeOf(r).String()]++
 	}
-	for _, k := range []string{"*sim.Thread", "*sim.callState", "*rand.Rand", "*sim.queuedItem"} {
+	for _, k := range []string{"*sim.Thread", "*sim.callState", "*rand.Rand", "*sim.queuedItem", "**sim.Thread", "*sim.timer"} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %s on the idle lists after a run: %v", k, kinds)
 		}

@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"cmp"
+	"slices"
+	"time"
+)
 
 // timer is a scheduled wakeup: either a thread wake (possibly a timed-wait
 // expiry) or a scheduler-context callback (e.g. a planned role restart).
@@ -152,42 +156,40 @@ func (c *Cluster) workloadDone() bool {
 	return c.liveNonDaemon == 0 && c.fnTimers == 0
 }
 
-// runnable returns the runnable threads in thread-id order, reusing one
-// scratch slice. Threads are spawned with ascending ids and c.threads keeps
-// spawn order, so a single in-order scan yields the deterministic order the
-// scheduler needs without sorting or allocating.
-func (c *Cluster) runnable() []*Thread {
-	out := c.runScratch[:0]
-	for _, t := range c.threads {
-		if t.state == tsRunnable {
-			out = append(out, t)
-		}
+// enqueue puts a thread that became runnable on the ready list, at its id's
+// place, unless it is listed already. Threads get ascending ids as they
+// spawn, so a new thread is appended and a woken one is inserted.
+func (c *Cluster) enqueue(t *Thread) {
+	if t.queued {
+		return
 	}
-	c.runScratch = out
-	return out
+	t.queued = true
+	n := len(c.ready)
+	if n == 0 || c.ready[n-1].id < t.id {
+		c.ready = append(c.ready, t)
+		return
+	}
+	i, _ := slices.BinarySearchFunc(c.ready, t.id, func(r *Thread, id int) int { return cmp.Compare(r.id, id) })
+	c.ready = slices.Insert(c.ready, i, t)
 }
 
-// compactThreads moves finished threads from the scheduler's scan list to
-// c.finished once they outnumber the live ones. Live threads keep their
-// relative (spawn-id) order, so runnable() still yields the deterministic
-// order, and the trigger depends only on deterministic counters, so paired
-// runs compact identically. Workloads that churn short-lived handler
-// threads otherwise pay an ever-growing runnable scan per step.
-func (c *Cluster) compactThreads() {
+// runnable returns the runnable threads in thread-id order: the ready list,
+// once it has dropped the threads that blocked or ended since they were
+// listed. The thread a step picks stays listed while it runs, so a yield
+// costs the list nothing.
+func (c *Cluster) runnable() []*Thread {
 	w := 0
-	for _, t := range c.threads {
-		if t.alive() {
-			c.threads[w] = t
+	for _, t := range c.ready {
+		if t.state == tsRunnable {
+			c.ready[w] = t
 			w++
 		} else {
-			c.finished = append(c.finished, t)
+			t.queued = false
 		}
 	}
-	for i := w; i < len(c.threads); i++ {
-		c.threads[i] = nil
-	}
-	c.threads = c.threads[:w]
-	c.deadThreads = 0
+	clear(c.ready[w:])
+	c.ready = c.ready[:w]
+	return c.ready
 }
 
 // quiescent reports whether only daemons can change the run: every live
@@ -213,13 +215,10 @@ func (c *Cluster) quiescent() bool {
 // The sequencing is fixed, and every trace depends on it: the due timers
 // fire, then the plan's step events are applied (a crash kills its victims
 // on the spot), and only then is a runnable thread chosen. The pick is the
-// run's only rng draw, over the runnable threads in c.threads order.
+// run's only rng draw, over the runnable threads in thread-id order.
 func (c *Cluster) step() bool {
 	c.curThread = nil
 	c.fireDue()
-	if c.deadThreads > 64 && c.deadThreads*2 > len(c.threads) {
-		c.compactThreads()
-	}
 	for {
 		c.applyPlanAtStep()
 		if c.workloadDone() {
@@ -284,22 +283,30 @@ func (c *Cluster) endQuiet() {
 // Run executes the cluster to completion: until the workload finishes, the
 // system deadlocks, or a hang rule (clock budget, stall, quiescence) cuts the
 // run, and returns the outcome (the trace, if enabled, via Trace()). It ends
-// by handing the run's thread and call records, queue arrays and rng to the
-// next cluster (handBack). A thread panic that is not an app exception
-// propagates out of Run, abandons every live thread's carrier and hands
-// nothing back.
+// by handing the run's thread and call records, queue and scheduler arrays
+// and rng to the next cluster (handBack). A thread panic that is not an app
+// exception propagates out of Run, abandons every live thread's carrier and
+// hands nothing back.
 func (c *Cluster) Run() *Outcome {
+	c.start()
+	for c.step() {
+	}
+	return c.finish()
+}
+
+// start marks the cluster running; a cluster runs once.
+func (c *Cluster) start() {
 	if c.running {
 		panic("sim: cluster already ran")
 	}
 	c.running = true
 	c.startWall = time.Now()
+}
 
-	for c.step() {
-	}
-
-	// Record the hang sites of the survivors, then kill them: unwinding them
-	// is what returns their carriers.
+// finish ends a run whose last step returned false: it records the hang
+// sites of the survivors and kills them (unwinding them is what returns
+// their carriers), completes the outcome and hands the run's records back.
+func (c *Cluster) finish() *Outcome {
 	for _, t := range c.threads {
 		if !t.alive() {
 			continue

@@ -105,6 +105,101 @@ func TestStepBudget(t *testing.T) {
 	}
 }
 
+// manyThreads builds three processes of 24 workers each that wait for their
+// process's start latch, then wait on latches with timeouts, sleep, signal,
+// yield and call each other, so threads block and wake out of spawn order;
+// cfg's plan may crash one of them mid-run. It returns the cluster and a
+// pointer to the count of workers spawned so far.
+func manyThreads(cfg sim.Config) (*sim.Cluster, *int) {
+	const procs, workers, rounds = 3, 24, 6
+	cfg.MaxSteps, cfg.RPCClientTimeout, cfg.RPCFailFast = 20_000, 40, true
+	c := sim.NewCluster(cfg)
+	spawned := new(int)
+	for p := range procs {
+		peer := fmt.Sprintf("w%d", (p+1)%procs)
+		c.StartProcess(fmt.Sprintf("w%d", p), fmt.Sprintf("m%d", p), func(ctx *sim.Context) {
+			ctx.Self().HandleRPC("Echo", func(ctx *sim.Context, args []sim.Value) sim.Value {
+				ctx.Sleep(int64(args[0].Int()%4 + 1))
+				return args[0]
+			})
+			var conds [rounds][8]*sim.Cond
+			for r := range conds {
+				for j := range conds[r] {
+					conds[r][j] = ctx.NewCond(fmt.Sprintf("c%d.%d", r, j))
+				}
+			}
+			start := ctx.NewCond("start")
+			for i := range workers {
+				*spawned++
+				ctx.Go("worker", func(ctx *sim.Context) {
+					_, _ = start.Wait(ctx)
+					for r := range rounds {
+						switch (i + r) % 4 {
+						case 0:
+							_, _ = conds[r][i%8].WaitTimeout(ctx, int64(3+i%7))
+						case 1:
+							ctx.Sleep(int64(1 + i%5))
+						case 2:
+							conds[r][(i+1)%8].Signal(ctx)
+							ctx.Yield()
+						case 3:
+							_, _ = ctx.Call(peer, "Echo", sim.V(i+r))
+						}
+					}
+				})
+			}
+			start.Signal(ctx)
+		})
+	}
+	return c, spawned
+}
+
+// TestReadyListIsTheScan: in runs of more than 64 threads that block, wake
+// and, when a process crashes, are killed, the scheduler's ready list holds
+// exactly the runnable threads in spawn order after every pick, and a
+// checked run picks what a plain run picks. The crash sweeps a stretch of
+// steps: a crash fails the calls to its victim at a step boundary, and wakes
+// callers that blocked during the step before, which are still listed.
+func TestReadyListIsTheScan(t *testing.T) {
+	check := func(seed, crashAt int64, plain bool) {
+		t.Helper()
+		cfg := func() sim.Config {
+			cfg := sim.Config{Seed: seed}
+			if crashAt > 0 {
+				cfg.Plan = sim.NewScenarioPlan([]sim.FaultSpec{{CrashStep: crashAt}}, "w1", nil)
+			}
+			return cfg
+		}
+		c, spawned := manyThreads(cfg())
+		out, err := sim.RunCheckingReady(c)
+		if err != nil {
+			t.Fatalf("seed %d crash@%d: %v", seed, crashAt, err)
+		}
+		if *spawned < 64 {
+			t.Fatalf("seed %d crash@%d: spawned %d workers, want at least 64", seed, crashAt, *spawned)
+		}
+		if crashAt > 0 && len(out.FaultFirings) == 0 {
+			t.Fatalf("seed %d crash@%d: the crash did not fire", seed, crashAt)
+		}
+		if !plain {
+			return
+		}
+		p, _ := manyThreads(cfg())
+		want := p.Run()
+		if out.Picks != want.Picks || out.Steps != want.Steps || out.Detail() != want.Detail() {
+			t.Fatalf("seed %d crash@%d: checked run %d picks %d steps %q, plain run %d %d %q",
+				seed, crashAt, out.Picks, out.Steps, out.Detail(), want.Picks, want.Steps, want.Detail())
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		check(seed, 0, true)
+		check(seed, 400+50*seed, true)
+	}
+	for crashAt := int64(400); crashAt < 560; crashAt++ {
+		check(1, crashAt, false)
+	}
+}
+
 // TestStallRuleCutsLoopOverSeenSites: a non-daemon thread that loops over a
 // site it has already reached makes no progress however busy a daemon keeps
 // the scheduler, so the stall rule cuts the run StallPicks picks after the

@@ -75,6 +75,9 @@ type Thread struct {
 	// both).
 	waiting bool
 	polling bool
+	// queued marks a thread on the scheduler's ready list (Cluster.ready),
+	// so a thread woken before runnable() dropped it is not listed twice.
+	queued bool
 
 	// stack is the thread's current interned callstack (thread name plus open
 	// scope labels), maintained incrementally by pushScope/popScopesTo so
@@ -150,6 +153,7 @@ func (c *Cluster) startThread(t *Thread, n *Node, name string, fn func(*Context)
 	t.scopes = t.scopeBuf[:0]
 	t.ctx = Context{c: c, t: t}
 	c.threads = append(c.threads, t)
+	c.enqueue(t)
 	if !daemon {
 		c.liveNonDaemon++
 	}
@@ -195,7 +199,6 @@ func (t *Thread) finish(c *Cluster, st threadState) {
 	if t.servesDaemon {
 		c.serving--
 	}
-	c.deadThreads++
 }
 
 // carrier is a coroutine that runs thread bodies one after another. It yields
@@ -247,7 +250,8 @@ func (t *Thread) pause() resumeMsg {
 }
 
 // yieldStep marks the thread runnable and gives up the processor for one
-// step.
+// step. The thread is still on the ready list: the scheduler picked it
+// there, and runnable() drops only threads that are not runnable.
 func (t *Thread) yieldStep() {
 	t.state = tsRunnable
 	t.pause()
@@ -271,7 +275,9 @@ func (t *Thread) wake(msg resumeMsg) {
 	}
 	t.state = tsRunnable
 	t.pendingWake = msg
-	t.stopWaiting(t.ctx.c)
+	c := t.ctx.c
+	t.stopWaiting(c)
+	c.enqueue(t)
 }
 
 // stopWaiting takes the thread out of the untimed waiters the quiescence rule

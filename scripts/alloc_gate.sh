@@ -11,19 +11,23 @@
 # the workers interleave; every other metric repeats to 0.05 %.)
 #
 #   campaign, dist, evaluation, predict — 1 % over the medians measured
-#     once a finished run handed its thread and call records, node queue
-#     arrays and rng to the next run (idle lists in internal/sim/idle.go):
-#     campaign 3 065 KB / 63 475 mallocs per op, dist 3 160 / 64 878,
-#     evaluation 2 068 / 12 903, predict 1 440 / 3 565. Every ceiling is
-#     below the value before that change (campaign 8 776 / 89 057, dist
-#     8 890 / 90 482, evaluation 2 966 / 16 123, predict 1 595 / 4 087).
+#     once a finished run also handed its scheduler arrays (thread list,
+#     ready list, timer heap) to the next run: campaign 2 865 KB / 62 523
+#     mallocs per op, dist 2 962 / 63 931, evaluation 2 026 / 12 623,
+#     predict 1 431.6 / 3 513. Every ceiling is below the value before that
+#     change (campaign 3 071 / 63 353, dist 3 172 / 64 747, evaluation
+#     2 068 / 12 866, predict 1 439.6 / 3 558), and those were below the
+#     values before runs handed their thread and call records, node queue
+#     arrays and rng on (campaign 8 776 / 89 057, dist 8 890 / 90 482,
+#     evaluation 2 966 / 16 123, predict 1 595 / 4 087).
 #     dist runs the same campaign runs through the coordinator, so its
 #     counts are campaign's plus the wire's.
 #   offline — trace decode and index build: the decoder's byte window, chunk
 #     arenas, one string per table section, pooled gzip state and the
-#     two-pass index; 1 % over the median measured once saved traces were
-#     stored blocks instead of deflated (589.7 KB / 964.1 mallocs per op);
-#     the ceiling is below the deflated value (604.3 KB / 1 549.6).
+#     two-pass index; 1 % over the median remeasured with the others
+#     (585.3 KB / 954.7 mallocs per op; 589.7 / 964.1 when saved traces
+#     became stored blocks instead of deflated); the ceiling is below the
+#     deflated value (604.3 KB / 1 549.6).
 #
 # See EXPERIMENTS.md. After a deliberate change, re-measure and move the
 # ceiling with it.
@@ -49,10 +53,10 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   3095  64110  || fail=1
-gate dist       3191  65527  || fail=1
-gate evaluation 2089  13032  || fail=1
-gate offline    596   974    || fail=1
-gate predict    1454  3601   || fail=1
+gate campaign   2895  63148  || fail=1
+gate dist       2992  64570  || fail=1
+gate evaluation 2047  12750  || fail=1
+gate offline    592   965    || fail=1
+gate predict    1446  3548   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
 echo "alloc-gate: ok"
