@@ -123,8 +123,9 @@ const (
 // Cluster is one simulated distributed system instance. Only Run's loop and
 // the threads it resumes, one at a time, mutate it, so it needs no locking.
 type Cluster struct {
-	cfg Config
-	rng *rand.Rand
+	cfg   Config
+	rng   *rand.Rand
+	spare spare // what the previous run handed on, drawn from as the run goes (idle.go)
 
 	clock   int64
 	nextTID int
@@ -201,7 +202,6 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		cfg:            cfg,
-		rng:            newRand(cfg.Seed),
 		nodes:          make(map[string]*Node),
 		roleIdx:        make(map[string]int),
 		siteIdx:        make(map[string]SiteID, 64),
@@ -216,6 +216,7 @@ func NewCluster(cfg Config) *Cluster {
 		quietPicks:     cfg.QuietPicks(),
 		quietSince:     -1,
 	}
+	c.takeSpare()
 	c.siteIdx[""] = NoSite
 	c.sitePlan = c.internSite("plan")
 	c.siteUnknown = c.internSite("unknown")
@@ -223,7 +224,6 @@ func NewCluster(cfg Config) *Cluster {
 	c.siteRPCReplySig = c.internSite(SiteRPCReplySig)
 	c.siteRPCReplySend = c.internSite(SiteRPCReplySend)
 	c.tracer = newTracer(c)
-	c.takeSched()
 	if p := c.pendingPlan; p != nil {
 		c.preparePlan(p)
 	}
@@ -367,7 +367,7 @@ func (c *Cluster) RestartRole(role string, causor trace.OpID) string {
 		panic(fmt.Sprintf("sim: restart of unknown role %q", role))
 	}
 	pid := c.startIncarnation(id, causor)
-	c.tracer.emitSystem(opSpec{Kind: trace.KRestart, Aux: pid})
+	c.tracer.emitSystem(OpReq{Kind: trace.KRestart, Aux: pid})
 	return pid
 }
 

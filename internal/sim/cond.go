@@ -119,6 +119,8 @@ var errWaitTimeout = fmt.Errorf("wait: timed out")
 // ErrWaitTimeout reports whether err is a wait-timeout.
 func ErrWaitTimeout(err error) bool { return err == errWaitTimeout }
 
+// waitAt blocks on cv at site for at most timeout ticks, or untimed when
+// timeout is not positive: only a timed wait returns errWaitTimeout.
 func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) {
 	var flags uint32
 	if timeout > 0 {
@@ -143,7 +145,7 @@ func (cv *Cond) waitAt(ctx *Context, timeout int64, site SiteID) (Value, error) 
 	// Under the stall rule a timed wait counts as waiting too: only its
 	// deadline would move the thread on, and a replay that stays quiescent
 	// until then is hung (Config.QuietPicks).
-	if (timeout == 0 || ctx.c.cfg.StallPicks > 0) && !t.background() && !t.polling {
+	if (timeout <= 0 || ctx.c.cfg.StallPicks > 0) && !t.background() && !t.polling {
 		t.waiting = true
 		ctx.c.waiting++
 	}

@@ -80,7 +80,7 @@ func (ctx *Context) Sleep(ticks int64) {
 // Now reads the system clock; the returned value is tainted by a time-read
 // op, which is how the detectors see time-based loop exits (Section 4.2.2).
 func (ctx *Context) Now() Value {
-	id := ctx.c.tracer.emit(ctx.t, opSpec{Kind: trace.KTimeRead, Site: ctx.site()})
+	id := ctx.c.tracer.emit(ctx.t, OpReq{Kind: trace.KTimeRead, Site: ctx.site()})
 	v := V(ctx.c.clock)
 	if id != trace.NoOp {
 		v = v.WithTaint(id)
@@ -116,12 +116,19 @@ func (ctx *Context) reached(site SiteID) {
 
 // OpReq describes one operation for the generic op pipeline: trigger check →
 // effect → record → trigger check → scheduler step. Storage substrates and
-// the built-in ops all go through Do.
+// the built-in ops all go through Do, and the tracer records the same value:
+// the op layer fills it with the sim's dense site id plus plain strings, and
+// the tracer interns them into the run's trace, so application code and
+// substrates never touch symbol tables. ResSym, when non-nil, points at the
+// emitting object's cached trace symbol for Res: the first kept emit interns
+// Res and writes the Sym back through the pointer, and every later emit skips
+// the string table. Heap fields and conds leave Res empty and name it
+// through resOf, so a run that keeps no trace never builds their names.
 type OpReq struct {
 	Kind   trace.Kind
 	Res    string
-	ResSym *trace.Sym // optional per-resource Sym cache slot (see opSpec)
-	resOf  resNamer   // names Res lazily (see opSpec)
+	ResSym *trace.Sym // optional per-resource Sym cache slot
+	resOf  resNamer   // names Res lazily
 	Aux    string
 	Target string
 	Src    trace.OpID
@@ -169,15 +176,11 @@ func (ctx *Context) Do(req OpReq, fx *OpEffects) (id trace.OpID, drop string) {
 	if drop == "" && fx.Apply != nil && fx.Apply() != nil {
 		req.Flags |= trace.FlagFailed
 	}
-	op := opSpec{
-		Kind: req.Kind, Res: req.Res, ResSym: req.ResSym, resOf: req.resOf, Aux: req.Aux,
-		Target: req.Target, Src: req.Src, Causor: req.Causor,
-		Flags: req.Flags, Taint: req.Taint, Site: site,
-	}
 	if drop != "" {
-		op.Flags |= trace.FlagDropped
+		req.Flags |= trace.FlagDropped
 	}
-	id = ctx.c.tracer.emit(ctx.t, op)
+	req.Site = site
+	id = ctx.c.tracer.emit(ctx.t, req)
 	if fx.PostEmit != nil {
 		fx.PostEmit(id)
 	}
@@ -224,7 +227,7 @@ func (ctx *Context) runHandlerFrame(label string, causor trace.OpID, flags uint3
 	if ctx.c.recoveryLabels[label] {
 		flags |= trace.FlagRecoveryRoot
 	}
-	begin := ctx.c.tracer.emit(t, opSpec{
+	begin := ctx.c.tracer.emit(t, OpReq{
 		Kind: trace.KHandlerBegin, Aux: label, Causor: causor, Flags: flags,
 	})
 	t.frameStack = append(t.frameStack, t.frame)
@@ -248,7 +251,7 @@ func (ctx *Context) runHandlerFrame(label string, causor trace.OpID, flags uint3
 		t.popScopesTo(scopeDepth)
 		t.handlerCtx = prevHandler
 		t.ctlHist = prevHist
-		ctx.c.tracer.emit(t, opSpec{Kind: trace.KHandlerEnd, Aux: label})
+		ctx.c.tracer.emit(t, OpReq{Kind: trace.KHandlerEnd, Aux: label})
 		t.frame = t.frameStack[len(t.frameStack)-1]
 		t.frameStack = t.frameStack[:len(t.frameStack)-1]
 	}()

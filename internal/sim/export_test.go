@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"unsafe"
 )
@@ -16,60 +15,75 @@ func UsePortableCallers() (restore func()) {
 	return func() { callerPCs = prev }
 }
 
-// IdleCarriers reports how many carriers wait on the process-wide idle list.
-func IdleCarriers() int { return length(&idleCarriers) }
+// The spares' bounds: how many spares the idle list keeps, and how many
+// entries each list or array of a spare holds.
+const MaxSpares, MaxSpareItems = maxSpares, maxSpareItems
 
-// IdleRecords counts the records the idle lists hold by identity: each
+// IdleCarriers reports how many carriers wait on the process-wide idle list.
+func IdleCarriers() int {
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	return len(idleCarriers.list)
+}
+
+// IdleRecords counts the records the idle spares hold by identity: each
 // thread, call record and rng by its pointer, each queue and scheduler array
 // by its first element's address.
 func IdleRecords() map[any]int {
+	spares.Lock()
+	defer spares.Unlock()
 	m := make(map[any]int)
-	each(&idleThreads, func(t *Thread) { m[t]++ })
-	each(&idleCalls, func(cs *callState) { m[cs]++ })
-	each(&idleRngs, func(r *rand.Rand) { m[r]++ })
-	each(&idleQueues, func(q [3][]queuedItem) {
-		for _, a := range q {
-			if cap(a) > 0 {
-				m[unsafe.SliceData(a)]++
+	count := func(p any, n int) {
+		if n > 0 {
+			m[p]++
+		}
+	}
+	for _, s := range spares.list {
+		for _, t := range s.threads {
+			m[t]++
+		}
+		for _, cs := range s.calls {
+			m[cs]++
+		}
+		if s.rng != nil {
+			m[s.rng]++
+		}
+		for _, q := range s.queues {
+			for _, a := range q {
+				count(unsafe.SliceData(a), cap(a))
 			}
 		}
-	})
-	each(&idleScheds, func(s schedArrays) {
-		for _, a := range [2][]*Thread{s.threads, s.ready} {
-			if cap(a) > 0 {
-				m[unsafe.SliceData(a)]++
-			}
-		}
-		if cap(s.timers) > 0 {
-			m[unsafe.SliceData(s.timers)]++
-		}
-	})
+		count(unsafe.SliceData(s.threadList), cap(s.threadList))
+		count(unsafe.SliceData(s.ready), cap(s.ready))
+		count(unsafe.SliceData(s.timers), cap(s.timers))
+	}
 	return m
 }
 
-// IdleLists reports each record list's length and bound, by list.
+// IdleLists reports, under "spares", how many spares the idle list holds and
+// its bound, and for each list or array of a spare the most entries any held
+// spare has there and the item bound ("queue items" counts a spare's queue
+// arrays together).
 func IdleLists() map[string][2]int {
-	return map[string][2]int{
-		"threads": {length(&idleThreads), idleThreads.max},
-		"calls":   {length(&idleCalls), idleCalls.max},
-		"queues":  {length(&idleQueues), idleQueues.max},
-		"rngs":    {length(&idleRngs), idleRngs.max},
-		"scheds":  {length(&idleScheds), idleScheds.max},
+	spares.Lock()
+	defer spares.Unlock()
+	m := map[string][2]int{"spares": {len(spares.list), maxSpares}}
+	for _, s := range spares.list {
+		items := 0
+		for _, q := range s.queues {
+			for _, a := range q {
+				items += cap(a)
+			}
+		}
+		for k, n := range map[string]int{
+			"threads": len(s.threads), "calls": len(s.calls),
+			"thread list": cap(s.threadList), "ready": cap(s.ready), "timers": cap(s.timers),
+			"queue items": items, "queue entries": len(s.queues),
+		} {
+			m[k] = [2]int{max(m[k][0], n), maxSpareItems}
+		}
 	}
-}
-
-func each[T any](l *idleList[T], f func(T)) {
-	l.Lock()
-	defer l.Unlock()
-	for _, x := range l.list {
-		f(x)
-	}
-}
-
-func length[T any](l *idleList[T]) int {
-	l.Lock()
-	defer l.Unlock()
-	return len(l.list)
+	return m
 }
 
 // RunCheckingReady runs c as Run does and, after every pick, compares the

@@ -72,7 +72,7 @@ func newNode(c *Cluster, pid, role, machine string) *Node {
 		namedObjs:     make(map[string]*Object),
 		namedConds:    make(map[string]*Cond),
 	}
-	n.takeQueues()
+	n.takeQueues(len(c.nodeList))
 	return n
 }
 
@@ -248,7 +248,7 @@ func (c *Cluster) crashProcess(n *Node, selfSite SiteID, restartOverride *int64)
 	if r := &c.roles[n.roleID]; r.service == n {
 		r.service = nil
 	}
-	c.tracer.emitSystem(opSpec{Kind: trace.KCrash, Aux: pid, Site: selfSite})
+	c.tracer.emitSystem(OpReq{Kind: trace.KCrash, Aux: pid, Site: selfSite})
 
 	// Kill the process's threads now, in spawn order (c.threads keeps every
 	// thread of the run). The running thread is the one that crashed its own

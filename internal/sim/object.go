@@ -71,7 +71,7 @@ func (o *Object) Set(ctx *Context, field string, v Value) {
 	site := ctx.site()
 	c.checkTrigger(site, trace.WhenBefore, false)
 	slot.val = v
-	id := c.tracer.emit(ctx.t, opSpec{
+	id := c.tracer.emit(ctx.t, OpReq{
 		Kind:   trace.KHeapWrite,
 		ResSym: &slot.resSym,
 		resOf:  slot,
@@ -101,7 +101,7 @@ func (o *Object) Get(ctx *Context, field string) Value {
 	site := ctx.site()
 	c.checkTrigger(site, trace.WhenBefore, false)
 	out := slot.val
-	id := c.tracer.emit(ctx.t, opSpec{
+	id := c.tracer.emit(ctx.t, OpReq{
 		Kind:   kind,
 		ResSym: &slot.resSym,
 		resOf:  slot,

@@ -82,7 +82,7 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 
 	caller := ctx.t.node
 	c.nextSeq++
-	cs := newCallState()
+	cs := fromSpare(&c.spare.calls)
 	cs.callID, cs.callOp, cs.caller, cs.callee = c.nextSeq, callOp, caller, dst
 	cs.done.init(caller, "rpc-reply")
 	if len(args) <= len(cs.argBuf) {
@@ -104,17 +104,11 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 		dst.rpcStash[method] = append(dst.rpcStash[method], cs)
 	}
 
-	// Client-side wait for the reply signal.
-	var v Value
-	var err error
-	if c.cfg.RPCClientTimeout > 0 {
-		v, err = cs.done.waitAt(ctx, c.cfg.RPCClientTimeout, c.siteRPCClientWait)
-		if ErrWaitTimeout(err) {
-			delete(caller.pendingCalls, cs.callID)
-			return Value{}, ErrRPCTimeout
-		}
-	} else {
-		v, err = cs.done.waitAt(ctx, 0, c.siteRPCClientWait)
+	// Client-side wait for the reply signal; a timeout of 0 waits untimed.
+	v, err := cs.done.waitAt(ctx, c.cfg.RPCClientTimeout, c.siteRPCClientWait)
+	if ErrWaitTimeout(err) {
+		delete(caller.pendingCalls, cs.callID)
+		return Value{}, ErrRPCTimeout
 	}
 	return v, err
 }

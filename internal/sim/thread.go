@@ -134,7 +134,7 @@ type Thread struct {
 // spawnThread creates a thread on node n and makes it runnable. causor is the
 // op that created it (NoOp for process roots).
 func (c *Cluster) spawnThread(n *Node, name string, fn func(*Context), causor trace.OpID, daemon, handlerCtx bool) {
-	c.startThread(newThread(), n, name, fn, causor, daemon, handlerCtx)
+	c.startThread(fromSpare(&c.spare.threads), n, name, fn, causor, daemon, handlerCtx)
 }
 
 // startThread makes the zero Thread t a runnable thread on node n. The RPC
@@ -161,7 +161,7 @@ func (c *Cluster) startThread(t *Thread, n *Node, name string, fn func(*Context)
 	if w := c.tracer.trace; w != nil {
 		t.stack = w.PushFrame(trace.NoStack, w.Intern(name))
 	}
-	t.frame = c.tracer.emit(t, opSpec{Kind: trace.KThreadStart, Aux: name, Causor: causor})
+	t.frame = c.tracer.emit(t, OpReq{Kind: trace.KThreadStart, Aux: name, Causor: causor})
 }
 
 // run executes the thread's body on its carrier and finishes the thread by
@@ -191,7 +191,7 @@ func (t *Thread) finish(c *Cluster, st threadState) {
 	t.state = st
 	t.stopWaiting(c)
 	if st == tsDone {
-		c.tracer.emit(t, opSpec{Kind: trace.KThreadExit})
+		c.tracer.emit(t, OpReq{Kind: trace.KThreadExit})
 	}
 	if !t.daemon {
 		c.liveNonDaemon--
@@ -221,7 +221,7 @@ func (t *Thread) resume() {
 	}
 	t.car.next()
 	if !t.alive() {
-		giveCarrier(t.car)
+		idleCarriers.put(t.car)
 		t.car = nil
 	}
 }

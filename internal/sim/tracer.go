@@ -4,30 +4,7 @@ import (
 	"fcatch/internal/trace"
 )
 
-// opSpec is the pre-interning description of one record: the op layer fills
-// it with the sim's dense site id plus plain strings, and the tracer interns
-// them into the run's trace, so application code and substrates never touch
-// symbol tables. ResSym, when non-nil, points at the emitting object's cached
-// trace symbol for Res: the first kept emit interns Res and writes the Sym
-// back through the pointer, and every later emit skips the string table.
-// Heap fields and conds leave Res empty and name it through resOf, so a run
-// that keeps no trace never builds their names.
-type opSpec struct {
-	Kind   trace.Kind
-	Site   SiteID
-	Res    string
-	ResSym *trace.Sym
-	resOf  resNamer
-	Aux    string
-	Target string
-	Src    trace.OpID
-	Causor trace.OpID
-	Flags  uint32
-	Taint  []trace.OpID
-	Ctl    []trace.OpID
-}
-
-// resNamer builds a resource name on demand (see opSpec.resOf).
+// resNamer builds a resource name on demand (see OpReq.resOf).
 type resNamer interface{ resName() string }
 
 // Fact is one op the tracing policy selects, or one crash or restart mark,
@@ -152,7 +129,7 @@ func (tr *tracer) siteSym(id SiteID) trace.Sym {
 // it has one (heap fields, conds and storage resources emit against the same
 // resource every time, so after the first emit the slot short-circuits the
 // intern, and a lazily named resource is named then).
-func (tr *tracer) internRes(op *opSpec) trace.Sym {
+func (tr *tracer) internRes(op *OpReq) trace.Sym {
 	if op.ResSym == nil {
 		return tr.trace.Intern(op.Res)
 	}
@@ -187,29 +164,30 @@ func (tr *tracer) shouldTrace(t *Thread, k trace.Kind) bool {
 	return true
 }
 
-// emit records an operation performed by thread t, filling in the ambient
-// fields (timestamp, handler flag, the thread's control taints; for a kept
-// record also pid, thread, frame and the thread's incrementally-maintained
-// callstack), and returns the new op's ID — or trace.NoOp when the op is not
-// traced, the run tracks no dependences, or a folded run's op is not at its
-// fold's source site.
-func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
+// emit records an operation performed by thread t at op.Site, filling in the
+// ambient fields (timestamp, handler flag, the thread's control taints; for a
+// kept record also pid, thread, frame and the thread's
+// incrementally-maintained callstack), and returns the new op's ID — or
+// trace.NoOp when the op is not traced, the run tracks no dependences, or a
+// folded run's op is not at its fold's source site.
+func (tr *tracer) emit(t *Thread, op OpReq) trace.OpID {
 	if !tr.shouldTrace(t, op.Kind) {
 		return trace.NoOp
 	}
 	if t.handlerCtx {
 		op.Flags |= trace.FlagHandlerCtx
 	}
-	if tr.deps && len(op.Ctl) == 0 {
-		op.Ctl = t.ctlTaints()
+	var ctl []trace.OpID
+	if tr.deps {
+		ctl = t.ctlTaints()
 	}
-	if max(len(op.Taint), len(op.Ctl)) >= MaxTaint {
+	if max(len(op.Taint), len(ctl)) >= MaxTaint {
 		tr.c.out.FullTaints++
 	}
 	ts := tr.c.clock
 	tr.c.clock += tr.c.cfg.TraceTickCost
 	if tr.fold != nil {
-		return tr.fact(&op, ts)
+		return tr.fact(&op, ctl, ts)
 	}
 	w := tr.trace
 	// Interning order Site, Res, Aux, Target fixes symbol numbering, hence
@@ -230,15 +208,16 @@ func (tr *tracer) emit(t *Thread, op opSpec) trace.OpID {
 		Flags:   op.Flags,
 		Causor:  op.Causor,
 		Taint:   op.Taint,
-		Ctl:     op.Ctl,
+		Ctl:     ctl,
 	})
 }
 
-// emitSystem records scheduler-context bookkeeping (crash/restart marks).
-func (tr *tracer) emitSystem(op opSpec) trace.OpID {
+// emitSystem records scheduler-context bookkeeping (crash/restart marks),
+// which carries no control taints.
+func (tr *tracer) emitSystem(op OpReq) trace.OpID {
 	switch {
 	case tr.fold != nil:
-		return tr.fact(&op, tr.c.clock)
+		return tr.fact(&op, nil, tr.c.clock)
 	case tr.trace == nil:
 		return trace.NoOp
 	}
@@ -254,20 +233,19 @@ func (tr *tracer) emitSystem(op opSpec) trace.OpID {
 		Flags:  op.Flags,
 		Causor: op.Causor,
 		Taint:  op.Taint,
-		Ctl:    op.Ctl,
 	})
 }
 
-// fact passes one selected op, stamped ts, to the run's fold, numbering it
-// when the fold reads dependences. Only an op at the fold's source site
+// fact passes one selected op, stamped ts and with control taints ctl, to the
+// run's fold, numbering it when the fold reads dependences. Only an op at the fold's source site
 // returns its ID; every other op returns NoOp, so no value, control set or
 // storage define-use link carries it. (Without a source site, depSite is
 // NoSite and a siteless op's ID is NoOp too.)
-func (tr *tracer) fact(op *opSpec, ts int64) trace.OpID {
+func (tr *tracer) fact(op *OpReq, ctl []trace.OpID, ts int64) trace.OpID {
 	f := Fact{Kind: op.Kind, Site: op.Site, SiteName: tr.c.siteStrs[op.Site], TS: ts, Flags: op.Flags, Aux: op.Aux}
 	if tr.deps {
 		tr.ops++
-		f.ID, f.Taint, f.Ctl = tr.ops, op.Taint, op.Ctl
+		f.ID, f.Taint, f.Ctl = tr.ops, op.Taint, ctl
 	}
 	tr.fold.Fact(f)
 	if op.Site != tr.depSite {

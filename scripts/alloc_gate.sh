@@ -6,8 +6,8 @@
 # fails when alloc_kb_per_op or allocs_per_op — the two end-to-end metrics
 # that repeat to 0.5 % between runs — exceed their ceilings, so the gate
 # trips on a lost optimisation, not on a Go patch release. (campaign's and
-# dist's bytes vary most, 0.4 %: their two workers' clusters share the idle
-# lists, so which records a run finds there, and how large, depends on how
+# dist's bytes vary most, 0.4 %: their two workers' clusters share the
+# spares, so which records a run finds there, and how large, depends on how
 # the workers interleave; every other metric repeats to 0.05 %.)
 #
 #   campaign, dist, evaluation, predict — 1 % over the medians measured
