@@ -385,14 +385,18 @@ type factLog struct {
 	facts []sim.Fact
 }
 
-func (l *factLog) Fact(x sim.Fact) { x.Site = sim.NoSite; l.facts = append(l.facts, x) }
+func (l *factLog) Fact(x *sim.Fact) {
+	f := *x
+	f.Site = sim.NoSite
+	l.facts = append(l.facts, f)
+}
 func (l *factLog) DepSite() string { return l.site }
 
 // tee passes every fact to each of its folds; it reads dependences on the
 // first source site one of them names.
 type tee []sim.Fold
 
-func (t tee) Fact(x sim.Fact) {
+func (t tee) Fact(x *sim.Fact) {
 	for _, f := range t {
 		f.Fact(x)
 	}

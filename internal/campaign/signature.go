@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,8 +149,8 @@ func stripPID(s string) string {
 // buffers.
 type CoverageFold struct {
 	fired bool
-	pre   []bool // all countable sites, used only when the fault never fires
-	post  []bool // countable sites at or after the fault moment
+	pre   []uint64 // bit set of all countable sites, used only when the fault never fires
+	post  []uint64 // bit set of countable sites at or after the fault moment
 
 	// curTS/curSites buffer the countable sites of the current (pre-fire)
 	// timestamp: facts that share the fault's TS count even though they
@@ -159,7 +160,7 @@ type CoverageFold struct {
 }
 
 // Fact folds one fact into the coverage state.
-func (f *CoverageFold) Fact(x sim.Fact) {
+func (f *CoverageFold) Fact(x *sim.Fact) {
 	if !f.fired && (x.Kind == trace.KCrash || x.Flags&trace.FlagDropped != 0) {
 		f.fired = true
 		if f.curTS == x.TS {
@@ -195,29 +196,31 @@ func (f *CoverageFold) Hash(siteName func(sim.SiteID) string) uint64 {
 	if f.fired {
 		chosen = f.post
 	}
-	sites := make([]string, 0, len(chosen))
-	for y, ok := range chosen {
-		if ok {
-			sites = append(sites, siteName(sim.SiteID(y)))
+	n := 0
+	for _, w := range chosen {
+		n += bits.OnesCount64(w)
+	}
+	sites := make([]string, 0, n)
+	for i, w := range chosen {
+		for ; w != 0; w &= w - 1 {
+			sites = append(sites, siteName(sim.SiteID(i*64+bits.TrailingZeros64(w))))
 		}
 	}
 	sort.Strings(sites)
 	return hashSiteSet(sites)
 }
 
-// markSite sets s[y], growing the slice (amortized doubling) as new sites
-// appear mid-run.
-func markSite(s *[]bool, y sim.SiteID) {
-	if int(y) >= len(*s) {
-		n := 2 * len(*s)
-		if n <= int(y) {
-			n = int(y) + 1
-		}
-		grown := make([]bool, n)
+// markSite adds y to the bit set s, growing it (amortized doubling) as new
+// sites appear mid-run. SiteIDs are process-wide, so a run's sites are
+// spread over the whole table: a bit each keeps the set small.
+func markSite(s *[]uint64, y sim.SiteID) {
+	w := int(y / 64)
+	if w >= len(*s) {
+		grown := make([]uint64, max(2*len(*s), w+1))
 		copy(grown, *s)
 		*s = grown
 	}
-	(*s)[y] = true
+	(*s)[w] |= 1 << (y % 64)
 }
 
 // hashSiteSet is FNV-1a over a sorted site set, with a 0xff separator folded

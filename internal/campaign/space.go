@@ -79,7 +79,7 @@ func newSpaceFold() *spaceFold {
 
 // Fact folds one fact into the site statistics, recording a site's string
 // the first time it is seen.
-func (f *spaceFold) Fact(x sim.Fact) {
+func (f *spaceFold) Fact(x *sim.Fact) {
 	if x.Site == sim.NoSite || x.Kind == trace.KCrash || x.Kind == trace.KRestart {
 		return
 	}

@@ -229,10 +229,11 @@ type factLog struct {
 	facts []sim.Fact
 }
 
-func (l *factLog) Fact(x sim.Fact) {
+func (l *factLog) Fact(x *sim.Fact) {
 	l.next.Fact(x)
-	x.Site = sim.NoSite
-	l.facts = append(l.facts, x)
+	f := *x
+	f.Site = sim.NoSite
+	l.facts = append(l.facts, f)
 }
 
 func (l *factLog) DepSite() string { return l.next.DepSite() }

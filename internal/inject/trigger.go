@@ -276,7 +276,7 @@ type handledExcFold struct {
 }
 
 // Fact folds one fact.
-func (f *handledExcFold) Fact(x sim.Fact) {
+func (f *handledExcFold) Fact(x *sim.Fact) {
 	if f == nil || f.found || x.Kind != trace.KThrow {
 		return
 	}

@@ -182,7 +182,7 @@ func TestOpBookkeepingZeroAllocs(t *testing.T) {
 // executions of site, none when site is "".
 type discard struct{ site string }
 
-func (discard) Fact(sim.Fact)     {}
+func (discard) Fact(*sim.Fact)    {}
 func (d discard) DepSite() string { return d.site }
 
 // TestFoldedOpsZeroAllocs pins the allocation contract of a run that keeps

@@ -152,27 +152,23 @@ type Cluster struct {
 	roleIdx map[string]int
 	roles   []roleState // roleID -> the role's state
 
-	// Site identities: every static op site (file:line, pseudo-sites, "plan")
-	// is interned once into a dense cluster-local table. Hot paths — trigger
-	// matching, occurrence counting, hang bookkeeping, the tracer — carry and
-	// compare SiteIDs; strings are rendered only at the boundary.
-	siteIdx    map[string]SiteID
-	siteStrs   []string
-	siteSyms   []trace.Sym           // SiteID -> trace Sym (0 = not yet interned there)
-	siteCounts []int32               // SiteID -> occurrences, for trigger points
-	siteCache  map[uintptr]SiteID    // PC -> SiteID (NoSite = substrate frame)
-	sitePCs    [sitePCWindow]uintptr // callsite's scratch (one thread runs at a time)
+	// Site identities (site.go): a SiteID is process-wide. siteStrs is the
+	// cluster's snapshot of the process-wide table, refreshed when callsite
+	// interns a site past it; it is the cluster's own and stays valid after
+	// the run. The PC cache and the SiteID-indexed per-run tables come from
+	// the spare. Hot paths — trigger matching, occurrence counting, hang
+	// bookkeeping, the tracer — carry and compare SiteIDs; strings are
+	// rendered only at the boundary.
+	siteStrs     []string
+	siteSyms     []trace.Sym           // SiteID -> trace Sym (0 = not yet interned there)
+	siteCounts   []int32               // SiteID -> occurrences, for trigger points
+	siteSeen     []bool                // SiteID -> a non-daemon thread has executed an op there (stall rule)
+	siteCache    map[uintptr]SiteID    // PC -> SiteID (NoSite = substrate frame)
+	sitePCs      [sitePCWindow]uintptr // callsite's scratch (one thread runs at a time)
+	pendingSites []pendingSite         // sites looked up before the process ran them
 
 	// Stall rule bookkeeping, kept only when cfg.StallPicks > 0.
-	siteSeen     []bool // SiteID -> a non-daemon thread has executed an op there
-	lastProgress int64  // Outcome.Picks when a non-daemon thread last reached a new site
-
-	// Pre-interned fixed sites (pseudo-sites that are not source positions).
-	sitePlan          SiteID // "plan"
-	siteUnknown       SiteID // "unknown" (no app frame within the PC window)
-	siteRPCClientWait SiteID
-	siteRPCReplySig   SiteID
-	siteRPCReplySend  SiteID
+	lastProgress int64 // Outcome.Picks when a non-daemon thread last reached a new site
 
 	tracer *tracer
 	out    Outcome
@@ -204,11 +200,6 @@ func NewCluster(cfg Config) *Cluster {
 		cfg:            cfg,
 		nodes:          make(map[string]*Node),
 		roleIdx:        make(map[string]int),
-		siteIdx:        make(map[string]SiteID, 64),
-		siteStrs:       []string{""},
-		siteSyms:       []trace.Sym{0},
-		siteCounts:     []int32{0},
-		siteCache:      make(map[uintptr]SiteID, 64),
 		facts:          make(map[string]any),
 		convictSubs:    make(map[string][]string),
 		recoveryLabels: make(map[string]bool),
@@ -217,41 +208,12 @@ func NewCluster(cfg Config) *Cluster {
 		quietSince:     -1,
 	}
 	c.takeSpare()
-	c.siteIdx[""] = NoSite
-	c.sitePlan = c.internSite("plan")
-	c.siteUnknown = c.internSite("unknown")
-	c.siteRPCClientWait = c.internSite(SiteRPCClientWait)
-	c.siteRPCReplySig = c.internSite(SiteRPCReplySig)
-	c.siteRPCReplySend = c.internSite(SiteRPCReplySend)
 	c.tracer = newTracer(c)
 	if p := c.pendingPlan; p != nil {
 		c.preparePlan(p)
 	}
+	c.refreshSites()
 	return c
-}
-
-// internSite interns a site string into the cluster's dense site table.
-func (c *Cluster) internSite(s string) SiteID {
-	if s == "" {
-		return NoSite
-	}
-	if id, ok := c.siteIdx[s]; ok {
-		return id
-	}
-	id := SiteID(len(c.siteStrs))
-	c.siteStrs = append(c.siteStrs, s)
-	c.siteSyms = append(c.siteSyms, 0)
-	c.siteCounts = append(c.siteCounts, 0)
-	c.siteIdx[s] = id
-	return id
-}
-
-// SiteName renders a SiteID back to its string form (boundary output only).
-func (c *Cluster) SiteName(id SiteID) string {
-	if int(id) < len(c.siteStrs) {
-		return c.siteStrs[id]
-	}
-	return ""
 }
 
 // roleID interns a role name to its dense index.

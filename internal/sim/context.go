@@ -105,9 +105,6 @@ func (ctx *Context) reached(site SiteID) {
 	if c.cfg.StallPicks == 0 || ctx.t.daemon {
 		return
 	}
-	if int(site) >= len(c.siteSeen) {
-		c.siteSeen = append(c.siteSeen, make([]bool, len(c.siteStrs)-len(c.siteSeen))...)
-	}
 	if !c.siteSeen[site] {
 		c.siteSeen[site] = true
 		c.endStretch()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"unsafe"
 )
@@ -26,9 +27,17 @@ func IdleCarriers() int {
 	return len(idleCarriers.list)
 }
 
+// MapRecord names a map the idle spares hold: which table it is and the
+// map's address.
+type MapRecord struct {
+	Table string
+	Addr  unsafe.Pointer
+}
+
 // IdleRecords counts the records the idle spares hold by identity: each
-// thread, call record and rng by its pointer, each queue and scheduler array
-// by its first element's address.
+// thread, call record and rng by its pointer, each queue, scheduler and
+// SiteID-indexed array by its first element's address, and each node map and
+// PC cache as a MapRecord.
 func IdleRecords() map[any]int {
 	spares.Lock()
 	defer spares.Unlock()
@@ -36,6 +45,11 @@ func IdleRecords() map[any]int {
 	count := func(p any, n int) {
 		if n > 0 {
 			m[p]++
+		}
+	}
+	countMap := func(table string, mp any) {
+		if v := reflect.ValueOf(mp); !v.IsNil() {
+			m[MapRecord{table, v.UnsafePointer()}]++
 		}
 	}
 	for _, s := range spares.list {
@@ -48,43 +62,61 @@ func IdleRecords() map[any]int {
 		if s.rng != nil {
 			m[s.rng]++
 		}
-		for _, q := range s.queues {
-			for _, a := range q {
+		for _, ns := range s.nodes {
+			for _, a := range ns.queues {
 				count(unsafe.SliceData(a), cap(a))
 			}
+			countMap("rpcHandlers", ns.rpcHandlers)
+			countMap("msgHandlers", ns.msgHandlers)
+			countMap("eventHandlers", ns.eventHandlers)
+			countMap("pendingCalls", ns.pendingCalls)
+			countMap("namedObjs", ns.namedObjs)
+			countMap("namedConds", ns.namedConds)
 		}
 		count(unsafe.SliceData(s.threadList), cap(s.threadList))
 		count(unsafe.SliceData(s.ready), cap(s.ready))
 		count(unsafe.SliceData(s.timers), cap(s.timers))
+		countMap("siteCache", s.siteCache)
+		count(unsafe.SliceData(s.siteSyms), cap(s.siteSyms))
+		count(unsafe.SliceData(s.siteCounts), cap(s.siteCounts))
+		count(unsafe.SliceData(s.siteSeen), cap(s.siteSeen))
 	}
 	return m
 }
 
 // IdleLists reports, under "spares", how many spares the idle list holds and
 // its bound, and for each list or array of a spare the most entries any held
-// spare has there and the item bound ("queue items" counts a spare's queue
-// arrays together).
+// spare has there and the item bound ("node items" counts a spare's queue
+// slots and map entries together).
 func IdleLists() map[string][2]int {
 	spares.Lock()
 	defer spares.Unlock()
 	m := map[string][2]int{"spares": {len(spares.list), maxSpares}}
 	for _, s := range spares.list {
 		items := 0
-		for _, q := range s.queues {
-			for _, a := range q {
+		for _, ns := range s.nodes {
+			for _, a := range ns.queues {
 				items += cap(a)
 			}
+			items += ns.entries
 		}
 		for k, n := range map[string]int{
 			"threads": len(s.threads), "calls": len(s.calls),
 			"thread list": cap(s.threadList), "ready": cap(s.ready), "timers": cap(s.timers),
-			"queue items": items, "queue entries": len(s.queues),
+			"node items": items, "node entries": len(s.nodes),
 		} {
 			m[k] = [2]int{max(m[k][0], n), maxSpareItems}
 		}
 	}
 	return m
 }
+
+// SiteTableLen reports how many sites the process-wide site table holds.
+func SiteTableLen() int { return len(siteSnapshot()) }
+
+// InternSite interns s into the process-wide site table, as callsite does
+// for a source position the process runs for the first time.
+func InternSite(s string) SiteID { return internSite(s) }
 
 // RunCheckingReady runs c as Run does and, after every pick, compares the
 // scheduler's ready list with a scan of every thread of the run for the
@@ -151,5 +183,21 @@ func SetQuietShare(share int64) (restore func()) {
 // executes an op at the source position site: test files in this package
 // resolve to the substrate, so their own ops all share one site.
 func ReachSite(ctx *Context, site string) {
-	ctx.reached(ctx.c.internSite(site))
+	ctx.reached(ctx.c.intern(site))
+}
+
+// SiteInterned reports whether the process-wide site table holds s.
+func SiteInterned(s string) bool {
+	_, ok := knownSite(s)
+	return ok
+}
+
+// HandlerLabels returns the labels of n's RPC handlers: each one's thread
+// name and reply Aux.
+func HandlerLabels(n *Node) []string {
+	var out []string
+	for _, h := range n.rpcHandlers {
+		out = append(out, h.name, h.replyAux)
+	}
+	return out
 }

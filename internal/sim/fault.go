@@ -73,8 +73,9 @@ func (s *FaultSpec) relative() bool { return s.Site == "" && s.Delay > 0 }
 // tracks while matching it.
 type FaultEvent struct {
 	FaultSpec
-	// siteID is Site interned into the cluster's site table (set by
-	// NewCluster), so the per-op match compares dense ids, not strings.
+	// siteID is Site looked up in the process-wide site table (set by
+	// NewCluster; unresolvedSite until the process executes the site), so
+	// the per-op match compares dense ids, not strings.
 	siteID SiteID
 	fired  bool
 	// armed/armedAt gate step-anchored events: the event fires once the
@@ -130,9 +131,9 @@ func NewScenarioPlan(scenario []FaultSpec, target string, restartRoles map[strin
 }
 
 // preparePlan resolves the plan's events against this cluster: unset names
-// get their defaults, sites become dense ids (in event order, so site-table
-// numbering is stable), and step-anchored events arm. Called once from
-// NewCluster.
+// get their defaults, sites are looked up to dense ids (never interned: a
+// plan comes from outside the process), and step-anchored events arm.
+// Called once from NewCluster.
 func (c *Cluster) preparePlan(p *FaultPlan) {
 	p.siteEvents, p.sitePending = 0, 0
 	for i := range p.Events {
@@ -149,7 +150,7 @@ func (c *Cluster) preparePlan(p *FaultPlan) {
 		}
 		ev.fired, ev.armed = false, false
 		if ev.Site != "" {
-			ev.siteID = c.internSite(ev.Site)
+			c.lookupSite(ev.Site, &ev.siteID)
 			p.siteEvents++
 			p.sitePending++
 			continue

@@ -1,6 +1,10 @@
 package sim
 
-import "fcatch/internal/trace"
+import (
+	"sync"
+
+	"fcatch/internal/trace"
+)
 
 // Node is one process of the simulated system. The paper uses node and
 // process interchangeably (Section 2, Terminology); so do we. A restarted
@@ -22,14 +26,11 @@ type Node struct {
 
 	nextObj int64
 
-	rpcHandlers   map[string]rpcHandler
-	msgHandlers   map[string]msgHandler
-	eventHandlers map[string]eventHandler
+	nodeTables // come from the spare, handed back cleared (idle.go)
 
-	msgQ         dispatchQueue
-	eventQ       dispatchQueue
-	replyQ       dispatchQueue
-	pendingCalls map[int64]*callState
+	msgQ   dispatchQueue
+	eventQ dispatchQueue
+	replyQ dispatchQueue
 
 	// stashes hold items whose handler is not registered yet: processes
 	// register handlers at the top of their main function, and anything
@@ -38,9 +39,17 @@ type Node struct {
 	msgStash   map[string][]queuedItem
 	eventStash map[string][]queuedItem
 	rpcStash   map[string][]*callState
+}
 
-	namedObjs  map[string]*Object
-	namedConds map[string]*Cond
+// nodeTables are a node's maps: every node makes them, and a finished run
+// hands them to the next cluster's node of the same start index.
+type nodeTables struct {
+	rpcHandlers   map[string]rpcHandler
+	msgHandlers   map[string]msgHandler
+	eventHandlers map[string]eventHandler
+	pendingCalls  map[int64]*callState
+	namedObjs     map[string]*Object
+	namedConds    map[string]*Cond
 }
 
 // Handler registrations carry their frame/thread labels precomputed, so
@@ -65,14 +74,8 @@ func newNode(c *Cluster, pid, role, machine string) *Node {
 	n := &Node{
 		c: c, PID: pid, Role: role, Machine: machine,
 		pidSym: c.tracer.sym(pid), machineSym: c.tracer.sym(machine),
-		rpcHandlers:   make(map[string]rpcHandler),
-		msgHandlers:   make(map[string]msgHandler),
-		eventHandlers: make(map[string]eventHandler),
-		pendingCalls:  make(map[int64]*callState),
-		namedObjs:     make(map[string]*Object),
-		namedConds:    make(map[string]*Cond),
 	}
-	n.takeQueues(len(c.nodeList))
+	n.takeSpare(len(c.nodeList))
 	return n
 }
 
@@ -83,7 +86,7 @@ func (n *Node) Crashed() bool { return n.crashed }
 // own handler thread whose operations causally come from the caller node.
 // Calls that arrived before registration are dispatched now.
 func (n *Node) HandleRPC(method string, fn func(*Context, []Value) Value) {
-	h := rpcHandler{fn: fn, name: "rpc:" + method, replyAux: "rpc-reply:" + method}
+	h := rpcHandler{fn: fn, name: handlerLabel("rpc:", method), replyAux: handlerLabel("rpc-reply:", method)}
 	n.rpcHandlers[method] = h
 	pend := n.rpcStash[method]
 	delete(n.rpcStash, method)
@@ -96,7 +99,7 @@ func (n *Node) HandleRPC(method string, fn func(*Context, []Value) Value) {
 // are dispatched serially by its message-dispatcher thread. Messages that
 // arrived before registration are re-queued now.
 func (n *Node) HandleMsg(verb string, fn func(*Context, Message)) {
-	n.msgHandlers[verb] = msgHandler{fn: fn, label: "msg:" + verb}
+	n.msgHandlers[verb] = msgHandler{fn: fn, label: handlerLabel("msg:", verb)}
 	for _, it := range n.msgStash[verb] {
 		n.msgQ.push(it)
 	}
@@ -108,11 +111,28 @@ func (n *Node) HandleMsg(verb string, fn func(*Context, Message)) {
 // pattern of Figure 6). Events that arrived before registration are
 // re-queued now.
 func (n *Node) HandleEvent(typ string, fn func(*Context, Value)) {
-	n.eventHandlers[typ] = eventHandler{fn: fn, label: "event:" + typ}
+	n.eventHandlers[typ] = eventHandler{fn: fn, label: handlerLabel("event:", typ)}
 	for _, it := range n.eventStash[typ] {
 		n.eventQ.push(it)
 	}
 	delete(n.eventStash, typ)
+}
+
+// handlerLabels is the process-wide table of handler labels ("rpc:m",
+// "rpc-reply:m", "msg:v", "event:t"), so a label is built once per process,
+// not once per registration. It is read only when a handler registers.
+var handlerLabels sync.Map // handlerLabelKey -> string
+
+type handlerLabelKey struct{ prefix, name string }
+
+// handlerLabel returns prefix+name from handlerLabels, adding it on a miss.
+func handlerLabel(prefix, name string) string {
+	k := handlerLabelKey{prefix, name}
+	if s, ok := handlerLabels.Load(k); ok {
+		return s.(string)
+	}
+	s, _ := handlerLabels.LoadOrStore(k, prefix+name)
+	return s.(string)
 }
 
 // Message is an asynchronous message handed to a HandleMsg handler.
@@ -219,7 +239,7 @@ func (n *Node) startSystemThreads() {
 				// The signal that unblocks the RPC client wait. Its
 				// disappearance (reply dropped, callee crashed pre-reply)
 				// is exactly the crash-regular hazard of bug MR3.
-				cs.done.signalInternal(ctx, it.payload, it.err, ctx.c.siteRPCReplySig)
+				cs.done.signalInternal(ctx, it.payload, it.err, siteRPCReplySig)
 			})
 		}
 	}, trace.NoOp, true, false)

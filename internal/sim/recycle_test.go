@@ -30,10 +30,12 @@ func tracedRun(t *testing.T, w core.Workload) (sim.Outcome, []byte) {
 }
 
 // TestRunsRecycleRecords: a finished run hands its threads, call records,
-// queue arrays, scheduler arrays (thread list, ready list, timer heap) and
-// rng to the next cluster as one spare, so a second identical run takes
+// node queue arrays and maps, scheduler arrays (thread list, ready list,
+// timer heap), rng and site tables (the PC cache and the SiteID-indexed
+// arrays) to the next cluster as one spare, so a second identical run takes
 // every record it needs from the spare, makes none (the spares hold the
-// same records after it), and produces the same outcome and trace bytes.
+// same records, maps and arrays, by address, after it), and produces the
+// same outcome and trace bytes.
 // The spare then serves ZK, whose nodes differ in number from MR1's, and
 // MR1 again: each run still saves the trace a run of its own saves.
 func TestRunsRecycleRecords(t *testing.T) {
@@ -42,9 +44,17 @@ func TestRunsRecycleRecords(t *testing.T) {
 	before := sim.IdleRecords()
 	kinds := map[string]int{}
 	for r := range before {
-		kinds[reflect.TypeOf(r).String()]++
+		k := reflect.TypeOf(r).String()
+		if m, ok := r.(sim.MapRecord); ok {
+			k = m.Table
+		}
+		kinds[k]++
 	}
-	for _, k := range []string{"*sim.Thread", "*sim.callState", "*rand.Rand", "*sim.queuedItem", "**sim.Thread", "*sim.timer"} {
+	for _, k := range []string{
+		"*sim.Thread", "*sim.callState", "*rand.Rand", "*sim.queuedItem", "**sim.Thread", "*sim.timer",
+		"rpcHandlers", "msgHandlers", "eventHandlers", "pendingCalls", "namedObjs", "namedConds",
+		"siteCache", "*trace.Sym", "*int32", "*bool",
+	} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %s in the spares after a run: %v", k, kinds)
 		}
@@ -159,30 +169,43 @@ func TestIdleListsStayWithinBounds(t *testing.T) {
 	}
 }
 
-// TestHandedBackRecordsKeepNoClusterAlive: a record is zeroed as it is
-// handed back, so the spares keep nothing of a finished cluster
-// reachable and the GC collects it. The finalizer sits on a fact, not on
-// the cluster: a finalizer on an object in a cycle never runs.
+// TestHandedBackRecordsKeepNoClusterAlive: a record is zeroed and a node's
+// map cleared as it is handed back, so the spares keep nothing of a
+// finished cluster reachable and the GC collects it: neither a fact nor a
+// handler closure outlives the run. The finalizers sit on objects the fact
+// and the closure hold, not on the cluster: a finalizer on an object in a
+// cycle never runs.
 func TestHandedBackRecordsKeepNoClusterAlive(t *testing.T) {
-	collected := make(chan struct{})
+	collected := make(chan string, 2)
+	probe := func(name string) *[2]*byte {
+		p := new([2]*byte)
+		runtime.SetFinalizer(p, func(*[2]*byte) { collected <- name })
+		return p
+	}
 	func() {
 		w := mapreduce.NewMR1()
 		cfg := sim.Config{Seed: 1}
 		w.Tune(&cfg)
 		c := sim.NewCluster(cfg)
 		w.Configure(c)
-		probe := new([2]*byte)
-		runtime.SetFinalizer(probe, func(*[2]*byte) { close(collected) })
-		c.SetFact("probe", probe)
+		c.SetFact("probe", probe("fact"))
+		held := probe("handler closure")
+		c.StartProcess("probe", "m-probe", func(ctx *sim.Context) {
+			ctx.Self().HandleRPC("Probe", func(*sim.Context, []sim.Value) sim.Value { return sim.V(held != nil) })
+		})
 		c.Run()
 	}()
+	left := map[string]bool{"fact": true, "handler closure": true}
 	for range 20 {
 		runtime.GC()
 		select {
-		case <-collected:
-			return
+		case name := <-collected:
+			delete(left, name)
+			if len(left) == 0 {
+				return
+			}
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("a finished cluster is still reachable after its run handed its records back")
+	t.Fatalf("still reachable after the run handed its records back: %v", left)
 }

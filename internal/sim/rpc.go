@@ -105,7 +105,7 @@ func (ctx *Context) Call(target, method string, args ...Value) (Value, error) {
 	}
 
 	// Client-side wait for the reply signal; a timeout of 0 waits untimed.
-	v, err := cs.done.waitAt(ctx, c.cfg.RPCClientTimeout, c.siteRPCClientWait)
+	v, err := cs.done.waitAt(ctx, c.cfg.RPCClientTimeout, siteRPCClientWait)
 	if ErrWaitTimeout(err) {
 		delete(caller.pendingCalls, cs.callID)
 		return Value{}, ErrRPCTimeout
@@ -147,7 +147,7 @@ func serveRPC(hctx *Context) {
 		Aux:    cs.replyAux,
 		Target: cs.caller.PID,
 		Taint:  result.taint,
-		Site:   hctx.c.siteRPCReplySend,
+		Site:   siteRPCReplySend,
 		IsSend: true,
 	}, &OpEffects{Apply: func() error {
 		deliverable = !cs.caller.crashed

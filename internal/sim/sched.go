@@ -143,7 +143,7 @@ func (c *Cluster) applyPlanAtStep() {
 			}
 		}
 		// A siteless event is a node crash (preparePlan sets its action).
-		c.fired(p, i, c.crash(p, target, c.sitePlan, ev.Restart))
+		c.fired(p, i, c.crash(p, target, sitePlan, ev.Restart))
 	}
 	p.recountStep()
 }

@@ -81,7 +81,7 @@ func TestCallsiteUnknownOutsideWindow(t *testing.T) {
 		c := NewCluster(Config{Seed: 1})
 		var id SiteID
 		fromApp(func(int) { atDepth(outsideDepth, func() { id = c.callsite() }) })
-		if id != c.siteUnknown || c.SiteName(id) != "unknown" {
+		if id != siteUnknown || c.SiteName(id) != "unknown" {
 			t.Fatalf("site = %d %q, want the unknown site", id, c.SiteName(id))
 		}
 	})

@@ -29,12 +29,14 @@ type Fact struct {
 }
 
 // Fold consumes a run that keeps no trace (Config.Fold): Fact is passed each
-// selected op in emission order, while the emitting thread runs. DepSite,
+// selected op in emission order, while the emitting thread runs. The Fact is
+// the caller's scratch, rewritten for the next op: a fold must not keep the
+// pointer, only what it copies out of it. DepSite,
 // asked once when the cluster is built, names the one source site whose
 // executions Fact reads dependences on ("" for none): a fact's Taint and Ctl
 // then hold exactly the executions of that site its op depends on.
 type Fold interface {
-	Fact(Fact)
+	Fact(*Fact)
 	DepSite() string
 }
 
@@ -54,13 +56,14 @@ func FoldTrace(fold Fold, tr *trace.Trace) {
 		}
 		return out
 	}
+	var f Fact
 	for i := range tr.Records {
 		r := &tr.Records[i]
-		f := Fact{Kind: r.Kind, Site: SiteID(r.Site), SiteName: tr.Str(r.Site), TS: r.TS, Flags: r.Flags, Aux: tr.Str(r.Aux)}
+		f = Fact{Kind: r.Kind, Site: SiteID(r.Site), SiteName: tr.Str(r.Site), TS: r.TS, Flags: r.Flags, Aux: tr.Str(r.Aux)}
 		if site != "" {
 			f.ID, f.Taint, f.Ctl = r.ID, atSite(r.Taint), atSite(r.Ctl)
 		}
-		fold.Fact(f)
+		fold.Fact(&f)
 	}
 }
 
@@ -83,6 +86,8 @@ type tracer struct {
 	ops     trace.OpID
 	// sysPID is the interned "system" PID for scheduler-context records.
 	sysPID trace.Sym
+	// scratch is the Fact a folded run passes its fold, rewritten per op.
+	scratch Fact
 }
 
 func newTracer(c *Cluster) *tracer {
@@ -90,8 +95,10 @@ func newTracer(c *Cluster) *tracer {
 	switch {
 	case c.cfg.Tracing == TraceOff:
 	case c.cfg.Fold != nil:
-		tr.fold, tr.depSite = c.cfg.Fold, c.internSite(c.cfg.Fold.DepSite())
-		tr.deps = tr.depSite != NoSite
+		tr.fold = c.cfg.Fold
+		site := tr.fold.DepSite()
+		c.lookupSite(site, &tr.depSite)
+		tr.deps = site != ""
 	default:
 		tr.trace, tr.deps = trace.New(), true
 		tr.sysPID = tr.trace.Intern("system")
@@ -242,7 +249,8 @@ func (tr *tracer) emitSystem(op OpReq) trace.OpID {
 // storage define-use link carries it. (Without a source site, depSite is
 // NoSite and a siteless op's ID is NoOp too.)
 func (tr *tracer) fact(op *OpReq, ctl []trace.OpID, ts int64) trace.OpID {
-	f := Fact{Kind: op.Kind, Site: op.Site, SiteName: tr.c.siteStrs[op.Site], TS: ts, Flags: op.Flags, Aux: op.Aux}
+	f := &tr.scratch
+	*f = Fact{Kind: op.Kind, Site: op.Site, SiteName: tr.c.siteStrs[op.Site], TS: ts, Flags: op.Flags, Aux: op.Aux}
 	if tr.deps {
 		tr.ops++
 		f.ID, f.Taint, f.Ctl = tr.ops, op.Taint, ctl

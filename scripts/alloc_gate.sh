@@ -11,15 +11,18 @@
 # the workers interleave; every other metric repeats to 0.05 %.)
 #
 #   campaign, dist, evaluation, predict — 1 % over the medians measured
-#     once a finished run also handed its scheduler arrays (thread list,
-#     ready list, timer heap) to the next run: campaign 2 865 KB / 62 523
-#     mallocs per op, dist 2 962 / 63 931, evaluation 2 026 / 12 623,
-#     predict 1 431.6 / 3 513. Every ceiling is below the value before that
-#     change (campaign 3 071 / 63 353, dist 3 172 / 64 747, evaluation
-#     2 068 / 12 866, predict 1 439.6 / 3 558), and those were below the
-#     values before runs handed their thread and call records, node queue
-#     arrays and rng on (campaign 8 776 / 89 057, dist 8 890 / 90 482,
-#     evaluation 2 966 / 16 123, predict 1 595 / 4 087).
+#     once SiteIDs became process-wide and a node's maps, the PC cache and
+#     the SiteID-indexed arrays rode the spare too: campaign 2 076 KB /
+#     57 790 mallocs per op, dist 2 183 / 59 190, evaluation 1 790.6 /
+#     11 194, predict 1 390.1 / 3 260. Every ceiling is below the value
+#     before that change (campaign 2 856 / 62 523, dist 2 955 / 63 920,
+#     evaluation 2 027 / 12 622, predict 1 431.6 / 3 513), those were below
+#     the values before runs also handed on their scheduler arrays
+#     (campaign 3 071 / 63 353, dist 3 172 / 64 747, evaluation 2 068 /
+#     12 866, predict 1 439.6 / 3 558), and those below the values before
+#     runs handed their thread and call records, node queue arrays and rng
+#     on (campaign 8 776 / 89 057, dist 8 890 / 90 482, evaluation 2 966 /
+#     16 123, predict 1 595 / 4 087).
 #     dist runs the same campaign runs through the coordinator, so its
 #     counts are campaign's plus the wire's.
 #   offline — trace decode and index build: the decoder's byte window, chunk
@@ -53,10 +56,10 @@ sys.exit(0 if ok else 1)' "$@"
 }
 
 fail=0
-gate campaign   2895  63148  || fail=1
-gate dist       2992  64570  || fail=1
-gate evaluation 2047  12750  || fail=1
-gate offline    592   965    || fail=1
-gate predict    1446  3548   || fail=1
+gate campaign   2097  58368  || fail=1
+gate dist       2205  59782  || fail=1
+gate evaluation 1809  11306  || fail=1
+gate offline    591   964    || fail=1
+gate predict    1404  3293   || fail=1
 [ "$fail" -eq 0 ] || { echo "alloc-gate: FAIL" >&2; exit 1; }
 echo "alloc-gate: ok"
